@@ -2485,43 +2485,44 @@ impl MpiWorld {
         if self.round < self.hog_until && self.hog_mask >> (i as u32) & 1 == 1 {
             quantum = (quantum * (1000 - self.hog_share as u64) / 1000).max(1);
         }
-        // Clip the quantum to a pending injection point on this rank.
-        let mut fire = false;
-        if let Some(inj) = &self.injection {
-            if inj.rank as usize == i {
-                let done = self.ranks[i].machine.counters.insns;
-                if done >= inj.at_insns {
-                    fire = true;
-                } else {
-                    quantum = quantum.min(inj.at_insns - done);
-                }
-            }
-        }
-        if fire {
-            let mut inj = self.injection.take().unwrap();
-            (inj.action)(&mut self.ranks[i].machine);
-            self.obs_record(
-                i,
-                EventKind::FaultFired {
-                    at_insns: self.ranks[i].machine.counters.insns,
-                },
-            );
-            if let Some(p) = inj.period {
-                // Persistent fault: re-arm for the next assertion and
-                // keep the quantum clipped to it.
-                inj.at_insns = self.ranks[i].machine.counters.insns + p;
-                quantum = quantum.min(p);
-                self.injection = Some(inj);
-            }
-        }
         {
             // fl-perturb effective-quantum telemetry: what the scheduler
-            // actually handed out after hog scaling and injection clips.
+            // actually handed out after hog scaling.
             let st = &mut self.ranks[i].machine.exec_stats;
             st.quanta_granted += 1;
             st.quantum_insns_granted += quantum;
         }
-        let exit = self.ranks[i].machine.run(quantum);
+        // A pending injection on this rank fires *inside* the quantum:
+        // run to the fire point, apply the fault, run the remainder. The
+        // rank's quanta therefore end where the golden run's end, so a
+        // fault that leaves the instruction path alone leaves the whole
+        // schedule alone (every later round boundary is a golden one).
+        let stop_at = self.ranks[i].machine.counters.insns.saturating_add(quantum);
+        let exit = loop {
+            let done = self.ranks[i].machine.counters.insns;
+            let mut slice = stop_at.saturating_sub(done);
+            if let Some(inj) = self.injection.as_mut().filter(|inj| inj.rank as usize == i) {
+                if done >= inj.at_insns {
+                    (inj.action)(&mut self.ranks[i].machine);
+                    // Persistent faults re-arm for the next assertion;
+                    // transient ones are spent.
+                    match inj.period {
+                        Some(p) => inj.at_insns = done + p,
+                        None => self.injection = None,
+                    }
+                    self.obs_record(i, EventKind::FaultFired { at_insns: done });
+                    continue;
+                }
+                slice = slice.min(inj.at_insns - done);
+            }
+            if slice == 0 {
+                break Exit::Quantum;
+            }
+            let exit = self.ranks[i].machine.run(slice);
+            if exit != Exit::Quantum {
+                break exit;
+            }
+        };
         if self.cfg.ft.enabled {
             // Executing a quantum is life (piggybacked heartbeat).
             self.heard(i);
