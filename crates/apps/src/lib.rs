@@ -370,15 +370,27 @@ impl App {
     pub fn golden(&self, budget: u64) -> Golden {
         let mut w = self.world(budget);
         let exit = w.run();
+        self.golden_of(&w, &exit)
+    }
+
+    /// The reference record of a fault-free run of this app that has
+    /// already happened: `w` is the finished world and `exit` how it
+    /// ended. Lets a caller that runs the golden world itself (to take
+    /// checkpoints along the way) get the [`Golden`] from the same pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run did not end cleanly, like [`App::golden`].
+    pub fn golden_of(&self, w: &MpiWorld, exit: &WorldExit) -> Golden {
         assert_eq!(
-            exit,
+            *exit,
             WorldExit::Clean,
             "{}: golden run must be clean",
             self.kind.name()
         );
         let n = self.params.nranks;
         Golden {
-            output: self.comparable_output(&w),
+            output: self.comparable_output(w),
             insns: (0..n).map(|r| w.machine(r).counters.insns).collect(),
             recv_bytes: (0..n).map(|r| w.received_bytes(r)).collect(),
             profiles: (0..n).map(|r| *w.profile(r)).collect(),

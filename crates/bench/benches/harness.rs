@@ -3,13 +3,9 @@
 //! per second, which bounds campaign sizes — the paper spent two months
 //! of cluster time on its campaigns).
 
-// Benchmarks measure the raw driver path below the builder/spec
-// veneer, so they call the deprecated trial entry points on purpose.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{CampaignConfig, Dictionaries, TargetClass};
+use fl_inject::{CampaignBuilder, TargetClass};
 use fl_lang::compile;
 use fl_machine::{Exit, Machine, MachineConfig, F80};
 
@@ -88,14 +84,13 @@ fn bench_golden_runs(c: &mut Criterion) {
 }
 
 fn bench_trial_throughput(c: &mut Criterion) {
-    // The unit of campaign cost: one injection experiment end to end.
+    // The unit of campaign cost: injection experiments end to end, cold
+    // (no epoch forks), a small single-worker campaign per iteration.
+    const TRIALS: u32 = 8;
     let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-    let golden = app.golden(2_000_000_000);
-    let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
-    let dicts = Dictionaries::build(&app);
-    let _ = CampaignConfig::default();
     let mut g = c.benchmark_group("trial");
     g.sample_size(20);
+    g.throughput(Throughput::Elements(TRIALS as u64));
     for class in [
         TargetClass::RegularReg,
         TargetClass::Text,
@@ -105,7 +100,14 @@ fn bench_trial_throughput(c: &mut Criterion) {
         g.bench_function(class.label().replace(' ', "_").replace('.', ""), |b| {
             b.iter(|| {
                 seed += 1;
-                fl_inject::run_trial(&app, &golden, &dicts, class, seed, budget).outcome
+                CampaignBuilder::new(&app)
+                    .classes(&[class])
+                    .injections(TRIALS)
+                    .seed(seed)
+                    .threads(1)
+                    .epoch_rounds(0)
+                    .run()
+                    .insns_total
             })
         });
     }

@@ -6,43 +6,39 @@
 //! same trial population three ways — recording off, a small ring and a
 //! large ring — and writes the trials/sec plus the relative overhead to
 //! `BENCH_obs.json` at the workspace root.
-
-// Benchmarks measure the raw driver path below the builder/spec
-// veneer, so they call the deprecated trial entry points on purpose.
-#![allow(deprecated)]
+//!
+//! Every arm runs the same single-worker campaign cold (`epoch_rounds`
+//! 0): forked trials that record nothing may end early at an epoch
+//! boundary while recording ones never do, and that difference is not
+//! the recording cost this bench is about.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{run_trial, run_trial_traced, trial_seed, Dictionaries, TargetClass};
-use std::cell::Cell;
+use fl_inject::{CampaignBuilder, TargetClass};
 
-/// Seeds cycled by every path so they execute the same trial population.
-const SEEDS: u32 = 64;
+/// Trials per measured campaign; every arm runs the same population.
+const TRIALS: u32 = 64;
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-    let golden = app.golden(2_000_000_000);
-    let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
-    let dicts = Dictionaries::build(&app);
-    let class = TargetClass::RegularReg;
-    let campaign_seed = 0x0B5E_u64;
 
+    // ns per trial, campaign setup (golden run, dictionaries) included
+    // identically in every arm.
     let run_at = |name: &str, c: &mut Criterion, capacity: u32| -> f64 {
-        let k = Cell::new(0u32);
         c.bench_function(name, |b| {
             b.iter(|| {
-                let s = trial_seed(campaign_seed, 0, k.get() % SEEDS);
-                k.set(k.get().wrapping_add(1));
-                if capacity == 0 {
-                    run_trial(&app, &golden, &dicts, class, s, budget).outcome
-                } else {
-                    run_trial_traced(&app, &golden, &dicts, class, s, budget, None, capacity)
-                        .record
-                        .outcome
-                }
+                CampaignBuilder::new(&app)
+                    .classes(&[TargetClass::RegularReg])
+                    .injections(TRIALS)
+                    .seed(0x0B5E)
+                    .threads(1)
+                    .epoch_rounds(0)
+                    .observe(capacity)
+                    .run()
+                    .insns_total
             })
         });
-        c.last_ns_per_iter.expect("bench must have run")
+        c.last_ns_per_iter.expect("bench must have run") / TRIALS as f64
     };
 
     let off_ns = run_at("obs_overhead/off", c, 0);

@@ -2,68 +2,64 @@
 //!
 //! Measures the campaign fast path's payoff: identical trials (same
 //! seeds, same faults, same records) run once with full prefix
-//! re-execution and once forked from the epoch cache. Writes the
-//! trials/sec for both paths and the speedup to `BENCH_snapshot.json`
-//! at the workspace root.
-
-// Benchmarks measure the raw driver path below the builder/spec
-// veneer, so they call the deprecated trial entry points on purpose.
-#![allow(deprecated)]
+//! re-execution and once forked from the epoch cache — which also lets
+//! a benign trial end at the first epoch boundary where it is provably
+//! the golden run again. Each measured iteration is one single-worker
+//! campaign through `CampaignBuilder`, setup (golden run, epoch build)
+//! included. Writes the trials/sec for both paths and the speedup to
+//! `BENCH_snapshot.json` at the workspace root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{run_trial, run_trial_forked, trial_seed, Dictionaries, TargetClass};
+use fl_inject::{CampaignBuilder, TargetClass};
 use fl_snap::EpochCache;
-use std::cell::Cell;
 
-/// Seeds cycled by both paths so they execute the same trial population.
-const SEEDS: u32 = 64;
+/// Trials per measured campaign; both paths run the same population.
+const TRIALS: u32 = 64;
+const EPOCH_ROUNDS: u32 = 8;
 
 fn bench_snapshot_fork(c: &mut Criterion) {
     let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-    let golden = app.golden(2_000_000_000);
-    let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
-    let dicts = Dictionaries::build(&app);
-    let cache = EpochCache::build(&app.image, app.world_config(budget), 8);
-    let class = TargetClass::RegularReg;
-    let campaign_seed = 0xBE7C_u64;
+    let campaign = |epoch_rounds: u32| {
+        CampaignBuilder::new(&app)
+            .classes(&[TargetClass::RegularReg])
+            .injections(TRIALS)
+            .seed(0xBE7C)
+            .threads(1)
+            .epoch_rounds(epoch_rounds)
+            .run()
+    };
+    let reference = campaign(0);
+    let forked = campaign(EPOCH_ROUNDS);
+    assert_eq!(
+        reference.classes[0].trials, forked.classes[0].trials,
+        "forked records must equal cold records"
+    );
+    // Reported for context: how many checkpoints the forked path holds.
+    let epochs = EpochCache::build(&app.image, app.world_config(u64::MAX), EPOCH_ROUNDS).len();
 
-    let k = Cell::new(0u32);
-    c.bench_function("snapshot_fork/cold", |b| {
-        b.iter(|| {
-            let s = trial_seed(campaign_seed, 0, k.get() % SEEDS);
-            k.set(k.get().wrapping_add(1));
-            run_trial(&app, &golden, &dicts, class, s, budget)
-        })
-    });
-    let cold_ns = c.last_ns_per_iter.expect("cold bench must have run");
+    c.bench_function("snapshot_fork/cold", |b| b.iter(|| campaign(0).insns_total));
+    let cold_ns = c.last_ns_per_iter.expect("cold bench must have run") / TRIALS as f64;
 
-    let k = Cell::new(0u32);
     c.bench_function("snapshot_fork/forked", |b| {
-        b.iter(|| {
-            let s = trial_seed(campaign_seed, 0, k.get() % SEEDS);
-            k.set(k.get().wrapping_add(1));
-            run_trial_forked(&app, &golden, &dicts, class, s, budget, Some(&cache))
-        })
+        b.iter(|| campaign(EPOCH_ROUNDS).insns_total)
     });
-    let forked_ns = c.last_ns_per_iter.expect("forked bench must have run");
+    let forked_ns = c.last_ns_per_iter.expect("forked bench must have run") / TRIALS as f64;
 
     let cold_tps = 1e9 / cold_ns;
     let forked_tps = 1e9 / forked_ns;
     let speedup = forked_tps / cold_tps;
     println!(
         "snapshot_fork: cold {cold_tps:.2} trials/s, forked {forked_tps:.2} trials/s, \
-         speedup {speedup:.2}x ({} epochs)",
-        cache.len()
+         speedup {speedup:.2}x ({epochs} epochs)"
     );
 
     let json = format!(
         "{{\n  \"bench\": \"snapshot_fork\",\n  \"app\": \"wavetoy-tiny\",\n  \
-         \"class\": \"regular-reg\",\n  \"epoch_rounds\": 8,\n  \"epochs\": {},\n  \
+         \"class\": \"regular-reg\",\n  \"epoch_rounds\": {EPOCH_ROUNDS},\n  \"epochs\": {epochs},\n  \
          \"cold_trials_per_sec\": {cold_tps:.3},\n  \
          \"forked_trials_per_sec\": {forked_tps:.3},\n  \"speedup\": {speedup:.3},\n  \
-         \"threshold_speedup\": 1.25\n}}\n",
-        cache.len()
+         \"threshold_speedup\": 1.25\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
     std::fs::write(path, json).expect("write BENCH_snapshot.json");

@@ -613,12 +613,16 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 /// Human-readable campaign throughput summary: one line of rates, one
 /// line of exec-cache behaviour (block/trace hits, side exits,
 /// demotions) so a cold cache or a demotion storm is visible at a
-/// glance.
+/// glance, and one line of what early termination skipped. The
+/// instruction figure is the one full execution would report; trials
+/// ended at an epoch boundary did not execute their share of it.
 fn throughput_line(result: &fl_inject::CampaignResult) -> String {
     let s = &result.exec_stats;
+    let c = &result.converge;
     format!(
         "throughput: {} trials, {:.1}M guest insns in {:.2}s — {:.1} MIPS, {:.1} trials/sec\n\
-         exec-cache: {} block hits, {} block misses, {} trace passes, {} side exits, {} demotions",
+         exec-cache: {} block hits, {} block misses, {} trace passes, {} side exits, {} demotions\n\
+         converged: {} trials ended at an epoch boundary, {} epoch compares, {} granules excused",
         result.trials_total(),
         result.insns_total as f64 / 1e6,
         result.wall_nanos as f64 / 1e9,
@@ -629,6 +633,9 @@ fn throughput_line(result: &fl_inject::CampaignResult) -> String {
         s.trace_hits,
         s.trace_side_exits,
         s.demotions,
+        c.trials_converged,
+        c.epoch_compares,
+        c.granules_excused,
     )
 }
 
@@ -685,9 +692,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-// `trial` takes a raw trial seed, not campaign coordinates, so it is the
-// one caller of the deprecated driver-level entry point.
-#[allow(deprecated)]
 fn cmd_trial(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args);
     o.expect(&["seed", "tiny"])?;
@@ -697,10 +701,13 @@ fn cmd_trial(args: &[String]) -> Result<(), String> {
     let class = parse_region(region)?;
     let seed: u64 = o.get_num("seed")?.unwrap_or(1);
     let app = build_app(kind, o.has("tiny"));
-    let golden = app.golden(DEFAULT_BUDGET);
-    let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
-    let dicts = fl_inject::Dictionaries::build(&app);
-    let rec = fl_inject::run_trial(&app, &golden, &dicts, class, seed, budget);
+    // `trial` takes a raw trial seed: trial 0 of class 0 of the campaign
+    // seeded with it draws exactly that seed.
+    let rec = CampaignBuilder::new(&app)
+        .classes(&[class])
+        .seed(seed)
+        .injections(1)
+        .replay(0, 0);
     println!("app:     {}", kind.name());
     println!("fault:   {}", rec.detail);
     println!("outcome: {}", rec.outcome);
@@ -876,7 +883,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let view = MetricsReport {
         app: kind,
         metrics: &metrics,
-        exec: Some(&result.exec_stats),
+        telemetry: Some((&result.exec_stats, &result.converge)),
     };
     // Default stays JSONL: this verb's stdout is machine-readable.
     let fmt = ReportFormat::from_flags(o.has("tsv"), !o.has("tsv"));

@@ -406,6 +406,7 @@ impl<'a> CampaignBuilder<'a> {
             insns_total: 0,
             wall_nanos: started.elapsed().as_nanos() as u64,
             exec_stats: fl_machine::ExecStats::default(),
+            converge: crate::campaign::ConvergeStats::default(),
         }
     }
 }

@@ -16,10 +16,14 @@ use crate::target::{
 };
 use fl_apps::{App, AppKind, Golden};
 use fl_machine::{ExecStats, SharedCode};
-use fl_mpi::{MessageFault, MpiWorld, PendingInjection, WorldConfig};
+use fl_mpi::{MessageFault, MpiWorld, PendingInjection, WorldConfig, WorldExit};
 use fl_snap::EpochCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Instruction budget of the golden run itself (the trial budget is
+/// derived from its result).
+const GOLDEN_BUDGET: u64 = 2_000_000_000;
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,6 +126,39 @@ pub struct CampaignResult {
     /// records, metrics rows or any byte-identity contract. Zero for
     /// model campaigns.
     pub exec_stats: ExecStats,
+    /// What convergence-aware termination skipped. Unlike `exec_stats`
+    /// these are deterministic in the spec, but like it they are
+    /// campaign telemetry: footer and telemetry rows only, never
+    /// per-trial records. Zero when no trial could end early (no epochs,
+    /// or event recording on).
+    pub converge: ConvergeStats,
+}
+
+/// Counters of convergence-aware early termination: how many trials were
+/// ended at an epoch boundary because they had provably become the golden
+/// run again, and what proving it took. Sums over the trials this
+/// process executed — resume-adopted slots contribute zero, like
+/// [`ExecStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConvergeStats {
+    /// Trials ended early as `correct`.
+    pub trials_converged: u64,
+    /// Live-world-against-epoch comparisons made (those of trials that
+    /// never converged included).
+    pub epoch_compares: u64,
+    /// Memory granules that differed from the golden run's at the
+    /// deciding comparison and were excused because the golden run never
+    /// reads them again.
+    pub granules_excused: u64,
+}
+
+impl ConvergeStats {
+    /// Accumulate another trial's (or campaign's) counters.
+    pub fn add(&mut self, o: &ConvergeStats) {
+        self.trials_converged += o.trials_converged;
+        self.epoch_compares += o.epoch_compares;
+        self.granules_excused += o.granules_excused;
+    }
 }
 
 impl CampaignResult {
@@ -185,30 +222,171 @@ pub(crate) fn trial_world_config(
     wcfg
 }
 
-/// Build the epoch snapshot cache for the campaign fast path, or `None`
-/// when the configuration or the application rules forking out.
-pub(crate) fn build_epochs(
-    app: &App,
-    cfg: &CampaignConfig,
-    budget: u64,
-    code: Option<&SharedCode>,
-) -> Option<EpochCache> {
-    if cfg.epoch_rounds == 0 {
-        return None;
+/// Everything the trials of one campaign share, built once by
+/// [`TrialContext::build`]: the app, its golden run, the fault
+/// dictionaries, the hang budget, the epoch snapshots with their read
+/// stamps, the pre-decoded code store, and the recording and
+/// execution-tier settings. [`TrialContext::run_trial`] is the one place
+/// a trial is executed.
+pub(crate) struct TrialContext<'a> {
+    pub(crate) app: &'a App,
+    pub(crate) golden: Golden,
+    pub(crate) dicts: Dictionaries,
+    /// Per-rank instruction budget of a trial (the hang bound).
+    pub(crate) budget: u64,
+    /// Present iff trials fork (`epoch_rounds > 0`, deterministic app).
+    epochs: Option<EpochCache>,
+    /// One campaign-wide pre-decoded store: the golden pass and every
+    /// trial share it, so decode work is paid once per campaign.
+    code: Option<SharedCode>,
+    obs_capacity: u32,
+    pub(crate) fastpath: bool,
+    /// End a forked trial at the first epoch boundary where it is
+    /// provably the golden run again. Implied by the configuration, not
+    /// configured: on whenever trials fork and record no events (an event
+    /// timeline is the product, so those trials run on). Tests turn it
+    /// off to compare against full execution.
+    converge: bool,
+}
+
+impl<'a> TrialContext<'a> {
+    /// Run the golden pass and build everything trials need. When trials
+    /// fork, one execution yields the golden record, the epoch snapshots
+    /// and the read stamps; otherwise it is a plain golden run.
+    pub(crate) fn build(app: &'a App, cfg: &CampaignConfig) -> TrialContext<'a> {
+        let code = cfg.fastpath.then(|| app.image.pre_decode());
+        let wcfg = trial_world_config(app, GOLDEN_BUDGET, cfg.obs_capacity, cfg.fastpath);
+        // Forking replays the *golden* prefix; an app with
+        // nondeterministic scheduling re-draws its arrival order per
+        // trial, so its prefix is not shared and every trial runs cold.
+        let (golden, mut epochs) = if cfg.epoch_rounds > 0 && !wcfg.nondet {
+            let (epochs, world) =
+                EpochCache::run_golden(&app.image, wcfg, cfg.epoch_rounds, code.as_ref());
+            (app.golden_of(&world, epochs.golden_exit()), Some(epochs))
+        } else {
+            let mut world = MpiWorld::new_with_code(&app.image, wcfg, code.as_ref());
+            let exit = world.run();
+            (app.golden_of(&world, &exit), None)
+        };
+        let budget = trial_budget(&golden, cfg);
+        if let Some(e) = &mut epochs {
+            e.set_budget(budget);
+        }
+        TrialContext {
+            app,
+            golden,
+            dicts: Dictionaries::build(app),
+            budget,
+            converge: epochs.is_some() && cfg.obs_capacity == 0,
+            epochs,
+            code,
+            obs_capacity: cfg.obs_capacity,
+            fastpath: cfg.fastpath,
+        }
     }
-    let wcfg = trial_world_config(app, budget, cfg.obs_capacity, cfg.fastpath);
-    // Forking replays the *golden* prefix; an app with nondeterministic
-    // scheduling re-draws its arrival order per trial, so its prefix is
-    // not shared and every trial must run cold.
-    if wcfg.nondet {
-        return None;
+
+    /// The same context with early termination off: every trial runs to
+    /// its own end. Test-only — the reference that terminated campaigns
+    /// must match byte for byte.
+    pub(crate) fn run_to_completion(mut self) -> TrialContext<'a> {
+        self.converge = false;
+        self
     }
-    Some(EpochCache::build_with_code(
-        &app.image,
-        wcfg,
-        cfg.epoch_rounds,
-        code,
-    ))
+
+    /// Execute one injection experiment, forking from the latest
+    /// eligible epoch checkpoint when the campaign has them.
+    ///
+    /// Cold and forked trials consume the identical random sequence —
+    /// the complete fault specification is drawn before any world exists
+    /// — so a campaign produces the same records either way; forking
+    /// only skips the redundant fault-free prefix, and convergence only
+    /// the redundant fault-free suffix.
+    pub(crate) fn run_trial(&self, class: TargetClass, trial_seed: u64) -> TrialRun {
+        let app = self.app;
+        let drawn = draw_fault(
+            &self.golden,
+            &self.dicts,
+            class,
+            trial_seed,
+            app.params.nranks,
+        );
+        let (rank, detail) = (drawn.rank, drawn.detail.clone());
+
+        // Pick the latest checkpoint the injection point permits: the
+        // target rank must not yet have passed the fire point (strictly,
+        // for instruction-timed faults) or ingested the struck byte.
+        let epoch = self.epochs.as_ref().and_then(|e| match &drawn.fault {
+            Fault::Message(f) => e.best_for_recv(rank, f.at_recv_byte),
+            Fault::Machine { at_insns, .. } => e.best_for_insns(rank, *at_insns),
+        });
+        let mut world = match epoch {
+            Some(e) => e.snap.restore(),
+            None => {
+                let mut cfg =
+                    trial_world_config(app, self.budget, self.obs_capacity, self.fastpath);
+                cfg.seed = trial_seed; // vary moldyn's schedule per trial (§4.2.2)
+                MpiWorld::new_with_code(&app.image, cfg, self.code.as_ref())
+            }
+        };
+        drawn.arm(&mut world);
+
+        let mut converge = ConvergeStats::default();
+        let (outcome, insns) = match self.run_until_converged(&mut world, &mut converge) {
+            // From the boundary on the trial is the golden run: it ends
+            // clean with the golden output, and since its counters equal
+            // the golden run's at the boundary, with the golden
+            // instruction counts.
+            None => (Manifestation::Correct, self.golden.insns.iter().sum()),
+            Some(exit) => {
+                let output = app.comparable_output(&world);
+                let insns = (0..app.params.nranks)
+                    .map(|r| world.machine(r).counters.insns)
+                    .sum();
+                (classify(&exit, &output, &self.golden.output), insns)
+            }
+        };
+        TrialRun {
+            record: TrialRecord {
+                class,
+                detail,
+                outcome,
+            },
+            rank,
+            insns,
+            world,
+            converge,
+        }
+    }
+
+    /// Run an armed trial world to its exit — or, when early termination
+    /// applies, only until the first epoch boundary at which its fault is
+    /// spent and it has provably become the golden run again (`None`).
+    fn run_until_converged(
+        &self,
+        world: &mut MpiWorld,
+        stats: &mut ConvergeStats,
+    ) -> Option<WorldExit> {
+        let Some(epochs) = self.epochs.as_ref().filter(|_| self.converge) else {
+            return Some(world.run());
+        };
+        loop {
+            if let Some(exit) = world.run_round() {
+                return Some(exit);
+            }
+            let Some(k) = epochs.boundary_at(world.round()) else {
+                continue;
+            };
+            if world.fault_pending() {
+                continue;
+            }
+            stats.epoch_compares += 1;
+            if let Some(excused) = epochs.converged(k, world) {
+                stats.trials_converged = 1;
+                stats.granules_excused = excused;
+                return None;
+            }
+        }
+    }
 }
 
 /// Campaign execution (the [`crate::CampaignBuilder`] backend): a thin
@@ -244,23 +422,7 @@ pub(crate) fn replay_trial_impl(
 ) -> TrialTrace {
     assert!(ci < classes.len(), "class index {ci} out of range");
     assert!(k < cfg.injections, "trial index {k} out of range");
-    let golden = app.golden(2_000_000_000);
-    let budget = trial_budget(&golden, cfg);
-    let dicts = Dictionaries::build(app);
-    let code = cfg.fastpath.then(|| app.image.pre_decode());
-    let epochs = build_epochs(app, cfg, budget, code.as_ref());
-    let run = run_trial_inner(
-        app,
-        &golden,
-        &dicts,
-        classes[ci],
-        trial_seed(cfg.seed, ci, k),
-        budget,
-        epochs.as_ref(),
-        cfg.obs_capacity,
-        cfg.fastpath,
-        code.as_ref(),
-    );
+    let run = TrialContext::build(app, cfg).run_trial(classes[ci], trial_seed(cfg.seed, ci, k));
     TrialTrace {
         record: run.record,
         rank: run.rank,
@@ -294,25 +456,6 @@ impl Dictionaries {
             _ => unreachable!("no dictionary for {class:?}"),
         }
     }
-}
-
-/// Execute one injection experiment cold: fresh machines, full prefix
-/// re-execution — the paper's reboot-between-injections isolation.
-#[deprecated(note = "direct driver entry point; drive campaigns through \
-            `CampaignBuilder` (or `run_spec`) and single trials through \
-            `CampaignBuilder::replay`")]
-pub fn run_trial(
-    app: &App,
-    golden: &Golden,
-    dicts: &Dictionaries,
-    class: TargetClass,
-    trial_seed: u64,
-    budget: u64,
-) -> TrialRecord {
-    run_trial_inner(
-        app, golden, dicts, class, trial_seed, budget, None, 0, true, None,
-    )
-    .record
 }
 
 /// The state mutation an armed machine fault applies when it fires.
@@ -455,128 +598,16 @@ pub(crate) fn draw_fault(
     }
 }
 
-/// Execute one injection experiment, forking from the latest eligible
-/// epoch checkpoint when a cache is supplied.
-///
-/// Cold and forked trials consume the identical random sequence — the
-/// complete fault specification is drawn before any world exists — so a
-/// campaign produces the same records either way; forking only skips the
-/// redundant fault-free prefix.
-#[deprecated(note = "direct driver entry point; drive campaigns through \
-            `CampaignBuilder` (or `run_spec`) and single trials through \
-            `CampaignBuilder::replay`")]
-pub fn run_trial_forked(
-    app: &App,
-    golden: &Golden,
-    dicts: &Dictionaries,
-    class: TargetClass,
-    trial_seed: u64,
-    budget: u64,
-    epochs: Option<&EpochCache>,
-) -> TrialRecord {
-    run_trial_inner(
-        app, golden, dicts, class, trial_seed, budget, epochs, 0, true, None,
-    )
-    .record
-}
-
-/// Execute one injection experiment with event recording on, returning
-/// the full [`TrialTrace`]. When forking from an epoch cache, that
-/// cache must have been built with the same `obs_capacity` (the golden
-/// prefix's events are part of the snapshot).
-#[deprecated(note = "direct driver entry point; drive campaigns through \
-            `CampaignBuilder` (or `run_spec`) and traced replays through \
-            `CampaignBuilder::replay_traced`")]
-#[allow(clippy::too_many_arguments)]
-pub fn run_trial_traced(
-    app: &App,
-    golden: &Golden,
-    dicts: &Dictionaries,
-    class: TargetClass,
-    trial_seed: u64,
-    budget: u64,
-    epochs: Option<&EpochCache>,
-    obs_capacity: u32,
-) -> TrialTrace {
-    let run = run_trial_inner(
-        app,
-        golden,
-        dicts,
-        class,
-        trial_seed,
-        budget,
-        epochs,
-        obs_capacity,
-        true,
-        None,
-    );
-    TrialTrace {
-        record: run.record,
-        rank: run.rank,
-        insns: run.insns,
-        streams: run.world.event_streams(),
-    }
-}
-
 /// A finished trial before teardown: the record, the victim rank, the
-/// guest instructions retired across all ranks, and the ended world
-/// (still holding every rank's event log).
+/// guest instructions retired across all ranks, the world as the trial
+/// left it (still holding every rank's event log) and what early
+/// termination did.
 pub(crate) struct TrialRun {
     pub(crate) record: TrialRecord,
     pub(crate) rank: u16,
     pub(crate) insns: u64,
     pub(crate) world: MpiWorld,
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_trial_inner(
-    app: &App,
-    golden: &Golden,
-    dicts: &Dictionaries,
-    class: TargetClass,
-    trial_seed: u64,
-    budget: u64,
-    epochs: Option<&EpochCache>,
-    obs_capacity: u32,
-    fastpath: bool,
-    code: Option<&SharedCode>,
-) -> TrialRun {
-    let drawn = draw_fault(golden, dicts, class, trial_seed, app.params.nranks);
-    let (rank, detail) = (drawn.rank, drawn.detail.clone());
-
-    // Pick the latest checkpoint the injection point permits: the target
-    // rank must not yet have passed the fire point (strictly, for
-    // instruction-timed faults) or ingested the struck byte.
-    let epoch = epochs.and_then(|e| match &drawn.fault {
-        Fault::Message(f) => e.best_for_recv(rank, f.at_recv_byte),
-        Fault::Machine { at_insns, .. } => e.best_for_insns(rank, *at_insns),
-    });
-    let mut world = match epoch {
-        Some(e) => e.snap.restore(),
-        None => {
-            let mut cfg = trial_world_config(app, budget, obs_capacity, fastpath);
-            cfg.seed = trial_seed; // vary moldyn's schedule per trial (§4.2.2)
-            MpiWorld::new_with_code(&app.image, cfg, code)
-        }
-    };
-    drawn.arm(&mut world);
-
-    let exit = world.run();
-    let output = app.comparable_output(&world);
-    let outcome = classify(&exit, &output, &golden.output);
-    let insns = (0..app.params.nranks)
-        .map(|r| world.machine(r).counters.insns)
-        .sum();
-    TrialRun {
-        record: TrialRecord {
-            class,
-            detail,
-            outcome,
-        },
-        rank,
-        insns,
-        world,
-    }
+    pub(crate) converge: ConvergeStats,
 }
 
 #[cfg(test)]
@@ -733,5 +764,125 @@ mod tests {
         // checksums; and not all of them (padding bytes, dead payloads).
         assert!(t.errors() > 0, "no message fault manifested");
         assert!(t.errors() < 40, "every message fault manifested");
+    }
+
+    /// The verify property: take every trial of an eight-class campaign
+    /// that the rule ends early and run it on anyway. It must finish
+    /// clean, with the golden output and the golden per-rank counters —
+    /// which is what its record already claimed. Returns, per class, how
+    /// many trials ended early and how many ended `correct` either way,
+    /// and how many ended at the first boundary they were compared at.
+    fn verify_early_ends(app: &App, cfg: &CampaignConfig) -> ([(u32, u32); 8], u32) {
+        let ctx = TrialContext::build(app, cfg);
+        let golden_total: u64 = ctx.golden.insns.iter().sum();
+        let mut per_class = [(0, 0); 8];
+        let mut at_first = 0;
+        for (ci, &class) in TargetClass::ALL.iter().enumerate() {
+            let (ended, correct) = &mut per_class[ci];
+            for k in 0..cfg.injections {
+                let run = ctx.run_trial(class, trial_seed(cfg.seed, ci, k));
+                *correct += (run.record.outcome == Manifestation::Correct) as u32;
+                if run.converge.trials_converged == 0 {
+                    continue;
+                }
+                *ended += 1;
+                at_first += (run.converge.epoch_compares == 1) as u32;
+                assert_eq!(run.record.outcome, Manifestation::Correct);
+                assert_eq!(run.insns, golden_total);
+                let what = format!("{} {class} trial {k}: {}", app.kind, run.record.detail);
+                let mut w = run.world;
+                assert_eq!(w.run(), WorldExit::Clean, "{what}");
+                assert_eq!(app.comparable_output(&w), ctx.golden.output, "{what}");
+                for r in 0..app.params.nranks {
+                    let c = w.machine(r).counters;
+                    assert_eq!(c.insns, ctx.golden.insns[r as usize], "{what}");
+                    assert_eq!(c.blocks, ctx.golden.blocks[r as usize], "{what}");
+                }
+            }
+        }
+        (per_class, at_first)
+    }
+
+    #[test]
+    fn early_ended_trials_are_the_golden_run() {
+        for (kind, fastpath) in [
+            (AppKind::Wavetoy, true),
+            (AppKind::Wavetoy, false),
+            (AppKind::Climsim, true),
+            (AppKind::Jacobi3d, true),
+        ] {
+            let app = App::build(kind, AppParams::tiny(kind));
+            let cfg = CampaignConfig {
+                injections: 10,
+                seed: 0xC0_47E6,
+                epoch_rounds: 4,
+                fastpath,
+                ..Default::default()
+            };
+            let ended: u32 = verify_early_ends(&app, &cfg).0.iter().map(|c| c.0).sum();
+            assert!(ended >= 30, "{kind}: only {ended} of 80 trials ended early");
+        }
+    }
+
+    /// The same property on the paper-size apps and seeds the benchmark
+    /// draws from (1,920 trials; about a minute in release mode):
+    /// `cargo test --release -p fl-inject --lib paper_size -- --ignored --nocapture`
+    #[test]
+    #[ignore = "paper-size sweep, run on demand"]
+    fn early_ended_trials_are_the_golden_run_at_paper_size() {
+        let mut total = [(0, 0); 8];
+        for base in [20_040_611u64, 19_970_523, 20_041_611, 20_042_611] {
+            let kinds = [AppKind::Wavetoy, AppKind::Climsim, AppKind::Jacobi3d];
+            for (i, kind) in kinds.into_iter().enumerate() {
+                let app = App::build(kind, AppParams::default_for(kind));
+                let cfg = CampaignConfig {
+                    injections: 20,
+                    seed: base + i as u64,
+                    ..Default::default()
+                };
+                let (per_class, at_first) = verify_early_ends(&app, &cfg);
+                let ended: u32 = per_class.iter().map(|c| c.0).sum();
+                let correct: u32 = per_class.iter().map(|c| c.1).sum();
+                println!(
+                    "{kind} seed {}: {ended} of {correct} correct trials (160 run) \
+                     ended early ({at_first} at the first boundary), all verified",
+                    cfg.seed
+                );
+                for (t, c) in total.iter_mut().zip(per_class) {
+                    *t = (t.0 + c.0, t.1 + c.1);
+                }
+            }
+        }
+        for (class, (ended, correct)) in TargetClass::ALL.iter().zip(total) {
+            println!("{class}: {ended} of {correct} correct trials ended early");
+        }
+    }
+
+    #[test]
+    fn recording_and_cold_campaigns_never_end_trials_early() {
+        let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
+        let quiet = |cfg: CampaignConfig| {
+            let ctx = TrialContext::build(&app, &cfg);
+            (0..6).all(|k| {
+                let run = ctx.run_trial(TargetClass::Bss, trial_seed(3, 0, k));
+                run.converge == ConvergeStats::default()
+            })
+        };
+        // An event timeline is the product: those trials run on.
+        assert!(quiet(CampaignConfig {
+            obs_capacity: 64,
+            ..Default::default()
+        }));
+        // No epochs, nothing to converge on.
+        assert!(quiet(CampaignConfig {
+            epoch_rounds: 0,
+            ..Default::default()
+        }));
+        assert!(!quiet(CampaignConfig::default()));
+        // Nondeterministic apps build no epochs whatever the cadence.
+        let moldyn = App::build(AppKind::Moldyn, AppParams::tiny(AppKind::Moldyn));
+        let ctx = TrialContext::build(&moldyn, &CampaignConfig::default());
+        let run = ctx.run_trial(TargetClass::Bss, trial_seed(3, 0, 0));
+        assert_eq!(run.converge, ConvergeStats::default());
     }
 }

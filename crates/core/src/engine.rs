@@ -28,8 +28,8 @@
 //! exactly one way trials get scheduled, executed and recorded.
 
 use crate::campaign::{
-    build_epochs, run_trial_inner, trial_budget, trial_seed, CampaignConfig, CampaignResult,
-    ClassResult, Dictionaries, TrialRecord,
+    trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats, TrialContext,
+    TrialRecord,
 };
 use crate::json::{escape, parse, Json};
 use crate::obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, KIND_COUNT};
@@ -441,18 +441,46 @@ pub fn run_campaign_engine(
     control: &EngineControl,
     resume: Option<CompletedSlots>,
 ) -> EngineRun {
-    let golden = app.golden(2_000_000_000);
-    let budget = trial_budget(&golden, cfg);
-    let dicts = Dictionaries::build(app);
-    // One campaign-wide pre-decoded store: the golden/epoch run and every
-    // trial fork share it, so decode work is paid once per campaign.
-    let code = cfg.fastpath.then(|| app.image.pre_decode());
-    let epochs = build_epochs(app, cfg, budget, code.as_ref());
+    run_engine(
+        TrialContext::build(app, cfg),
+        classes,
+        cfg,
+        sink,
+        control,
+        resume,
+    )
+}
+
+/// [`run_campaign_engine`] with convergence-aware termination off: every
+/// trial executes to its own end. Exists so tests can hold campaigns
+/// that end trials early to byte-identity with full execution; it is not
+/// a mode — no spec key, flag or environment variable selects it.
+#[doc(hidden)]
+pub fn run_campaign_engine_to_completion(
+    app: &App,
+    classes: &[TargetClass],
+    cfg: &CampaignConfig,
+    sink: &dyn EngineSink,
+    control: &EngineControl,
+    resume: Option<CompletedSlots>,
+) -> EngineRun {
+    let ctx = TrialContext::build(app, cfg).run_to_completion();
+    run_engine(ctx, classes, cfg, sink, control, resume)
+}
+
+fn run_engine(
+    ctx: TrialContext,
+    classes: &[TargetClass],
+    cfg: &CampaignConfig,
+    sink: &dyn EngineSink,
+    control: &EngineControl,
+    resume: Option<CompletedSlots>,
+) -> EngineRun {
     let observe = cfg.obs_capacity > 0;
-    // Exec-cache telemetry. Sums are commutative, so the totals are
-    // independent of worker count; resume-adopted slots contribute zero
-    // (their worlds ran in a previous process).
-    let exec_stats = Mutex::new(ExecStats::default());
+    // Exec-cache and early-termination telemetry. Sums are commutative,
+    // so the totals are independent of worker count; resume-adopted
+    // slots contribute zero (their worlds ran in a previous process).
+    let telemetry = Mutex::new((ExecStats::default(), ConvergeStats::default()));
     let resume = resume.unwrap_or_default();
     let resumed_total = resume.len() as u64;
     let total = classes.len() as u64 * cfg.injections as u64;
@@ -464,19 +492,12 @@ pub fn run_campaign_engine(
         let out = match resume.take(ci, k) {
             Some(t) => t,
             None => {
-                let run = run_trial_inner(
-                    app,
-                    &golden,
-                    &dicts,
-                    classes[ci],
-                    trial_seed(cfg.seed, ci, k),
-                    budget,
-                    epochs.as_ref(),
-                    cfg.obs_capacity,
-                    cfg.fastpath,
-                    code.as_ref(),
-                );
-                exec_stats.lock().unwrap().add(&run.world.exec_stats());
+                let run = ctx.run_trial(classes[ci], trial_seed(cfg.seed, ci, k));
+                {
+                    let mut t = telemetry.lock().unwrap();
+                    t.0.add(&run.world.exec_stats());
+                    t.1.add(&run.converge);
+                }
                 let metrics = observe.then(|| {
                     trial_metrics(&run.record, run.rank, &run.world.event_streams(), run.insns)
                 });
@@ -544,15 +565,17 @@ pub fn run_campaign_engine(
             trials,
         });
     }
+    let (exec_stats, converge) = telemetry.into_inner().unwrap();
     EngineRun {
         result: Some(CampaignResult {
-            app: app.kind,
+            app: ctx.app.kind,
             classes: results,
-            golden,
+            golden: ctx.golden,
             metrics: observe.then_some(CampaignMetrics { classes: metrics }),
             insns_total,
             wall_nanos: progress.wall_nanos,
-            exec_stats: exec_stats.into_inner().unwrap(),
+            exec_stats,
+            converge,
         }),
         progress,
     }
@@ -1018,5 +1041,30 @@ mod tests {
         })
         .unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn converge_counters_are_deterministic_telemetry() {
+        let app = tiny();
+        let classes = [TargetClass::Bss, TargetClass::Stack];
+        let run = |threads: usize, resume: Option<CompletedSlots>| {
+            let sink = VecSink::new(app.kind);
+            let c = cfg(10, 0xC0DE, threads);
+            let r = run_campaign_engine(&app, &classes, &c, &sink, &EngineControl::new(), resume)
+                .result
+                .unwrap();
+            (r.converge, sink.into_lines())
+        };
+        let (one, lines) = run(1, None);
+        assert!(one.trials_converged >= 10, "{one:?}");
+        assert!(one.epoch_compares >= one.trials_converged);
+        // Unlike the exec-cache counters these do not depend on who ran
+        // what: they are sums of per-trial constants.
+        assert_eq!(run(4, None).0, one);
+        // They never reach a record.
+        assert!(lines.iter().all(|l| !l.contains("converge")));
+        // Adopted slots ran in another process: they contribute nothing.
+        let (slots, _) = CompletedSlots::from_jsonl(&lines.join("\n"), &classes, 10);
+        assert_eq!(run(2, Some(slots)).0, ConvergeStats::default());
     }
 }

@@ -15,10 +15,7 @@
 //! (`campaign::draw_fault`), so the comparison is paired at the
 //! trial level, not just distributional.
 
-use crate::campaign::{
-    build_epochs, draw_fault, run_trial_inner, trial_budget, trial_seed, trial_world_config,
-    CampaignConfig, Dictionaries,
-};
+use crate::campaign::{draw_fault, trial_seed, trial_world_config, CampaignConfig, TrialContext};
 use crate::engine::{run_pool, EngineControl, EngineSink, NullSink};
 use crate::outcome::Manifestation;
 use crate::outcome::Tally;
@@ -169,31 +166,33 @@ pub(crate) fn slug(m: Manifestation) -> &'static str {
 /// Run one fault under the guard and classify the pair-able outcome.
 ///
 /// The fault is drawn from `trial_seed` exactly as the unguarded
-/// [`crate::run_trial`] path draws it, then armed on a world running
+/// [`TrialContext::run_trial`] draws it, then armed on a world running
 /// under `policy`. Classification extends §5.1 with the guarded classes:
 /// a clean finish with matching output is `Correct` if the guard never
 /// intervened and `Recovered` if it did; a clean finish with wrong
 /// output is still `Incorrect` (the guard cannot see silent data
 /// corruption); any non-clean final exit — the restart budget ran out —
 /// is `DetectedByGuard`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_guarded_trial(
-    app: &App,
-    golden: &Golden,
-    dicts: &Dictionaries,
+pub(crate) fn run_guarded_trial(
+    ctx: &TrialContext,
     class: TargetClass,
     trial_seed: u64,
-    budget: u64,
     policy: &GuardPolicy,
-    fastpath: bool,
 ) -> (Manifestation, GuardReport) {
-    let drawn = draw_fault(golden, dicts, class, trial_seed, app.params.nranks);
-    let mut cfg = trial_world_config(app, budget, 0, fastpath);
+    let app = ctx.app;
+    let drawn = draw_fault(
+        &ctx.golden,
+        &ctx.dicts,
+        class,
+        trial_seed,
+        app.params.nranks,
+    );
+    let mut cfg = trial_world_config(app, ctx.budget, 0, ctx.fastpath);
     cfg.seed = trial_seed; // vary moldyn's schedule per trial (§4.2.2)
     let (world, report) = run_guarded(&app.image, cfg, policy, |w| drawn.arm(w));
     let outcome = match &report.exit {
         WorldExit::Clean => {
-            if app.comparable_output(&world) == golden.output {
+            if app.comparable_output(&world) == ctx.golden.output {
                 if report.intervened() {
                     Manifestation::Recovered
                 } else {
@@ -234,11 +233,14 @@ pub fn run_coverage_engine(
     sink: &dyn EngineSink,
     control: &EngineControl,
 ) -> Option<CoverageResult> {
-    let golden = app.golden(2_000_000_000);
-    let budget = trial_budget(&golden, cfg);
-    let dicts = Dictionaries::build(app);
-    let code = cfg.fastpath.then(|| app.image.pre_decode());
-    let epochs = build_epochs(app, cfg, budget, code.as_ref());
+    // The baseline half never records events, whatever the spec says.
+    let ctx = TrialContext::build(
+        app,
+        &CampaignConfig {
+            obs_capacity: 0,
+            ..*cfg
+        },
+    );
 
     let total = classes.len() as u64 * cfg.injections as u64;
     let done = AtomicU64::new(0);
@@ -247,29 +249,8 @@ pub fn run_coverage_engine(
     let (slots, complete) = run_pool(&counts, cfg.threads, control, |ci, k| {
         let class = classes[ci];
         let seed = trial_seed(cfg.seed, ci, k);
-        let base = run_trial_inner(
-            app,
-            &golden,
-            &dicts,
-            class,
-            seed,
-            budget,
-            epochs.as_ref(),
-            0,
-            cfg.fastpath,
-            code.as_ref(),
-        )
-        .record;
-        let (guarded, report) = run_guarded_trial(
-            app,
-            &golden,
-            &dicts,
-            class,
-            seed,
-            budget,
-            policy,
-            cfg.fastpath,
-        );
+        let base = ctx.run_trial(class, seed).record;
+        let (guarded, report) = run_guarded_trial(&ctx, class, seed, policy);
         let d = done.fetch_add(1, Ordering::Relaxed) + 1;
         sink.progress(EngineProgress {
             total,
@@ -317,7 +298,7 @@ pub fn run_coverage_engine(
         app: app.kind,
         policy: *policy,
         classes: results,
-        golden,
+        golden: ctx.golden,
     })
 }
 
@@ -523,9 +504,16 @@ mod tests {
         // stale TLB entry would diverge. Every paired outcome and every
         // intervention counter must match with the fast path off.
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-        let golden = app.golden(2_000_000_000);
-        let budget = trial_budget(&golden, &CampaignConfig::default());
-        let dicts = Dictionaries::build(&app);
+        let ctx_with = |fastpath| {
+            TrialContext::build(
+                &app,
+                &CampaignConfig {
+                    fastpath,
+                    ..Default::default()
+                },
+            )
+        };
+        let (fast_ctx, slow_ctx) = (ctx_with(true), ctx_with(false));
         let policy = GuardPolicy {
             checkpoint_rounds: 16,
             ..GuardPolicy::default()
@@ -533,10 +521,8 @@ mod tests {
         for class in [TargetClass::Message, TargetClass::RegularReg] {
             for k in 0..4 {
                 let seed = trial_seed(0x60AD, 0, k);
-                let (fast, fr) =
-                    run_guarded_trial(&app, &golden, &dicts, class, seed, budget, &policy, true);
-                let (slow, sr) =
-                    run_guarded_trial(&app, &golden, &dicts, class, seed, budget, &policy, false);
+                let (fast, fr) = run_guarded_trial(&fast_ctx, class, seed, &policy);
+                let (slow, sr) = run_guarded_trial(&slow_ctx, class, seed, &policy);
                 assert_eq!(fast, slow, "{class:?} trial {k}: outcome diverged");
                 assert_eq!(
                     (fr.detections, fr.restarts, fr.retransmits, fr.exit),

@@ -59,10 +59,9 @@ pub mod suggest;
 pub mod target;
 
 pub use builder::CampaignBuilder;
-#[allow(deprecated)] // re-exported for compatibility; see their notes
-pub use campaign::{run_trial, run_trial_forked, run_trial_traced};
 pub use campaign::{
-    trial_seed, CampaignConfig, CampaignResult, ClassResult, Dictionaries, TrialRecord,
+    trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats, Dictionaries,
+    TrialRecord,
 };
 pub use chaos::{
     chaos_classes, chaos_jsonl, draw_chaos, is_covered, render_chaos, render_chaos_focus,
@@ -71,9 +70,9 @@ pub use chaos::{
 };
 pub use config::{parse_spec, ConfigError, ExperimentSpec};
 pub use engine::{
-    parse_record_line, record_line, run_campaign_engine, run_spec, sort_records_jsonl,
-    CompletedSlots, EngineControl, EngineRun, EngineSink, NullSink, RunState, SpecOutcome,
-    TrialOutput, VecSink,
+    parse_record_line, record_line, run_campaign_engine, run_campaign_engine_to_completion,
+    run_spec, sort_records_jsonl, CompletedSlots, EngineControl, EngineRun, EngineSink, NullSink,
+    RunState, SpecOutcome, TrialOutput, VecSink,
 };
 pub use faultmodel::{compare_models, run_model_trial, FaultModel};
 pub use fl_ft::{
@@ -86,8 +85,8 @@ pub use ft::{
     FtReplicaTrial, FtResult,
 };
 pub use guarded::{
-    coverage_jsonl, render_coverage, render_coverage_tsv, run_coverage_engine, run_guarded_trial,
-    CoverageClassResult, CoverageResult, GuardedTrialRecord, TransitionMatrix,
+    coverage_jsonl, render_coverage, render_coverage_tsv, run_coverage_engine, CoverageClassResult,
+    CoverageResult, GuardedTrialRecord, TransitionMatrix,
 };
 pub use obs::{
     exec_cache_jsonl, exec_cache_tsv, trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics,

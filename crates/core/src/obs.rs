@@ -18,7 +18,7 @@
 //! style as the `report` module's tables: JSONL for machine consumers,
 //! TSV for spreadsheets.
 
-use crate::campaign::TrialRecord;
+use crate::campaign::{ConvergeStats, TrialRecord};
 use crate::outcome::Manifestation;
 use crate::target::TargetClass;
 use fl_apps::AppKind;
@@ -377,35 +377,42 @@ impl CampaignMetrics {
     }
 }
 
-/// Exec-cache telemetry as one trailing TSV row (a `#`-prefixed header
+/// Campaign telemetry as one trailing TSV row (a `#`-prefixed header
 /// plus a `#`-prefixed value row, so per-class data rows parse
-/// unchanged). Telemetry is campaign-wide and execution-path-dependent —
-/// it never enters the per-class rows, which stay byte-identical across
-/// the trace, block, and slow paths.
-pub fn exec_cache_tsv(app: AppKind, s: &ExecStats) -> String {
+/// unchanged): the exec-cache counters, then what convergence-aware
+/// termination skipped. Telemetry is campaign-wide and (the exec half)
+/// execution-path-dependent — it never enters the per-class rows, which
+/// stay byte-identical across the trace, block, and slow paths.
+pub fn exec_cache_tsv(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String {
     format!(
-        "# exec_cache\tapp\tblock_hits\tblock_misses\ttrace_hits\ttrace_side_exits\tdemotions\n\
-         # exec_cache\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        "# exec_cache\tapp\tblock_hits\tblock_misses\ttrace_hits\ttrace_side_exits\tdemotions\ttrials_converged\tepoch_compares\tgranules_excused\n\
+         # exec_cache\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
         app.name(),
         s.block_hits,
         s.block_misses,
         s.trace_hits,
         s.trace_side_exits,
         s.demotions,
+        c.trials_converged,
+        c.epoch_compares,
+        c.granules_excused,
     )
 }
 
-/// Exec-cache telemetry as one trailing JSONL object, tagged with a
+/// Campaign telemetry as one trailing JSONL object, tagged with a
 /// `"telemetry"` discriminator so class-row consumers can skip it.
-pub fn exec_cache_jsonl(app: AppKind, s: &ExecStats) -> String {
+pub fn exec_cache_jsonl(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String {
     format!(
-        "{{\"telemetry\":\"exec_cache\",\"app\":\"{}\",\"block_hits\":{},\"block_misses\":{},\"trace_hits\":{},\"trace_side_exits\":{},\"demotions\":{}}}\n",
+        "{{\"telemetry\":\"exec_cache\",\"app\":\"{}\",\"block_hits\":{},\"block_misses\":{},\"trace_hits\":{},\"trace_side_exits\":{},\"demotions\":{},\"trials_converged\":{},\"epoch_compares\":{},\"granules_excused\":{}}}\n",
         app.name(),
         s.block_hits,
         s.block_misses,
         s.trace_hits,
         s.trace_side_exits,
         s.demotions,
+        c.trials_converged,
+        c.epoch_compares,
+        c.granules_excused,
     )
 }
 

@@ -141,10 +141,10 @@ pub struct MetricsReport<'a> {
     pub app: AppKind,
     /// The event-stream aggregates.
     pub metrics: &'a CampaignMetrics,
-    /// Exec-cache telemetry for the campaign, appended as a trailing
-    /// TSV/JSONL row when present. `None` leaves the rendering exactly
-    /// as before (model campaigns have no exec caches).
-    pub exec: Option<&'a fl_machine::ExecStats>,
+    /// Campaign telemetry (exec-cache and early-termination counters),
+    /// appended as a trailing TSV/JSONL row when present. `None` leaves
+    /// the rendering exactly as before (model campaigns have neither).
+    pub telemetry: Option<(&'a fl_machine::ExecStats, &'a crate::ConvergeStats)>,
 }
 
 impl Report for MetricsReport<'_> {
@@ -175,16 +175,16 @@ impl Report for MetricsReport<'_> {
 
     fn tsv(&self) -> String {
         let mut out = self.metrics.to_tsv(self.app);
-        if let Some(s) = self.exec {
-            out.push_str(&crate::obs::exec_cache_tsv(self.app, s));
+        if let Some((exec, converge)) = self.telemetry {
+            out.push_str(&crate::obs::exec_cache_tsv(self.app, exec, converge));
         }
         out
     }
 
     fn jsonl(&self) -> String {
         let mut out = self.metrics.to_jsonl(self.app);
-        if let Some(s) = self.exec {
-            out.push_str(&crate::obs::exec_cache_jsonl(self.app, s));
+        if let Some((exec, converge)) = self.telemetry {
+            out.push_str(&crate::obs::exec_cache_jsonl(self.app, exec, converge));
         }
         out
     }
@@ -373,7 +373,7 @@ mod tests {
         let view = MetricsReport {
             app: r.app,
             metrics,
-            exec: None,
+            telemetry: None,
         };
         let table = view.table("metrics demo");
         assert!(table.contains("Regular Reg."));
@@ -386,13 +386,19 @@ mod tests {
         let telem = MetricsReport {
             app: r.app,
             metrics,
-            exec: Some(&r.exec_stats),
+            telemetry: Some((&r.exec_stats, &r.converge)),
         };
         assert!(telem.tsv().starts_with(&metrics.to_tsv(r.app)));
         assert!(telem.tsv().contains("# exec_cache"));
         assert!(telem.jsonl().starts_with(&metrics.to_jsonl(r.app)));
         assert!(telem.jsonl().contains("\"telemetry\":\"exec_cache\""));
         assert!(telem.jsonl().contains("\"block_hits\":"));
+        assert!(telem
+            .tsv()
+            .contains("\ttrials_converged\tepoch_compares\tgranules_excused\n"));
+        assert!(telem
+            .jsonl()
+            .contains("\"trials_converged\":0,\"epoch_compares\":0"));
     }
 
     #[test]

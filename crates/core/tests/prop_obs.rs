@@ -9,48 +9,28 @@
 //!   locked to a checked-in golden file, so any drift in the event
 //!   schema, emission points or ordering is a visible diff.
 
-// These properties deliberately exercise the deprecated driver-level
-// entry point: cold/forked bit-identity is a property of the driver,
-// below the builder/spec veneer.
-#![allow(deprecated)]
-
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{run_trial_traced, trial_seed, Dictionaries, TargetClass};
-use fl_snap::EpochCache;
+use fl_inject::{CampaignBuilder, TargetClass, TrialTrace};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const OBS_CAPACITY: u32 = 512;
 const EPOCH_ROUNDS: u32 = 8;
 
-struct Fixture {
-    app: App,
-    golden: fl_apps::Golden,
-    dicts: Dictionaries,
-    budget: u64,
-    epochs: EpochCache,
+fn app() -> &'static App {
+    static APP: OnceLock<App> = OnceLock::new();
+    APP.get_or_init(|| App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy)))
 }
 
-fn fixture() -> &'static Fixture {
-    static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| {
-        let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-        let golden = app.golden(2_000_000_000);
-        let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
-        let dicts = Dictionaries::build(&app);
-        // The cache must match the cold path's recording capacity: the
-        // golden prefix's events are part of the restored state.
-        let mut wcfg = app.world_config(budget);
-        wcfg.machine.obs_capacity = OBS_CAPACITY;
-        let epochs = EpochCache::build(&app.image, wcfg, EPOCH_ROUNDS);
-        Fixture {
-            app,
-            golden,
-            dicts,
-            budget,
-            epochs,
-        }
-    })
+/// Trial `k` of class `ci` (all eight classes, request order) of the
+/// campaign seeded `seed`, with recording on; cold when `epoch_rounds`
+/// is 0, else forked from checkpoints taken at that cadence.
+fn traced(seed: u64, ci: usize, k: u32, epoch_rounds: u32) -> TrialTrace {
+    CampaignBuilder::new(app())
+        .seed(seed)
+        .observe(OBS_CAPACITY)
+        .epoch_rounds(epoch_rounds)
+        .replay_traced(ci, k)
 }
 
 proptest! {
@@ -61,15 +41,9 @@ proptest! {
     /// and produce the same record.
     #[test]
     fn forked_event_stream_is_bit_identical_to_cold(class_idx in 0usize..8, k in 0u32..12) {
-        let f = fixture();
         let class = TargetClass::ALL[class_idx];
-        let seed = trial_seed(0x0B5_0B5, class_idx, k);
-        let cold = run_trial_traced(
-            &f.app, &f.golden, &f.dicts, class, seed, f.budget, None, OBS_CAPACITY,
-        );
-        let forked = run_trial_traced(
-            &f.app, &f.golden, &f.dicts, class, seed, f.budget, Some(&f.epochs), OBS_CAPACITY,
-        );
+        let cold = traced(0x0B5_0B5, class_idx, k, 0);
+        let forked = traced(0x0B5_0B5, class_idx, k, EPOCH_ROUNDS);
         prop_assert_eq!(&cold.record, &forked.record,
             "{} trial {}: outcome diverged between cold and forked", class.name(), k);
         prop_assert_eq!(&cold.streams, &forked.streams,
@@ -80,17 +54,8 @@ proptest! {
 
 #[test]
 fn events_jsonl_matches_golden_file() {
-    let f = fixture();
-    let trace = run_trial_traced(
-        &f.app,
-        &f.golden,
-        &f.dicts,
-        TargetClass::RegularReg,
-        trial_seed(0xFA17, 0, 0),
-        f.budget,
-        None,
-        OBS_CAPACITY,
-    );
+    let trace = traced(0xFA17, 0, 0, 0);
+    assert_eq!(trace.record.class, TargetClass::RegularReg);
     let jsonl = trace.events_jsonl();
     assert!(
         !jsonl.is_empty(),
@@ -115,17 +80,8 @@ fn events_jsonl_matches_golden_file() {
 
 #[test]
 fn events_jsonl_lines_are_well_formed() {
-    let f = fixture();
-    let trace = run_trial_traced(
-        &f.app,
-        &f.golden,
-        &f.dicts,
-        TargetClass::Message,
-        trial_seed(0xFA17, 7, 3),
-        f.budget,
-        None,
-        OBS_CAPACITY,
-    );
+    let trace = traced(0xFA17, 7, 3, 0);
+    assert_eq!(trace.record.class, TargetClass::Message);
     for line in trace.events_jsonl().lines() {
         assert!(
             line.starts_with("{\"rank\":") && line.ends_with('}'),

@@ -13,7 +13,7 @@ use crate::fpu::Fpu;
 use crate::image::ProgramImage;
 use crate::layout::{Mapping, Perms, Region, DEFAULT_STACK_SIZE, LIB_BASE, STACK_TOP, TEXT_BASE};
 use crate::malloc::{AllocTag, HeapAllocator, HeapError};
-use crate::mem::{Memory, MemorySnapshot};
+use crate::mem::{Memory, MemorySnapshot, ReadStamps};
 use crate::AddressSpaceMap;
 use fl_isa::insn::{AluOp, FpuBinOp, FpuUnOp};
 use fl_isa::{decode_at, Cond, Gpr, Insn, RegisterName, Syscall};
@@ -243,6 +243,13 @@ impl ICache {
 /// the per-instruction icache stores them.
 struct Block {
     insns: Vec<(Insn, u8)>,
+}
+
+impl Block {
+    /// Text bytes the block's instructions occupy, from its entry on.
+    fn bytes(&self) -> u32 {
+        self.insns.iter().map(|&(_, len)| 4 * len as u32).sum()
+    }
 }
 
 /// Basic-block cache, indexed like [`ICache`] by entry word. Blocks are
@@ -517,6 +524,14 @@ struct Trace {
     ops: Vec<TraceOp>,
 }
 
+/// Extend the last span when `[lo, hi)` continues it, else start one.
+fn cover(spans: &mut Vec<(u32, u32)>, lo: u32, hi: u32) {
+    match spans.last_mut() {
+        Some(s) if s.1 == lo => s.1 = hi,
+        _ => spans.push((lo, hi)),
+    }
+}
+
 /// One text bank's share of the campaign-wide decoded-code store: every
 /// aligned word pre-decoded at image-load time, plus lazily assembled
 /// basic blocks and hot-promoted superblocks published through
@@ -617,7 +632,17 @@ impl SharedBank {
     /// stop at indirect control flow, undecodable words, the size caps,
     /// or when the chain closes back on the entry.
     fn build_trace(&self, entry: u32) -> Option<Trace> {
+        self.compile_trace(entry).map(|(trace, _)| trace)
+    }
+
+    /// [`Self::build_trace`] plus the text byte ranges `[lo, hi)` the
+    /// chain was compiled from — what a pass may fetch. Only read
+    /// stamping wants the ranges, once per stamp value, so they are
+    /// recomputed on demand rather than stored in every trace slot (a
+    /// trace is a pure function of the bank's words).
+    fn compile_trace(&self, entry: u32) -> Option<(Trace, Vec<(u32, u32)>)> {
         let mut ops: Vec<TraceOp> = Vec::new();
+        let mut spans: Vec<(u32, u32)> = Vec::new();
         let mut insn_count: u64 = 0;
         let mut blocks: u32 = 0;
         let mut at = entry;
@@ -640,6 +665,7 @@ impl SharedBank {
                 if let Some((Insn::J { cond, target }, jlen)) = peek(next) {
                     let fall = next.wrapping_add(4 * jlen as u32);
                     let expect_taken = cond == Cond::Always || target < next;
+                    cover(&mut spans, at, fall);
                     ops.push(TraceOp::CmpIJ {
                         ra,
                         imm,
@@ -662,6 +688,7 @@ impl SharedBank {
                 if let Some((Insn::J { cond, target }, jlen)) = peek(next) {
                     let fall = next.wrapping_add(4 * jlen as u32);
                     let expect_taken = cond == Cond::Always || target < next;
+                    cover(&mut spans, at, fall);
                     ops.push(TraceOp::CmpJ {
                         ra,
                         rb,
@@ -693,6 +720,7 @@ impl SharedBank {
                 )) = peek(next)
                 {
                     if !matches!(op, AluOp::Div | AluOp::Mod) {
+                        cover(&mut spans, at, next.wrapping_add(4 * alen as u32));
                         ops.push(TraceOp::LdAlu {
                             rd,
                             base,
@@ -801,6 +829,7 @@ impl SharedBank {
                     end: false,
                 },
             };
+            cover(&mut spans, at, next);
             ops.push(op);
             insn_count += 1;
             if insn.is_block_end() {
@@ -847,12 +876,13 @@ impl SharedBank {
         {
             ops.push(TraceOp::FallThrough { to: at });
         }
-        Some(Trace {
+        let trace = Trace {
             entry,
             insn_count,
             closes_loop,
             ops,
-        })
+        };
+        Some((trace, spans))
     }
 }
 
@@ -902,6 +932,11 @@ struct CacheBank {
     /// Per-machine promotion heat for shared block entries (lazily
     /// sized — most forks never run anything hot).
     hotness: Vec<u16>,
+    /// Read stamping only: per entry, which (stamp, block-or-trace)
+    /// dispatch last had its words stamped, so each entry is stamped
+    /// once per stamp value instead of once per dispatch (lazily sized;
+    /// 0 = never).
+    fetch_marks: Vec<u64>,
     /// Private decode caches, used only when `shared` is gone.
     icache: Option<Box<ICache>>,
     bcache: Option<Box<BlockCache>>,
@@ -914,6 +949,7 @@ impl CacheBank {
             len: len.max(4),
             shared: None,
             hotness: Vec::new(),
+            fetch_marks: Vec::new(),
             icache: None,
             bcache: None,
         }
@@ -939,6 +975,13 @@ impl CacheBank {
             self.hotness = vec![0; (self.len as usize).div_ceil(4)];
         }
         &mut self.hotness[i]
+    }
+
+    fn fetch_mark(&mut self, i: usize) -> &mut u64 {
+        if self.fetch_marks.is_empty() {
+            self.fetch_marks = vec![0; (self.len as usize).div_ceil(4)];
+        }
+        &mut self.fetch_marks[i]
     }
 
     fn icache_mut(&mut self) -> &mut ICache {
@@ -1356,7 +1399,13 @@ impl Machine {
 
     fn run_to(&mut self, stop_at: u64) -> Exit {
         if self.mem.fastpath() && !self.mem.tracing_enabled() {
-            self.run_fast(stop_at)
+            // Two copies of the dispatch loop, so the one every trial
+            // runs carries no read-stamping checks at all.
+            if self.mem.read_stamping() {
+                self.run_fast::<true>(stop_at)
+            } else {
+                self.run_fast::<false>(stop_at)
+            }
         } else {
             self.run_slow(stop_at)
         }
@@ -1428,7 +1477,7 @@ impl Machine {
     /// the cache-probe and dispatch overhead once per block — or once
     /// per whole loop body when a superblock pass is admitted — instead
     /// of once per instruction.
-    fn run_fast(&mut self, stop_at: u64) -> Exit {
+    fn run_fast<const STAMP: bool>(&mut self, stop_at: u64) -> Exit {
         let limit = self.budget.min(stop_at);
         // The shared banks cannot change during a run (demotion happens
         // on privileged pokes, between runs), so resolve them once.
@@ -1445,8 +1494,8 @@ impl Machine {
             let eip = self.cpu.eip;
             let bank = if eip < LIB_BASE { &app } else { &lib };
             let exit = match bank.as_deref() {
-                Some(b) => self.dispatch_shared(b, eip, stop_at, limit),
-                None => self.dispatch_private(eip, stop_at),
+                Some(b) => self.dispatch_shared::<STAMP>(b, eip, stop_at, limit),
+                None => self.dispatch_private::<STAMP>(eip, stop_at),
             };
             if let Some(exit) = exit {
                 return exit;
@@ -1458,7 +1507,7 @@ impl Machine {
     /// superblock if a full pass fits under the limits, otherwise heat
     /// the entry (compiling a superblock at the threshold) and run the
     /// shared decoded block.
-    fn dispatch_shared(
+    fn dispatch_shared<const STAMP: bool>(
         &mut self,
         bank: &SharedBank,
         eip: u32,
@@ -1472,6 +1521,12 @@ impl Machine {
         };
         match bank.traces[i].get() {
             Some(tr) if limit.saturating_sub(self.counters.insns) >= tr.insn_count => {
+                if STAMP && self.first_dispatch_under_stamp(eip, i, true) {
+                    let (_, spans) = bank.compile_trace(eip).expect("a published trace compiles");
+                    for (lo, hi) in spans {
+                        self.mem.stamp_read(lo, hi - lo);
+                    }
+                }
                 return self.exec_trace(tr, limit);
             }
             // Not enough headroom for a full pass: the block path below
@@ -1492,12 +1547,28 @@ impl Machine {
             // raises the proper SIGSEGV/SIGILL with events.
             return self.step();
         };
+        if STAMP && self.first_dispatch_under_stamp(eip, i, false) {
+            self.mem.stamp_read(eip, block.bytes());
+        }
         self.exec_block(block, eip, stop_at)
+    }
+
+    /// Read stamping counts every instruction word of a dispatched block
+    /// or superblock as fetched — a pass may leave early, so that
+    /// over-approximates what executes, which is the sound direction for
+    /// "never read again" — and does so once per stamp value, not once
+    /// per dispatch: is this the first dispatch of entry slot `i` (as a
+    /// block, or as a trace) under the current stamp?
+    #[cold]
+    fn first_dispatch_under_stamp(&mut self, eip: u32, i: usize, is_trace: bool) -> bool {
+        let mark = (((self.mem.read_stamp() as u64) << 1) | is_trace as u64) + 1;
+        let slot = self.code.bank_mut(eip).fetch_mark(i);
+        std::mem::replace(slot, mark) != mark
     }
 
     /// One dispatch against the private caches (a demoted bank, or a
     /// configuration that never attached the shared store).
-    fn dispatch_private(&mut self, eip: u32, stop_at: u64) -> Option<Exit> {
+    fn dispatch_private<const STAMP: bool>(&mut self, eip: u32, stop_at: u64) -> Option<Exit> {
         let bank = self.code.bank_mut(eip);
         let Some(idx) = bank.idx(eip) else {
             // Not a block-cacheable address (unaligned or outside
@@ -1518,6 +1589,9 @@ impl Machine {
             // raises the proper SIGSEGV/SIGILL with events.
             None => return self.step(),
         };
+        if STAMP && self.first_dispatch_under_stamp(eip, idx, false) {
+            self.mem.stamp_read(eip, block.bytes());
+        }
         let exit = self.exec_block(&block, eip, stop_at);
         // Put the block back unless a flush raced the execution
         // (nothing inside exec can poke text today, but the generation
@@ -2004,6 +2078,9 @@ impl Machine {
                 }
             }
         };
+
+        // A cached decode skips the fetch; it is a read all the same.
+        self.mem.stamp_read(eip, 4 * len as u32);
 
         self.counters.insns += 1;
         if insn.is_block_end() {
@@ -2611,6 +2688,79 @@ impl Machine {
     /// Console contents as UTF-8 (lossy).
     pub fn console_text(&self) -> String {
         String::from_utf8_lossy(&self.console).into_owned()
+    }
+
+    // --- read stamping / convergence ------------------------------------
+
+    /// Turn read stamping on (if it is not already) and make `stamp` the
+    /// value every subsequent read — guest load, instruction fetch,
+    /// host-side [`Memory::guest_read`] — writes into the
+    /// [`ReadStamps`] entry of each granule it touches. The caller
+    /// advances it at whatever boundary it wants to tell reads apart by;
+    /// a campaign's golden pass uses the index of the epoch interval
+    /// being executed.
+    pub fn set_read_stamp(&mut self, stamp: u32) {
+        self.mem.set_read_stamp(stamp);
+    }
+
+    /// Turn read stamping off and hand back what was collected (`None`
+    /// if it was never on).
+    pub fn take_read_stamps(&mut self) -> Option<ReadStamps> {
+        // The once-per-stamp-value dispatch marks belong to this pass.
+        self.code.app.fetch_marks = Vec::new();
+        self.code.lib.fetch_marks = Vec::new();
+        self.mem.take_read_stamps()
+    }
+
+    /// Is this process the golden run's process at epoch boundary `k`
+    /// again? Every piece of architectural state must equal `snap`
+    /// exactly, except memory granules the golden run never reads after
+    /// the boundary (see [`Memory::converged_on`]); returns how many of
+    /// those were excused. Decoded-code caches and telemetry are not
+    /// state and are not compared.
+    pub fn converged_on(&self, snap: &MachineSnapshot, stamps: &ReadStamps, k: u32) -> Option<u64> {
+        // Destructured so a new field cannot be left out silently.
+        let Machine {
+            cpu,
+            mem,
+            heap,
+            console,
+            outfile,
+            in_mpi,
+            counters,
+            obs,
+            exec_stats: _,
+            budget,
+            text_end,
+            lib_text_end,
+            code: _,
+            min_esp,
+            syscall_fault,
+            syscall_fault_seen,
+            syscall_faults_fired,
+            mem_stall,
+            stall_insns,
+        } = self;
+        let same = *counters == snap.counters
+            && *cpu == snap.cpu
+            && *in_mpi == snap.in_mpi
+            && *budget == snap.budget
+            && *text_end == snap.text_end
+            && *lib_text_end == snap.lib_text_end
+            && *min_esp == snap.min_esp
+            && *syscall_fault == snap.syscall_fault
+            && *syscall_fault_seen == snap.syscall_fault_seen
+            && *syscall_faults_fired == snap.syscall_faults_fired
+            && *mem_stall == snap.mem_stall
+            && *stall_insns == snap.stall_insns
+            && *heap == snap.heap
+            && *console == snap.console
+            && *outfile == snap.outfile
+            && *obs == snap.obs;
+        if !same {
+            return None;
+        }
+        mem.converged_on(&snap.mem, stamps, k)
     }
 
     // --- snapshots --------------------------------------------------------
@@ -3409,5 +3559,101 @@ mod tests {
         let mut m = Machine::load(&img, MachineConfig::default());
         m.flip_register_bit(RegisterName::Eip, 30);
         assert!(matches!(m.run(10), Exit::Signal(Signal::Segv { .. })));
+    }
+
+    // --- read stamping / convergence ------------------------------------
+
+    /// A counted loop hot enough to be promoted to a superblock, with a
+    /// never-executed tail after the exit.
+    fn hot_loop() -> ProgramImage {
+        use Gpr::*;
+        let loop_start = TEXT_BASE + 8;
+        image(&[
+            Insn::MovI { rd: Ecx, imm: 0 },
+            Insn::AddI {
+                rd: Ecx,
+                ra: Ecx,
+                imm: 1,
+            },
+            Insn::CmpI { ra: Ecx, imm: 400 },
+            Insn::J {
+                cond: Cond::Lt,
+                target: loop_start,
+            },
+            Insn::Mov { rd: Eax, rs: Ecx },
+            Insn::Halt,
+            Insn::MovI { rd: Eax, imm: 9 }, // dead code
+            Insn::Halt,
+        ])
+    }
+
+    fn fetch_stamps(fastpath: bool) -> std::collections::BTreeMap<u32, u32> {
+        let mut m = Machine::load(
+            &hot_loop(),
+            MachineConfig {
+                fastpath,
+                ..Default::default()
+            },
+        );
+        m.set_read_stamp(1);
+        assert_eq!(m.run(300), Exit::Quantum);
+        m.set_read_stamp(2);
+        assert!(matches!(m.run(u64::MAX), Exit::Halted(400)));
+        if fastpath {
+            assert!(m.exec_stats.trace_hits > 0, "the loop ran as a superblock");
+        }
+        m.take_read_stamps().unwrap().iter().collect()
+    }
+
+    #[test]
+    fn every_tier_stamps_the_instruction_words_it_executes() {
+        let slow = fetch_stamps(false);
+        let fast = fetch_stamps(true);
+        // Per-instruction truth: the prologue ran in interval 1 only, the
+        // loop and the exit in interval 2, the dead tail never.
+        assert_eq!(slow[&TEXT_BASE], 1);
+        assert_eq!(slow[&(TEXT_BASE + 4)], 1, "immediate word");
+        for w in 2..10 {
+            assert_eq!(slow[&(TEXT_BASE + 4 * w)], 2, "word {w}");
+        }
+        assert!(!slow.contains_key(&(TEXT_BASE + 40)));
+        // Blocks and superblocks stamp whole dispatches: never less, and
+        // never anything beyond what a dispatched block or trace covers.
+        for (addr, s) in &slow {
+            assert!(fast.get(addr) >= Some(s), "{addr:#x} under-stamped");
+        }
+        assert!(!fast.contains_key(&(TEXT_BASE + 40)), "dead code stamped");
+    }
+
+    #[test]
+    fn machine_convergence_is_exact_outside_memory() {
+        let img = hot_loop();
+        let mut golden = Machine::load(&img, MachineConfig::default());
+        golden.set_read_stamp(1);
+        assert_eq!(golden.run(100), Exit::Quantum);
+        let snap = golden.snapshot();
+        golden.set_read_stamp(2);
+        assert!(matches!(golden.run(u64::MAX), Exit::Halted(400)));
+        let stamps = golden.take_read_stamps().unwrap();
+
+        let fork = snap.to_machine();
+        assert_eq!(fork.converged_on(&snap, &stamps, 1), Some(0));
+        // A register difference is never excused.
+        let mut t = snap.to_machine();
+        t.flip_register_bit(RegisterName::Gpr(Gpr::Ecx), 0);
+        assert_eq!(t.converged_on(&snap, &stamps, 1), None);
+        // Text the golden run still executes is live; dead code and the
+        // finished prologue are not. The demoted decode cache is ignored.
+        let mut t = snap.to_machine();
+        t.flip_mem_bit(TEXT_BASE + 40, 0);
+        t.flip_mem_bit(TEXT_BASE, 0);
+        assert_eq!(t.exec_stats.demotions, 1);
+        assert_eq!(t.converged_on(&snap, &stamps, 1), Some(2));
+        t.flip_mem_bit(TEXT_BASE + 8, 0);
+        assert_eq!(t.converged_on(&snap, &stamps, 1), None);
+        // Counters are state.
+        let mut t = snap.to_machine();
+        assert_eq!(t.run(1), Exit::Quantum);
+        assert_eq!(t.converged_on(&snap, &stamps, 1), None);
     }
 }

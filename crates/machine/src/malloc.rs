@@ -206,7 +206,10 @@ impl HeapAllocator {
             }) => *tag,
             _ => return Err(HeapError::InvalidFree(ptr)),
         };
-        let found_magic = mem.peek_u32(header);
+        // A read on the program's behalf: `free` acts on what it finds.
+        let mut magic = [0u8; 4];
+        mem.guest_read(header, &mut magic);
+        let found_magic = u32::from_le_bytes(magic);
         if found_magic != tag.magic() {
             return Err(HeapError::CorruptHeader {
                 chunk: header,
@@ -422,5 +425,20 @@ mod tests {
         let a = h.alloc(&mut mem, 0, AllocTag::User).unwrap();
         let b = h.alloc(&mut mem, 0, AllocTag::User).unwrap();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn free_counts_its_header_check_as_a_read() {
+        // `free` acts on the identifier it finds, so a golden run's read
+        // stamps must show the header word live until the free.
+        let (mut mem, mut h) = setup();
+        let p = h.alloc(&mut mem, 32, AllocTag::User).unwrap();
+        let q = h.alloc(&mut mem, 32, AllocTag::User).unwrap();
+        mem.set_read_stamp(4);
+        h.free(&mut mem, p).unwrap();
+        let stamps = mem.take_read_stamps().unwrap();
+        assert_eq!(stamps.get(p - HEADER_SIZE), 4, "checked identifier");
+        assert_eq!(stamps.get(p - 4), 0, "size word is only ever written");
+        assert_eq!(stamps.get(q - HEADER_SIZE), 0, "chunk never freed");
     }
 }

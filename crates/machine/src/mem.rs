@@ -11,6 +11,15 @@
 //! *instruction fetch* (text) and *data load* (data/BSS/heap) per 4-byte
 //! granule, which is exactly the measurement the paper took with Valgrind
 //! to produce the working-set curves of Tables 5–7.
+//!
+//! *Read stamping* is the cheap cousin of tracing that the campaign's
+//! golden pass runs with: every 4-byte granule remembers the caller-set
+//! stamp (an epoch-interval index) of the last time it was **read** — by
+//! a guest load, an instruction fetch, or the host on the guest's behalf
+//! — in every region, on the TLB-hit path too. A granule whose stamp is
+//! `<= k` is never read again after epoch boundary `k`, which is what
+//! lets a trial that differs from the golden run only in such granules
+//! be declared the golden run again (see [`Memory::converged_on`]).
 
 use crate::layout::{AddressSpaceMap, Mapping, Region, PAGE_SIZE};
 use std::collections::HashMap;
@@ -86,14 +95,24 @@ struct Tlb {
     /// synchronises).
     generation: AtomicU64,
     enabled: bool,
+    /// The value read hits write into their stamp row (see
+    /// [`crate::Machine::set_read_stamp`]).
+    stamp: u32,
+    /// Read stamping only: per slot, the read-stamp row of the page the
+    /// slot's entry translates (null if the page is unreadable), so a
+    /// read hit stamps with one store instead of a map lookup. Empty
+    /// while stamping is off — kept out of [`TlbEntry`] so the entries
+    /// every run hammers stay 32 bytes.
+    stamp_rows: Vec<*mut StampPage>,
 }
 
 // SAFETY: the raw pointers in `entries` target the heap allocations of
-// `Arc<Page>`s owned by the same `Memory` that owns this `Tlb`; they are
-// only dereferenced from `Memory`'s own `&self`/`&mut self` methods, so
-// aliasing follows `Memory`'s borrow discipline, and the allocations
-// they point to live (at a stable address) for as long as the owning
-// page table holds them.
+// `Arc<Page>`s (and those in `stamp_rows`, of boxed stamp rows) owned by
+// the same `Memory` that owns this `Tlb`; they are only dereferenced from
+// `Memory`'s own `&self`/`&mut self` methods (stamp rows from `&mut self`
+// only), so aliasing follows `Memory`'s borrow discipline, and the
+// allocations they point to live (at a stable address) for as long as
+// the owning page table / stamp map holds them.
 unsafe impl Send for Tlb {}
 // SAFETY: `&Tlb` exposes no operation that dereferences the pointers or
 // mutates entries; the only shared-access mutation is the atomic
@@ -106,6 +125,8 @@ impl Tlb {
             entries: [TlbEntry::INVALID; TLB_ENTRIES],
             generation: AtomicU64::new(1),
             enabled,
+            stamp: 0,
+            stamp_rows: Vec::new(),
         }
     }
 
@@ -201,6 +222,81 @@ impl AccessTrace {
     }
 }
 
+/// Granules (4-byte units) per page.
+const PAGE_GRANULES: usize = (PAGE_SIZE / 4) as usize;
+
+/// One page's worth of read stamps.
+type StampPage = [u32; PAGE_GRANULES];
+
+/// Per-granule read stamps of one run: for every 4-byte granule, the
+/// stamp that was current (see [`crate::Machine::set_read_stamp`]) the
+/// last time
+/// the granule was read; 0 for a granule never read. Rows exist only for
+/// pages that were read at all.
+///
+/// Stamps are `u32`: the campaign stamps with epoch-interval indices,
+/// one per held epoch snapshot, so the value cannot wrap before the
+/// snapshots themselves exhaust memory — even at one epoch per round.
+#[derive(Debug, Clone, Default)]
+pub struct ReadStamps {
+    /// Page number → position in `rows`.
+    index: HashMap<u32, usize>,
+    /// Boxed so a row's address survives `rows` growing (TLB entries
+    /// point at rows).
+    rows: Vec<Box<StampPage>>,
+}
+
+impl ReadStamps {
+    /// The stamp of the granule containing `addr` (0 = never read).
+    pub fn get(&self, addr: u32) -> u32 {
+        self.row(addr / PAGE_SIZE)
+            .map_or(0, |r| r[((addr & PAGE_MASK) / 4) as usize])
+    }
+
+    /// Every read granule as `(granule address, stamp)`, in no
+    /// particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.index.iter().flat_map(move |(&page, &i)| {
+            self.rows[i]
+                .iter()
+                .enumerate()
+                .filter(|(_, &s)| s != 0)
+                .map(move |(g, &s)| (page * PAGE_SIZE + 4 * g as u32, s))
+        })
+    }
+
+    fn row(&self, page: u32) -> Option<&StampPage> {
+        self.index.get(&page).map(|&i| &*self.rows[i])
+    }
+
+    fn row_mut(&mut self, page: u32) -> &mut StampPage {
+        let rows = &mut self.rows;
+        let i = *self.index.entry(page).or_insert_with(|| {
+            rows.push(Box::new([0; PAGE_GRANULES]));
+            rows.len() - 1
+        });
+        &mut self.rows[i]
+    }
+
+    /// Stamp every granule overlapping `[addr, addr + len)`.
+    fn stamp(&mut self, addr: u32, len: u32, stamp: u32) {
+        let end = addr.saturating_add(len.max(1) - 1);
+        let mut a = addr;
+        loop {
+            let page_end = a | PAGE_MASK;
+            let hi = end.min(page_end);
+            let row = self.row_mut(a / PAGE_SIZE);
+            for g in (a & PAGE_MASK) / 4..=(hi & PAGE_MASK) / 4 {
+                row[g as usize] = stamp;
+            }
+            if hi == end {
+                return;
+            }
+            a = page_end + 1;
+        }
+    }
+}
+
 /// The process memory: lazily allocated copy-on-write pages plus the
 /// region map.
 pub struct Memory {
@@ -215,6 +311,9 @@ pub struct Memory {
     /// the TLB-hit and slow paths, so the count is execution-path
     /// independent — the mem-stall fault's surcharge clock.
     accesses: u64,
+    /// Read stamps, present only while stamping is on (a campaign's
+    /// golden pass). Not state: snapshots neither carry nor compare it.
+    stamps: Option<Box<ReadStamps>>,
     /// Translation fast path (see [`Tlb`]).
     tlb: Tlb,
 }
@@ -228,6 +327,7 @@ impl Memory {
             traces: None,
             resident_pages: 0,
             accesses: 0,
+            stamps: None,
             tlb: Tlb::new(true),
         }
     }
@@ -285,6 +385,49 @@ impl Memory {
     /// doc: identical on the fast and slow execution paths).
     pub fn data_accesses(&self) -> u64 {
         self.accesses
+    }
+
+    /// Turn read stamping on (if it is not already) and make `stamp`
+    /// the value every subsequent read writes into its granules'
+    /// [`ReadStamps`] entry. Driven through
+    /// [`crate::Machine::set_read_stamp`], which owns the fetch side.
+    pub(crate) fn set_read_stamp(&mut self, stamp: u32) {
+        if self.stamps.is_none() {
+            self.stamps = Some(Box::default());
+            // Cached entries predate stamping and have no stamp row.
+            self.tlb.flush();
+            self.tlb.stamp_rows = vec![std::ptr::null_mut(); TLB_ENTRIES];
+        }
+        self.tlb.stamp = stamp;
+    }
+
+    /// Whether read stamping is on (the machine consults this to decide
+    /// if dispatched blocks need their fetches stamped).
+    #[inline]
+    pub(crate) fn read_stamping(&self) -> bool {
+        self.stamps.is_some()
+    }
+
+    /// The value reads currently stamp with.
+    pub(crate) fn read_stamp(&self) -> u32 {
+        self.tlb.stamp
+    }
+
+    /// Turn read stamping off and hand back what was collected.
+    pub(crate) fn take_read_stamps(&mut self) -> Option<ReadStamps> {
+        // The TLB's row pointers target the rows being handed away.
+        self.tlb.stamp_rows = Vec::new();
+        self.stamps.take().map(|b| *b)
+    }
+
+    /// Count `[addr, addr + len)` as read now (no-op unless stamping).
+    /// The accessors below call it themselves; the machine calls it for
+    /// instruction words it executes out of decoded caches.
+    #[inline]
+    pub(crate) fn stamp_read(&mut self, addr: u32, len: u32) {
+        if let Some(s) = self.stamps.as_deref_mut() {
+            s.stamp(addr, len, self.tlb.stamp);
+        }
     }
 
     /// Writable view of the page containing `addr`, materialising it if
@@ -353,6 +496,36 @@ impl Memory {
         }
     }
 
+    /// The read hit of a *stamping* run. While stamping is on, entries
+    /// are filled without `read` permission, so the inlined
+    /// [`Self::tlb_read`] every run shares always misses and stays
+    /// exactly as cheap as it was; the outlined load paths come here
+    /// first instead. A slot's stamp row is non-null iff its entry's page
+    /// is readable, which is what stands in for the `read` bit.
+    fn tlb_read_stamped(&mut self, addr: u32, len: usize) -> Option<&[u8]> {
+        let off = (addr & PAGE_MASK) as usize;
+        let slot = Tlb::slot(addr);
+        let row = *self.tlb.stamp_rows.get(slot)?;
+        let e = &self.tlb.entries[slot];
+        if e.base == addr & !PAGE_MASK && !row.is_null() && off + len <= e.hi as usize {
+            // SAFETY: a fill stores the row of the page it translates
+            // beside the entry (or null), so a valid entry's non-null
+            // row is a boxed row owned by `self.stamps`; rows are never
+            // dropped while stamping is on, and `take_read_stamps`
+            // clears `stamp_rows` before handing them away. `&mut self`
+            // makes this the only live reference into the row.
+            let row = unsafe { &mut *row };
+            for g in &mut row[off / 4..=(off + len - 1) / 4] {
+                *g = self.tlb.stamp;
+            }
+            // SAFETY: as in `tlb_read`.
+            let page: &Page = unsafe { &*e.ptr };
+            Some(&page[off..off + len])
+        } else {
+            None
+        }
+    }
+
     /// Fast-path write: like [`Self::tlb_read`] but the entry must also
     /// carry write permission from a COW-exclusive fill whose write
     /// generation is still current (snapshots revoke it by bumping the
@@ -396,12 +569,13 @@ impl Memory {
             base,
             ptr: Arc::as_ptr(arc) as *mut Page,
             hi: (m.end - base).min(PAGE_SIZE),
-            read: m.perms.read,
+            read: m.perms.read && self.stamps.is_none(),
             write: false,
             exec: m.perms.exec,
             write_gen: 0,
             region: m.region,
         };
+        self.cache_stamp_row(addr, m);
     }
 
     /// Install a read+write entry for `addr`'s page after a slow-path
@@ -427,12 +601,26 @@ impl Memory {
             base,
             ptr: page,
             hi: (m.end - base).min(PAGE_SIZE),
-            read: m.perms.read,
+            read: m.perms.read && self.stamps.is_none(),
             write: m.perms.write,
             exec: m.perms.exec,
             write_gen: self.tlb.generation.load(Ordering::Relaxed),
             region: m.region,
         };
+        self.cache_stamp_row(addr, m);
+    }
+
+    /// Read stamping only: a TLB entry for `addr`'s page (in mapping
+    /// `m`) was just filled; remember the page's stamp row beside it —
+    /// null for an unreadable page (see [`Self::tlb_read_stamped`]).
+    fn cache_stamp_row(&mut self, addr: u32, m: &Mapping) {
+        if let Some(s) = self.stamps.as_deref_mut() {
+            self.tlb.stamp_rows[Tlb::slot(addr)] = if m.perms.read {
+                s.row_mut(addr / PAGE_SIZE)
+            } else {
+                std::ptr::null_mut()
+            };
+        }
     }
 
     /// TLB diagnostics for tests: `(page base, region, writable-now)`
@@ -509,6 +697,7 @@ impl Memory {
         let len = buf.len() as u32;
         let m = self.check(addr, len, AccessKind::Read)?;
         self.note(m.region, addr, len, now, TraceKind::Load);
+        self.stamp_read(addr, len);
         self.raw_read(addr, buf);
         Ok(())
     }
@@ -533,6 +722,7 @@ impl Memory {
         self.accesses += 1;
         let m = self.check(addr, len, AccessKind::Read)?;
         self.note(m.region, addr, len, now, TraceKind::Load);
+        self.stamp_read(addr, len);
         let start = out.len();
         out.resize(start + len as usize, 0);
         self.raw_read(addr, &mut out[start..]);
@@ -553,8 +743,12 @@ impl Memory {
 
     #[cold]
     fn load_u32_slow(&mut self, addr: u32, now: u64) -> Result<u32, MemFault> {
+        if let Some(src) = self.tlb_read_stamped(addr, 4) {
+            return Ok(u32::from_le_bytes(src.try_into().unwrap()));
+        }
         let m = self.check(addr, 4, AccessKind::Read)?;
         self.note(m.region, addr, 4, now, TraceKind::Load);
+        self.stamp_read(addr, 4);
         let mut b = [0u8; 4];
         self.raw_read(addr, &mut b);
         self.tlb_fill_read(addr, &m);
@@ -573,8 +767,12 @@ impl Memory {
 
     #[cold]
     fn load_u8_slow(&mut self, addr: u32, now: u64) -> Result<u8, MemFault> {
+        if let Some(src) = self.tlb_read_stamped(addr, 1) {
+            return Ok(src[0]);
+        }
         let m = self.check(addr, 1, AccessKind::Read)?;
         self.note(m.region, addr, 1, now, TraceKind::Load);
+        self.stamp_read(addr, 1);
         let mut b = [0u8; 1];
         self.raw_read(addr, &mut b);
         self.tlb_fill_read(addr, &m);
@@ -593,8 +791,12 @@ impl Memory {
 
     #[cold]
     fn load_f64_slow(&mut self, addr: u32, now: u64) -> Result<f64, MemFault> {
+        if let Some(src) = self.tlb_read_stamped(addr, 8) {
+            return Ok(f64::from_le_bytes(src.try_into().unwrap()));
+        }
         let m = self.check(addr, 8, AccessKind::Read)?;
         self.note(m.region, addr, 8, now, TraceKind::Load);
+        self.stamp_read(addr, 8);
         let mut b = [0u8; 8];
         self.raw_read(addr, &mut b);
         self.tlb_fill_read(addr, &m);
@@ -662,7 +864,9 @@ impl Memory {
     /// recording a text access for the first word. The second word may lie
     /// outside the mapping (the instruction may be 1 word long); it reads
     /// as 0 in that case and the decoder's `Truncated` error surfaces only
-    /// if the opcode wanted an immediate.
+    /// if the opcode wanted an immediate. For read stamping only the
+    /// first word counts as read here: whether the lookahead word matters
+    /// is the decoder's call, so the caller stamps what was consumed.
     pub fn fetch_words(&mut self, addr: u32, now: u64) -> Result<[u32; 2], MemFault> {
         // Fast path: both words inside one cached executable page. The
         // last instructions of a mapping (where word 1 may be outside
@@ -673,14 +877,17 @@ impl Memory {
             if e.base == addr & !PAGE_MASK && e.exec && off + 8 <= e.hi as usize {
                 // SAFETY: see `tlb_read` — the entry is live and only read.
                 let p = unsafe { &*e.ptr };
-                return Ok([
+                let words = [
                     u32::from_le_bytes(p[off..off + 4].try_into().unwrap()),
                     u32::from_le_bytes(p[off + 4..off + 8].try_into().unwrap()),
-                ]);
+                ];
+                self.stamp_read(addr, 4);
+                return Ok(words);
             }
         }
         let m = self.check(addr, 4, AccessKind::Exec)?;
         self.note(m.region, addr, 4, now, TraceKind::Fetch);
+        self.stamp_read(addr, 4);
         let mut b = [0u8; 4];
         self.raw_read(addr, &mut b);
         let w0 = u32::from_le_bytes(b);
@@ -721,6 +928,16 @@ impl Memory {
         u32::from_le_bytes(b)
     }
 
+    /// Read bytes on the guest's behalf — the MPI library copying a send
+    /// buffer out, the allocator checking a chunk header. Unchecked and
+    /// untraced like [`Self::peek`], but the program's behaviour depends
+    /// on what it returns, so it counts as a *read* for read stamping
+    /// (the injector's and tests' own peeks do not).
+    pub fn guest_read(&mut self, addr: u32, out: &mut [u8]) {
+        self.stamp_read(addr, out.len() as u32);
+        self.raw_read(addr, out);
+    }
+
     /// Write bytes with no protection check — the `ptrace`-style poke the
     /// fault injector uses to corrupt text, data and message buffers.
     pub fn poke(&mut self, addr: u32, data: &[u8]) {
@@ -738,6 +955,62 @@ impl Memory {
         let b = self.peek_u8(addr) ^ (1 << bit);
         self.poke(addr, &[b]);
         b
+    }
+
+    // --- convergence -----------------------------------------------------
+
+    /// Is this memory the golden run's memory at epoch boundary `k`, up
+    /// to granules the golden run never reads again?
+    ///
+    /// `snap` is the golden memory captured at the boundary and `stamps`
+    /// the golden run's read stamps, stamped with epoch-interval indices
+    /// (interval `i` ends at boundary `i`). Everything but page contents
+    /// must match exactly; a granule whose contents differ is *excused*
+    /// iff its stamp is `<= k` — the golden run's last read of it, if
+    /// any, lies before the boundary. Returns the number of excused
+    /// granules, or `None` on any other difference. Pages still
+    /// physically shared with the snapshot are skipped without a byte
+    /// compared.
+    pub fn converged_on(&self, snap: &MemorySnapshot, stamps: &ReadStamps, k: u32) -> Option<u64> {
+        const ZERO: Page = [0u8; PAGE_SIZE as usize];
+        if self.accesses != snap.accesses
+            || self.traces.is_some()
+            || snap.traces.is_some()
+            || !maps_eq(&self.map, &snap.map)
+        {
+            return None;
+        }
+        let mut excused = 0u64;
+        let mut diff = |page: u32, a: &Page, b: &Page| -> bool {
+            if a == b {
+                return true;
+            }
+            let row = stamps.row(page);
+            for g in 0..PAGE_GRANULES {
+                if a[4 * g..4 * g + 4] != b[4 * g..4 * g + 4] {
+                    if row.is_some_and(|r| r[g] > k) {
+                        return false;
+                    }
+                    excused += 1;
+                }
+            }
+            true
+        };
+        for (&page, a) in &self.pages {
+            let same = match snap.pages.get(&page) {
+                Some(b) => Arc::ptr_eq(a, b) || diff(page, a, b),
+                None => diff(page, a, &ZERO),
+            };
+            if !same {
+                return None;
+            }
+        }
+        for (&page, b) in &snap.pages {
+            if !self.pages.contains_key(&page) && !diff(page, &ZERO, b) {
+                return None;
+            }
+        }
+        Some(excused)
     }
 
     // --- snapshots --------------------------------------------------------
@@ -795,6 +1068,7 @@ impl MemorySnapshot {
             traces: self.traces.clone(),
             resident_pages: self.resident_pages,
             accesses: self.accesses,
+            stamps: None,
             tlb: Tlb::new(self.fastpath),
         }
     }
@@ -831,13 +1105,16 @@ impl MemorySnapshot {
     }
 }
 
+/// Do two address-space maps describe the same extents?
+fn maps_eq(a: &AddressSpaceMap, b: &AddressSpaceMap) -> bool {
+    a.iter().eq(b.iter())
+}
+
 impl PartialEq for MemorySnapshot {
     fn eq(&self, other: &Self) -> bool {
         // The address-space maps must describe the same extents; the
         // resident-page count is an allocation detail and is ignored.
-        let maps_eq = self.map.iter().count() == other.map.iter().count()
-            && self.map.iter().zip(other.map.iter()).all(|(a, b)| a == b);
-        maps_eq && self.content_eq(other)
+        maps_eq(&self.map, &other.map) && self.content_eq(other)
     }
 }
 
@@ -1106,5 +1383,158 @@ mod tests {
         assert_eq!(m.resident_pages(), 1);
         m.store_u8(TEXT_BASE + 0x3000, 1, 0).unwrap();
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    // --- read stamping ----------------------------------------------------
+
+    fn stamped(m: &mut Memory) -> std::collections::BTreeMap<u32, u32> {
+        m.take_read_stamps()
+            .expect("stamping was on")
+            .iter()
+            .collect()
+    }
+
+    /// A mixed read workload over text and data, including unaligned and
+    /// page-spanning loads, repeated so the fast path serves TLB hits.
+    fn read_workload(m: &mut Memory) {
+        let d = TEXT_BASE + 0x2000;
+        for i in 0..64u32 {
+            m.store_u32(d + 4 * i, i, 0).unwrap();
+        }
+        m.poke_u32(TEXT_BASE, 0);
+        for (stamp, pass) in [(3u32, 0u32), (9, 1)] {
+            m.set_read_stamp(stamp);
+            for i in (pass * 8..64).step_by(3) {
+                m.load_u32(d + 4 * i, 0).unwrap();
+            }
+            m.load_u8(d + 4 * 40 + 1 + pass, 0).unwrap();
+            m.load_f64(d + 4 * 50 + 2, 0).unwrap(); // unaligned: 3 granules
+            m.load_u32(d + 0x1000 - 2, 0).unwrap(); // spans two pages
+            m.fetch_words(TEXT_BASE + 8 * pass, 0).unwrap();
+            let mut buf = [0u8; 6];
+            m.load_into(d + 4 * 60, &mut buf, 0).unwrap();
+        }
+    }
+
+    #[test]
+    fn tlb_hit_stamps_equal_slow_path_stamps() {
+        let mut fast = mem();
+        let mut slow = mem();
+        slow.set_fastpath(false);
+        read_workload(&mut fast);
+        read_workload(&mut slow);
+        assert!(
+            fast.tlb_probe(TEXT_BASE + 0x2000).is_some(),
+            "hits happened"
+        );
+        let (f, s) = (stamped(&mut fast), stamped(&mut slow));
+        assert_eq!(f, s);
+        // Later reads overwrite earlier stamps; untouched granules stay 0.
+        let d = TEXT_BASE + 0x2000;
+        assert_eq!(f[&d], 3, "read in the first pass only");
+        assert_eq!(f[&(d + 4 * 11)], 9, "read in the second pass only");
+        assert_eq!(f[&(d + 0x1000 - 4)], 9);
+        assert_eq!(f[&(d + 0x1000)], 9, "second page of the spanning load");
+        assert!(!f.contains_key(&(d + 4)));
+    }
+
+    #[test]
+    fn stores_peeks_and_faulting_loads_do_not_stamp_but_guest_reads_do() {
+        let mut m = mem();
+        let d = TEXT_BASE + 0x2000;
+        m.set_read_stamp(5);
+        m.store_u32(d, 1, 0).unwrap();
+        m.store_u8(d + 9, 1, 0).unwrap();
+        assert_eq!(m.peek_u32(d), 1);
+        assert!(m.load_u32(0x1000, 0).is_err());
+        let mut b = [0u8; 8];
+        m.guest_read(d + 16, &mut b);
+        let s = m.take_read_stamps().unwrap();
+        assert_eq!(s.get(d), 0);
+        assert_eq!(s.get(d + 8), 0);
+        assert_eq!((s.get(d + 16), s.get(d + 20), s.get(d + 24)), (5, 5, 0));
+        assert!(!m.read_stamping(), "taking the stamps turns stamping off");
+    }
+
+    #[test]
+    fn stamps_are_wide_enough_for_one_epoch_per_round() {
+        // A u16 would wrap after 65,536 epochs and make an old read look
+        // recent or — worse — a recent one look old.
+        let mut m = mem();
+        let d = TEXT_BASE + 0x2000;
+        for stamp in [u16::MAX as u32, u16::MAX as u32 + 1, 70_000, u32::MAX] {
+            m.set_read_stamp(stamp);
+            m.load_u32(d, 0).unwrap(); // slow path first, TLB hit after
+            assert_eq!(m.read_stamp(), stamp);
+        }
+        m.set_read_stamp(70_000);
+        m.load_u32(d + 4, 0).unwrap();
+        let s = m.take_read_stamps().unwrap();
+        assert_eq!(s.get(d), u32::MAX);
+        assert_eq!(s.get(d + 4), 70_000);
+    }
+
+    #[test]
+    fn snapshots_do_not_carry_stamps() {
+        let mut m = mem();
+        m.set_read_stamp(1);
+        m.load_u32(TEXT_BASE + 0x2000, 0).unwrap();
+        let fork = m.snapshot().to_memory();
+        assert!(!fork.read_stamping());
+        assert!(m.read_stamping());
+    }
+
+    #[test]
+    fn convergence_excuses_only_granules_never_read_again() {
+        let d = TEXT_BASE + 0x2000;
+        let mut golden = mem();
+        for i in 0..8u32 {
+            golden.store_u32(d + 4 * i, i, 0).unwrap();
+        }
+        golden.store_u32(d + 0x1000, 77, 0).unwrap();
+        // Golden reads granule 1 in interval 2 and granule 2 in interval 5.
+        golden.set_read_stamp(2);
+        golden.load_u32(d + 4, 0).unwrap();
+        golden.set_read_stamp(5);
+        golden.load_u32(d + 8, 0).unwrap();
+        let stamps = golden.take_read_stamps().unwrap();
+        let snap = golden.snapshot();
+
+        let trial = snap.to_memory();
+        assert_eq!(trial.converged_on(&snap, &stamps, 0), Some(0), "identical");
+
+        // Never-read granule: excused at any boundary.
+        let mut t = snap.to_memory();
+        t.poke_u32(d + 12, 0xdead);
+        assert_eq!(t.converged_on(&snap, &stamps, 0), Some(1));
+        // Last read in interval 2: live until boundary 2, dead from it on.
+        let mut t = snap.to_memory();
+        t.flip_bit(d + 5, 3);
+        assert_eq!(t.converged_on(&snap, &stamps, 1), None);
+        assert_eq!(t.converged_on(&snap, &stamps, 2), Some(1));
+        // Still to be read in interval 5 when standing at boundary 4.
+        t.poke_u32(d + 8, 1);
+        assert_eq!(t.converged_on(&snap, &stamps, 4), None);
+        assert_eq!(t.converged_on(&snap, &stamps, 5), Some(2));
+
+        // A page only one side has materialised compares against zeros.
+        let mut t = snap.to_memory();
+        t.poke_u32(d + 0x1800, 1);
+        assert_eq!(t.converged_on(&snap, &stamps, 0), Some(1));
+        t.poke_u32(d + 0x1800, 0);
+        assert_eq!(t.converged_on(&snap, &stamps, 0), Some(0));
+
+        // Anything but page contents must match exactly.
+        let mut t = snap.to_memory();
+        t.load_u32(d, 0).unwrap();
+        assert_eq!(t.converged_on(&snap, &stamps, 9), None, "access clock");
+        let mut t = snap.to_memory();
+        t.map_mut().add(Mapping {
+            start: TEXT_BASE + 0x8000,
+            end: TEXT_BASE + 0x9000,
+            region: Region::Heap,
+            perms: Perms::RW,
+        });
+        assert_eq!(t.converged_on(&snap, &stamps, 9), None, "address map");
     }
 }

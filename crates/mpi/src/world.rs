@@ -955,6 +955,144 @@ impl MpiWorld {
         }
     }
 
+    /// Whether an armed register/memory injection or message fault has
+    /// yet to fire (a persistent injection stays pending for good).
+    pub fn fault_pending(&self) -> bool {
+        self.injection.is_some() || self.message_fault.is_some()
+    }
+
+    /// Is this world the golden run at epoch boundary `k` again?
+    ///
+    /// `snap` is the golden world captured at the boundary; `stamps[r]`
+    /// rank `r`'s read stamps from the same golden run, stamped with
+    /// epoch-interval indices. Every rank's CPU, counters, allocator and
+    /// I/O buffers, every queue, sequence number, status and detector
+    /// clock, the RNG, the round and every armed chaos fault must equal
+    /// the snapshot exactly; memory may differ in granules the golden
+    /// run never reads after the boundary
+    /// ([`fl_machine::Memory::converged_on`]). If so, whatever this world
+    /// reads from here on, it reads the values the golden run read — so
+    /// it *is* the golden run, and the returned count says how many
+    /// dead granules were excused. Only the bookkeeping of the spent
+    /// fault ([`MpiWorld::message_fault_hit`]) is ignored; a fault still
+    /// pending never converges.
+    pub fn converged_on(
+        &self,
+        snap: &WorldSnapshot,
+        stamps: &[fl_machine::ReadStamps],
+        k: u32,
+    ) -> Option<u64> {
+        // Destructured so a new field cannot be left out silently.
+        let MpiWorld {
+            ranks,
+            cfg,
+            rng,
+            injection,
+            message_fault,
+            message_fault_hit: _,
+            rank_kill,
+            rank_kills,
+            net_fault,
+            net_faults_fired,
+            partition,
+            partition_until,
+            partition_mask,
+            partition_drops,
+            node_kill,
+            quantum_tax,
+            tax_until,
+            tax_rank,
+            tax_permille_active,
+            tax_credit,
+            hog,
+            hog_until,
+            hog_mask,
+            hog_share,
+            starved,
+            fatal,
+            round,
+            pending_redelivery,
+            retx_attempts,
+            known_failed,
+            shrinks,
+            idle_rounds,
+        } = self;
+        let world_same = injection.is_none()
+            && *round == snap.round
+            && *message_fault == snap.message_fault
+            && *fatal == snap.fatal
+            && *cfg == snap.cfg
+            && *rng == snap.rng
+            && *rank_kill == snap.rank_kill
+            && *rank_kills == snap.rank_kills
+            && *net_fault == snap.net_fault
+            && *net_faults_fired == snap.net_faults_fired
+            && *partition == snap.partition
+            && *partition_until == snap.partition_until
+            && *partition_mask == snap.partition_mask
+            && *partition_drops == snap.partition_drops
+            && *node_kill == snap.node_kill
+            && *quantum_tax == snap.quantum_tax
+            && *tax_until == snap.tax_until
+            && *tax_rank == snap.tax_rank
+            && *tax_permille_active == snap.tax_permille_active
+            && *tax_credit == snap.tax_credit
+            && *hog == snap.hog
+            && *hog_until == snap.hog_until
+            && *hog_mask == snap.hog_mask
+            && *hog_share == snap.hog_share
+            && *starved == snap.starved
+            && *known_failed == snap.known_failed
+            && *shrinks == snap.shrinks
+            && *idle_rounds == snap.idle_rounds
+            && *pending_redelivery == snap.pending_redelivery
+            && *retx_attempts == snap.retx_attempts
+            && ranks.len() == snap.ranks.len()
+            && ranks.len() == stamps.len();
+        if !world_same {
+            return None;
+        }
+        let mut excused = 0;
+        for ((r, s), st) in ranks.iter().zip(&snap.ranks).zip(stamps) {
+            let Rank {
+                machine,
+                status,
+                errhandler,
+                arrived,
+                received_bytes,
+                send_seq,
+                coll_seq,
+                profile,
+                sent_history,
+                health,
+                last_heard,
+                max_gap,
+                out_digest,
+                ckpt,
+                acked,
+            } = r;
+            let rank_same = *status == s.status
+                && *errhandler == s.errhandler
+                && *received_bytes == s.received_bytes
+                && *send_seq == s.send_seq
+                && *coll_seq == s.coll_seq
+                && *profile == s.profile
+                && *health == s.health
+                && *last_heard == s.last_heard
+                && *max_gap == s.max_gap
+                && *out_digest == s.out_digest
+                && *acked == s.acked
+                && *arrived == s.arrived
+                && *sent_history == s.sent_history
+                && *ckpt == s.ckpt;
+            if !rank_same {
+                return None;
+            }
+            excused += machine.converged_on(&s.machine, st, k)?;
+        }
+        Some(excused)
+    }
+
     fn fatal(&mut self, e: WorldExit) {
         if self.fatal.is_none() {
             self.fatal = Some(e);
@@ -1322,8 +1460,8 @@ impl MpiWorld {
                 bytes: len,
             },
         );
-        let mem = &self.ranks[src as usize].machine.mem;
-        let m = WireMsg::data_with(src, dst, tag, seq, len, |b| mem.peek(buf, b));
+        let mem = &mut self.ranks[src as usize].machine.mem;
+        let m = WireMsg::data_with(src, dst, tag, seq, len, |b| mem.guest_read(buf, b));
         if self.cfg.track_digests {
             self.fold_digest(src, &m);
         }
@@ -1466,7 +1604,7 @@ impl MpiWorld {
                     self.ranks[rank as usize]
                         .machine
                         .mem
-                        .peek(buf, &mut payload);
+                        .guest_read(buf, &mut payload);
                     let seq = self.ranks[rank as usize].send_seq;
                     self.send_control(CtlOp::Rts, rank, dst as u16, tag);
                     self.ranks[rank as usize].status = Status::Blocked(Blocked::SendRts {
@@ -1582,11 +1720,11 @@ impl MpiWorld {
                 self.ranks[rank as usize].coll_seq += if allreduce { 2 } else { 1 };
                 let ctag = COLL_TAG_BASE + seq;
                 if is_root {
-                    let mem = &self.ranks[rank as usize].machine.mem;
+                    let mem = &mut self.ranks[rank as usize].machine.mem;
                     let acc: Vec<f64> = (0..count)
                         .map(|i| {
                             let mut b = [0u8; 8];
-                            mem.peek(sendbuf + i * 8, &mut b);
+                            mem.guest_read(sendbuf + i * 8, &mut b);
                             f64::from_le_bytes(b)
                         })
                         .collect();
@@ -1642,7 +1780,10 @@ impl MpiWorld {
                         .mpi_error(rank, format!("fl_ckpt_save: invalid buffer {buf:#x}+{len}"));
                 }
                 let mut data = vec![0u8; len as usize];
-                self.ranks[rank as usize].machine.mem.peek(buf, &mut data);
+                self.ranks[rank as usize]
+                    .machine
+                    .mem
+                    .guest_read(buf, &mut data);
                 self.ranks[rank as usize].ckpt = Some(data);
                 self.obs_record(
                     rank as usize,
@@ -2712,6 +2853,18 @@ impl WorldSnapshot {
     /// Number of ranks captured.
     pub fn nranks(&self) -> u16 {
         self.ranks.len() as u16
+    }
+
+    /// Replace the per-rank instruction budget (the hang bound) carried
+    /// by the checkpoint. A campaign's golden pass must run before the
+    /// trial budget is known — the budget is derived from the golden
+    /// instruction counts — so its checkpoints are patched afterwards;
+    /// a run that stays under both budgets is the same run under either.
+    pub fn set_budget(&mut self, budget: u64) {
+        self.cfg.machine.budget = budget;
+        for r in &mut self.ranks {
+            r.machine.budget = budget;
+        }
     }
 
     /// Scheduler round at capture time.

@@ -1326,3 +1326,229 @@ fn chaos_faults_ride_snapshots() {
     assert_eq!(r.net_faults_fired(), 1);
     assert_eq!(r.machine(1).console_text(), out_a);
 }
+
+// --- read stamping: host-side reads on the guest's behalf -------------------
+
+/// Run `src` to a clean end with read stamping on and return, for each
+/// rank, the stamp of every 4-byte granule of global `sym`. The programs
+/// below only ever *store* to their buffers, so any stamp is the MPI
+/// layer's own read of the buffer.
+fn buffer_stamps(src: &str, nranks: u16, ulfm: bool, sym: &str) -> Vec<Vec<u32>> {
+    const STAMP: u32 = 7;
+    let img = compile(src).expect("compiles");
+    let mut cfg = WorldConfig {
+        nranks,
+        ulfm,
+        machine: MachineConfig {
+            budget: 50_000_000,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    cfg.ft.enabled = ulfm;
+    let mut w = MpiWorld::new(&img, cfg);
+    for r in 0..nranks {
+        w.machine_mut(r).set_read_stamp(STAMP);
+    }
+    assert_eq!(w.run(), WorldExit::Clean);
+    let s = img
+        .symbols
+        .iter()
+        .find(|s| s.name == sym)
+        .expect("symbol exists");
+    (0..nranks)
+        .map(|r| {
+            let stamps = w.machine_mut(r).take_read_stamps().unwrap();
+            (0..s.size / 4)
+                .map(|g| stamps.get(s.addr + 4 * g))
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn eager_send_buffer_is_stamped_as_read() {
+    let stamps = buffer_stamps(
+        "global float buf[6];
+         global float got[4];
+         fn main() {
+             mpi_init();
+             if (mpi_rank() == 0) {
+                 buf[0] = 1.0; buf[3] = 4.0;
+                 mpi_send(addr(buf), 32, 1, 7);
+             } else {
+                 mpi_recv(addr(got), 32, 0, 7);
+             }
+             mpi_finalize();
+         }",
+        2,
+        false,
+        "buf",
+    );
+    // 32 bytes sent out of a 48-byte buffer: exactly those 8 granules.
+    assert_eq!(stamps[0], [7, 7, 7, 7, 7, 7, 7, 7, 0, 0, 0, 0]);
+    assert!(stamps[1].iter().all(|&s| s == 0), "receiver never sends");
+}
+
+#[test]
+fn rendezvous_send_buffer_is_stamped_as_read() {
+    // 2048 bytes exceed the 1024-byte eager threshold: the payload is
+    // captured at send time on the RTS path.
+    let stamps = buffer_stamps(
+        "global float big[260];
+         global float got[256];
+         fn main() {
+             mpi_init();
+             if (mpi_rank() == 0) {
+                 big[5] = 2.5;
+                 mpi_send(addr(big), 2048, 1, 3);
+             } else {
+                 mpi_recv(addr(got), 2048, 0, 3);
+             }
+             mpi_finalize();
+         }",
+        2,
+        false,
+        "big",
+    );
+    assert!(stamps[0][..512].iter().all(|&s| s == 7));
+    assert!(stamps[0][512..].iter().all(|&s| s == 0));
+}
+
+#[test]
+fn bcast_and_reduce_buffers_are_stamped_as_read() {
+    let src = "global float arr[4];
+         global float part[2];
+         global float out[2];
+         fn main() {
+             mpi_init();
+             if (mpi_rank() == 0) { arr[1] = 3.0; }
+             mpi_bcast(addr(arr), 32, 0);
+             part[0] = 1.0;
+             mpi_reduce(addr(part), 2, 0, addr(out));
+             mpi_finalize();
+         }";
+    // Bcast: only the root's buffer is read (the others are written).
+    let arr = buffer_stamps(src, 3, false, "arr");
+    assert_eq!(arr[0], [7; 8]);
+    assert_eq!(arr[1], [0; 8]);
+    // Reduce: every rank's contribution is read — the root's into the
+    // accumulator, the others' onto the wire.
+    let part = buffer_stamps(src, 3, false, "part");
+    for (r, p) in part.iter().enumerate() {
+        assert_eq!(p[..], [7; 4], "rank {r}");
+    }
+    let out = buffer_stamps(src, 3, false, "out");
+    assert!(
+        out.iter().flatten().all(|&s| s == 0),
+        "recvbuf is write-only"
+    );
+}
+
+#[test]
+fn ckpt_save_buffer_is_stamped_as_read() {
+    let stamps = buffer_stamps(
+        "global float a[6];
+         fn main() {
+             var int r;
+             mpi_init();
+             a[0] = 42.0;
+             r = fl_ckpt_save(addr(a), 32);
+             mpi_finalize();
+         }",
+        1,
+        true,
+        "a",
+    );
+    assert_eq!(stamps[0], [7, 7, 7, 7, 7, 7, 7, 7, 0, 0, 0, 0]);
+}
+
+// --- injections fire inside the quantum --------------------------------------
+
+#[test]
+fn a_fault_that_changes_nothing_leaves_the_schedule_alone() {
+    // The victim runs to the fire point, takes the fault and finishes the
+    // same quantum, so every round boundary — not just the final state —
+    // is the golden run's. (Clipping the quantum at the fire point and
+    // firing a round later would shift the victim's phase for good.)
+    let src = "global float buf[4];
+         fn main() {
+             var int i;
+             var int me;
+             mpi_init();
+             me = mpi_rank();
+             for (i = 0; i < 40; i = i + 1) {
+                 buf[0] = buf[0] + float(i);
+                 if (me == 0) {
+                     mpi_send(addr(buf), 32, 1, 7);
+                     mpi_recv(addr(buf), 32, 1, 8);
+                 } else {
+                     mpi_recv(addr(buf), 32, 0, 7);
+                     mpi_send(addr(buf), 32, 0, 8);
+                 }
+             }
+             mpi_finalize();
+         }";
+    let img = compile(src).expect("compiles");
+    let cfg = WorldConfig {
+        nranks: 2,
+        quantum: 97,
+        machine: MachineConfig {
+            budget: 50_000_000,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let injections: [fn() -> fl_mpi::PendingInjection; 2] = [
+        || fl_mpi::PendingInjection::once(1, 1234, |_| {}),
+        || fl_mpi::PendingInjection::persistent(0, 555, 40, |_| {}),
+    ];
+    for make in injections {
+        let mut golden = MpiWorld::new(&img, cfg);
+        let mut faulted = MpiWorld::new(&img, cfg);
+        faulted.set_injection(make());
+        let mut rounds = 0;
+        loop {
+            let (g, f) = (golden.run_round(), faulted.run_round());
+            assert_eq!(g, f, "round {rounds}");
+            assert!(
+                golden.snapshot() == faulted.snapshot(),
+                "worlds differ after round {rounds}"
+            );
+            rounds += 1;
+            if g.is_some() {
+                assert_eq!(g, Some(WorldExit::Clean));
+                break;
+            }
+        }
+        assert!(rounds > 20, "the quantum is small enough to matter");
+    }
+}
+
+#[test]
+fn an_injection_fires_at_exactly_its_instruction_count() {
+    let img = compile(
+        "fn main() { var int i; mpi_init(); for (i = 0; i < 500; i = i + 1) { } mpi_finalize(); }",
+    )
+    .expect("compiles");
+    let cfg = WorldConfig {
+        nranks: 1,
+        quantum: 100,
+        ..Default::default()
+    };
+    let fired = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = fired.clone();
+    let mut w = MpiWorld::new(&img, cfg);
+    w.set_injection(fl_mpi::PendingInjection::persistent(
+        0,
+        250,
+        130,
+        move |m| log.lock().unwrap().push(m.counters.insns),
+    ));
+    assert_eq!(w.run(), WorldExit::Clean);
+    let fired = fired.lock().unwrap();
+    // Mid-quantum (250), then every 130 instructions whatever the
+    // quantum boundaries are doing.
+    assert_eq!(fired[..4], [250, 380, 510, 640]);
+    assert!(w.fault_pending(), "a persistent fault stays armed");
+}

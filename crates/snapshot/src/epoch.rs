@@ -1,8 +1,10 @@
 //! Epoch snapshot cache: periodic checkpoints of the golden run that
 //! injection trials fork from instead of re-executing the fault-free
-//! prefix.
+//! prefix — and, through the read stamps collected by the same pass,
+//! stop at instead of re-executing the fault-free *suffix* (see
+//! [`EpochCache::converged`] and the crate documentation).
 
-use fl_machine::{ProgramImage, SharedCode};
+use fl_machine::{ProgramImage, ReadStamps, SharedCode};
 use fl_mpi::{MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
 
 /// One checkpoint of the golden world, taken at a scheduler-round
@@ -36,6 +38,11 @@ pub struct EpochCache {
     epochs: Vec<Epoch>,
     exit: WorldExit,
     rounds: u64,
+    every_rounds: u32,
+    /// Per rank: for every 4-byte granule, the index of the last epoch
+    /// interval in which the golden run read it (interval `k` is the
+    /// rounds between epoch `k - 1` and epoch `k`; 0 = never read).
+    stamps: Vec<ReadStamps>,
 }
 
 impl EpochCache {
@@ -59,12 +66,41 @@ impl EpochCache {
         every_rounds: u32,
         code: Option<&SharedCode>,
     ) -> EpochCache {
+        EpochCache::run_golden(image, cfg, every_rounds, code).0
+    }
+
+    /// The golden pass itself: run the fault-free world to completion
+    /// once, checkpointing every `every_rounds` rounds and stamping every
+    /// granule each rank reads with the index of the epoch interval the
+    /// read falls in. Returns the cache and the finished world, so the
+    /// caller takes the reference output and counters from the same
+    /// execution instead of running it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every_rounds` is zero.
+    pub fn run_golden(
+        image: &ProgramImage,
+        cfg: WorldConfig,
+        every_rounds: u32,
+        code: Option<&SharedCode>,
+    ) -> (EpochCache, MpiWorld) {
         assert!(every_rounds > 0, "every_rounds must be nonzero");
         let mut world = MpiWorld::new_with_code(image, cfg, code);
         let mut epochs = vec![Epoch {
             snap: world.snapshot(),
             round: 0,
         }];
+        // Reads between two checkpoints belong to the interval the later
+        // one closes: interval k ends at epoch k. One stamp value per
+        // held snapshot, so a u32 cannot wrap before memory runs out.
+        let open_interval = |world: &mut MpiWorld, index: usize| {
+            let stamp = u32::try_from(index).expect("epoch count fits a u32 stamp");
+            for r in 0..world.nranks() {
+                world.machine_mut(r).set_read_stamp(stamp);
+            }
+        };
+        open_interval(&mut world, 1);
         let mut rounds: u64 = 0;
         let exit = loop {
             if let Some(e) = world.run_round() {
@@ -76,13 +112,57 @@ impl EpochCache {
                     snap: world.snapshot(),
                     round: rounds,
                 });
+                open_interval(&mut world, epochs.len());
             }
         };
-        EpochCache {
+        let stamps = (0..world.nranks())
+            .map(|r| {
+                let taken = world.machine_mut(r).take_read_stamps();
+                taken.expect("stamping was on for the whole pass")
+            })
+            .collect();
+        let cache = EpochCache {
             epochs,
             exit,
             rounds,
+            every_rounds,
+            stamps,
+        };
+        (cache, world)
+    }
+
+    /// Replace the per-rank instruction budget carried by every
+    /// checkpoint (see [`WorldSnapshot::set_budget`]): a campaign derives
+    /// its hang bound from the golden instruction counts, which only
+    /// exist once this cache has been built.
+    pub fn set_budget(&mut self, budget: u64) {
+        for e in &mut self.epochs {
+            e.snap.set_budget(budget);
         }
+    }
+
+    /// Rank `rank`'s read stamps from the golden pass.
+    pub fn stamps(&self, rank: u16) -> &ReadStamps {
+        &self.stamps[rank as usize]
+    }
+
+    /// The epoch taken after exactly `round` scheduler rounds, if any.
+    pub fn boundary_at(&self, round: u64) -> Option<usize> {
+        let every = self.every_rounds as u64;
+        let k = usize::try_from(round / every).ok()?;
+        (round.is_multiple_of(every) && k < self.epochs.len()).then_some(k)
+    }
+
+    /// Is `world` — a trial whose fault has fired, standing at the round
+    /// of epoch `k` — provably the golden run again? True iff it equals
+    /// that checkpoint in everything but memory granules the golden run
+    /// never reads after the boundary ([`MpiWorld::converged_on`]); the
+    /// rest of its execution then reads what the golden run read and
+    /// must end as the golden run ended. Returns the excused granule
+    /// count.
+    pub fn converged(&self, k: usize, world: &MpiWorld) -> Option<u64> {
+        // `k` indexes a held epoch, and their count was checked to fit.
+        world.converged_on(&self.epochs[k].snap, &self.stamps, k as u32)
     }
 
     /// How the golden run ended (clean for a healthy application).

@@ -7,7 +7,11 @@
 //! deterministic application executes bit-identical state up to its
 //! injection point. This crate removes the redundancy.
 //!
-//! Three layers:
+//! And because most injected faults are benign, so is most of what
+//! *follows* the injection point: a trial that has provably become the
+//! golden run again need not execute its suffix either.
+//!
+//! Four layers:
 //!
 //! * **Snapshots** — [`MachineSnapshot`] (registers, EFLAGS, EIP, the
 //!   full x87 state, copy-on-write memory pages, malloc-runtime state)
@@ -16,12 +20,32 @@
 //!   RNG). Both live in their home crates — `fl-machine` and `fl-mpi` —
 //!   because they need private-field access; this crate re-exports them
 //!   and builds policy on top.
-//! * **[`EpochCache`]** — run the golden (fault-free) world once,
-//!   checkpointing every K scheduler rounds. A trial that injects at
-//!   rank-local instruction `t` then *forks* from the latest epoch whose
-//!   target rank had retired fewer than `t` instructions, skipping the
-//!   shared prefix entirely. Page-granular copy-on-write means N
-//!   concurrent forks share every page none of them has written.
+//! * **[`EpochCache`]** — run the golden (fault-free) world once
+//!   ([`EpochCache::run_golden`]), checkpointing every K scheduler
+//!   rounds. A trial that injects at rank-local instruction `t` then
+//!   *forks* from the latest epoch whose target rank had retired fewer
+//!   than `t` instructions, skipping the shared prefix entirely.
+//!   Page-granular copy-on-write means N concurrent forks share every
+//!   page none of them has written. The finished golden world is handed
+//!   back, so the caller takes the reference output and counters from
+//!   the same pass.
+//! * **Convergence-aware termination** — the same pass stamps, per rank
+//!   and 4-byte granule, the index of the last epoch interval in which
+//!   the golden run *read* it ([`fl_machine::ReadStamps`]; a read is a
+//!   guest load, an instruction fetch, or a host-side read on the
+//!   guest's behalf). [`EpochCache::converged`] then compares a live
+//!   trial world, standing at the round of epoch `k` with its fault
+//!   spent, against that epoch's snapshot: everything outside memory
+//!   must be equal exactly, and memory may differ only in granules whose
+//!   stamp is `<= k`. If so the golden run never reads a differing
+//!   granule again; by induction over execution steps the trial reads
+//!   the values the golden run read, does what it did and ends as it
+//!   ended — the caller records `correct` with the golden instruction
+//!   counts and stops. The argument needs round boundaries to line up,
+//!   which is why `fl-mpi` fires an injection *inside* the victim's
+//!   quantum instead of clipping the quantum at the fire point. Trials
+//!   that record events, and apps without a golden prefix (below), are
+//!   never ended early.
 //! * **[`recovery`]** — the checkpoint/restart experiment: kill a rank
 //!   mid-run, restore the world from the latest checkpoint, and measure
 //!   what was recovered versus lost.
