@@ -20,7 +20,7 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_bench::{emit, injections_from_args};
-use fl_inject::{chaos_jsonl, render_chaos, render_chaos_tsv, CampaignBuilder, ChaosPolicy};
+use fl_inject::{CampaignBuilder, ChaosPolicy, Report};
 
 fn main() {
     let injections = injections_from_args(10);
@@ -47,9 +47,9 @@ fn main() {
             kind.name(),
             kind.paper_name()
         );
-        texts.push(render_chaos(&result, &title));
-        tsvs.push(render_chaos_tsv(&result));
-        jsonls.push(chaos_jsonl(&result));
+        texts.push(result.table(&title));
+        tsvs.push(result.tsv());
+        jsonls.push(result.jsonl());
         for c in result.contracts() {
             if !c.passed() {
                 broken.push(format!(

@@ -14,7 +14,7 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_bench::{emit, injections_from_args};
-use fl_inject::{ft_jsonl, render_ft, render_ft_tsv, CampaignBuilder, FtPolicy};
+use fl_inject::{CampaignBuilder, FtPolicy, Report};
 
 fn main() {
     let injections = injections_from_args(40);
@@ -40,27 +40,35 @@ fn main() {
             kind.name(),
             kind.paper_name()
         );
-        texts.push(render_ft(&result, &title));
-        tsvs.push(render_ft_tsv(&result));
-        jsonls.push(ft_jsonl(&result));
-        for (what, pct) in [
-            ("shrink recovery", result.shrink_recovery_percent()),
-            ("respawn recovery", result.respawn_recovery_percent()),
+        texts.push(result.table(&title));
+        tsvs.push(result.tsv());
+        jsonls.push(result.jsonl());
+        // A column's baseline errors and the percent of them it covered.
+        let coverage = |column: &str| {
+            let (row, column) = result.find_column(column).expect("an ft column");
+            (
+                result.baseline_errors(row),
+                result.coverage_percent(row, column),
+            )
+        };
+        for (what, (_, pct)) in [
+            ("shrink recovery", coverage("shrink")),
+            ("respawn recovery", coverage("respawn")),
         ] {
             if pct < 90.0 {
                 broken.push(format!("{}: {what} {pct:.1}% < 90%", kind.name()));
             }
         }
-        if result.replica_errors() == 0 {
+        let (errors, masked) = coverage("replicated");
+        if errors == 0 {
             broken.push(format!(
                 "{}: no baseline message-fault errors to mask (n too small)",
                 kind.name()
             ));
-        } else if result.masked_percent() < 90.0 {
+        } else if masked < 90.0 {
             broken.push(format!(
-                "{}: replica masking {:.1}% < 90%",
-                kind.name(),
-                result.masked_percent()
+                "{}: replica masking {masked:.1}% < 90%",
+                kind.name()
             ));
         }
     }

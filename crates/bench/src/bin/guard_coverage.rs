@@ -9,9 +9,7 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_bench::{emit, injections_from_args};
-use fl_inject::{
-    coverage_jsonl, render_coverage, render_coverage_tsv, CampaignBuilder, GuardPolicy, TargetClass,
-};
+use fl_inject::{CampaignBuilder, GuardPolicy, Report, TargetClass};
 
 fn main() {
     let injections = injections_from_args(100);
@@ -43,9 +41,9 @@ fn main() {
             kind.name(),
             kind.paper_name()
         );
-        texts.push(render_coverage(&result, &title));
-        tsvs.push(render_coverage_tsv(&result));
-        jsonls.push(coverage_jsonl(&result));
+        texts.push(result.table(&title));
+        tsvs.push(result.tsv());
+        jsonls.push(result.jsonl());
     }
     emit("guard_coverage.txt", &texts.join("\n"));
     // One TSV: repeat the header only once, tag rows with the app name.

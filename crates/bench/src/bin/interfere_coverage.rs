@@ -16,9 +16,7 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_bench::{emit, injections_from_args};
-use fl_inject::{
-    perturb_jsonl, render_perturb, render_perturb_tsv, CampaignBuilder, PerturbPolicy,
-};
+use fl_inject::{CampaignBuilder, PerturbPolicy, Report};
 
 fn main() {
     let injections = injections_from_args(10);
@@ -45,9 +43,9 @@ fn main() {
             kind.name(),
             kind.paper_name()
         );
-        texts.push(render_perturb(&result, &title));
-        tsvs.push(render_perturb_tsv(&result));
-        jsonls.push(perturb_jsonl(&result));
+        texts.push(result.table(&title));
+        tsvs.push(result.tsv());
+        jsonls.push(result.jsonl());
         for c in result.contracts() {
             if !c.passed() {
                 broken.push(format!(

@@ -22,12 +22,10 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_inject::{
-    estimation_error, render_chaos, render_chaos_focus, render_chaos_tsv, render_ft_focus,
-    render_perturb, render_perturb_focus, render_perturb_tsv, render_register_breakdown, run_spec,
-    sample_size, sort_records_jsonl, CampaignBuilder, CampaignConfig, CampaignSpec, ChaosPolicy,
-    EngineControl, EngineProgress, EngineSink, FaultModel, FtMode, FtPolicy, GuardPolicy,
-    MetricsReport, PerturbPolicy, PerturbResult, Report, ReportFormat, SpecMode, SpecOutcome,
-    StderrProgress, TargetClass, TrialOutput, VecSink,
+    estimation_error, render_register_breakdown, run_spec, sample_size, sort_records_jsonl,
+    CampaignBuilder, CampaignConfig, CampaignSpec, ChaosPolicy, EngineControl, EngineProgress,
+    EngineSink, FaultModel, FtMode, FtPolicy, GuardPolicy, MetricsReport, PerturbPolicy, Report,
+    ReportFormat, SpecMode, SpecOutcome, StderrProgress, TargetClass, TrialOutput, VecSink,
 };
 use fl_serve::{ServeConfig, Server};
 use fl_snap::RecoveryConfig;
@@ -64,10 +62,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "replay" => cmd_replay(rest),
         "events" => cmd_events(rest),
         "metrics" => cmd_metrics(rest),
-        "guard" => cmd_guard(rest),
-        "ft" => cmd_ft(rest),
-        "chaos" => cmd_chaos(rest),
-        "perturb" => cmd_perturb(rest),
+        "guard" | "ft" | "chaos" | "perturb" => cmd_matrix(cmd, rest),
         "recovery" => cmd_recovery(rest),
         "spec" => cmd_spec(rest),
         "serve" => cmd_serve(rest),
@@ -498,10 +493,10 @@ struct CliSink {
 }
 
 impl CliSink {
-    fn new(app: AppKind, collect_records: bool, total: u64) -> CliSink {
+    fn new(spec: &CampaignSpec, collect_records: bool) -> CliSink {
         CliSink {
-            records: collect_records.then(|| VecSink::new(app)),
-            progress: StderrProgress::new((total / 20).max(1)),
+            records: collect_records.then(|| VecSink::new(spec.app)),
+            progress: StderrProgress::new((spec.slot_plan().total() / 20).max(1)),
         }
     }
 
@@ -577,8 +572,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         spec.classes.len(),
         jobs_label(spec.campaign.threads),
     );
-    let total = spec.classes.len() as u64 * spec.campaign.injections as u64;
-    let sink = CliSink::new(kind, o.has("jsonl"), total);
+    let sink = CliSink::new(&spec, o.has("jsonl"));
     let SpecOutcome::Campaign(result) = run_spec_cli(&spec, &sink) else {
         unreachable!("campaign mode yields a campaign outcome");
     };
@@ -869,8 +863,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         spec.campaign.injections,
         spec.classes.len()
     );
-    let total = spec.classes.len() as u64 * spec.campaign.injections as u64;
-    let sink = CliSink::new(kind, false, total);
+    let sink = CliSink::new(&spec, false);
     let SpecOutcome::Campaign(result) = run_spec_cli(&spec, &sink) else {
         unreachable!("campaign mode yields a campaign outcome");
     };
@@ -891,198 +884,116 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_guard(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(GUARD_FLAGS);
-    valid.extend(["tsv", "jsonl"]);
-    o.expect(&valid)?;
-    let spec = spec_from_opts(&o, "guard", 100)?;
-    let kind = spec.app;
-    eprintln!(
-        "guard: {} x {} paired trials over {} regions ...",
-        kind.name(),
-        spec.campaign.injections,
-        spec.classes.len()
-    );
-    let total = spec.classes.len() as u64 * spec.campaign.injections as u64;
-    let sink = CliSink::new(kind, false, total);
-    let SpecOutcome::Coverage(result) = run_spec_cli(&spec, &sink) else {
-        unreachable!("guard mode yields a coverage outcome");
-    };
-    let title = format!(
-        "Detection Coverage ({} / {} analogue), guard-off vs guard-on",
-        kind.name(),
-        kind.paper_name()
-    );
-    let fmt = ReportFormat::from_flags(o.has("tsv"), o.has("jsonl"));
-    print!("{}", result.render(fmt, &title));
-    Ok(())
+/// Injections per row a matrix verb (and `spec --mode`) defaults to.
+fn default_injections(mode: &str) -> u32 {
+    match mode {
+        "guard" => 100,
+        "ft" => 40,
+        "chaos" => 20,
+        "perturb" => 10,
+        _ => 500,
+    }
 }
 
-fn cmd_ft(args: &[String]) -> Result<(), String> {
+/// The four matrix verbs: `guard`, `ft`, `chaos`, `perturb`.
+fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args);
+    // The verb's policy flags, and the flag that focuses the table: one
+    // recovery discipline (`ft --mode M`) or one fault model's row
+    // (`--model M`). Every column still runs — they are paired draws.
+    let (policy_flags, focus_flag): (&[&[&str]], Option<&str>) = match verb {
+        "guard" => (&[GUARD_FLAGS], None),
+        "ft" => (&[FT_FLAGS], Some("mode")),
+        "chaos" => (&[GUARD_FLAGS, FT_FLAGS, CHAOS_FLAGS], Some("model")),
+        _ => (&[PERTURB_FLAGS], Some("model")),
+    };
     let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(FT_FLAGS);
-    valid.extend(["mode", "tsv", "jsonl"]);
+    valid.extend(policy_flags.iter().copied().flatten());
+    valid.extend(["tsv", "jsonl"]);
+    valid.extend(focus_flag);
     o.expect(&valid)?;
-    // `--mode M` focuses the table on one recovery discipline; every
-    // trial still runs all of them (the columns are paired draws).
-    let focus: Option<FtMode> = match o.get("mode") {
+    let spec = spec_from_opts(&o, verb, default_injections(verb))?;
+    let matrix = spec.matrix().expect("matrix verbs build matrix specs");
+    let focus: Option<String> = match focus_flag.and_then(|f| o.get(f)) {
         None => None,
-        Some(m) => {
+        Some(m) if verb == "ft" => {
             let labels: Vec<&str> = FtMode::ALL.iter().map(|m| m.label()).collect();
             check_mode(m, &labels, "ft mode")?;
-            Some(m.parse()?)
+            Some(m.to_string())
         }
-    };
-    let spec = spec_from_opts(&o, "ft", 40)?;
-    let kind = spec.app;
-    eprintln!(
-        "ft: {} x {} rank kills (baseline/shrink/respawn/app) + {} message faults (replicated) ...",
-        kind.name(),
-        spec.campaign.injections,
-        spec.campaign.injections
-    );
-    let total = 2 * spec.campaign.injections as u64;
-    let sink = CliSink::new(kind, false, total);
-    let SpecOutcome::Ft(result) = run_spec_cli(&spec, &sink) else {
-        unreachable!("ft mode yields an ft outcome");
-    };
-    let fmt = ReportFormat::from_flags(o.has("tsv"), o.has("jsonl"));
-    match focus {
-        // The machine formats always carry every discipline's columns;
-        // focus only changes the human-readable view.
-        Some(mode) if fmt == ReportFormat::Table => print!("{}", render_ft_focus(&result, mode)),
-        _ => {
-            let title = format!(
-                "Process-Level Fault Tolerance ({} / {} analogue), shrink vs respawn vs app vs replication",
-                kind.name(),
-                kind.paper_name()
-            );
-            print!("{}", result.render(fmt, &title));
-        }
-    }
-    Ok(())
-}
-
-fn cmd_chaos(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(GUARD_FLAGS);
-    valid.extend(FT_FLAGS);
-    valid.extend(CHAOS_FLAGS);
-    valid.extend(["model", "tsv", "jsonl"]);
-    o.expect(&valid)?;
-    // `--model M` focuses the table on one fault model's row; every
-    // model still runs (the defense columns are paired draws). The
-    // parse error carries the registry-wide did-you-mean hint.
-    let focus: Option<FaultModel> = match o.get("model") {
-        None => None,
         Some(m) => {
+            // The parse error carries the registry-wide did-you-mean
+            // hint; a real model that is not a row names the rows.
             let model: FaultModel = m.parse()?;
-            if model.chaos_class().is_none() {
-                let rows: Vec<&str> = FaultModel::chaos_models()
-                    .iter()
-                    .map(|m| m.label())
-                    .collect();
+            let rows: Vec<&str> = matrix.rows.iter().map(|r| r.label.as_str()).collect();
+            if !rows.contains(&model.label()) {
                 return Err(format!(
-                    "`{model}` is not a chaos model (matrix rows: {})",
+                    "`{model}` is not a {verb} model (matrix rows: {})",
                     rows.join(", ")
                 ));
             }
-            Some(model)
+            Some(model.label().to_string())
         }
     };
-    let spec = spec_from_opts(&o, "chaos", 20)?;
     let kind = spec.app;
-    let total = spec.record_classes().len() as u64 * spec.campaign.injections as u64;
-    eprintln!(
-        "chaos: {} x {} injections per cell over {} fault models x {} defenses, {} workers ...",
-        kind.name(),
-        spec.campaign.injections,
-        FaultModel::chaos_models().len(),
-        fl_inject::Defense::ALL.len(),
-        jobs_label(spec.campaign.threads),
-    );
-    let sink = CliSink::new(kind, o.has("jsonl"), total);
-    let SpecOutcome::Chaos(result) = run_spec_cli(&spec, &sink) else {
-        unreachable!("chaos mode yields a chaos outcome");
-    };
-    match ReportFormat::from_flags(o.has("tsv"), o.has("jsonl")) {
-        // Like `campaign --jsonl`: stream the canonical per-trial
-        // records (the resumable wire format), not the cell summaries.
-        ReportFormat::Jsonl => print!("{}", sink.canonical_records()),
-        ReportFormat::Tsv => print!("{}", render_chaos_tsv(&result)),
-        ReportFormat::Table => match focus {
-            Some(model) => print!("{}", render_chaos_focus(&result, model)),
-            None => {
-                let title = format!(
-                    "Chaos Defense-Coverage Matrix ({} / {} analogue)",
-                    kind.name(),
-                    kind.paper_name()
-                );
-                print!("{}", render_chaos(&result, &title));
-            }
-        },
+    let (n, shape) = (spec.campaign.injections, &matrix.rows);
+    match verb {
+        "guard" => eprintln!(
+            "guard: {} x {n} paired trials over {} regions ...",
+            kind.name(),
+            shape.len()
+        ),
+        "ft" => eprintln!(
+            "ft: {} x {n} rank kills (baseline/shrink/respawn/app) + {n} message faults (replicated) ...",
+            kind.name()
+        ),
+        "chaos" => eprintln!(
+            "chaos: {} x {n} injections per cell over {} fault models x {} defenses, {} workers ...",
+            kind.name(),
+            shape.len(),
+            shape[0].columns.len(),
+            jobs_label(spec.campaign.threads),
+        ),
+        _ => eprintln!(
+            "perturb: {} x {n} injections per cell over {} interference/process models x {} detectors, {} workers ...",
+            kind.name(),
+            shape.len(),
+            shape[0].columns.len(),
+            jobs_label(spec.campaign.threads),
+        ),
     }
-    Ok(())
-}
-
-fn cmd_perturb(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(PERTURB_FLAGS);
-    valid.extend(["model", "tsv", "jsonl"]);
-    o.expect(&valid)?;
-    // `--model M` focuses the table on one matrix row; every model
-    // still runs (the detection columns are paired draws). The parse
-    // error carries the registry-wide did-you-mean hint.
-    let focus: Option<FaultModel> = match o.get("model") {
-        None => None,
-        Some(m) => {
-            let model: FaultModel = m.parse()?;
-            if !PerturbResult::models().contains(&model) {
-                let rows: Vec<&str> = PerturbResult::models().iter().map(|m| m.label()).collect();
-                return Err(format!(
-                    "`{model}` is not a perturb model (matrix rows: {})",
-                    rows.join(", ")
-                ));
-            }
-            Some(model)
+    // Where slots stream records, `--jsonl` prints that canonical stream
+    // (the resumable wire format, like `campaign --jsonl`), not the
+    // result's summary rows.
+    let streams = spec.slot_plan().streams();
+    let sink = CliSink::new(&spec, streams && o.has("jsonl"));
+    let SpecOutcome::Matrix(result) = run_spec_cli(&spec, &sink) else {
+        unreachable!("matrix modes yield a matrix outcome");
+    };
+    let title = match verb {
+        "guard" => "Detection Coverage ({}), guard-off vs guard-on",
+        "ft" => "Process-Level Fault Tolerance ({}), shrink vs respawn vs app vs replication",
+        "chaos" => "Chaos Defense-Coverage Matrix ({})",
+        _ => "Performance-Interference Detection Matrix ({}), fixed vs accrual",
+    };
+    let analogue = format!("{} / {} analogue", kind.name(), kind.paper_name());
+    match (
+        ReportFormat::from_flags(o.has("tsv"), o.has("jsonl")),
+        focus,
+    ) {
+        (ReportFormat::Jsonl, _) if streams => print!("{}", sink.canonical_records()),
+        // The machine formats always carry every column; focus only
+        // changes the human-readable view.
+        (ReportFormat::Table, Some(label)) => {
+            let (row, column) = if verb == "ft" {
+                let (row, column) = result.find_column(&label).expect("a column per FtMode");
+                (row, Some(column))
+            } else {
+                (result.find_row(&label).expect("validated above"), None)
+            };
+            print!("{}", result.focus(row, column));
         }
-    };
-    let spec = spec_from_opts(&o, "perturb", 10)?;
-    let kind = spec.app;
-    let total = spec.record_classes().len() as u64 * spec.campaign.injections as u64;
-    eprintln!(
-        "perturb: {} x {} injections per cell over {} interference/process models x {} detectors, {} workers ...",
-        kind.name(),
-        spec.campaign.injections,
-        PerturbResult::models().len(),
-        fl_inject::Detection::ALL.len(),
-        jobs_label(spec.campaign.threads),
-    );
-    let sink = CliSink::new(kind, o.has("jsonl"), total);
-    let SpecOutcome::Perturb(result) = run_spec_cli(&spec, &sink) else {
-        unreachable!("perturb mode yields a perturb outcome");
-    };
-    match ReportFormat::from_flags(o.has("tsv"), o.has("jsonl")) {
-        // Like `chaos --jsonl`: stream the canonical per-trial records
-        // (the resumable wire format), not the cell summaries.
-        ReportFormat::Jsonl => print!("{}", sink.canonical_records()),
-        ReportFormat::Tsv => print!("{}", render_perturb_tsv(&result)),
-        ReportFormat::Table => match focus {
-            Some(model) => print!("{}", render_perturb_focus(&result, model)),
-            None => {
-                let title = format!(
-                    "Performance-Interference Detection Matrix ({} / {} analogue), fixed vs accrual",
-                    kind.name(),
-                    kind.paper_name()
-                );
-                print!("{}", render_perturb(&result, &title));
-            }
-        },
+        (fmt, _) => print!("{}", result.render(fmt, &title.replace("{}", &analogue))),
     }
     Ok(())
 }
@@ -1097,14 +1008,7 @@ fn cmd_spec(args: &[String]) -> Result<(), String> {
     valid.extend(PERTURB_FLAGS);
     o.expect(&valid)?;
     let mode = o.get("mode").unwrap_or("campaign");
-    let default_injections = match mode {
-        "guard" => 100,
-        "ft" => 40,
-        "chaos" => 20,
-        "perturb" => 10,
-        _ => 500,
-    };
-    let spec = spec_from_opts(&o, mode, default_injections)?;
+    let spec = spec_from_opts(&o, mode, default_injections(mode))?;
     println!("{}", spec.to_json());
     Ok(())
 }

@@ -1,17 +1,15 @@
-//! The fluent campaign API — a thin veneer over [`CampaignSpec`] +
-//! [`crate::run_spec`].
+//! The fluent campaign API — a thin veneer over the campaign engine.
 //!
 //! [`CampaignBuilder`] is the single front door for configuring and
 //! running injection campaigns: application, region set, fault duration
 //! model, trial count, seeding, epoch forking, event recording and
 //! guarded execution all hang off one builder instead of a positional
-//! struct literal. It holds no execution logic of its own: every
-//! `run*` call lowers the configuration to a [`CampaignSpec`] and hands
-//! it to [`crate::run_spec`], the same entry point the CLI verbs and
-//! the campaign service use — builder-run and spec-run campaigns are
-//! byte-identical by construction. Only configurations the spec cannot
-//! express (custom [`fl_apps::AppParams`], non-transient fault models)
-//! fall back to direct engine calls.
+//! struct literal. It holds no execution logic of its own: every `run*`
+//! call hands the app it wraps to the engine [`crate::run_spec`] calls
+//! on the app a spec names — [`crate::run_campaign_engine`] or
+//! [`crate::run_matrix`] — so builder-run and spec-run campaigns are
+//! byte-identical by construction. Only non-transient fault models run
+//! on a loop of their own.
 //!
 //! ```
 //! use fl_apps::{App, AppKind, AppParams};
@@ -27,17 +25,15 @@
 //! ```
 
 use crate::campaign::{
-    replay_trial_impl, run_campaign_impl, trial_seed, CampaignConfig, CampaignResult, ClassResult,
-    TrialRecord,
+    replay_trial_impl, trial_seed, CampaignConfig, CampaignResult, ClassResult, TrialRecord,
 };
-use crate::chaos::{run_chaos_impl, ChaosPolicy, ChaosResult};
-use crate::engine::{run_spec, EngineControl, NullSink, SpecOutcome};
+use crate::chaos::ChaosPolicy;
+use crate::engine::{run_campaign_engine, EngineControl, NullSink};
 use crate::faultmodel::{model_classes, run_model_trial, FaultModel};
-use crate::ft::{run_ft_impl, FtResult};
-use crate::guarded::{run_coverage_impl, CoverageResult};
+use crate::matrix::{run_matrix, MatrixMode, MatrixResult};
 use crate::obs::TrialTrace;
 use crate::outcome::Tally;
-use crate::perturb::{run_perturb_impl, PerturbPolicy, PerturbResult};
+use crate::perturb::PerturbPolicy;
 use crate::spec::{CampaignSpec, SpecMode};
 use crate::target::TargetClass;
 use fl_apps::{App, AppParams};
@@ -198,11 +194,12 @@ impl<'a> CampaignBuilder<'a> {
         }
     }
 
-    /// Lower the builder to a [`CampaignSpec`] running in `mode`.
-    /// `None` when the configuration is outside the spec language:
-    /// custom app parameters (a spec names apps by kind + `tiny` only)
-    /// or a non-transient fault model.
-    fn lower(&self, mode: SpecMode) -> Option<CampaignSpec> {
+    /// The builder's configuration as a plain-campaign [`CampaignSpec`]
+    /// — the document `faultlab submit` would accept to run the same
+    /// campaign on a service. `None` for configurations outside the spec
+    /// language: custom app parameters (a spec names apps by kind +
+    /// `tiny` only) or a non-transient fault model.
+    pub fn to_spec(&self) -> Option<CampaignSpec> {
         if self.model != FaultModel::Transient {
             return None;
         }
@@ -211,130 +208,78 @@ impl<'a> CampaignBuilder<'a> {
             tiny: self.canonical_tiny()?,
             classes: self.classes.clone(),
             campaign: self.cfg,
-            mode,
+            mode: SpecMode::Campaign,
         })
     }
 
-    /// The builder's configuration as a plain-campaign [`CampaignSpec`]
-    /// — the document `faultlab submit` would accept to run the same
-    /// campaign on a service. `None` for configurations the spec cannot
-    /// express (custom app parameters, non-transient fault models).
-    pub fn to_spec(&self) -> Option<CampaignSpec> {
-        self.lower(SpecMode::Campaign)
-    }
-
-    /// Run the lowered spec on the engine; uncontrolled one-shot runs
-    /// always complete.
-    fn run_lowered(spec: &CampaignSpec) -> SpecOutcome {
-        run_spec(spec, &NullSink, &EngineControl::new(), None)
-            .expect("uncontrolled one-shot runs always complete")
-    }
-
-    /// Run the campaign by lowering to [`CampaignSpec`] + `run_spec`.
+    /// Run the campaign on the engine.
     ///
     /// # Panics
     /// With a non-transient fault model, panics if the class list
     /// contains a class outside [`model_classes`] (dynamic targets
     /// cannot be re-asserted periodically).
     pub fn run(self) -> CampaignResult {
-        if let Some(spec) = self.lower(SpecMode::Campaign) {
-            let SpecOutcome::Campaign(r) = Self::run_lowered(&spec) else {
-                unreachable!("campaign mode yields a campaign outcome");
-            };
-            return r;
+        if self.model != FaultModel::Transient {
+            return self.run_model_campaign();
         }
-        if self.model == FaultModel::Transient {
-            // Custom app parameters: same engine, direct app reference.
-            return run_campaign_impl(self.app, &self.classes, &self.cfg);
-        }
-        self.run_model_campaign()
+        let control = EngineControl::new();
+        run_campaign_engine(
+            self.app,
+            &self.classes,
+            &self.cfg,
+            &NullSink,
+            &control,
+            None,
+        )
+        .result
+        .expect("uncontrolled engine runs always complete")
+    }
+
+    /// Run a matrix campaign on the engine. Transient model only — the
+    /// fault families are the matrix's subject, not the builder's knob.
+    fn run_mode(&self, what: &str, mode: MatrixMode) -> MatrixResult {
+        assert!(
+            self.model == FaultModel::Transient,
+            "{what} campaigns support the transient model only"
+        );
+        let control = EngineControl::new();
+        run_matrix(self.app, &mode, &self.cfg, &NullSink, &control, None)
+            .expect("uncontrolled engine runs always complete")
     }
 
     /// Run a detection-coverage campaign: every trial's fault executed
     /// both unguarded and under the configured [`GuardPolicy`] (see
     /// [`CampaignBuilder::guarded`]), with paired outcomes and the
-    /// baseline→guarded transition matrix. Transient model only.
-    pub fn run_coverage(self) -> CoverageResult {
-        assert!(
-            self.model == FaultModel::Transient,
-            "coverage campaigns support the transient model only"
-        );
+    /// baseline→guarded transition matrix.
+    pub fn run_coverage(self) -> MatrixResult {
         let policy = self.guard.unwrap_or_default();
-        if let Some(spec) = self.lower(SpecMode::Guard(policy)) {
-            let SpecOutcome::Coverage(r) = Self::run_lowered(&spec) else {
-                unreachable!("guard mode yields a coverage outcome");
-            };
-            return r;
-        }
-        run_coverage_impl(self.app, &self.classes, &self.cfg, &policy)
+        self.run_mode("coverage", crate::guarded::mode(&self.classes, policy))
     }
 
     /// Run a process-failure recovery campaign: `injections` rank kills
     /// each executed bare, under shrink recovery, under buddy-checkpoint
     /// respawn, and in app-owned fl-ulfm mode, plus `injections` §3.3
     /// message faults each executed bare and in a voted replica set (see
-    /// [`CampaignBuilder::ft`]). Transient model only — process-level
-    /// faults are the campaign's subject, not its knob.
-    pub fn run_ft(self) -> FtResult {
-        assert!(
-            self.model == FaultModel::Transient,
-            "ft campaigns support the transient model only"
-        );
-        let policy = self.ft.unwrap_or_default();
-        if let Some(spec) = self.lower(SpecMode::Ft(policy)) {
-            let SpecOutcome::Ft(r) = Self::run_lowered(&spec) else {
-                unreachable!("ft mode yields an ft outcome");
-            };
-            return r;
-        }
-        run_ft_impl(
-            self.app,
-            &self.cfg,
-            &policy,
-            self.cfg.injections,
-            self.cfg.injections,
-        )
+    /// [`CampaignBuilder::ft`]).
+    pub fn run_ft(self) -> MatrixResult {
+        self.run_mode("ft", crate::ft::mode(self.ft.unwrap_or_default()))
     }
 
     /// Run the chaos defense-coverage matrix: `injections` trials for
     /// each of the 9 × 6 chaos-model × defense cells, all defense
     /// columns replaying the byte-identical fault draw (see
-    /// [`CampaignBuilder::chaos`]). Transient model only — the chaos
-    /// models themselves are the matrix rows, not the builder's knob.
-    pub fn run_chaos(self) -> ChaosResult {
-        assert!(
-            self.model == FaultModel::Transient,
-            "chaos campaigns support the transient model only"
-        );
-        let policy = self.chaos.unwrap_or_default();
-        if let Some(spec) = self.lower(SpecMode::Chaos(policy)) {
-            let SpecOutcome::Chaos(r) = Self::run_lowered(&spec) else {
-                unreachable!("chaos mode yields a chaos outcome");
-            };
-            return r;
-        }
-        run_chaos_impl(self.app, &self.cfg, &policy)
+    /// [`CampaignBuilder::chaos`]).
+    pub fn run_chaos(self) -> MatrixResult {
+        self.run_mode("chaos", crate::chaos::mode(self.chaos.unwrap_or_default()))
     }
 
     /// Run the performance-interference detector-comparison matrix:
     /// `injections` trials for each of the 5 × 3 perturb-model ×
     /// detection cells, all detection columns replaying the
     /// byte-identical fault draw (see [`CampaignBuilder::perturb`]).
-    /// Transient model only — the perturb models themselves are the
-    /// matrix rows, not the builder's knob.
-    pub fn run_perturb(self) -> PerturbResult {
-        assert!(
-            self.model == FaultModel::Transient,
-            "perturb campaigns support the transient model only"
-        );
+    pub fn run_perturb(self) -> MatrixResult {
         let policy = self.perturb.unwrap_or_default();
-        if let Some(spec) = self.lower(SpecMode::Perturb(policy)) {
-            let SpecOutcome::Perturb(r) = Self::run_lowered(&spec) else {
-                unreachable!("perturb mode yields a perturb outcome");
-            };
-            return r;
-        }
-        run_perturb_impl(self.app, &self.cfg, &policy)
+        self.run_mode("perturb", crate::perturb::mode(policy))
     }
 
     /// Replay one recorded trial from its campaign coordinates (class
@@ -428,7 +373,7 @@ mod tests {
             .injections(8)
             .seed(11)
             .run();
-        let via_backend = crate::campaign::run_campaign_impl(
+        let via_backend = run_campaign_engine(
             &app,
             &[TargetClass::RegularReg],
             &CampaignConfig {
@@ -436,7 +381,12 @@ mod tests {
                 seed: 11,
                 ..Default::default()
             },
-        );
+            &NullSink,
+            &EngineControl::new(),
+            None,
+        )
+        .result
+        .unwrap();
         assert_eq!(
             via_builder.classes[0].trials, via_backend.classes[0].trials,
             "builder must drive the identical campaign as the backend"
@@ -547,8 +497,8 @@ mod tests {
             .seed(4)
             .chaos(ChaosPolicy::default())
             .run_chaos();
-        assert_eq!(r.cells.len(), 9 * 6);
-        assert!(r.cells.iter().all(|c| c.trials.len() == 1));
+        assert_eq!(r.cells.iter().flatten().count(), 9 * 6);
+        assert!(r.cells.iter().flatten().all(|c| c.trials.len() == 1));
         assert!(r.insns_total > 0);
     }
 
@@ -560,8 +510,8 @@ mod tests {
             .seed(4)
             .perturb(PerturbPolicy::default())
             .run_perturb();
-        assert_eq!(r.cells.len(), 5 * 3);
-        assert!(r.cells.iter().all(|c| c.trials.len() == 1));
+        assert_eq!(r.cells.iter().flatten().count(), 5 * 3);
+        assert!(r.cells.iter().flatten().all(|c| c.trials.len() == 1));
         assert!(r.insns_total > 0 && r.ref_rounds > 0);
     }
 
@@ -586,6 +536,8 @@ mod tests {
 
     #[test]
     fn custom_app_params_fall_back_to_the_direct_engine_path() {
+        // There is no other path: the engine takes the app the builder
+        // holds, so an app no spec can name runs like any other.
         let kind = AppKind::Wavetoy;
         let mut params = AppParams::tiny(kind);
         params.steps += 1; // not tiny, not default: unexpressible
@@ -595,8 +547,10 @@ mod tests {
             .injections(4)
             .seed(6);
         assert!(b.to_spec().is_none());
-        let r = b.run();
+        let r = b.clone().run();
         assert_eq!(r.classes[0].tally.executions, 4);
+        let g = b.run_coverage();
+        assert_eq!(g.cell(0, 1).tally.executions, 4);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 
 /// Instruction budget of the golden run itself (the trial budget is
 /// derived from its result).
-const GOLDEN_BUDGET: u64 = 2_000_000_000;
+pub(crate) const GOLDEN_BUDGET: u64 = 2_000_000_000;
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -389,27 +389,6 @@ impl<'a> TrialContext<'a> {
     }
 }
 
-/// Campaign execution (the [`crate::CampaignBuilder`] backend): a thin
-/// client of the engine — no control, no sink, no resume. The driver
-/// loop itself (scheduler, worker pool, slot-addressed records) lives
-/// in [`crate::engine`].
-pub(crate) fn run_campaign_impl(
-    app: &App,
-    classes: &[TargetClass],
-    cfg: &CampaignConfig,
-) -> CampaignResult {
-    crate::engine::run_campaign_engine(
-        app,
-        classes,
-        cfg,
-        &crate::engine::NullSink,
-        &crate::engine::EngineControl::new(),
-        None,
-    )
-    .result
-    .expect("uncontrolled engine runs always complete")
-}
-
 /// Trial replay from campaign coordinates (the [`crate::CampaignBuilder`]
 /// backend). Returns the full trace; event streams are empty unless
 /// `cfg.obs_capacity > 0`.
@@ -615,9 +594,16 @@ mod tests {
     use super::*;
     use fl_apps::AppParams;
 
+    fn run(app: &App, classes: &[TargetClass], cfg: &CampaignConfig) -> CampaignResult {
+        crate::CampaignBuilder::new(app)
+            .classes(classes)
+            .with_config(*cfg)
+            .run()
+    }
+
     fn mini_campaign(kind: AppKind, classes: &[TargetClass], n: u32) -> CampaignResult {
         let app = App::build(kind, AppParams::tiny(kind));
-        run_campaign_impl(
+        run(
             &app,
             classes,
             &CampaignConfig {
@@ -637,8 +623,8 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let a = run_campaign_impl(&app, &[TargetClass::RegularReg], &cfg);
-        let b = run_campaign_impl(&app, &[TargetClass::RegularReg], &cfg);
+        let a = run(&app, &[TargetClass::RegularReg], &cfg);
+        let b = run(&app, &[TargetClass::RegularReg], &cfg);
         assert_eq!(a.classes[0].tally, b.classes[0].tally);
     }
 
@@ -701,8 +687,8 @@ mod tests {
             epoch_rounds: 8,
             ..Default::default()
         };
-        let a = run_campaign_impl(&app, &classes, &cold);
-        let b = run_campaign_impl(&app, &classes, &snap);
+        let a = run(&app, &classes, &cold);
+        let b = run(&app, &classes, &snap);
         for (ca, cb) in a.classes.iter().zip(&b.classes) {
             assert_eq!(
                 ca.trials, cb.trials,
@@ -728,8 +714,8 @@ mod tests {
             threads: 4,
             ..Default::default()
         };
-        let a = run_campaign_impl(&app, &[TargetClass::RegularReg], &one);
-        let b = run_campaign_impl(&app, &[TargetClass::RegularReg], &four);
+        let a = run(&app, &[TargetClass::RegularReg], &one);
+        let b = run(&app, &[TargetClass::RegularReg], &four);
         // Not just the same multiset: record k must sit in slot k.
         assert_eq!(a.classes[0].trials, b.classes[0].trials);
     }
@@ -743,7 +729,7 @@ mod tests {
             seed: 0xBEEF,
             ..Default::default()
         };
-        let result = run_campaign_impl(&app, &classes, &cfg);
+        let result = run(&app, &classes, &cfg);
         for (ci, class_result) in result.classes.iter().enumerate() {
             for k in [0u32, 3, 5] {
                 let replayed = replay_trial_impl(&app, &classes, &cfg, ci, k);

@@ -11,31 +11,29 @@
 //! shrink recovery, fl-ulfm application recovery), producing the
 //! defense-coverage matrix.
 //!
-//! The slot space is `models × defenses × injections`, flattened onto
-//! the shared engine pool. Trial `(mi, di, k)` draws its fault from
+//! The slot space is `models × defenses × injections`: a slot is one
+//! cell's trial. Trial `(mi, di, k)` draws its fault from
 //! `trial_seed(seed, mi, k)` — the *model* index only — so all six
 //! defense columns of a row face the byte-identical draw, and the matrix
-//! compares defenses, not luck. Records stream through the ordinary
-//! sink/record machinery, so chaos campaigns resume and sort exactly
-//! like plain ones.
+//! compares defenses, not luck. Every slot streams one canonical record
+//! through the ordinary sink/record machinery, so chaos campaigns resume
+//! and sort exactly like plain ones.
 
-use crate::campaign::{trial_budget, trial_seed, trial_world_config, CampaignConfig, TrialRecord};
-use crate::engine::{run_pool, CompletedSlots, EngineControl, EngineSink, TrialOutput};
+use crate::campaign::trial_world_config;
 use crate::faultmodel::FaultModel;
-use crate::ft::{classify_app, classify_replicated, classify_shrink};
-use crate::guarded::slug;
-use crate::outcome::{classify, Manifestation, Tally};
-use crate::progress::EngineProgress;
-use crate::target::TargetClass;
-use fl_apps::{App, AppKind, Golden};
-use fl_ft::{run_app, run_replicated, run_shrink, FtPolicy, RankKill};
-use fl_guard::{run_guarded, GuardPolicy};
+use crate::matrix::{
+    cell_jsonl, cell_tsv, contract_lines, Column, Contract, Draw, Isolate, Layout, MatrixMode,
+    MatrixResult, Row, Runner, Slot, Summary,
+};
+use crate::outcome::Manifestation;
+use fl_apps::{App, Golden};
+use fl_ft::{FtPolicy, RankKill};
+use fl_guard::GuardPolicy;
 use fl_machine::{SyscallFault, SyscallFaultKind};
 use fl_mpi::{MpiWorld, NetFault, NetFaultKind, NodeKill, Partition, WorldExit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One column of the coverage matrix: which mechanism stands between the
 /// drawn fault and the application.
@@ -69,8 +67,7 @@ impl Defense {
         Defense::App,
     ];
 
-    /// Canonical machine-readable name; round-trips through
-    /// [`std::str::FromStr`].
+    /// The column's machine-readable name, as every view prints it.
     pub fn name(self) -> &'static str {
         match self {
             Defense::Baseline => "baseline",
@@ -80,32 +77,6 @@ impl Defense {
             Defense::Shrink => "shrink",
             Defense::App => "app",
         }
-    }
-
-    /// Every parseable defense name, for did-you-mean suggestions.
-    pub const NAMES: [&'static str; 6] =
-        ["baseline", "crc", "watchdog", "replica", "shrink", "app"];
-}
-
-impl std::fmt::Display for Defense {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Defense {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Defense, String> {
-        Ok(match s {
-            "baseline" => Defense::Baseline,
-            "crc" => Defense::Crc,
-            "watchdog" => Defense::Watchdog,
-            "replica" => Defense::Replica,
-            "shrink" => Defense::Shrink,
-            "app" => Defense::App,
-            other => return Err(crate::suggest::unknown("defense", other, &Defense::NAMES)),
-        })
     }
 }
 
@@ -378,39 +349,11 @@ pub fn draw_chaos(
     }
 }
 
-/// One cell of the matrix: every trial of one model under one defense.
-#[derive(Debug, Clone)]
-pub struct ChaosCell {
-    /// Row.
-    pub model: FaultModel,
-    /// Column.
-    pub defense: Defense,
-    /// Outcome tally of the cell.
-    pub tally: Tally,
-    /// Per-trial records, slot order.
-    pub trials: Vec<TrialRecord>,
-}
-
-/// A finished chaos campaign: the full `models × defenses` matrix.
-#[derive(Debug, Clone)]
-pub struct ChaosResult {
-    /// Which application.
-    pub app: AppKind,
-    /// The knobs every run used.
-    pub policy: ChaosPolicy,
-    /// Cells in row-major order: `cells[mi * 6 + di]`.
-    pub cells: Vec<ChaosCell>,
-    /// The fault-free reference.
-    pub golden: Golden,
-    /// Guest instructions retired across every trial.
-    pub insns_total: u64,
-}
-
 /// Did this defense-column outcome neutralize the fault — masked,
 /// recovered, or at least *detected*? (Measured against baseline-error
 /// draws, so a plain `Correct` means the defense's environment kept the
 /// identical draw from manifesting.)
-pub fn is_covered(m: Manifestation) -> bool {
+fn is_covered(m: Manifestation) -> bool {
     matches!(
         m,
         Manifestation::Correct
@@ -422,529 +365,175 @@ pub fn is_covered(m: Manifestation) -> bool {
     )
 }
 
-impl ChaosResult {
-    /// The matrix rows, in slot order — [`FaultModel::chaos_models`].
-    pub fn models() -> [FaultModel; 9] {
-        FaultModel::chaos_models()
-    }
-
-    /// The cell at row `mi`, column `di`.
-    pub fn cell(&self, mi: usize, di: usize) -> &ChaosCell {
-        &self.cells[mi * Defense::ALL.len() + di]
-    }
-
-    /// Trials of row `mi` whose baseline manifested an error (the
-    /// coverage denominator of the row).
-    pub fn baseline_errors(&self, mi: usize) -> u32 {
-        self.cell(mi, 0).tally.errors()
-    }
-
-    /// Baseline-error trials of row `mi` the defense in column `di`
-    /// covered.
-    pub fn covered(&self, mi: usize, di: usize) -> u32 {
-        let base = &self.cell(mi, 0).trials;
-        let under = &self.cell(mi, di).trials;
-        base.iter()
-            .zip(under)
-            .filter(|(b, u)| b.outcome.is_error() && is_covered(u.outcome))
-            .count() as u32
-    }
-
-    /// Coverage of column `di` over row `mi`, in percent of the row's
-    /// baseline errors.
-    pub fn coverage_percent(&self, mi: usize, di: usize) -> f64 {
-        let den = self.baseline_errors(mi);
-        if den == 0 {
-            return 0.0;
+impl Defense {
+    /// The defense as a matrix column. Each column isolates exactly one
+    /// defense: app-visible ULFM and the heartbeat detector are off
+    /// unless they ARE the defense.
+    fn column(self, policy: &ChaosPolicy) -> Column {
+        let (isolate, runner) = match self {
+            Defense::Baseline => (Isolate::UlfmAndDetector, Runner::World),
+            Defense::Crc => (Isolate::UlfmAndDetector, Runner::Channel(policy.guard)),
+            Defense::Watchdog => (Isolate::UlfmAndDetector, Runner::Guarded(policy.guard)),
+            Defense::Replica => (Isolate::UlfmAndDetector, Runner::Replicated(policy.ft)),
+            Defense::Shrink => (Isolate::Ulfm, Runner::Shrink(policy.ft)),
+            Defense::App => (Isolate::Nothing, Runner::App(policy.ft)),
+        };
+        Column {
+            name: self.name(),
+            isolate,
+            runner,
+            covers: is_covered,
         }
-        100.0 * self.covered(mi, di) as f64 / den as f64
-    }
-
-    /// The provable-coverage floors this campaign is contracted to hold.
-    pub fn contracts(&self) -> Vec<ContractCheck> {
-        let models = Self::models();
-        let mi_of = |m: FaultModel| models.iter().position(|&x| x == m).unwrap();
-        let di_of = |d: Defense| Defense::ALL.iter().position(|&x| x == d).unwrap();
-
-        // 1. The channel CRC catches every in-flight corruption: masked
-        //    by retransmit, or detected when the budget runs out. Over
-        //    ALL net-corrupt trials — the fault always fires.
-        let mi = mi_of(FaultModel::NetCorrupt);
-        let crc = &self.cell(mi, di_of(Defense::Crc)).trials;
-        let crc_check = ContractCheck {
-            name: "crc-catches-net-corrupt",
-            what: "net-corrupt trials the CRC channel masked or detected",
-            covered: crc
-                .iter()
-                .filter(|t| {
-                    matches!(
-                        t.outcome,
-                        Manifestation::MaskedByChannel | Manifestation::DetectedByGuard
-                    )
-                })
-                .count() as u32,
-            denom: crc.len() as u32,
-            floor_percent: 90.0,
-        };
-
-        // 2. The watchdog catches partition-induced hangs: a restart
-        //    replays the identical partition, so the budget exhausts
-        //    into a detection — or the re-run recovers. Over partition
-        //    trials whose baseline hung.
-        let mi = mi_of(FaultModel::Partition);
-        let base = &self.cell(mi, 0).trials;
-        let dog = &self.cell(mi, di_of(Defense::Watchdog)).trials;
-        let hung: Vec<usize> = base
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.outcome == Manifestation::Hang)
-            .map(|(k, _)| k)
-            .collect();
-        let dog_check = ContractCheck {
-            name: "watchdog-catches-partition-hangs",
-            what: "baseline-hang partition trials the watchdog detected or recovered",
-            covered: hung
-                .iter()
-                .filter(|&&k| {
-                    matches!(
-                        dog[k].outcome,
-                        Manifestation::DetectedByGuard | Manifestation::Recovered
-                    )
-                })
-                .count() as u32,
-            denom: hung.len() as u32,
-            floor_percent: 90.0,
-        };
-
-        // 3. Shrink recovery covers node kills: the heartbeat detector
-        //    raises the first dead member and the world is rebuilt over
-        //    survivors. Over node-kill trials whose baseline errored.
-        let mi = mi_of(FaultModel::NodeKill);
-        let base = &self.cell(mi, 0).trials;
-        let shr = &self.cell(mi, di_of(Defense::Shrink)).trials;
-        let errs: Vec<usize> = base
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.outcome.is_error())
-            .map(|(k, _)| k)
-            .collect();
-        let shrink_check = ContractCheck {
-            name: "shrink-recovers-node-kill",
-            what: "baseline-error node-kill trials shrink recovery converted",
-            covered: errs
-                .iter()
-                .filter(|&&k| shr[k].outcome == Manifestation::Recovered)
-                .count() as u32,
-            denom: errs.len() as u32,
-            floor_percent: 90.0,
-        };
-
-        vec![crc_check, dog_check, shrink_check]
     }
 }
 
-/// One provable-coverage floor and the evidence for it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContractCheck {
-    /// Stable contract identifier.
-    pub name: &'static str,
-    /// What the numerator counts.
-    pub what: &'static str,
-    /// Trials covered.
-    pub covered: u32,
-    /// Trials in the denominator.
-    pub denom: u32,
-    /// The floor, in percent.
-    pub floor_percent: f64,
-}
+/// The per-cell values of the chaos TSV and JSONL.
+const SUMMARY: &[Summary] = &[
+    ("base_errors", |r, row, _| {
+        r.baseline_errors(row).to_string()
+    }),
+    ("covered", |r, row, c| r.covered(row, c).to_string()),
+    ("coverage_pct", |r, row, c| {
+        format!("{:.2}", r.coverage_percent(row, c))
+    }),
+];
 
-impl ContractCheck {
-    /// Coverage in percent (0 with an empty denominator).
-    pub fn percent(&self) -> f64 {
-        if self.denom == 0 {
-            return 0.0;
-        }
-        100.0 * self.covered as f64 / self.denom as f64
-    }
-
-    /// A floor holds only on evidence: an empty denominator fails.
-    pub fn passed(&self) -> bool {
-        self.denom > 0 && self.percent() + 1e-9 >= self.floor_percent
-    }
-}
-
-/// The per-slot record class vector of a chaos campaign, len
-/// `9 × 6` — what [`CompletedSlots::from_jsonl`] validates resumes
-/// against.
-pub fn chaos_classes() -> Vec<TargetClass> {
-    FaultModel::chaos_models()
-        .iter()
-        .flat_map(|m| {
-            let c = m.chaos_class().expect("chaos models carry a chaos class");
-            std::iter::repeat_n(c, Defense::ALL.len())
-        })
-        .collect()
-}
-
-/// Sum of retired guest instructions across a world's ranks.
-fn world_insns(w: &MpiWorld) -> u64 {
-    (0..w.nranks()).map(|r| w.machine(r).counters.insns).sum()
-}
-
-/// Chaos-campaign execution, no control/sink/resume (the
-/// [`crate::CampaignBuilder::run_chaos`] backend).
-pub(crate) fn run_chaos_impl(app: &App, cfg: &CampaignConfig, policy: &ChaosPolicy) -> ChaosResult {
-    run_chaos_engine(
-        app,
-        cfg,
-        policy,
-        &crate::engine::NullSink,
-        &EngineControl::new(),
-        None,
-    )
-    .expect("uncontrolled chaos runs always complete")
-}
-
-/// Run a chaos campaign on the shared engine pool. `cfg.injections`
-/// trials per `model × defense` cell; pause/stop via `control`, records
-/// and progress through `sink`, optional record-level resume. Returns
-/// `None` when stopped before every slot completed.
-pub fn run_chaos_engine(
-    app: &App,
-    cfg: &CampaignConfig,
-    policy: &ChaosPolicy,
-    sink: &dyn EngineSink,
-    control: &EngineControl,
-    resume: Option<CompletedSlots>,
-) -> Option<ChaosResult> {
-    let golden = app.golden(2_000_000_000);
-    let budget = trial_budget(&golden, cfg);
-    let sys = syscall_counts(app, budget, cfg.fastpath);
+/// The chaos mode: every [`FaultModel::chaos_models`] row against every
+/// [`Defense`] column, `injections` draws per row, one cell's trial per
+/// slot.
+pub fn mode(policy: ChaosPolicy) -> MatrixMode {
     let models = FaultModel::chaos_models();
-    let ndef = Defense::ALL.len();
-    let nranks = app.params.nranks;
-
-    // The survivor-count reference for the shrink column (fl-ft's
-    // pattern: a rebuilt world is pristine, so it solves the
-    // one-fewer-rank weak-scaled problem).
-    let shrunken_output = {
-        let mut scfg = trial_world_config(app, budget, 0, cfg.fastpath);
-        scfg.nranks -= 1;
-        let mut w = MpiWorld::new(&app.image, scfg);
-        let exit = w.run();
-        assert_eq!(exit, WorldExit::Clean, "shrunken golden run must be clean");
-        app.comparable_output(&w)
+    let columns: Vec<Column> = Defense::ALL.iter().map(|d| d.column(&policy)).collect();
+    let row = |&model: &FaultModel| Row {
+        label: model.label().to_string(),
+        class: model
+            .chaos_class()
+            .expect("chaos models carry a chaos class"),
+        draw: Draw::Chaos(model, policy),
+        columns: columns.clone(),
     };
-
-    let resume = resume.unwrap_or_default();
-    let resumed_total = resume.len() as u64;
-    let total = (models.len() * ndef) as u64 * cfg.injections as u64;
-    let done = AtomicU64::new(0);
-    let started = std::time::Instant::now();
-
-    let run_cell = |mi: usize, di: usize, k: u32| -> (Manifestation, String, u64) {
-        let seed = trial_seed(cfg.seed, mi, k);
-        let model = models[mi];
-        let (fault, detail) = draw_chaos(&golden, &sys, model, seed, nranks, policy);
-        let mut wcfg = trial_world_config(app, budget, 0, cfg.fastpath);
-        wcfg.seed = seed;
-        // Each column isolates exactly one defense: app-visible ULFM and
-        // the heartbeat detector are off unless they ARE the defense.
-        let mut bare = wcfg;
-        bare.ulfm = false;
-        bare.ft.enabled = false;
-
-        let (outcome, insns) = match Defense::ALL[di] {
-            Defense::Baseline => {
-                let mut w = MpiWorld::new(&app.image, bare);
-                fault.arm(&mut w);
-                let exit = w.run();
-                let out = app.comparable_output(&w);
-                (classify(&exit, &out, &golden.output), world_insns(&w))
-            }
-            Defense::Crc => {
-                let mut c = bare;
-                c.guard = policy.guard.channel_guard();
-                let mut w = MpiWorld::new(&app.image, c);
-                fault.arm(&mut w);
-                let exit = w.run();
-                let out = app.comparable_output(&w);
-                let m = match &exit {
-                    WorldExit::Clean if out == golden.output && w.retransmits() > 0 => {
-                        Manifestation::MaskedByChannel
-                    }
-                    e => classify(e, &out, &golden.output),
-                };
-                (m, world_insns(&w))
-            }
-            Defense::Watchdog => {
-                let (w, rep) = run_guarded(&app.image, bare, &policy.guard, |w| fault.arm(w));
-                let out = app.comparable_output(&w);
-                let m = match &rep.exit {
-                    WorldExit::Clean => {
-                        if out == golden.output {
-                            if rep.intervened() {
-                                Manifestation::Recovered
-                            } else {
-                                Manifestation::Correct
-                            }
-                        } else {
-                            Manifestation::Incorrect
-                        }
-                    }
-                    _ => Manifestation::DetectedByGuard,
-                };
-                (m, world_insns(&w))
-            }
-            Defense::Replica => {
-                let (w, rep) = run_replicated(
-                    &app.image,
-                    bare,
-                    &policy.ft,
-                    |replica, w| {
-                        if replica == 0 {
-                            fault.arm(w);
-                        }
-                    },
-                    |w| app.comparable_output(w),
-                );
-                let out = app.comparable_output(&w);
-                (
-                    classify_replicated(&rep.exit, &out, rep.votes, &golden),
-                    world_insns(&w),
-                )
-            }
-            Defense::Shrink => {
-                let mut c = wcfg;
-                c.ulfm = false;
-                let (w, rep) = run_shrink(&app.image, c, &policy.ft, |w| fault.arm(w));
-                let out = app.comparable_output(&w);
-                (
-                    classify_shrink(&rep.exit, &out, rep.intervened(), &golden, &shrunken_output),
-                    world_insns(&w),
-                )
-            }
-            Defense::App => {
-                let (w, rep) = run_app(&app.image, wcfg, &policy.ft, |w| fault.arm(w));
-                let out = app.comparable_output(&w);
-                (
-                    classify_app(&rep.exit, &out, rep.shrinks, &golden),
-                    world_insns(&w),
-                )
-            }
-        };
-        (
-            outcome,
-            format!("{}/{}: {detail}", Defense::ALL[di].name(), model),
-            insns,
-        )
+    let contract = |name, what, model, defense, over, counts| {
+        let row = models
+            .iter()
+            .position(|&m| m == model)
+            .expect("a chaos model");
+        Contract {
+            name,
+            what,
+            rows: row..row + 1,
+            column: Defense::ALL
+                .iter()
+                .position(|&d| d == defense)
+                .expect("listed"),
+            over,
+            counts,
+            floor_percent: 90.0,
+        }
     };
-
-    let counts = vec![cfg.injections; models.len() * ndef];
-    let (slots, complete) = run_pool(&counts, cfg.threads, control, |ci, k| {
-        let out = match resume.take(ci, k) {
-            Some(t) => t,
-            None => {
-                let (mi, di) = (ci / ndef, ci % ndef);
-                let (outcome, detail, insns) = run_cell(mi, di, k);
-                let t = TrialOutput {
-                    ci,
-                    k,
-                    record: TrialRecord {
-                        class: models[mi].chaos_class().expect("chaos model"),
-                        detail,
-                        outcome,
-                    },
-                    insns,
-                    metrics: None,
-                };
-                sink.trial(&t);
-                t
-            }
-        };
-        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-        sink.progress(EngineProgress {
-            total,
-            done: d,
-            resumed: resumed_total,
-            wall_nanos: started.elapsed().as_nanos() as u64,
-        });
-        out
-    });
-    if !complete {
-        return None;
+    let contracts = vec![
+        // The channel CRC catches every in-flight corruption: masked by
+        // retransmit, or detected when the budget runs out. Over ALL
+        // net-corrupt trials — the fault always fires.
+        contract(
+            "crc-catches-net-corrupt",
+            "net-corrupt trials the CRC channel masked or detected",
+            FaultModel::NetCorrupt,
+            Defense::Crc,
+            |_| true,
+            |m| {
+                matches!(
+                    m,
+                    Manifestation::MaskedByChannel | Manifestation::DetectedByGuard
+                )
+            },
+        ),
+        // The watchdog catches partition-induced hangs: a restart
+        // replays the identical partition, so the budget exhausts into a
+        // detection — or the re-run recovers. Over partition trials
+        // whose baseline hung.
+        contract(
+            "watchdog-catches-partition-hangs",
+            "baseline-hang partition trials the watchdog detected or recovered",
+            FaultModel::Partition,
+            Defense::Watchdog,
+            |b| b == Manifestation::Hang,
+            |m| matches!(m, Manifestation::DetectedByGuard | Manifestation::Recovered),
+        ),
+        // Shrink recovery covers node kills: the heartbeat detector
+        // raises the first dead member and the world is rebuilt over
+        // survivors. Over node-kill trials whose baseline errored.
+        contract(
+            "shrink-recovers-node-kill",
+            "baseline-error node-kill trials shrink recovery converted",
+            FaultModel::NodeKill,
+            Defense::Shrink,
+            Manifestation::is_error,
+            |m| m == Manifestation::Recovered,
+        ),
+    ];
+    MatrixMode {
+        rows: models.iter().map(row).collect(),
+        slot: Slot::Cell {
+            write_aux: |_| String::new(),
+            read_aux: |_| Some([0; 3]),
+        },
+        budget_scale: 1,
+        contracts,
+        layout: Layout {
+            banner:
+                "coverage = % of baseline-error trials the defense masked, recovered or detected"
+                    .into(),
+            table,
+            tsv: cell_tsv,
+            jsonl: cell_jsonl,
+            column_key: "defense",
+            column_noun: "defense",
+            summary: SUMMARY,
+            focus_note: |r, row, c| {
+                (c > 0).then(|| format!("[{:.1}% coverage]", r.coverage_percent(row, c)))
+            },
+        },
     }
-
-    let mut insns_total = 0u64;
-    let mut cells = Vec::with_capacity(models.len() * ndef);
-    for (ci, cell_slots) in slots.into_iter().enumerate() {
-        let (mi, di) = (ci / ndef, ci % ndef);
-        let mut tally = Tally::default();
-        let trials: Vec<TrialRecord> = cell_slots
-            .into_iter()
-            .map(|s| {
-                let t = s.expect("complete run fills every slot");
-                insns_total += t.insns;
-                tally.record(t.record.outcome);
-                t.record
-            })
-            .collect();
-        cells.push(ChaosCell {
-            model: models[mi],
-            defense: Defense::ALL[di],
-            tally,
-            trials,
-        });
-    }
-    Some(ChaosResult {
-        app: app.kind,
-        policy: *policy,
-        cells,
-        golden,
-        insns_total,
-    })
 }
 
-/// Render the defense-coverage matrix as a text table: per model, the
-/// baseline error count and each defense's coverage percent.
-pub fn render_chaos(r: &ChaosResult, title: &str) -> String {
+/// The defense-coverage matrix: per model, the baseline error count and
+/// each defense's coverage percent, then the contract floors.
+fn table(r: &MatrixResult, title: &str) -> String {
+    let defenses = &r.mode.rows[0].columns[1..];
+    let rule = "-".repeat(27 + 10 * defenses.len());
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "coverage = % of baseline-error trials the defense masked, recovered or detected"
-    );
+    let _ = writeln!(out, "{}", r.mode.layout.banner);
     let _ = write!(out, "{:<16} {:>9} |", "model", "base-err");
-    for d in &Defense::ALL[1..] {
-        let _ = write!(out, " {:>9}", d.name());
+    for d in defenses {
+        let _ = write!(out, " {:>9}", d.name);
     }
-    out.push('\n');
-    let _ = writeln!(out, "{}", "-".repeat(27 + 10 * (Defense::ALL.len() - 1)));
-    for (mi, model) in ChaosResult::models().iter().enumerate() {
-        let trials = r.cell(mi, 0).tally.executions;
+    let _ = writeln!(out, "\n{rule}");
+    for (mi, row) in r.mode.rows.iter().enumerate() {
         let _ = write!(
             out,
             "{:<16} {:>5}/{:<3} |",
-            model.label(),
+            row.label,
             r.baseline_errors(mi),
-            trials
+            r.cell(mi, 0).tally.executions
         );
-        for di in 1..Defense::ALL.len() {
+        for di in 1..=defenses.len() {
             let _ = write!(out, " {:>8.1}%", r.coverage_percent(mi, di));
         }
         out.push('\n');
     }
-    let _ = writeln!(out, "{}", "-".repeat(27 + 10 * (Defense::ALL.len() - 1)));
-    for c in r.contracts() {
-        let _ = writeln!(
-            out,
-            "contract {:<34} {:>3}/{:<3} = {:>5.1}% (floor {:.0}%) {}",
-            c.name,
-            c.covered,
-            c.denom,
-            c.percent(),
-            c.floor_percent,
-            if c.passed() { "PASS" } else { "FAIL" }
-        );
-    }
-    out
-}
-
-/// Render the single-row focus view (the CLI's `chaos --model M`): one
-/// model's outcome tallies under every defense.
-pub fn render_chaos_focus(r: &ChaosResult, model: FaultModel) -> String {
-    let mi = ChaosResult::models()
-        .iter()
-        .position(|&m| m == model)
-        .expect("focus model is a chaos model");
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} / model {model}: {} trials per defense",
-        r.app.name(),
-        r.cell(mi, 0).tally.executions
-    );
-    for (di, d) in Defense::ALL.iter().enumerate() {
-        let tally = &r.cell(mi, di).tally;
-        let _ = write!(out, "  {:<9}", d.name());
-        let mut first = true;
-        for m in Manifestation::ALL {
-            let n = tally.count(m);
-            if n > 0 {
-                let _ = write!(out, "{}{m} {n}", if first { " " } else { ", " });
-                first = false;
-            }
-        }
-        if di > 0 {
-            let _ = write!(out, "  [{:.1}% coverage]", r.coverage_percent(mi, di));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render the matrix as TSV: one row per `model × defense` cell with
-/// full outcome counts.
-pub fn render_chaos_tsv(r: &ChaosResult) -> String {
-    let mut out = String::from("model\tdefense\ttrials\tbase_errors\tcovered\tcoverage_pct");
-    for m in Manifestation::ALL {
-        let _ = write!(out, "\t{}", slug(m));
-    }
-    out.push('\n');
-    for (mi, model) in ChaosResult::models().iter().enumerate() {
-        for (di, d) in Defense::ALL.iter().enumerate() {
-            let tally = &r.cell(mi, di).tally;
-            let _ = write!(
-                out,
-                "{model}\t{d}\t{}\t{}\t{}\t{:.2}",
-                tally.executions,
-                r.baseline_errors(mi),
-                r.covered(mi, di),
-                r.coverage_percent(mi, di),
-            );
-            for m in Manifestation::ALL {
-                let _ = write!(out, "\t{}", tally.count(m));
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Serialize the matrix as JSONL: one object per `model × defense` cell.
-pub fn chaos_jsonl(r: &ChaosResult) -> String {
-    let mut out = String::new();
-    for (mi, model) in ChaosResult::models().iter().enumerate() {
-        for (di, d) in Defense::ALL.iter().enumerate() {
-            let tally = &r.cell(mi, di).tally;
-            let _ = write!(
-                out,
-                "{{\"app\":\"{}\",\"model\":\"{model}\",\"defense\":\"{d}\",\"trials\":{},\"base_errors\":{},\"covered\":{},\"coverage_pct\":{:.2},\"outcomes\":{{",
-                r.app.name(),
-                tally.executions,
-                r.baseline_errors(mi),
-                r.covered(mi, di),
-                r.coverage_percent(mi, di),
-            );
-            let mut first = true;
-            for m in Manifestation::ALL {
-                let n = tally.count(m);
-                if n > 0 {
-                    let _ = write!(out, "{}\"{}\":{n}", if first { "" } else { "," }, slug(m));
-                    first = false;
-                }
-            }
-            out.push_str("}}\n");
-        }
-    }
-    out
+    let _ = writeln!(out, "{rule}");
+    out + &contract_lines(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{parse_record_line, VecSink};
-    use fl_apps::AppParams;
+    use crate::campaign::{trial_budget, trial_seed, CampaignConfig};
+    use crate::engine::{parse_record_line, EngineControl, VecSink};
+    use crate::matrix::{run_matrix, ContractCheck};
+    use crate::report::Report;
+    use fl_apps::{AppKind, AppParams};
 
     fn tiny() -> App {
         App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy))
@@ -1015,39 +604,32 @@ mod tests {
             ..Default::default()
         };
         let sink = VecSink::new(app.kind);
-        let r = run_chaos_engine(
-            &app,
-            &cfg,
-            &ChaosPolicy::default(),
-            &sink,
-            &EngineControl::new(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(r.cells.len(), 9 * 6);
-        for c in &r.cells {
+        let mode = mode(ChaosPolicy::default());
+        let r = run_matrix(&app, &mode, &cfg, &sink, &EngineControl::new(), None).unwrap();
+        assert_eq!(r.cells.iter().flatten().count(), 9 * 6);
+        for c in r.cells.iter().flatten() {
             assert_eq!(c.tally.executions, 2);
             assert_eq!(c.trials.len(), 2);
         }
         let lines = sink.into_lines();
         assert_eq!(lines.len(), 9 * 6 * 2);
-        let classes = chaos_classes();
+        let classes = mode.slot_plan(2).classes;
         for l in &lines {
             let t = parse_record_line(l).expect("chaos records parse back");
             assert_eq!(t.record.class, classes[t.ci]);
         }
         // Render paths cover the full matrix.
-        let table = render_chaos(&r, "chaos demo");
+        let table = r.table("chaos demo");
         assert!(table.contains("net-corrupt"), "{table}");
         assert!(
             table.contains("contract crc-catches-net-corrupt"),
             "{table}"
         );
-        let tsv = render_chaos_tsv(&r);
+        let tsv = r.tsv();
         assert_eq!(tsv.lines().count(), 1 + 9 * 6, "{tsv}");
-        let jsonl = chaos_jsonl(&r);
+        let jsonl = r.jsonl();
         assert_eq!(jsonl.lines().count(), 9 * 6);
-        let focus = render_chaos_focus(&r, FaultModel::NetDrop);
+        let focus = r.focus(r.find_row("net-drop").unwrap(), None);
         assert!(focus.contains("model net-drop"), "{focus}");
     }
 

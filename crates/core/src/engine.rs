@@ -21,21 +21,23 @@
 //!   canonical record stream and metrics are bit-identical to an
 //!   uninterrupted run's.
 //!
-//! [`run_campaign_impl`](crate::campaign) and the coverage/ft backends
-//! are thin clients of the internal `run_pool` scheduler; `faultlab
-//! serve` and the one-shot
-//! CLI verbs are thin clients of [`run_campaign_engine`]. There is
-//! exactly one way trials get scheduled, executed and recorded.
+//! Plain campaigns ([`run_campaign_engine`]) and matrix campaigns
+//! ([`crate::matrix::run_matrix`]) are clients of the one internal slot
+//! loop; `faultlab serve`, the one-shot CLI verbs and
+//! [`crate::CampaignBuilder`] reach both through [`run_spec`] or call
+//! them with an app they already hold. There is exactly one way trials
+//! get scheduled, executed, counted and recorded.
 
 use crate::campaign::{
     trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats, TrialContext,
     TrialRecord,
 };
 use crate::json::{escape, parse, Json};
+use crate::matrix::{run_matrix, MatrixResult};
 use crate::obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, KIND_COUNT};
 use crate::outcome::{Manifestation, Tally};
 use crate::progress::EngineProgress;
-use crate::spec::{CampaignSpec, SpecMode};
+use crate::spec::CampaignSpec;
 use crate::target::TargetClass;
 use fl_apps::{App, AppKind};
 use fl_machine::ExecStats;
@@ -292,6 +294,40 @@ pub(crate) fn run_pool<T: Send>(
     (slots, complete)
 }
 
+/// The slot loop of every campaign: [`run_pool`] over `counts`, with the
+/// one place a finished slot is counted and reported to `sink`. `exec`
+/// adopts or executes slot `(group, k)`; `resumed` is how many slots the
+/// caller holds for adoption. Returns the filled slots (`None` after a
+/// stop) and the final counters.
+pub(crate) fn run_slots<T: Send>(
+    counts: &[u32],
+    threads: usize,
+    control: &EngineControl,
+    sink: &dyn EngineSink,
+    resumed: u64,
+    exec: impl Fn(usize, u32) -> T + Sync,
+) -> (Option<Vec<Vec<T>>>, EngineProgress) {
+    let total = counts.iter().map(|&n| n as u64).sum();
+    let done = AtomicU64::new(0);
+    let started = std::time::Instant::now();
+    let progress = |done: u64| EngineProgress {
+        total,
+        done,
+        resumed,
+        wall_nanos: started.elapsed().as_nanos() as u64,
+    };
+    let (slots, complete) = run_pool(counts, threads, control, |g, k| {
+        let out = exec(g, k);
+        sink.progress(progress(done.fetch_add(1, Ordering::Relaxed) + 1));
+        out
+    });
+    let filled = complete.then(|| {
+        let fill = |group: Vec<Option<T>>| group.into_iter().flatten().collect();
+        slots.into_iter().map(fill).collect()
+    });
+    (filled, progress(done.load(Ordering::Relaxed)))
+}
+
 /// One finished trial, addressed by its campaign coordinates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialOutput {
@@ -385,33 +421,89 @@ impl CompletedSlots {
         self.map.lock().unwrap().remove(&(ci, k))
     }
 
-    /// Parse a streamed JSONL record file back into completed slots.
-    /// Lines that fail to parse (e.g. a torn final line after a kill)
-    /// or fall outside the campaign's slot space are skipped and
-    /// counted — the engine simply re-runs those trials.
+    /// Parse a streamed JSONL record file back into the completed slots
+    /// of a plain campaign over `classes`; see [`SlotPlan::adopt`].
+    /// Returns the slots and how many lines were skipped.
     pub fn from_jsonl(
         text: &str,
         classes: &[TargetClass],
         injections: u32,
     ) -> (CompletedSlots, usize) {
+        let (slots, _, skipped) = SlotPlan::streamed(classes.to_vec(), injections).adopt(text);
+        (slots, skipped)
+    }
+}
+
+/// Mode-specific counters a matrix trial keeps beside its outcome; a
+/// column's runner says what each position holds
+/// ([`crate::matrix::Runner`]). All zero in plain campaigns.
+pub type Aux = [u64; 3];
+
+/// The slot space of one campaign, stated once per mode and read by the
+/// engine, the CLI progress line and the daemon: slot `(ci, k)` exists
+/// for `ci < groups`, `k < injections`.
+#[derive(Debug, Clone)]
+pub struct SlotPlan {
+    /// Slot groups: regions of a plain campaign, cells or rows of a
+    /// matrix campaign.
+    pub groups: usize,
+    /// Slots per group.
+    pub injections: u32,
+    /// The record class of each group's streamed records — `groups`
+    /// long, or empty when the mode streams none (progress only) and
+    /// therefore has nothing to adopt on resume.
+    pub classes: Vec<TargetClass>,
+    /// Reads a trial's [`Aux`] back out of its streamed record detail;
+    /// `None` when the detail does not hold all of it.
+    pub read_aux: fn(&str) -> Option<Aux>,
+}
+
+impl SlotPlan {
+    /// One group per class, every slot streaming a self-contained record.
+    pub fn streamed(classes: Vec<TargetClass>, injections: u32) -> SlotPlan {
+        SlotPlan {
+            groups: classes.len(),
+            injections,
+            classes,
+            read_aux: |_| Some(Aux::default()),
+        }
+    }
+
+    /// Slots in the plan — the `total` of every [`EngineProgress`].
+    pub fn total(&self) -> u64 {
+        self.groups as u64 * self.injections as u64
+    }
+
+    /// Does every slot stream one canonical record line?
+    pub fn streams(&self) -> bool {
+        !self.classes.is_empty()
+    }
+
+    /// The one adoption filter. Splits a streamed record file into what
+    /// a resumed engine adopts — as completed slots, and as the
+    /// newline-terminated lines to keep on disk — and counts the rest.
+    /// A line is adopted when it parses, lies inside the slot space,
+    /// carries its slot's class and can be read back completely; a torn
+    /// tail after a kill or a mangled detail is skipped and its slot
+    /// simply runs again.
+    pub fn adopt(&self, text: &str) -> (CompletedSlots, String, usize) {
         let slots = CompletedSlots::new();
-        let mut skipped = 0;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
+        let (mut kept, mut skipped) = (String::new(), 0);
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
             match parse_record_line(line) {
                 Ok(t)
-                    if t.ci < classes.len()
-                        && t.k < injections
-                        && classes[t.ci] == t.record.class =>
+                    if t.k < self.injections
+                        && self.classes.get(t.ci) == Some(&t.record.class)
+                        && (self.read_aux)(&t.record.detail).is_some() =>
                 {
-                    slots.insert(t)
+                    kept.push_str(line);
+                    kept.push('\n');
+                    slots.insert(t);
                 }
                 _ => skipped += 1,
             }
         }
-        (slots, skipped)
+        (slots, kept, skipped)
     }
 }
 
@@ -482,58 +574,36 @@ fn run_engine(
     // slots contribute zero (their worlds ran in a previous process).
     let telemetry = Mutex::new((ExecStats::default(), ConvergeStats::default()));
     let resume = resume.unwrap_or_default();
-    let resumed_total = resume.len() as u64;
-    let total = classes.len() as u64 * cfg.injections as u64;
-    let done = AtomicU64::new(0);
-    let started = std::time::Instant::now();
-
     let counts = vec![cfg.injections; classes.len()];
-    let (slots, complete) = run_pool(&counts, cfg.threads, control, |ci, k| {
-        let out = match resume.take(ci, k) {
-            Some(t) => t,
-            None => {
-                let run = ctx.run_trial(classes[ci], trial_seed(cfg.seed, ci, k));
-                {
-                    let mut t = telemetry.lock().unwrap();
-                    t.0.add(&run.world.exec_stats());
-                    t.1.add(&run.converge);
-                }
-                let metrics = observe.then(|| {
-                    trial_metrics(&run.record, run.rank, &run.world.event_streams(), run.insns)
-                });
-                let t = TrialOutput {
-                    ci,
-                    k,
-                    record: run.record,
-                    insns: run.insns,
-                    metrics,
-                };
-                sink.trial(&t);
-                t
-            }
+    let adoptable = resume.len() as u64;
+    let (slots, progress) = run_slots(&counts, cfg.threads, control, sink, adoptable, |ci, k| {
+        if let Some(t) = resume.take(ci, k) {
+            return t;
+        }
+        let run = ctx.run_trial(classes[ci], trial_seed(cfg.seed, ci, k));
+        {
+            let mut t = telemetry.lock().unwrap();
+            t.0.add(&run.world.exec_stats());
+            t.1.add(&run.converge);
+        }
+        let metrics = observe
+            .then(|| trial_metrics(&run.record, run.rank, &run.world.event_streams(), run.insns));
+        let t = TrialOutput {
+            ci,
+            k,
+            record: run.record,
+            insns: run.insns,
+            metrics,
         };
-        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-        sink.progress(EngineProgress {
-            total,
-            done: d,
-            resumed: resumed_total,
-            wall_nanos: started.elapsed().as_nanos() as u64,
-        });
-        out
+        sink.trial(&t);
+        t
     });
-
-    let progress = EngineProgress {
-        total,
-        done: done.load(Ordering::Relaxed),
-        resumed: resumed_total,
-        wall_nanos: started.elapsed().as_nanos() as u64,
-    };
-    if !complete {
+    let Some(slots) = slots else {
         return EngineRun {
             result: None,
             progress,
         };
-    }
+    };
 
     // Assemble the result in slot order — the same folds in the same
     // order regardless of worker count or resume point.
@@ -546,8 +616,7 @@ fn run_engine(
         let mut tally = Tally::default();
         let trials: Vec<TrialRecord> = class_slots
             .into_iter()
-            .map(|s| {
-                let t = s.expect("complete run fills every slot");
+            .map(|t| {
                 insns_total += t.insns;
                 if let Some(tm) = &t.metrics {
                     class_metrics.fold(tm);
@@ -581,29 +650,22 @@ fn run_engine(
     }
 }
 
-/// What running a [`CampaignSpec`] produced, by mode.
+/// What running a [`CampaignSpec`] produced.
 #[derive(Debug)]
 pub enum SpecOutcome {
     /// A plain campaign's result.
     Campaign(CampaignResult),
-    /// A guard-coverage campaign's result.
-    Coverage(crate::guarded::CoverageResult),
-    /// A fault-tolerance campaign's result.
-    Ft(crate::ft::FtResult),
-    /// A chaos defense-coverage campaign's result.
-    Chaos(crate::chaos::ChaosResult),
-    /// A performance-interference campaign's result.
-    Perturb(crate::perturb::PerturbResult),
+    /// A guard, ft, chaos or perturb campaign's result.
+    Matrix(MatrixResult),
 }
 
 /// Run a [`CampaignSpec`] end to end on the engine — the single entry
 /// point behind the one-shot CLI verbs and the campaign service.
 /// Returns `None` when `control` stopped the run before completion.
 ///
-/// `resume` pre-fills completed slots and applies to plain campaign,
-/// chaos and perturb modes (their per-trial records are what the
-/// service streams and re-parses); guard and ft campaigns always run
-/// their remaining trials from scratch.
+/// `resume` pre-fills completed slots of the modes whose slots stream
+/// records ([`SlotPlan::streams`]: plain, chaos and perturb campaigns);
+/// guard and ft campaigns always run every slot.
 pub fn run_spec(
     spec: &CampaignSpec,
     sink: &dyn EngineSink,
@@ -616,38 +678,12 @@ pub fn run_spec(
         fl_apps::AppParams::default_for(spec.app)
     };
     let app = App::build(spec.app, params);
-    match &spec.mode {
-        SpecMode::Campaign => {
-            run_campaign_engine(&app, &spec.classes, &spec.campaign, sink, control, resume)
-                .result
-                .map(SpecOutcome::Campaign)
-        }
-        SpecMode::Guard(policy) => crate::guarded::run_coverage_engine(
-            &app,
-            &spec.classes,
-            &spec.campaign,
-            policy,
-            sink,
-            control,
-        )
-        .map(SpecOutcome::Coverage),
-        SpecMode::Ft(policy) => crate::ft::run_ft_engine(
-            &app,
-            &spec.campaign,
-            policy,
-            spec.campaign.injections,
-            spec.campaign.injections,
-            sink,
-            control,
-        )
-        .map(SpecOutcome::Ft),
-        SpecMode::Chaos(policy) => {
-            crate::chaos::run_chaos_engine(&app, &spec.campaign, policy, sink, control, resume)
-                .map(SpecOutcome::Chaos)
-        }
-        SpecMode::Perturb(policy) => {
-            crate::perturb::run_perturb_engine(&app, &spec.campaign, policy, sink, control, resume)
-                .map(SpecOutcome::Perturb)
+    match spec.matrix() {
+        None => run_campaign_engine(&app, &spec.classes, &spec.campaign, sink, control, resume)
+            .result
+            .map(SpecOutcome::Campaign),
+        Some(mode) => {
+            run_matrix(&app, &mode, &spec.campaign, sink, control, resume).map(SpecOutcome::Matrix)
         }
     }
 }
@@ -893,7 +929,10 @@ mod tests {
         let classes = [TargetClass::RegularReg, TargetClass::Message];
         let c = cfg(6, 0xE9, 2);
         let run = run_campaign_engine(&app, &classes, &c, &NullSink, &EngineControl::new(), None);
-        let legacy = crate::campaign::run_campaign_impl(&app, &classes, &c);
+        let legacy = crate::CampaignBuilder::new(&app)
+            .classes(&classes)
+            .with_config(c)
+            .run();
         let r = run.result.expect("uninterrupted run completes");
         for (a, b) in r.classes.iter().zip(&legacy.classes) {
             assert_eq!(a.trials, b.trials);

@@ -2,30 +2,28 @@
 //! discipline, and replica voting against message corruption.
 //!
 //! The guarded campaigns ([`crate::guarded`]) answer "does channel-level
-//! detection catch the paper's faults?"; this module asks the follow-up
+//! detection catch the paper's faults?"; this mode asks the follow-up
 //! the paper's §7 conclusion points at — what happens when the fault is
-//! not a flipped bit but a *lost process*. Every kill trial draws one
-//! [`RankKill`] from the trial seed and runs it four ways from the same
-//! draw: bare (the victim strands its peers), detector-only shrink
-//! recovery, and buddy-checkpoint respawn recovery. Replication trials
-//! pair each §3.3 message fault with an N-replica voted run to measure
-//! how often a single corrupt replica is outvoted and masked.
+//! not a flipped bit but a *lost process*. Its matrix has two rows. The
+//! kill row draws one [`RankKill`] per trial and runs it four ways from
+//! the same draw: bare (the victim strands its peers), detector-only
+//! shrink recovery, buddy-checkpoint respawn recovery, and app-owned
+//! fl-ulfm recovery. The replica row pairs each §3.3 message fault with
+//! an N-replica voted run to measure how often a single corrupt replica
+//! is outvoted and masked. All runs are cold — recovery owns its own
+//! checkpoints.
 
-use crate::campaign::{
-    draw_fault, trial_budget, trial_seed, trial_world_config, CampaignConfig, Dictionaries,
+use crate::matrix::{
+    slug_header, tally_fields, Column, Draw, Isolate, Layout, MatrixMode, MatrixResult, Row,
+    Runner, Slot,
 };
-use crate::engine::{run_pool, EngineControl, EngineSink, NullSink};
-use crate::guarded::slug;
-use crate::outcome::{classify, Manifestation, Tally};
-use crate::progress::EngineProgress;
+use crate::outcome::Manifestation;
 use crate::target::TargetClass;
-use fl_apps::{App, AppKind, Golden};
-use fl_ft::{run_app, run_replicated, run_respawn, run_shrink, FtMode, FtPolicy, RankKill};
-use fl_mpi::{MpiWorld, WorldExit};
+use fl_apps::Golden;
+use fl_ft::{FtPolicy, RankKill};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Draw the kill for trial seed `s`: victim rank, a firing clock inside
 /// its golden block count (so the kill always lands mid-run), and the
@@ -48,625 +46,193 @@ pub fn draw_kill(golden: &Golden, s: u64, nranks: u16) -> (RankKill, String) {
     (kill, detail)
 }
 
-/// One rank-kill trial: the identical kill under no recovery, shrink
-/// recovery, and respawn recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FtKillTrial {
-    /// Human-readable kill point (same draw in all three runs).
-    pub detail: String,
-    /// Outcome with no detector: the §5.1 classification of the strand.
-    pub baseline: Manifestation,
-    /// Outcome under detector + shrink (checked against the
-    /// survivor-count golden — the apps are weak-scaled).
-    pub shrink: Manifestation,
-    /// Outcome under detector + buddy-checkpoint respawn (checked
-    /// against the original golden).
-    pub respawn: Manifestation,
-    /// Respawns the respawn run performed.
-    pub respawns: u32,
-    /// Outcome in ulfm mode, where the *application* owns recovery
-    /// (checked against the original golden — an app that shrinks must
-    /// still solve the same global problem). Apps without fl-ulfm code
-    /// do not recover here; that asymmetry is the experiment.
-    pub app: Manifestation,
-    /// Shrinks the application itself performed in the ulfm run.
-    pub app_shrinks: u32,
-}
+/// The rank-kill row and its columns after the baseline.
+const KILL: usize = 0;
+const SHRINK: usize = 1;
+const RESPAWN: usize = 2;
+const APP: usize = 3;
+/// The message-fault row and its voted column.
+const REPLICA: usize = 1;
+const REPLICATED: usize = 1;
 
-impl FtKillTrial {
-    /// Did shrink convert a baseline error into a recovery?
-    pub fn shrink_recovered(&self) -> bool {
-        self.baseline.is_error() && self.shrink == Manifestation::Recovered
-    }
-
-    /// Did respawn convert a baseline error into a recovery?
-    pub fn respawn_recovered(&self) -> bool {
-        self.baseline.is_error() && self.respawn == Manifestation::Recovered
-    }
-
-    /// Did the application itself convert a baseline error into a
-    /// recovery through the fl-ulfm API?
-    pub fn app_recovered(&self) -> bool {
-        self.baseline.is_error() && self.app == Manifestation::RecoveredByApp
-    }
-}
-
-/// One replication trial: the identical message fault in a lone world
-/// and in one replica of a voted set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FtReplicaTrial {
-    /// Human-readable fault point.
-    pub detail: String,
-    /// Outcome of the unreplicated run.
-    pub baseline: Manifestation,
-    /// Outcome of the voted run.
-    pub replicated: Manifestation,
-    /// Replicas voted out.
-    pub votes: u32,
-}
-
-impl FtReplicaTrial {
-    /// Did the vote mask a baseline error?
-    pub fn masked(&self) -> bool {
-        self.baseline.is_error() && self.replicated == Manifestation::MaskedByReplica
-    }
-}
-
-/// A full fault-tolerance campaign for one application.
-#[derive(Debug, Clone)]
-pub struct FtResult {
-    /// Which application.
-    pub app: AppKind,
-    /// The recovery configuration every run used.
-    pub policy: FtPolicy,
-    /// Paired rank-kill trials, in trial order.
-    pub kills: Vec<FtKillTrial>,
-    /// Paired replication trials, in trial order.
-    pub replicas: Vec<FtReplicaTrial>,
-    /// The fault-free reference run.
-    pub golden: Golden,
-}
-
-impl FtResult {
-    /// Kill trials whose baseline manifested an error (the recovery
-    /// denominator; a kill always fires, so normally all of them).
-    pub fn kill_errors(&self) -> u32 {
-        self.kills.iter().filter(|t| t.baseline.is_error()).count() as u32
-    }
-
-    /// Baseline kill errors shrink converted to `Recovered`, in percent.
-    pub fn shrink_recovery_percent(&self) -> f64 {
-        percent(
-            self.kills.iter().filter(|t| t.shrink_recovered()).count(),
-            self.kill_errors(),
-        )
-    }
-
-    /// Baseline kill errors respawn converted to `Recovered`, in percent.
-    pub fn respawn_recovery_percent(&self) -> f64 {
-        percent(
-            self.kills.iter().filter(|t| t.respawn_recovered()).count(),
-            self.kill_errors(),
-        )
-    }
-
-    /// Baseline kill errors the application converted to
-    /// `RecoveredByApp`, in percent.
-    pub fn app_recovery_percent(&self) -> f64 {
-        percent(
-            self.kills.iter().filter(|t| t.app_recovered()).count(),
-            self.kill_errors(),
-        )
-    }
-
-    /// Replication trials whose baseline manifested an error.
-    pub fn replica_errors(&self) -> u32 {
-        self.replicas
-            .iter()
-            .filter(|t| t.baseline.is_error())
-            .count() as u32
-    }
-
-    /// Baseline message-fault errors the vote masked, in percent.
-    pub fn masked_percent(&self) -> f64 {
-        percent(
-            self.replicas.iter().filter(|t| t.masked()).count(),
-            self.replica_errors(),
-        )
-    }
-
-    /// Outcome tallies of one column of the campaign.
-    pub fn tally(&self, pick: impl Fn(&FtKillTrial) -> Manifestation) -> Tally {
-        let mut t = Tally::default();
-        for k in &self.kills {
-            t.record(pick(k));
-        }
-        t
-    }
-}
-
-fn percent(num: usize, den: u32) -> f64 {
-    if den == 0 {
-        return 0.0;
-    }
-    100.0 * num as f64 / den as f64
-}
-
-/// Classify a shrink-mode run. An intervened run solved the smaller
-/// survivor problem, so correctness is judged against the shrunken
-/// golden; an untouched run is judged against the original.
-pub(crate) fn classify_shrink(
-    exit: &WorldExit,
-    output: &[u8],
-    intervened: bool,
-    golden: &Golden,
-    shrunken_output: &[u8],
-) -> Manifestation {
-    match exit {
-        WorldExit::Clean if intervened => {
-            if output == shrunken_output {
-                Manifestation::Recovered
-            } else {
-                Manifestation::Incorrect
-            }
-        }
-        _ => classify(exit, output, &golden.output),
-    }
-}
-
-/// Classify a respawn-mode run: a recovered run must reproduce the
-/// original-size answer.
-fn classify_respawn(
-    exit: &WorldExit,
-    output: &[u8],
-    intervened: bool,
-    golden: &Golden,
-) -> Manifestation {
-    match exit {
-        WorldExit::Clean if intervened => {
-            if output == golden.output {
-                Manifestation::Recovered
-            } else {
-                Manifestation::Incorrect
-            }
-        }
-        _ => classify(exit, output, &golden.output),
-    }
-}
-
-/// Classify a ulfm-mode run, where recovery belongs to the application.
-/// A clean exit whose world the app shrank and whose output matches the
-/// original golden is `RecoveredByApp`; a clean exit with no shrink
-/// means the kill never disturbed the app (same as `Correct`/
-/// `Incorrect` classification); anything else classifies as usual.
-pub(crate) fn classify_app(
-    exit: &WorldExit,
-    output: &[u8],
-    app_shrinks: u32,
-    golden: &Golden,
-) -> Manifestation {
-    match exit {
-        WorldExit::Clean if app_shrinks > 0 => {
-            if output == golden.output {
-                Manifestation::RecoveredByApp
-            } else {
-                Manifestation::Incorrect
-            }
-        }
-        _ => classify(exit, output, &golden.output),
-    }
-}
-
-/// Classify a replicated run: a clean matching winner with at least one
-/// replica voted out means the fault was masked by replication.
-pub(crate) fn classify_replicated(
-    exit: &WorldExit,
-    output: &[u8],
-    votes: u32,
-    golden: &Golden,
-) -> Manifestation {
-    match exit {
-        WorldExit::Clean if votes > 0 => {
-            if output == golden.output {
-                Manifestation::MaskedByReplica
-            } else {
-                Manifestation::Incorrect
-            }
-        }
-        _ => classify(exit, output, &golden.output),
-    }
-}
-
-/// One ft trial's slot: the two trial families share the engine pool's
-/// flattened slot space (kills are group 0, replicas group 1).
-enum FtTrial {
-    Kill(FtKillTrial),
-    Replica(FtReplicaTrial),
-}
-
-/// Ft-campaign execution (the [`crate::CampaignBuilder::run_ft`]
-/// backend). `kill_trials` rank kills are each run bare + shrink +
-/// respawn; `replica_trials` message faults are each run bare +
-/// replicated. All runs are cold — recovery owns its own checkpoints.
-pub(crate) fn run_ft_impl(
-    app: &App,
-    cfg: &CampaignConfig,
-    policy: &FtPolicy,
-    kill_trials: u32,
-    replica_trials: u32,
-) -> FtResult {
-    run_ft_engine(
-        app,
-        cfg,
-        policy,
-        kill_trials,
-        replica_trials,
-        &NullSink,
-        &EngineControl::new(),
-    )
-    .expect("uncontrolled ft runs always complete")
-}
-
-/// Ft campaign on the shared engine pool: kills and replication trials
-/// are one flattened slot space, stolen across workers; pause/stop via
-/// `control`, progress through `sink`. Returns `None` when stopped
-/// before every trial completed.
-pub fn run_ft_engine(
-    app: &App,
-    cfg: &CampaignConfig,
-    policy: &FtPolicy,
-    kill_trials: u32,
-    replica_trials: u32,
-    sink: &dyn EngineSink,
-    control: &EngineControl,
-) -> Option<FtResult> {
-    let golden = app.golden(2_000_000_000);
-    let budget = trial_budget(&golden, cfg);
-    let dicts = Dictionaries::build(app);
-
-    // The survivor-count reference: the same image run cold at one fewer
-    // rank (the apps are weak-scaled, so this is a different answer).
-    let shrunken_output = {
-        let mut scfg = trial_world_config(app, budget, 0, cfg.fastpath);
-        scfg.nranks -= 1;
-        let mut w = MpiWorld::new(&app.image, scfg);
-        let exit = w.run();
-        assert_eq!(exit, WorldExit::Clean, "shrunken golden run must be clean");
-        app.comparable_output(&w)
+/// The fault-tolerance mode: `injections` rank kills under every
+/// recovery discipline and `injections` message faults under the replica
+/// vote. A slot holds every run of one draw.
+pub fn mode(policy: FtPolicy) -> MatrixMode {
+    let column = |name, isolate, runner, covers| Column {
+        name,
+        isolate,
+        runner,
+        covers,
     };
-
-    let total = kill_trials as u64 + replica_trials as u64;
-    let done = AtomicU64::new(0);
-    let started = std::time::Instant::now();
-
-    // Kill trials are class position 0 of the seed space, replication
-    // trials position 1 — the same coordinates the old per-family loops
-    // used, so records are unchanged.
-    let run_kill = |k: u32| {
-        let seed = trial_seed(cfg.seed, 0, k);
-        let (kill, detail) = draw_kill(&golden, seed, app.params.nranks);
-        let mut wcfg = trial_world_config(app, budget, 0, cfg.fastpath);
-        wcfg.seed = seed;
-
-        // The baseline strand: no detector, no app-visible failures.
-        // (A no-op for the paper's three apps; jacobi3d's own config
-        // asks for ulfm, which would let it recover out of the
-        // baseline column.)
-        let mut bare_cfg = wcfg;
-        bare_cfg.ulfm = false;
-        bare_cfg.ft.enabled = false;
-        let mut bare = MpiWorld::new(&app.image, bare_cfg);
-        bare.set_rank_kill(kill);
-        let bare_exit = bare.run();
-        let baseline = classify(&bare_exit, &app.comparable_output(&bare), &golden.output);
-
-        let (sw, sr) = run_shrink(&app.image, wcfg, policy, |w| w.set_rank_kill(kill));
-        let shrink = classify_shrink(
-            &sr.exit,
-            &app.comparable_output(&sw),
-            sr.intervened(),
-            &golden,
-            &shrunken_output,
-        );
-
-        let (rw, rr) = run_respawn(&app.image, wcfg, policy, |w| w.set_rank_kill(kill));
-        let respawn = classify_respawn(
-            &rr.exit,
-            &app.comparable_output(&rw),
-            rr.intervened(),
-            &golden,
-        );
-
-        let (aw, ar) = run_app(&app.image, wcfg, policy, |w| w.set_rank_kill(kill));
-        let app_m = classify_app(&ar.exit, &app.comparable_output(&aw), ar.shrinks, &golden);
-
-        FtKillTrial {
-            detail,
-            baseline,
-            shrink,
-            respawn,
-            respawns: rr.respawns,
-            app: app_m,
-            app_shrinks: ar.shrinks,
-        }
-    };
-    let run_replica = |k: u32| {
-        let seed = trial_seed(cfg.seed, 1, k);
-        let mut wcfg = trial_world_config(app, budget, 0, cfg.fastpath);
-        wcfg.seed = seed;
-
-        let drawn = draw_fault(
-            &golden,
-            &dicts,
-            TargetClass::Message,
-            seed,
-            app.params.nranks,
-        );
-        let detail = drawn.detail.clone();
-        let mut bare = MpiWorld::new(&app.image, wcfg);
-        drawn.arm(&mut bare);
-        let bare_exit = bare.run();
-        let baseline = classify(&bare_exit, &app.comparable_output(&bare), &golden.output);
-
-        let (vw, vr) = run_replicated(
-            &app.image,
-            wcfg,
-            policy,
-            |replica, w| {
-                if replica == 0 {
-                    // Re-draw the identical fault for the one corrupt
-                    // replica (arm() consumes it).
-                    draw_fault(
-                        &golden,
-                        &dicts,
-                        TargetClass::Message,
-                        seed,
-                        app.params.nranks,
-                    )
-                    .arm(w);
-                }
-            },
-            |w| app.comparable_output(w),
-        );
-        let replicated =
-            classify_replicated(&vr.exit, &app.comparable_output(&vw), vr.votes, &golden);
-
-        FtReplicaTrial {
-            detail,
-            baseline,
-            replicated,
-            votes: vr.votes,
-        }
-    };
-
-    let (mut slots, complete) = run_pool(
-        &[kill_trials, replica_trials],
-        cfg.threads,
-        control,
-        |g, k| {
-            let t = if g == 0 {
-                FtTrial::Kill(run_kill(k))
-            } else {
-                FtTrial::Replica(run_replica(k))
-            };
-            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-            sink.progress(EngineProgress {
-                total,
-                done: d,
-                resumed: 0,
-                wall_nanos: started.elapsed().as_nanos() as u64,
-            });
-            t
+    let recovered = |m| m == Manifestation::Recovered;
+    let rows = vec![
+        Row {
+            label: "rank-kill".into(),
+            class: TargetClass::Process,
+            draw: Draw::Kill,
+            columns: vec![
+                // The strand: no detector, no app-visible failures —
+                // jacobi3d's own configuration asks for ulfm, which
+                // would let it recover out of the baseline column.
+                column("baseline", Isolate::UlfmAndDetector, Runner::World, |_| {
+                    false
+                }),
+                column(
+                    "shrink",
+                    Isolate::Nothing,
+                    Runner::Shrink(policy),
+                    recovered,
+                ),
+                column(
+                    "respawn",
+                    Isolate::Nothing,
+                    Runner::Respawn(policy),
+                    recovered,
+                ),
+                // Apps without fl-ulfm code do not recover here; that
+                // asymmetry is the experiment.
+                column("app", Isolate::Nothing, Runner::App(policy), |m| {
+                    m == Manifestation::RecoveredByApp
+                }),
+            ],
         },
-    );
-    if !complete {
-        return None;
+        Row {
+            label: "message-fault".into(),
+            class: TargetClass::Message,
+            draw: Draw::Bit(TargetClass::Message),
+            columns: vec![
+                column("replica-baseline", Isolate::Nothing, Runner::World, |_| {
+                    false
+                }),
+                column(
+                    "replicated",
+                    Isolate::Nothing,
+                    Runner::Replicated(policy),
+                    |m| m == Manifestation::MaskedByReplica,
+                ),
+            ],
+        },
+    ];
+    MatrixMode {
+        rows,
+        slot: Slot::Row,
+        budget_scale: 1,
+        contracts: Vec::new(),
+        layout: Layout {
+            banner: format!(
+                "detector: probe every {} rounds, suspect after {}; buddy line every {} rounds; {} replicas",
+                policy.detector.probe_rounds,
+                policy.detector.suspect_rounds,
+                policy.buddy_rounds,
+                policy.replicas
+            ),
+            table,
+            tsv,
+            jsonl,
+            column_key: "",
+            column_noun: "",
+            summary: &[],
+            focus_note,
+        },
     }
-    let replicas = slots
-        .pop()
-        .unwrap()
-        .into_iter()
-        .map(|r| match r.expect("every replica trial slot filled") {
-            FtTrial::Replica(t) => t,
-            FtTrial::Kill(_) => unreachable!("group 1 holds replication trials"),
-        })
-        .collect();
-    let kills = slots
-        .pop()
-        .unwrap()
-        .into_iter()
-        .map(|r| match r.expect("every kill trial slot filled") {
-            FtTrial::Kill(t) => t,
-            FtTrial::Replica(_) => unreachable!("group 0 holds kill trials"),
-        })
-        .collect();
-
-    Some(FtResult {
-        app: app.kind,
-        policy: *policy,
-        kills,
-        replicas,
-        golden,
-    })
 }
 
-/// Render an ft campaign as a text table: baseline vs recovery outcome
-/// counts for the kill trials, plus the replication masking summary.
-pub fn render_ft(r: &FtResult, title: &str) -> String {
+/// What the focus view says a recovery column achieved.
+fn focus_note(r: &MatrixResult, row: usize, column: usize) -> Option<String> {
+    let what = match r.mode.rows[row].columns[column].name {
+        "shrink" => "recovered by harness shrink",
+        "respawn" => "recovered by harness respawn",
+        "app" => "recovered by the application (fl-ulfm)",
+        "replicated" => "masked by replica vote",
+        _ => return None,
+    };
+    Some(format!("{what}: {:.1}%", r.coverage_percent(row, column)))
+}
+
+/// Baseline vs recovery outcome counts for the kill trials, plus the
+/// replication masking summary.
+fn table(r: &MatrixResult, title: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "detector: probe every {} rounds, suspect after {}; buddy line every {} rounds; {} replicas",
-        r.policy.detector.probe_rounds,
-        r.policy.detector.suspect_rounds,
-        r.policy.buddy_rounds,
-        r.policy.replicas
-    );
+    let _ = writeln!(out, "{}", r.mode.layout.banner);
     let _ = writeln!(
         out,
         "{:<10} {:>6} | {:>8} {:>9} | {:>9} {:>10} {:>7}",
         "Trials", "Kills", "BaseErr", "RankLost", "Shrink(%)", "Respawn(%)", "App(%)"
     );
     let _ = writeln!(out, "{}", "-".repeat(70));
-    let base = r.tally(|t| t.baseline);
+    let lost = |c| r.cell(KILL, c).tally.count(Manifestation::RankLost);
     let _ = writeln!(
         out,
         "{:<10} {:>6} | {:>8} {:>9} | {:>9.1} {:>10.1} {:>7.1}",
         "kill-rank",
-        r.kills.len(),
-        base.errors(),
-        r.tally(|t| t.shrink).count(Manifestation::RankLost)
-            + r.tally(|t| t.respawn).count(Manifestation::RankLost),
-        r.shrink_recovery_percent(),
-        r.respawn_recovery_percent(),
-        r.app_recovery_percent(),
+        r.cell(KILL, 0).trials.len(),
+        r.baseline_errors(KILL),
+        lost(SHRINK) + lost(RESPAWN),
+        r.coverage_percent(KILL, SHRINK),
+        r.coverage_percent(KILL, RESPAWN),
+        r.coverage_percent(KILL, APP),
     );
     let _ = writeln!(out, "{}", "-".repeat(70));
     let _ = writeln!(
         out,
         "replication: {} message faults, {} baseline errors, {:.1}% masked by vote",
-        r.replicas.len(),
-        r.replica_errors(),
-        r.masked_percent(),
+        r.cell(REPLICA, 0).trials.len(),
+        r.baseline_errors(REPLICA),
+        r.coverage_percent(REPLICA, REPLICATED),
     );
     out
 }
 
-/// Render the single-discipline focus view of an ft campaign (the CLI's
-/// `ft --mode M`): one [`FtMode`] column's outcome tally and recovery
-/// rate, instead of the full side-by-side table.
-pub fn render_ft_focus(r: &FtResult, mode: FtMode) -> String {
-    let (tally, trials, recovered) = match mode {
-        FtMode::Baseline => (r.tally(|t| t.baseline), r.kills.len(), None),
-        FtMode::Shrink => (
-            r.tally(|t| t.shrink),
-            r.kills.len(),
-            Some(("recovered by harness shrink", r.shrink_recovery_percent())),
-        ),
-        FtMode::Respawn => (
-            r.tally(|t| t.respawn),
-            r.kills.len(),
-            Some(("recovered by harness respawn", r.respawn_recovery_percent())),
-        ),
-        FtMode::App => (
-            r.tally(|t| t.app),
-            r.kills.len(),
-            Some((
-                "recovered by the application (fl-ulfm)",
-                r.app_recovery_percent(),
-            )),
-        ),
-        FtMode::Replicated => {
-            let mut t = Tally::default();
-            for x in &r.replicas {
-                t.record(x.replicated);
-            }
-            (
-                t,
-                r.replicas.len(),
-                Some(("masked by replica vote", r.masked_percent())),
-            )
-        }
-    };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} / mode {mode}: {trials} {} trials",
-        r.app.name(),
-        if mode == FtMode::Replicated {
-            "message-fault"
-        } else {
-            "rank-kill"
-        }
-    );
-    for m in Manifestation::ALL {
-        let n = tally.count(m);
-        if n > 0 {
-            let _ = writeln!(out, "  {m:<22} {n:>5}");
-        }
-    }
-    if let Some((what, pct)) = recovered {
-        let _ = writeln!(out, "  {what}: {pct:.1}%");
-    }
-    out
-}
-
-/// Render an ft campaign as TSV: one row per recovery mode with full
-/// outcome counts.
-pub fn render_ft_tsv(r: &FtResult) -> String {
+/// One row per column with full outcome counts.
+fn tsv(r: &MatrixResult) -> String {
     let mut out = String::from("mode\ttrials");
-    for m in Manifestation::ALL {
-        let _ = write!(out, "\t{}", slug(m));
-    }
+    slug_header(&mut out, "");
     out.push_str("\trecovery_pct\n");
-    let rows: [(&str, Tally, f64); 4] = [
-        ("baseline", r.tally(|t| t.baseline), 0.0),
-        ("shrink", r.tally(|t| t.shrink), r.shrink_recovery_percent()),
-        (
-            "respawn",
-            r.tally(|t| t.respawn),
-            r.respawn_recovery_percent(),
-        ),
-        ("app", r.tally(|t| t.app), r.app_recovery_percent()),
-    ];
-    for (mode, tally, pct) in rows {
-        let _ = write!(out, "{mode}\t{}", tally.executions);
-        for m in Manifestation::ALL {
-            let _ = write!(out, "\t{}", tally.count(m));
+    for (ri, row) in r.mode.rows.iter().enumerate() {
+        for (ci, col) in row.columns.iter().enumerate() {
+            let tally = &r.cell(ri, ci).tally;
+            let _ = write!(out, "{}\t{}", col.name, tally.executions);
+            tally_fields(&mut out, tally);
+            let _ = writeln!(out, "\t{:.2}", r.coverage_percent(ri, ci));
         }
-        let _ = writeln!(out, "\t{pct:.2}");
-    }
-    let mut rep_base = Tally::default();
-    let mut rep_voted = Tally::default();
-    for t in &r.replicas {
-        rep_base.record(t.baseline);
-        rep_voted.record(t.replicated);
-    }
-    for (mode, tally, pct) in [
-        ("replica-baseline", rep_base, 0.0),
-        ("replicated", rep_voted, r.masked_percent()),
-    ] {
-        let _ = write!(out, "{mode}\t{}", tally.executions);
-        for m in Manifestation::ALL {
-            let _ = write!(out, "\t{}", tally.count(m));
-        }
-        let _ = writeln!(out, "\t{pct:.2}");
     }
     out
 }
 
-/// Serialize an ft campaign as JSONL: one object per trial (kill trials
-/// first, then replication trials), carrying every paired outcome.
-pub fn ft_jsonl(r: &FtResult) -> String {
+/// One object per draw (kill trials first, then replication trials),
+/// carrying every paired outcome.
+fn jsonl(r: &MatrixResult) -> String {
+    let app = r.app.name();
     let mut out = String::new();
-    for (k, t) in r.kills.iter().enumerate() {
+    for k in 0..r.cell(KILL, 0).trials.len() {
+        let of = |c: usize| &r.cell(KILL, c).trials[k];
         let _ = writeln!(
             out,
-            "{{\"app\":\"{}\",\"kind\":\"kill\",\"trial\":{k},\"detail\":\"{}\",\"baseline\":\"{}\",\"shrink\":\"{}\",\"respawn\":\"{}\",\"respawns\":{},\"app_mode\":\"{}\",\"app_shrinks\":{},\"shrink_recovered\":{},\"respawn_recovered\":{},\"app_recovered\":{}}}",
-            r.app.name(),
-            t.detail,
-            slug(t.baseline),
-            slug(t.shrink),
-            slug(t.respawn),
-            t.respawns,
-            slug(t.app),
-            t.app_shrinks,
-            t.shrink_recovered(),
-            t.respawn_recovered(),
-            t.app_recovered(),
+            "{{\"app\":\"{app}\",\"kind\":\"kill\",\"trial\":{k},\"detail\":\"{}\",\"baseline\":\"{}\",\"shrink\":\"{}\",\"respawn\":\"{}\",\"respawns\":{},\"app_mode\":\"{}\",\"app_shrinks\":{},\"shrink_recovered\":{},\"respawn_recovered\":{},\"app_recovered\":{}}}",
+            of(0).detail,
+            of(0).outcome.slug(),
+            of(SHRINK).outcome.slug(),
+            of(RESPAWN).outcome.slug(),
+            of(RESPAWN).aux[0],
+            of(APP).outcome.slug(),
+            of(APP).aux[0],
+            r.converted(KILL, SHRINK, k),
+            r.converted(KILL, RESPAWN, k),
+            r.converted(KILL, APP, k),
         );
     }
-    for (k, t) in r.replicas.iter().enumerate() {
+    for k in 0..r.cell(REPLICA, 0).trials.len() {
+        let of = |c: usize| &r.cell(REPLICA, c).trials[k];
         let _ = writeln!(
             out,
-            "{{\"app\":\"{}\",\"kind\":\"replica\",\"trial\":{k},\"detail\":\"{}\",\"baseline\":\"{}\",\"replicated\":\"{}\",\"votes\":{},\"masked\":{}}}",
-            r.app.name(),
-            t.detail,
-            slug(t.baseline),
-            slug(t.replicated),
-            t.votes,
-            t.masked(),
+            "{{\"app\":\"{app}\",\"kind\":\"replica\",\"trial\":{k},\"detail\":\"{}\",\"baseline\":\"{}\",\"replicated\":\"{}\",\"votes\":{},\"masked\":{}}}",
+            of(0).detail,
+            of(0).outcome.slug(),
+            of(REPLICATED).outcome.slug(),
+            of(REPLICATED).aux[0],
+            r.converted(REPLICA, REPLICATED, k),
         );
     }
     out
@@ -675,91 +241,94 @@ pub fn ft_jsonl(r: &FtResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fl_apps::AppParams;
+    use crate::report::Report;
+    use crate::CampaignBuilder;
+    use fl_apps::{App, AppKind, AppParams};
+    use fl_ft::FtMode;
 
-    fn ft(kind: AppKind, kills: u32, reps: u32, seed: u64) -> FtResult {
+    fn ft(kind: AppKind, n: u32, seed: u64) -> MatrixResult {
         let app = App::build(kind, AppParams::tiny(kind));
-        run_ft_impl(
-            &app,
-            &CampaignConfig {
-                seed,
-                ..Default::default()
-            },
-            &FtPolicy::default(),
-            kills,
-            reps,
-        )
+        CampaignBuilder::new(&app).injections(n).seed(seed).run_ft()
     }
 
     #[test]
     fn kills_always_manifest_and_recover() {
-        let r = ft(AppKind::Wavetoy, 8, 0, 0xF7);
+        let r = ft(AppKind::Wavetoy, 8, 0xF7);
+        let kills = &r.cells[KILL];
         // A kill drawn inside the victim's lifetime always fires and,
         // without a detector, always strands the world.
-        assert_eq!(r.kill_errors(), 8, "{:?}", r.kills);
-        assert!(r.shrink_recovery_percent() >= 90.0, "shrink: {:?}", r.kills);
+        assert_eq!(r.baseline_errors(KILL), 8, "{kills:?}");
         assert!(
-            r.respawn_recovery_percent() >= 90.0,
-            "respawn: {:?}",
-            r.kills
+            r.coverage_percent(KILL, SHRINK) >= 90.0,
+            "shrink: {kills:?}"
+        );
+        assert!(
+            r.coverage_percent(KILL, RESPAWN) >= 90.0,
+            "respawn: {kills:?}"
         );
     }
 
     #[test]
     fn replication_masks_manifesting_message_faults() {
-        let r = ft(AppKind::Wavetoy, 0, 10, 0xF8);
-        assert!(r.replica_errors() > 0, "{:?}", r.replicas);
-        assert!(r.masked_percent() >= 90.0, "{:?}", r.replicas);
+        let r = ft(AppKind::Wavetoy, 10, 0xF8);
+        let replicas = &r.cells[REPLICA];
+        assert!(r.baseline_errors(REPLICA) > 0, "{replicas:?}");
+        assert!(
+            r.coverage_percent(REPLICA, REPLICATED) >= 90.0,
+            "{replicas:?}"
+        );
         // Masked trials actually voted someone out.
-        assert!(r
-            .replicas
-            .iter()
-            .filter(|t| t.masked())
-            .all(|t| t.votes > 0));
+        assert!((0..10)
+            .filter(|&k| r.converted(REPLICA, REPLICATED, k))
+            .all(|k| replicas[REPLICATED].trials[k].aux[0] > 0));
     }
 
     #[test]
     fn jacobi3d_recovers_by_itself_in_app_mode() {
         // The fl-ulfm contract: the app that carries recovery code
         // survives the kill on its own; the paper's apps do not.
-        let r = ft(AppKind::Jacobi3d, 6, 0, 0xA1);
-        assert_eq!(r.kill_errors(), 6, "{:?}", r.kills);
-        assert!(r.app_recovery_percent() >= 90.0, "{:?}", r.kills);
-        let w = ft(AppKind::Wavetoy, 3, 0, 0xA2);
-        assert_eq!(w.app_recovery_percent(), 0.0, "{:?}", w.kills);
+        let r = ft(AppKind::Jacobi3d, 6, 0xA1);
+        assert_eq!(r.baseline_errors(KILL), 6, "{:?}", r.cells[KILL]);
+        assert!(r.coverage_percent(KILL, APP) >= 90.0, "{:?}", r.cells[KILL]);
+        let w = ft(AppKind::Wavetoy, 3, 0xA2);
+        assert_eq!(w.coverage_percent(KILL, APP), 0.0, "{:?}", w.cells[KILL]);
     }
 
     #[test]
     fn ft_campaigns_are_reproducible() {
-        let a = ft(AppKind::Wavetoy, 4, 4, 9);
-        let b = ft(AppKind::Wavetoy, 4, 4, 9);
-        assert_eq!(a.kills, b.kills);
-        assert_eq!(a.replicas, b.replicas);
+        let (a, b) = (ft(AppKind::Wavetoy, 4, 9), ft(AppKind::Wavetoy, 4, 9));
+        for (x, y) in a.cells.iter().flatten().zip(b.cells.iter().flatten()) {
+            assert_eq!(x.trials, y.trials);
+        }
     }
 
     #[test]
     fn focus_renderer_covers_every_discipline() {
-        let r = ft(AppKind::Wavetoy, 3, 3, 13);
+        let r = ft(AppKind::Wavetoy, 3, 13);
+        let focus = |mode: FtMode| {
+            let (row, column) = r.find_column(mode.label()).expect("a column per FtMode");
+            r.focus(row, Some(column))
+        };
         for mode in FtMode::ALL {
-            let text = render_ft_focus(&r, mode);
+            let text = focus(mode);
             assert!(text.starts_with("wavetoy / mode "), "{text}");
             assert!(text.contains(mode.label()), "{text}");
         }
-        assert!(render_ft_focus(&r, FtMode::Shrink).contains("harness shrink"));
-        assert!(render_ft_focus(&r, FtMode::App).contains("fl-ulfm"));
-        assert!(render_ft_focus(&r, FtMode::Replicated).contains("message-fault"));
+        assert!(focus(FtMode::Shrink).contains("harness shrink"));
+        assert!(focus(FtMode::App).contains("fl-ulfm"));
+        assert!(focus(FtMode::Replicated).contains("message-fault"));
     }
 
     #[test]
     fn renderers_cover_every_mode() {
-        let r = ft(AppKind::Wavetoy, 4, 4, 11);
-        let table = render_ft(&r, "ft demo");
+        let r = ft(AppKind::Wavetoy, 4, 11);
+        let table = r.table("ft demo");
         assert!(table.contains("kill-rank"));
         assert!(table.contains("replication:"));
-        let tsv = render_ft_tsv(&r);
+        let tsv = r.tsv();
         assert_eq!(tsv.lines().count(), 7, "{tsv}");
         assert!(tsv.starts_with("mode\ttrials\tcorrect"));
-        let jsonl = ft_jsonl(&r);
+        let jsonl = r.jsonl();
         assert_eq!(jsonl.lines().count(), 8);
         assert!(jsonl
             .lines()

@@ -18,8 +18,9 @@
 //! Hang, Incorrect output, Application-Detected, or MPI-Detected.
 //! Guarded (fl-guard) campaigns extend the taxonomy with Guard-Detected
 //! and Recovered, and [`CampaignBuilder::run_coverage`] runs every
-//! trial's fault both bare and guarded to measure detection coverage
-//! (see [`guarded`]).
+//! trial's fault both bare and guarded to measure detection coverage —
+//! one of the four matrix campaigns [`matrix`] runs (see [`guarded`],
+//! [`ft`], [`chaos`], [`perturb`]).
 //!
 //! Quick start:
 //!
@@ -46,6 +47,7 @@ pub mod faultmodel;
 pub mod ft;
 pub mod guarded;
 pub mod json;
+pub mod matrix;
 pub mod obs;
 pub mod outcome;
 pub mod perturb;
@@ -63,16 +65,12 @@ pub use campaign::{
     trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats, Dictionaries,
     TrialRecord,
 };
-pub use chaos::{
-    chaos_classes, chaos_jsonl, draw_chaos, is_covered, render_chaos, render_chaos_focus,
-    render_chaos_tsv, run_chaos_engine, syscall_counts, ChaosCell, ChaosFault, ChaosPolicy,
-    ChaosResult, ContractCheck, Defense, SyscallCounts,
-};
+pub use chaos::{draw_chaos, syscall_counts, ChaosFault, ChaosPolicy, Defense, SyscallCounts};
 pub use config::{parse_spec, ConfigError, ExperimentSpec};
 pub use engine::{
     parse_record_line, record_line, run_campaign_engine, run_campaign_engine_to_completion,
-    run_spec, sort_records_jsonl, CompletedSlots, EngineControl, EngineRun, EngineSink, NullSink,
-    RunState, SpecOutcome, TrialOutput, VecSink,
+    run_spec, sort_records_jsonl, Aux, CompletedSlots, EngineControl, EngineRun, EngineSink,
+    NullSink, RunState, SlotPlan, SpecOutcome, TrialOutput, VecSink,
 };
 pub use faultmodel::{compare_models, run_model_trial, FaultModel};
 pub use fl_ft::{
@@ -80,24 +78,16 @@ pub use fl_ft::{
     FtPolicy, FtReport, RankKill,
 };
 pub use fl_guard::{run_guarded, GuardPolicy, GuardReport};
-pub use ft::{
-    draw_kill, ft_jsonl, render_ft, render_ft_focus, render_ft_tsv, run_ft_engine, FtKillTrial,
-    FtReplicaTrial, FtResult,
-};
-pub use guarded::{
-    coverage_jsonl, render_coverage, render_coverage_tsv, run_coverage_engine, CoverageClassResult,
-    CoverageResult, GuardedTrialRecord, TransitionMatrix,
+pub use ft::draw_kill;
+pub use matrix::{
+    run_matrix, Cell, ContractCheck, MatrixMode, MatrixResult, MatrixTrial, TransitionMatrix,
 };
 pub use obs::{
     exec_cache_jsonl, exec_cache_tsv, trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics,
     TrialTrace,
 };
 pub use outcome::{classify, Manifestation, Tally};
-pub use perturb::{
-    classify_perturb, draw_perturb, perturb_classes, perturb_jsonl, render_perturb,
-    render_perturb_focus, render_perturb_tsv, run_perturb_engine, Detection, PerturbCell,
-    PerturbFault, PerturbPolicy, PerturbResult,
-};
+pub use perturb::{classify_perturb, draw_perturb, Detection, PerturbFault, PerturbPolicy};
 pub use progress::{
     EngineProgress, ProgressMonitor, ProgressSample, ProgressVerdict, StderrProgress,
 };

@@ -1,0 +1,993 @@
+//! Matrix campaigns: rows of byte-identical fault draws × columns of
+//! defenses or detectors.
+//!
+//! The paper closes (§6.2, §7) on what would catch the faults its MPI
+//! error handlers miss. Four campaign modes measure that, and all four
+//! are one experiment: draw one fault per `(row, k)` from
+//! `trial_seed(seed, row, k)`, arm that identical draw on one world per
+//! column — each column standing one mechanism between the fault and
+//! the application — classify every run, and compare each column with
+//! the row's baseline column. A [`MatrixMode`] describes a mode as
+//! data: its rows and what they draw, its columns and how they run, what
+//! one engine slot holds, its contract floors and its pinned layouts.
+//! [`run_matrix`] runs any of them on the engine's slot loop and
+//! assembles one [`MatrixResult`]. The descriptions live in
+//! [`crate::guarded`], [`crate::ft`], [`crate::chaos`] and
+//! [`crate::perturb`].
+
+use crate::campaign::{
+    draw_fault, trial_budget, trial_seed, trial_world_config, CampaignConfig, Dictionaries,
+    TrialContext, TrialRecord, GOLDEN_BUDGET,
+};
+use crate::chaos::{draw_chaos, syscall_counts, ChaosPolicy, SyscallCounts};
+use crate::engine::{
+    run_slots, Aux, CompletedSlots, EngineControl, EngineSink, SlotPlan, TrialOutput,
+};
+use crate::faultmodel::FaultModel;
+use crate::ft::draw_kill;
+use crate::obs::{CampaignMetrics, ClassMetrics};
+use crate::outcome::{classify, Manifestation, Tally};
+use crate::perturb::{classify_perturb, draw_perturb, PerturbPolicy};
+use crate::report::Report;
+use crate::target::TargetClass;
+use fl_apps::{App, AppKind, Golden};
+use fl_ft::{run_app, run_replicated, run_respawn, run_shrink, FtPolicy};
+use fl_guard::{run_guarded, GuardPolicy};
+use fl_mpi::{FailureDetector, MpiWorld, WorldConfig, WorldExit};
+use std::fmt::Write as _;
+use std::ops::Range;
+
+/// What a row draws from each trial seed.
+#[derive(Debug, Clone, Copy)]
+pub enum Draw {
+    /// One §4.3 bit flip in the class ([`crate::campaign`]'s draw).
+    Bit(TargetClass),
+    /// One rank kill or wedge ([`draw_kill`]).
+    Kill,
+    /// One fault of a chaos model ([`draw_chaos`]).
+    Chaos(FaultModel, ChaosPolicy),
+    /// One fault of a perturb-matrix model ([`draw_perturb`]).
+    Perturb(FaultModel, PerturbPolicy),
+}
+
+/// What a column strips from the application's own world configuration
+/// so that it isolates exactly one mechanism (a no-op for the paper's
+/// apps; jacobi3d's configuration asks for fl-ulfm).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isolate {
+    /// Run under the application's configuration as it is.
+    Nothing,
+    /// Switch app-visible fl-ulfm failures off.
+    Ulfm,
+    /// Switch fl-ulfm and the heartbeat detector off.
+    UlfmAndDetector,
+}
+
+/// How a column builds and runs the world it arms the draw on, and with
+/// it how the run is classified and what the trial's [`Aux`] holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Runner {
+    /// The plain campaign's own trial path — epoch fork and early
+    /// termination included. Every other runner starts cold.
+    Trial,
+    /// One world, classified per §5.1.
+    World,
+    /// One world with the CRC channel on: a clean, correct finish after a
+    /// retransmit is `MaskedByChannel`.
+    Channel(GuardPolicy),
+    /// One world under the given failure detector, with a correct finish
+    /// split into `Correct` and `Degraded` past `degraded_permille` of
+    /// the clean round count. Aux: `[slowdown ‰, 0, 0]`.
+    Paced {
+        /// The column's liveness detector.
+        detector: FailureDetector,
+        /// The `Degraded` threshold.
+        degraded_permille: u64,
+    },
+    /// [`run_guarded`]: a clean finish is `Recovered` if the guard
+    /// intervened, any other exit `DetectedByGuard`. Aux: `[detections,
+    /// restarts, retransmits]`.
+    Guarded(GuardPolicy),
+    /// [`run_replicated`], the draw armed on replica 0 only. Aux:
+    /// `[votes, 0, 0]`.
+    Replicated(FtPolicy),
+    /// [`run_shrink`], judged against the one-fewer-rank reference.
+    Shrink(FtPolicy),
+    /// [`run_respawn`]. Aux: `[respawns, 0, 0]`.
+    Respawn(FtPolicy),
+    /// [`run_app`]: recovery belongs to the application. Aux: `[shrinks
+    /// the app performed, 0, 0]`.
+    App(FtPolicy),
+}
+
+/// One column of a row.
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    /// Machine-readable name, as every view prints it.
+    pub name: &'static str,
+    /// What of the app's configuration the column switches off.
+    pub isolate: Isolate,
+    /// How the column runs and classifies.
+    pub runner: Runner,
+    /// Does this outcome count as covering a draw whose baseline run
+    /// manifested an error?
+    pub covers: fn(Manifestation) -> bool,
+}
+
+/// One row: `injections` draws, each faced by every column. Trial `k`
+/// of row `r` draws from `trial_seed(seed, r, k)`.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// The row's name in the mode's views.
+    pub label: String,
+    /// The class its streamed records carry.
+    pub class: TargetClass,
+    /// What it draws.
+    pub draw: Draw,
+    /// Its columns, baseline first.
+    pub columns: Vec<Column>,
+}
+
+/// What one engine slot holds.
+#[derive(Debug, Clone, Copy)]
+pub enum Slot {
+    /// One column of one draw, streamed as one canonical record line
+    /// whose detail is `column/row: draw` plus the trial's [`Aux`], and
+    /// adoptable from that line on resume (chaos, perturb).
+    Cell {
+        /// Renders the [`Aux`] as the tail of the record detail.
+        write_aux: fn(&Aux) -> String,
+        /// Reads it back out of a whole detail; `None` when the detail
+        /// does not hold all of it.
+        read_aux: fn(&str) -> Option<Aux>,
+    },
+    /// Every column of one draw; progress only (guard, ft).
+    Row,
+}
+
+/// One provable-coverage floor, as data.
+#[derive(Debug, Clone)]
+pub struct Contract {
+    /// Stable contract identifier.
+    pub name: &'static str,
+    /// What the numerator counts.
+    pub what: &'static str,
+    /// The rows it ranges over.
+    pub rows: Range<usize>,
+    /// The column it judges.
+    pub column: usize,
+    /// Which draws enter the denominator, by their baseline outcome.
+    pub over: fn(Manifestation) -> bool,
+    /// Which of the column's outcomes enter the numerator.
+    pub counts: fn(Manifestation) -> bool,
+    /// The floor, in percent.
+    pub floor_percent: f64,
+}
+
+/// A contract floor and the evidence for it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ContractCheck {
+    /// Stable contract identifier.
+    pub name: &'static str,
+    /// What the numerator counts.
+    pub what: &'static str,
+    /// Trials covered.
+    pub covered: u32,
+    /// Trials in the denominator.
+    pub denom: u32,
+    /// The floor, in percent.
+    pub floor_percent: f64,
+}
+
+impl ContractCheck {
+    /// Coverage in percent (0 with an empty denominator).
+    pub fn percent(&self) -> f64 {
+        percent(self.covered, self.denom)
+    }
+
+    /// A floor holds only on evidence: an empty denominator fails.
+    pub fn passed(&self) -> bool {
+        self.denom > 0 && self.percent() + 1e-9 >= self.floor_percent
+    }
+}
+
+fn percent(num: u32, den: u32) -> f64 {
+    if den == 0 {
+        return 0.0;
+    }
+    100.0 * num as f64 / den as f64
+}
+
+/// One named per-cell value of the cell views.
+pub type Summary = (&'static str, fn(&MatrixResult, usize, usize) -> String);
+
+/// The pinned layouts of a mode: its own table, and either its own TSV
+/// and JSONL or the shared per-cell ones ([`cell_tsv`], [`cell_jsonl`])
+/// with the mode's column-axis name and summary columns.
+#[derive(Debug, Clone)]
+pub struct Layout {
+    /// The second line of the table, under the title.
+    pub banner: String,
+    /// The human-readable table.
+    pub table: fn(&MatrixResult, &str) -> String,
+    /// The TSV view.
+    pub tsv: fn(&MatrixResult) -> String,
+    /// The JSONL view.
+    pub jsonl: fn(&MatrixResult) -> String,
+    /// The column axis as a TSV/JSON key.
+    pub column_key: &'static str,
+    /// The column axis in the focus view's prose.
+    pub column_noun: &'static str,
+    /// The per-cell values between `trials` and the outcome counts.
+    pub summary: &'static [Summary],
+    /// The bracketed remark the focus view makes about a cell.
+    pub focus_note: fn(&MatrixResult, usize, usize) -> Option<String>,
+}
+
+/// One mode of matrix campaign, as data.
+#[derive(Debug, Clone)]
+pub struct MatrixMode {
+    /// The rows, in seed-coordinate order.
+    pub rows: Vec<Row>,
+    /// What one engine slot holds.
+    pub slot: Slot,
+    /// Multiple of the ordinary hang budget every trial gets.
+    pub budget_scale: u64,
+    /// The floors the mode is contracted to hold.
+    pub contracts: Vec<Contract>,
+    /// The pinned views.
+    pub layout: Layout,
+}
+
+impl MatrixMode {
+    fn columns(&self) -> impl Iterator<Item = &Column> {
+        self.rows.iter().flat_map(|r| &r.columns)
+    }
+
+    /// Does the mode measure slowdown (any [`Runner::Paced`] column)?
+    fn paced(&self) -> bool {
+        self.columns()
+            .any(|c| matches!(c.runner, Runner::Paced { .. }))
+    }
+
+    /// The engine's slot groups: which row, and which of its columns,
+    /// the slots of each group hold.
+    fn groups(&self) -> Vec<(usize, Range<usize>)> {
+        let mut out = Vec::new();
+        for (r, row) in self.rows.iter().enumerate() {
+            let n = row.columns.len();
+            match self.slot {
+                Slot::Row => out.push((r, 0..n)),
+                Slot::Cell { .. } => out.extend((0..n).map(|c| (r, c..c + 1))),
+            }
+        }
+        out
+    }
+
+    /// The mode's slot space at `injections` draws per row — the one
+    /// statement the engine, the CLI and the daemon all read.
+    pub fn slot_plan(&self, injections: u32) -> SlotPlan {
+        let groups = self.groups();
+        let class = |(r, _): &(usize, Range<usize>)| self.rows[*r].class;
+        let (classes, read_aux): (_, fn(&str) -> Option<Aux>) = match self.slot {
+            Slot::Row => (Vec::new(), |_| None),
+            Slot::Cell { read_aux, .. } => (groups.iter().map(class).collect(), read_aux),
+        };
+        SlotPlan {
+            groups: groups.len(),
+            injections,
+            classes,
+            read_aux,
+        }
+    }
+}
+
+/// One column's run of one draw.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatrixTrial {
+    /// The fault point; in streamed modes the whole record detail.
+    pub detail: String,
+    /// The classified outcome.
+    pub outcome: Manifestation,
+    /// What the column's [`Runner`] counted.
+    pub aux: Aux,
+}
+
+/// Every trial of one row under one column.
+#[derive(Debug, Clone, Default)]
+pub struct Cell {
+    /// Outcome tally of the cell.
+    pub tally: Tally,
+    /// Per-trial results, draw order.
+    pub trials: Vec<MatrixTrial>,
+}
+
+impl Cell {
+    /// The cell's degradation aggregates as a metrics row: trials,
+    /// deadline misses, and the slowdown of every correct-output trial
+    /// of a [`Runner::Paced`] column.
+    pub fn metrics(&self, class: TargetClass) -> ClassMetrics {
+        let mut m = ClassMetrics::new(class);
+        m.trials = self.tally.executions;
+        m.deadline_misses = self.tally.count(Manifestation::Hang);
+        for t in &self.trials {
+            if matches!(t.outcome, Manifestation::Correct | Manifestation::Degraded) {
+                m.fold_slowdown(t.aux[0]);
+            }
+        }
+        m
+    }
+}
+
+/// Baseline-outcome × column-outcome counts over one cell's draws.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TransitionMatrix {
+    counts: [[u32; Manifestation::ALL.len()]; Manifestation::ALL.len()],
+}
+
+impl TransitionMatrix {
+    fn idx(m: Manifestation) -> usize {
+        Manifestation::ALL
+            .iter()
+            .position(|&x| x == m)
+            .expect("ALL lists every manifestation")
+    }
+
+    /// Record one paired outcome.
+    pub fn record(&mut self, baseline: Manifestation, under: Manifestation) {
+        self.counts[Self::idx(baseline)][Self::idx(under)] += 1;
+    }
+
+    /// Draws with this exact baseline → column pair.
+    pub fn count(&self, baseline: Manifestation, under: Manifestation) -> u32 {
+        self.counts[Self::idx(baseline)][Self::idx(under)]
+    }
+
+    /// Non-empty pairs as `(baseline, column, count)` triples, in
+    /// [`Manifestation::ALL`] order.
+    pub fn entries(&self) -> Vec<(Manifestation, Manifestation, u32)> {
+        let mut out = Vec::new();
+        for (i, row) in self.counts.iter().enumerate() {
+            for (j, &n) in row.iter().enumerate() {
+                if n > 0 {
+                    out.push((Manifestation::ALL[i], Manifestation::ALL[j], n));
+                }
+            }
+        }
+        out
+    }
+}
+
+/// A finished matrix campaign.
+#[derive(Debug, Clone)]
+pub struct MatrixResult {
+    /// Which application.
+    pub app: AppKind,
+    /// The mode that ran, policies included.
+    pub mode: MatrixMode,
+    /// `cells[row][column]`.
+    pub cells: Vec<Vec<Cell>>,
+    /// The fault-free reference run.
+    pub golden: Golden,
+    /// Scheduler rounds of the clean reference run — the slowdown
+    /// denominator (0 unless the mode measures slowdown).
+    pub ref_rounds: u64,
+    /// Guest instructions retired across every trial.
+    pub insns_total: u64,
+}
+
+impl MatrixResult {
+    /// The cell at `row`, `column`.
+    pub fn cell(&self, row: usize, column: usize) -> &Cell {
+        &self.cells[row][column]
+    }
+
+    /// The first `(row, column)` whose column is called `name`.
+    pub fn find_column(&self, name: &str) -> Option<(usize, usize)> {
+        self.mode.rows.iter().enumerate().find_map(|(r, row)| {
+            let c = row.columns.iter().position(|c| c.name == name)?;
+            Some((r, c))
+        })
+    }
+
+    /// The row labelled `label`.
+    pub fn find_row(&self, label: &str) -> Option<usize> {
+        self.mode.rows.iter().position(|r| r.label == label)
+    }
+
+    /// Draws of `row` whose baseline manifested an error — the row's
+    /// coverage denominator.
+    pub fn baseline_errors(&self, row: usize) -> u32 {
+        self.cells[row][0].tally.errors()
+    }
+
+    /// Did `column` cover draw `k` of `row`: the baseline errored and
+    /// the column's outcome is one its [`Column::covers`] accepts?
+    pub fn converted(&self, row: usize, column: usize, k: usize) -> bool {
+        self.cells[row][0].trials[k].outcome.is_error()
+            && (self.mode.rows[row].columns[column].covers)(
+                self.cells[row][column].trials[k].outcome,
+            )
+    }
+
+    /// Baseline-error draws of `row` that `column` covered.
+    pub fn covered(&self, row: usize, column: usize) -> u32 {
+        let n = self.cells[row][column].trials.len();
+        (0..n).filter(|&k| self.converted(row, column, k)).count() as u32
+    }
+
+    /// [`MatrixResult::covered`] in percent of the row's baseline errors.
+    pub fn coverage_percent(&self, row: usize, column: usize) -> f64 {
+        percent(self.covered(row, column), self.baseline_errors(row))
+    }
+
+    /// The baseline → `column` outcome transitions of `row`.
+    pub fn transitions(&self, row: usize, column: usize) -> TransitionMatrix {
+        let mut m = TransitionMatrix::default();
+        for (b, u) in self.cells[row][0]
+            .trials
+            .iter()
+            .zip(&self.cells[row][column].trials)
+        {
+            m.record(b.outcome, u.outcome);
+        }
+        m
+    }
+
+    /// The mode's contract floors, evaluated.
+    pub fn contracts(&self) -> Vec<ContractCheck> {
+        let check = |c: &Contract| {
+            let (mut covered, mut denom) = (0, 0);
+            for row in &self.cells[c.rows.clone()] {
+                for (b, u) in row[0].trials.iter().zip(&row[c.column].trials) {
+                    if (c.over)(b.outcome) {
+                        denom += 1;
+                        covered += u32::from((c.counts)(u.outcome));
+                    }
+                }
+            }
+            ContractCheck {
+                name: c.name,
+                what: c.what,
+                covered,
+                denom,
+                floor_percent: c.floor_percent,
+            }
+        };
+        self.mode.contracts.iter().map(check).collect()
+    }
+
+    /// The degradation aggregates of a mode that measures slowdown: one
+    /// [`ClassMetrics`] row per cell (`faultlab metrics` renders these
+    /// like any other campaign's). `None` for the other modes.
+    pub fn metrics(&self) -> Option<CampaignMetrics> {
+        let rows = self.mode.rows.iter().zip(&self.cells);
+        self.mode.paced().then(|| CampaignMetrics {
+            classes: rows
+                .flat_map(|(row, cells)| cells.iter().map(|c| c.metrics(row.class)))
+                .collect(),
+        })
+    }
+
+    /// The focus view (never a machine format). With `column: None` one
+    /// row, a cell per line — the CLI's `chaos`/`perturb --model M`; with
+    /// `Some(c)` one cell, an outcome per line — `ft --mode M`.
+    pub fn focus(&self, row: usize, column: Option<usize>) -> String {
+        let (r, lay) = (&self.mode.rows[row], &self.mode.layout);
+        let note = |c: usize| (lay.focus_note)(self, row, c);
+        let mut out = String::new();
+        match column {
+            Some(c) => {
+                let cell = &self.cells[row][c];
+                let _ = writeln!(
+                    out,
+                    "{} / mode {}: {} {} trials",
+                    self.app.name(),
+                    r.columns[c].name,
+                    cell.trials.len(),
+                    r.label
+                );
+                for (m, n) in outcome_counts(&cell.tally) {
+                    let _ = writeln!(out, "  {m:<22} {n:>5}");
+                }
+                if let Some(note) = note(c) {
+                    let _ = writeln!(out, "  {note}");
+                }
+            }
+            None => {
+                let _ = writeln!(
+                    out,
+                    "{} / model {}: {} trials per {}",
+                    self.app.name(),
+                    r.label,
+                    self.cells[row][0].tally.executions,
+                    lay.column_noun
+                );
+                let width = r
+                    .columns
+                    .iter()
+                    .map(|c| c.name.len() + 1)
+                    .max()
+                    .unwrap_or(0);
+                for (c, col) in r.columns.iter().enumerate() {
+                    let _ = write!(out, "  {:<width$}", col.name);
+                    for (i, (m, n)) in outcome_counts(&self.cells[row][c].tally).enumerate() {
+                        let _ = write!(out, "{}{m} {n}", if i == 0 { " " } else { ", " });
+                    }
+                    if let Some(note) = note(c) {
+                        let _ = write!(out, "  {note}");
+                    }
+                    out.push('\n');
+                }
+            }
+        }
+        out
+    }
+}
+
+impl Report for MatrixResult {
+    fn table(&self, title: &str) -> String {
+        (self.mode.layout.table)(self, title)
+    }
+
+    fn tsv(&self) -> String {
+        (self.mode.layout.tsv)(self)
+    }
+
+    fn jsonl(&self) -> String {
+        (self.mode.layout.jsonl)(self)
+    }
+}
+
+/// The classes a tally saw, with their counts, in
+/// [`Manifestation::ALL`] order.
+fn outcome_counts(t: &Tally) -> impl Iterator<Item = (Manifestation, u32)> + '_ {
+    let all = Manifestation::ALL.into_iter();
+    all.map(|m| (m, t.count(m))).filter(|&(_, n)| n > 0)
+}
+
+/// Append one `\t{prefix}{slug}` header field per manifestation class.
+pub fn slug_header(out: &mut String, prefix: &str) {
+    for m in Manifestation::ALL {
+        let _ = write!(out, "\t{prefix}{}", m.slug());
+    }
+}
+
+/// Append one `\t{count}` field per manifestation class.
+pub fn tally_fields(out: &mut String, t: &Tally) {
+    for m in Manifestation::ALL {
+        let _ = write!(out, "\t{}", t.count(m));
+    }
+}
+
+/// The per-cell TSV view: one row per `row × column` cell with the
+/// mode's summary columns and full outcome counts.
+pub fn cell_tsv(r: &MatrixResult) -> String {
+    let lay = &r.mode.layout;
+    let mut out = format!("model\t{}\ttrials", lay.column_key);
+    for (name, _) in lay.summary {
+        let _ = write!(out, "\t{name}");
+    }
+    slug_header(&mut out, "");
+    out.push('\n');
+    for (ri, row) in r.mode.rows.iter().enumerate() {
+        for (ci, col) in row.columns.iter().enumerate() {
+            let tally = &r.cells[ri][ci].tally;
+            let _ = write!(out, "{}\t{}\t{}", row.label, col.name, tally.executions);
+            for (_, value) in lay.summary {
+                let _ = write!(out, "\t{}", value(r, ri, ci));
+            }
+            tally_fields(&mut out, tally);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The per-cell JSONL view: one object per `row × column` cell.
+pub fn cell_jsonl(r: &MatrixResult) -> String {
+    let lay = &r.mode.layout;
+    let mut out = String::new();
+    for (ri, row) in r.mode.rows.iter().enumerate() {
+        for (ci, col) in row.columns.iter().enumerate() {
+            let tally = &r.cells[ri][ci].tally;
+            let _ = write!(
+                out,
+                "{{\"app\":\"{}\",\"model\":\"{}\",\"{}\":\"{}\",\"trials\":{}",
+                r.app.name(),
+                row.label,
+                lay.column_key,
+                col.name,
+                tally.executions,
+            );
+            for (name, value) in lay.summary {
+                let _ = write!(out, ",\"{name}\":{}", value(r, ri, ci));
+            }
+            out.push_str(",\"outcomes\":{");
+            for (i, (m, n)) in outcome_counts(tally).enumerate() {
+                let _ = write!(out, "{}\"{}\":{n}", if i == 0 { "" } else { "," }, m.slug());
+            }
+            out.push_str("}}\n");
+        }
+    }
+    out
+}
+
+/// The contract footer of a matrix table: one PASS/FAIL line per floor.
+pub fn contract_lines(r: &MatrixResult) -> String {
+    let mut out = String::new();
+    for c in r.contracts() {
+        let _ = writeln!(
+            out,
+            "contract {:<34} {:>3}/{:<3} = {:>5.1}% (floor {:.0}%) {}",
+            c.name,
+            c.covered,
+            c.denom,
+            c.percent(),
+            c.floor_percent,
+            if c.passed() { "PASS" } else { "FAIL" }
+        );
+    }
+    out
+}
+
+/// Sum of retired guest instructions across a world's ranks.
+fn world_insns(w: &MpiWorld) -> u64 {
+    (0..w.nranks()).map(|r| w.machine(r).counters.insns).sum()
+}
+
+/// Plants one drawn fault in a freshly built world.
+type Arm<'a> = Box<dyn Fn(&mut MpiWorld) + 'a>;
+
+/// What the trials of one matrix campaign share: the golden run, the
+/// hang budget, and the reference runs the mode's draws and runners
+/// read — each made once, and only if the description calls for it.
+struct Env<'a> {
+    app: &'a App,
+    /// The plain campaign's trial context ([`Runner::Trial`] columns).
+    trial: Option<TrialContext<'a>>,
+    golden: Golden,
+    /// Fault dictionaries of [`Draw::Bit`] rows when no trial context
+    /// already holds them.
+    dicts: Option<Dictionaries>,
+    budget: u64,
+    fastpath: bool,
+    /// Output of the same image run clean at one fewer rank — the apps
+    /// are weak-scaled, so a shrunken world solves a different problem
+    /// ([`Runner::Shrink`] columns).
+    shrunken_output: Vec<u8>,
+    /// Fault-free syscall activity ([`Draw::Chaos`] rows).
+    sys: Option<SyscallCounts>,
+    /// Rounds of the clean run ([`Runner::Paced`] columns).
+    ref_rounds: u64,
+}
+
+impl<'a> Env<'a> {
+    fn build(app: &'a App, mode: &MatrixMode, cfg: &CampaignConfig) -> Env<'a> {
+        let runs = |f: fn(&Runner) -> bool| mode.columns().any(|c| f(&c.runner));
+        let draws = |f: fn(&Draw) -> bool| mode.rows.iter().any(|r| f(&r.draw));
+        // The paired baseline never records events, whatever the spec says.
+        let trial = runs(|r| *r == Runner::Trial).then(|| {
+            let cfg = CampaignConfig {
+                obs_capacity: 0,
+                ..*cfg
+            };
+            TrialContext::build(app, &cfg)
+        });
+        let golden = match &trial {
+            Some(ctx) => ctx.golden.clone(),
+            None => app.golden(GOLDEN_BUDGET),
+        };
+        let budget = trial_budget(&golden, cfg).saturating_mul(mode.budget_scale);
+        // One clean world under the trials' configuration, adjusted.
+        let clean = |what: &str, tune: fn(&mut WorldConfig)| {
+            let mut wcfg = trial_world_config(app, budget, 0, cfg.fastpath);
+            tune(&mut wcfg);
+            let mut w = MpiWorld::new(&app.image, wcfg);
+            assert_eq!(w.run(), WorldExit::Clean, "{what} run must be clean");
+            w
+        };
+        Env {
+            app,
+            dicts: (trial.is_none() && draws(|d| matches!(d, Draw::Bit(_))))
+                .then(|| Dictionaries::build(app)),
+            shrunken_output: if runs(|r| matches!(r, Runner::Shrink(_))) {
+                app.comparable_output(&clean("shrunken golden", |c| c.nranks -= 1))
+            } else {
+                Vec::new()
+            },
+            sys: draws(|d| matches!(d, Draw::Chaos(..)))
+                .then(|| syscall_counts(app, budget, cfg.fastpath)),
+            // Probe answers never add rounds, so the detection-off
+            // reference holds for every column.
+            ref_rounds: if mode.paced() {
+                clean("reference", |c| isolate(c, Isolate::UlfmAndDetector)).round()
+            } else {
+                0
+            },
+            trial,
+            golden,
+            budget,
+            fastpath: cfg.fastpath,
+        }
+    }
+
+    /// Draw the row's fault for `seed`: a closure that arms it on any
+    /// world — every column arms the identical draw — and its detail.
+    fn draw(&self, row: &Row, seed: u64) -> (Arm<'_>, String) {
+        let (golden, nranks) = (&self.golden, self.app.params.nranks);
+        match row.draw {
+            Draw::Bit(class) => {
+                let dicts = match &self.trial {
+                    Some(ctx) => &ctx.dicts,
+                    None => self.dicts.as_ref().expect("built for Draw::Bit rows"),
+                };
+                // Arming consumes a drawn flip, so each column draws the
+                // identical one again.
+                let draw = move || draw_fault(golden, dicts, class, seed, nranks);
+                let detail = draw().detail;
+                (Box::new(move |w| draw().arm(w)), detail)
+            }
+            Draw::Kill => {
+                let (kill, detail) = draw_kill(golden, seed, nranks);
+                (Box::new(move |w| w.set_rank_kill(kill)), detail)
+            }
+            Draw::Chaos(model, policy) => {
+                let sys = self.sys.as_ref().expect("built for Draw::Chaos rows");
+                let (fault, detail) = draw_chaos(golden, sys, model, seed, nranks, &policy);
+                (Box::new(move |w| fault.arm(w)), detail)
+            }
+            Draw::Perturb(model, policy) => {
+                let (fault, detail) = draw_perturb(golden, model, seed, nranks, &policy);
+                (Box::new(move |w| fault.arm(w)), detail)
+            }
+        }
+    }
+
+    /// Run one column of one draw: build the column's world, arm the
+    /// draw, run, classify. Returns the outcome, the runner's counters
+    /// and the guest instructions retired.
+    fn run(
+        &self,
+        row: &Row,
+        col: &Column,
+        seed: u64,
+        arm: &dyn Fn(&mut MpiWorld),
+    ) -> (Manifestation, Aux, u64) {
+        let (app, golden) = (self.app, &self.golden.output);
+        if col.runner == Runner::Trial {
+            let ctx = self.trial.as_ref().expect("built for Runner::Trial");
+            let run = ctx.run_trial(row.class, seed);
+            return (run.record.outcome, Aux::default(), run.insns);
+        }
+        let mut cfg = trial_world_config(app, self.budget, 0, self.fastpath);
+        cfg.seed = seed; // vary moldyn's schedule per trial (§4.2.2)
+        isolate(&mut cfg, col.isolate);
+        let output = |w: &MpiWorld| app.comparable_output(w);
+        let world = |cfg: WorldConfig| {
+            let mut w = MpiWorld::new(&app.image, cfg);
+            arm(&mut w);
+            let exit = w.run();
+            (w, exit)
+        };
+        // A mechanism that intervened and still finished clean succeeded
+        // if the output is its reference; every other run classifies as
+        // usual.
+        let judge = |w: &MpiWorld, exit: &WorldExit, intervened, reference: &Vec<u8>, success| {
+            let out = output(w);
+            match exit {
+                WorldExit::Clean if intervened && out == *reference => success,
+                WorldExit::Clean if intervened => Manifestation::Incorrect,
+                _ => classify(exit, &out, golden),
+            }
+        };
+        use Manifestation::{MaskedByChannel, MaskedByReplica, Recovered, RecoveredByApp};
+        let one = |n: u32| [n.into(), 0, 0];
+        let (w, outcome, aux) = match col.runner {
+            Runner::Trial => unreachable!("handled above"),
+            Runner::World => {
+                let (w, exit) = world(cfg);
+                let m = classify(&exit, &output(&w), golden);
+                (w, m, Aux::default())
+            }
+            Runner::Channel(p) => {
+                cfg.guard = p.channel_guard();
+                let (w, exit) = world(cfg);
+                let m = judge(&w, &exit, w.retransmits() > 0, golden, MaskedByChannel);
+                (w, m, Aux::default())
+            }
+            Runner::Paced {
+                detector,
+                degraded_permille,
+            } => {
+                cfg.ft = detector;
+                let (w, exit) = world(cfg);
+                let (rounds, clean) = (w.round(), self.ref_rounds);
+                let (m, permille) =
+                    classify_perturb(&exit, &output(&w), golden, rounds, clean, degraded_permille);
+                (w, m, [permille, 0, 0])
+            }
+            Runner::Guarded(p) => {
+                let (w, rep) = run_guarded(&app.image, cfg, &p, arm);
+                let m = match &rep.exit {
+                    WorldExit::Clean => judge(&w, &rep.exit, rep.intervened(), golden, Recovered),
+                    _ => Manifestation::DetectedByGuard,
+                };
+                let aux = [rep.detections, rep.restarts, rep.retransmits].map(u64::from);
+                (w, m, aux)
+            }
+            Runner::Replicated(p) => {
+                let corrupt_one = |replica, w: &mut MpiWorld| {
+                    if replica == 0 {
+                        arm(w)
+                    }
+                };
+                let (w, rep) = run_replicated(&app.image, cfg, &p, corrupt_one, output);
+                let m = judge(&w, &rep.exit, rep.votes > 0, golden, MaskedByReplica);
+                (w, m, one(rep.votes))
+            }
+            Runner::Shrink(p) => {
+                let (w, rep) = run_shrink(&app.image, cfg, &p, arm);
+                let survivors = &self.shrunken_output;
+                let m = judge(&w, &rep.exit, rep.intervened(), survivors, Recovered);
+                (w, m, Aux::default())
+            }
+            Runner::Respawn(p) => {
+                let (w, rep) = run_respawn(&app.image, cfg, &p, arm);
+                let m = judge(&w, &rep.exit, rep.intervened(), golden, Recovered);
+                (w, m, one(rep.respawns))
+            }
+            Runner::App(p) => {
+                let (w, rep) = run_app(&app.image, cfg, &p, arm);
+                let m = judge(&w, &rep.exit, rep.shrinks > 0, golden, RecoveredByApp);
+                (w, m, one(rep.shrinks))
+            }
+        };
+        (outcome, aux, world_insns(&w))
+    }
+}
+
+fn isolate(cfg: &mut WorldConfig, what: Isolate) {
+    cfg.ulfm &= what == Isolate::Nothing;
+    cfg.ft.enabled &= what != Isolate::UlfmAndDetector;
+}
+
+/// Run a matrix campaign on the engine's slot loop: work stealing
+/// across slots, pause/stop via `control`, progress — and, where a slot
+/// is a cell, one canonical record per slot — through `sink`, and
+/// record-level resume. Returns `None` when stopped before every slot
+/// completed.
+///
+/// Everything a worker computes is a function of `(app, mode, cfg, row,
+/// k)`, and cells are assembled in slot order, so the result is
+/// bit-identical for any worker count, steal schedule or resume point.
+pub fn run_matrix(
+    app: &App,
+    mode: &MatrixMode,
+    cfg: &CampaignConfig,
+    sink: &dyn EngineSink,
+    control: &EngineControl,
+    resume: Option<CompletedSlots>,
+) -> Option<MatrixResult> {
+    let env = Env::build(app, mode, cfg);
+    let groups = mode.groups();
+    // `Some` iff slots are cells: they stream, and may be adopted.
+    let codec = match mode.slot {
+        Slot::Cell {
+            write_aux,
+            read_aux,
+        } => Some((write_aux, read_aux)),
+        Slot::Row => None,
+    };
+    let resume = resume.filter(|_| codec.is_some()).unwrap_or_default();
+    let adoptable = resume.len() as u64;
+    let counts = vec![cfg.injections; groups.len()];
+
+    // One slot: adopt it, or draw once and run the slot's columns. A
+    // record the mode cannot read back completely is not adopted.
+    let exec = |g: usize, k: u32| -> Vec<(MatrixTrial, u64)> {
+        if let (Some(t), Some((_, read_aux))) = (resume.take(g, k), codec) {
+            if let Some(aux) = read_aux(&t.record.detail) {
+                let trial = MatrixTrial {
+                    detail: t.record.detail,
+                    outcome: t.record.outcome,
+                    aux,
+                };
+                return vec![(trial, t.insns)];
+            }
+        }
+        let (r, columns) = &groups[g];
+        let row = &mode.rows[*r];
+        let seed = trial_seed(cfg.seed, *r, k);
+        let (arm, drawn) = env.draw(row, seed);
+        let run = |col: &Column| {
+            let (outcome, aux, insns) = env.run(row, col, seed, &arm);
+            let detail = match codec {
+                Some((write_aux, _)) => {
+                    format!("{}/{}: {drawn}{}", col.name, row.label, write_aux(&aux))
+                }
+                None => drawn.clone(),
+            };
+            let trial = MatrixTrial {
+                detail,
+                outcome,
+                aux,
+            };
+            (trial, insns)
+        };
+        let slot: Vec<_> = row.columns[columns.clone()].iter().map(run).collect();
+        if codec.is_some() {
+            let (t, insns) = &slot[0];
+            sink.trial(&TrialOutput {
+                ci: g,
+                k,
+                record: TrialRecord {
+                    class: row.class,
+                    detail: t.detail.clone(),
+                    outcome: t.outcome,
+                },
+                insns: *insns,
+                metrics: None,
+            });
+        }
+        slot
+    };
+    let (slots, _) = run_slots(&counts, cfg.threads, control, sink, adoptable, exec);
+
+    // Assemble in slot order — the same folds in the same order
+    // regardless of worker count or resume point.
+    let mut cells: Vec<Vec<Cell>> = mode
+        .rows
+        .iter()
+        .map(|r| vec![Cell::default(); r.columns.len()])
+        .collect();
+    let mut insns_total = 0;
+    for ((r, columns), group) in groups.iter().zip(slots?) {
+        for slot in group {
+            for (c, (trial, insns)) in columns.clone().zip(slot) {
+                insns_total += insns;
+                cells[*r][c].tally.record(trial.outcome);
+                cells[*r][c].trials.push(trial);
+            }
+        }
+    }
+    Some(MatrixResult {
+        app: app.kind,
+        mode: mode.clone(),
+        cells,
+        golden: env.golden,
+        ref_rounds: env.ref_rounds,
+        insns_total,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transition_matrix_counts_every_pair() {
+        // Every baseline × column pair has its own counter — `Degraded`,
+        // the thirteenth class, included.
+        let all = Manifestation::ALL;
+        let mut m = TransitionMatrix::default();
+        for (i, &from) in all.iter().enumerate() {
+            for (j, &to) in all.iter().enumerate() {
+                for _ in 0..=(i * all.len() + j) % 3 {
+                    m.record(from, to);
+                }
+            }
+        }
+        let mut want = Vec::new();
+        for (i, &from) in all.iter().enumerate() {
+            for (j, &to) in all.iter().enumerate() {
+                let n = ((i * all.len() + j) % 3 + 1) as u32;
+                assert_eq!(m.count(from, to), n, "{from} -> {to}");
+                want.push((from, to, n));
+            }
+        }
+        assert_eq!(m.entries(), want);
+        assert_eq!(want.len(), 13 * 13);
+        assert!(TransitionMatrix::default().entries().is_empty());
+    }
+}

@@ -24,27 +24,27 @@
 //! false positives on pure interference while still detecting ≥90% of
 //! real kills and wedges.
 //!
-//! The slot space is `models × detections × injections` on the shared
-//! engine pool; trial `(mi, di, k)` draws from `trial_seed(seed, mi,
-//! k)` — the model index only — so all three detection columns face the
-//! byte-identical interference draw.
+//! The slot space is `models × detections × injections`: a slot is one
+//! cell's trial, streamed as one canonical record whose detail ends in
+//! the measured slowdown. Trial `(mi, di, k)` draws from
+//! `trial_seed(seed, mi, k)` — the model index only — so all three
+//! detection columns face the byte-identical interference draw.
 
-use crate::campaign::{trial_budget, trial_seed, trial_world_config, CampaignConfig, TrialRecord};
-use crate::chaos::ContractCheck;
-use crate::engine::{run_pool, CompletedSlots, EngineControl, EngineSink, TrialOutput};
+use crate::engine::Aux;
 use crate::faultmodel::FaultModel;
-use crate::guarded::slug;
-use crate::obs::{CampaignMetrics, ClassMetrics};
-use crate::outcome::{classify, Manifestation, Tally};
-use crate::progress::EngineProgress;
+use crate::matrix::{
+    cell_jsonl, cell_tsv, contract_lines, Column, Contract, Draw, Isolate, Layout, MatrixMode,
+    MatrixResult, Row, Runner, Slot, Summary,
+};
+use crate::obs::ClassMetrics;
+use crate::outcome::{classify, Manifestation};
 use crate::target::TargetClass;
-use fl_apps::{App, AppKind, Golden};
+use fl_apps::Golden;
 use fl_machine::MemStall;
 use fl_mpi::{FailureDetector, HogRank, MpiWorld, QuantumTax, RankKill, WorldExit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One column of the interference matrix: what stands between a slow
 /// rank and a spurious failure verdict.
@@ -66,42 +66,13 @@ impl Detection {
     /// Every column, matrix order.
     pub const ALL: [Detection; 3] = [Detection::None, Detection::Fixed, Detection::Accrual];
 
-    /// Canonical machine-readable name; round-trips through
-    /// [`std::str::FromStr`].
+    /// The column's machine-readable name, as every view prints it.
     pub fn name(self) -> &'static str {
         match self {
             Detection::None => "none",
             Detection::Fixed => "fixed",
             Detection::Accrual => "accrual",
         }
-    }
-
-    /// Every parseable detection name, for did-you-mean suggestions.
-    pub const NAMES: [&'static str; 3] = ["none", "fixed", "accrual"];
-}
-
-impl std::fmt::Display for Detection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Detection {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Detection, String> {
-        Ok(match s {
-            "none" => Detection::None,
-            "fixed" => Detection::Fixed,
-            "accrual" => Detection::Accrual,
-            other => {
-                return Err(crate::suggest::unknown(
-                    "detection",
-                    other,
-                    &Detection::NAMES,
-                ))
-            }
-        })
     }
 }
 
@@ -318,179 +289,173 @@ pub fn perturb_models() -> [FaultModel; 5] {
     [p[0], p[1], p[2], k[0], k[1]]
 }
 
-/// One cell of the matrix: every trial of one model under one detection
-/// column, with the degradation aggregates the outcome tally cannot
-/// carry.
-#[derive(Debug, Clone)]
-pub struct PerturbCell {
-    /// Row.
-    pub model: FaultModel,
-    /// Column.
-    pub detection: Detection,
-    /// Outcome tally of the cell.
-    pub tally: Tally,
-    /// Per-trial records, slot order.
-    pub trials: Vec<TrialRecord>,
-    /// Sum of measured slowdown over trials that finished with correct
-    /// output, in permille of the clean reference round count.
-    pub slowdown_permille_sum: u64,
-    /// Trials contributing to [`PerturbCell::slowdown_permille_sum`].
-    pub slowdown_trials: u32,
-}
-
-impl PerturbCell {
-    /// Mean slowdown factor over correct-output trials (1.0 = clean
-    /// pace; 0.0 with no contributing trials).
-    pub fn mean_slowdown_x(&self) -> f64 {
-        if self.slowdown_trials == 0 {
-            return 0.0;
+impl Detection {
+    /// The detector as a matrix column. Each column isolates exactly one
+    /// detector: app-visible ULFM recovery would absorb failure verdicts
+    /// and hide both the detections and the false positives this matrix
+    /// measures.
+    fn column(self, policy: &PerturbPolicy) -> Column {
+        Column {
+            name: self.name(),
+            isolate: Isolate::Ulfm,
+            runner: Runner::Paced {
+                detector: FailureDetector {
+                    enabled: self != Detection::None,
+                    probe_rounds: policy.probe_rounds,
+                    suspect_rounds: policy.suspect_rounds,
+                    accrual: self == Detection::Accrual,
+                },
+                degraded_permille: policy.degraded_permille,
+            },
+            covers: is_verdict,
         }
-        self.slowdown_permille_sum as f64 / (1000.0 * self.slowdown_trials as f64)
-    }
-
-    /// Trials this column ended with a failure verdict — detections on
-    /// the process rows, false positives on the interference rows.
-    pub fn detected(&self) -> u32 {
-        self.tally.count(Manifestation::RankLost)
-    }
-
-    /// Trials that missed their deadline entirely (hung or ran out of
-    /// budget).
-    pub fn deadline_misses(&self) -> u32 {
-        self.tally.count(Manifestation::Hang)
     }
 }
 
-/// A finished perturb campaign: the full `models × detections` matrix.
-#[derive(Debug, Clone)]
-pub struct PerturbResult {
-    /// Which application.
-    pub app: AppKind,
-    /// The knobs every run used.
-    pub policy: PerturbPolicy,
-    /// Cells in row-major order: `cells[mi * 3 + di]`.
-    pub cells: Vec<PerturbCell>,
-    /// The fault-free reference.
-    pub golden: Golden,
-    /// Scheduler rounds of the fault-free reference run — the slowdown
-    /// denominator.
-    pub ref_rounds: u64,
-    /// Guest instructions retired across every trial.
-    pub insns_total: u64,
+/// Did the column end the trial with a failure verdict — a detection on
+/// the process rows, a false positive on the interference rows?
+fn is_verdict(m: Manifestation) -> bool {
+    m == Manifestation::RankLost
 }
 
-impl PerturbResult {
-    /// The matrix rows, in slot order — [`perturb_models`].
-    pub fn models() -> [FaultModel; 5] {
-        perturb_models()
-    }
+/// The measured slowdown as the tail of a record detail.
+fn write_permille(aux: &Aux) -> String {
+    format!(" [{}\u{2030} of clean]", aux[0])
+}
 
-    /// The cell at row `mi`, column `di`.
-    pub fn cell(&self, mi: usize, di: usize) -> &PerturbCell {
-        &self.cells[mi * Detection::ALL.len() + di]
-    }
+/// Read the measured slowdown back out of a record's detail tail — the
+/// one number that must survive the record stream so resumed campaigns
+/// aggregate identically to uninterrupted ones.
+fn read_permille(detail: &str) -> Option<Aux> {
+    let (_, tail) = detail.rsplit_once('[')?;
+    let permille = tail.strip_suffix("\u{2030} of clean]")?.parse().ok()?;
+    Some([permille, 0, 0])
+}
 
-    /// False-positive rate of column `di` over interference row `mi`,
-    /// in percent of the row's trials.
-    pub fn false_positive_percent(&self, mi: usize, di: usize) -> f64 {
-        let c = self.cell(mi, di);
-        if c.tally.executions == 0 {
-            return 0.0;
-        }
-        100.0 * c.detected() as f64 / c.tally.executions as f64
-    }
+/// A cell's degradation aggregates.
+fn degradation(r: &MatrixResult, row: usize, column: usize) -> ClassMetrics {
+    r.cell(row, column).metrics(r.mode.rows[row].class)
+}
 
-    /// The degradation aggregates as [`CampaignMetrics`]: one
-    /// [`ClassMetrics`] row per matrix cell carrying the per-trial
-    /// slowdown and deadline-miss folds (`faultlab metrics` renders
-    /// these like any other campaign's).
-    pub fn metrics(&self) -> CampaignMetrics {
-        let classes = self
-            .cells
-            .iter()
-            .map(|c| {
-                let mut m = ClassMetrics::new(perturb_class(c.model));
-                m.trials = c.tally.executions;
-                m.deadline_misses = c.deadline_misses();
-                m.slowdown_permille_sum = c.slowdown_permille_sum;
-                m.slowdown_trials = c.slowdown_trials;
-                m
-            })
-            .collect();
-        CampaignMetrics { classes }
-    }
+/// The per-cell values of the perturb TSV and JSONL.
+const SUMMARY: &[Summary] = &[
+    ("verdicts", |r, row, c| {
+        r.cell(row, c)
+            .tally
+            .count(Manifestation::RankLost)
+            .to_string()
+    }),
+    ("deadline_misses", |r, row, c| {
+        degradation(r, row, c).deadline_misses.to_string()
+    }),
+    ("slowdown_mean_permille", |r, row, c| {
+        let m = degradation(r, row, c);
+        let mean = m
+            .slowdown_permille_sum
+            .checked_div(m.slowdown_trials.into());
+        mean.unwrap_or(0).to_string()
+    }),
+];
 
-    /// The floors this campaign is contracted to hold: the accrual
-    /// detector never false-positives on pure interference, and both
-    /// real detectors still catch ≥90% of true kills and wedges.
-    pub fn contracts(&self) -> Vec<ContractCheck> {
-        let ndet = Detection::ALL.len();
-        let di_of = |d: Detection| Detection::ALL.iter().position(|&x| x == d).unwrap();
-        let interference = 0..FaultModel::perturb_models().len();
-        let process = FaultModel::perturb_models().len()..Self::models().len();
-
-        // 1. Zero false positives: over ALL pure-interference trials
-        //    under the accrual detector, none may end in a failure
-        //    verdict. The floor is 100% — a single spurious recovery
-        //    breaks the contract.
-        let di = di_of(Detection::Accrual);
-        let (mut quiet, mut denom) = (0u32, 0u32);
-        for mi in interference.clone() {
-            let c = self.cell(mi, di);
-            denom += c.tally.executions;
-            quiet += c.tally.executions - c.detected();
-        }
-        let fp_check = ContractCheck {
+/// The perturb mode: every [`perturb_models`] row against every
+/// [`Detection`] column, `injections` draws per row, one cell's trial
+/// per slot. Interference inflates rounds — and the mem-stall surcharge
+/// inflates retired-insn accounting — without adding real work, so every
+/// trial gets double the ordinary hang budget: a slow-but-correct run
+/// never masquerades as non-termination.
+pub fn mode(policy: PerturbPolicy) -> MatrixMode {
+    let columns: Vec<Column> = Detection::ALL.iter().map(|d| d.column(&policy)).collect();
+    let row = |&model: &FaultModel| Row {
+        label: model.label().to_string(),
+        class: perturb_class(model),
+        draw: Draw::Perturb(model, policy),
+        columns: columns.clone(),
+    };
+    let interference = FaultModel::perturb_models().len();
+    let column = |d| Detection::ALL.iter().position(|&x| x == d).expect("listed");
+    // Detection coverage: over the kill and wedge rows, each real
+    // detector must convert >=90% of trials into an explicit failure
+    // verdict instead of a silent deadline miss.
+    let detects = |name, detection| Contract {
+        name,
+        what: "kill/wedge trials the detector converted into a failure verdict",
+        rows: interference..perturb_models().len(),
+        column: column(detection),
+        over: |_| true,
+        counts: is_verdict,
+        floor_percent: 90.0,
+    };
+    let contracts = vec![
+        // Zero false positives: over ALL pure-interference trials under
+        // the accrual detector, none may end in a failure verdict. The
+        // floor is 100% — a single spurious recovery breaks the contract.
+        Contract {
             name: "accrual-zero-false-positives",
             what: "pure-interference trials the accrual detector left alone",
-            covered: quiet,
-            denom,
+            rows: 0..interference,
+            column: column(Detection::Accrual),
+            over: |_| true,
+            counts: |m| !is_verdict(m),
             floor_percent: 100.0,
-        };
-        let _ = ndet;
-
-        // 2./3. Detection coverage: over the kill and wedge rows, each
-        //    real detector must convert ≥90% of trials into an explicit
-        //    failure verdict instead of a silent deadline miss.
-        let mut checks = vec![fp_check];
-        for (name, det) in [
-            ("fixed-detects-process-failures", Detection::Fixed),
-            ("accrual-detects-process-failures", Detection::Accrual),
-        ] {
-            let di = di_of(det);
-            let (mut caught, mut denom) = (0u32, 0u32);
-            for mi in process.clone() {
-                let c = self.cell(mi, di);
-                denom += c.tally.executions;
-                caught += c.detected();
-            }
-            checks.push(ContractCheck {
-                name,
-                what: "kill/wedge trials the detector converted into a failure verdict",
-                covered: caught,
-                denom,
-                floor_percent: 90.0,
-            });
-        }
-        checks
+        },
+        detects("fixed-detects-process-failures", Detection::Fixed),
+        detects("accrual-detects-process-failures", Detection::Accrual),
+    ];
+    MatrixMode {
+        rows: perturb_models().iter().map(row).collect(),
+        slot: Slot::Cell {
+            write_aux: write_permille,
+            read_aux: read_permille,
+        },
+        budget_scale: 2,
+        contracts,
+        layout: Layout {
+            banner: "verdicts = trials ended by a failure verdict (false positives on \
+                     interference rows, detections on kill/wedge rows); x = mean slowdown"
+                .into(),
+            table,
+            tsv: cell_tsv,
+            jsonl: cell_jsonl,
+            column_key: "detection",
+            column_noun: "detection column",
+            summary: SUMMARY,
+            focus_note: |r, row, c| {
+                let m = degradation(r, row, c);
+                (m.slowdown_trials > 0)
+                    .then(|| format!("[mean slowdown x{:.2}]", m.mean_slowdown_x()))
+            },
+        },
     }
 }
 
-/// The per-slot record class vector of a perturb campaign, len `5 × 3`
-/// — what [`CompletedSlots::from_jsonl`] validates resumes against.
-pub fn perturb_classes() -> Vec<TargetClass> {
-    perturb_models()
-        .iter()
-        .flat_map(|m| {
-            let c = perturb_class(*m);
-            std::iter::repeat_n(c, Detection::ALL.len())
-        })
-        .collect()
-}
-
-/// Sum of retired guest instructions across a world's ranks.
-fn world_insns(w: &MpiWorld) -> u64 {
-    (0..w.nranks()).map(|r| w.machine(r).counters.insns).sum()
+/// The detector-comparison matrix: per model, each detection column's
+/// failure verdicts and mean slowdown, then the contract floors.
+fn table(r: &MatrixResult, title: &str) -> String {
+    let detections = &r.mode.rows[0].columns;
+    let rule = "-".repeat(22 + 20 * detections.len());
+    let mut out = String::new();
+    let _ = writeln!(out, "{title}");
+    let _ = writeln!(out, "{}", r.mode.layout.banner);
+    let _ = write!(out, "{:<13} {:>6} |", "model", "trials");
+    for d in detections {
+        let _ = write!(out, " {:>19}", d.name);
+    }
+    let _ = writeln!(out, "\n{rule}");
+    for (mi, row) in r.mode.rows.iter().enumerate() {
+        let trials = r.cell(mi, 0).tally.executions;
+        let _ = write!(out, "{:<13} {:>6} |", row.label, trials);
+        for di in 0..detections.len() {
+            let _ = write!(
+                out,
+                " {:>4} verd  x{:>6.2}",
+                r.cell(mi, di).tally.count(Manifestation::RankLost),
+                degradation(r, mi, di).mean_slowdown_x()
+            );
+        }
+        out.push('\n');
+    }
+    let _ = writeln!(out, "{rule}");
+    out + &contract_lines(r)
 }
 
 /// Classify one finished perturb trial: the ordinary §5.1 classes,
@@ -520,349 +485,14 @@ pub fn classify_perturb(
     (m, permille)
 }
 
-/// Perturb-campaign execution, no control/sink/resume (the
-/// [`crate::CampaignBuilder::run_perturb`] backend).
-pub(crate) fn run_perturb_impl(
-    app: &App,
-    cfg: &CampaignConfig,
-    policy: &PerturbPolicy,
-) -> PerturbResult {
-    run_perturb_engine(
-        app,
-        cfg,
-        policy,
-        &crate::engine::NullSink,
-        &EngineControl::new(),
-        None,
-    )
-    .expect("uncontrolled perturb runs always complete")
-}
-
-/// Run a perturb campaign on the shared engine pool. `cfg.injections`
-/// trials per `model × detection` cell; pause/stop via `control`,
-/// records and progress through `sink`, optional record-level resume.
-/// Returns `None` when stopped before every slot completed.
-pub fn run_perturb_engine(
-    app: &App,
-    cfg: &CampaignConfig,
-    policy: &PerturbPolicy,
-    sink: &dyn EngineSink,
-    control: &EngineControl,
-    resume: Option<CompletedSlots>,
-) -> Option<PerturbResult> {
-    let golden = app.golden(2_000_000_000);
-    // Interference inflates rounds — and the mem-stall surcharge
-    // inflates retired-insn accounting — without adding real work.
-    // Double the ordinary hang budget so a slow-but-correct run never
-    // masquerades as non-termination.
-    let budget = trial_budget(&golden, cfg).saturating_mul(2);
-    let models = perturb_models();
-    let ndet = Detection::ALL.len();
-    let nranks = app.params.nranks;
-
-    // The slowdown denominator: one fault-free run under the bare
-    // (detection-off) configuration. Probe answers never add rounds, so
-    // the reference holds for every column.
-    let ref_rounds = {
-        let mut c = trial_world_config(app, budget, 0, cfg.fastpath);
-        c.ulfm = false;
-        c.ft.enabled = false;
-        let mut w = MpiWorld::new(&app.image, c);
-        let exit = w.run();
-        assert_eq!(exit, WorldExit::Clean, "reference run must be clean");
-        w.round()
-    };
-
-    let resume = resume.unwrap_or_default();
-    let resumed_total = resume.len() as u64;
-    let total = (models.len() * ndet) as u64 * cfg.injections as u64;
-    let done = AtomicU64::new(0);
-    let started = std::time::Instant::now();
-
-    let run_cell = |mi: usize, di: usize, k: u32| -> (Manifestation, String, u64) {
-        let seed = trial_seed(cfg.seed, mi, k);
-        let model = models[mi];
-        let (fault, detail) = draw_perturb(&golden, model, seed, nranks, policy);
-        let det = Detection::ALL[di];
-        let mut wcfg = trial_world_config(app, budget, 0, cfg.fastpath);
-        wcfg.seed = seed;
-        // Each column isolates exactly one detector: app-visible ULFM
-        // recovery would absorb failure verdicts and hide both the
-        // detections and the false positives this matrix measures.
-        wcfg.ulfm = false;
-        wcfg.ft = FailureDetector {
-            enabled: det != Detection::None,
-            probe_rounds: policy.probe_rounds,
-            suspect_rounds: policy.suspect_rounds,
-            accrual: det == Detection::Accrual,
-        };
-        let mut w = MpiWorld::new(&app.image, wcfg);
-        fault.arm(&mut w);
-        let exit = w.run();
-        let out = app.comparable_output(&w);
-        let (outcome, permille) = classify_perturb(
-            &exit,
-            &out,
-            &golden.output,
-            w.round(),
-            ref_rounds,
-            policy.degraded_permille,
-        );
-        (
-            outcome,
-            format!(
-                "{}/{model}: {detail} [{permille}\u{2030} of clean]",
-                det.name()
-            ),
-            world_insns(&w),
-        )
-    };
-
-    let counts = vec![cfg.injections; models.len() * ndet];
-    let (slots, complete) = run_pool(&counts, cfg.threads, control, |ci, k| {
-        let out = match resume.take(ci, k) {
-            Some(t) => t,
-            None => {
-                let (mi, di) = (ci / ndet, ci % ndet);
-                let (outcome, detail, insns) = run_cell(mi, di, k);
-                let t = TrialOutput {
-                    ci,
-                    k,
-                    record: TrialRecord {
-                        class: perturb_class(models[mi]),
-                        detail,
-                        outcome,
-                    },
-                    insns,
-                    metrics: None,
-                };
-                sink.trial(&t);
-                t
-            }
-        };
-        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-        sink.progress(EngineProgress {
-            total,
-            done: d,
-            resumed: resumed_total,
-            wall_nanos: started.elapsed().as_nanos() as u64,
-        });
-        out
-    });
-    if !complete {
-        return None;
-    }
-
-    let mut insns_total = 0u64;
-    let mut cells = Vec::with_capacity(models.len() * ndet);
-    for (ci, cell_slots) in slots.into_iter().enumerate() {
-        let (mi, di) = (ci / ndet, ci % ndet);
-        let mut tally = Tally::default();
-        let mut slowdown_permille_sum = 0u64;
-        let mut slowdown_trials = 0u32;
-        let trials: Vec<TrialRecord> = cell_slots
-            .into_iter()
-            .map(|s| {
-                let t = s.expect("complete run fills every slot");
-                insns_total += t.insns;
-                tally.record(t.record.outcome);
-                if matches!(
-                    t.record.outcome,
-                    Manifestation::Correct | Manifestation::Degraded
-                ) {
-                    // The permille is embedded in the detail, but the
-                    // record stream is the wire: recompute from the
-                    // trial coordinates instead of parsing text.
-                    slowdown_permille_sum += detail_permille(&t.record.detail);
-                    slowdown_trials += 1;
-                }
-                t.record
-            })
-            .collect();
-        cells.push(PerturbCell {
-            model: models[mi],
-            detection: Detection::ALL[di],
-            tally,
-            trials,
-            slowdown_permille_sum,
-            slowdown_trials,
-        });
-    }
-    Some(PerturbResult {
-        app: app.kind,
-        policy: *policy,
-        cells,
-        golden,
-        ref_rounds,
-        insns_total,
-    })
-}
-
-/// Read the measured slowdown back out of a record's detail suffix
-/// `[N\u{2030} of clean]` — the one number that must survive the record
-/// stream so resumed campaigns aggregate identically to uninterrupted
-/// ones.
-fn detail_permille(detail: &str) -> u64 {
-    detail
-        .rsplit_once('[')
-        .and_then(|(_, tail)| tail.split('\u{2030}').next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Render the detector-comparison matrix as a text table: per model,
-/// each detection column's failure verdicts (false positives on the
-/// interference rows, detections on the process rows) and mean
-/// slowdown.
-pub fn render_perturb(r: &PerturbResult, title: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "verdicts = trials ended by a failure verdict (false positives on \
-         interference rows, detections on kill/wedge rows); x = mean slowdown"
-    );
-    let _ = write!(out, "{:<13} {:>6} |", "model", "trials");
-    for d in Detection::ALL {
-        let _ = write!(out, " {:>19}", d.name());
-    }
-    out.push('\n');
-    let _ = writeln!(out, "{}", "-".repeat(22 + 20 * Detection::ALL.len()));
-    for (mi, model) in PerturbResult::models().iter().enumerate() {
-        let trials = r.cell(mi, 0).tally.executions;
-        let _ = write!(out, "{:<13} {:>6} |", model.to_string(), trials);
-        for di in 0..Detection::ALL.len() {
-            let c = r.cell(mi, di);
-            let _ = write!(
-                out,
-                " {:>4} verd  x{:>6.2}",
-                c.detected(),
-                c.mean_slowdown_x()
-            );
-        }
-        out.push('\n');
-    }
-    let _ = writeln!(out, "{}", "-".repeat(22 + 20 * Detection::ALL.len()));
-    for c in r.contracts() {
-        let _ = writeln!(
-            out,
-            "contract {:<34} {:>3}/{:<3} = {:>5.1}% (floor {:.0}%) {}",
-            c.name,
-            c.covered,
-            c.denom,
-            c.percent(),
-            c.floor_percent,
-            if c.passed() { "PASS" } else { "FAIL" }
-        );
-    }
-    out
-}
-
-/// Render the single-row focus view (the CLI's `perturb --model M`):
-/// one model's outcome tallies under every detection column.
-pub fn render_perturb_focus(r: &PerturbResult, model: FaultModel) -> String {
-    let mi = PerturbResult::models()
-        .iter()
-        .position(|&m| m == model)
-        .expect("focus model is a perturb matrix model");
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} / model {model}: {} trials per detection column",
-        r.app.name(),
-        r.cell(mi, 0).tally.executions
-    );
-    for (di, d) in Detection::ALL.iter().enumerate() {
-        let c = r.cell(mi, di);
-        let _ = write!(out, "  {:<8}", d.name());
-        let mut first = true;
-        for m in Manifestation::ALL {
-            let n = c.tally.count(m);
-            if n > 0 {
-                let _ = write!(out, "{}{m} {n}", if first { " " } else { ", " });
-                first = false;
-            }
-        }
-        if c.slowdown_trials > 0 {
-            let _ = write!(out, "  [mean slowdown x{:.2}]", c.mean_slowdown_x());
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render the matrix as TSV: one row per `model × detection` cell with
-/// full outcome counts and the degradation aggregates.
-pub fn render_perturb_tsv(r: &PerturbResult) -> String {
-    let mut out =
-        String::from("model\tdetection\ttrials\tverdicts\tdeadline_misses\tslowdown_mean_permille");
-    for m in Manifestation::ALL {
-        let _ = write!(out, "\t{}", slug(m));
-    }
-    out.push('\n');
-    for (mi, model) in PerturbResult::models().iter().enumerate() {
-        for (di, d) in Detection::ALL.iter().enumerate() {
-            let c = r.cell(mi, di);
-            let mean = if c.slowdown_trials == 0 {
-                0
-            } else {
-                c.slowdown_permille_sum / c.slowdown_trials as u64
-            };
-            let _ = write!(
-                out,
-                "{model}\t{d}\t{}\t{}\t{}\t{mean}",
-                c.tally.executions,
-                c.detected(),
-                c.deadline_misses(),
-            );
-            for m in Manifestation::ALL {
-                let _ = write!(out, "\t{}", c.tally.count(m));
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Serialize the matrix as JSONL: one object per `model × detection`
-/// cell.
-pub fn perturb_jsonl(r: &PerturbResult) -> String {
-    let mut out = String::new();
-    for (mi, model) in PerturbResult::models().iter().enumerate() {
-        for (di, d) in Detection::ALL.iter().enumerate() {
-            let c = r.cell(mi, di);
-            let mean = if c.slowdown_trials == 0 {
-                0
-            } else {
-                c.slowdown_permille_sum / c.slowdown_trials as u64
-            };
-            let _ = write!(
-                out,
-                "{{\"app\":\"{}\",\"model\":\"{model}\",\"detection\":\"{d}\",\"trials\":{},\"verdicts\":{},\"deadline_misses\":{},\"slowdown_mean_permille\":{mean},\"outcomes\":{{",
-                r.app.name(),
-                c.tally.executions,
-                c.detected(),
-                c.deadline_misses(),
-            );
-            let mut first = true;
-            for m in Manifestation::ALL {
-                let n = c.tally.count(m);
-                if n > 0 {
-                    let _ = write!(out, "{}\"{}\":{n}", if first { "" } else { "," }, slug(m));
-                    first = false;
-                }
-            }
-            out.push_str("}}\n");
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{parse_record_line, VecSink};
-    use fl_apps::AppParams;
+    use crate::campaign::{trial_seed, CampaignConfig};
+    use crate::engine::{parse_record_line, EngineControl, NullSink, VecSink};
+    use crate::matrix::run_matrix;
+    use crate::report::Report;
+    use fl_apps::{App, AppKind, AppParams};
 
     fn tiny() -> App {
         App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy))
@@ -916,42 +546,35 @@ mod tests {
             ..Default::default()
         };
         let sink = VecSink::new(app.kind);
-        let r = run_perturb_engine(
-            &app,
-            &cfg,
-            &PerturbPolicy::default(),
-            &sink,
-            &EngineControl::new(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(r.cells.len(), 5 * 3);
+        let mode = mode(PerturbPolicy::default());
+        let r = run_matrix(&app, &mode, &cfg, &sink, &EngineControl::new(), None).unwrap();
+        assert_eq!(r.cells.iter().flatten().count(), 5 * 3);
         assert!(r.ref_rounds > 0);
-        for c in &r.cells {
+        for c in r.cells.iter().flatten() {
             assert_eq!(c.tally.executions, 2);
             assert_eq!(c.trials.len(), 2);
         }
         let lines = sink.into_lines();
         assert_eq!(lines.len(), 5 * 3 * 2);
-        let classes = perturb_classes();
+        let classes = mode.slot_plan(2).classes;
         for l in &lines {
             let t = parse_record_line(l).expect("perturb records parse back");
             assert_eq!(t.record.class, classes[t.ci]);
         }
-        let table = render_perturb(&r, "perturb demo");
+        let table = r.table("perturb demo");
         assert!(table.contains("quantum-tax"), "{table}");
         assert!(
             table.contains("contract accrual-zero-false-positives"),
             "{table}"
         );
-        let tsv = render_perturb_tsv(&r);
+        let tsv = r.tsv();
         assert_eq!(tsv.lines().count(), 1 + 5 * 3, "{tsv}");
-        let jsonl = perturb_jsonl(&r);
+        let jsonl = r.jsonl();
         assert_eq!(jsonl.lines().count(), 5 * 3);
-        let focus = render_perturb_focus(&r, FaultModel::QuantumTax);
+        let focus = r.focus(r.find_row("quantum-tax").unwrap(), None);
         assert!(focus.contains("model quantum-tax"), "{focus}");
         // The degradation aggregates surface as campaign metrics.
-        let metrics = r.metrics();
+        let metrics = r.metrics().expect("perturb measures slowdown");
         assert_eq!(metrics.classes.len(), 5 * 3);
         assert!(metrics.to_jsonl(app.kind).contains("slowdown"));
     }
@@ -967,7 +590,8 @@ mod tests {
             seed: 0xACC,
             ..Default::default()
         };
-        let r = run_perturb_impl(&app, &cfg, &PerturbPolicy::default());
+        let mode = mode(PerturbPolicy::default());
+        let r = run_matrix(&app, &mode, &cfg, &NullSink, &EngineControl::new(), None).unwrap();
         for check in r.contracts() {
             assert!(
                 check.passed(),
@@ -982,13 +606,12 @@ mod tests {
         // fixes somewhere in the interference rows: either false
         // positives or nothing to detect at all — but the quantum-tax
         // row specifically is built to starve past the fixed deadline.
-        let tax_fixed = r.cell(0, 1);
-        let tax_accrual = r.cell(0, 2);
+        let verdicts = |c| r.cell(0, c).tally.count(Manifestation::RankLost);
         assert!(
-            tax_fixed.detected() > 0,
+            verdicts(1) > 0,
             "a 900-995 permille tax must trip the 32-round fixed deadline"
         );
-        assert_eq!(tax_accrual.detected(), 0);
+        assert_eq!(verdicts(2), 0);
     }
 
     #[test]
@@ -1022,10 +645,14 @@ mod tests {
 
     #[test]
     fn detail_permille_round_trips_through_the_record_stream() {
-        assert_eq!(
-            detail_permille("fixed/quantum-tax: tax 950\u{2030} on rank 1 [1342\u{2030} of clean]"),
-            1342
-        );
-        assert_eq!(detail_permille("no suffix"), 0);
+        let detail = "fixed/quantum-tax: tax 950\u{2030} on rank 1";
+        let written = format!("{detail}{}", write_permille(&[1342, 0, 0]));
+        assert_eq!(written, format!("{detail} [1342\u{2030} of clean]"));
+        assert_eq!(read_permille(&written), Some([1342, 0, 0]));
+        // A detail that lost any part of its tail reads back as nothing,
+        // never as slowdown 0.
+        assert_eq!(read_permille(detail), None);
+        assert_eq!(read_permille(&written[..written.len() - 1]), None);
+        assert_eq!(read_permille("x [\u{2030} of clean]"), None);
     }
 }

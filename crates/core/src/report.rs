@@ -1,12 +1,11 @@
 //! Result rendering: the [`Report`] trait unifying every result
 //! family's output formats, plus the §6.1.1 register analysis.
 //!
-//! Each campaign family — plain injection ([`CampaignResult`]),
-//! guard coverage ([`crate::guarded::CoverageResult`]), fault tolerance
-//! ([`crate::ft::FtResult`]) and event metrics ([`MetricsReport`]) —
-//! implements [`Report`], so every CLI verb renders through the same
-//! three formats (`table`/`tsv`/`jsonl`) and a new mode gets all three
-//! for free.
+//! Each result family — plain injection ([`CampaignResult`]), matrix
+//! campaigns ([`crate::matrix::MatrixResult`]) and event metrics
+//! ([`MetricsReport`]) — implements [`Report`], so every CLI verb
+//! renders through the same three formats (`table`/`tsv`/`jsonl`) and a
+//! new mode gets all three for free.
 //!
 //! [`render_table`] reproduces the layout of the paper's Tables 2–4: one
 //! row per injected region with the error rate and the breakdown of
@@ -15,8 +14,6 @@
 //! columns, as Table 2 does.
 
 use crate::campaign::{CampaignResult, ClassResult};
-use crate::ft::{ft_jsonl, render_ft, render_ft_tsv, FtResult};
-use crate::guarded::{coverage_jsonl, render_coverage, render_coverage_tsv, CoverageResult};
 use crate::json::escape;
 use crate::obs::CampaignMetrics;
 use crate::outcome::Manifestation;
@@ -101,34 +98,6 @@ impl Report for CampaignResult {
             }
         }
         out
-    }
-}
-
-impl Report for CoverageResult {
-    fn table(&self, title: &str) -> String {
-        render_coverage(self, title)
-    }
-
-    fn tsv(&self) -> String {
-        render_coverage_tsv(self)
-    }
-
-    fn jsonl(&self) -> String {
-        coverage_jsonl(self)
-    }
-}
-
-impl Report for FtResult {
-    fn table(&self, title: &str) -> String {
-        render_ft(self, title)
-    }
-
-    fn tsv(&self) -> String {
-        render_ft_tsv(self)
-    }
-
-    fn jsonl(&self) -> String {
-        ft_jsonl(self)
     }
 }
 
@@ -298,21 +267,16 @@ pub fn render_register_breakdown(c: &ClassResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign_impl, CampaignConfig};
     use fl_apps::{App, AppKind, AppParams};
 
     fn small_result() -> CampaignResult {
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-        run_campaign_impl(
-            &app,
-            &[TargetClass::RegularReg, TargetClass::Data],
-            &CampaignConfig {
-                injections: 10,
-                seed: 3,
-                threads: 2,
-                ..Default::default()
-            },
-        )
+        crate::CampaignBuilder::new(&app)
+            .classes(&[TargetClass::RegularReg, TargetClass::Data])
+            .injections(10)
+            .seed(3)
+            .threads(2)
+            .run()
     }
 
     #[test]

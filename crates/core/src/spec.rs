@@ -15,7 +15,9 @@
 
 use crate::campaign::CampaignConfig;
 use crate::chaos::ChaosPolicy;
+use crate::engine::SlotPlan;
 use crate::json::{parse, Json};
+use crate::matrix::MatrixMode;
 use crate::perturb::PerturbPolicy;
 use crate::target::TargetClass;
 use fl_apps::AppKind;
@@ -412,30 +414,28 @@ impl CampaignSpec {
         Ok(spec)
     }
 
-    /// The per-slot target classes of this spec's record stream — the
-    /// `classes` argument [`crate::engine::CompletedSlots::from_jsonl`]
-    /// needs to adopt records on resume. Plain campaigns stream one slot
-    /// per requested region; chaos campaigns stream the fixed 9 × 6
-    /// model × defense grid; perturb campaigns the fixed 5 × 3
-    /// model × detection grid; guard and ft campaigns do not stream
-    /// adoptable records, so their slot space is empty.
-    pub fn record_classes(&self) -> Vec<TargetClass> {
-        match &self.mode {
-            SpecMode::Campaign => self.classes.clone(),
-            SpecMode::Chaos(_) => crate::chaos::chaos_classes(),
-            SpecMode::Perturb(_) => crate::perturb::perturb_classes(),
-            SpecMode::Guard(_) | SpecMode::Ft(_) => Vec::new(),
+    /// The matrix-campaign description this spec runs, policies
+    /// included; `None` for a plain campaign.
+    pub fn matrix(&self) -> Option<MatrixMode> {
+        match self.mode {
+            SpecMode::Campaign => None,
+            SpecMode::Guard(policy) => Some(crate::guarded::mode(&self.classes, policy)),
+            SpecMode::Ft(policy) => Some(crate::ft::mode(policy)),
+            SpecMode::Chaos(policy) => Some(crate::chaos::mode(policy)),
+            SpecMode::Perturb(policy) => Some(crate::perturb::mode(policy)),
         }
     }
 
-    /// Trials per record-stream slot — the companion bound to
-    /// [`CampaignSpec::record_classes`] for record adoption.
-    pub fn record_injections(&self) -> u32 {
-        match &self.mode {
-            SpecMode::Campaign | SpecMode::Chaos(_) | SpecMode::Perturb(_) => {
-                self.campaign.injections
-            }
-            SpecMode::Guard(_) | SpecMode::Ft(_) => 0,
+    /// The spec's slot space — what the engine schedules, the progress
+    /// counters count and a resumed run adopts records against. Plain
+    /// campaigns stream one record per `region × injection`; chaos and
+    /// perturb campaigns one per cell of their fixed grids; guard and ft
+    /// slots hold a whole row's runs and stream nothing.
+    pub fn slot_plan(&self) -> SlotPlan {
+        let injections = self.campaign.injections;
+        match self.matrix() {
+            Some(mode) => mode.slot_plan(injections),
+            None => SlotPlan::streamed(self.classes.clone(), injections),
         }
     }
 }
@@ -669,22 +669,29 @@ mod tests {
     fn record_slot_space_matches_the_mode() {
         let mut spec = CampaignSpec::new(AppKind::Wavetoy);
         spec.campaign.injections = 7;
-        assert_eq!(spec.record_classes(), TargetClass::ALL.to_vec());
-        assert_eq!(spec.record_injections(), 7);
+        let plan = spec.slot_plan();
+        assert_eq!(plan.classes, TargetClass::ALL.to_vec());
+        assert_eq!((plan.injections, plan.total()), (7, 8 * 7));
 
         spec.mode = SpecMode::Chaos(ChaosPolicy::default());
-        let classes = spec.record_classes();
-        assert_eq!(classes.len(), 9 * 6, "9 chaos models x 6 defenses");
-        assert_eq!(spec.record_injections(), 7);
+        let plan = spec.slot_plan();
+        assert_eq!(plan.classes.len(), 9 * 6, "9 chaos models x 6 defenses");
+        assert_eq!((plan.injections, plan.total()), (7, 9 * 6 * 7));
 
         spec.mode = SpecMode::Perturb(PerturbPolicy::default());
-        let classes = spec.record_classes();
-        assert_eq!(classes.len(), 5 * 3, "5 perturb models x 3 detections");
-        assert_eq!(spec.record_injections(), 7);
+        let plan = spec.slot_plan();
+        assert_eq!(plan.classes.len(), 5 * 3, "5 perturb models x 3 detections");
+        assert_eq!((plan.injections, plan.total()), (7, 5 * 3 * 7));
 
+        // Guard and ft slots hold every run of one draw and stream none.
+        spec.mode = SpecMode::Guard(GuardPolicy::default());
+        let plan = spec.slot_plan();
+        assert!(!plan.streams());
+        assert_eq!(plan.total(), 8 * 7, "regions x injections");
         spec.mode = SpecMode::Ft(FtPolicy::default());
-        assert!(spec.record_classes().is_empty());
-        assert_eq!(spec.record_injections(), 0);
+        let plan = spec.slot_plan();
+        assert!(!plan.streams());
+        assert_eq!(plan.total(), 2 * 7, "kills + message faults");
     }
 
     #[test]

@@ -9,17 +9,15 @@
 
 use fl_apps::AppKind;
 use fl_inject::{
-    render_chaos_focus, render_chaos_tsv, render_ft_focus, render_perturb_focus,
-    render_perturb_tsv, run_spec, sort_records_jsonl, CampaignSpec, ChaosPolicy, ChaosResult,
-    EngineControl, FtMode, FtPolicy, GuardPolicy, PerturbPolicy, PerturbResult, Report, SpecMode,
-    SpecOutcome, VecSink,
+    run_spec, sort_records_jsonl, CampaignSpec, ChaosPolicy, EngineControl, FtMode, FtPolicy,
+    GuardPolicy, MatrixResult, PerturbPolicy, Report, SpecMode, SpecOutcome, VecSink,
 };
 
 const SEED: u64 = 0x601D;
 
-/// Run `mode` on wavetoy-tiny; returns the outcome and the canonical
+/// Run `mode` on wavetoy-tiny; returns the result and the canonical
 /// (slot-sorted) record stream.
-fn run(mode: SpecMode) -> (SpecOutcome, String) {
+fn run(mode: SpecMode) -> (MatrixResult, String) {
     let mut spec = CampaignSpec::new(AppKind::Wavetoy);
     spec.tiny = true;
     spec.campaign.injections = 2;
@@ -27,7 +25,10 @@ fn run(mode: SpecMode) -> (SpecOutcome, String) {
     spec.mode = mode;
     let sink = VecSink::new(spec.app);
     let out = run_spec(&spec, &sink, &EngineControl::new(), None).expect("run completes");
-    (out, sort_records_jsonl(&sink.into_lines().join("\n")))
+    let SpecOutcome::Matrix(r) = out else {
+        panic!("a matrix mode yields a matrix outcome");
+    };
+    (r, sort_records_jsonl(&sink.into_lines().join("\n")))
 }
 
 fn check(name: &str, actual: &str) {
@@ -36,66 +37,57 @@ fn check(name: &str, actual: &str) {
     assert!(want == actual, "{path} differs; got:\n{actual}");
 }
 
+/// Table, TSV and JSONL of `r` against `matrix_{mode}.{txt,tsv,jsonl}`.
+fn check_views(mode: &str, r: &MatrixResult) {
+    check(&format!("{mode}.txt"), &r.table(&format!("{mode} golden")));
+    check(&format!("{mode}.tsv"), &r.tsv());
+    check(&format!("{mode}.jsonl"), &r.jsonl());
+}
+
+/// The focus view of every row.
+fn row_focus(r: &MatrixResult) -> String {
+    (0..r.mode.rows.len())
+        .map(|row| r.focus(row, None))
+        .collect()
+}
+
 #[test]
 fn guard_views_match_golden_files() {
-    let (SpecOutcome::Coverage(r), records) = run(SpecMode::Guard(GuardPolicy::default())) else {
-        panic!("guard spec yields a coverage outcome");
-    };
+    let (r, records) = run(SpecMode::Guard(GuardPolicy::default()));
     assert!(records.is_empty(), "guard campaigns stream no records");
-    check("guard.txt", &r.table("guard golden"));
-    check("guard.tsv", &r.tsv());
-    check("guard.jsonl", &r.jsonl());
+    check_views("guard", &r);
 }
 
 #[test]
 fn ft_views_match_golden_files() {
-    let (SpecOutcome::Ft(r), records) = run(SpecMode::Ft(FtPolicy::default())) else {
-        panic!("ft spec yields an ft outcome");
-    };
+    let (r, records) = run(SpecMode::Ft(FtPolicy::default()));
     assert!(records.is_empty(), "ft campaigns stream no records");
-    check("ft.txt", &r.table("ft golden"));
-    check("ft.tsv", &r.tsv());
-    check("ft.jsonl", &r.jsonl());
-    let focus: String = FtMode::ALL
-        .iter()
-        .map(|&m| render_ft_focus(&r, m))
-        .collect();
-    check("ft_focus.txt", &focus);
+    check_views("ft", &r);
+    let focus = |m: &FtMode| {
+        let (row, column) = r.find_column(m.label()).expect("a column per FtMode");
+        r.focus(row, Some(column))
+    };
+    check(
+        "ft_focus.txt",
+        &FtMode::ALL.iter().map(focus).collect::<String>(),
+    );
 }
 
 #[test]
 fn chaos_views_match_golden_files() {
-    let (SpecOutcome::Chaos(r), records) = run(SpecMode::Chaos(ChaosPolicy::default())) else {
-        panic!("chaos spec yields a chaos outcome");
-    };
-    check("chaos.txt", &fl_inject::render_chaos(&r, "chaos golden"));
-    check("chaos.tsv", &render_chaos_tsv(&r));
-    check("chaos.jsonl", &fl_inject::chaos_jsonl(&r));
-    let focus: String = ChaosResult::models()
-        .iter()
-        .map(|&m| render_chaos_focus(&r, m))
-        .collect();
-    check("chaos_focus.txt", &focus);
+    let (r, records) = run(SpecMode::Chaos(ChaosPolicy::default()));
+    check_views("chaos", &r);
+    check("chaos_focus.txt", &row_focus(&r));
     check("chaos_records.jsonl", &records);
+    assert!(r.metrics().is_none(), "chaos measures no slowdown");
 }
 
 #[test]
 fn perturb_views_match_golden_files() {
-    let (SpecOutcome::Perturb(r), records) = run(SpecMode::Perturb(PerturbPolicy::default()))
-    else {
-        panic!("perturb spec yields a perturb outcome");
-    };
-    check(
-        "perturb.txt",
-        &fl_inject::render_perturb(&r, "perturb golden"),
-    );
-    check("perturb.tsv", &render_perturb_tsv(&r));
-    check("perturb.jsonl", &fl_inject::perturb_jsonl(&r));
-    let focus: String = PerturbResult::models()
-        .iter()
-        .map(|&m| render_perturb_focus(&r, m))
-        .collect();
-    check("perturb_focus.txt", &focus);
+    let (r, records) = run(SpecMode::Perturb(PerturbPolicy::default()));
+    check_views("perturb", &r);
+    check("perturb_focus.txt", &row_focus(&r));
     check("perturb_records.jsonl", &records);
-    check("perturb_metrics.jsonl", &r.metrics().to_jsonl(r.app));
+    let metrics = r.metrics().expect("perturb measures slowdown");
+    check("perturb_metrics.jsonl", &metrics.to_jsonl(r.app));
 }

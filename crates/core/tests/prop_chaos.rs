@@ -27,8 +27,8 @@ fn run(spec: &CampaignSpec, resume: Option<CompletedSlots>) -> (Vec<String>, Str
     let sink = VecSink::new(spec.app);
     let out = run_spec(spec, &sink, &EngineControl::new(), resume)
         .expect("uncontrolled chaos runs always complete");
-    let SpecOutcome::Chaos(result) = out else {
-        panic!("chaos spec must produce a chaos outcome");
+    let SpecOutcome::Matrix(result) = out else {
+        panic!("a matrix spec must produce a matrix outcome");
     };
     let lines = sink.into_lines();
     let canonical = sort_records_jsonl(&(lines.join("\n") + "\n"));
@@ -61,7 +61,7 @@ proptest! {
         };
         let spec1 = spec_with(policy, seed, 1);
         let (lines, canonical, insns) = run(&spec1, None);
-        prop_assert_eq!(lines.len(), spec1.record_classes().len());
+        prop_assert_eq!(lines.len() as u64, spec1.slot_plan().total());
 
         let spec4 = spec_with(policy, seed, 4);
         let (_, canonical4, insns4) = run(&spec4, None);
@@ -78,11 +78,7 @@ proptest! {
         if torn {
             file.push_str("{\"app\":\"wavetoy\",\"class\":\"net");
         }
-        let (slots, _skipped) = CompletedSlots::from_jsonl(
-            &file,
-            &spec4.record_classes(),
-            spec4.record_injections(),
-        );
+        let (slots, _kept, _skipped) = spec4.slot_plan().adopt(&file);
         prop_assert_eq!(slots.len(), cut, "every surviving line must be adopted");
         let (fresh, _, insns_r) = run(&spec4, Some(slots));
         let mut all = String::new();

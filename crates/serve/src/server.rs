@@ -6,7 +6,8 @@
 //! ```text
 //! <state-dir>/<id>/spec.json      the canonical spec, one line
 //! <state-dir>/<id>/records.jsonl  per-trial records, appended + flushed
-//! <state-dir>/<id>/metrics.jsonl  per-class metrics (campaign mode, ring > 0)
+//! <state-dir>/<id>/matrix.jsonl   per-cell summary (chaos, perturb)
+//! <state-dir>/<id>/metrics.jsonl  per-class metrics (ring > 0; perturb)
 //! <state-dir>/<id>/done.json      commit marker: final progress counters
 //! ```
 //!
@@ -37,9 +38,8 @@ use crate::http::{read_request, respond, start_stream, Request};
 use fl_apps::AppKind;
 use fl_inject::json::{parse, Json};
 use fl_inject::{
-    chaos_jsonl, coverage_jsonl, ft_jsonl, perturb_jsonl, record_line, run_spec,
-    sort_records_jsonl, CampaignSpec, CompletedSlots, EngineControl, EngineProgress, EngineSink,
-    SpecMode, SpecOutcome, TrialOutput,
+    record_line, run_spec, sort_records_jsonl, CampaignSpec, EngineControl, EngineProgress,
+    EngineSink, Report, SpecOutcome, TrialOutput,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -108,8 +108,9 @@ struct Campaign {
 
 impl Campaign {
     fn new(id: String, spec: CampaignSpec, dir: PathBuf) -> Campaign {
+        // Known before the engine starts.
         let progress = EngineProgress {
-            total: planned_total(&spec),
+            total: spec.slot_plan().total(),
             ..EngineProgress::default()
         };
         Campaign {
@@ -145,20 +146,6 @@ impl Campaign {
             st.progress.resumed,
             st.progress.wall_nanos,
         )
-    }
-}
-
-/// Trials in the spec's slot space (known before the engine starts).
-fn planned_total(spec: &CampaignSpec) -> u64 {
-    match spec.mode {
-        // Ft campaigns run `injections` kill trials + `injections`
-        // replica trials.
-        SpecMode::Ft(_) => 2 * spec.campaign.injections as u64,
-        // Chaos and perturb campaigns run their fixed grids.
-        SpecMode::Chaos(_) | SpecMode::Perturb(_) => {
-            spec.record_classes().len() as u64 * spec.campaign.injections as u64
-        }
-        _ => spec.classes.len() as u64 * spec.campaign.injections as u64,
     }
 }
 
@@ -359,32 +346,25 @@ fn launch(inner: &Arc<Inner>, camp: Arc<Campaign>) {
 /// run the engine with the durable sink, commit the outcome.
 fn run_campaign(camp: &Arc<Campaign>) {
     let records = camp.dir.join("records.jsonl");
+    let plan = camp.spec.slot_plan();
     let mut resume = None;
-    let slot_classes = camp.spec.record_classes();
-    if matches!(
-        camp.spec.mode,
-        SpecMode::Campaign | SpecMode::Chaos(_) | SpecMode::Perturb(_)
-    ) {
-        if let Ok(text) = fs::read_to_string(&records) {
-            // Sanitize before appending: a kill mid-write leaves a torn
-            // tail with no trailing newline, and appending fresh lines
-            // onto it would corrupt the first new record. Rewrite the
-            // file to exactly the lines the engine will adopt.
-            let kept = adoptable_lines(&text, &camp.spec);
-            if kept != text && fs::write(&records, &kept).is_err() {
-                camp.set_status(Status::Failed);
-                return;
-            }
-            let (slots, _torn) =
-                CompletedSlots::from_jsonl(&kept, &slot_classes, camp.spec.record_injections());
-            if !slots.is_empty() {
-                resume = Some(slots);
-            }
-        }
-    } else {
+    if !plan.streams() {
         // Guard/ft campaigns have no per-trial resume stream; their
         // records are written whole at completion. Re-run from scratch.
         let _ = fs::remove_file(&records);
+    } else if let Ok(text) = fs::read_to_string(&records) {
+        // Sanitize before appending: a kill mid-write leaves a torn
+        // tail with no trailing newline, and appending fresh lines
+        // onto it would corrupt the first new record. Rewrite the
+        // file to exactly the lines the engine will adopt.
+        let (slots, kept, _skipped) = plan.adopt(&text);
+        if kept != text && fs::write(&records, &kept).is_err() {
+            camp.set_status(Status::Failed);
+            return;
+        }
+        if !slots.is_empty() {
+            resume = Some(slots);
+        }
     }
 
     let file = match fs::OpenOptions::new()
@@ -418,27 +398,21 @@ fn run_campaign(camp: &Arc<Campaign>) {
                             fs::write(camp.dir.join("metrics.jsonl"), m.to_jsonl(camp.spec.app));
                     }
                 }
-                SpecOutcome::Coverage(c) => {
-                    let _ = fs::write(&records, coverage_jsonl(&c));
-                }
-                SpecOutcome::Ft(f) => {
-                    let _ = fs::write(&records, ft_jsonl(&f));
-                }
-                SpecOutcome::Chaos(r) => {
-                    // The streamed per-trial records stay in place (they
-                    // are the resume state); the cell-level coverage
-                    // matrix lands next to them.
-                    let _ = fs::write(camp.dir.join("matrix.jsonl"), chaos_jsonl(&r));
-                }
-                SpecOutcome::Perturb(r) => {
-                    // Same layout as chaos: per-trial records stay, the
-                    // detector-comparison matrix and its degradation
-                    // metrics land next to them.
-                    let _ = fs::write(camp.dir.join("matrix.jsonl"), perturb_jsonl(&r));
-                    let _ = fs::write(
-                        camp.dir.join("metrics.jsonl"),
-                        r.metrics().to_jsonl(camp.spec.app),
-                    );
+                SpecOutcome::Matrix(r) => {
+                    // Streamed per-trial records stay in place (they are
+                    // the resume state) and the per-cell summary lands
+                    // next to them; a mode that streams none has its
+                    // per-draw rows written whole, now.
+                    let view = if plan.streams() {
+                        camp.dir.join("matrix.jsonl")
+                    } else {
+                        records
+                    };
+                    let _ = fs::write(view, r.jsonl());
+                    if let Some(m) = r.metrics() {
+                        let _ =
+                            fs::write(camp.dir.join("metrics.jsonl"), m.to_jsonl(camp.spec.app));
+                    }
                 }
             }
             // The done marker is the commit point: it is written last,
@@ -454,24 +428,6 @@ fn run_campaign(camp: &Arc<Campaign>) {
             camp.set_status(Status::Done);
         }
     }
-}
-
-/// The lines of a streamed record file the engine will adopt on
-/// resume, each newline-terminated — the same filter
-/// [`CompletedSlots::from_jsonl`] applies.
-fn adoptable_lines(text: &str, spec: &CampaignSpec) -> String {
-    let classes = spec.record_classes();
-    let injections = spec.record_injections();
-    let mut kept = String::new();
-    for line in text.lines() {
-        if let Ok(t) = fl_inject::parse_record_line(line) {
-            if t.ci < classes.len() && t.k < injections && classes[t.ci] == t.record.class {
-                kept.push_str(line);
-                kept.push('\n');
-            }
-        }
-    }
-    kept
 }
 
 fn handle(inner: &Arc<Inner>, mut stream: TcpStream) {
@@ -515,11 +471,10 @@ fn route(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> Result<Re
             let camp = get(inner, id)?;
             let text = fs::read_to_string(camp.dir.join("records.jsonl"))
                 .map_err(|_| (404, format!("campaign {id} has no records yet")))?;
-            let body = match camp.spec.mode {
-                SpecMode::Campaign | SpecMode::Chaos(_) | SpecMode::Perturb(_) => {
-                    sort_records_jsonl(&text)
-                }
-                _ => text,
+            let body = if camp.spec.slot_plan().streams() {
+                sort_records_jsonl(&text)
+            } else {
+                text
             };
             Ok(Some((200, JSONL, body)))
         }
@@ -636,12 +591,17 @@ mod tests {
 
     #[test]
     fn planned_totals_cover_every_mode() {
+        use fl_inject::SpecMode;
         let mut spec = CampaignSpec::new(AppKind::Wavetoy);
         spec.campaign.injections = 10;
-        assert_eq!(planned_total(&spec), 80); // 8 classes x 10
+        let planned = |spec: &CampaignSpec| {
+            let camp = Campaign::new("c0".into(), spec.clone(), PathBuf::new());
+            camp.state.into_inner().unwrap().progress.total
+        };
+        assert_eq!(planned(&spec), 80); // 8 classes x 10
         spec.mode = SpecMode::Ft(fl_inject::FtPolicy::default());
-        assert_eq!(planned_total(&spec), 20); // kills + replicas
+        assert_eq!(planned(&spec), 20); // kills + replicas
         spec.mode = SpecMode::Perturb(fl_inject::PerturbPolicy::default());
-        assert_eq!(planned_total(&spec), 150); // 5 models x 3 detections x 10
+        assert_eq!(planned(&spec), 150); // 5 models x 3 detections x 10
     }
 }

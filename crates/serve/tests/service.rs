@@ -7,8 +7,8 @@
 //! uninterrupted run's.
 
 use fl_inject::{
-    run_spec, sort_records_jsonl, CampaignSpec, EngineControl, NullSink, SpecOutcome, TargetClass,
-    VecSink,
+    run_spec, sort_records_jsonl, CampaignSpec, EngineControl, NullSink, Report, SpecOutcome,
+    TargetClass, VecSink,
 };
 use fl_serve::{campaign_id, client, ServeConfig, Server};
 use std::path::PathBuf;
@@ -146,6 +146,61 @@ fn killed_server_resumes_bit_identically_on_restart() {
 }
 
 #[test]
+fn mangled_perturb_record_is_rerun_not_adopted_as_zero_slowdown() {
+    // A perturb trial's slowdown lives in the tail of its record detail.
+    // A state dir whose records are all there, but one of which lost that
+    // tail, must re-run that one slot — adopting it would fold a slowdown
+    // of 0 into the cell means with no signal.
+    let mut spec = tiny_spec(0x601D, 2);
+    spec.campaign.obs_capacity = 0;
+    spec.mode = fl_inject::SpecMode::Perturb(fl_inject::PerturbPolicy::default());
+    let sink = VecSink::new(spec.app);
+    let Some(SpecOutcome::Matrix(want)) = run_spec(&spec, &sink, &EngineControl::new(), None)
+    else {
+        panic!("expected a matrix outcome");
+    };
+    let want_records = sort_records_jsonl(&sink.into_lines().join("\n"));
+    let victim = want_records
+        .lines()
+        .find(|l| l.contains("\"outcome\":\"degraded\""))
+        .expect("a taxed trial finishes degraded");
+    let tail = "\u{2030} of clean]";
+    let (start, end) = (victim.rfind(" [").unwrap(), victim.rfind(tail).unwrap());
+    let cut = format!("{}{}", &victim[..start], &victim[end + tail.len()..]);
+    let mangled = want_records.replace(victim, &cut);
+    assert_eq!(mangled.lines().count(), want_records.lines().count());
+    assert_ne!(mangled, want_records);
+
+    let canonical_spec = spec.to_json();
+    let id = campaign_id(&canonical_spec);
+    let state_dir = fresh_state_dir("mangled");
+    let camp_dir = state_dir.join(&id);
+    std::fs::create_dir_all(&camp_dir).unwrap();
+    std::fs::write(camp_dir.join("spec.json"), format!("{canonical_spec}\n")).unwrap();
+    std::fs::write(camp_dir.join("records.jsonl"), mangled).unwrap();
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        state_dir,
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let final_status = client::wait_done(&addr, &id, WAIT).unwrap();
+    let total = spec.slot_plan().total();
+    assert!(
+        final_status.contains(&format!("\"resumed\":{}", total - 1)),
+        "all but the mangled record are adopted: {final_status}"
+    );
+
+    assert_eq!(client::records(&addr, &id).unwrap(), want_records);
+    let matrix = std::fs::read_to_string(camp_dir.join("matrix.jsonl")).unwrap();
+    assert_eq!(matrix, want.jsonl());
+    let (_, metrics) =
+        client::request(&addr, "GET", &format!("/campaigns/{id}/metrics"), None).unwrap();
+    assert_eq!(metrics, want.metrics().unwrap().to_jsonl(spec.app));
+    server.shutdown();
+}
+
+#[test]
 fn pause_stop_and_resubmit_preserve_the_stream() {
     let (server, addr, state_dir) = start("ctl");
     let spec = tiny_spec(0xC7A1, 24);
@@ -219,8 +274,8 @@ fn guard_and_ft_specs_run_to_completion() {
     );
     let crecords = client::records(&addr, &cid).unwrap();
     assert_eq!(
-        crecords.lines().count(),
-        chaos.record_classes().len(),
+        crecords.lines().count() as u64,
+        chaos.slot_plan().total(),
         "one streamed record per model x defense cell"
     );
 
