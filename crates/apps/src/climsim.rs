@@ -272,14 +272,9 @@ mod tests {
         // Poison q[0] with a large negative value on rank 1 about a third
         // of the way through its execution.
         let addr = qsym.addr;
-        w.set_injection(fl_mpi::PendingInjection {
-            rank: 1,
-            at_insns: golden.insns[1] / 3,
-            action: Box::new(move |m| {
-                m.poke_mem(addr, &(-1.0f64).to_le_bytes());
-            }),
-            period: None,
-        });
+        w.arm(fl_mpi::Fault::once(1, golden.insns[1] / 3, move |m| {
+            m.poke_mem(addr, &(-1.0f64).to_le_bytes());
+        }));
         let e = w.run();
         assert!(
             matches!(&e, WorldExit::AppAborted { msg, .. } if msg.contains("qneg")),

@@ -394,11 +394,7 @@ mod tests {
         let app = App::build(AppKind::Jacobi3d, AppParams::tiny(AppKind::Jacobi3d));
         let golden = app.golden(200_000_000);
         let mut w = app.world(2_000_000_000);
-        w.set_rank_kill(fl_mpi::RankKill {
-            rank: 1,
-            at_blocks: golden.blocks[1] / 2,
-            wedge: false,
-        });
+        w.arm(fl_mpi::Fault::kill(1, golden.blocks[1] / 2, false));
         assert_eq!(w.run(), WorldExit::Clean);
         assert_eq!(w.nranks(), app.params.nranks - 1);
         assert!(w.app_shrinks() > 0);

@@ -393,11 +393,7 @@ mod tests {
         let golden = app.golden(100_000_000);
         let mid = golden.recv_bytes[1] / 2;
         let mut w = app.world(100_000_000);
-        w.set_message_fault(fl_mpi::MessageFault {
-            rank: 1,
-            at_recv_byte: mid,
-            bit: 3,
-        });
+        w.arm(fl_mpi::Fault::flip(1, mid, 3));
         let e = w.run();
         // Depending on where mid lands this is a checksum abort, an MPI
         // crash/hang (header), or (rarely) clean; the common case for a

@@ -10,8 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fl_apps::{App, AppKind, AppParams};
-use fl_machine::{SyscallFault, SyscallFaultKind};
-use fl_mpi::{MpiWorld, NetFault, NetFaultKind, NodeKill, Partition, WorldExit};
+use fl_machine::SyscallFaultKind;
+use fl_mpi::{Effect, Fault, MpiWorld, NetFaultKind, WorldEffect, WorldExit};
 
 fn bench_chaos_overhead(c: &mut Criterion) {
     let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
@@ -28,30 +28,20 @@ fn bench_chaos_overhead(c: &mut Criterion) {
     c.bench_function("chaos_overhead/armed_never_firing", |b| {
         b.iter(|| {
             let mut w = MpiWorld::new(&app.image, cfg);
-            w.set_net_fault(NetFault {
-                rank: 0,
-                at_recv_byte: u64::MAX,
-                kind: NetFaultKind::Corrupt,
-            });
-            w.set_partition(Partition {
-                mask: 0b01,
-                trigger_rank: 0,
-                at_blocks: u64::MAX,
-                rounds: 8,
-            });
-            w.set_node_kill(NodeKill {
-                mask: 0b01,
-                trigger_rank: 0,
-                at_blocks: u64::MAX,
-                wedge: false,
-            });
-            w.machine_mut(0).set_syscall_fault(SyscallFault {
-                kind: SyscallFaultKind::Malloc,
-                at_call: u64::MAX,
-                persist: false,
-            });
+            let never = u64::MAX;
+            w.arm(Fault::new(
+                0,
+                never,
+                WorldEffect::Wire(NetFaultKind::Corrupt),
+            ));
+            let (mask, rounds) = (0b01, 8);
+            w.arm(Fault::new(0, never, WorldEffect::Cut { mask, rounds }));
+            let (mates, wedge) = (0b01, false);
+            w.arm(Fault::new(0, never, WorldEffect::Kill { mates, wedge }));
+            let (kind, persist) = (SyscallFaultKind::Malloc, false);
+            w.arm(Fault::new(0, never, Effect::Syscall { kind, persist }));
             assert_eq!(w.run(), WorldExit::Clean);
-            assert_eq!(w.net_faults_fired(), 0, "nothing may actually fire");
+            assert_eq!(w.plan().hit, None, "nothing may actually fire");
         })
     });
     let armed_ns = c.last_ns_per_iter.expect("bench must have run");

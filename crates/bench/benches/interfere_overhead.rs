@@ -10,8 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fl_apps::{App, AppKind, AppParams};
-use fl_machine::MemStall;
-use fl_mpi::{HogRank, MpiWorld, QuantumTax, WorldExit};
+use fl_mpi::{Effect, Fault, MpiWorld, WorldEffect, WorldExit};
 
 fn bench_interfere_overhead(c: &mut Criterion) {
     let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
@@ -28,26 +27,30 @@ fn bench_interfere_overhead(c: &mut Criterion) {
     c.bench_function("interfere_overhead/armed_never_firing", |b| {
         b.iter(|| {
             let mut w = MpiWorld::new(&app.image, cfg);
-            w.set_quantum_tax(QuantumTax {
-                rank: 0,
-                at_blocks: u64::MAX,
-                rounds: 256,
-                tax_permille: 990,
-            });
-            w.set_hog(HogRank {
-                mask: 0b01,
-                trigger_rank: 0,
-                at_blocks: u64::MAX,
-                rounds: 256,
-                share_permille: 500,
-            });
-            w.machine_mut(0).set_mem_stall(MemStall {
-                at_insns: u64::MAX,
-                window_insns: 1024,
-                per_access: 4,
-            });
+            let never = u64::MAX;
+            let (permille, rounds) = (990, 256);
+            w.arm(Fault::new(0, never, WorldEffect::Tax { permille, rounds }));
+            let (mask, permille) = (0b01, 500);
+            w.arm(Fault::new(
+                0,
+                never,
+                WorldEffect::Hog {
+                    mask,
+                    permille,
+                    rounds,
+                },
+            ));
+            let (window_insns, per_access) = (1024, 4);
+            w.arm(Fault::new(
+                0,
+                never,
+                Effect::Stall {
+                    window_insns,
+                    per_access,
+                },
+            ));
             assert_eq!(w.run(), WorldExit::Clean);
-            assert_eq!(w.starved_mask(), 0, "nothing may actually fire");
+            assert_eq!(w.plan().starved, 0, "nothing may actually fire");
         })
     });
     let armed_ns = c.last_ns_per_iter.expect("bench must have run");

@@ -14,7 +14,7 @@
 use fl_apps::{App, AppKind, AppParams, AppVariant};
 use fl_bench::{emit, injections_from_args, BUDGET};
 use fl_inject::{classify, Manifestation};
-use fl_mpi::MessageFault;
+use fl_mpi::Fault;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -32,11 +32,7 @@ fn message_outcomes(app: &App, trials: u32, seed: u64) -> Vec<Manifestation> {
         let mut cfg = app.world_config(budget);
         cfg.seed = rng.gen();
         let mut w = fl_mpi::MpiWorld::new(&app.image, cfg);
-        w.set_message_fault(MessageFault {
-            rank,
-            at_recv_byte: off,
-            bit,
-        });
+        w.arm(Fault::flip(rank, off, bit));
         let exit = w.run();
         out.push(classify(&exit, &app.comparable_output(&w), &golden.output));
     }

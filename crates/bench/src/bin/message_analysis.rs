@@ -12,7 +12,7 @@
 use fl_apps::AppKind;
 use fl_bench::{emit, experiment_app, injections_from_args, BUDGET};
 use fl_inject::{classify, Manifestation};
-use fl_mpi::MessageFault;
+use fl_mpi::Fault;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -37,14 +37,10 @@ fn main() {
             let mut cfg = app.world_config(budget);
             cfg.seed = rng.gen();
             let mut w = fl_mpi::MpiWorld::new(&app.image, cfg);
-            w.set_message_fault(MessageFault {
-                rank,
-                at_recv_byte: off,
-                bit,
-            });
+            w.arm(Fault::flip(rank, off, bit));
             let exit = w.run();
             let outcome = classify(&exit, &app.comparable_output(&w), &golden.output);
-            let Some(hit) = w.message_fault_hit() else {
+            let Some(hit) = w.plan().hit else {
                 continue;
             };
             let slot = if hit.in_header {

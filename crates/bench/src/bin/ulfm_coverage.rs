@@ -98,14 +98,14 @@ fn main() {
 
             // Harness shrink: detector fires, fresh world at n-1 ranks.
             let t0 = Instant::now();
-            let (sw, sr) = run_shrink(&app.image, wcfg, &policy, |w| w.set_rank_kill(kill));
+            let (sw, sr) = run_shrink(&app.image, wcfg, &policy, |w| w.arm(kill));
             let s_wall = t0.elapsed().as_nanos() as u64;
             let s_ok = sr.intervened() && sr.exit == WorldExit::Clean;
             shrink_s.note(s_ok, world_insns(&sw), s_wall);
 
             // Harness respawn: buddy checkpoints, restore, re-execute.
             let t0 = Instant::now();
-            let (rw, rr) = run_respawn(&app.image, wcfg, &policy, |w| w.set_rank_kill(kill));
+            let (rw, rr) = run_respawn(&app.image, wcfg, &policy, |w| w.arm(kill));
             let r_wall = t0.elapsed().as_nanos() as u64;
             let r_ok = rr.intervened()
                 && rr.exit == WorldExit::Clean
@@ -115,7 +115,7 @@ fn main() {
             // App-side: the world only *reports* the failure; recovery is
             // the application's problem.
             let t0 = Instant::now();
-            let (aw, ar) = run_app(&app.image, wcfg, &policy, |w| w.set_rank_kill(kill));
+            let (aw, ar) = run_app(&app.image, wcfg, &policy, |w| w.arm(kill));
             let a_wall = t0.elapsed().as_nanos() as u64;
             let a_m = if ar.exit == WorldExit::Clean && ar.shrinks > 0 {
                 if app.comparable_output(&aw) == golden.output {

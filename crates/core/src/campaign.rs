@@ -16,7 +16,7 @@ use crate::target::{
 };
 use fl_apps::{App, AppKind, Golden};
 use fl_machine::{ExecStats, SharedCode};
-use fl_mpi::{MessageFault, MpiWorld, PendingInjection, WorldConfig, WorldExit};
+use fl_mpi::{Action, Clock, Effect, Fault, MpiWorld, WorldConfig, WorldExit};
 use fl_snap::EpochCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -303,22 +303,26 @@ impl<'a> TrialContext<'a> {
     /// the redundant fault-free suffix.
     pub(crate) fn run_trial(&self, class: TargetClass, trial_seed: u64) -> TrialRun {
         let app = self.app;
-        let drawn = draw_fault(
+        let (fault, detail) = draw_fault(
             &self.golden,
             &self.dicts,
             class,
             trial_seed,
             app.params.nranks,
         );
-        let (rank, detail) = (drawn.rank, drawn.detail.clone());
+        let rank = fault.rank;
 
         // Pick the latest checkpoint the injection point permits: the
         // target rank must not yet have passed the fire point (strictly,
         // for instruction-timed faults) or ingested the struck byte.
-        let epoch = self.epochs.as_ref().and_then(|e| match &drawn.fault {
-            Fault::Message(f) => e.best_for_recv(rank, f.at_recv_byte),
-            Fault::Machine { at_insns, .. } => e.best_for_insns(rank, *at_insns),
-        });
+        let epoch = self
+            .epochs
+            .as_ref()
+            .and_then(|e| match fault.effect.clock() {
+                Clock::RecvBytes => e.best_for_recv(rank, fault.at),
+                Clock::Insns => e.best_for_insns(rank, fault.at),
+                Clock::Blocks | Clock::Calls => None,
+            });
         let mut world = match epoch {
             Some(e) => e.snap.restore(),
             None => {
@@ -328,7 +332,7 @@ impl<'a> TrialContext<'a> {
                 MpiWorld::new_with_code(&app.image, cfg, self.code.as_ref())
             }
         };
-        drawn.arm(&mut world);
+        world.arm(fault);
 
         let mut converge = ConvergeStats::default();
         let (outcome, insns) = match self.run_until_converged(&mut world, &mut converge) {
@@ -437,71 +441,36 @@ impl Dictionaries {
     }
 }
 
-/// The state mutation an armed machine fault applies when it fires.
-type FaultAction = Box<dyn FnMut(&mut fl_machine::Machine) + Send>;
-
-/// A fully drawn fault, ready to arm on any world.
-pub(crate) enum Fault {
-    Message(MessageFault),
-    Machine { at_insns: u64, action: FaultAction },
-}
-
-/// A complete fault specification drawn from a trial seed: the victim
-/// rank, the armable fault, and its human-readable record detail.
-pub(crate) struct DrawnFault {
-    pub rank: u16,
-    pub fault: Fault,
-    pub detail: String,
-}
-
-impl DrawnFault {
-    /// Arm the fault on `world`, consuming it (a machine fault's action
-    /// is a boxed closure and cannot be cloned).
-    pub fn arm(self, world: &mut MpiWorld) {
-        match self.fault {
-            Fault::Message(f) => world.set_message_fault(f),
-            Fault::Machine { at_insns, action } => world.set_injection(PendingInjection {
-                rank: self.rank,
-                at_insns,
-                action,
-                period: None,
-            }),
-        }
-    }
-}
-
 /// Draw a trial's complete fault specification from its seed — §4.3's
 /// three-axis sampling. Baseline and guarded runs of the same trial seed
 /// draw the *identical* fault (the RNG is consumed before any world
 /// exists), which is what makes per-trial guard-off/guard-on coverage
-/// comparison meaningful.
+/// comparison meaningful. Returns the armable fault (a machine fault's
+/// action is a boxed closure, so every world wants its own draw) and
+/// its human-readable record detail.
 pub(crate) fn draw_fault(
     golden: &Golden,
     dicts: &Dictionaries,
     class: TargetClass,
     trial_seed: u64,
     nranks: u16,
-) -> DrawnFault {
+) -> (Fault, String) {
     let mut rng = StdRng::seed_from_u64(trial_seed);
     let rank = rng.gen_range(0..nranks);
 
-    let (fault, detail) = match class {
+    match class {
         TargetClass::Message => {
             let volume = golden.recv_bytes[rank as usize].max(1);
             let off = rng.gen_range(0..volume);
             let bit = rng.gen_range(0..8u8);
             (
-                Fault::Message(MessageFault {
-                    rank,
-                    at_recv_byte: off,
-                    bit,
-                }),
+                Fault::flip(rank, off, bit).into(),
                 format!("rank {rank} recv byte {off} bit {bit}"),
             )
         }
         _ => {
             let at_insns = rng.gen_range(1..golden.insns[rank as usize].max(2));
-            let (action, detail): (FaultAction, String) = match class {
+            let (action, detail): (Action, String) = match class {
                 TargetClass::RegularReg | TargetClass::FpReg => {
                     let regs = if class == TargetClass::RegularReg {
                         regular_registers()
@@ -564,16 +533,12 @@ pub(crate) fn draw_fault(
                     unreachable!("chaos/perturb classes are drawn by their engines")
                 }
             };
+            let period = None;
             (
-                Fault::Machine { at_insns, action },
+                Fault::new(rank, at_insns, Effect::Action { action, period }),
                 format!("rank {rank} t={at_insns}: {detail}"),
             )
         }
-    };
-    DrawnFault {
-        rank,
-        fault,
-        detail,
     }
 }
 

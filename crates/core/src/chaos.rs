@@ -27,10 +27,10 @@ use crate::matrix::{
 };
 use crate::outcome::Manifestation;
 use fl_apps::{App, Golden};
-use fl_ft::{FtPolicy, RankKill};
+use fl_ft::FtPolicy;
 use fl_guard::GuardPolicy;
-use fl_machine::{SyscallFault, SyscallFaultKind};
-use fl_mpi::{MpiWorld, NetFault, NetFaultKind, NodeKill, Partition, WorldExit};
+use fl_machine::SyscallFaultKind;
+use fl_mpi::{Effect, Fault, MpiWorld, NetFaultKind, WorldEffect, WorldExit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -137,48 +137,11 @@ pub fn syscall_counts(app: &App, budget: u64, fastpath: bool) -> SyscallCounts {
     }
 }
 
-/// One drawn chaos fault, armable on any world (each defense column arms
-/// the identical draw).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChaosFault {
-    /// An in-flight message fault.
-    Net(NetFault),
-    /// A rank-set partition window.
-    Partition(Partition),
-    /// A syscall failure on one rank.
-    Syscall {
-        /// Which rank's kernel says no.
-        rank: u16,
-        /// The armed failure.
-        fault: SyscallFault,
-    },
-    /// A correlated burst of rank kills, each on its own block clock.
-    Burst(Vec<RankKill>),
-    /// A whole-node kill.
-    Node(NodeKill),
-}
-
-impl ChaosFault {
-    /// Plant the fault in a freshly built world.
-    pub fn arm(&self, w: &mut MpiWorld) {
-        match self {
-            ChaosFault::Net(f) => w.set_net_fault(*f),
-            ChaosFault::Partition(p) => w.set_partition(*p),
-            ChaosFault::Syscall { rank, fault } => w.machine_mut(*rank).set_syscall_fault(*fault),
-            ChaosFault::Burst(kills) => {
-                for k in kills {
-                    w.add_rank_kill(*k);
-                }
-            }
-            ChaosFault::Node(nk) => w.set_node_kill(*nk),
-        }
-    }
-}
-
-/// Draw the chaos fault for one trial seed. Fully determined by
-/// `(golden, sys, model, seed, nranks, policy)` — recomputable from the
-/// campaign coordinates like every other fault draw, and shared by all
-/// defense columns of the trial's row.
+/// Draw the chaos fault for one trial seed — one [`Fault`], or one per
+/// victim for a burst. Fully determined by `(golden, sys, model, seed,
+/// nranks, policy)` — recomputable from the campaign coordinates like
+/// every other fault draw, and shared by all defense columns of the
+/// trial's row.
 pub fn draw_chaos(
     golden: &Golden,
     sys: &SyscallCounts,
@@ -186,7 +149,7 @@ pub fn draw_chaos(
     seed: u64,
     nranks: u16,
     policy: &ChaosPolicy,
-) -> (ChaosFault, String) {
+) -> (Vec<Fault>, String) {
     let mut rng = StdRng::seed_from_u64(seed);
     match model {
         FaultModel::NetDrop
@@ -214,11 +177,7 @@ pub fn draw_chaos(
                 _ => (NetFaultKind::Corrupt, "corrupt".to_string()),
             };
             (
-                ChaosFault::Net(NetFault {
-                    rank,
-                    at_recv_byte,
-                    kind,
-                }),
+                vec![Fault::new(rank, at_recv_byte, WorldEffect::Wire(kind)).into()],
                 format!("{what} into rank {rank} @ recv byte {at_recv_byte}"),
             )
         }
@@ -231,13 +190,9 @@ pub fn draw_chaos(
             let (lo, hi) = policy.partition_rounds;
             let lo = lo.max(1);
             let rounds = rng.gen_range(lo..hi.max(lo) + 1);
+            let cut = WorldEffect::Cut { mask, rounds };
             (
-                ChaosFault::Partition(Partition {
-                    mask,
-                    trigger_rank,
-                    at_blocks,
-                    rounds,
-                }),
+                vec![Fault::new(trigger_rank, at_blocks, cut).into()],
                 format!(
                     "partition mask {mask:#06b} for {rounds} rounds @ rank {trigger_rank} \
                      block {at_blocks}"
@@ -254,14 +209,7 @@ pub fn draw_chaos(
             let at_call = rng.gen_range(1..counts[rank as usize].max(1) + 1);
             let persist = rng.gen_range(0..2u32) == 1;
             (
-                ChaosFault::Syscall {
-                    rank,
-                    fault: SyscallFault {
-                        kind,
-                        at_call,
-                        persist,
-                    },
-                },
+                vec![Fault::new(rank, at_call, Effect::Syscall { kind, persist })],
                 format!(
                     "{what} denied on rank {rank} @ call {at_call}{}",
                     if persist { " (persistent)" } else { "" }
@@ -289,11 +237,7 @@ pub fn draw_chaos(
                 };
                 let wedge = rng.gen_range(0..2u32) == 1;
                 let at_blocks = t.clamp(1, golden.blocks[victim as usize].max(2) - 1);
-                kills.push(RankKill {
-                    rank: victim,
-                    at_blocks,
-                    wedge,
-                });
+                kills.push(Fault::kill(victim, at_blocks, wedge).into());
                 let _ = write!(
                     detail,
                     " {} r{victim}@{at_blocks}",
@@ -301,7 +245,7 @@ pub fn draw_chaos(
                 );
                 t += mtbf / 2 + rng.gen_range(0..mtbf);
             }
-            (ChaosFault::Burst(kills), detail)
+            (kills, detail)
         }
         FaultModel::NodeKill => {
             // Contiguous groups of `node_ranks` form the nodes; one dies
@@ -321,13 +265,11 @@ pub fn draw_chaos(
             let trigger_rank = mask.trailing_zeros() as u16;
             let at_blocks = rng.gen_range(1..golden.blocks[trigger_rank as usize].max(2));
             let wedge = rng.gen_range(0..2u32) == 1;
+            let mates = mask;
             (
-                ChaosFault::Node(NodeKill {
-                    mask,
-                    trigger_rank,
-                    at_blocks,
-                    wedge,
-                }),
+                vec![
+                    Fault::new(trigger_rank, at_blocks, WorldEffect::Kill { mates, wedge }).into(),
+                ],
                 format!(
                     "node {} down (mask {mask:#06b}) @ block {at_blocks}{}",
                     node,
@@ -552,42 +494,62 @@ mod tests {
                 let seed = trial_seed(7, mi, k);
                 let a = draw_chaos(&golden, &sys, *model, seed, app.params.nranks, &policy);
                 let b = draw_chaos(&golden, &sys, *model, seed, app.params.nranks, &policy);
-                assert_eq!(a, b, "{model} draw must be pure in the seed");
-                match (model, &a.0) {
-                    (FaultModel::NetDrop, ChaosFault::Net(f)) => {
-                        assert_eq!(f.kind, NetFaultKind::Drop)
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "{model} draw must be pure in the seed"
+                );
+                let n = app.params.nranks;
+                let world = |f: &Fault| match f.effect {
+                    Effect::World(e) => e,
+                    ref other => panic!("{model} drew {other:?}"),
+                };
+                match (model, &a.0[..]) {
+                    (FaultModel::NetDrop, [f]) => {
+                        assert_eq!(world(f), WorldEffect::Wire(NetFaultKind::Drop))
                     }
-                    (FaultModel::NetDuplicate, ChaosFault::Net(f)) => {
-                        assert_eq!(f.kind, NetFaultKind::Duplicate)
+                    (FaultModel::NetDuplicate, [f]) => {
+                        assert_eq!(world(f), WorldEffect::Wire(NetFaultKind::Duplicate))
                     }
-                    (FaultModel::NetReorder, ChaosFault::Net(f)) => {
-                        assert!(matches!(f.kind, NetFaultKind::Reorder { .. }))
+                    (FaultModel::NetReorder, [f]) => assert!(matches!(
+                        world(f),
+                        WorldEffect::Wire(NetFaultKind::Reorder { .. })
+                    )),
+                    (FaultModel::NetCorrupt, [f]) => {
+                        assert_eq!(world(f), WorldEffect::Wire(NetFaultKind::Corrupt))
                     }
-                    (FaultModel::NetCorrupt, ChaosFault::Net(f)) => {
-                        assert_eq!(f.kind, NetFaultKind::Corrupt)
+                    (FaultModel::Partition, [f]) => {
+                        let WorldEffect::Cut { mask, rounds } = world(f) else {
+                            panic!("{model} drew {f:?}")
+                        };
+                        assert!(mask > 0 && mask < (1 << n));
+                        assert!(rounds >= 64);
                     }
-                    (FaultModel::Partition, ChaosFault::Partition(p)) => {
-                        assert!(p.mask > 0 && p.mask < (1 << app.params.nranks));
-                        assert!(p.rounds >= 64);
+                    (FaultModel::SyscallMalloc | FaultModel::SyscallWrite, [f]) => {
+                        let Effect::Syscall { kind, .. } = f.effect else {
+                            panic!("{model} drew {f:?}")
+                        };
+                        let malloc = *model == FaultModel::SyscallMalloc;
+                        assert_eq!(kind == SyscallFaultKind::Malloc, malloc);
+                        assert!(f.at >= 1);
                     }
-                    (FaultModel::SyscallMalloc, ChaosFault::Syscall { fault, .. }) => {
-                        assert_eq!(fault.kind, SyscallFaultKind::Malloc);
-                        assert!(fault.at_call >= 1);
-                    }
-                    (FaultModel::SyscallWrite, ChaosFault::Syscall { fault, .. }) => {
-                        assert_eq!(fault.kind, SyscallFaultKind::Write)
-                    }
-                    (FaultModel::Burst, ChaosFault::Burst(kills)) => {
+                    (FaultModel::Burst, kills) => {
                         assert!(kills.len() >= 2, "{kills:?}");
-                        assert!(kills.len() < app.params.nranks as usize);
+                        assert!(kills.len() < n as usize);
+                        for k in kills {
+                            assert!(matches!(world(k), WorldEffect::Kill { mates: 0, .. }));
+                        }
                         let mut ranks: Vec<u16> = kills.iter().map(|k| k.rank).collect();
                         ranks.sort_unstable();
                         ranks.dedup();
                         assert_eq!(ranks.len(), kills.len(), "distinct victims");
                     }
-                    (FaultModel::NodeKill, ChaosFault::Node(nk)) => {
-                        assert!(nk.mask > 0 && nk.mask < (1 << app.params.nranks));
-                        assert_eq!(nk.mask >> nk.trigger_rank & 1, 1);
+                    (FaultModel::NodeKill, [f]) => {
+                        let WorldEffect::Kill { mates, .. } = world(f) else {
+                            panic!("{model} drew {f:?}")
+                        };
+                        assert!(mates > 0 && mates < (1 << n));
+                        assert_eq!(mates >> f.rank & 1, 1);
                     }
                     (m, f) => panic!("{m} drew {f:?}"),
                 }

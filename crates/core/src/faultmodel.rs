@@ -14,7 +14,7 @@ use crate::outcome::{classify, Manifestation};
 use crate::target::{regular_registers, FaultDictionary, TargetClass};
 use fl_apps::{App, Golden};
 use fl_machine::Region;
-use fl_mpi::{MpiWorld, PendingInjection};
+use fl_mpi::{Fault, MpiWorld};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -322,14 +322,14 @@ pub fn run_model_trial(
             let reg = regs[rng.gen_range(0..regs.len())];
             let bit = rng.gen_range(0..reg.width_bits());
             match model {
-                FaultModel::Transient => PendingInjection::once(rank, at_insns, move |m| {
+                FaultModel::Transient => Fault::once(rank, at_insns, move |m| {
                     m.flip_register_bit(reg, bit);
                 }),
                 FaultModel::Held => {
                     // First assertion flips and remembers the corrupted
                     // value; later ones re-force it.
                     let mut forced: Option<bool> = None;
-                    PendingInjection::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
+                    Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
                         match forced {
                             None => {
                                 m.flip_register_bit(reg, bit);
@@ -343,7 +343,7 @@ pub fn run_model_trial(
                 }
                 FaultModel::StuckAt0 | FaultModel::StuckAt1 => {
                     let v = model == FaultModel::StuckAt1;
-                    PendingInjection::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
+                    Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
                         m.set_register_bit(reg, bit, v);
                     })
                 }
@@ -369,26 +369,24 @@ pub fn run_model_trial(
             let addr = dict.pick(&mut rng).expect("region has symbols");
             let bit = rng.gen_range(0..8u8);
             match model {
-                FaultModel::Transient => PendingInjection::once(rank, at_insns, move |m| {
+                FaultModel::Transient => Fault::once(rank, at_insns, move |m| {
                     m.flip_mem_bit(addr, bit);
                 }),
                 FaultModel::Held => {
                     let mut forced: Option<bool> = None;
-                    PendingInjection::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
-                        match forced {
-                            None => {
-                                m.flip_mem_bit(addr, bit);
-                                forced = Some(m.mem.peek_u8(addr) >> (bit & 7) & 1 == 1);
-                            }
-                            Some(v) => {
-                                m.set_mem_bit(addr, bit, v);
-                            }
+                    Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| match forced {
+                        None => {
+                            m.flip_mem_bit(addr, bit);
+                            forced = Some(m.mem.peek_u8(addr) >> (bit & 7) & 1 == 1);
+                        }
+                        Some(v) => {
+                            m.set_mem_bit(addr, bit, v);
                         }
                     })
                 }
                 FaultModel::StuckAt0 | FaultModel::StuckAt1 => {
                     let v = model == FaultModel::StuckAt1;
-                    PendingInjection::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
+                    Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
                         m.set_mem_bit(addr, bit, v);
                     })
                 }
@@ -410,7 +408,7 @@ pub fn run_model_trial(
         }
         other => panic!("run_model_trial does not support {other:?}"),
     };
-    world.set_injection(injection);
+    world.arm(injection);
     let exit = world.run();
     let output = app.comparable_output(&world);
     classify(&exit, &output, &golden.output)

@@ -5,7 +5,7 @@
 //! detection catch the paper's faults?"; this mode asks the follow-up
 //! the paper's §7 conclusion points at — what happens when the fault is
 //! not a flipped bit but a *lost process*. Its matrix has two rows. The
-//! kill row draws one [`RankKill`] per trial and runs it four ways from
+//! kill row draws one kill ([`draw_kill`]) per trial and runs it four ways from
 //! the same draw: bare (the victim strands its peers), detector-only
 //! shrink recovery, buddy-checkpoint respawn recovery, and app-owned
 //! fl-ulfm recovery. The replica row pairs each §3.3 message fault with
@@ -20,7 +20,8 @@ use crate::matrix::{
 use crate::outcome::Manifestation;
 use crate::target::TargetClass;
 use fl_apps::Golden;
-use fl_ft::{FtPolicy, RankKill};
+use fl_ft::FtPolicy;
+use fl_mpi::{Fault, WorldEffect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -29,16 +30,12 @@ use std::fmt::Write as _;
 /// its golden block count (so the kill always lands mid-run), and the
 /// kill flavour. Recomputable from the campaign coordinates, like every
 /// other fault draw.
-pub fn draw_kill(golden: &Golden, s: u64, nranks: u16) -> (RankKill, String) {
+pub fn draw_kill(golden: &Golden, s: u64, nranks: u16) -> (Fault<WorldEffect>, String) {
     let mut rng = StdRng::seed_from_u64(s);
     let rank = rng.gen_range(0..nranks);
     let at_blocks = rng.gen_range(1..golden.blocks[rank as usize].max(2));
     let wedge = rng.gen_range(0..2u32) == 1;
-    let kill = RankKill {
-        rank,
-        at_blocks,
-        wedge,
-    };
+    let kill = Fault::kill(rank, at_blocks, wedge);
     let detail = format!(
         "{} rank {rank} @ block {at_blocks}",
         if wedge { "wedge" } else { "kill" }

@@ -65,7 +65,7 @@ pub use campaign::{
     trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats, Dictionaries,
     TrialRecord,
 };
-pub use chaos::{draw_chaos, syscall_counts, ChaosFault, ChaosPolicy, Defense, SyscallCounts};
+pub use chaos::{draw_chaos, syscall_counts, ChaosPolicy, Defense, SyscallCounts};
 pub use config::{parse_spec, ConfigError, ExperimentSpec};
 pub use engine::{
     parse_record_line, record_line, run_campaign_engine, run_campaign_engine_to_completion,
@@ -75,7 +75,7 @@ pub use engine::{
 pub use faultmodel::{compare_models, run_model_trial, FaultModel};
 pub use fl_ft::{
     ft_config, run_app, run_replicated, run_respawn, run_shrink, shrink, ulfm_config, FtMode,
-    FtPolicy, FtReport, RankKill,
+    FtPolicy, FtReport,
 };
 pub use fl_guard::{run_guarded, GuardPolicy, GuardReport};
 pub use ft::draw_kill;
@@ -87,7 +87,7 @@ pub use obs::{
     TrialTrace,
 };
 pub use outcome::{classify, Manifestation, Tally};
-pub use perturb::{classify_perturb, draw_perturb, Detection, PerturbFault, PerturbPolicy};
+pub use perturb::{classify_perturb, draw_perturb, Detection, PerturbPolicy};
 pub use progress::{
     EngineProgress, ProgressMonitor, ProgressSample, ProgressVerdict, StderrProgress,
 };

@@ -33,7 +33,7 @@ use crate::target::TargetClass;
 use fl_apps::{App, AppKind, Golden};
 use fl_ft::{run_app, run_replicated, run_respawn, run_shrink, FtPolicy};
 use fl_guard::{run_guarded, GuardPolicy};
-use fl_mpi::{FailureDetector, MpiWorld, WorldConfig, WorldExit};
+use fl_mpi::{FailureDetector, Fault, MpiWorld, WorldConfig, WorldExit};
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -636,9 +636,6 @@ fn world_insns(w: &MpiWorld) -> u64 {
     (0..w.nranks()).map(|r| w.machine(r).counters.insns).sum()
 }
 
-/// Plants one drawn fault in a freshly built world.
-type Arm<'a> = Box<dyn Fn(&mut MpiWorld) + 'a>;
-
 /// What the trials of one matrix campaign share: the golden run, the
 /// hang budget, and the reference runs the mode's draws and runners
 /// read — each made once, and only if the description calls for it.
@@ -712,9 +709,10 @@ impl<'a> Env<'a> {
         }
     }
 
-    /// Draw the row's fault for `seed`: a closure that arms it on any
-    /// world — every column arms the identical draw — and its detail.
-    fn draw(&self, row: &Row, seed: u64) -> (Arm<'_>, String) {
+    /// Draw the row's faults for `seed` and their detail. A drawn fault
+    /// is spent by arming it (a bit flip's action is a boxed closure), so
+    /// every world that faces the draw draws it again — identically.
+    fn draw(&self, row: &Row, seed: u64) -> (Vec<Fault>, String) {
         let (golden, nranks) = (&self.golden, self.app.params.nranks);
         match row.draw {
             Draw::Bit(class) => {
@@ -722,24 +720,20 @@ impl<'a> Env<'a> {
                     Some(ctx) => &ctx.dicts,
                     None => self.dicts.as_ref().expect("built for Draw::Bit rows"),
                 };
-                // Arming consumes a drawn flip, so each column draws the
-                // identical one again.
-                let draw = move || draw_fault(golden, dicts, class, seed, nranks);
-                let detail = draw().detail;
-                (Box::new(move |w| draw().arm(w)), detail)
+                let (fault, detail) = draw_fault(golden, dicts, class, seed, nranks);
+                (vec![fault], detail)
             }
             Draw::Kill => {
                 let (kill, detail) = draw_kill(golden, seed, nranks);
-                (Box::new(move |w| w.set_rank_kill(kill)), detail)
+                (vec![kill.into()], detail)
             }
             Draw::Chaos(model, policy) => {
                 let sys = self.sys.as_ref().expect("built for Draw::Chaos rows");
-                let (fault, detail) = draw_chaos(golden, sys, model, seed, nranks, &policy);
-                (Box::new(move |w| fault.arm(w)), detail)
+                draw_chaos(golden, sys, model, seed, nranks, &policy)
             }
             Draw::Perturb(model, policy) => {
                 let (fault, detail) = draw_perturb(golden, model, seed, nranks, &policy);
-                (Box::new(move |w| fault.arm(w)), detail)
+                (vec![fault], detail)
             }
         }
     }
@@ -747,14 +741,13 @@ impl<'a> Env<'a> {
     /// Run one column of one draw: build the column's world, arm the
     /// draw, run, classify. Returns the outcome, the runner's counters
     /// and the guest instructions retired.
-    fn run(
-        &self,
-        row: &Row,
-        col: &Column,
-        seed: u64,
-        arm: &dyn Fn(&mut MpiWorld),
-    ) -> (Manifestation, Aux, u64) {
+    fn run(&self, row: &Row, col: &Column, seed: u64) -> (Manifestation, Aux, u64) {
         let (app, golden) = (self.app, &self.golden.output);
+        let arm = |w: &mut MpiWorld| {
+            for fault in self.draw(row, seed).0 {
+                w.arm(fault);
+            }
+        };
         if col.runner == Runner::Trial {
             let ctx = self.trial.as_ref().expect("built for Runner::Trial");
             let run = ctx.run_trial(row.class, seed);
@@ -899,9 +892,9 @@ pub fn run_matrix(
         let (r, columns) = &groups[g];
         let row = &mode.rows[*r];
         let seed = trial_seed(cfg.seed, *r, k);
-        let (arm, drawn) = env.draw(row, seed);
+        let (_, drawn) = env.draw(row, seed);
         let run = |col: &Column| {
-            let (outcome, aux, insns) = env.run(row, col, seed, &arm);
+            let (outcome, aux, insns) = env.run(row, col, seed);
             let detail = match codec {
                 Some((write_aux, _)) => {
                     format!("{}/{}: {drawn}{}", col.name, row.label, write_aux(&aux))

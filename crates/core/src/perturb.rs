@@ -40,8 +40,7 @@ use crate::obs::ClassMetrics;
 use crate::outcome::{classify, Manifestation};
 use crate::target::TargetClass;
 use fl_apps::Golden;
-use fl_machine::MemStall;
-use fl_mpi::{FailureDetector, HogRank, MpiWorld, QuantumTax, RankKill, WorldExit};
+use fl_mpi::{Effect, FailureDetector, Fault, WorldEffect, WorldExit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -125,43 +124,6 @@ impl Default for PerturbPolicy {
     }
 }
 
-/// One drawn perturb fault, armable on any world (each detection column
-/// arms the identical draw).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PerturbFault {
-    /// A scheduling-quantum tax on one rank.
-    Tax(QuantumTax),
-    /// A co-scheduled hog over a node group.
-    Hog(HogRank),
-    /// A per-access latency surcharge on one rank.
-    Stall {
-        /// The contended rank.
-        rank: u16,
-        /// The armed surcharge window.
-        stall: MemStall,
-    },
-    /// A true process failure — the detection denominator rows.
-    Kill(RankKill),
-}
-
-impl PerturbFault {
-    /// Plant the fault in a freshly built world.
-    pub fn arm(&self, w: &mut MpiWorld) {
-        match self {
-            PerturbFault::Tax(t) => w.set_quantum_tax(*t),
-            PerturbFault::Hog(h) => w.set_hog(*h),
-            PerturbFault::Stall { rank, stall } => w.machine_mut(*rank).set_mem_stall(*stall),
-            PerturbFault::Kill(k) => w.set_rank_kill(*k),
-        }
-    }
-
-    /// Is this a pure-interference fault (degrades timing, never
-    /// state)? False for the kill/wedge denominator rows.
-    pub fn is_interference(&self) -> bool {
-        !matches!(self, PerturbFault::Kill(_))
-    }
-}
-
 /// Draw the perturb fault for one trial seed. Fully determined by
 /// `(golden, model, seed, nranks, policy)` and shared by all three
 /// detection columns of the trial's row.
@@ -171,7 +133,7 @@ pub fn draw_perturb(
     seed: u64,
     nranks: u16,
     policy: &PerturbPolicy,
-) -> (PerturbFault, String) {
+) -> (Fault, String) {
     let mut rng = StdRng::seed_from_u64(seed);
     let window = |rng: &mut StdRng| {
         let (lo, hi) = policy.tax_rounds;
@@ -185,13 +147,12 @@ pub fn draw_perturb(
             let rounds = window(&mut rng);
             let (lo, hi) = policy.tax_permille;
             let tax_permille = rng.gen_range(lo..hi.max(lo) + 1).min(999);
+            let tax = WorldEffect::Tax {
+                permille: tax_permille,
+                rounds,
+            };
             (
-                PerturbFault::Tax(QuantumTax {
-                    rank,
-                    at_blocks,
-                    rounds,
-                    tax_permille,
-                }),
+                Fault::new(rank, at_blocks, tax).into(),
                 format!("tax {tax_permille}\u{2030} on rank {rank} for {rounds} rounds @ block {at_blocks}"),
             )
         }
@@ -212,14 +173,13 @@ pub fn draw_perturb(
             let rounds = window(&mut rng);
             let (slo, shi) = policy.hog_share_permille;
             let share_permille = rng.gen_range(slo..shi.max(slo) + 1).min(999);
+            let hog = WorldEffect::Hog {
+                mask,
+                permille: share_permille,
+                rounds,
+            };
             (
-                PerturbFault::Hog(HogRank {
-                    mask,
-                    trigger_rank,
-                    at_blocks,
-                    rounds,
-                    share_permille,
-                }),
+                Fault::new(trigger_rank, at_blocks, hog).into(),
                 format!(
                     "hog steals {share_permille}\u{2030} from node {node} (mask {mask:#06b}) \
                      for {rounds} rounds @ block {at_blocks}"
@@ -235,15 +195,12 @@ pub fn draw_perturb(
             let window_insns = (insns * per16 / 16).max(1);
             let (plo, phi) = policy.stall_per_access;
             let per_access = rng.gen_range(plo.max(1)..phi.max(plo.max(1)) + 1);
+            let stall = Effect::Stall {
+                window_insns,
+                per_access,
+            };
             (
-                PerturbFault::Stall {
-                    rank,
-                    stall: MemStall {
-                        at_insns,
-                        window_insns,
-                        per_access,
-                    },
-                },
+                Fault::new(rank, at_insns, stall),
                 format!(
                     "stall +{per_access}/access on rank {rank} for {window_insns} insns @ t={at_insns}"
                 ),
@@ -254,11 +211,7 @@ pub fn draw_perturb(
             let at_blocks = rng.gen_range(1..golden.blocks[rank as usize].max(2));
             let wedge = model == FaultModel::WedgeRank;
             (
-                PerturbFault::Kill(RankKill {
-                    rank,
-                    at_blocks,
-                    wedge,
-                }),
+                Fault::kill(rank, at_blocks, wedge).into(),
                 format!(
                     "{} rank {rank} @ block {at_blocks}",
                     if wedge { "wedge" } else { "kill" }
@@ -508,31 +461,38 @@ mod tests {
                 let seed = trial_seed(11, mi, k);
                 let a = draw_perturb(&golden, *model, seed, app.params.nranks, &policy);
                 let b = draw_perturb(&golden, *model, seed, app.params.nranks, &policy);
-                assert_eq!(a, b, "{model} draw must be pure in the seed");
-                match (model, &a.0) {
-                    (FaultModel::QuantumTax, PerturbFault::Tax(t)) => {
-                        assert!((900..=995).contains(&t.tax_permille));
-                        assert!((256..=1024).contains(&t.rounds));
-                        assert!(t.at_blocks >= 1);
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "{model} draw must be pure in the seed"
+                );
+                let n = app.params.nranks;
+                assert!(a.0.rank < n && a.0.at >= 1);
+                use WorldEffect::{Hog, Kill, Tax};
+                match (model, &a.0.effect) {
+                    (FaultModel::QuantumTax, Effect::World(Tax { permille, rounds })) => {
+                        assert!((900..=995).contains(permille));
+                        assert!((256..=1024).contains(rounds));
                     }
-                    (FaultModel::HogRank, PerturbFault::Hog(h)) => {
-                        assert!(h.mask > 0 && h.mask < (1 << app.params.nranks));
-                        assert_eq!(h.mask >> h.trigger_rank & 1, 1);
-                        assert!((300..=900).contains(&h.share_permille));
+                    (FaultModel::HogRank, Effect::World(Hog { mask, permille, .. })) => {
+                        assert!(*mask > 0 && *mask < (1 << n));
+                        assert_eq!(mask >> a.0.rank & 1, 1);
+                        assert!((300..=900).contains(permille));
                     }
-                    (FaultModel::MemStall, PerturbFault::Stall { rank, stall }) => {
-                        assert!((*rank as usize) < app.params.nranks as usize);
-                        assert!((1..=6).contains(&stall.per_access));
-                        assert!(stall.window_insns >= 1);
+                    (
+                        FaultModel::MemStall,
+                        Effect::Stall {
+                            window_insns,
+                            per_access,
+                        },
+                    ) => {
+                        assert!((1..=6).contains(per_access));
+                        assert!(*window_insns >= 1);
                     }
-                    (FaultModel::KillRank, PerturbFault::Kill(k)) => assert!(!k.wedge),
-                    (FaultModel::WedgeRank, PerturbFault::Kill(k)) => assert!(k.wedge),
+                    (FaultModel::KillRank, Effect::World(Kill { wedge, .. })) => assert!(!wedge),
+                    (FaultModel::WedgeRank, Effect::World(Kill { wedge, .. })) => assert!(wedge),
                     (m, f) => panic!("{m} drew {f:?}"),
                 }
-                assert_eq!(
-                    a.0.is_interference(),
-                    !matches!(model, FaultModel::KillRank | FaultModel::WedgeRank)
-                );
             }
         }
     }

@@ -233,175 +233,113 @@ impl CampaignSpec {
                 .collect::<Result<_, _>>()?;
         }
         let c = &mut spec.campaign;
-        if let Some(n) = v.get("injections") {
-            c.injections = n.as_u64().ok_or("`injections` must be an integer")? as u32;
-        }
-        if let Some(n) = v.get("seed") {
-            c.seed = n.as_u64().ok_or("`seed` must be an integer")?;
-        }
+        c.injections = int(&v, "injections", c.injections)?;
+        c.seed = int(&v, "seed", c.seed)?;
         if let Some(n) = v.get("budget_factor") {
             c.budget_factor = n.as_f64().ok_or("`budget_factor` must be a number")?;
         }
-        if let Some(n) = v.get("threads") {
-            c.threads = n.as_u64().ok_or("`threads` must be an integer")? as usize;
-        }
-        if let Some(n) = v.get("epoch_rounds") {
-            c.epoch_rounds = n.as_u64().ok_or("`epoch_rounds` must be an integer")? as u32;
-        }
-        if let Some(n) = v.get("ring") {
-            c.obs_capacity = n.as_u64().ok_or("`ring` must be an integer")? as u32;
-        }
+        c.threads = int(&v, "threads", c.threads)?;
+        c.epoch_rounds = int(&v, "epoch_rounds", c.epoch_rounds)?;
+        c.obs_capacity = int(&v, "ring", c.obs_capacity)?;
         if let Some(b) = v.get("fastpath") {
             c.fastpath = b.as_bool().ok_or("`fastpath` must be a bool")?;
         }
+        const GUARD_KEYS: [&str; 5] = [
+            "checkpoint_rounds",
+            "max_restarts",
+            "window_rounds",
+            "stall_windows",
+            "max_retransmits",
+        ];
+        const FT_KEYS: [&str; 5] = [
+            "buddy_rounds",
+            "max_respawns",
+            "replicas",
+            "probe_rounds",
+            "suspect_rounds",
+        ];
         let mode = v.get("mode").map(|m| m.as_str().unwrap_or("?"));
         spec.mode = match mode {
             None | Some("campaign") => SpecMode::Campaign,
             Some("guard") => {
                 let mut g = GuardPolicy::default();
-                if let Some(p) = v.get("guard") {
-                    g.checkpoint_rounds = opt_u64(p, "checkpoint_rounds")?
-                        .unwrap_or(g.checkpoint_rounds as u64)
-                        as u32;
-                    g.max_restarts =
-                        opt_u64(p, "max_restarts")?.unwrap_or(g.max_restarts as u64) as u32;
-                    g.window_rounds =
-                        opt_u64(p, "window_rounds")?.unwrap_or(g.window_rounds as u64) as u32;
-                    g.stall_windows =
-                        opt_u64(p, "stall_windows")?.unwrap_or(g.stall_windows as u64) as u32;
-                    g.max_retransmits =
-                        opt_u64(p, "max_retransmits")?.unwrap_or(g.max_retransmits as u64) as u8;
+                if let Some(obj) = policy_object(&v, "guard", &GUARD_KEYS)? {
+                    guard_fields(obj, &mut g)?;
                 }
                 SpecMode::Guard(g)
             }
             Some("ft") => {
                 let mut f = FtPolicy::default();
-                if let Some(p) = v.get("ft") {
-                    f.buddy_rounds = opt_u64(p, "buddy_rounds")?.unwrap_or(f.buddy_rounds);
-                    f.max_respawns =
-                        opt_u64(p, "max_respawns")?.unwrap_or(f.max_respawns as u64) as u32;
-                    f.replicas = opt_u64(p, "replicas")?.unwrap_or(f.replicas as u64) as u16;
-                    f.detector.probe_rounds =
-                        opt_u64(p, "probe_rounds")?.unwrap_or(f.detector.probe_rounds);
-                    f.detector.suspect_rounds =
-                        opt_u64(p, "suspect_rounds")?.unwrap_or(f.detector.suspect_rounds);
+                if let Some(obj) = policy_object(&v, "ft", &FT_KEYS)? {
+                    ft_fields(obj, &mut f)?;
                 }
                 SpecMode::Ft(f)
             }
             Some("chaos") => {
                 let mut p = ChaosPolicy::default();
-                if let Some(obj) = v.get("chaos") {
-                    const CHAOS_KEYS: [&str; 15] = [
-                        "partition_lo",
-                        "partition_hi",
-                        "reorder_max_delay",
-                        "burst_max",
-                        "node_ranks",
-                        "checkpoint_rounds",
-                        "max_restarts",
-                        "window_rounds",
-                        "stall_windows",
-                        "max_retransmits",
-                        "buddy_rounds",
-                        "max_respawns",
-                        "replicas",
-                        "probe_rounds",
-                        "suspect_rounds",
-                    ];
-                    let Json::Obj(cm) = obj else {
-                        return Err("`chaos` must be an object".into());
-                    };
-                    for key in cm.keys() {
-                        if !CHAOS_KEYS.contains(&key.as_str()) {
-                            return Err(crate::suggest::unknown("chaos key", key, &CHAOS_KEYS));
-                        }
-                    }
-                    p.partition_rounds.0 =
-                        opt_u64(obj, "partition_lo")?.unwrap_or(p.partition_rounds.0);
-                    p.partition_rounds.1 =
-                        opt_u64(obj, "partition_hi")?.unwrap_or(p.partition_rounds.1);
-                    p.reorder_max_delay =
-                        opt_u64(obj, "reorder_max_delay")?.unwrap_or(p.reorder_max_delay);
-                    p.burst_max = opt_u64(obj, "burst_max")?.unwrap_or(p.burst_max as u64) as u16;
-                    p.node_ranks =
-                        opt_u64(obj, "node_ranks")?.unwrap_or(p.node_ranks as u64) as u16;
-                    let g = &mut p.guard;
-                    g.checkpoint_rounds = opt_u64(obj, "checkpoint_rounds")?
-                        .unwrap_or(g.checkpoint_rounds as u64)
-                        as u32;
-                    g.max_restarts =
-                        opt_u64(obj, "max_restarts")?.unwrap_or(g.max_restarts as u64) as u32;
-                    g.window_rounds =
-                        opt_u64(obj, "window_rounds")?.unwrap_or(g.window_rounds as u64) as u32;
-                    g.stall_windows =
-                        opt_u64(obj, "stall_windows")?.unwrap_or(g.stall_windows as u64) as u32;
-                    g.max_retransmits =
-                        opt_u64(obj, "max_retransmits")?.unwrap_or(g.max_retransmits as u64) as u8;
-                    let f = &mut p.ft;
-                    f.buddy_rounds = opt_u64(obj, "buddy_rounds")?.unwrap_or(f.buddy_rounds);
-                    f.max_respawns =
-                        opt_u64(obj, "max_respawns")?.unwrap_or(f.max_respawns as u64) as u32;
-                    f.replicas = opt_u64(obj, "replicas")?.unwrap_or(f.replicas as u64) as u16;
-                    f.detector.probe_rounds =
-                        opt_u64(obj, "probe_rounds")?.unwrap_or(f.detector.probe_rounds);
-                    f.detector.suspect_rounds =
-                        opt_u64(obj, "suspect_rounds")?.unwrap_or(f.detector.suspect_rounds);
+                const CHAOS_KEYS: [&str; 15] = [
+                    "partition_lo",
+                    "partition_hi",
+                    "reorder_max_delay",
+                    "burst_max",
+                    "node_ranks",
+                    "checkpoint_rounds",
+                    "max_restarts",
+                    "window_rounds",
+                    "stall_windows",
+                    "max_retransmits",
+                    "buddy_rounds",
+                    "max_respawns",
+                    "replicas",
+                    "probe_rounds",
+                    "suspect_rounds",
+                ];
+                if let Some(obj) = policy_object(&v, "chaos", &CHAOS_KEYS)? {
+                    p.partition_rounds.0 = int(obj, "partition_lo", p.partition_rounds.0)?;
+                    p.partition_rounds.1 = int(obj, "partition_hi", p.partition_rounds.1)?;
+                    p.reorder_max_delay = int(obj, "reorder_max_delay", p.reorder_max_delay)?;
+                    p.burst_max = int(obj, "burst_max", p.burst_max)?;
+                    p.node_ranks = int(obj, "node_ranks", p.node_ranks)?;
+                    guard_fields(obj, &mut p.guard)?;
+                    ft_fields(obj, &mut p.ft)?;
                 }
                 SpecMode::Chaos(p)
             }
             Some("perturb") => {
                 let mut p = PerturbPolicy::default();
-                if let Some(obj) = v.get("perturb") {
-                    const PERTURB_KEYS: [&str; 14] = [
-                        "probe_rounds",
-                        "suspect_rounds",
-                        "tax_rounds_lo",
-                        "tax_rounds_hi",
-                        "tax_permille_lo",
-                        "tax_permille_hi",
-                        "hog_share_lo",
-                        "hog_share_hi",
-                        "hog_node_ranks",
-                        "stall_per_access_lo",
-                        "stall_per_access_hi",
-                        "stall_window_per16_lo",
-                        "stall_window_per16_hi",
-                        "degraded_permille",
-                    ];
-                    let Json::Obj(pm) = obj else {
-                        return Err("`perturb` must be an object".into());
-                    };
-                    for key in pm.keys() {
-                        if !PERTURB_KEYS.contains(&key.as_str()) {
-                            return Err(crate::suggest::unknown("perturb key", key, &PERTURB_KEYS));
-                        }
-                    }
-                    p.probe_rounds = opt_u64(obj, "probe_rounds")?.unwrap_or(p.probe_rounds);
-                    p.suspect_rounds = opt_u64(obj, "suspect_rounds")?.unwrap_or(p.suspect_rounds);
-                    p.tax_rounds.0 = opt_u64(obj, "tax_rounds_lo")?.unwrap_or(p.tax_rounds.0);
-                    p.tax_rounds.1 = opt_u64(obj, "tax_rounds_hi")?.unwrap_or(p.tax_rounds.1);
-                    p.tax_permille.0 =
-                        opt_u64(obj, "tax_permille_lo")?.unwrap_or(p.tax_permille.0 as u64) as u32;
-                    p.tax_permille.1 =
-                        opt_u64(obj, "tax_permille_hi")?.unwrap_or(p.tax_permille.1 as u64) as u32;
-                    p.hog_share_permille.0 = opt_u64(obj, "hog_share_lo")?
-                        .unwrap_or(p.hog_share_permille.0 as u64)
-                        as u32;
-                    p.hog_share_permille.1 = opt_u64(obj, "hog_share_hi")?
-                        .unwrap_or(p.hog_share_permille.1 as u64)
-                        as u32;
-                    p.hog_node_ranks =
-                        opt_u64(obj, "hog_node_ranks")?.unwrap_or(p.hog_node_ranks as u64) as u16;
-                    p.stall_per_access.0 =
-                        opt_u64(obj, "stall_per_access_lo")?.unwrap_or(p.stall_per_access.0);
-                    p.stall_per_access.1 =
-                        opt_u64(obj, "stall_per_access_hi")?.unwrap_or(p.stall_per_access.1);
+                const PERTURB_KEYS: [&str; 14] = [
+                    "probe_rounds",
+                    "suspect_rounds",
+                    "tax_rounds_lo",
+                    "tax_rounds_hi",
+                    "tax_permille_lo",
+                    "tax_permille_hi",
+                    "hog_share_lo",
+                    "hog_share_hi",
+                    "hog_node_ranks",
+                    "stall_per_access_lo",
+                    "stall_per_access_hi",
+                    "stall_window_per16_lo",
+                    "stall_window_per16_hi",
+                    "degraded_permille",
+                ];
+                if let Some(obj) = policy_object(&v, "perturb", &PERTURB_KEYS)? {
+                    p.probe_rounds = int(obj, "probe_rounds", p.probe_rounds)?;
+                    p.suspect_rounds = int(obj, "suspect_rounds", p.suspect_rounds)?;
+                    p.tax_rounds.0 = int(obj, "tax_rounds_lo", p.tax_rounds.0)?;
+                    p.tax_rounds.1 = int(obj, "tax_rounds_hi", p.tax_rounds.1)?;
+                    p.tax_permille.0 = int(obj, "tax_permille_lo", p.tax_permille.0)?;
+                    p.tax_permille.1 = int(obj, "tax_permille_hi", p.tax_permille.1)?;
+                    p.hog_share_permille.0 = int(obj, "hog_share_lo", p.hog_share_permille.0)?;
+                    p.hog_share_permille.1 = int(obj, "hog_share_hi", p.hog_share_permille.1)?;
+                    p.hog_node_ranks = int(obj, "hog_node_ranks", p.hog_node_ranks)?;
+                    p.stall_per_access.0 = int(obj, "stall_per_access_lo", p.stall_per_access.0)?;
+                    p.stall_per_access.1 = int(obj, "stall_per_access_hi", p.stall_per_access.1)?;
                     p.stall_window_per16.0 =
-                        opt_u64(obj, "stall_window_per16_lo")?.unwrap_or(p.stall_window_per16.0);
+                        int(obj, "stall_window_per16_lo", p.stall_window_per16.0)?;
                     p.stall_window_per16.1 =
-                        opt_u64(obj, "stall_window_per16_hi")?.unwrap_or(p.stall_window_per16.1);
-                    p.degraded_permille =
-                        opt_u64(obj, "degraded_permille")?.unwrap_or(p.degraded_permille);
+                        int(obj, "stall_window_per16_hi", p.stall_window_per16.1)?;
+                    p.degraded_permille = int(obj, "degraded_permille", p.degraded_permille)?;
                 }
                 SpecMode::Perturb(p)
             }
@@ -440,14 +378,53 @@ impl CampaignSpec {
     }
 }
 
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(j) => j
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be an integer")),
+/// The optional integer field `key` of object `v`, or `default`. A
+/// value the field's type cannot hold is an error, never a wrap.
+fn int<T: TryFrom<u64>>(v: &Json, key: &str, default: T) -> Result<T, String> {
+    let Some(j) = v.get(key) else {
+        return Ok(default);
+    };
+    let n = j
+        .as_u64()
+        .ok_or_else(|| format!("`{key}` must be an integer"))?;
+    T::try_from(n).map_err(|_| format!("`{key}` out of range"))
+}
+
+/// The policy object `name` of a spec, if present: an object holding
+/// nothing but `keys`.
+fn policy_object<'a>(v: &'a Json, name: &str, keys: &[&str]) -> Result<Option<&'a Json>, String> {
+    let Some(obj) = v.get(name) else {
+        return Ok(None);
+    };
+    let Json::Obj(map) = obj else {
+        return Err(format!("`{name}` must be an object"));
+    };
+    for key in map.keys() {
+        if !keys.contains(&key.as_str()) {
+            return Err(crate::suggest::unknown(&format!("{name} key"), key, keys));
+        }
     }
+    Ok(Some(obj))
+}
+
+/// The guard knobs, as the `guard` and `chaos` policy objects spell them.
+fn guard_fields(obj: &Json, g: &mut GuardPolicy) -> Result<(), String> {
+    g.checkpoint_rounds = int(obj, "checkpoint_rounds", g.checkpoint_rounds)?;
+    g.max_restarts = int(obj, "max_restarts", g.max_restarts)?;
+    g.window_rounds = int(obj, "window_rounds", g.window_rounds)?;
+    g.stall_windows = int(obj, "stall_windows", g.stall_windows)?;
+    g.max_retransmits = int(obj, "max_retransmits", g.max_retransmits)?;
+    Ok(())
+}
+
+/// The ft knobs, as the `ft` and `chaos` policy objects spell them.
+fn ft_fields(obj: &Json, f: &mut FtPolicy) -> Result<(), String> {
+    f.buddy_rounds = int(obj, "buddy_rounds", f.buddy_rounds)?;
+    f.max_respawns = int(obj, "max_respawns", f.max_respawns)?;
+    f.replicas = int(obj, "replicas", f.replicas)?;
+    f.detector.probe_rounds = int(obj, "probe_rounds", f.detector.probe_rounds)?;
+    f.detector.suspect_rounds = int(obj, "suspect_rounds", f.detector.suspect_rounds)?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -591,6 +568,27 @@ mod tests {
         let err =
             CampaignSpec::from_json(r#"{"app":"wavetoy","mode":"chaos","chaos":[]}"#).unwrap_err();
         assert!(err.contains("`chaos` must be an object"), "{err}");
+        // The guard and ft policy objects are checked the same way.
+        for (spec, want) in [
+            (
+                r#"{"app":"wavetoy","mode":"guard","guard":{"checkpoint_round":3}}"#,
+                "unknown guard key `checkpoint_round` (did you mean `checkpoint_rounds`?)",
+            ),
+            (
+                r#"{"app":"wavetoy","mode":"ft","ft":{"replica":5}}"#,
+                "unknown ft key `replica` (did you mean `replicas`?)",
+            ),
+            (
+                r#"{"app":"wavetoy","mode":"guard","guard":[]}"#,
+                "`guard` must be an object",
+            ),
+            (
+                r#"{"app":"wavetoy","mode":"ft","ft":7}"#,
+                "`ft` must be an object",
+            ),
+        ] {
+            assert_eq!(CampaignSpec::from_json(spec).unwrap_err(), want);
+        }
     }
 
     #[test]
@@ -703,5 +701,36 @@ mod tests {
         assert!(CampaignSpec::from_json(r#"{"app":"wavetoy","regions":["rom"]}"#).is_err());
         let err = CampaignSpec::from_json(r#"{"app":"wavetoy","injetions":5}"#).unwrap_err();
         assert!(err.contains("unknown spec key"), "{err}");
+        // An integer its field cannot hold is an error, not a wrap
+        // (4294967297 used to submit a 1-trial campaign).
+        for (spec, field) in [
+            (r#"{"app":"wavetoy","injections":4294967297}"#, "injections"),
+            (
+                r#"{"app":"wavetoy","epoch_rounds":4294967296}"#,
+                "epoch_rounds",
+            ),
+            (r#"{"app":"wavetoy","ring":99999999999}"#, "ring"),
+            (
+                r#"{"app":"wavetoy","mode":"guard","guard":{"max_retransmits":256}}"#,
+                "max_retransmits",
+            ),
+            (
+                r#"{"app":"wavetoy","mode":"ft","ft":{"replicas":65536}}"#,
+                "replicas",
+            ),
+            (
+                r#"{"app":"wavetoy","mode":"chaos","chaos":{"burst_max":65539}}"#,
+                "burst_max",
+            ),
+            (
+                r#"{"app":"wavetoy","mode":"perturb","perturb":{"tax_permille_hi":4294968000}}"#,
+                "tax_permille_hi",
+            ),
+        ] {
+            let err = CampaignSpec::from_json(spec).unwrap_err();
+            assert_eq!(err, format!("`{field}` out of range"), "{spec}");
+        }
+        let err = CampaignSpec::from_json(r#"{"app":"wavetoy","injections":"many"}"#).unwrap_err();
+        assert_eq!(err, "`injections` must be an integer");
     }
 }

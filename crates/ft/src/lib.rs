@@ -24,14 +24,14 @@
 //!   way, so a single bad replica is masked and a no-majority split is
 //!   *detected* rather than silently trusted.
 //!
-//! The fault these paths recover from is [`RankKill`] — a process dies
-//! (or wedges: stays resident but silent) at a drawn retired-block clock,
-//! the process-level analogue of the paper's bit flips.
+//! The fault these paths recover from is [`WorldEffect::Kill`] — a process
+//! dies (or wedges: stays resident but silent) at a drawn retired-block
+//! clock, the process-level analogue of the paper's bit flips.
 
 use fl_machine::ProgramImage;
-use fl_mpi::{FailureDetector, MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
+use fl_mpi::{FailureDetector, MpiWorld, WorldConfig, WorldEffect, WorldExit, WorldSnapshot};
 
-pub use fl_mpi::{Health, RankKill};
+pub use fl_mpi::Health;
 
 /// Knobs for the recovery paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,9 +264,9 @@ struct BuddyLine {
 
 /// Run with the detector on, cutting a buddy checkpoint line every
 /// `policy.buddy_rounds`; on failure, boot a spare from the last line
-/// and resume. The carried [`RankKill`] is cleared on restore — the
-/// spare must not re-execute the fault — so a detected kill costs one
-/// respawn and the run completes at full size.
+/// and resume. Every armed kill the line carries is disarmed on restore —
+/// the spare must not re-execute the fault — so a detected kill costs
+/// one respawn and the run completes at full size.
 pub fn run_respawn(
     image: &ProgramImage,
     cfg: WorldConfig,
@@ -288,9 +288,9 @@ pub fn run_respawn(
                     break WorldExit::RankFailed { rank, round };
                 }
                 let mut restored = line.snap.restore();
-                // A pre-fire line carries the armed kill (it is Copy
-                // state); the spare must not die the same death.
-                let _ = restored.take_rank_kill();
+                // A pre-fire line carries the armed kills (the plan rides
+                // snapshots); the spare must not die the same death.
+                restored.disarm(|f| matches!(f.effect, WorldEffect::Kill { .. }));
                 restored.note_rank_respawned(rank, line.round);
                 report.respawns += 1;
                 world = restored;
@@ -479,7 +479,7 @@ pub fn run_replicated(
 mod tests {
     use super::*;
     use fl_apps::{App, AppKind, AppParams};
-    use fl_mpi::MessageFault;
+    use fl_mpi::Fault;
 
     const BUDGET: u64 = 2_000_000_000;
 
@@ -493,14 +493,8 @@ mod tests {
         let golden = app.golden(BUDGET);
         let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
         let cfg = app.world_config(budget);
-        let kill = RankKill {
-            rank: 1,
-            at_blocks: golden.blocks[1] / 2,
-            wedge: false,
-        };
-        let (survivor, report) = run_shrink(&app.image, cfg, &FtPolicy::default(), |w| {
-            w.set_rank_kill(kill)
-        });
+        let kill = Fault::kill(1, golden.blocks[1] / 2, false);
+        let (survivor, report) = run_shrink(&app.image, cfg, &FtPolicy::default(), |w| w.arm(kill));
         assert_eq!(report.exit, WorldExit::Clean);
         assert_eq!(report.failures_detected, 1);
         assert_eq!(report.shrinks, 1);
@@ -524,14 +518,9 @@ mod tests {
         let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
         let cfg = app.world_config(budget);
         for wedge in [false, true] {
-            let kill = RankKill {
-                rank: 2,
-                at_blocks: golden.blocks[2] / 2,
-                wedge,
-            };
-            let (world, report) = run_respawn(&app.image, cfg, &FtPolicy::default(), |w| {
-                w.set_rank_kill(kill)
-            });
+            let kill = Fault::kill(2, golden.blocks[2] / 2, wedge);
+            let (world, report) =
+                run_respawn(&app.image, cfg, &FtPolicy::default(), |w| w.arm(kill));
             assert_eq!(report.exit, WorldExit::Clean, "wedge={wedge}");
             assert_eq!(report.failures_detected, 1);
             assert_eq!(report.respawns, 1);
@@ -551,11 +540,7 @@ mod tests {
         let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
         let cfg = app.world_config(budget);
         let mut world = MpiWorld::new(&app.image, cfg);
-        world.set_rank_kill(RankKill {
-            rank: 0,
-            at_blocks: golden.blocks[0] / 2,
-            wedge: false,
-        });
+        world.arm(Fault::kill(0, golden.blocks[0] / 2, false));
         assert!(
             matches!(world.run(), WorldExit::Hung { .. }),
             "without the detector a killed rank strands its peers"
@@ -572,14 +557,10 @@ mod tests {
         // (not every flipped bit survives to the output), then check the
         // replica set masks exactly that fault.
         let fault = (1..12u64)
-            .map(|k| MessageFault {
-                rank: 1,
-                at_recv_byte: golden.recv_bytes[1] * k / 12,
-                bit: (k % 8) as u8,
-            })
+            .map(|k| Fault::flip(1, golden.recv_bytes[1] * k / 12, (k % 8) as u8))
             .find(|&f| {
                 let mut solo = MpiWorld::new(&app.image, cfg);
-                solo.set_message_fault(f);
+                solo.arm(f);
                 let exit = solo.run();
                 exit != WorldExit::Clean || app.comparable_output(&solo) != golden.output
             })
@@ -590,7 +571,7 @@ mod tests {
             &FtPolicy::default(),
             |replica, w| {
                 if replica == 0 {
-                    w.set_message_fault(fault);
+                    w.arm(fault);
                 }
             },
             |w| app.comparable_output(w),

@@ -15,8 +15,8 @@
 //!    output.
 
 use fl_apps::{App, AppKind, AppParams, Golden};
-use fl_ft::{run_replicated, shrink, FtPolicy, RankKill};
-use fl_mpi::{FailureDetector, MessageFault, MpiWorld, WorldExit};
+use fl_ft::{run_replicated, shrink, FtPolicy};
+use fl_mpi::{FailureDetector, Fault, MpiWorld, WorldEffect, WorldExit};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -47,11 +47,7 @@ fn shrink_pair(
         ..Default::default()
     };
     let mut w = MpiWorld::new(&app.image, cfg);
-    w.set_rank_kill(RankKill {
-        rank,
-        at_blocks,
-        wedge,
-    });
+    w.arm(Fault::kill(rank, at_blocks, wedge));
     let exit = w.run();
     prop_assert!(
         matches!(exit, WorldExit::RankFailed { rank: r, .. } if r == rank),
@@ -127,18 +123,18 @@ fn clean_digests() -> &'static Vec<u32> {
 }
 
 /// Run one fault in a lone tracked world: (exit, output, digests).
-fn solo(app: &App, budget: u64, fault: MessageFault) -> (WorldExit, Vec<u8>, Vec<u32>) {
+fn solo(app: &App, budget: u64, fault: Fault<WorldEffect>) -> (WorldExit, Vec<u8>, Vec<u32>) {
     let mut cfg = app.world_config(budget);
     cfg.track_digests = true;
     let mut w = MpiWorld::new(&app.image, cfg);
-    w.set_message_fault(fault);
+    w.arm(fault);
     let exit = w.run();
     let digs = (0..cfg.nranks).map(|r| w.out_digest(r)).collect();
     (exit, app.comparable_output(&w), digs)
 }
 
 /// Does this fault manifest at all when run in a lone world?
-fn manifests_solo(app: &App, golden: &Golden, budget: u64, fault: MessageFault) -> bool {
+fn manifests_solo(app: &App, golden: &Golden, budget: u64, fault: Fault<WorldEffect>) -> bool {
     let (exit, out, _) = solo(app, budget, fault);
     exit != WorldExit::Clean || out != golden.output
 }
@@ -160,11 +156,7 @@ proptest! {
         let (app, golden, budget) = fixture();
         let budget = *budget;
         let rank = (rank_pick % app.params.nranks as u64) as u16;
-        let fault = MessageFault {
-            rank,
-            at_recv_byte: byte_pick % golden.recv_bytes[rank as usize].max(1),
-            bit,
-        };
+        let fault = Fault::flip(rank, byte_pick % golden.recv_bytes[rank as usize].max(1), bit);
         let corrupt = (replica_pick % 3) as u16;
         let (winner, report) = run_replicated(
             &app.image,
@@ -172,7 +164,7 @@ proptest! {
             &FtPolicy::default(),
             |r, w| {
                 if r == corrupt {
-                    w.set_message_fault(fault);
+                    w.arm(fault);
                 }
             },
             |w| app.comparable_output(w),
@@ -203,11 +195,7 @@ proptest! {
         let budget = *budget;
         let draw = |rp: u64, bp: u64, bit: u8| {
             let rank = (rp % app.params.nranks as u64) as u16;
-            MessageFault {
-                rank,
-                at_recv_byte: bp % golden.recv_bytes[rank as usize].max(1),
-                bit,
-            }
+            Fault::flip(rank, bp % golden.recv_bytes[rank as usize].max(1), bit)
         };
         let fa = draw(rank_a, byte_a, bit_a);
         let fb = draw(rank_b, byte_b, bit_b);
@@ -233,9 +221,9 @@ proptest! {
             &FtPolicy::default(),
             |r, w| {
                 if r == 0 {
-                    w.set_message_fault(fa);
+                    w.arm(fa);
                 } else if r == 1 {
-                    w.set_message_fault(fb);
+                    w.arm(fb);
                 }
             },
             |w| app.comparable_output(w),

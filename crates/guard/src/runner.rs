@@ -88,8 +88,9 @@ impl GuardReport {
 /// fault (pass `|_| {}` for a fault-free guarded run).
 ///
 /// A not-yet-fired register/memory injection is carried across rollbacks
-/// by [`MpiWorld::take_injection`] (snapshots cannot capture the boxed
-/// action); an armed message fault rides inside the snapshot itself.
+/// by [`MpiWorld::take_injection`] and [`MpiWorld::arm`] (snapshots cannot
+/// capture the boxed action); every other armed fault rides inside the
+/// snapshot itself.
 /// A fault that already fired is *not* re-armed — that is the recovery
 /// bet: if the last checkpoint predates the corruption, the re-run is
 /// clean; if the corruption is inside the checkpoint, the failure
@@ -181,7 +182,7 @@ pub fn run_guarded(
         report.last_checkpoint_round = checkpoint.round;
         restored.note_guard_restart(report.restarts, checkpoint.round);
         if let Some(inj) = carried {
-            restored.set_injection(inj);
+            restored.arm(inj);
         }
         world = restored;
         watchdog.reset();
@@ -198,7 +199,7 @@ mod tests {
     use super::*;
     use fl_apps::{App, AppKind, AppParams};
     use fl_machine::KERNEL_BASE;
-    use fl_mpi::MessageFault;
+    use fl_mpi::Fault;
 
     fn tiny(kind: AppKind) -> App {
         App::build(kind, AppParams::tiny(kind))
@@ -233,14 +234,9 @@ mod tests {
 
         // Unguarded, this flip lands somewhere in a live message; with
         // the guard on, the CRC catches it and the sender redelivers.
-        let fault = MessageFault {
-            rank: 1,
-            at_recv_byte: 100,
-            bit: 3,
-        };
-        let (world, report) = run_guarded(&app.image, cfg, &GuardPolicy::default(), |w| {
-            w.set_message_fault(fault)
-        });
+        let fault = Fault::flip(1, 100, 3);
+        let (world, report) =
+            run_guarded(&app.image, cfg, &GuardPolicy::default(), |w| w.arm(fault));
         assert_eq!(report.exit, WorldExit::Clean);
         assert!(report.retransmits > 0, "CRC must have caught the flip");
         assert_eq!(report.restarts, 0, "retransmit suffices, no rollback");
@@ -257,13 +253,7 @@ mod tests {
             max_restarts: 0,
             ..GuardPolicy::default()
         };
-        let (_, report) = run_guarded(&app.image, cfg, &policy, |w| {
-            w.set_message_fault(MessageFault {
-                rank: 1,
-                at_recv_byte: 100,
-                bit: 3,
-            })
-        });
+        let (_, report) = run_guarded(&app.image, cfg, &policy, |w| w.arm(Fault::flip(1, 100, 3)));
         assert!(
             matches!(report.exit, WorldExit::GuardDetected { .. }),
             "exhausted budget must surface as GuardDetected, got {:?}",
@@ -289,7 +279,7 @@ mod tests {
             ..GuardPolicy::default()
         };
         let (world, report) = run_guarded(&app.image, cfg, &policy, |w| {
-            w.set_injection(fl_mpi::PendingInjection::once(1, kill_at, |m| {
+            w.arm(Fault::once(1, kill_at, |m| {
                 m.cpu.eip = KERNEL_BASE + 4;
             }))
         });
@@ -306,7 +296,7 @@ mod tests {
     #[test]
     fn restart_budget_bounds_deterministic_refailure() {
         // An injection carried across rollbacks re-fires every re-run
-        // (take_injection + re-arm), so the same crash recurs until the
+        // (take_injection + arm), so the same crash recurs until the
         // budget is spent and the final exit surfaces.
         let app = tiny(AppKind::Wavetoy);
         let cfg = app.world_config(2_000_000_000);
@@ -318,7 +308,7 @@ mod tests {
         // Persistent injection: re-asserts forever, so even though the
         // rollback target is the armed initial state, every re-run fails.
         let (_, report) = run_guarded(&app.image, cfg, &policy, |w| {
-            w.set_injection(fl_mpi::PendingInjection::persistent(0, 500, 200, |m| {
+            w.arm(Fault::persistent(0, 500, 200, |m| {
                 m.cpu.eip = KERNEL_BASE + 4;
             }))
         });
@@ -347,7 +337,7 @@ mod tests {
             ..GuardPolicy::default()
         };
         let (world, report) = run_guarded(&app.image, cfg, &policy, |w| {
-            w.set_injection(fl_mpi::PendingInjection::once(0, kill_at, |m| {
+            w.arm(Fault::once(0, kill_at, |m| {
                 m.cpu.eip = KERNEL_BASE + 4;
             }))
         });

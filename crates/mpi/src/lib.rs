@@ -18,6 +18,24 @@
 //! bit flips corrupt real fields with the paper's three outcomes:
 //! malformed packets abort the job, mismatched envelopes hang it, and
 //! payload corruption silently reaches user buffers.
+//!
+//! ## Faults
+//!
+//! Every fault the world can suffer is one [`Fault`]: a trigger rank, a
+//! value `at` of one of that rank's deterministic clocks, and an
+//! [`Effect`]. [`MpiWorld::arm`] is the one way to plant one:
+//!
+//! | effect | clock | held |
+//! |---|---|---|
+//! | [`Effect::Action`] — register/memory action (§3.1, §3.2) | retired insns | beside the plan; no snapshot carries it |
+//! | [`Effect::Syscall`], [`Effect::Stall`] | syscalls issued / retired insns | the victim machine's own slot |
+//! | [`WorldEffect::Wire`] — §3.3 bit flip, drop, duplicate, reorder, corrupt | received bytes | [`FaultPlan`] |
+//! | [`WorldEffect::Kill`], [`WorldEffect::Cut`], [`WorldEffect::Tax`], [`WorldEffect::Hog`] | retired blocks | [`FaultPlan`], then its window |
+//!
+//! The [`FaultPlan`] ([`MpiWorld::plan`]) is plain data inside the state
+//! a [`WorldSnapshot`] holds by value, so armed faults and open windows
+//! ride checkpoints, and [`MpiWorld::disarm`] removes the ones a
+//! recovery path means to survive. DESIGN.md §13 has the full table.
 
 pub mod message;
 pub mod profile;
@@ -29,7 +47,7 @@ pub use message::{
 };
 pub use profile::TrafficProfile;
 pub use world::{
-    ChannelGuard, FailureDetector, Health, HogRank, MessageFault, MessageFaultHit, MpiWorld,
-    NetFault, NetFaultKind, NodeKill, Partition, PendingInjection, QuantumTax, RankKill,
-    WorldConfig, WorldExit, WorldSnapshot, ANY_SOURCE, MAX_USER_TAG, MPIX_ERR_PROC_FAILED,
+    Action, ChannelGuard, Clock, Effect, FailureDetector, Fault, FaultPlan, Health,
+    MessageFaultHit, MpiWorld, NetFaultKind, WorldConfig, WorldEffect, WorldExit, WorldSnapshot,
+    ANY_SOURCE, MAX_USER_TAG, MPIX_ERR_PROC_FAILED,
 };

@@ -28,7 +28,8 @@ use crate::message::{CtlOp, Header, MsgKind, WireMsg, MAX_PAYLOAD};
 use crate::profile::TrafficProfile;
 use fl_isa::{Gpr, Syscall};
 use fl_machine::{
-    ExecStats, Exit, Machine, MachineConfig, MachineSnapshot, ProgramImage, SharedCode,
+    ExecStats, Exit, Machine, MachineConfig, MachineSnapshot, MemStall, ProgramImage, SharedCode,
+    SyscallFault, SyscallFaultKind,
 };
 use fl_obs::EventKind;
 use rand::rngs::StdRng;
@@ -121,9 +122,10 @@ impl Default for FailureDetector {
 }
 
 /// Process-level liveness of a rank (fl-ft's rank-kill fault model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Health {
     /// Executing and responsive.
+    #[default]
     Alive,
     /// Resident but silent: never scheduled, answers no probes, sends
     /// nothing (the "wedged" kill variant).
@@ -133,32 +135,18 @@ pub enum Health {
     Dead,
 }
 
-/// A process-level fault: kill (or wedge) `rank` once its retired
-/// basic-block count reaches `at_blocks`.
-///
-/// `Copy`, so unlike a [`PendingInjection`] it rides inside
-/// [`WorldSnapshot`]s. A recovery path that restores a pre-fire
-/// checkpoint must clear it with [`MpiWorld::take_rank_kill`] or the
-/// kill re-fires identically on re-execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankKill {
-    /// Victim rank.
-    pub rank: u16,
-    /// Retired-block clock at which the process dies (checked at
-    /// scheduling-round granularity, like an external `kill -9`).
-    pub at_blocks: u64,
-    /// True: the process stays resident but stops executing and
-    /// responding. False: it is gone outright.
-    pub wedge: bool,
-}
-
-/// What a [`NetFault`] does to the struck in-flight message (fl-chaos'
-/// lossy-network models). Every kind targets exactly one message — the
-/// one whose wire bytes cover the drawn cumulative receive offset — so
-/// the draw space is identical to [`MessageFault`]'s and trials stay
-/// schedulable against the same per-rank traffic volume.
+/// What a wire fault does to the struck in-flight message. Every kind
+/// targets exactly one message — the one whose wire bytes cover the
+/// fault's cumulative receive offset — so all of them share one draw
+/// space: the per-rank traffic volume of the golden run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFaultKind {
+    /// One bit of the struck byte flips (§3.3, the paper's message
+    /// fault): header or payload, wherever the offset lands.
+    Flip {
+        /// Bit index 0–7.
+        bit: u8,
+    },
     /// The message vanishes at the channel (a lossy link).
     Drop,
     /// The message is delivered, then delivered again one round later
@@ -177,95 +165,242 @@ pub enum NetFaultKind {
     Corrupt,
 }
 
-/// A channel-level network fault (fl-chaos): apply `kind` to the message
-/// whose bytes cover cumulative received-volume offset `at_recv_byte` on
-/// `rank`. One-shot, `Copy` (rides inside [`WorldSnapshot`]s), and
-/// drawn/armed exactly like a [`MessageFault`].
+/// The deterministic clock of the trigger rank a fault waits on — fixed
+/// by the fault's effect ([`Effect::clock`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetFault {
-    /// Receiving rank.
+pub enum Clock {
+    /// Rank-local retired instructions (fires inside the quantum).
+    Insns,
+    /// Rank-local retired basic blocks (checked between rounds, like an
+    /// external `kill -9` landing between quanta).
+    Blocks,
+    /// The rank's cumulative incoming byte stream (checked per message).
+    RecvBytes,
+    /// Matching syscalls the rank issues after arming (1-based).
+    Calls,
+}
+
+/// One fault: once `rank`'s clock (the one `effect` waits on) reaches
+/// `at`, `effect` happens. [`MpiWorld::arm`] is the one way to plant it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fault<E = Effect> {
+    /// The rank whose clock triggers the fault — and the victim, for
+    /// every effect that has a single one.
     pub rank: u16,
-    /// Offset into the rank's cumulative incoming byte stream.
-    pub at_recv_byte: u64,
-    /// What happens to the struck message.
-    pub kind: NetFaultKind,
+    /// The clock value at which it fires.
+    pub at: u64,
+    /// What happens.
+    pub effect: E,
 }
 
-/// A rank-set network partition (fl-chaos): once `trigger_rank`'s
-/// retired-block clock reaches `at_blocks`, every channel between the
-/// `mask` group and its complement is severed for `rounds` scheduler
-/// rounds — all cross-partition traffic (including guard redeliveries)
-/// silently vanishes. `Copy`; carried by [`WorldSnapshot`]s, so a
-/// recovery path restoring a pre-trigger checkpoint replays it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partition {
-    /// Bitmask of ranks on one side of the cut (bit r = rank r).
-    pub mask: u32,
-    /// Rank whose retired-block clock schedules the cut.
-    pub trigger_rank: u16,
-    /// Retired-block clock value at which the cut begins.
-    pub at_blocks: u64,
-    /// Scheduler rounds the cut lasts.
-    pub rounds: u64,
+/// The state mutation a machine fault applies when it fires.
+pub type Action = Box<dyn FnMut(&mut Machine) + Send>;
+
+/// What an armed [`Fault`] does.
+pub enum Effect {
+    /// Corrupt the victim's registers or memory — the injector-daemon
+    /// wakeup of §3.1. The action runs at fire time, so heap scans and
+    /// stack walks see the live state; `FnMut`, so persistent faults can
+    /// re-assert. A closure is neither `Clone` nor comparable: this is
+    /// the one effect a [`WorldSnapshot`] does not carry.
+    Action {
+        /// The corruption to apply.
+        action: Action,
+        /// `None` fires once (a transient upset). `Some(p)` re-fires
+        /// every `p` instructions — the stuck-at / long-duration fault
+        /// model of the §8.1 hardware studies.
+        period: Option<u64>,
+    },
+    /// The `at`-th matching syscall fails instead of being serviced
+    /// (held in the victim machine's [`SyscallFault`] slot).
+    Syscall {
+        /// Which family of syscalls fails.
+        kind: SyscallFaultKind,
+        /// True: every later matching call fails too.
+        persist: bool,
+    },
+    /// Every checked data access costs `per_access` extra retired
+    /// instructions for `window_insns` (held in the victim machine's
+    /// [`MemStall`] slot).
+    Stall {
+        /// Window length on the instruction clock.
+        window_insns: u64,
+        /// Surcharge per load/store.
+        per_access: u64,
+    },
+    /// A channel- or scheduler-level effect, held in the [`FaultPlan`].
+    World(WorldEffect),
 }
 
-/// A node-level fault (FINJ's node model, via fl-chaos): once
-/// `trigger_rank`'s retired-block clock reaches `at_blocks`, every
-/// not-yet-exited rank in `mask` dies (or wedges) at once — the
-/// machine-check / PSU-failure shape where co-located ranks share fate.
+/// The effects the world itself applies. Plain data: an armed one rides
+/// inside [`WorldSnapshot`]s, so a recovery path restoring a pre-fire
+/// checkpoint replays it unless it [`MpiWorld::disarm`]s it first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeKill {
-    /// Bitmask of ranks sharing the failing node (bit r = rank r).
-    pub mask: u32,
-    /// Rank whose retired-block clock schedules the failure.
-    pub trigger_rank: u16,
-    /// Retired-block clock value at which the node fails.
-    pub at_blocks: u64,
-    /// True: processes stay resident but silent. False: gone outright.
-    pub wedge: bool,
+pub enum WorldEffect {
+    /// Strike the in-flight message covering receive offset `at`.
+    Wire(NetFaultKind),
+    /// The trigger rank and every rank in `mates` (the ranks sharing
+    /// its node; bit r = rank r) die at once — or, with `wedge`, stay
+    /// resident but silent. Ranks already exited, dead or wedged are
+    /// left as they are.
+    Kill {
+        /// Ranks that share the trigger rank's fate (0 = none).
+        mates: u32,
+        /// True: wedged. False: gone outright.
+        wedge: bool,
+    },
+    /// Every channel between the `mask` group and its complement is
+    /// severed for `rounds` scheduler rounds: all cross-partition
+    /// traffic (including guard redeliveries) silently vanishes.
+    Cut {
+        /// Ranks on one side of the cut (bit r = rank r).
+        mask: u32,
+        /// Scheduler rounds the cut lasts.
+        rounds: u64,
+    },
+    /// A tax of `permille`/1000 on the trigger rank's quantum for
+    /// `rounds` rounds, accounted as *starvation credit*: the rank
+    /// accrues `1000 - permille` credit per round and runs a full
+    /// quantum only when 1000 has accrued — a 900‰ tax schedules it
+    /// once every 10 rounds, the cadence an external CPU hog
+    /// co-scheduled on its core would impose.
+    Tax {
+        /// Share of each round's quantum taken (capped 999).
+        permille: u32,
+        /// Scheduler rounds the tax lasts.
+        rounds: u64,
+    },
+    /// A co-scheduled hog steals `permille`/1000 of *every* round's
+    /// quantum from every rank in `mask` for `rounds` rounds. Unlike
+    /// [`WorldEffect::Tax`] every victim still runs every round — just
+    /// slower — so the group degrades without ever going silent.
+    Hog {
+        /// Ranks sharing the hogged node (bit r = rank r).
+        mask: u32,
+        /// Share of each victim's quantum stolen (capped 999).
+        permille: u32,
+        /// Scheduler rounds the hog stays.
+        rounds: u64,
+    },
 }
 
-/// A performance-interference fault (fl-perturb): once `rank`'s
-/// retired-block clock reaches `at_blocks`, a multiplicative tax of
-/// `tax_permille`/1000 is levied on that rank's scheduling quantum for
-/// `rounds` scheduler rounds. The scheduler accounts the tax as
-/// *starvation credit*: the taxed rank accrues `1000 - tax_permille`
-/// credit per round and runs a full quantum only when a whole quantum's
-/// worth (1000) has accrued — so a 900‰ tax schedules the rank once
-/// every 10 rounds, exactly the cadence an external CPU hog co-scheduled
-/// on its core would impose. Entirely on the deterministic round/block
-/// clocks; `Copy`, rides [`WorldSnapshot`]s like the other chaos faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuantumTax {
-    /// Taxed rank.
-    pub rank: u16,
-    /// Retired-block clock value at which the tax begins.
-    pub at_blocks: u64,
-    /// Scheduler rounds the tax lasts.
-    pub rounds: u64,
-    /// Share of each round's quantum taken, in permille (capped 999).
-    pub tax_permille: u32,
+impl Effect {
+    /// The clock a fault with this effect waits on.
+    pub fn clock(&self) -> Clock {
+        match self {
+            Effect::Action { .. } | Effect::Stall { .. } => Clock::Insns,
+            Effect::Syscall { .. } => Clock::Calls,
+            Effect::World(WorldEffect::Wire(_)) => Clock::RecvBytes,
+            Effect::World(_) => Clock::Blocks,
+        }
+    }
 }
 
-/// A node-level interference fault (fl-perturb): once `trigger_rank`'s
-/// retired-block clock reaches `at_blocks`, a co-scheduled hog steals
-/// `share_permille`/1000 of *every* round's quantum from every rank in
-/// `mask` for `rounds` rounds. Unlike [`QuantumTax`]'s starvation
-/// cadence, every victim still runs every round — just slower — so the
-/// group degrades uniformly without ever going silent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HogRank {
-    /// Bitmask of ranks sharing the hogged node (bit r = rank r).
-    pub mask: u32,
-    /// Rank whose retired-block clock schedules the hog's arrival.
-    pub trigger_rank: u16,
-    /// Retired-block clock value at which the hog lands.
-    pub at_blocks: u64,
-    /// Scheduler rounds the hog stays.
-    pub rounds: u64,
-    /// Share of each victim's quantum the hog steals, in permille
-    /// (capped 999).
-    pub share_permille: u32,
+impl std::fmt::Debug for Effect {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Effect::Action { period, .. } => write!(f, "Action {{ period: {period:?} }}"),
+            Effect::Syscall { kind, persist } => write!(f, "Syscall {{ {kind:?}, {persist} }}"),
+            Effect::Stall {
+                window_insns,
+                per_access,
+            } => write!(f, "Stall {{ {window_insns}, {per_access} }}"),
+            Effect::World(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Fault {
+    /// A one-shot (transient) register/memory injection.
+    pub fn once(
+        rank: u16,
+        at_insns: u64,
+        action: impl FnMut(&mut Machine) + Send + 'static,
+    ) -> Fault {
+        let (action, period) = (Box::new(action), None);
+        Fault::new(rank, at_insns, Effect::Action { action, period })
+    }
+
+    /// A persistent injection re-asserted every `period` instructions.
+    pub fn persistent(
+        rank: u16,
+        at_insns: u64,
+        period: u64,
+        action: impl FnMut(&mut Machine) + Send + 'static,
+    ) -> Fault {
+        let (action, period) = (Box::new(action), Some(period.max(1)));
+        Fault::new(rank, at_insns, Effect::Action { action, period })
+    }
+}
+
+impl<E> Fault<E> {
+    /// `effect` once `rank`'s clock reaches `at`.
+    pub fn new(rank: u16, at: u64, effect: E) -> Fault<E> {
+        Fault { rank, at, effect }
+    }
+}
+
+impl Fault<WorldEffect> {
+    /// The §3.3 message fault: flip `bit` of the byte at cumulative
+    /// received-volume offset `at_recv_byte` on `rank`.
+    pub fn flip(rank: u16, at_recv_byte: u64, bit: u8) -> Self {
+        Fault::new(
+            rank,
+            at_recv_byte,
+            WorldEffect::Wire(NetFaultKind::Flip { bit }),
+        )
+    }
+
+    /// Kill (or wedge) `rank` alone at its `at_blocks`-th retired block.
+    pub fn kill(rank: u16, at_blocks: u64, wedge: bool) -> Self {
+        Fault::new(rank, at_blocks, WorldEffect::Kill { mates: 0, wedge })
+    }
+}
+
+impl From<Fault<WorldEffect>> for Fault {
+    fn from(f: Fault<WorldEffect>) -> Fault {
+        Fault::new(f.rank, f.at, Effect::World(f.effect))
+    }
+}
+
+/// Every fault the world holds and what became of the fired ones: the
+/// armed entries, the windows that fired entries opened, and the
+/// outcome counters. Plain data — it rides [`WorldSnapshot`]s whole.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FaultPlan {
+    /// Armed and not yet fired or missed, in arming order.
+    armed: Vec<Fault<WorldEffect>>,
+    /// Round before which the active cut holds (0 = none) and its mask.
+    cut_until: u64,
+    cut_mask: u32,
+    /// Round before which the active tax holds (0 = none), its victim,
+    /// its per-round levy, and the starvation credit accrued (the rank
+    /// runs at 1000).
+    tax_until: u64,
+    tax_rank: u16,
+    tax_permille: u32,
+    tax_credit: u64,
+    /// Round before which the active hog holds (0 = none), its victims
+    /// and the share it steals.
+    hog_until: u64,
+    hog_mask: u32,
+    hog_permille: u32,
+    /// Ranks the active tax starved *this round*, as a bitmask
+    /// (recomputed every round before detection, so the detector knows
+    /// a silent rank was denied its quantum rather than dead).
+    pub starved: u32,
+    /// Cross-partition messages the active (or expired) cut silently
+    /// dropped — 0 means no cut ever triggered or it cut no traffic.
+    pub cut_drops: u64,
+    /// Where the last wire fault struck (`None`: none has fired).
+    pub hit: Option<MessageFaultHit>,
+}
+
+impl FaultPlan {
+    /// The armed world-level faults that have neither fired nor missed.
+    pub fn armed(&self) -> &[Fault<WorldEffect>] {
+        &self.armed
+    }
 }
 
 /// Pristine wire images a sender keeps for retransmission (per rank).
@@ -367,16 +502,26 @@ enum Blocked {
 }
 
 /// Scheduler-visible rank state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 enum Status {
+    #[default]
     Ready,
     Blocked(Blocked),
     Finalized,
     Exited,
 }
 
+/// One simulated process: the machine plus its bookkeeping.
 struct Rank {
     machine: Machine,
+    st: RankState,
+}
+
+/// Everything the scheduler and channel keep per rank, apart from the
+/// machine. Stated once: a [`WorldSnapshot`] holds it by value, and two
+/// ranks are in the same state iff these compare equal.
+#[derive(Clone, PartialEq, Default)]
+struct RankState {
     status: Status,
     errhandler: bool,
     /// Arrived, parsed, unmatched messages.
@@ -413,68 +558,8 @@ struct Rank {
     acked: u32,
 }
 
-/// A fault to apply to a rank's machine state at a given local
-/// instruction count — the injector-daemon wakeup of §3.1.
-pub struct PendingInjection {
-    /// Target rank.
-    pub rank: u16,
-    /// Rank-local instruction count at which to fire (first).
-    pub at_insns: u64,
-    /// The corruption to apply (built by `fl-inject` at fire time so heap
-    /// scans and stack walks see the live state). `FnMut` so persistent
-    /// faults can re-assert.
-    pub action: Box<dyn FnMut(&mut Machine) + Send>,
-    /// `None` fires once (a transient upset). `Some(p)` re-fires every
-    /// `p` instructions — the stuck-at / long-duration fault model of
-    /// the §8.1 hardware studies.
-    pub period: Option<u64>,
-}
-
-impl PendingInjection {
-    /// A one-shot (transient) injection.
-    pub fn once(
-        rank: u16,
-        at_insns: u64,
-        action: impl FnMut(&mut Machine) + Send + 'static,
-    ) -> PendingInjection {
-        PendingInjection {
-            rank,
-            at_insns,
-            action: Box::new(action),
-            period: None,
-        }
-    }
-
-    /// A persistent injection re-asserted every `period` instructions.
-    pub fn persistent(
-        rank: u16,
-        at_insns: u64,
-        period: u64,
-        action: impl FnMut(&mut Machine) + Send + 'static,
-    ) -> PendingInjection {
-        PendingInjection {
-            rank,
-            at_insns,
-            action: Box::new(action),
-            period: Some(period.max(1)),
-        }
-    }
-}
-
-/// A channel-level message fault (§3.3): flip `bit` of the byte at
-/// cumulative received-volume offset `at_recv_byte` on `rank`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MessageFault {
-    /// Receiving rank.
-    pub rank: u16,
-    /// Offset into the rank's cumulative incoming byte stream.
-    pub at_recv_byte: u64,
-    /// Bit index 0–7.
-    pub bit: u8,
-}
-
-/// Where an armed [`MessageFault`] actually landed — recorded when the
-/// flip is applied, for the §6.2 header-vs-payload analysis ("perturbing
+/// Where an armed wire fault actually landed — recorded when it
+/// strikes, for the §6.2 header-vs-payload analysis ("perturbing
 /// the headers has about a 40 percent probability of corrupting the
 /// Cactus execution").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -514,56 +599,25 @@ pub enum WorldExit {
 /// The simulated cluster.
 pub struct MpiWorld {
     ranks: Vec<Rank>,
-    cfg: WorldConfig,
-    rng: StdRng,
-    injection: Option<PendingInjection>,
-    message_fault: Option<MessageFault>,
-    message_fault_hit: Option<MessageFaultHit>,
-    rank_kill: Option<RankKill>,
-    /// fl-chaos: armed burst kills (correlated MTBF arrivals). Fire
-    /// independently, exactly like `rank_kill`. Empty unless armed.
-    rank_kills: Vec<RankKill>,
-    /// fl-chaos: armed network fault (drop/dup/reorder/corrupt).
-    net_fault: Option<NetFault>,
-    /// Network-fault strikes applied so far (0 or 1; an accessor for
-    /// miss detection, like `message_fault_hit`).
-    net_faults_fired: u32,
-    /// fl-chaos: armed (not yet triggered) partition.
-    partition: Option<Partition>,
-    /// Round before which the active partition's cut holds (0 = none).
-    partition_until: u64,
-    /// Active partition's rank bitmask (valid while the cut holds).
-    partition_mask: u32,
-    /// Cross-partition messages silently dropped by the active cut.
-    partition_drops: u64,
-    /// fl-chaos: armed node-level kill.
-    node_kill: Option<NodeKill>,
-    /// fl-perturb: armed (not yet triggered) quantum tax.
-    quantum_tax: Option<QuantumTax>,
-    /// Round before which the active tax holds (0 = none).
-    tax_until: u64,
-    /// Active tax's victim rank (valid while the tax holds).
-    tax_rank: u16,
-    /// Active tax's per-round levy in permille.
-    tax_permille_active: u32,
-    /// Starvation credit the taxed rank has accrued (runs at 1000).
-    tax_credit: u64,
-    /// fl-perturb: armed (not yet triggered) hog.
-    hog: Option<HogRank>,
-    /// Round before which the active hog holds (0 = none).
-    hog_until: u64,
-    /// Active hog's victim bitmask.
-    hog_mask: u32,
-    /// Active hog's stolen share in permille.
-    hog_share: u32,
-    /// Ranks starved by the active tax *this round* (recomputed every
-    /// round before detection, so the detector knows a silent rank was
-    /// denied its quantum rather than dead).
-    starved: u32,
-    /// Set once a fatal event is recorded.
-    fatal: Option<WorldExit>,
+    st: WorldState,
+    /// The armed [`Effect::Action`] fault, beside the state that rides
+    /// snapshots (its closure can be neither cloned nor compared).
+    injection: Option<Fault>,
+}
+
+/// Everything the world keeps apart from its ranks and the armed
+/// machine action. Stated once: a [`WorldSnapshot`] holds it by value,
+/// and two worlds are in the same state iff these (and their ranks)
+/// compare equal.
+#[derive(Clone, PartialEq)]
+struct WorldState {
     /// Scheduler rounds completed (drives retransmit backoff timing).
     round: u64,
+    cfg: WorldConfig,
+    rng: StdRng,
+    plan: FaultPlan,
+    /// Set once a fatal event is recorded.
+    fatal: Option<WorldExit>,
     /// NACKed messages waiting out their backoff (guard-on only).
     pending_redelivery: VecDeque<Redelivery>,
     /// Redelivery attempts per (sender, sequence number).
@@ -616,185 +670,113 @@ impl MpiWorld {
         let ranks = (0..cfg.nranks)
             .map(|_| Rank {
                 machine: Machine::load_shared(image, cfg.machine, code),
-                status: Status::Ready,
-                errhandler: false,
-                arrived: VecDeque::new(),
-                received_bytes: 0,
-                send_seq: 0,
-                coll_seq: 0,
-                profile: TrafficProfile::default(),
-                sent_history: VecDeque::new(),
-                health: Health::Alive,
-                last_heard: 0,
-                max_gap: 0,
-                out_digest: 0,
-                ckpt: None,
-                acked: 0,
+                st: RankState::default(),
             })
             .collect();
         MpiWorld {
             ranks,
-            cfg,
-            rng: StdRng::seed_from_u64(cfg.seed),
+            st: WorldState {
+                round: 0,
+                cfg,
+                rng: StdRng::seed_from_u64(cfg.seed),
+                plan: FaultPlan::default(),
+                fatal: None,
+                pending_redelivery: VecDeque::new(),
+                retx_attempts: HashMap::new(),
+                known_failed: 0,
+                shrinks: 0,
+                idle_rounds: 0,
+            },
             injection: None,
-            message_fault: None,
-            message_fault_hit: None,
-            rank_kill: None,
-            rank_kills: Vec::new(),
-            net_fault: None,
-            net_faults_fired: 0,
-            partition: None,
-            partition_until: 0,
-            partition_mask: 0,
-            partition_drops: 0,
-            node_kill: None,
-            quantum_tax: None,
-            tax_until: 0,
-            tax_rank: 0,
-            tax_permille_active: 0,
-            tax_credit: 0,
-            hog: None,
-            hog_until: 0,
-            hog_mask: 0,
-            hog_share: 0,
-            starved: 0,
-            fatal: None,
-            round: 0,
-            pending_redelivery: VecDeque::new(),
-            retx_attempts: HashMap::new(),
-            known_failed: 0,
-            shrinks: 0,
-            idle_rounds: 0,
         }
     }
 
-    /// Arm a register/memory injection.
-    pub fn set_injection(&mut self, inj: PendingInjection) {
-        assert!((inj.rank as usize) < self.ranks.len());
-        self.injection = Some(inj);
-    }
-
-    /// Arm a message-payload fault.
-    pub fn set_message_fault(&mut self, f: MessageFault) {
-        assert!((f.rank as usize) < self.ranks.len());
-        self.message_fault = Some(f);
-    }
-
-    /// Arm a process-level rank kill.
-    pub fn set_rank_kill(&mut self, k: RankKill) {
-        assert!((k.rank as usize) < self.ranks.len());
-        self.rank_kill = Some(k);
-    }
-
-    /// The armed (not yet fired) rank kill, if any.
-    pub fn rank_kill(&self) -> Option<RankKill> {
-        self.rank_kill
-    }
-
-    /// Disarm and return the armed rank kill, if any. Recovery paths
-    /// restoring a pre-fire checkpoint call this so the kill does not
-    /// re-fire on re-execution (a snapshot carries the `Copy` fault —
-    /// see [`MpiWorld::snapshot`]).
+    /// Arm a fault — the one way in, for every kind. World-level faults
+    /// join the [`FaultPlan`] (any number, each on its own clock);
+    /// syscall and stall faults go to the victim machine's slot; a
+    /// machine action takes the one injection slot, replacing any armed
+    /// one.
     ///
-    /// Also disarms every other armed *process-level* chaos fault (burst
-    /// kills, the node kill): all of them are `Copy`, all ride
-    /// snapshots, and a recovery path that means to survive one process
-    /// fault means to survive them all.
-    pub fn take_rank_kill(&mut self) -> Option<RankKill> {
-        self.rank_kills.clear();
-        self.node_kill = None;
-        self.rank_kill.take()
-    }
-
-    /// Arm an additional, independent rank kill (fl-chaos burst model).
-    /// Unlike [`MpiWorld::set_rank_kill`] this accumulates: each armed
-    /// kill fires on its own victim's block clock.
-    pub fn add_rank_kill(&mut self, k: RankKill) {
-        assert!((k.rank as usize) < self.ranks.len());
-        self.rank_kills.push(k);
-    }
-
-    /// Arm a network fault (drop/duplicate/reorder/corrupt in flight).
-    pub fn set_net_fault(&mut self, f: NetFault) {
-        assert!((f.rank as usize) < self.ranks.len());
-        self.net_fault = Some(f);
-    }
-
-    /// Network-fault strikes applied so far (0 = armed fault missed or
-    /// still pending). Where it landed is in
-    /// [`MpiWorld::message_fault_hit`], shared with the bit-flip model.
-    pub fn net_faults_fired(&self) -> u32 {
-        self.net_faults_fired
-    }
-
-    /// Arm a rank-set partition. Masks address ranks as bits, so worlds
-    /// larger than 32 ranks cannot be partitioned.
-    pub fn set_partition(&mut self, p: Partition) {
+    /// # Panics
+    /// If the trigger rank or a masked rank does not exist, or a fault
+    /// that keeps rank sets is armed on a world of more than 32 ranks
+    /// (rank sets are 32-bit masks).
+    pub fn arm(&mut self, fault: impl Into<Fault>) {
+        let (fault, n) = (fault.into(), self.ranks.len());
+        // The rank set the fault names or, once fired, keeps (a tax marks
+        // its victim in `starved`); a lone kill has none and fits any world.
+        let mask = match fault.effect {
+            Effect::World(WorldEffect::Kill { mates: m, .. }) => (m != 0).then_some(m),
+            Effect::World(WorldEffect::Cut { mask: m, .. } | WorldEffect::Hog { mask: m, .. }) => {
+                Some(m)
+            }
+            Effect::World(WorldEffect::Tax { .. }) => Some(0),
+            _ => None,
+        };
         assert!(
-            self.ranks.len() <= 32,
-            "partitions carry rank sets as 32-bit masks"
+            (fault.rank as usize) < n && mask.is_none_or(|m| n <= 32 && (m as u64) >> n == 0),
+            "cannot arm {fault:?} on a {n}-rank world: every rank it names must exist, \
+             and rank sets are 32-bit masks"
         );
-        assert!((p.trigger_rank as usize) < self.ranks.len());
-        self.partition = Some(p);
+        let Fault { rank, at, effect } = fault;
+        match effect {
+            Effect::Action { .. } => self.injection = Some(Fault { rank, at, effect }),
+            Effect::Syscall { kind, persist } => {
+                self.machine_mut(rank).set_syscall_fault(SyscallFault {
+                    kind,
+                    at_call: at,
+                    persist,
+                })
+            }
+            Effect::Stall {
+                window_insns,
+                per_access,
+            } => self.machine_mut(rank).set_mem_stall(MemStall {
+                at_insns: at,
+                window_insns,
+                per_access,
+            }),
+            Effect::World(effect) => self.st.plan.armed.push(Fault { rank, at, effect }),
+        }
     }
 
-    /// Cross-partition messages the active (or expired) cut silently
-    /// dropped — 0 means an armed partition never triggered or cut no
-    /// traffic.
-    pub fn partition_drops(&self) -> u64 {
-        self.partition_drops
+    /// Disarm every armed world-level fault `doomed` selects. A recovery
+    /// path restoring a pre-fire checkpoint calls this so the faults it
+    /// means to survive do not re-fire on re-execution (they ride the
+    /// snapshot — see [`MpiWorld::snapshot`]).
+    pub fn disarm(&mut self, mut doomed: impl FnMut(&Fault<WorldEffect>) -> bool) {
+        self.st.plan.armed.retain(|f| !doomed(f));
     }
 
-    /// Arm a node-level kill (whole rank group dies at once).
-    pub fn set_node_kill(&mut self, k: NodeKill) {
-        assert!(
-            self.ranks.len() <= 32,
-            "node kills carry rank sets as 32-bit masks"
-        );
-        assert!((k.trigger_rank as usize) < self.ranks.len());
-        self.node_kill = Some(k);
+    /// Disarm and return the armed machine action, if any. The guarded
+    /// runner uses this to carry a not-yet-fired injection across a
+    /// rollback (snapshots cannot capture the boxed action — see
+    /// [`MpiWorld::snapshot`]) and [`MpiWorld::arm`]s it again.
+    pub fn take_injection(&mut self) -> Option<Fault> {
+        self.injection.take()
     }
 
-    /// Arm a scheduling-quantum tax (fl-perturb interference model).
-    pub fn set_quantum_tax(&mut self, t: QuantumTax) {
-        assert!(
-            self.ranks.len() <= 32,
-            "perturb faults carry starvation state as 32-bit rank masks"
-        );
-        assert!((t.rank as usize) < self.ranks.len());
-        self.quantum_tax = Some(t);
+    /// The armed world-level faults, the windows the fired ones opened
+    /// and what they did.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.st.plan
     }
 
-    /// Arm a node-group quantum hog (fl-perturb interference model).
-    pub fn set_hog(&mut self, h: HogRank) {
-        assert!(
-            self.ranks.len() <= 32,
-            "hogs carry rank sets as 32-bit masks"
-        );
-        assert!((h.trigger_rank as usize) < self.ranks.len());
-        self.hog = Some(h);
-    }
-
-    /// Ranks the active quantum tax starved this round, as a bitmask
-    /// (0 = everyone who wanted a quantum got one).
-    pub fn starved_mask(&self) -> u32 {
-        self.starved
+    /// Whether any armed machine action or world-level fault has yet to
+    /// fire (a persistent injection stays pending for good).
+    pub fn fault_pending(&self) -> bool {
+        self.injection.is_some() || !self.st.plan.armed.is_empty()
     }
 
     /// A rank's process-level liveness.
     pub fn health(&self, rank: u16) -> Health {
-        self.ranks[rank as usize].health
+        self.ranks[rank as usize].st.health
     }
 
     /// A rank's rolling outbound-message digest (0 unless
     /// `cfg.track_digests` — replica voting's comparison key).
     pub fn out_digest(&self, rank: u16) -> u32 {
-        self.ranks[rank as usize].out_digest
-    }
-
-    /// Where the armed message fault landed, if it has fired.
-    pub fn message_fault_hit(&self) -> Option<MessageFaultHit> {
-        self.message_fault_hit
+        self.ranks[rank as usize].st.out_digest
     }
 
     /// Direct access to a rank's machine (profiling, output collection).
@@ -819,13 +801,13 @@ impl MpiWorld {
 
     /// A rank's channel-level traffic profile.
     pub fn profile(&self, rank: u16) -> &TrafficProfile {
-        &self.ranks[rank as usize].profile
+        &self.ranks[rank as usize].st.profile
     }
 
     /// Total bytes received by a rank so far (the paper's per-process
     /// message volume, used to draw the injection offset).
     pub fn received_bytes(&self, rank: u16) -> u64 {
-        self.ranks[rank as usize].received_bytes
+        self.ranks[rank as usize].st.received_bytes
     }
 
     /// Number of ranks in the world.
@@ -837,13 +819,13 @@ impl MpiWorld {
     /// knows about (matured suspicions since the last shrink). Always 0
     /// when `cfg.ulfm` is off.
     pub fn ulfm_failed_mask(&self) -> u32 {
-        self.known_failed
+        self.st.known_failed
     }
 
     /// ULFM mode: number of app-driven MPIX_Comm_shrink rebuilds this
     /// world has performed (0 unless the application recovered itself).
     pub fn app_shrinks(&self) -> u32 {
-        self.shrinks
+        self.st.shrinks
     }
 
     /// Copy out every rank's retained event stream (index = rank).
@@ -851,33 +833,20 @@ impl MpiWorld {
         self.ranks.iter().map(|r| r.machine.obs.to_vec()).collect()
     }
 
-    /// Whether a register/memory injection is currently armed.
-    pub fn injection_armed(&self) -> bool {
-        self.injection.is_some()
-    }
-
-    /// Disarm and return the armed injection, if any. The guarded runner
-    /// uses this to carry a not-yet-fired injection across a rollback
-    /// (snapshots cannot capture the boxed action — see
-    /// [`MpiWorld::snapshot`]).
-    pub fn take_injection(&mut self) -> Option<PendingInjection> {
-        self.injection.take()
-    }
-
     /// Scheduler rounds completed so far.
     pub fn round(&self) -> u64 {
-        self.round
+        self.st.round
     }
 
     /// Total redelivery attempts the channel guard has charged (0 when
     /// the guard is off or no CRC failure was ever detected).
     pub fn retransmits(&self) -> u32 {
-        self.retx_attempts.values().map(|&a| a as u32).sum()
+        self.st.retx_attempts.values().map(|&a| a as u32).sum()
     }
 
     /// Whether `rank` has exited (reached MPI_Finalize and returned 0).
     pub fn rank_exited(&self, rank: u16) -> bool {
-        matches!(self.ranks[rank as usize].status, Status::Exited)
+        matches!(self.ranks[rank as usize].st.status, Status::Exited)
     }
 
     /// Capture a complete deterministic checkpoint of the world.
@@ -886,19 +855,17 @@ impl MpiWorld {
     /// rank's machine (registers, FPU, copy-on-write memory pages, heap),
     /// scheduler status, unmatched in-flight messages, channel byte
     /// counters, sequence counters and traffic profile, plus the world's
-    /// scheduling RNG and any armed *message* fault.
+    /// scheduling RNG and the whole [`FaultPlan`] — armed entries, open
+    /// windows and counters. Restoring a pre-fire checkpoint therefore
+    /// re-arms those faults, and a recovery path that means to survive
+    /// one must [`MpiWorld::disarm`] it after the restore.
     ///
-    /// The one exception is an armed [`PendingInjection`]: its action is a
+    /// The one exception is an armed [`Effect::Action`]: its action is a
     /// boxed `FnMut` closure and cannot be cloned. Snapshot the golden
     /// world *before* arming an injection and re-arm after
     /// [`WorldSnapshot::restore`] — which is the order the campaign fast
     /// path uses. A snapshot taken while an injection is armed simply does
     /// not carry it.
-    ///
-    /// An armed [`RankKill`] *is* carried (it is `Copy`): restoring a
-    /// pre-fire checkpoint re-arms the kill, and a recovery path that
-    /// means to survive it must clear it with
-    /// [`MpiWorld::take_rank_kill`] after the restore.
     pub fn snapshot(&self) -> WorldSnapshot {
         WorldSnapshot {
             ranks: self
@@ -906,59 +873,11 @@ impl MpiWorld {
                 .iter()
                 .map(|r| RankSnapshot {
                     machine: r.machine.snapshot(),
-                    status: r.status.clone(),
-                    errhandler: r.errhandler,
-                    arrived: r.arrived.clone(),
-                    received_bytes: r.received_bytes,
-                    send_seq: r.send_seq,
-                    coll_seq: r.coll_seq,
-                    profile: r.profile,
-                    sent_history: r.sent_history.clone(),
-                    health: r.health,
-                    last_heard: r.last_heard,
-                    max_gap: r.max_gap,
-                    out_digest: r.out_digest,
-                    ckpt: r.ckpt.clone(),
-                    acked: r.acked,
+                    st: r.st.clone(),
                 })
                 .collect(),
-            cfg: self.cfg,
-            rng: self.rng.clone(),
-            message_fault: self.message_fault,
-            message_fault_hit: self.message_fault_hit,
-            rank_kill: self.rank_kill,
-            rank_kills: self.rank_kills.clone(),
-            net_fault: self.net_fault,
-            net_faults_fired: self.net_faults_fired,
-            partition: self.partition,
-            partition_until: self.partition_until,
-            partition_mask: self.partition_mask,
-            partition_drops: self.partition_drops,
-            node_kill: self.node_kill,
-            quantum_tax: self.quantum_tax,
-            tax_until: self.tax_until,
-            tax_rank: self.tax_rank,
-            tax_permille_active: self.tax_permille_active,
-            tax_credit: self.tax_credit,
-            hog: self.hog,
-            hog_until: self.hog_until,
-            hog_mask: self.hog_mask,
-            hog_share: self.hog_share,
-            starved: self.starved,
-            fatal: self.fatal.clone(),
-            round: self.round,
-            pending_redelivery: self.pending_redelivery.clone(),
-            retx_attempts: self.retx_attempts.clone(),
-            known_failed: self.known_failed,
-            shrinks: self.shrinks,
-            idle_rounds: self.idle_rounds,
+            st: self.st.clone(),
         }
-    }
-
-    /// Whether an armed register/memory injection or message fault has
-    /// yet to fire (a persistent injection stays pending for good).
-    pub fn fault_pending(&self) -> bool {
-        self.injection.is_some() || self.message_fault.is_some()
     }
 
     /// Is this world the golden run at epoch boundary `k` again?
@@ -967,135 +886,43 @@ impl MpiWorld {
     /// rank `r`'s read stamps from the same golden run, stamped with
     /// epoch-interval indices. Every rank's CPU, counters, allocator and
     /// I/O buffers, every queue, sequence number, status and detector
-    /// clock, the RNG, the round and every armed chaos fault must equal
+    /// clock, the RNG, the round and the whole fault plan must equal
     /// the snapshot exactly; memory may differ in granules the golden
     /// run never reads after the boundary
     /// ([`fl_machine::Memory::converged_on`]). If so, whatever this world
     /// reads from here on, it reads the values the golden run read — so
     /// it *is* the golden run, and the returned count says how many
     /// dead granules were excused. Only the bookkeeping of the spent
-    /// fault ([`MpiWorld::message_fault_hit`]) is ignored; a fault still
-    /// pending never converges.
+    /// fault ([`FaultPlan::hit`]) is ignored; a fault still pending
+    /// never converges.
     pub fn converged_on(
         &self,
         snap: &WorldSnapshot,
         stamps: &[fl_machine::ReadStamps],
         k: u32,
     ) -> Option<u64> {
-        // Destructured so a new field cannot be left out silently.
-        let MpiWorld {
-            ranks,
-            cfg,
-            rng,
-            injection,
-            message_fault,
-            message_fault_hit: _,
-            rank_kill,
-            rank_kills,
-            net_fault,
-            net_faults_fired,
-            partition,
-            partition_until,
-            partition_mask,
-            partition_drops,
-            node_kill,
-            quantum_tax,
-            tax_until,
-            tax_rank,
-            tax_permille_active,
-            tax_credit,
-            hog,
-            hog_until,
-            hog_mask,
-            hog_share,
-            starved,
-            fatal,
-            round,
-            pending_redelivery,
-            retx_attempts,
-            known_failed,
-            shrinks,
-            idle_rounds,
-        } = self;
-        let world_same = injection.is_none()
-            && *round == snap.round
-            && *message_fault == snap.message_fault
-            && *fatal == snap.fatal
-            && *cfg == snap.cfg
-            && *rng == snap.rng
-            && *rank_kill == snap.rank_kill
-            && *rank_kills == snap.rank_kills
-            && *net_fault == snap.net_fault
-            && *net_faults_fired == snap.net_faults_fired
-            && *partition == snap.partition
-            && *partition_until == snap.partition_until
-            && *partition_mask == snap.partition_mask
-            && *partition_drops == snap.partition_drops
-            && *node_kill == snap.node_kill
-            && *quantum_tax == snap.quantum_tax
-            && *tax_until == snap.tax_until
-            && *tax_rank == snap.tax_rank
-            && *tax_permille_active == snap.tax_permille_active
-            && *tax_credit == snap.tax_credit
-            && *hog == snap.hog
-            && *hog_until == snap.hog_until
-            && *hog_mask == snap.hog_mask
-            && *hog_share == snap.hog_share
-            && *starved == snap.starved
-            && *known_failed == snap.known_failed
-            && *shrinks == snap.shrinks
-            && *idle_rounds == snap.idle_rounds
-            && *pending_redelivery == snap.pending_redelivery
-            && *retx_attempts == snap.retx_attempts
-            && ranks.len() == snap.ranks.len()
-            && ranks.len() == stamps.len();
-        if !world_same {
+        let mut world = self.st.clone();
+        world.plan.hit = snap.st.plan.hit;
+        if self.injection.is_some()
+            || world != snap.st
+            || self.ranks.len() != snap.ranks.len()
+            || self.ranks.len() != stamps.len()
+        {
             return None;
         }
         let mut excused = 0;
-        for ((r, s), st) in ranks.iter().zip(&snap.ranks).zip(stamps) {
-            let Rank {
-                machine,
-                status,
-                errhandler,
-                arrived,
-                received_bytes,
-                send_seq,
-                coll_seq,
-                profile,
-                sent_history,
-                health,
-                last_heard,
-                max_gap,
-                out_digest,
-                ckpt,
-                acked,
-            } = r;
-            let rank_same = *status == s.status
-                && *errhandler == s.errhandler
-                && *received_bytes == s.received_bytes
-                && *send_seq == s.send_seq
-                && *coll_seq == s.coll_seq
-                && *profile == s.profile
-                && *health == s.health
-                && *last_heard == s.last_heard
-                && *max_gap == s.max_gap
-                && *out_digest == s.out_digest
-                && *acked == s.acked
-                && *arrived == s.arrived
-                && *sent_history == s.sent_history
-                && *ckpt == s.ckpt;
-            if !rank_same {
+        for ((r, s), st) in self.ranks.iter().zip(&snap.ranks).zip(stamps) {
+            if r.st != s.st {
                 return None;
             }
-            excused += machine.converged_on(&s.machine, st, k)?;
+            excused += r.machine.converged_on(&s.machine, st, k)?;
         }
         Some(excused)
     }
 
     fn fatal(&mut self, e: WorldExit) {
-        if self.fatal.is_none() {
-            self.fatal = Some(e);
+        if self.st.fatal.is_none() {
+            self.st.fatal = Some(e);
         }
     }
 
@@ -1104,13 +931,13 @@ impl MpiWorld {
     /// accrual detector's progress-rate floor) before stamping
     /// `last_heard`.
     fn heard(&mut self, i: usize) {
-        let round = self.round;
+        let round = self.st.round;
         let r = &mut self.ranks[i];
-        let gap = round - r.last_heard;
-        if gap > r.max_gap {
-            r.max_gap = gap;
+        let gap = round - r.st.last_heard;
+        if gap > r.st.max_gap {
+            r.st.max_gap = gap;
         }
-        r.last_heard = round;
+        r.st.last_heard = round;
     }
 
     // --- observability -----------------------------------------------------
@@ -1191,21 +1018,22 @@ impl MpiWorld {
     /// rank (scheduler knowledge, not trusted wire bytes — a flip can
     /// corrupt the header's src field).
     fn ingest(&mut self, src: u16, dst: u16, mut msg: WireMsg) {
-        if self.round < self.partition_until
-            && (self.partition_mask >> (src as u32) ^ self.partition_mask >> (dst as u32)) & 1 == 1
+        let plan = &mut self.st.plan;
+        if self.st.round < plan.cut_until
+            && (plan.cut_mask >> (src as u32) ^ plan.cut_mask >> (dst as u32)) & 1 == 1
         {
             // An active partition severs the channel before anything else
             // sees the bytes: no traffic accounting, and — crucially — no
             // piggybacked heartbeat, so a cut also silences liveness
             // evidence exactly like a real switch failure.
-            self.partition_drops += 1;
+            plan.cut_drops += 1;
             return;
         }
-        if self.cfg.ft.enabled {
+        if self.st.cfg.ft.enabled {
             // Piggybacked heartbeat: traffic from a rank proves it alive.
             self.heard(src as usize);
         }
-        if !matches!(self.ranks[dst as usize].health, Health::Alive) {
+        if !matches!(self.ranks[dst as usize].st.health, Health::Alive) {
             // A dead process's channel is gone; a wedged one services
             // nothing. Either way the bytes vanish, exactly like a send
             // to a crashed peer on a real cluster.
@@ -1214,94 +1042,23 @@ impl MpiWorld {
         // The true sequence number, read from the pristine image before
         // any fault lands (the wire copy of it may get corrupted).
         let wire_seq = u32::from_le_bytes(msg.raw[16..20].try_into().unwrap());
-        if self.cfg.guard.enabled {
-            let hist = &mut self.ranks[src as usize].sent_history;
+        if self.st.cfg.guard.enabled {
+            let hist = &mut self.ranks[src as usize].st.sent_history;
             if hist.len() == SENT_HISTORY_CAP {
                 hist.pop_front();
             }
             hist.push_back((wire_seq, msg.clone()));
         }
         let r = &mut self.ranks[dst as usize];
-        let start = r.received_bytes;
-        let len = msg.len() as u64;
-        r.received_bytes += len;
-        if let Some(f) = self.message_fault {
-            if f.rank == dst && f.at_recv_byte >= start && f.at_recv_byte < start + len {
-                let off = (f.at_recv_byte - start) as usize;
-                msg.flip_bit(off, f.bit);
-                let in_header = off < crate::message::HEADER_SIZE;
-                self.message_fault_hit = Some(MessageFaultHit {
-                    offset_in_msg: off,
-                    in_header,
-                    msg_len: msg.len(),
-                });
-                self.message_fault = None;
-                self.obs_record(
-                    dst as usize,
-                    EventKind::MessageFaultHit {
-                        offset: off as u32,
-                        in_header,
-                    },
-                );
-            }
+        let start = r.st.received_bytes;
+        r.st.received_bytes += msg.len() as u64;
+        if !self.st.plan.armed.is_empty() {
+            let Some(m) = self.strike(src, dst, start, msg) else {
+                return;
+            };
+            msg = m;
         }
-        if let Some(f) = self.net_fault {
-            if f.rank == dst && f.at_recv_byte >= start && f.at_recv_byte < start + len {
-                self.net_fault = None;
-                self.net_faults_fired += 1;
-                let off = (f.at_recv_byte - start) as usize;
-                let in_header = off < crate::message::HEADER_SIZE;
-                self.message_fault_hit = Some(MessageFaultHit {
-                    offset_in_msg: off,
-                    in_header,
-                    msg_len: msg.len(),
-                });
-                self.obs_record(
-                    dst as usize,
-                    EventKind::MessageFaultHit {
-                        offset: off as u32,
-                        in_header,
-                    },
-                );
-                match f.kind {
-                    NetFaultKind::Drop => return,
-                    NetFaultKind::Duplicate => {
-                        // Deliver now, and again next round: the copy
-                        // re-enters the channel like any redelivery.
-                        self.pending_redelivery.push_back(Redelivery {
-                            due_round: self.round + 1,
-                            src,
-                            dst,
-                            msg: msg.clone(),
-                        });
-                    }
-                    NetFaultKind::Reorder { delay_rounds } => {
-                        // Defer delivery so later traffic overtakes it.
-                        self.pending_redelivery.push_back(Redelivery {
-                            due_round: self.round + delay_rounds.max(1),
-                            src,
-                            dst,
-                            msg,
-                        });
-                        return;
-                    }
-                    NetFaultKind::Corrupt => {
-                        // Invert a CRC-covered payload byte when there is
-                        // one; a header-only message gets its CRC field
-                        // inverted instead (harmless unguarded, caught
-                        // guarded — either way the flip is in the wire).
-                        let at = if msg.len() > crate::message::HEADER_SIZE {
-                            crate::message::HEADER_SIZE
-                                + off % (msg.len() - crate::message::HEADER_SIZE)
-                        } else {
-                            crate::message::CRC_OFFSET
-                        };
-                        msg.raw[at] ^= 0xFF;
-                    }
-                }
-            }
-        }
-        if self.cfg.guard.enabled && !msg.crc_ok() {
+        if self.st.cfg.guard.enabled && !msg.crc_ok() {
             return self.nack(src, dst, wire_seq);
         }
         match msg.header() {
@@ -1315,8 +1072,8 @@ impl MpiWorld {
                     },
                 );
                 let r = &mut self.ranks[dst as usize];
-                r.profile.record(&h);
-                r.arrived.push_back((h, msg));
+                r.st.profile.record(&h);
+                r.st.arrived.push_back((h, msg));
             }
             Err(e) => {
                 // Malformed packet: MPICH internal error, fatal to the job.
@@ -1328,6 +1085,69 @@ impl MpiWorld {
         }
     }
 
+    /// Apply every armed wire fault whose offset falls inside `msg`,
+    /// which occupies `start..` of `dst`'s incoming byte stream. Returns
+    /// the message to deliver now — `None` if a fault took it out of the
+    /// channel (dropped, or deferred to a later round).
+    fn strike(&mut self, src: u16, dst: u16, start: u64, mut msg: WireMsg) -> Option<WireMsg> {
+        use crate::message::{CRC_OFFSET, HEADER_SIZE};
+        let span = start..start + msg.len() as u64;
+        let struck = |f: &Fault<WorldEffect>| match f.effect {
+            WorldEffect::Wire(kind) if f.rank == dst && span.contains(&f.at) => Some(kind),
+            _ => None,
+        };
+        while let Some((i, kind)) =
+            (self.st.plan.armed.iter().enumerate()).find_map(|(i, f)| Some((i, struck(f)?)))
+        {
+            let off = (self.st.plan.armed.remove(i).at - start) as usize;
+            let in_header = off < HEADER_SIZE;
+            self.st.plan.hit = Some(MessageFaultHit {
+                offset_in_msg: off,
+                in_header,
+                msg_len: msg.len(),
+            });
+            let offset = off as u32;
+            self.obs_record(
+                dst as usize,
+                EventKind::MessageFaultHit { offset, in_header },
+            );
+            // A copy re-enters the channel later like any redelivery.
+            let later = |rounds: u64, msg| Redelivery {
+                due_round: self.st.round + rounds,
+                src,
+                dst,
+                msg,
+            };
+            match kind {
+                NetFaultKind::Flip { bit } => msg.flip_bit(off, bit),
+                NetFaultKind::Drop => return None,
+                NetFaultKind::Duplicate => {
+                    let copy = later(1, msg.clone());
+                    self.st.pending_redelivery.push_back(copy);
+                }
+                NetFaultKind::Reorder { delay_rounds } => {
+                    // Defer delivery so later traffic overtakes it.
+                    let deferred = later(delay_rounds.max(1), msg);
+                    self.st.pending_redelivery.push_back(deferred);
+                    return None;
+                }
+                NetFaultKind::Corrupt => {
+                    // Invert a CRC-covered payload byte when there is
+                    // one; a header-only message gets its CRC field
+                    // inverted instead (harmless unguarded, caught
+                    // guarded — either way the flip is in the wire).
+                    let at = if msg.len() > HEADER_SIZE {
+                        HEADER_SIZE + off % (msg.len() - HEADER_SIZE)
+                    } else {
+                        CRC_OFFSET
+                    };
+                    msg.raw[at] ^= 0xFF;
+                }
+            }
+        }
+        Some(msg)
+    }
+
     /// Receiver-side NACK for a CRC-rejected message: out-of-band to the
     /// simulator (a real channel would send a control frame), it charges
     /// one retransmit attempt against `(src, seq)` and schedules the
@@ -1337,8 +1157,8 @@ impl MpiWorld {
     /// fault, surfaced as [`WorldExit::GuardDetected`].
     fn nack(&mut self, src: u16, dst: u16, seq: u32) {
         self.obs_record(dst as usize, EventKind::CrcReject { from: src, seq });
-        let used = self.retx_attempts.get(&(src, seq)).copied().unwrap_or(0);
-        if used >= self.cfg.guard.max_retransmits {
+        let used = self.st.retx_attempts.get(&(src, seq)).copied().unwrap_or(0);
+        if used >= self.st.cfg.guard.max_retransmits {
             return self.fatal(WorldExit::GuardDetected {
                 rank: dst,
                 what: format!(
@@ -1348,8 +1168,9 @@ impl MpiWorld {
             });
         }
         let attempt = used + 1;
-        self.retx_attempts.insert((src, seq), attempt);
+        self.st.retx_attempts.insert((src, seq), attempt);
         let pristine = self.ranks[src as usize]
+            .st
             .sent_history
             .iter()
             .rev()
@@ -1369,8 +1190,8 @@ impl MpiWorld {
                 attempt,
             },
         );
-        self.pending_redelivery.push_back(Redelivery {
-            due_round: self.round + (1 << attempt.min(16)),
+        self.st.pending_redelivery.push_back(Redelivery {
+            due_round: self.st.round + (1 << attempt.min(16)),
             src,
             dst,
             msg,
@@ -1380,8 +1201,8 @@ impl MpiWorld {
     /// Deliver NACKed messages whose backoff has elapsed.
     fn drain_redeliveries(&mut self) {
         let mut due = Vec::new();
-        self.pending_redelivery.retain(|r| {
-            if r.due_round <= self.round {
+        self.st.pending_redelivery.retain(|r| {
+            if r.due_round <= self.st.round {
                 due.push(r.clone());
                 false
             } else {
@@ -1389,7 +1210,7 @@ impl MpiWorld {
             }
         });
         for r in due {
-            if self.fatal.is_some() {
+            if self.st.fatal.is_some() {
                 return;
             }
             self.ingest(r.src, r.dst, r.msg);
@@ -1402,8 +1223,8 @@ impl MpiWorld {
     /// digest mismatch pinpoints the first divergent send.
     fn fold_digest(&mut self, rank: u16, msg: &WireMsg) {
         let r = &mut self.ranks[rank as usize];
-        let chain = r.out_digest.to_le_bytes();
-        r.out_digest = crate::message::crc32(&[&chain, &msg.raw[..]]);
+        let chain = r.st.out_digest.to_le_bytes();
+        r.st.out_digest = crate::message::crc32(&[&chain, &msg.raw[..]]);
     }
 
     /// Guard for destinations computed from *parsed wire headers*: a
@@ -1425,8 +1246,8 @@ impl MpiWorld {
         if !self.check_wire_dst(src, dst) {
             return;
         }
-        let seq = self.ranks[src as usize].send_seq;
-        self.ranks[src as usize].send_seq += 1;
+        let seq = self.ranks[src as usize].st.send_seq;
+        self.ranks[src as usize].st.send_seq += 1;
         self.obs_record(
             src as usize,
             EventKind::MsgSend {
@@ -1436,7 +1257,7 @@ impl MpiWorld {
             },
         );
         let m = WireMsg::data(src, dst, tag, seq, payload);
-        if self.cfg.track_digests {
+        if self.st.cfg.track_digests {
             self.fold_digest(src, &m);
         }
         self.ingest(src, dst, m);
@@ -1450,8 +1271,8 @@ impl MpiWorld {
         if !self.check_wire_dst(src, dst) {
             return;
         }
-        let seq = self.ranks[src as usize].send_seq;
-        self.ranks[src as usize].send_seq += 1;
+        let seq = self.ranks[src as usize].st.send_seq;
+        self.ranks[src as usize].st.send_seq += 1;
         self.obs_record(
             src as usize,
             EventKind::MsgSend {
@@ -1462,7 +1283,7 @@ impl MpiWorld {
         );
         let mem = &mut self.ranks[src as usize].machine.mem;
         let m = WireMsg::data_with(src, dst, tag, seq, len, |b| mem.guest_read(buf, b));
-        if self.cfg.track_digests {
+        if self.st.cfg.track_digests {
             self.fold_digest(src, &m);
         }
         self.ingest(src, dst, m);
@@ -1472,8 +1293,8 @@ impl MpiWorld {
         if !self.check_wire_dst(src, dst) {
             return;
         }
-        let seq = self.ranks[src as usize].send_seq;
-        self.ranks[src as usize].send_seq += 1;
+        let seq = self.ranks[src as usize].st.send_seq;
+        self.ranks[src as usize].st.send_seq += 1;
         self.obs_record(
             src as usize,
             EventKind::MsgSend {
@@ -1483,7 +1304,7 @@ impl MpiWorld {
             },
         );
         let m = WireMsg::control(op, src, dst, tag, seq);
-        if self.cfg.track_digests {
+        if self.st.cfg.track_digests {
             self.fold_digest(src, &m);
         }
         self.ingest(src, dst, m);
@@ -1494,7 +1315,7 @@ impl MpiWorld {
     /// An MPI-level error on `rank` (bad argument, truncation). Raises the
     /// registered handler (→ MpiDetected) or aborts (→ Crash), per §6.2.
     fn mpi_error(&mut self, rank: u16, what: String) {
-        let handled = self.ranks[rank as usize].errhandler;
+        let handled = self.ranks[rank as usize].st.errhandler;
         self.obs_record(rank as usize, EventKind::MpiError { handled });
         if handled {
             self.fatal(WorldExit::MpiDetected { rank, what });
@@ -1557,11 +1378,11 @@ impl MpiWorld {
             Syscall::MpiCommRank => self.complete(rank, Some(rank as u32)),
             Syscall::MpiCommSize => self.complete(rank, Some(self.ranks.len() as u32)),
             Syscall::MpiErrhandlerSet => {
-                self.ranks[rank as usize].errhandler = eax != 0;
+                self.ranks[rank as usize].st.errhandler = eax != 0;
                 self.complete(rank, Some(0));
             }
             Syscall::MpiFinalize => {
-                self.ranks[rank as usize].status = Status::Finalized;
+                self.ranks[rank as usize].st.status = Status::Finalized;
                 self.ranks[rank as usize].machine.mpi_complete(None);
             }
             Syscall::MpiAbort => {
@@ -1582,7 +1403,7 @@ impl MpiWorld {
                     return self
                         .mpi_error(rank, format!("MPI_Send: invalid buffer {buf:#x}+{len}"));
                 }
-                if self.cfg.ulfm && self.known_failed != 0 {
+                if self.st.cfg.ulfm && self.st.known_failed != 0 {
                     // ULFM: a known failure revokes the communicator
                     // until the application shrinks it — every
                     // point-to-point call errors, so ranks with no dead
@@ -1591,7 +1412,7 @@ impl MpiWorld {
                     // peer that already left for MPIX_Comm_agree.
                     return self.complete(rank, Some(MPIX_ERR_PROC_FAILED));
                 }
-                if len <= self.cfg.eager_threshold {
+                if len <= self.st.cfg.eager_threshold {
                     // Eager: peek the payload straight into the wire image.
                     self.send_data_from_mem(rank, dst as u16, tag, buf, len);
                     self.complete(rank, None);
@@ -1605,9 +1426,9 @@ impl MpiWorld {
                         .machine
                         .mem
                         .guest_read(buf, &mut payload);
-                    let seq = self.ranks[rank as usize].send_seq;
+                    let seq = self.ranks[rank as usize].st.send_seq;
                     self.send_control(CtlOp::Rts, rank, dst as u16, tag);
-                    self.ranks[rank as usize].status = Status::Blocked(Blocked::SendRts {
+                    self.ranks[rank as usize].st.status = Status::Blocked(Blocked::SendRts {
                         dst: dst as u16,
                         tag,
                         payload,
@@ -1627,16 +1448,16 @@ impl MpiWorld {
                     return self
                         .mpi_error(rank, format!("MPI_Recv: invalid buffer {buf:#x}+{cap}"));
                 }
-                if self.cfg.ulfm && self.known_failed != 0 {
+                if self.st.cfg.ulfm && self.st.known_failed != 0 {
                     // ULFM: revoked until shrink (see MPI_Send above);
                     // the buffer is left untouched.
                     return self.complete(rank, Some(MPIX_ERR_PROC_FAILED));
                 }
-                self.ranks[rank as usize].status =
+                self.ranks[rank as usize].st.status =
                     Status::Blocked(Blocked::Recv { buf, cap, src, tag });
             }
             Syscall::MpiBarrier => {
-                if self.cfg.ulfm && self.known_failed != 0 {
+                if self.st.cfg.ulfm && self.st.known_failed != 0 {
                     // ULFM: collectives over a communicator with a known
                     // failure raise the process-failure class at every
                     // caller, without consuming a collective slot — the
@@ -1644,25 +1465,25 @@ impl MpiWorld {
                     // collective can succeed again.
                     return self.complete(rank, Some(MPIX_ERR_PROC_FAILED));
                 }
-                let seq = self.ranks[rank as usize].coll_seq;
-                self.ranks[rank as usize].coll_seq += 1;
+                let seq = self.ranks[rank as usize].st.coll_seq;
+                self.ranks[rank as usize].st.coll_seq += 1;
                 if self.ranks.len() == 1 {
                     return self.complete(rank, None);
                 }
                 self.barrier_send(rank, 0, seq);
-                self.ranks[rank as usize].status =
+                self.ranks[rank as usize].st.status =
                     Status::Blocked(Blocked::Barrier { round: 0, seq });
             }
             Syscall::MpiBcast => {
-                if self.cfg.ulfm && self.known_failed != 0 {
+                if self.st.cfg.ulfm && self.st.known_failed != 0 {
                     return self.complete(rank, Some(MPIX_ERR_PROC_FAILED));
                 }
                 let (buf, len, root) = (eax, ecx, edx as i32);
                 if !self.valid_rank(root) {
                     return self.mpi_error(rank, format!("MPI_Bcast: invalid root {root}"));
                 }
-                let seq = self.ranks[rank as usize].coll_seq;
-                self.ranks[rank as usize].coll_seq += 1;
+                let seq = self.ranks[rank as usize].st.coll_seq;
+                self.ranks[rank as usize].st.coll_seq += 1;
                 let ctag = COLL_TAG_BASE + seq;
                 let is_root = rank as i32 == root;
                 if len > MAX_PAYLOAD || !self.valid_buffer(rank, buf, len, !is_root) {
@@ -1677,7 +1498,7 @@ impl MpiWorld {
                     }
                     self.complete(rank, None);
                 } else {
-                    self.ranks[rank as usize].status = Status::Blocked(Blocked::Recv {
+                    self.ranks[rank as usize].st.status = Status::Blocked(Blocked::Recv {
                         buf,
                         cap: len,
                         src: root,
@@ -1689,7 +1510,7 @@ impl MpiWorld {
                 // Reduce(sum of f64): EAX=sendbuf, ECX=count, EDX=root (or
                 // recvbuf for allreduce), EBX=recvbuf (or unused).
                 let allreduce = call == Syscall::MpiAllreduce;
-                if self.cfg.ulfm && self.known_failed != 0 {
+                if self.st.cfg.ulfm && self.st.known_failed != 0 {
                     return self.complete(rank, Some(MPIX_ERR_PROC_FAILED));
                 }
                 let (sendbuf, count) = (eax, ecx);
@@ -1715,9 +1536,9 @@ impl MpiWorld {
                     return self
                         .mpi_error(rank, format!("MPI_Allreduce: invalid recvbuf {recvbuf:#x}"));
                 }
-                let seq = self.ranks[rank as usize].coll_seq;
+                let seq = self.ranks[rank as usize].st.coll_seq;
                 // Allreduce consumes two collective slots (reduce+bcast).
-                self.ranks[rank as usize].coll_seq += if allreduce { 2 } else { 1 };
+                self.ranks[rank as usize].st.coll_seq += if allreduce { 2 } else { 1 };
                 let ctag = COLL_TAG_BASE + seq;
                 if is_root {
                     let mem = &mut self.ranks[rank as usize].machine.mem;
@@ -1731,18 +1552,19 @@ impl MpiWorld {
                     if self.ranks.len() == 1 {
                         self.finish_reduce(rank, &acc, recvbuf, allreduce, ctag);
                     } else {
-                        self.ranks[rank as usize].status = Status::Blocked(Blocked::ReduceRoot {
-                            acc,
-                            remaining: self.ranks.len() as u32 - 1,
-                            recvbuf,
-                            tag: ctag,
-                        });
+                        self.ranks[rank as usize].st.status =
+                            Status::Blocked(Blocked::ReduceRoot {
+                                acc,
+                                remaining: self.ranks.len() as u32 - 1,
+                                recvbuf,
+                                tag: ctag,
+                            });
                     }
                 } else {
                     self.send_data_from_mem(rank, root as u16, ctag, sendbuf, bytes);
                     if allreduce {
                         // Wait for the broadcast of the result.
-                        self.ranks[rank as usize].status = Status::Blocked(Blocked::Recv {
+                        self.ranks[rank as usize].st.status = Status::Blocked(Blocked::Recv {
                             buf: recvbuf,
                             cap: bytes,
                             src: root,
@@ -1757,20 +1579,20 @@ impl MpiWorld {
             Syscall::MpixFailureAck => {
                 // Acknowledge everything the world currently knows;
                 // returns how many failures were newly acknowledged.
-                let newly = self.known_failed & !self.ranks[rank as usize].acked;
-                self.ranks[rank as usize].acked = self.known_failed;
+                let newly = self.st.known_failed & !self.ranks[rank as usize].st.acked;
+                self.ranks[rank as usize].st.acked = self.st.known_failed;
                 self.complete(rank, Some(newly.count_ones()));
             }
             Syscall::MpixFailureGetAcked => {
-                let acked = self.ranks[rank as usize].acked;
+                let acked = self.ranks[rank as usize].st.acked;
                 self.complete(rank, Some(acked));
             }
             Syscall::MpixAgree => {
-                self.ranks[rank as usize].status = Status::Blocked(Blocked::Agree { flag: eax });
+                self.ranks[rank as usize].st.status = Status::Blocked(Blocked::Agree { flag: eax });
                 self.try_complete_agree();
             }
             Syscall::MpixShrink => {
-                self.ranks[rank as usize].status = Status::Blocked(Blocked::Shrink);
+                self.ranks[rank as usize].st.status = Status::Blocked(Blocked::Shrink);
                 self.try_shrink();
             }
             Syscall::CkptSave => {
@@ -1784,10 +1606,12 @@ impl MpiWorld {
                     .machine
                     .mem
                     .guest_read(buf, &mut data);
-                self.ranks[rank as usize].ckpt = Some(data);
+                self.ranks[rank as usize].st.ckpt = Some(data);
                 self.obs_record(
                     rank as usize,
-                    EventKind::SnapshotCaptured { round: self.round },
+                    EventKind::SnapshotCaptured {
+                        round: self.st.round,
+                    },
                 );
                 self.complete(rank, Some(len));
             }
@@ -1801,7 +1625,7 @@ impl MpiWorld {
                 }
                 // The checkpoint is copied back, not consumed: a second
                 // failure can roll back to the same control point.
-                let data = match &self.ranks[rank as usize].ckpt {
+                let data = match &self.ranks[rank as usize].st.ckpt {
                     None => Vec::new(),
                     Some(d) => d[..d.len().min(cap as usize)].to_vec(),
                 };
@@ -1809,7 +1633,9 @@ impl MpiWorld {
                     self.ranks[rank as usize].machine.mem.poke(buf, &data);
                     self.obs_record(
                         rank as usize,
-                        EventKind::SnapshotRestored { round: self.round },
+                        EventKind::SnapshotRestored {
+                            round: self.st.round,
+                        },
                     );
                 }
                 self.complete(rank, Some(data.len() as u32));
@@ -1848,7 +1674,7 @@ impl MpiWorld {
     fn complete(&mut self, rank: u16, ret: Option<u32>) {
         let r = &mut self.ranks[rank as usize];
         r.machine.mpi_complete(ret);
-        r.status = Status::Ready;
+        r.st.status = Status::Ready;
     }
 
     // --- barrier (dissemination) -------------------------------------------
@@ -1869,23 +1695,23 @@ impl MpiWorld {
 
     /// Try to unblock `rank`; returns true if its status changed.
     fn try_unblock(&mut self, rank: usize) -> bool {
-        if !matches!(self.ranks[rank].health, Health::Alive) {
+        if !matches!(self.ranks[rank].st.health, Health::Alive) {
             return false;
         }
-        let blocked = match &self.ranks[rank].status {
+        let blocked = match &self.ranks[rank].st.status {
             Status::Blocked(b) => b.clone(),
             _ => return false,
         };
         match blocked {
             Blocked::Recv { buf, cap, src, tag } => {
-                let pos = self.ranks[rank].arrived.iter().position(|(h, _)| {
+                let pos = self.ranks[rank].st.arrived.iter().position(|(h, _)| {
                     h.tag == tag
                         && (src == ANY_SOURCE || h.src as i32 == src)
                         && (h.kind == MsgKind::Data
                             || (h.kind == MsgKind::Control && h.ctl_op == CtlOp::Rts))
                 });
                 let Some(pos) = pos else { return false };
-                let (h, msg) = self.ranks[rank].arrived.remove(pos).unwrap();
+                let (h, msg) = self.ranks[rank].st.arrived.remove(pos).unwrap();
                 match h.kind {
                     MsgKind::Control => {
                         // An RTS: grant a CTS and keep waiting for data.
@@ -1922,14 +1748,14 @@ impl MpiWorld {
                 payload,
                 seq: _,
             } => {
-                let pos = self.ranks[rank].arrived.iter().position(|(h, _)| {
+                let pos = self.ranks[rank].st.arrived.iter().position(|(h, _)| {
                     h.kind == MsgKind::Control
                         && h.ctl_op == CtlOp::Cts
                         && h.src == dst
                         && h.tag == tag
                 });
                 let Some(pos) = pos else { return false };
-                self.ranks[rank].arrived.remove(pos);
+                self.ranks[rank].st.arrived.remove(pos);
                 self.send_data(rank as u16, dst, tag, &payload);
                 self.complete(rank as u16, None);
                 true
@@ -1938,20 +1764,20 @@ impl MpiWorld {
                 let n = self.ranks.len() as u32;
                 let expect_from = ((rank as u32) + n - (1 << round) % n) % n;
                 let tag = BARRIER_TAG_BASE + (seq << 6) + round;
-                let pos = self.ranks[rank].arrived.iter().position(|(h, _)| {
+                let pos = self.ranks[rank].st.arrived.iter().position(|(h, _)| {
                     h.kind == MsgKind::Control
                         && h.ctl_op == CtlOp::Barrier
                         && h.tag == tag
                         && h.src as u32 == expect_from
                 });
                 let Some(pos) = pos else { return false };
-                self.ranks[rank].arrived.remove(pos);
+                self.ranks[rank].st.arrived.remove(pos);
                 let next = round + 1;
                 if next >= self.barrier_rounds() {
                     self.complete(rank as u16, None);
                 } else {
                     self.barrier_send(rank as u16, next, seq);
-                    self.ranks[rank].status =
+                    self.ranks[rank].st.status =
                         Status::Blocked(Blocked::Barrier { round: next, seq });
                 }
                 true
@@ -1965,11 +1791,12 @@ impl MpiWorld {
                 let mut changed = false;
                 loop {
                     let pos = self.ranks[rank]
+                        .st
                         .arrived
                         .iter()
                         .position(|(h, _)| h.kind == MsgKind::Data && h.tag == tag);
                     let Some(pos) = pos else { break };
-                    let (_, msg) = self.ranks[rank].arrived.remove(pos).unwrap();
+                    let (_, msg) = self.ranks[rank].st.arrived.remove(pos).unwrap();
                     for (i, c) in msg.payload().chunks_exact(8).enumerate() {
                         if let Some(slot) = acc.get_mut(i) {
                             *slot += f64::from_le_bytes(c.try_into().unwrap());
@@ -1983,7 +1810,7 @@ impl MpiWorld {
                     }
                 }
                 if changed {
-                    self.ranks[rank].status = Status::Blocked(Blocked::ReduceRoot {
+                    self.ranks[rank].st.status = Status::Blocked(Blocked::ReduceRoot {
                         acc,
                         remaining,
                         recvbuf,
@@ -2004,7 +1831,7 @@ impl MpiWorld {
     fn finish_reduce_root(&mut self, rank: u16, acc: &[f64], recvbuf: u32, tag: u32) {
         // Allreduce peers block on Recv(tag+1); a plain reduce has none.
         let allreduce = self.ranks.iter().any(
-            |r| matches!(&r.status, Status::Blocked(Blocked::Recv { tag: t, .. }) if *t == tag + 1),
+            |r| matches!(&r.st.status, Status::Blocked(Blocked::Recv { tag: t, .. }) if *t == tag + 1),
         );
         self.finish_reduce(rank, acc, recvbuf, allreduce, tag);
     }
@@ -2014,7 +1841,7 @@ impl MpiWorld {
         loop {
             let mut any = false;
             for i in 0..self.ranks.len() {
-                if self.fatal.is_some() {
+                if self.st.fatal.is_some() {
                     return;
                 }
                 any |= self.try_unblock(i);
@@ -2027,119 +1854,73 @@ impl MpiWorld {
 
     // --- process failure: kill + heartbeat detector -----------------------
 
-    /// Fire the armed rank kill once the victim's retired-block clock
-    /// reaches the fault's trigger (checked at round granularity, like
-    /// an external `kill -9` landing between quanta).
-    fn apply_rank_kill(&mut self) {
-        let Some(k) = self.rank_kill else { return };
-        let i = k.rank as usize;
-        if matches!(self.ranks[i].status, Status::Exited) {
-            // The rank finished before the kill point: the fault missed.
-            self.rank_kill = None;
-            return;
-        }
-        if self.ranks[i].machine.counters.blocks >= k.at_blocks {
-            self.rank_kill = None;
-            self.obs_record(i, EventKind::RankKilled { wedge: k.wedge });
-            self.ranks[i].health = if k.wedge {
-                Health::Wedged
-            } else {
-                Health::Dead
-            };
+    /// The one verdict on an armed block-clock fault, taken between
+    /// rounds (like an external `kill -9` landing between quanta):
+    /// `Some(true)` — the trigger rank's retired-block clock has reached
+    /// it, fire; `Some(false)` — the rank finished first, the fault
+    /// missed; `None` — keep waiting. Wire faults wait for their message
+    /// in [`MpiWorld::strike`] instead.
+    fn due(&self, f: &Fault<WorldEffect>) -> Option<bool> {
+        let r = &self.ranks[f.rank as usize];
+        match f.effect {
+            WorldEffect::Wire(_) => None,
+            _ if matches!(r.st.status, Status::Exited) => Some(false),
+            _ => (r.machine.counters.blocks >= f.at).then_some(true),
         }
     }
 
-    /// Fire every armed burst kill whose victim's block clock has been
-    /// reached (fl-chaos correlated model: each arrival is an
-    /// independent [`RankKill`] drawn from one MTBF process).
-    fn apply_burst_kills(&mut self) {
-        let kills = std::mem::take(&mut self.rank_kills);
-        let mut armed = Vec::new();
-        for k in kills {
-            let i = k.rank as usize;
-            if matches!(self.ranks[i].status, Status::Exited)
-                || !matches!(self.ranks[i].health, Health::Alive)
-            {
-                continue; // finished first (missed) or already dead
+    /// Take every due or missed entry out of the plan, firing the due.
+    fn fire_due(&mut self) {
+        let mut armed = std::mem::take(&mut self.st.plan.armed);
+        armed.retain(|f| match self.due(f) {
+            Some(fire) => {
+                if fire {
+                    self.fire(*f);
+                }
+                false
             }
-            if self.ranks[i].machine.counters.blocks >= k.at_blocks {
-                self.obs_record(i, EventKind::RankKilled { wedge: k.wedge });
-                self.ranks[i].health = if k.wedge {
-                    Health::Wedged
-                } else {
-                    Health::Dead
-                };
-            } else {
-                armed.push(k);
+            None => true,
+        });
+        self.st.plan.armed = armed;
+    }
+
+    /// Apply a due block-clock fault: kill its victims, or open its
+    /// window for the drawn number of rounds.
+    fn fire(&mut self, f: Fault<WorldEffect>) {
+        let (plan, round) = (&mut self.st.plan, self.st.round);
+        match f.effect {
+            WorldEffect::Wire(_) => unreachable!("wire faults fire in strike()"),
+            WorldEffect::Kill { mates, wedge } => {
+                for i in 0..self.ranks.len() {
+                    let r = &self.ranks[i].st;
+                    if (i == f.rank as usize || i < 32 && mates >> i & 1 == 1)
+                        && !matches!(r.status, Status::Exited)
+                        && matches!(r.health, Health::Alive)
+                    {
+                        self.obs_record(i, EventKind::RankKilled { wedge });
+                        self.ranks[i].st.health = if wedge { Health::Wedged } else { Health::Dead };
+                    }
+                }
             }
-        }
-        self.rank_kills = armed;
-    }
-
-    /// Fire the armed node kill once the trigger rank's block clock is
-    /// reached: every live, unfinished rank in the mask dies at once.
-    fn apply_node_kill(&mut self) {
-        let Some(k) = self.node_kill else { return };
-        let t = k.trigger_rank as usize;
-        if matches!(self.ranks[t].status, Status::Exited) {
-            // The trigger rank finished before the failure point: missed.
-            self.node_kill = None;
-            return;
-        }
-        if self.ranks[t].machine.counters.blocks < k.at_blocks {
-            return;
-        }
-        self.node_kill = None;
-        for i in 0..self.ranks.len() {
-            if k.mask >> (i as u32) & 1 == 0
-                || matches!(self.ranks[i].status, Status::Exited)
-                || !matches!(self.ranks[i].health, Health::Alive)
-            {
-                continue;
+            WorldEffect::Cut { mask, rounds } => {
+                plan.cut_mask = mask;
+                plan.cut_until = round + rounds.max(1);
             }
-            self.obs_record(i, EventKind::RankKilled { wedge: k.wedge });
-            self.ranks[i].health = if k.wedge {
-                Health::Wedged
-            } else {
-                Health::Dead
-            };
-        }
-    }
-
-    /// Activate the armed quantum tax once the victim's block clock is
-    /// reached; the tax holds for the drawn window of rounds.
-    fn apply_quantum_tax(&mut self) {
-        let Some(t) = self.quantum_tax else { return };
-        let i = t.rank as usize;
-        if matches!(self.ranks[i].status, Status::Exited) {
-            // The rank finished before the tax point: the fault missed.
-            self.quantum_tax = None;
-            return;
-        }
-        if self.ranks[i].machine.counters.blocks >= t.at_blocks {
-            self.quantum_tax = None;
-            self.tax_until = self.round + t.rounds.max(1);
-            self.tax_rank = t.rank;
-            self.tax_permille_active = t.tax_permille.min(999);
-            self.tax_credit = 0;
-        }
-    }
-
-    /// Activate the armed hog once the trigger rank's block clock is
-    /// reached; the hog squats for the drawn window of rounds.
-    fn apply_hog(&mut self) {
-        let Some(h) = self.hog else { return };
-        let t = h.trigger_rank as usize;
-        if matches!(self.ranks[t].status, Status::Exited) {
-            // The trigger rank finished before the hog landed: missed.
-            self.hog = None;
-            return;
-        }
-        if self.ranks[t].machine.counters.blocks >= h.at_blocks {
-            self.hog = None;
-            self.hog_until = self.round + h.rounds.max(1);
-            self.hog_mask = h.mask;
-            self.hog_share = h.share_permille.min(999);
+            WorldEffect::Tax { permille, rounds } => {
+                plan.tax_until = round + rounds.max(1);
+                plan.tax_rank = f.rank;
+                plan.tax_permille = permille.min(999);
+                plan.tax_credit = 0;
+            }
+            WorldEffect::Hog {
+                mask,
+                permille,
+                rounds,
+            } => {
+                plan.hog_until = round + rounds.max(1);
+                plan.hog_mask = mask;
+                plan.hog_permille = permille.min(999);
+            }
         }
     }
 
@@ -2150,39 +1931,21 @@ impl MpiWorld {
     /// external hog held the core. Recomputed before failure detection
     /// so the detector can tell "starved" from "silent".
     fn account_starvation(&mut self) {
-        self.starved = 0;
-        if self.round >= self.tax_until {
+        let plan = &mut self.st.plan;
+        plan.starved = 0;
+        if self.st.round >= plan.tax_until {
             return;
         }
-        let i = self.tax_rank as usize;
-        if matches!(self.ranks[i].status, Status::Exited)
-            || !matches!(self.ranks[i].health, Health::Alive)
-        {
+        let r = &mut self.ranks[plan.tax_rank as usize];
+        if matches!(r.st.status, Status::Exited) || !matches!(r.st.health, Health::Alive) {
             return;
         }
-        self.tax_credit += 1000 - self.tax_permille_active as u64;
-        if self.tax_credit >= 1000 {
-            self.tax_credit -= 1000;
+        plan.tax_credit += 1000 - plan.tax_permille as u64;
+        if plan.tax_credit >= 1000 {
+            plan.tax_credit -= 1000;
         } else {
-            self.starved |= 1 << (self.tax_rank as u32);
-            self.ranks[i].machine.exec_stats.quanta_starved += 1;
-        }
-    }
-
-    /// Activate the armed partition once the trigger rank's block clock
-    /// is reached; the cut holds for the drawn window of rounds.
-    fn apply_partition(&mut self) {
-        let Some(p) = self.partition else { return };
-        let t = p.trigger_rank as usize;
-        if matches!(self.ranks[t].status, Status::Exited) {
-            // The trigger rank finished before the cut point: missed.
-            self.partition = None;
-            return;
-        }
-        if self.ranks[t].machine.counters.blocks >= p.at_blocks {
-            self.partition = None;
-            self.partition_mask = p.mask;
-            self.partition_until = self.round + p.rounds.max(1);
+            plan.starved |= 1 << (plan.tax_rank as u32);
+            r.machine.exec_stats.quanta_starved += 1;
         }
     }
 
@@ -2191,15 +1954,15 @@ impl MpiWorld {
     /// rank's ring buddy `(r + 1) % n` — the same partner that stores its
     /// buddy checkpoint in the fl-ft recovery model.
     fn detect_failures(&mut self) -> Option<WorldExit> {
-        let probe = self.cfg.ft.probe_rounds.max(1);
-        let suspect = self.cfg.ft.suspect_rounds.max(1);
+        let probe = self.st.cfg.ft.probe_rounds.max(1);
+        let suspect = self.st.cfg.ft.suspect_rounds.max(1);
         for i in 0..self.ranks.len() {
-            if matches!(self.ranks[i].status, Status::Exited) {
+            if matches!(self.ranks[i].st.status, Status::Exited) {
                 continue; // departed cleanly, not a failure
             }
-            let quiet = self.round - self.ranks[i].last_heard;
+            let quiet = self.st.round - self.ranks[i].st.last_heard;
             let buddy = (i + 1) % self.ranks.len();
-            if self.cfg.ulfm && self.known_failed >> (i as u32) & 1 == 1 {
+            if self.st.cfg.ulfm && self.st.known_failed >> (i as u32) & 1 == 1 {
                 continue; // already app-visible knowledge; stop probing
             }
             // Fixed mode: silence matures at the static deadline.
@@ -2213,10 +1976,10 @@ impl MpiWorld {
             // recovered from. A taxed rank keeps ending its gaps and
             // keeps the threshold above them; only a dead or wedged
             // process stays silent past every learned gap.
-            let deadline = if self.cfg.ft.accrual {
+            let deadline = if self.st.cfg.ft.accrual {
                 (suspect * 8)
                     .max(256)
-                    .max(self.ranks[i].max_gap.saturating_mul(4))
+                    .max(self.ranks[i].st.max_gap.saturating_mul(4))
             } else {
                 suspect
             };
@@ -2229,16 +1992,16 @@ impl MpiWorld {
                         unheard: quiet,
                     },
                 );
-                if self.cfg.ulfm {
+                if self.st.cfg.ulfm {
                     // App-visible mode: a matured suspicion becomes
                     // failure knowledge the application acts on, not a
                     // world-terminating verdict.
-                    self.known_failed |= 1 << (i as u32);
+                    self.st.known_failed |= 1 << (i as u32);
                     continue;
                 }
                 return Some(WorldExit::RankFailed {
                     rank,
-                    round: self.round,
+                    round: self.st.round,
                 });
             }
             if quiet >= probe {
@@ -2251,8 +2014,8 @@ impl MpiWorld {
                         },
                     );
                 }
-                if matches!(self.ranks[i].health, Health::Alive)
-                    && self.starved >> (i as u32) & 1 == 0
+                if matches!(self.ranks[i].st.health, Health::Alive)
+                    && self.st.plan.starved >> (i as u32) & 1 == 0
                 {
                     // An alive, scheduled rank answers the (re-sent)
                     // probe even while blocked — only a dead, wedged or
@@ -2274,7 +2037,7 @@ impl MpiWorld {
     /// then try to conclude the fault-aware collectives whose surviving
     /// participant set has fully assembled.
     fn ulfm_progress(&mut self) {
-        if self.known_failed != 0 {
+        if self.st.known_failed != 0 {
             self.ulfm_fail_blocked_ops();
         }
         self.try_complete_agree();
@@ -2291,10 +2054,10 @@ impl MpiWorld {
     /// shrink) keep blocking.
     fn ulfm_fail_blocked_ops(&mut self) {
         for i in 0..self.ranks.len() {
-            if !matches!(self.ranks[i].health, Health::Alive) {
+            if !matches!(self.ranks[i].st.health, Health::Alive) {
                 continue;
             }
-            let Status::Blocked(b) = &self.ranks[i].status else {
+            let Status::Blocked(b) = &self.ranks[i].st.status else {
                 continue;
             };
             let doomed = !matches!(b, Blocked::Agree { .. } | Blocked::Shrink);
@@ -2311,16 +2074,16 @@ impl MpiWorld {
     /// over *stable* failure knowledge. The result is the OR of every
     /// contributed flag, with bit 0 forced when any failure is known.
     fn try_complete_agree(&mut self) {
-        let mut result = if self.known_failed != 0 { 1u32 } else { 0 };
+        let mut result = if self.st.known_failed != 0 { 1u32 } else { 0 };
         let mut arrived = Vec::new();
         for i in 0..self.ranks.len() {
-            if self.known_failed >> (i as u32) & 1 == 1 {
+            if self.st.known_failed >> (i as u32) & 1 == 1 {
                 continue;
             }
-            if matches!(self.ranks[i].status, Status::Exited) {
+            if matches!(self.ranks[i].st.status, Status::Exited) {
                 continue;
             }
-            match &self.ranks[i].status {
+            match &self.ranks[i].st.status {
                 Status::Blocked(Blocked::Agree { flag }) => {
                     result |= *flag;
                     arrived.push(i as u16);
@@ -2343,14 +2106,14 @@ impl MpiWorld {
     fn try_shrink(&mut self) {
         let mut any_blocked = false;
         for i in 0..self.ranks.len() {
-            let known = self.known_failed >> (i as u32) & 1 == 1;
-            if !matches!(self.ranks[i].health, Health::Alive) && !known {
+            let known = self.st.known_failed >> (i as u32) & 1 == 1;
+            if !matches!(self.ranks[i].st.health, Health::Alive) && !known {
                 return; // a failure the detector has not matured yet
             }
-            if known || matches!(self.ranks[i].status, Status::Exited) {
+            if known || matches!(self.ranks[i].st.status, Status::Exited) {
                 continue;
             }
-            if !matches!(self.ranks[i].status, Status::Blocked(Blocked::Shrink)) {
+            if !matches!(self.ranks[i].st.status, Status::Blocked(Blocked::Shrink)) {
                 return;
             }
             any_blocked = true;
@@ -2368,17 +2131,17 @@ impl MpiWorld {
     /// (`fl_ckpt_save`) survive; that is the point of them.
     fn compact_world(&mut self) {
         let dead: Vec<u16> = (0..self.ranks.len() as u16)
-            .filter(|&i| !matches!(self.ranks[i as usize].health, Health::Alive))
+            .filter(|&i| !matches!(self.ranks[i as usize].st.health, Health::Alive))
             .collect();
         let survivors = std::mem::take(&mut self.ranks)
             .into_iter()
-            .filter(|r| matches!(r.health, Health::Alive))
+            .filter(|r| matches!(r.st.health, Health::Alive))
             .collect::<Vec<_>>();
         self.ranks = survivors;
         let new_n = self.ranks.len() as u16;
-        // Armed chaos faults were drawn against the old numbering:
-        // follow surviving targets through the renumbering; a fault
-        // aimed at a dropped rank (or triggered by one) dies with it.
+        // Armed faults were drawn against the old numbering: follow
+        // surviving ranks through the renumbering; a fault triggered by
+        // a dropped rank dies with it.
         let remap = |r: u16| -> Option<u16> {
             if dead.contains(&r) {
                 return None;
@@ -2396,72 +2159,52 @@ impl MpiWorld {
             }
             m
         };
-        self.rank_kill = self.rank_kill.and_then(|mut k| {
-            k.rank = remap(k.rank)?;
-            Some(k)
-        });
-        self.rank_kills = std::mem::take(&mut self.rank_kills)
+        let plan = &mut self.st.plan;
+        plan.armed = std::mem::take(&mut plan.armed)
             .into_iter()
-            .filter_map(|mut k| {
-                k.rank = remap(k.rank)?;
-                Some(k)
+            .filter_map(|mut f| {
+                f.rank = remap(f.rank)?;
+                match &mut f.effect {
+                    WorldEffect::Kill { mates: m, .. }
+                    | WorldEffect::Cut { mask: m, .. }
+                    | WorldEffect::Hog { mask: m, .. } => *m = remap_mask(*m),
+                    WorldEffect::Wire(_) | WorldEffect::Tax { .. } => {}
+                }
+                Some(f)
             })
             .collect();
-        self.node_kill = self.node_kill.and_then(|mut nk| {
-            nk.mask = remap_mask(nk.mask);
-            nk.trigger_rank = remap(nk.trigger_rank)?;
-            (nk.mask != 0).then_some(nk)
-        });
-        self.partition = self.partition.and_then(|mut p| {
-            p.mask = remap_mask(p.mask);
-            p.trigger_rank = remap(p.trigger_rank)?;
-            Some(p)
-        });
-        self.partition_mask = remap_mask(self.partition_mask);
-        self.net_fault = self.net_fault.and_then(|mut f| {
-            f.rank = remap(f.rank)?;
-            Some(f)
-        });
-        self.quantum_tax = self.quantum_tax.and_then(|mut t| {
-            t.rank = remap(t.rank)?;
-            Some(t)
-        });
-        if self.round < self.tax_until {
-            match remap(self.tax_rank) {
-                Some(nr) => self.tax_rank = nr,
+        plan.cut_mask = remap_mask(plan.cut_mask);
+        if self.st.round < plan.tax_until {
+            match remap(plan.tax_rank) {
+                Some(nr) => plan.tax_rank = nr,
                 None => {
                     // The taxed rank died with the old world.
-                    self.tax_until = 0;
-                    self.tax_credit = 0;
+                    plan.tax_until = 0;
+                    plan.tax_credit = 0;
                 }
             }
         }
-        self.hog = self.hog.and_then(|mut h| {
-            h.mask = remap_mask(h.mask);
-            h.trigger_rank = remap(h.trigger_rank)?;
-            (h.mask != 0).then_some(h)
-        });
-        self.hog_mask = remap_mask(self.hog_mask);
-        self.starved = remap_mask(self.starved);
-        self.shrinks += 1;
-        self.known_failed = 0;
-        self.idle_rounds = 0;
-        self.pending_redelivery.clear();
-        self.retx_attempts.clear();
-        let round = self.round;
+        plan.hog_mask = remap_mask(plan.hog_mask);
+        plan.starved = remap_mask(plan.starved);
+        self.st.shrinks += 1;
+        self.st.known_failed = 0;
+        self.st.idle_rounds = 0;
+        self.st.pending_redelivery.clear();
+        self.st.retx_attempts.clear();
+        let round = self.st.round;
         for r in &mut self.ranks {
-            r.arrived.clear();
-            r.sent_history.clear();
-            r.send_seq = 0;
-            r.coll_seq = 0;
-            r.acked = 0;
-            r.last_heard = round;
+            r.st.arrived.clear();
+            r.st.sent_history.clear();
+            r.st.send_seq = 0;
+            r.st.coll_seq = 0;
+            r.st.acked = 0;
+            r.st.last_heard = round;
         }
         for f in dead {
             self.note_world_shrunk(f, new_n);
         }
         for i in 0..self.ranks.len() {
-            if matches!(self.ranks[i].status, Status::Blocked(Blocked::Shrink)) {
+            if matches!(self.ranks[i].st.status, Status::Blocked(Blocked::Shrink)) {
                 self.complete(i as u16, Some(i as u32));
             }
         }
@@ -2483,77 +2226,62 @@ impl MpiWorld {
     /// Exposed so external monitors — e.g. the §7 progress-metric
     /// watchdog — can sample counters between rounds.
     pub fn run_round(&mut self) -> Option<WorldExit> {
-        self.round += 1;
-        if let Some(f) = self.fatal.take() {
+        self.st.round += 1;
+        if let Some(f) = self.st.fatal.take() {
             return Some(f);
         }
-        if self.rank_kill.is_some() {
-            self.apply_rank_kill();
-        }
-        if !self.rank_kills.is_empty() {
-            self.apply_burst_kills();
-        }
-        if self.node_kill.is_some() {
-            self.apply_node_kill();
-        }
-        if self.partition.is_some() {
-            self.apply_partition();
-        }
-        if self.quantum_tax.is_some() {
-            self.apply_quantum_tax();
-        }
-        if self.hog.is_some() {
-            self.apply_hog();
+        if !self.st.plan.armed.is_empty() {
+            self.fire_due();
         }
         // Starvation state must be current *before* detection runs, so
         // the detector knows a silent rank was denied its quantum this
         // round rather than dead.
         self.account_starvation();
-        if self.cfg.ft.enabled {
+        if self.st.cfg.ft.enabled {
             if let Some(e) = self.detect_failures() {
                 return Some(e);
             }
         }
-        if self.cfg.ulfm {
+        if self.st.cfg.ulfm {
             self.ulfm_progress();
-            if let Some(f) = self.fatal.take() {
+            if let Some(f) = self.st.fatal.take() {
                 return Some(f);
             }
         }
-        if !self.pending_redelivery.is_empty() {
+        if !self.st.pending_redelivery.is_empty() {
             self.drain_redeliveries();
-            if let Some(f) = self.fatal.take() {
+            if let Some(f) = self.st.fatal.take() {
                 return Some(f);
             }
         }
         self.progress();
-        if let Some(f) = self.fatal.take() {
+        if let Some(f) = self.st.fatal.take() {
             return Some(f);
         }
         if self
             .ranks
             .iter()
-            .all(|r| matches!(r.status, Status::Exited))
+            .all(|r| matches!(r.st.status, Status::Exited))
         {
             return Some(WorldExit::Clean);
         }
         let mut order: Vec<usize> = (0..self.ranks.len())
             .filter(|&i| {
-                matches!(self.ranks[i].status, Status::Ready | Status::Finalized)
-                    && matches!(self.ranks[i].health, Health::Alive)
-                    && self.starved >> (i as u32) & 1 == 0
+                matches!(self.ranks[i].st.status, Status::Ready | Status::Finalized)
+                    && matches!(self.ranks[i].st.health, Health::Alive)
+                    && self.st.plan.starved >> (i as u32) & 1 == 0
             })
             .collect();
         // Finalized ranks still need to run to their exit.
         if order.is_empty() {
             // A starved rank is interference, not deadlock: its credit
             // keeps accruing and it runs again within the tax cadence.
-            if self.starved != 0 {
+            if self.st.plan.starved != 0 {
                 return None;
             }
             // A redelivery still waiting out its backoff is traffic: let
             // rounds elapse until it becomes due, this is not a deadlock.
-            if !self.pending_redelivery.is_empty() {
+            if !self.st.pending_redelivery.is_empty() {
                 return None;
             }
             // App-visible mode replaces the instant deadlock verdict with
@@ -2561,15 +2289,15 @@ impl MpiWorld {
             // waiting for suspicion to mature, or for the survivor set of
             // an agree/shrink to assemble. A world that stays wedged past
             // the bound really is hung.
-            if self.cfg.ulfm {
-                self.idle_rounds += 1;
-                let bound = self.cfg.ft.suspect_rounds.max(1) * 4 + 64;
-                if self.idle_rounds > bound {
+            if self.st.cfg.ulfm {
+                self.st.idle_rounds += 1;
+                let bound = self.st.cfg.ft.suspect_rounds.max(1) * 4 + 64;
+                if self.st.idle_rounds > bound {
                     return Some(WorldExit::Hung {
                         reason: format!(
                             "ulfm: no runnable rank for {} rounds \
                              (failure knowledge {:#x})",
-                            self.idle_rounds, self.known_failed
+                            self.st.idle_rounds, self.st.known_failed
                         ),
                     });
                 }
@@ -2578,18 +2306,18 @@ impl MpiWorld {
             // A dead or wedged rank quiesces its peers; with the failure
             // detector on, rounds keep elapsing until suspicion matures
             // into `RankFailed` instead of an instant deadlock verdict.
-            if self.cfg.ft.enabled
+            if self.st.cfg.ft.enabled
                 && self
                     .ranks
                     .iter()
-                    .any(|r| !matches!(r.health, Health::Alive))
+                    .any(|r| !matches!(r.st.health, Health::Alive))
             {
                 return None;
             }
             // Everyone blocked or exited, and progress() found nothing:
             // deadlock.
             let blocked: Vec<u16> = (0..self.ranks.len() as u16)
-                .filter(|&i| matches!(self.ranks[i as usize].status, Status::Blocked(_)))
+                .filter(|&i| matches!(self.ranks[i as usize].st.status, Status::Blocked(_)))
                 .collect();
             let clocks: Vec<u64> = self
                 .ranks
@@ -2603,15 +2331,15 @@ impl MpiWorld {
                 ),
             });
         }
-        self.idle_rounds = 0;
-        if self.cfg.nondet {
-            order.shuffle(&mut self.rng);
+        self.st.idle_rounds = 0;
+        if self.st.cfg.nondet {
+            order.shuffle(&mut self.st.rng);
         }
         for i in order {
-            if self.fatal.is_some() {
+            if self.st.fatal.is_some() {
                 break;
             }
-            if !matches!(self.ranks[i].status, Status::Ready | Status::Finalized) {
+            if !matches!(self.ranks[i].st.status, Status::Ready | Status::Finalized) {
                 continue;
             }
             self.step_rank(i);
@@ -2621,10 +2349,11 @@ impl MpiWorld {
     }
 
     fn step_rank(&mut self, i: usize) {
-        let mut quantum = self.cfg.quantum;
+        let mut quantum = self.st.cfg.quantum;
         // An active hog steals its share of every victim's quantum.
-        if self.round < self.hog_until && self.hog_mask >> (i as u32) & 1 == 1 {
-            quantum = (quantum * (1000 - self.hog_share as u64) / 1000).max(1);
+        let plan = &self.st.plan;
+        if self.st.round < plan.hog_until && plan.hog_mask >> (i as u32) & 1 == 1 {
+            quantum = (quantum * (1000 - plan.hog_permille as u64) / 1000).max(1);
         }
         {
             // fl-perturb effective-quantum telemetry: what the scheduler
@@ -2642,19 +2371,24 @@ impl MpiWorld {
         let exit = loop {
             let done = self.ranks[i].machine.counters.insns;
             let mut slice = stop_at.saturating_sub(done);
-            if let Some(inj) = self.injection.as_mut().filter(|inj| inj.rank as usize == i) {
-                if done >= inj.at_insns {
-                    (inj.action)(&mut self.ranks[i].machine);
+            if let Some(Fault {
+                at,
+                effect: Effect::Action { action, period },
+                ..
+            }) = self.injection.as_mut().filter(|f| f.rank as usize == i)
+            {
+                if done >= *at {
+                    action(&mut self.ranks[i].machine);
                     // Persistent faults re-arm for the next assertion;
                     // transient ones are spent.
-                    match inj.period {
-                        Some(p) => inj.at_insns = done + p,
+                    match *period {
+                        Some(p) => *at = done + p,
                         None => self.injection = None,
                     }
                     self.obs_record(i, EventKind::FaultFired { at_insns: done });
                     continue;
                 }
-                slice = slice.min(inj.at_insns - done);
+                slice = slice.min(*at - done);
             }
             if slice == 0 {
                 break Exit::Quantum;
@@ -2664,7 +2398,7 @@ impl MpiWorld {
                 break exit;
             }
         };
-        if self.cfg.ft.enabled {
+        if self.st.cfg.ft.enabled {
             // Executing a quantum is life (piggybacked heartbeat).
             self.heard(i);
         }
@@ -2672,7 +2406,8 @@ impl MpiWorld {
         match exit {
             Exit::Quantum => {}
             Exit::Mpi(call) => {
-                if matches!(self.ranks[i].status, Status::Finalized) && call != Syscall::MpiAbort {
+                if matches!(self.ranks[i].st.status, Status::Finalized) && call != Syscall::MpiAbort
+                {
                     self.fatal(WorldExit::Crashed {
                         rank,
                         reason: format!("{call:?} after MPI_Finalize"),
@@ -2682,7 +2417,7 @@ impl MpiWorld {
                 }
             }
             Exit::Halted(code) => {
-                let finalized = matches!(self.ranks[i].status, Status::Finalized);
+                let finalized = matches!(self.ranks[i].st.status, Status::Finalized);
                 if !finalized {
                     self.fatal(WorldExit::Crashed {
                         rank,
@@ -2694,7 +2429,7 @@ impl MpiWorld {
                         reason: format!("nonzero exit status {code}"),
                     });
                 } else {
-                    self.ranks[i].status = Status::Exited;
+                    self.ranks[i].st.status = Status::Exited;
                 }
             }
             Exit::Signal(sig) => {
@@ -2732,20 +2467,7 @@ impl MpiWorld {
 #[derive(Clone, PartialEq)]
 struct RankSnapshot {
     machine: MachineSnapshot,
-    status: Status,
-    errhandler: bool,
-    arrived: VecDeque<(Header, WireMsg)>,
-    received_bytes: u64,
-    send_seq: u32,
-    coll_seq: u32,
-    profile: TrafficProfile,
-    sent_history: VecDeque<(u32, WireMsg)>,
-    health: Health,
-    last_heard: u64,
-    max_gap: u64,
-    out_digest: u32,
-    ckpt: Option<Vec<u8>>,
-    acked: u32,
+    st: RankState,
 }
 
 /// A complete deterministic checkpoint of an [`MpiWorld`], produced by
@@ -2754,41 +2476,12 @@ struct RankSnapshot {
 /// from them) share every page that none of them has written.
 ///
 /// Restoring yields a world whose subsequent execution is bit-identical
-/// to the captured one (armed `PendingInjection`s excepted — see
+/// to the captured one (an armed [`Effect::Action`] excepted — see
 /// [`MpiWorld::snapshot`]).
 #[derive(Clone, PartialEq)]
 pub struct WorldSnapshot {
     ranks: Vec<RankSnapshot>,
-    cfg: WorldConfig,
-    rng: StdRng,
-    message_fault: Option<MessageFault>,
-    message_fault_hit: Option<MessageFaultHit>,
-    rank_kill: Option<RankKill>,
-    rank_kills: Vec<RankKill>,
-    net_fault: Option<NetFault>,
-    net_faults_fired: u32,
-    partition: Option<Partition>,
-    partition_until: u64,
-    partition_mask: u32,
-    partition_drops: u64,
-    node_kill: Option<NodeKill>,
-    quantum_tax: Option<QuantumTax>,
-    tax_until: u64,
-    tax_rank: u16,
-    tax_permille_active: u32,
-    tax_credit: u64,
-    hog: Option<HogRank>,
-    hog_until: u64,
-    hog_mask: u32,
-    hog_share: u32,
-    starved: u32,
-    fatal: Option<WorldExit>,
-    round: u64,
-    pending_redelivery: VecDeque<Redelivery>,
-    retx_attempts: HashMap<(u16, u32), u8>,
-    known_failed: u32,
-    shrinks: u32,
-    idle_rounds: u64,
+    st: WorldState,
 }
 
 impl WorldSnapshot {
@@ -2800,53 +2493,11 @@ impl WorldSnapshot {
                 .iter()
                 .map(|r| Rank {
                     machine: r.machine.to_machine(),
-                    status: r.status.clone(),
-                    errhandler: r.errhandler,
-                    arrived: r.arrived.clone(),
-                    received_bytes: r.received_bytes,
-                    send_seq: r.send_seq,
-                    coll_seq: r.coll_seq,
-                    profile: r.profile,
-                    sent_history: r.sent_history.clone(),
-                    health: r.health,
-                    last_heard: r.last_heard,
-                    max_gap: r.max_gap,
-                    out_digest: r.out_digest,
-                    ckpt: r.ckpt.clone(),
-                    acked: r.acked,
+                    st: r.st.clone(),
                 })
                 .collect(),
-            cfg: self.cfg,
-            rng: self.rng.clone(),
+            st: self.st.clone(),
             injection: None,
-            message_fault: self.message_fault,
-            message_fault_hit: self.message_fault_hit,
-            rank_kill: self.rank_kill,
-            rank_kills: self.rank_kills.clone(),
-            net_fault: self.net_fault,
-            net_faults_fired: self.net_faults_fired,
-            partition: self.partition,
-            partition_until: self.partition_until,
-            partition_mask: self.partition_mask,
-            partition_drops: self.partition_drops,
-            node_kill: self.node_kill,
-            quantum_tax: self.quantum_tax,
-            tax_until: self.tax_until,
-            tax_rank: self.tax_rank,
-            tax_permille_active: self.tax_permille_active,
-            tax_credit: self.tax_credit,
-            hog: self.hog,
-            hog_until: self.hog_until,
-            hog_mask: self.hog_mask,
-            hog_share: self.hog_share,
-            starved: self.starved,
-            fatal: self.fatal.clone(),
-            round: self.round,
-            pending_redelivery: self.pending_redelivery.clone(),
-            retx_attempts: self.retx_attempts.clone(),
-            known_failed: self.known_failed,
-            shrinks: self.shrinks,
-            idle_rounds: self.idle_rounds,
         }
     }
 
@@ -2861,7 +2512,7 @@ impl WorldSnapshot {
     /// instruction counts — so its checkpoints are patched afterwards;
     /// a run that stays under both budgets is the same run under either.
     pub fn set_budget(&mut self, budget: u64) {
-        self.cfg.machine.budget = budget;
+        self.st.cfg.machine.budget = budget;
         for r in &mut self.ranks {
             r.machine.budget = budget;
         }
@@ -2869,7 +2520,7 @@ impl WorldSnapshot {
 
     /// Scheduler round at capture time.
     pub fn round(&self) -> u64 {
-        self.round
+        self.st.round
     }
 
     /// A rank's captured machine state.
@@ -2886,6 +2537,6 @@ impl WorldSnapshot {
     /// Cumulative channel bytes received at capture time — the epoch
     /// eligibility key for message trials.
     pub fn rank_received_bytes(&self, rank: u16) -> u64 {
-        self.ranks[rank as usize].received_bytes
+        self.ranks[rank as usize].st.received_bytes
     }
 }

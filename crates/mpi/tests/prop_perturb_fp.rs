@@ -13,7 +13,7 @@
 
 use fl_lang::compile;
 use fl_machine::{MachineConfig, ProgramImage};
-use fl_mpi::{FailureDetector, MpiWorld, QuantumTax, RankKill, WorldConfig, WorldExit};
+use fl_mpi::{FailureDetector, Fault, MpiWorld, WorldConfig, WorldEffect, WorldExit};
 use proptest::prelude::*;
 
 /// A ring exchange with a compute phase between communications — the
@@ -96,16 +96,14 @@ proptest! {
         suspect_rounds in 8u64..64,
     ) {
         let img = compile(&ring_compute_program(iters, work)).expect("compiles");
-        let tax = QuantumTax {
-            rank: victim % nranks,
-            at_blocks,
+        let tax = WorldEffect::Tax {
+            permille: tax_permille,
             rounds,
-            tax_permille,
         };
         let mut outcomes = Vec::new();
         for fastpath in [false, true] {
             let mut w = accrual_world(&img, nranks, probe_rounds, suspect_rounds, fastpath);
-            w.set_quantum_tax(tax);
+            w.arm(Fault::new(victim % nranks, at_blocks, tax));
             let exit = w.run();
             prop_assert_eq!(
                 &exit,
@@ -117,7 +115,7 @@ proptest! {
             let console: Vec<String> = (0..nranks)
                 .map(|r| w.machine(r).console_text().to_string())
                 .collect();
-            outcomes.push((console, w.starved_mask()));
+            outcomes.push((console, w.plan().starved));
         }
         prop_assert_eq!(&outcomes[0], &outcomes[1], "executor paths diverged");
     }
@@ -140,13 +138,9 @@ proptest! {
     ) {
         let img = compile(&ring_compute_program(iters, work)).expect("compiles");
         let mut w = accrual_world(&img, nranks, probe_rounds, suspect_rounds, fastpath);
-        w.set_rank_kill(RankKill {
-            rank: victim % nranks,
-            at_blocks,
-            wedge,
-        });
+        w.arm(Fault::kill(victim % nranks, at_blocks, wedge));
         let exit = w.run();
-        let fired = w.rank_kill().is_none();
+        let fired = w.plan().armed().is_empty();
         match exit {
             WorldExit::RankFailed { rank, .. } => {
                 prop_assert!(fired, "verdict without a fired kill");

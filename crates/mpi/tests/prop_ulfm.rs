@@ -17,7 +17,7 @@
 
 use fl_lang::compile;
 use fl_machine::MachineConfig;
-use fl_mpi::{FailureDetector, MpiWorld, RankKill, WorldConfig, WorldExit};
+use fl_mpi::{FailureDetector, Fault, MpiWorld, WorldConfig, WorldEffect, WorldExit};
 use proptest::prelude::*;
 
 const OBS_CAPACITY: u32 = 256;
@@ -121,7 +121,7 @@ struct KillRun {
     failed_mask: u32,
 }
 
-fn run_shrink_loop(kill: RankKill, fastpath: bool) -> KillRun {
+fn run_shrink_loop(kill: Fault<WorldEffect>, fastpath: bool) -> KillRun {
     let img = compile(SHRINK_LOOP).expect("compiles");
     let mut w = MpiWorld::new(
         &img,
@@ -140,11 +140,11 @@ fn run_shrink_loop(kill: RankKill, fastpath: bool) -> KillRun {
             ..Default::default()
         },
     );
-    w.set_rank_kill(kill);
+    w.arm(kill);
     let exit = w.run();
     KillRun {
         exit,
-        fired: w.rank_kill().is_none(),
+        fired: w.plan().armed().is_empty(),
         nranks: w.nranks(),
         shrinks: w.app_shrinks(),
         failed_mask: w.ulfm_failed_mask(),
@@ -180,7 +180,7 @@ proptest! {
         at_blocks in prop_oneof![1u64..400, Just(100_000u64)],
         wedge in any::<bool>(),
     ) {
-        let kill = RankKill { rank: victim, at_blocks, wedge };
+        let kill = Fault::kill(victim, at_blocks, wedge);
         let fast = run_shrink_loop(kill, true);
         let slow = run_shrink_loop(kill, false);
 

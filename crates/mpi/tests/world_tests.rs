@@ -2,7 +2,7 @@
 
 use fl_lang::compile;
 use fl_machine::MachineConfig;
-use fl_mpi::{FailureDetector, MessageFault, MpiWorld, RankKill, WorldConfig, WorldExit};
+use fl_mpi::{FailureDetector, Fault, MpiWorld, WorldConfig, WorldEffect, WorldExit};
 
 fn world(src: &str, nranks: u16) -> MpiWorld {
     let img = compile(src).expect("compiles");
@@ -300,11 +300,7 @@ fn message_fault_in_payload_corrupts_silently() {
     // Faulted run: flip a high mantissa bit of the payload's f64
     // (payload starts after the 48-byte header).
     let mut w = world(src, 2);
-    w.set_message_fault(MessageFault {
-        rank: 1,
-        at_recv_byte: 48 + 6,
-        bit: 4,
-    });
+    w.arm(Fault::flip(1, 48 + 6, 4));
     assert_eq!(w.run(), WorldExit::Clean);
     assert_ne!(
         w.machine(1).console_text(),
@@ -323,11 +319,7 @@ fn message_fault_in_header_magic_crashes() {
              mpi_finalize();
          }";
     let mut w = world(src, 2);
-    w.set_message_fault(MessageFault {
-        rank: 1,
-        at_recv_byte: 1,
-        bit: 3,
-    });
+    w.arm(Fault::flip(1, 1, 3));
     let e = w.run();
     assert!(
         matches!(&e, WorldExit::Crashed { reason, .. } if reason.contains("MPICH internal error")),
@@ -346,11 +338,7 @@ fn message_fault_in_tag_hangs() {
          }";
     let mut w = world(src, 2);
     // Byte 12 is the tag field.
-    w.set_message_fault(MessageFault {
-        rank: 1,
-        at_recv_byte: 12,
-        bit: 6,
-    });
+    w.arm(Fault::flip(1, 12, 6));
     assert!(matches!(w.run(), WorldExit::Hung { .. }));
 }
 
@@ -549,24 +537,16 @@ fn message_fault_hit_reports_location() {
          }";
     // Header hit.
     let mut w = world(src, 2);
-    w.set_message_fault(MessageFault {
-        rank: 1,
-        at_recv_byte: 30,
-        bit: 0,
-    });
+    w.arm(Fault::flip(1, 30, 0));
     let _ = w.run();
-    let hit = w.message_fault_hit().expect("fault fired");
+    let hit = w.plan().hit.expect("fault fired");
     assert!(hit.in_header);
     assert_eq!(hit.offset_in_msg, 30);
     // Payload hit.
     let mut w = world(src, 2);
-    w.set_message_fault(MessageFault {
-        rank: 1,
-        at_recv_byte: 60,
-        bit: 0,
-    });
+    w.arm(Fault::flip(1, 60, 0));
     let _ = w.run();
-    let hit = w.message_fault_hit().expect("fault fired");
+    let hit = w.plan().hit.expect("fault fired");
     assert!(!hit.in_header);
     assert_eq!(hit.msg_len, 48 + 32);
 }
@@ -584,11 +564,7 @@ fn corrupted_src_field_crashes_instead_of_panicking() {
              mpi_finalize();
          }";
     let mut w = world(src, 2);
-    w.set_message_fault(MessageFault {
-        rank: 1,
-        at_recv_byte: 6,
-        bit: 5,
-    });
+    w.arm(Fault::flip(1, 6, 5));
     let e = w.run();
     assert!(
         matches!(&e, WorldExit::Crashed { .. } | WorldExit::Hung { .. }),
@@ -629,16 +605,12 @@ fn rank_kill_without_detector_strands_peers() {
     let at = mid_run_blocks(PING_LOOP, 2, 1);
     for wedge in [false, true] {
         let mut w = world(PING_LOOP, 2);
-        w.set_rank_kill(RankKill {
-            rank: 1,
-            at_blocks: at,
-            wedge,
-        });
+        w.arm(Fault::kill(1, at, wedge));
         assert!(
             matches!(w.run(), WorldExit::Hung { .. }),
             "killed rank must strand rank 0 (wedge={wedge})"
         );
-        assert!(w.rank_kill().is_none(), "the kill disarms after firing");
+        assert!(w.plan().armed().is_empty(), "the kill disarms after firing");
     }
 }
 
@@ -663,11 +635,7 @@ fn detector_turns_rank_kill_into_typed_failure() {
                 ..Default::default()
             },
         );
-        w.set_rank_kill(RankKill {
-            rank: 1,
-            at_blocks: at,
-            wedge,
-        });
+        w.arm(Fault::kill(1, at, wedge));
         let e = w.run();
         assert!(
             matches!(e, WorldExit::RankFailed { rank: 1, .. }),
@@ -736,13 +704,9 @@ fn kill_after_exit_is_a_missed_fault() {
     // at_blocks beyond the victim's lifetime: the rank exits cleanly
     // first, the armed kill never fires, the job completes.
     let mut w = world(PING_LOOP, 2);
-    w.set_rank_kill(RankKill {
-        rank: 1,
-        at_blocks: u64::MAX,
-        wedge: false,
-    });
+    w.arm(Fault::kill(1, u64::MAX, false));
     assert_eq!(w.run(), WorldExit::Clean);
-    assert!(w.rank_kill().is_none(), "missed kills disarm");
+    assert!(w.plan().armed().is_empty(), "missed kills disarm");
 }
 
 #[test]
@@ -773,11 +737,7 @@ fn out_digests_deterministic_and_sensitive_to_corruption() {
     let mut c = MpiWorld::new(&img, cfg);
     // Byte 7 of the f64 payload holds sign/exponent bits: the corrupted
     // value survives rank 1's arithmetic and changes what it echoes back.
-    c.set_message_fault(MessageFault {
-        rank: 1,
-        at_recv_byte: 48 + 7,
-        bit: 6,
-    });
+    c.arm(Fault::flip(1, 48 + 7, 6));
     assert_eq!(c.run(), WorldExit::Clean);
     assert_ne!(
         digests(&a).1,
@@ -942,11 +902,7 @@ fn ulfm_peer_death_errors_the_recv_and_shrink_renumbers() {
          }"#,
         3,
     );
-    w.set_rank_kill(RankKill {
-        rank: 2,
-        at_blocks: 1,
-        wedge: false,
-    });
+    w.arm(Fault::kill(2, 1, false));
     assert_eq!(w.run(), WorldExit::Clean);
     assert_eq!(w.nranks(), 2);
     assert_eq!(w.app_shrinks(), 1);
@@ -980,11 +936,7 @@ fn ulfm_failure_poisons_an_agreement_in_flight() {
          }"#,
         3,
     );
-    w.set_rank_kill(RankKill {
-        rank: 1,
-        at_blocks: 50,
-        wedge: false,
-    });
+    w.arm(Fault::kill(1, 50, false));
     assert_eq!(w.run(), WorldExit::Clean);
     assert_eq!(w.nranks(), 2);
     assert_eq!(w.app_shrinks(), 1);
@@ -1021,11 +973,7 @@ fn ulfm_failure_revokes_p2p_with_live_peers() {
          }"#,
         3,
     );
-    w.set_rank_kill(RankKill {
-        rank: 2,
-        at_blocks: 50,
-        wedge: false,
-    });
+    w.arm(Fault::kill(2, 50, false));
     assert_eq!(w.run(), WorldExit::Clean);
     assert_eq!(w.nranks(), 2);
 }
@@ -1050,11 +998,7 @@ fn ulfm_wedged_rank_is_shrunk_like_a_dead_one() {
          }"#,
         2,
     );
-    w.set_rank_kill(RankKill {
-        rank: 1,
-        at_blocks: 1,
-        wedge: true,
-    });
+    w.arm(Fault::kill(1, 1, true));
     assert_eq!(w.run(), WorldExit::Clean);
     assert_eq!(w.nranks(), 1);
     assert_eq!(w.machine(0).console_text(), "0/1");
@@ -1079,11 +1023,7 @@ fn ulfm_unhandled_failure_hangs_instead_of_terminating() {
          }"#,
         2,
     );
-    w.set_rank_kill(RankKill {
-        rank: 1,
-        at_blocks: 1,
-        wedge: false,
-    });
+    w.arm(Fault::kill(1, 1, false));
     match w.run() {
         WorldExit::Hung { reason } => assert!(reason.contains("ulfm"), "{reason}"),
         other => panic!("expected Hung, got {other:?}"),
@@ -1092,7 +1032,7 @@ fn ulfm_unhandled_failure_hangs_instead_of_terminating() {
 
 // --- fl-chaos: network, partition, node, burst faults --------------------
 
-use fl_mpi::{ChannelGuard, Health, NetFault, NetFaultKind, NodeKill, Partition};
+use fl_mpi::{ChannelGuard, FaultPlan, Health, NetFaultKind};
 
 /// One-shot send with the receiver printing what it got — the unguarded
 /// corrupt-in-flight probe.
@@ -1119,14 +1059,10 @@ fn mid_run_recv_bytes(src: &str, nranks: u16, rank: u16) -> u64 {
 fn net_drop_strands_the_receiver() {
     let at = mid_run_recv_bytes(PING_LOOP, 2, 0);
     let mut w = world(PING_LOOP, 2);
-    w.set_net_fault(NetFault {
-        rank: 0,
-        at_recv_byte: at,
-        kind: NetFaultKind::Drop,
-    });
+    w.arm(Fault::new(0, at, WorldEffect::Wire(NetFaultKind::Drop)));
     assert!(matches!(w.run(), WorldExit::Hung { .. }));
-    assert_eq!(w.net_faults_fired(), 1);
-    assert!(w.message_fault_hit().is_some(), "strike location recorded");
+    assert!(w.plan().hit.is_some());
+    assert!(w.plan().hit.is_some(), "strike location recorded");
 }
 
 #[test]
@@ -1135,13 +1071,13 @@ fn net_duplicate_still_completes() {
     // still finds a message, so the lockstep loop runs to completion.
     let at = mid_run_recv_bytes(PING_LOOP, 2, 0);
     let mut w = world(PING_LOOP, 2);
-    w.set_net_fault(NetFault {
-        rank: 0,
-        at_recv_byte: at,
-        kind: NetFaultKind::Duplicate,
-    });
+    w.arm(Fault::new(
+        0,
+        at,
+        WorldEffect::Wire(NetFaultKind::Duplicate),
+    ));
     assert_eq!(w.run(), WorldExit::Clean);
-    assert_eq!(w.net_faults_fired(), 1);
+    assert!(w.plan().hit.is_some());
 }
 
 #[test]
@@ -1150,13 +1086,13 @@ fn net_reorder_only_delays_a_serialized_exchange() {
     // ranks until the delay elapses, then the run finishes clean.
     let at = mid_run_recv_bytes(PING_LOOP, 2, 0);
     let mut w = world(PING_LOOP, 2);
-    w.set_net_fault(NetFault {
-        rank: 0,
-        at_recv_byte: at,
-        kind: NetFaultKind::Reorder { delay_rounds: 64 },
-    });
+    w.arm(Fault::new(
+        0,
+        at,
+        WorldEffect::Wire(NetFaultKind::Reorder { delay_rounds: 64 }),
+    ));
     assert_eq!(w.run(), WorldExit::Clean);
-    assert_eq!(w.net_faults_fired(), 1);
+    assert!(w.plan().hit.is_some());
 }
 
 #[test]
@@ -1165,13 +1101,9 @@ fn net_corrupt_unguarded_reaches_the_user_buffer() {
     assert_eq!(g.run(), WorldExit::Clean);
     let golden = g.machine(1).console_text();
     let mut w = world(ONE_SEND, 2);
-    w.set_net_fault(NetFault {
-        rank: 1,
-        at_recv_byte: 54,
-        kind: NetFaultKind::Corrupt,
-    });
+    w.arm(Fault::new(1, 54, WorldEffect::Wire(NetFaultKind::Corrupt)));
     assert_eq!(w.run(), WorldExit::Clean);
-    assert_eq!(w.net_faults_fired(), 1);
+    assert!(w.plan().hit.is_some());
     assert_ne!(
         w.machine(1).console_text(),
         golden,
@@ -1198,13 +1130,9 @@ fn net_corrupt_guarded_is_caught_and_retransmitted() {
     assert_eq!(g.run(), WorldExit::Clean);
     let golden = g.machine(1).console_text();
     let mut w = MpiWorld::new(&img, cfg);
-    w.set_net_fault(NetFault {
-        rank: 1,
-        at_recv_byte: 54,
-        kind: NetFaultKind::Corrupt,
-    });
+    w.arm(Fault::new(1, 54, WorldEffect::Wire(NetFaultKind::Corrupt)));
     assert_eq!(w.run(), WorldExit::Clean);
-    assert_eq!(w.net_faults_fired(), 1);
+    assert!(w.plan().hit.is_some());
     assert!(w.retransmits() >= 1, "the CRC guard must NACK the flip");
     assert_eq!(
         w.machine(1).console_text(),
@@ -1217,14 +1145,16 @@ fn net_corrupt_guarded_is_caught_and_retransmitted() {
 fn partition_severs_cross_traffic_and_hangs_the_job() {
     let at = mid_run_blocks(PING_LOOP, 2, 0);
     let mut w = world(PING_LOOP, 2);
-    w.set_partition(Partition {
-        mask: 0b10,
-        trigger_rank: 0,
-        at_blocks: at,
-        rounds: 1_000_000,
-    });
+    w.arm(Fault::new(
+        0,
+        at,
+        WorldEffect::Cut {
+            mask: 0b10,
+            rounds: 1_000_000,
+        },
+    ));
     assert!(matches!(w.run(), WorldExit::Hung { .. }));
-    assert!(w.partition_drops() >= 1, "the cut must drop real traffic");
+    assert!(w.plan().cut_drops >= 1, "the cut must drop real traffic");
 }
 
 #[test]
@@ -1232,14 +1162,16 @@ fn partition_within_one_group_cuts_nothing() {
     // Both ranks on the same side of the cut: no channel is severed.
     let at = mid_run_blocks(PING_LOOP, 2, 0);
     let mut w = world(PING_LOOP, 2);
-    w.set_partition(Partition {
-        mask: 0b11,
-        trigger_rank: 0,
-        at_blocks: at,
-        rounds: 1_000_000,
-    });
+    w.arm(Fault::new(
+        0,
+        at,
+        WorldEffect::Cut {
+            mask: 0b11,
+            rounds: 1_000_000,
+        },
+    ));
     assert_eq!(w.run(), WorldExit::Clean);
-    assert_eq!(w.partition_drops(), 0);
+    assert_eq!(w.plan().cut_drops, 0);
 }
 
 /// Four ranks in a barrier loop: group faults strand the survivors.
@@ -1254,12 +1186,14 @@ const BARRIER_LOOP: &str = "fn main() {
 fn node_kill_takes_the_whole_group_at_once() {
     let at = mid_run_blocks(BARRIER_LOOP, 4, 2);
     let mut w = world(BARRIER_LOOP, 4);
-    w.set_node_kill(NodeKill {
-        mask: 0b1100,
-        trigger_rank: 2,
-        at_blocks: at,
-        wedge: false,
-    });
+    w.arm(Fault::new(
+        2,
+        at,
+        WorldEffect::Kill {
+            mates: 0b1100,
+            wedge: false,
+        },
+    ));
     assert!(matches!(w.run(), WorldExit::Hung { .. }));
     assert_eq!(w.health(2), Health::Dead);
     assert_eq!(w.health(3), Health::Dead);
@@ -1272,59 +1206,290 @@ fn burst_kills_fire_on_their_own_clocks() {
     let a1 = mid_run_blocks(BARRIER_LOOP, 4, 1);
     let a3 = mid_run_blocks(BARRIER_LOOP, 4, 3);
     let mut w = world(BARRIER_LOOP, 4);
-    w.add_rank_kill(RankKill {
-        rank: 1,
-        at_blocks: a1,
-        wedge: false,
-    });
+    w.arm(Fault::kill(1, a1, false));
     // Both clocks sit at the same barrier round of the lockstep loop, so
     // both victims cross their thresholds before either stall bites.
-    w.add_rank_kill(RankKill {
-        rank: 3,
-        at_blocks: a3,
-        wedge: true,
-    });
+    w.arm(Fault::kill(3, a3, true));
     assert!(matches!(w.run(), WorldExit::Hung { .. }));
     assert_eq!(w.health(1), Health::Dead);
     assert_eq!(w.health(3), Health::Wedged);
 }
 
 #[test]
-fn take_rank_kill_disarms_every_process_fault() {
+fn disarm_clears_every_process_fault() {
     let mut w = world(BARRIER_LOOP, 4);
-    w.add_rank_kill(RankKill {
-        rank: 1,
-        at_blocks: 1,
-        wedge: false,
-    });
-    w.set_node_kill(NodeKill {
-        mask: 0b1100,
-        trigger_rank: 2,
-        at_blocks: 1,
-        wedge: false,
-    });
-    assert!(w.take_rank_kill().is_none());
+    w.arm(Fault::kill(1, 1, false));
+    w.arm(Fault::new(2, 1, kill(0b1100, false)));
+    w.arm(Fault::new(0, 1, CUT_NOTHING));
+    w.disarm(|f| matches!(f.effect, WorldEffect::Kill { .. }));
+    assert_eq!(w.plan().armed().len(), 1, "only what was selected goes");
     assert_eq!(w.run(), WorldExit::Clean, "disarmed faults never fire");
 }
 
 #[test]
+fn a_kill_leaves_an_already_dead_rank_alone() {
+    // Every kill skips victims that are already dead or wedged: no
+    // second `RankKilled`, no Dead -> Wedged flip.
+    let img = compile(PING_LOOP).unwrap();
+    let mut cfg = WorldConfig {
+        nranks: 2,
+        ..Default::default()
+    };
+    cfg.machine.obs_capacity = 256;
+    let mut w = MpiWorld::new(&img, cfg);
+    w.arm(Fault::kill(1, mid_run_blocks(PING_LOOP, 2, 1), false));
+    assert!(matches!(w.run(), WorldExit::Hung { .. }));
+    w.arm(Fault::kill(1, 1, true));
+    let _ = w.run_round();
+    assert!(w.plan().armed().is_empty(), "the second kill came due");
+    assert_eq!(w.health(1), Health::Dead);
+    let killed = |e: &&fl_obs::Event| matches!(e.kind, fl_obs::EventKind::RankKilled { .. });
+    assert_eq!(w.event_streams()[1].iter().filter(killed).count(), 1);
+}
+
+#[test]
+#[should_panic(expected = "on a 2-rank world")]
+fn arm_rejects_a_mask_naming_a_rank_that_does_not_exist() {
+    world(PING_LOOP, 2).arm(Fault::new(0, 1, kill(0b100, false)));
+}
+
+fn kill(mates: u32, wedge: bool) -> WorldEffect {
+    WorldEffect::Kill { mates, wedge }
+}
+
+/// A cut with every rank on one side: opens its window, severs nothing.
+const CUT_NOTHING: WorldEffect = WorldEffect::Cut {
+    mask: 0b1111,
+    rounds: 1_000_000,
+};
+
+/// What a finished world shows of itself, for exact comparison.
+fn fingerprint(w: &MpiWorld, exit: WorldExit) -> impl PartialEq + std::fmt::Debug {
+    let ranks: Vec<_> = (0..w.nranks())
+        .map(|r| {
+            let m = w.machine(r);
+            (m.counters.insns, m.counters.blocks, m.console_text())
+        })
+        .collect();
+    (exit, w.round(), ranks, w.plan().clone())
+}
+
+#[test]
 fn chaos_faults_ride_snapshots() {
-    // Arm a corrupt-in-flight fault, snapshot before it fires, and run
-    // both worlds: the restored one replays the identical strike.
-    let mut w = world(ONE_SEND, 2);
-    w.set_net_fault(NetFault {
-        rank: 1,
-        at_recv_byte: 54,
-        kind: NetFaultKind::Corrupt,
-    });
-    let snap = w.snapshot();
-    assert_eq!(w.run(), WorldExit::Clean);
-    let out_a = w.machine(1).console_text().to_string();
-    assert_eq!(w.net_faults_fired(), 1);
-    let mut r = snap.restore();
-    assert_eq!(r.run(), WorldExit::Clean);
-    assert_eq!(r.net_faults_fired(), 1);
-    assert_eq!(r.machine(1).console_text(), out_a);
+    // Every world-level fault kind, snapshotted while armed or while
+    // its window is open: the restored world replays the straight run.
+    use NetFaultKind::*;
+    use WorldEffect::*;
+    let recv = mid_run_recv_bytes(PING_LOOP, 2, 0);
+    let ping = |r| mid_run_blocks(PING_LOOP, 2, r);
+    let bar = |r| mid_run_blocks(BARRIER_LOOP, 4, r);
+    let armed = |_: &MpiWorld| true;
+    let fired = |w: &MpiWorld| w.plan().armed().is_empty();
+    type Ready = fn(&MpiWorld) -> bool;
+    let wire = |kind| (PING_LOOP, 2, vec![(0, recv, Wire(kind))], armed as Ready);
+    let cases = [
+        ("flip", wire(Flip { bit: 3 })),
+        ("drop", wire(Drop)),
+        ("duplicate", wire(Duplicate)),
+        ("reorder", wire(Reorder { delay_rounds: 64 })),
+        ("corrupt", wire(Corrupt)),
+        (
+            "kill",
+            (PING_LOOP, 2, vec![(1, ping(1), kill(0, false))], armed),
+        ),
+        (
+            "wedge",
+            (PING_LOOP, 2, vec![(1, ping(1), kill(0, true))], armed),
+        ),
+        (
+            "burst",
+            (
+                BARRIER_LOOP,
+                4,
+                vec![(1, bar(1), kill(0, false)), (3, bar(3), kill(0, true))],
+                armed,
+            ),
+        ),
+        (
+            "node kill",
+            (
+                BARRIER_LOOP,
+                4,
+                vec![(2, bar(2), kill(0b1100, false))],
+                armed,
+            ),
+        ),
+        (
+            "partition, armed",
+            (
+                PING_LOOP,
+                2,
+                vec![(
+                    0,
+                    ping(0),
+                    Cut {
+                        mask: 0b10,
+                        rounds: 1_000_000,
+                    },
+                )],
+                armed,
+            ),
+        ),
+        (
+            "partition, mid-cut",
+            (
+                PING_LOOP,
+                2,
+                vec![(
+                    0,
+                    ping(0),
+                    Cut {
+                        mask: 0b10,
+                        rounds: 1_000_000,
+                    },
+                )],
+                |w: &MpiWorld| w.plan().cut_drops > 0,
+            ),
+        ),
+        (
+            "tax, mid-window",
+            (
+                PING_LOOP,
+                2,
+                vec![(
+                    1,
+                    ping(1),
+                    Tax {
+                        permille: 900,
+                        rounds: 64,
+                    },
+                )],
+                |w: &MpiWorld| w.plan().starved != 0,
+            ),
+        ),
+        (
+            "hog, mid-window",
+            (
+                PING_LOOP,
+                2,
+                vec![(
+                    0,
+                    ping(0),
+                    Hog {
+                        mask: 0b11,
+                        permille: 500,
+                        rounds: 64,
+                    },
+                )],
+                fired,
+            ),
+        ),
+    ];
+    for (name, (src, nranks, faults, ready)) in cases {
+        let mut w = world(src, nranks);
+        for (rank, at, effect) in faults {
+            w.arm(Fault::new(rank, at, effect));
+        }
+        while !ready(&w) {
+            assert_eq!(w.run_round(), None, "{name}: ended before the snapshot");
+        }
+        assert_ne!(
+            *w.plan(),
+            FaultPlan::default(),
+            "{name}: armed or mid-window"
+        );
+        let mut r = w.snapshot().restore();
+        let straight = w.run();
+        let restored = r.run();
+        assert_eq!(
+            fingerprint(&r, restored),
+            fingerprint(&w, straight),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn a_world_with_a_fault_armed_or_a_window_open_never_converges() {
+    // Convergence compares the whole plan: against a fault-free golden
+    // snapshot, any armed entry and any open window is a difference —
+    // even one that changes nothing the guest can see. Only the strike
+    // bookkeeping of a spent wire fault is excused.
+    const AT: u64 = 8;
+    let golden = |w: &mut MpiWorld| {
+        for r in 0..w.nranks() {
+            w.machine_mut(r).set_read_stamp(1);
+        }
+        while w.round() < AT {
+            assert_eq!(w.run_round(), None);
+        }
+    };
+    let mut g = world(BARRIER_LOOP, 4);
+    golden(&mut g);
+    let snap = g.snapshot();
+    assert_eq!(g.run(), WorldExit::Clean);
+    let stamps: Vec<_> = (0..4)
+        .map(|r| g.machine_mut(r).take_read_stamps().unwrap())
+        .collect();
+    let converged = |w: &MpiWorld| w.converged_on(&snap, &stamps, 1).is_some();
+    assert!(converged(&snap.restore()), "the golden run is itself");
+
+    // Armed, not yet due: every kind.
+    let late = u64::MAX;
+    let armed = [
+        WorldEffect::Wire(NetFaultKind::Flip { bit: 0 }),
+        WorldEffect::Wire(NetFaultKind::Drop),
+        kill(0, false),
+        kill(0b1100, true),
+        CUT_NOTHING,
+        WorldEffect::Tax {
+            permille: 900,
+            rounds: 4,
+        },
+        WorldEffect::Hog {
+            mask: 0b11,
+            permille: 500,
+            rounds: 4,
+        },
+    ];
+    for effect in armed {
+        let mut w = snap.restore();
+        w.arm(Fault::new(2, late, effect));
+        assert!(!converged(&w), "{effect:?} is still armed");
+    }
+    let mut w = snap.restore();
+    w.arm(Fault::once(2, late, |_| {}));
+    assert!(!converged(&w), "a machine action is still armed");
+
+    // Fired at the first round, window open at the boundary, and built
+    // to change nothing: nobody is cut off, taxed or robbed.
+    let open = [
+        CUT_NOTHING,
+        WorldEffect::Tax {
+            permille: 0,
+            rounds: 1_000_000,
+        },
+        WorldEffect::Hog {
+            mask: 0,
+            permille: 500,
+            rounds: 1_000_000,
+        },
+    ];
+    for effect in open {
+        let mut w = world(BARRIER_LOOP, 4);
+        w.arm(Fault::new(0, 0, effect));
+        golden(&mut w);
+        assert!(w.plan().armed().is_empty(), "{effect:?} fired");
+        assert!(!converged(&w), "{effect:?} holds its window open");
+    }
+
+    // A flip in the reserved tail of a header is consumed with its
+    // message and leaves only `hit` behind: that world converges.
+    let mut w = world(BARRIER_LOOP, 4);
+    w.arm(Fault::flip(1, 40, 5));
+    golden(&mut w);
+    assert!(w.plan().hit.is_some() && w.plan().armed().is_empty());
+    assert!(converged(&w), "`hit` is the one excused field");
 }
 
 // --- read stamping: host-side reads on the guest's behalf -------------------
@@ -1499,14 +1664,14 @@ fn a_fault_that_changes_nothing_leaves_the_schedule_alone() {
         },
         ..Default::default()
     };
-    let injections: [fn() -> fl_mpi::PendingInjection; 2] = [
-        || fl_mpi::PendingInjection::once(1, 1234, |_| {}),
-        || fl_mpi::PendingInjection::persistent(0, 555, 40, |_| {}),
+    let injections: [fn() -> Fault; 2] = [
+        || Fault::once(1, 1234, |_| {}),
+        || Fault::persistent(0, 555, 40, |_| {}),
     ];
     for make in injections {
         let mut golden = MpiWorld::new(&img, cfg);
         let mut faulted = MpiWorld::new(&img, cfg);
-        faulted.set_injection(make());
+        faulted.arm(make());
         let mut rounds = 0;
         loop {
             let (g, f) = (golden.run_round(), faulted.run_round());
@@ -1539,12 +1704,9 @@ fn an_injection_fires_at_exactly_its_instruction_count() {
     let fired = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let log = fired.clone();
     let mut w = MpiWorld::new(&img, cfg);
-    w.set_injection(fl_mpi::PendingInjection::persistent(
-        0,
-        250,
-        130,
-        move |m| log.lock().unwrap().push(m.counters.insns),
-    ));
+    w.arm(Fault::persistent(0, 250, 130, move |m| {
+        log.lock().unwrap().push(m.counters.insns)
+    }));
     assert_eq!(w.run(), WorldExit::Clean);
     let fired = fired.lock().unwrap();
     // Mid-quantum (250), then every 130 instructions whatever the

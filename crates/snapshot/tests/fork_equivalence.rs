@@ -191,7 +191,7 @@ fn epoch_cache_covers_golden_run() {
 fn injection_on_forked_world_fires() {
     // Arm a register fault on a forked world and check it still
     // manifests — the campaign fast path in one line.
-    use fl_mpi::PendingInjection;
+    use fl_mpi::Fault;
     let app = tiny(AppKind::Wavetoy);
     let golden = app.golden(BUDGET);
     let cache = EpochCache::build(&app.image, app.world_config(BUDGET), 8);
@@ -199,14 +199,10 @@ fn injection_on_forked_world_fires() {
     let at = golden.insns[0] / 2;
     let epoch = cache.best_for_insns(rank, at).unwrap();
     let mut w = epoch.snap.restore();
-    w.set_injection(PendingInjection::once(
-        rank,
-        at,
-        |m: &mut fl_machine::Machine| {
-            // Clobber EIP: guaranteed wild transfer.
-            m.cpu.eip ^= 0x4000_0000;
-        },
-    ));
+    w.arm(Fault::once(rank, at, |m: &mut fl_machine::Machine| {
+        // Clobber EIP: guaranteed wild transfer.
+        m.cpu.eip ^= 0x4000_0000;
+    }));
     let exit = w.run();
     assert_ne!(exit, WorldExit::Clean, "EIP clobber must manifest");
 }

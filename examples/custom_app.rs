@@ -12,7 +12,7 @@
 use fl_inject::{classify, Manifestation};
 use fl_isa::{Gpr, RegisterName};
 use fl_machine::MachineConfig;
-use fl_mpi::{MpiWorld, PendingInjection, WorldConfig};
+use fl_mpi::{Fault, MpiWorld, WorldConfig};
 
 /// A small pi-by-numerical-integration MPI program, written in FL.
 const PI_SOURCE: &str = r#"
@@ -84,14 +84,9 @@ fn main() {
             .enumerate()
             .map(|(k, bit)| {
                 let mut w = MpiWorld::new(&image, config);
-                w.set_injection(PendingInjection {
-                    rank: 2,
-                    at_insns: 50_000 + 17_231 * k as u64,
-                    action: Box::new(move |m| {
-                        m.flip_register_bit(RegisterName::Gpr(reg), bit);
-                    }),
-                    period: None,
-                });
+                w.arm(Fault::once(2, 50_000 + 17_231 * k as u64, move |m| {
+                    m.flip_register_bit(RegisterName::Gpr(reg), bit);
+                }));
                 let exit = w.run();
                 let out = w.machine(0).console.clone();
                 let m = classify(&exit, &out, golden.as_bytes());

@@ -16,7 +16,7 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_inject::{ProgressMonitor, ProgressSample, ProgressVerdict};
-use fl_mpi::MessageFault;
+use fl_mpi::Fault;
 
 fn main() {
     let app = App::build(AppKind::Moldyn, AppParams::tiny(AppKind::Moldyn));
@@ -26,11 +26,7 @@ fn main() {
     // Corrupt byte 12 (the tag field) of an early incoming message on
     // rank 1: the message will never match its receive.
     let mut w = app.world(budget);
-    w.set_message_fault(MessageFault {
-        rank: 1,
-        at_recv_byte: 12,
-        bit: 5,
-    });
+    w.arm(Fault::flip(1, 12, 5));
 
     let nranks = app.params.nranks;
     let mut monitor = ProgressMonitor::new(5);

@@ -15,7 +15,7 @@
 //! ```
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_mpi::{MessageFault, WorldExit};
+use fl_mpi::{Fault, WorldExit};
 
 fn main() {
     let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
@@ -35,11 +35,7 @@ fn main() {
         // Low-order mantissa bit of whatever f64 the offset lands in:
         // the paper's "faults in low order decimal digits" case.
         let mut w = app.world(2_000_000_000);
-        w.set_message_fault(MessageFault {
-            rank: 1,
-            at_recv_byte: offset,
-            bit: 1,
-        });
+        w.arm(Fault::flip(1, offset, 1));
         match w.run() {
             WorldExit::Clean => {
                 if app.comparable_output(&w) == golden.output {
@@ -67,11 +63,7 @@ fn main() {
     // Now the same flip in a *high* mantissa / exponent bit: the error is
     // large enough to survive the 4-digit rounding.
     let mut w = app.world(2_000_000_000);
-    w.set_message_fault(MessageFault {
-        rank: 1,
-        at_recv_byte: volume / 2,
-        bit: 6,
-    });
+    w.arm(Fault::flip(1, volume / 2, 6));
     let exit = w.run();
     let out = app.comparable_output(&w);
     println!(

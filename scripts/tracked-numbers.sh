@@ -1,0 +1,51 @@
+#!/bin/sh
+# The numbers ROADMAP aim 2 tracks, computed the same way every time:
+#
+#   code lines    lines of crates/<crate>/src/**/*.rs before the file's
+#                 test module (the first unindented `#[cfg(test)]`),
+#                 neither blank nor `//` comments
+#   root names    names a crate's lib.rs re-exports with `pub use`
+#
+# Prints to stdout; CI regenerates results/tracked_numbers.txt from it
+# and diffs. Run from anywhere.
+set -eu
+cd "$(dirname "$0")/.."
+
+code_lines() { # files...
+    awk 'FNR == 1 { live = 1 }
+         /^#\[cfg\(test\)\]/ { live = 0 }
+         live && !/^[[:space:]]*($|\/\/)/ { n++ }
+         END { print n + 0 }' "$@"
+}
+
+root_names() { # lib.rs
+    awk '/^pub use / { live = 1 }
+         live { text = text $0 }
+         live && /;/ { live = 0 }
+         END {
+             gsub(/pub use [a-z_:]*::\{?/, ",", text)
+             n = split(text, names, /[,;{}[:space:]]+/)
+             for (i = 1; i <= n; i++) if (names[i] != "") count++
+             print count + 0
+         }' "$1"
+}
+
+echo "# code lines per crate (scripts/tracked-numbers.sh)"
+total=0
+for dir in crates/*/src; do
+    n=$(code_lines $(find "$dir" -name '*.rs' | sort))
+    total=$((total + n))
+    printf '%-28s %6d\n' "$dir" "$n"
+done
+printf '%-28s %6d\n' "all crates" "$total"
+echo
+echo "# tracked sums"
+printf '%-28s %6d\n' "crates/mpi/src/world.rs" "$(code_lines crates/mpi/src/world.rs)"
+printf '%-28s %6d\n' "mpi + core + ft + guard" \
+    "$(code_lines $(find crates/mpi/src crates/core/src crates/ft/src crates/guard/src -name '*.rs' | sort))"
+printf '%-28s %6d\n' "core + cli + serve" \
+    "$(code_lines $(find crates/core/src crates/cli/src crates/serve/src -name '*.rs' | sort))"
+echo
+echo "# names re-exported at the crate root"
+printf '%-28s %6d\n' "fl_mpi" "$(root_names crates/mpi/src/lib.rs)"
+printf '%-28s %6d\n' "fl_inject" "$(root_names crates/core/src/lib.rs)"

@@ -90,11 +90,7 @@ fn injected_hang_is_caught_by_budget() {
     let golden = app.golden(2_000_000_000);
     let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
     let mut w = app.world(budget);
-    w.set_message_fault(fl_mpi::MessageFault {
-        rank: 1,
-        at_recv_byte: 12,
-        bit: 7,
-    });
+    w.arm(fl_mpi::Fault::flip(1, 12, 7));
     let exit = w.run();
     assert!(matches!(exit, WorldExit::Hung { .. }), "{exit:?}");
     let outcome = fl_inject::classify(&exit, &app.comparable_output(&w), &golden.output);

@@ -5,7 +5,7 @@ use fl_apps::{App, AppKind, AppParams};
 use fl_isa::{FpuSpecial, Gpr, RegisterName};
 use fl_lang::compile;
 use fl_machine::{Exit, Machine, MachineConfig, Signal};
-use fl_mpi::{MpiWorld, PendingInjection, WorldConfig, WorldExit};
+use fl_mpi::{Fault, MpiWorld, WorldConfig, WorldExit};
 
 fn single_machine(src: &str) -> Machine {
     Machine::load(
@@ -168,12 +168,7 @@ fn cold_text_faults_do_not_manifest() {
         .expect("cold symbols exist");
     let addr = cold.addr + cold.size / 2;
     let mut w = app.world(2_000_000_000);
-    w.set_injection(PendingInjection {
-        rank: 0,
-        at_insns: 1000,
-        action: Box::new(move |m| m.flip_mem_bit(addr, 3)),
-        period: None,
-    });
+    w.arm(Fault::once(0, 1000, move |m| m.flip_mem_bit(addr, 3)));
     assert_eq!(w.run(), WorldExit::Clean);
     assert_eq!(app.comparable_output(&w), golden.output);
 }
@@ -192,12 +187,7 @@ fn hot_text_faults_usually_manifest() {
         .expect("step_field symbol");
     let addr = step_fn.addr + 16; // early instruction of the kernel
     let mut w = app.world(2_000_000_000);
-    w.set_injection(PendingInjection {
-        rank: 1,
-        at_insns: 1000,
-        action: Box::new(move |m| m.flip_mem_bit(addr, 0)),
-        period: None,
-    });
+    w.arm(Fault::once(1, 1000, move |m| m.flip_mem_bit(addr, 0)));
     let exit = w.run();
     assert!(
         matches!(&exit, WorldExit::Crashed { reason, .. } if reason.contains("SIGILL")),
@@ -224,17 +214,12 @@ fn stack_return_address_corruption_crashes() {
             ..Default::default()
         },
     );
-    w.set_injection(PendingInjection {
-        rank: 0,
-        at_insns: 20,
-        action: Box::new(|m| {
-            let frames = fl_machine::walk(m);
-            let f = frames.iter().find(|f| f.app_context).expect("app frame");
-            // Flip a high bit of the stored return address.
-            m.flip_mem_bit(f.ebp + 4 + 3, 6); // byte 3, bit 6 => bit 30
-        }),
-        period: None,
-    });
+    w.arm(Fault::once(0, 20, |m| {
+        let frames = fl_machine::walk(m);
+        let f = frames.iter().find(|f| f.app_context).expect("app frame");
+        // Flip a high bit of the stored return address.
+        m.flip_mem_bit(f.ebp + 4 + 3, 6); // byte 3, bit 6 => bit 30
+    }));
     let exit = w.run();
     assert!(matches!(exit, WorldExit::Crashed { .. }), "{exit:?}");
 }
@@ -252,16 +237,11 @@ fn heap_user_chunk_corruption_flows_into_output() {
     let mut incorrect = 0;
     for k in 0..48u64 {
         let mut w = app.world(2_000_000_000);
-        w.set_injection(PendingInjection {
-            rank: 0,
-            at_insns: golden.insns[0] / 2,
-            action: Box::new(move |m| {
-                if let Some(addr) = fl_inject::resolve_heap_target(m, k * 7919 + 13, 1) {
-                    m.flip_mem_bit(addr, 6);
-                }
-            }),
-            period: None,
-        });
+        w.arm(Fault::once(0, golden.insns[0] / 2, move |m| {
+            if let Some(addr) = fl_inject::resolve_heap_target(m, k * 7919 + 13, 1) {
+                m.flip_mem_bit(addr, 6);
+            }
+        }));
         let exit = w.run();
         let out = app.comparable_output(&w);
         match fl_inject::classify(&exit, &out, &golden.output) {
