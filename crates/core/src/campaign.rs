@@ -32,7 +32,9 @@ pub struct CampaignConfig {
     /// regions, up to 2000 for messages).
     pub injections: u32,
     /// Master seed; trial k uses `seed + k` so campaigns are reproducible
-    /// and trials independent.
+    /// and trials independent. It also fixes the campaign's arrival-order
+    /// schedule (§4.2.2): every run of a nondeterministic app in one
+    /// campaign shuffles alike, and another seed is another schedule.
     pub seed: u64,
     /// Hang bound: per-rank instruction budget = `budget_factor` × the
     /// longest golden rank (the paper's wait-past-expected-completion).
@@ -43,8 +45,7 @@ pub struct CampaignConfig {
     /// start each trial by forking from the latest checkpoint before its
     /// injection point instead of re-executing the fault-free prefix
     /// (0 = run every trial cold). Only deterministic applications fork;
-    /// moldyn re-seeds its schedule per trial (§4.2.2) and always runs
-    /// cold regardless of this setting.
+    /// moldyn always runs cold regardless of this setting.
     pub epoch_rounds: u32,
     /// Per-rank `fl-obs` event-ring capacity. 0 (the default) disables
     /// recording entirely; nonzero makes every trial record structured
@@ -206,19 +207,24 @@ pub fn trial_seed(campaign_seed: u64, ci: usize, k: u32) -> u64 {
         .wrapping_add(k as u64)
 }
 
-/// The world configuration a trial (or the epoch cache's golden prefix)
-/// runs under: the app's own configuration with the campaign's event
-/// recording threaded through. Forked and cold trials must use the same
-/// recording capacity or their streams could not be bit-identical.
-pub(crate) fn trial_world_config(
-    app: &App,
-    budget: u64,
-    obs_capacity: u32,
-    fastpath: bool,
-) -> WorldConfig {
+/// The world configuration every run of a campaign is made under — the
+/// golden pass, each trial, each matrix column and reference run: the
+/// app's own configuration with the campaign's event recording and
+/// execution tier threaded through, on the campaign's arrival-order
+/// schedule. Forked and cold trials must use the same recording capacity
+/// or their streams could not be bit-identical.
+///
+/// The schedule is a function of the app and the campaign seed, not of
+/// the trial: §4.2.2 needs arrival order to vary across runs and the
+/// oracle to tolerate that, which campaign seeds provide, while one
+/// schedule per campaign gives every trial the golden run's prefix and
+/// pairs every matrix column with its reference run. Deterministic apps
+/// never draw from the schedule RNG.
+pub(crate) fn trial_world_config(app: &App, cfg: &CampaignConfig, budget: u64) -> WorldConfig {
     let mut wcfg = app.world_config(budget);
-    wcfg.machine.obs_capacity = obs_capacity;
-    wcfg.machine.fastpath = fastpath;
+    wcfg.seed = app.params.seed ^ cfg.seed;
+    wcfg.machine.obs_capacity = cfg.obs_capacity;
+    wcfg.machine.fastpath = cfg.fastpath;
     wcfg
 }
 
@@ -239,8 +245,8 @@ pub(crate) struct TrialContext<'a> {
     /// One campaign-wide pre-decoded store: the golden pass and every
     /// trial share it, so decode work is paid once per campaign.
     code: Option<SharedCode>,
-    obs_capacity: u32,
-    pub(crate) fastpath: bool,
+    /// What every trial world is configured from.
+    cfg: CampaignConfig,
     /// End a forked trial at the first epoch boundary where it is
     /// provably the golden run again. Implied by the configuration, not
     /// configured: on whenever trials fork and record no events (an event
@@ -255,10 +261,8 @@ impl<'a> TrialContext<'a> {
     /// and the read stamps; otherwise it is a plain golden run.
     pub(crate) fn build(app: &'a App, cfg: &CampaignConfig) -> TrialContext<'a> {
         let code = cfg.fastpath.then(|| app.image.pre_decode());
-        let wcfg = trial_world_config(app, GOLDEN_BUDGET, cfg.obs_capacity, cfg.fastpath);
-        // Forking replays the *golden* prefix; an app with
-        // nondeterministic scheduling re-draws its arrival order per
-        // trial, so its prefix is not shared and every trial runs cold.
+        let wcfg = trial_world_config(app, cfg, GOLDEN_BUDGET);
+        // Nondeterministic apps run every trial cold.
         let (golden, mut epochs) = if cfg.epoch_rounds > 0 && !wcfg.nondet {
             let (epochs, world) =
                 EpochCache::run_golden(&app.image, wcfg, cfg.epoch_rounds, code.as_ref());
@@ -280,8 +284,7 @@ impl<'a> TrialContext<'a> {
             converge: epochs.is_some() && cfg.obs_capacity == 0,
             epochs,
             code,
-            obs_capacity: cfg.obs_capacity,
-            fastpath: cfg.fastpath,
+            cfg: *cfg,
         }
     }
 
@@ -326,10 +329,8 @@ impl<'a> TrialContext<'a> {
         let mut world = match epoch {
             Some(e) => e.snap.restore(),
             None => {
-                let mut cfg =
-                    trial_world_config(app, self.budget, self.obs_capacity, self.fastpath);
-                cfg.seed = trial_seed; // vary moldyn's schedule per trial (§4.2.2)
-                MpiWorld::new_with_code(&app.image, cfg, self.code.as_ref())
+                let wcfg = trial_world_config(app, &self.cfg, self.budget);
+                MpiWorld::new_with_code(&app.image, wcfg, self.code.as_ref())
             }
         };
         world.arm(fault);
@@ -715,6 +716,29 @@ mod tests {
         // checksums; and not all of them (padding bytes, dead payloads).
         assert!(t.errors() > 0, "no message fault manifested");
         assert!(t.errors() < 40, "every message fault manifested");
+    }
+
+    #[test]
+    fn a_campaign_seed_is_an_arrival_order_schedule() {
+        // §4.2.2 at campaign level: every run of one campaign shuffles
+        // alike, another campaign seed shuffles differently, and the
+        // oracle tolerates the difference.
+        let app = App::build(AppKind::Moldyn, AppParams::tiny(AppKind::Moldyn));
+        let clean_run = |seed| {
+            let cfg = CampaignConfig {
+                seed,
+                obs_capacity: 1 << 16,
+                ..Default::default()
+            };
+            let mut w = MpiWorld::new(&app.image, trial_world_config(&app, &cfg, GOLDEN_BUDGET));
+            assert_eq!(w.run(), WorldExit::Clean);
+            (w.event_streams(), app.comparable_output(&w))
+        };
+        let (order_a, output_a) = clean_run(1);
+        let (order_b, output_b) = clean_run(2);
+        assert_eq!(order_a, clean_run(1).0, "one seed, one schedule");
+        assert_ne!(order_a, order_b, "two seeds, two arrival orders");
+        assert_eq!(output_a, output_b);
     }
 
     /// The verify property: take every trial of an eight-class campaign

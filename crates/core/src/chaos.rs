@@ -19,7 +19,7 @@
 //! through the ordinary sink/record machinery, so chaos campaigns resume
 //! and sort exactly like plain ones.
 
-use crate::campaign::trial_world_config;
+use crate::campaign::{trial_world_config, CampaignConfig};
 use crate::faultmodel::FaultModel;
 use crate::matrix::{
     cell_jsonl, cell_tsv, contract_lines, Column, Contract, Draw, Isolate, Layout, MatrixMode,
@@ -126,8 +126,8 @@ pub struct SyscallCounts {
 /// Run one fault-free world and collect [`SyscallCounts`]. Deterministic
 /// in the app and configuration, so every worker recomputes the same
 /// denominators.
-pub fn syscall_counts(app: &App, budget: u64, fastpath: bool) -> SyscallCounts {
-    let mut w = MpiWorld::new(&app.image, trial_world_config(app, budget, 0, fastpath));
+pub fn syscall_counts(app: &App, cfg: &CampaignConfig, budget: u64) -> SyscallCounts {
+    let mut w = MpiWorld::new(&app.image, trial_world_config(app, cfg, budget));
     let exit = w.run();
     assert_eq!(exit, WorldExit::Clean, "golden counter run must be clean");
     let n = app.params.nranks;
@@ -471,7 +471,7 @@ fn table(r: &MatrixResult, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{trial_budget, trial_seed, CampaignConfig};
+    use crate::campaign::{trial_budget, trial_seed};
     use crate::engine::{parse_record_line, EngineControl, VecSink};
     use crate::matrix::{run_matrix, ContractCheck};
     use crate::report::Report;
@@ -487,7 +487,7 @@ mod tests {
         let golden = app.golden(2_000_000_000);
         let cfg = CampaignConfig::default();
         let budget = trial_budget(&golden, &cfg);
-        let sys = syscall_counts(&app, budget, cfg.fastpath);
+        let sys = syscall_counts(&app, &cfg, budget);
         let policy = ChaosPolicy::default();
         for (mi, model) in FaultModel::chaos_models().iter().enumerate() {
             for k in 0..4u32 {

@@ -648,7 +648,8 @@ struct Env<'a> {
     /// already holds them.
     dicts: Option<Dictionaries>,
     budget: u64,
-    fastpath: bool,
+    /// What every column's world is configured from (recording off).
+    cfg: CampaignConfig,
     /// Output of the same image run clean at one fewer rank — the apps
     /// are weak-scaled, so a shrunken world solves a different problem
     /// ([`Runner::Shrink`] columns).
@@ -663,49 +664,49 @@ impl<'a> Env<'a> {
     fn build(app: &'a App, mode: &MatrixMode, cfg: &CampaignConfig) -> Env<'a> {
         let runs = |f: fn(&Runner) -> bool| mode.columns().any(|c| f(&c.runner));
         let draws = |f: fn(&Draw) -> bool| mode.rows.iter().any(|r| f(&r.draw));
-        // The paired baseline never records events, whatever the spec says.
-        let trial = runs(|r| *r == Runner::Trial).then(|| {
-            let cfg = CampaignConfig {
-                obs_capacity: 0,
-                ..*cfg
-            };
-            TrialContext::build(app, &cfg)
-        });
-        let golden = match &trial {
-            Some(ctx) => ctx.golden.clone(),
-            None => app.golden(GOLDEN_BUDGET),
+        // No matrix run records events, whatever the spec says.
+        let cfg = CampaignConfig {
+            obs_capacity: 0,
+            ..*cfg
         };
-        let budget = trial_budget(&golden, cfg).saturating_mul(mode.budget_scale);
         // One clean world under the trials' configuration, adjusted.
-        let clean = |what: &str, tune: fn(&mut WorldConfig)| {
-            let mut wcfg = trial_world_config(app, budget, 0, cfg.fastpath);
+        let clean = |what: &str, budget: u64, tune: fn(&mut WorldConfig)| {
+            let mut wcfg = trial_world_config(app, &cfg, budget);
             tune(&mut wcfg);
             let mut w = MpiWorld::new(&app.image, wcfg);
             assert_eq!(w.run(), WorldExit::Clean, "{what} run must be clean");
             w
         };
+        let trial = runs(|r| *r == Runner::Trial).then(|| TrialContext::build(app, &cfg));
+        let golden = match &trial {
+            Some(ctx) => ctx.golden.clone(),
+            None => app.golden_of(&clean("golden", GOLDEN_BUDGET, |_| {}), &WorldExit::Clean),
+        };
+        let budget = trial_budget(&golden, &cfg).saturating_mul(mode.budget_scale);
         Env {
             app,
             dicts: (trial.is_none() && draws(|d| matches!(d, Draw::Bit(_))))
                 .then(|| Dictionaries::build(app)),
             shrunken_output: if runs(|r| matches!(r, Runner::Shrink(_))) {
-                app.comparable_output(&clean("shrunken golden", |c| c.nranks -= 1))
+                app.comparable_output(&clean("shrunken golden", budget, |c| c.nranks -= 1))
             } else {
                 Vec::new()
             },
-            sys: draws(|d| matches!(d, Draw::Chaos(..)))
-                .then(|| syscall_counts(app, budget, cfg.fastpath)),
+            sys: draws(|d| matches!(d, Draw::Chaos(..))).then(|| syscall_counts(app, &cfg, budget)),
             // Probe answers never add rounds, so the detection-off
             // reference holds for every column.
             ref_rounds: if mode.paced() {
-                clean("reference", |c| isolate(c, Isolate::UlfmAndDetector)).round()
+                clean("reference", budget, |c| {
+                    isolate(c, Isolate::UlfmAndDetector)
+                })
+                .round()
             } else {
                 0
             },
             trial,
             golden,
             budget,
-            fastpath: cfg.fastpath,
+            cfg,
         }
     }
 
@@ -753,8 +754,7 @@ impl<'a> Env<'a> {
             let run = ctx.run_trial(row.class, seed);
             return (run.record.outcome, Aux::default(), run.insns);
         }
-        let mut cfg = trial_world_config(app, self.budget, 0, self.fastpath);
-        cfg.seed = seed; // vary moldyn's schedule per trial (§4.2.2)
+        let mut cfg = trial_world_config(app, &self.cfg, self.budget);
         isolate(&mut cfg, col.isolate);
         let output = |w: &MpiWorld| app.comparable_output(w);
         let world = |cfg: WorldConfig| {

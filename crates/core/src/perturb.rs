@@ -575,6 +575,47 @@ mod tests {
     }
 
     #[test]
+    fn idle_interference_on_moldyn_matches_the_reference_round_count() {
+        // Slowdown is rounds over the clean reference's rounds, so both
+        // must run on one arrival-order schedule: a window that opens and
+        // taxes nothing leaves the rounds the reference's, exactly.
+        let app = App::build(AppKind::Moldyn, AppParams::tiny(AppKind::Moldyn));
+        let cfg = CampaignConfig {
+            injections: 3,
+            seed: 0x1D1E,
+            ..Default::default()
+        };
+        let idle = PerturbPolicy {
+            tax_permille: (0, 0),
+            hog_share_permille: (0, 0),
+            ..Default::default()
+        };
+        let r = run_matrix(
+            &app,
+            &mode(idle),
+            &cfg,
+            &NullSink,
+            &EngineControl::new(),
+            None,
+        )
+        .unwrap();
+        for label in ["quantum-tax", "hog-rank"] {
+            let row = r.find_row(label).unwrap();
+            for (c, cell) in r.cells[row].iter().enumerate() {
+                for t in &cell.trials {
+                    assert_eq!(
+                        (t.outcome, t.aux[0]),
+                        (Manifestation::Correct, 1000),
+                        "{label} column {c}: {} (reference {} rounds)",
+                        t.detail,
+                        r.ref_rounds
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn classify_perturb_splits_correct_from_degraded() {
         let g = b"out".to_vec();
         let (m, p) = classify_perturb(&WorldExit::Clean, b"out", &g, 1000, 1000, 1050);
