@@ -1,0 +1,50 @@
+//! The operator's view of early termination: the `converged:` line of
+//! the campaign footer.
+
+use std::process::Command;
+
+/// Run `faultlab campaign <args>` and return the trials the footer says
+/// ended at an epoch boundary, with everything printed above the footer.
+fn campaign(args: &[&str]) -> (u64, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_faultlab"))
+        .arg("campaign")
+        .args(args)
+        .output()
+        .expect("faultlab runs");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    let (table, footer) = stdout
+        .split_once("throughput:")
+        .expect("campaign prints a throughput footer");
+    let converged = footer
+        .lines()
+        .find_map(|l| l.strip_prefix("converged: "))
+        .and_then(|l| l.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .expect("footer has a converged: line");
+    (converged, table.to_string())
+}
+
+#[test]
+fn moldyn_campaigns_report_trials_ended_early() {
+    // A silent fall-back to cold moldyn trials shows here as a zero.
+    let args = [
+        "moldyn",
+        "--tiny",
+        "--injections",
+        "6",
+        "--regions",
+        "bss,heap,text",
+        "--seed",
+        "1604",
+    ];
+    let (converged, table) = campaign(&args);
+    assert!(converged > 0, "no moldyn-tiny trial ended early:\n{table}");
+    // Cold, nothing can end early — and the table does not change.
+    let cold: Vec<&str> = args
+        .iter()
+        .copied()
+        .chain(["--epoch-rounds", "0"])
+        .collect();
+    assert_eq!(campaign(&cold), (0, table));
+}

@@ -44,8 +44,10 @@ pub struct CampaignConfig {
     /// Checkpoint the golden world every this many scheduler rounds and
     /// start each trial by forking from the latest checkpoint before its
     /// injection point instead of re-executing the fault-free prefix
-    /// (0 = run every trial cold). Only deterministic applications fork;
-    /// moldyn always runs cold regardless of this setting.
+    /// (0 = run every trial cold). Every application forks: a
+    /// nondeterministic one runs its whole campaign on one arrival-order
+    /// schedule ([`CampaignConfig::seed`]) and the shuffle RNG rides the
+    /// snapshots, so its trials share the golden prefix like any other's.
     pub epoch_rounds: u32,
     /// Per-rank `fl-obs` event-ring capacity. 0 (the default) disables
     /// recording entirely; nonzero makes every trial record structured
@@ -139,7 +141,9 @@ pub struct CampaignResult {
 /// ended at an epoch boundary because they had provably become the golden
 /// run again, and what proving it took. Sums over the trials this
 /// process executed — resume-adopted slots contribute zero, like
-/// [`ExecStats`].
+/// [`ExecStats`]. Every app forks and converges, the nondeterministic
+/// one included, so all-zero counters on a fresh campaign with epochs
+/// and no event recording mean its trials ran cold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConvergeStats {
     /// Trials ended early as `correct`.
@@ -240,7 +244,7 @@ pub(crate) struct TrialContext<'a> {
     pub(crate) dicts: Dictionaries,
     /// Per-rank instruction budget of a trial (the hang bound).
     pub(crate) budget: u64,
-    /// Present iff trials fork (`epoch_rounds > 0`, deterministic app).
+    /// Present iff trials fork (`epoch_rounds > 0`).
     epochs: Option<EpochCache>,
     /// One campaign-wide pre-decoded store: the golden pass and every
     /// trial share it, so decode work is paid once per campaign.
@@ -262,8 +266,7 @@ impl<'a> TrialContext<'a> {
     pub(crate) fn build(app: &'a App, cfg: &CampaignConfig) -> TrialContext<'a> {
         let code = cfg.fastpath.then(|| app.image.pre_decode());
         let wcfg = trial_world_config(app, cfg, GOLDEN_BUDGET);
-        // Nondeterministic apps run every trial cold.
-        let (golden, mut epochs) = if cfg.epoch_rounds > 0 && !wcfg.nondet {
+        let (golden, mut epochs) = if cfg.epoch_rounds > 0 {
             let (epochs, world) =
                 EpochCache::run_golden(&app.image, wcfg, cfg.epoch_rounds, code.as_ref());
             (app.golden_of(&world, epochs.golden_exit()), Some(epochs))
@@ -634,34 +637,36 @@ mod tests {
     fn snapshot_and_cold_paths_produce_identical_records() {
         // The tentpole invariant at campaign level: forking trials from
         // epoch checkpoints must change nothing observable — same
-        // details, same manifestations, same tallies.
-        let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-        let classes = [
-            TargetClass::RegularReg,
-            TargetClass::Stack,
-            TargetClass::Message,
-        ];
-        let cold = CampaignConfig {
-            injections: 10,
-            seed: 0xF0,
-            epoch_rounds: 0,
-            ..Default::default()
-        };
-        let snap = CampaignConfig {
-            injections: 10,
-            seed: 0xF0,
-            epoch_rounds: 8,
-            ..Default::default()
-        };
-        let a = run(&app, &classes, &cold);
-        let b = run(&app, &classes, &snap);
-        for (ca, cb) in a.classes.iter().zip(&b.classes) {
-            assert_eq!(
-                ca.trials, cb.trials,
-                "{:?}: fork path diverged from cold path",
-                ca.class
-            );
-            assert_eq!(ca.tally, cb.tally);
+        // details, same manifestations, same tallies — on the
+        // nondeterministic app too, whose shuffle RNG rides the snapshots.
+        for kind in [AppKind::Wavetoy, AppKind::Moldyn] {
+            let app = App::build(kind, AppParams::tiny(kind));
+            let classes = [
+                TargetClass::RegularReg,
+                TargetClass::Stack,
+                TargetClass::Message,
+            ];
+            let cold = CampaignConfig {
+                injections: 10,
+                seed: 0xF0,
+                epoch_rounds: 0,
+                ..Default::default()
+            };
+            let snap = CampaignConfig {
+                epoch_rounds: 8,
+                ..cold
+            };
+            let a = run(&app, &classes, &cold);
+            let b = run(&app, &classes, &snap);
+            assert_eq!(a.insns_total, b.insns_total, "{kind}");
+            for (ca, cb) in a.classes.iter().zip(&b.classes) {
+                assert_eq!(
+                    ca.trials, cb.trials,
+                    "{kind} {:?}: fork path diverged from cold path",
+                    ca.class
+                );
+                assert_eq!(ca.tally, cb.tally);
+            }
         }
     }
 
@@ -785,6 +790,8 @@ mod tests {
             (AppKind::Wavetoy, false),
             (AppKind::Climsim, true),
             (AppKind::Jacobi3d, true),
+            (AppKind::Moldyn, true),
+            (AppKind::Moldyn, false),
         ] {
             let app = App::build(kind, AppParams::tiny(kind));
             let cfg = CampaignConfig {
@@ -800,28 +807,34 @@ mod tests {
     }
 
     /// The same property on the paper-size apps and seeds the benchmark
-    /// draws from (1,920 trials; about a minute in release mode):
+    /// draws from (2,304 trials; about a minute in release mode):
     /// `cargo test --release -p fl-inject --lib paper_size -- --ignored --nocapture`
     #[test]
     #[ignore = "paper-size sweep, run on demand"]
     fn early_ended_trials_are_the_golden_run_at_paper_size() {
         let mut total = [(0, 0); 8];
         for base in [20_040_611u64, 19_970_523, 20_041_611, 20_042_611] {
-            let kinds = [AppKind::Wavetoy, AppKind::Climsim, AppKind::Jacobi3d];
-            for (i, kind) in kinds.into_iter().enumerate() {
+            // Spec order and sizes of `tables_det`, then of `tables_nondet`.
+            for (kind, i, injections) in [
+                (AppKind::Wavetoy, 0, 20),
+                (AppKind::Climsim, 1, 20),
+                (AppKind::Jacobi3d, 2, 20),
+                (AppKind::Moldyn, 0, 12),
+            ] {
                 let app = App::build(kind, AppParams::default_for(kind));
                 let cfg = CampaignConfig {
-                    injections: 20,
-                    seed: base + i as u64,
+                    injections,
+                    seed: base + i,
                     ..Default::default()
                 };
                 let (per_class, at_first) = verify_early_ends(&app, &cfg);
                 let ended: u32 = per_class.iter().map(|c| c.0).sum();
                 let correct: u32 = per_class.iter().map(|c| c.1).sum();
                 println!(
-                    "{kind} seed {}: {ended} of {correct} correct trials (160 run) \
+                    "{kind} seed {}: {ended} of {correct} correct trials ({} run) \
                      ended early ({at_first} at the first boundary), all verified",
-                    cfg.seed
+                    cfg.seed,
+                    8 * injections
                 );
                 for (t, c) in total.iter_mut().zip(per_class) {
                     *t = (t.0 + c.0, t.1 + c.1);
@@ -854,10 +867,13 @@ mod tests {
             ..Default::default()
         }));
         assert!(!quiet(CampaignConfig::default()));
-        // Nondeterministic apps build no epochs whatever the cadence.
+        // Nondeterministic apps fork and converge like the others.
         let moldyn = App::build(AppKind::Moldyn, AppParams::tiny(AppKind::Moldyn));
         let ctx = TrialContext::build(&moldyn, &CampaignConfig::default());
-        let run = ctx.run_trial(TargetClass::Bss, trial_seed(3, 0, 0));
-        assert_eq!(run.converge, ConvergeStats::default());
+        let ended = (0..6)
+            .map(|k| ctx.run_trial(TargetClass::Bss, trial_seed(3, 0, k)))
+            .filter(|run| run.converge.trials_converged == 1)
+            .count();
+        assert!(ended > 0, "no moldyn bss trial ended at an epoch boundary");
     }
 }

@@ -104,11 +104,6 @@ proptest! {
             prop_assert_eq!(&a.trials, &b.trials, "{}: {}", a.class, &what);
             prop_assert_eq!(&a.tally, &b.tally, "{}: {}", a.class, &what);
         }
-        if app.kind == AppKind::Moldyn {
-            // No epochs, nothing to converge on.
-            prop_assert_eq!(ended.converge.epoch_compares, 0);
-        }
-
         // Kill after `cut` completed trials, resume from the record file.
         let cut = cut % (lines.len() + 1);
         let file = lines[..cut].join("\n");
@@ -125,11 +120,12 @@ proptest! {
     }
 }
 
-/// The property must not hold vacuously: on the deterministic apps most
-/// benign trials do end early, at every cadence.
+/// The property must not hold vacuously: on every app — the
+/// nondeterministic one included — most benign trials do end early, at
+/// every cadence.
 #[test]
 fn termination_actually_happens() {
-    for kind in [AppKind::Wavetoy, AppKind::Climsim, AppKind::Jacobi3d] {
+    for kind in AppKind::ALL {
         for epoch_rounds in [1, 4, 16, 64] {
             let cfg = CampaignConfig {
                 injections: 6,

@@ -34,7 +34,7 @@
 //! | POST   | `/campaigns/<id>/stop`      | drain workers, keep state      |
 //! | POST   | `/shutdown`                 | stop campaigns, exit the loop  |
 
-use crate::http::{read_request, respond, start_stream, Request};
+use crate::http::{read_request, refuse, respond, start_stream, Request};
 use fl_apps::AppKind;
 use fl_inject::json::{parse, Json};
 use fl_inject::{
@@ -431,8 +431,14 @@ fn run_campaign(camp: &Arc<Campaign>) {
 }
 
 fn handle(inner: &Arc<Inner>, mut stream: TcpStream) {
-    let Ok(req) = read_request(&stream) else {
-        return;
+    let req = match read_request(&stream) {
+        Ok(req) => req,
+        Err(e) => {
+            if let Some((status, msg)) = e.reply() {
+                let _ = refuse(&mut stream, status, msg);
+            }
+            return;
+        }
     };
     match route(inner, &req, &mut stream) {
         Ok(Some((status, content_type, body))) => {

@@ -301,3 +301,30 @@ fn null_sink_runs_match_served_runs() {
     assert_eq!(a.insns_total, b.insns_total);
     assert_eq!(a.metrics, b.metrics);
 }
+
+#[test]
+fn hostile_requests_get_a_status_and_register_nothing() {
+    use std::io::{Read, Write};
+    let (server, addr, _dir) = start("hostile");
+    let status_of = |raw: &[u8]| {
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        stream.write_all(raw).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        fl_serve::http::parse_response(&reply).expect(&reply).0
+    };
+    // A valid spec behind a body length the daemon will not buffer, and
+    // behind one it cannot read: refused whole, not truncated or emptied.
+    let spec = tiny_spec(0x40571, 1).to_json();
+    let oversize = format!("POST /campaigns HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n{spec}");
+    assert_eq!(status_of(oversize.as_bytes()), 413);
+    let garbage = format!("POST /campaigns HTTP/1.1\r\nContent-Length: lots\r\n\r\n{spec}");
+    assert_eq!(status_of(garbage.as_bytes()), 400);
+    let mut endless = b"POST /campaigns?".to_vec();
+    endless.resize(9000, b'x');
+    assert_eq!(status_of(&endless), 413);
+
+    let (code, body) = client::request(&addr, "GET", "/campaigns", None).unwrap();
+    assert_eq!((code, body.as_str()), (200, "[]"), "nothing reached submit");
+    server.shutdown();
+}

@@ -44,16 +44,17 @@
 //!   counts and stops. The argument needs round boundaries to line up,
 //!   which is why `fl-mpi` fires an injection *inside* the victim's
 //!   quantum instead of clipping the quantum at the fire point. Trials
-//!   that record events, and apps without a golden prefix (below), are
-//!   never ended early.
+//!   that record events are never ended early.
 //! * **[`recovery`]** — the checkpoint/restart experiment: kill a rank
 //!   mid-run, restore the world from the latest checkpoint, and measure
 //!   what was recovered versus lost.
 //!
-//! Forking is only valid for deterministic applications (wavetoy,
-//! climsim). Moldyn re-seeds its arrival-order shuffle per trial
-//! (§4.2.2), so its trials diverge from the golden prefix at the first
-//! scheduler round and must run cold; the campaign layer enforces this.
+//! Forking is valid whenever trial and golden run share their prefix.
+//! Deterministic applications always do; moldyn's arrival-order shuffle
+//! (§4.2.2) is drawn from the world RNG, which a [`WorldSnapshot`]
+//! carries and `converged_on` compares, so it does too as long as the
+//! caller builds trial worlds and the golden world from one schedule
+//! seed — the campaign layer seeds it per campaign.
 
 pub mod epoch;
 pub mod recovery;
