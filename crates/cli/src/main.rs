@@ -21,11 +21,12 @@
 //! `message` (or `all`).
 
 use fl_apps::{App, AppKind, AppParams};
+use fl_inject::spec::Flag::{self, On, Value};
 use fl_inject::{
     estimation_error, render_register_breakdown, run_spec, sample_size, sort_records_jsonl,
-    CampaignBuilder, CampaignConfig, CampaignSpec, ChaosPolicy, EngineControl, EngineProgress,
-    EngineSink, FaultModel, FtMode, FtPolicy, GuardPolicy, MetricsReport, PerturbPolicy, Report,
-    ReportFormat, SpecMode, SpecOutcome, StderrProgress, TargetClass, TrialOutput, VecSink,
+    suggest, CampaignBuilder, CampaignSpec, EngineControl, EngineProgress, EngineSink, FaultModel,
+    FtMode, MetricsReport, Report, ReportFormat, SpecMode, SpecOutcome, StderrProgress,
+    TargetClass, TrialOutput, VecSink,
 };
 use fl_serve::{ServeConfig, Server};
 use fl_snap::RecoveryConfig;
@@ -82,50 +83,53 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// `[--flag N]` for each of `flags`, wrapped under the usage block's
+/// twenty-column indent.
+fn usage_flags(flags: &[Flag]) -> String {
+    let mut lines = vec![String::new()];
+    for flag in flags {
+        let item = match flag {
+            Value(name) => format!(" [--{name} N]"),
+            switch => format!(" [--{}]", switch.name()),
+        };
+        match lines.last_mut() {
+            Some(line) if line.len() + item.len() <= 60 => line.push_str(&item),
+            _ => lines.push(item),
+        }
+    }
+    lines.join("\n                   ")
+}
+
 fn print_usage() {
+    let spec_flags = SpecMode::Campaign.flags();
+    // A matrix verb's usage: its focus flag, then its policy's flags.
+    let matrix = |verb: &str, focus: &str| {
+        let mode = SpecMode::named(verb).expect("a matrix verb");
+        format!(
+            "\x20 faultlab {verb:<8} <app> [spec flags] [--tsv] [--jsonl]{focus}\n\
+             \x20                  {}\n",
+            usage_flags(&mode.flags()[spec_flags.len()..])
+        )
+    };
     println!(
         "faultlab — software fault injection for MPI applications\n\
          \n\
          USAGE:\n\
          \x20 faultlab profile  [<app> ...]\n\
-         \x20 faultlab campaign <app> [--injections N] [--regions R1,R2|all]\n\
-         \x20                   [--seed S] [--jobs N] [--epoch-rounds E] [--ring N]\n\
-         \x20                   [--tiny] [--tsv] [--jsonl] [--registers] [--no-fastpath]\n\
+         \x20 faultlab campaign <app> [spec flags] [--tsv] [--jsonl] [--registers]\n\
+         \x20 faultlab run-config <spec.json>\n\
          \x20 faultlab trace    <app> [--samples N] [--tsv] [--tiny]\n\
          \x20 faultlab trial    <app> <region> [--seed K] [--tiny]\n\
          \x20 faultlab replay   <app> <region> --trial K [--regions R1,R2|all]\n\
          \x20                   [--seed S] [--injections N] [--epoch-rounds E] [--tiny]\n\
          \x20 faultlab events   <app> <region> --trial K [--regions R1,R2|all]\n\
          \x20                   [--seed S] [--ring N] [--jsonl] [--tiny] [--no-fastpath]\n\
-         \x20 faultlab metrics  <app> [--injections N] [--regions R1,R2|all]\n\
-         \x20                   [--seed S] [--ring N] [--tsv] [--tiny] [--no-fastpath]\n\
-         \x20 faultlab guard    <app> [--injections N] [--regions R1,R2|all]\n\
-         \x20                   [--seed S] [--threads T] [--checkpoint-rounds C]\n\
-         \x20                   [--restarts R] [--retransmits X] [--tiny] [--tsv] [--jsonl]\n\
-         \x20                   [--no-fastpath]\n\
-         \x20 faultlab ft       <app> [--injections N] [--seed S] [--jobs N]\n\
-         \x20                   [--mode baseline|shrink|respawn|replicated|app]\n\
-         \x20                   [--buddy-rounds B] [--respawns R] [--replicas N]\n\
-         \x20                   [--probe-rounds P] [--suspect-rounds Q]\n\
-         \x20                   [--tiny] [--tsv] [--jsonl] [--no-fastpath]\n\
-         \x20 faultlab chaos    <app> [--injections N] [--seed S] [--jobs N]\n\
-         \x20                   [--model net-drop|net-dup|net-reorder|net-corrupt|\n\
-         \x20                    partition|syscall-malloc|syscall-write|burst-kill|node-kill]\n\
-         \x20                   [--partition-lo L] [--partition-hi H] [--reorder-delay D]\n\
-         \x20                   [--burst-max K] [--node-ranks R] [guard/ft flags ...]\n\
-         \x20                   [--tiny] [--tsv] [--jsonl] [--no-fastpath]\n\
-         \x20 faultlab perturb  <app> [--injections N] [--seed S] [--jobs N]\n\
-         \x20                   [--model quantum-tax|hog-rank|mem-stall|kill-rank|wedge-rank]\n\
-         \x20                   [--probe-rounds P] [--suspect-rounds Q]\n\
-         \x20                   [--tax-lo L] [--tax-hi H] [--tax-rounds-lo L] [--tax-rounds-hi H]\n\
-         \x20                   [--hog-share-lo L] [--hog-share-hi H] [--hog-node-ranks R]\n\
-         \x20                   [--stall-access-lo L] [--stall-access-hi H]\n\
-         \x20                   [--stall-window-lo L] [--stall-window-hi H]\n\
-         \x20                   [--degraded-permille D] [--tiny] [--tsv] [--jsonl] [--no-fastpath]\n\
+         \x20 faultlab metrics  <app> [spec flags] [--tsv]\n\
+         {}{}{}{}\
          \x20 faultlab recovery <app> [--checkpoint-every K] [--kill-rank R]\n\
          \x20                   [--kill-round N] [--tiny]\n\
-         \x20 faultlab run-config <file.cfg>\n\
-         \x20 faultlab spec     <app> [--mode campaign|guard|ft|chaos|perturb] [spec flags ...]\n\
+         \x20 faultlab spec     <app> [--mode campaign|guard|ft|chaos|perturb] [spec flags]\n\
+         \x20                   [the mode's policy flags, as on its verb]\n\
          \x20 faultlab serve    [--addr HOST:PORT] [--state-dir DIR]\n\
          \x20 faultlab submit   [<spec.json>|-] [--addr HOST:PORT]\n\
          \x20 faultlab status   [<id>] [--addr HOST:PORT]\n\
@@ -136,12 +140,14 @@ fn print_usage() {
          \x20 faultlab disasm   <app> [--limit N] [--tiny]\n\
          \x20 faultlab regpressure <app> [--tiny]\n\
          \n\
+         SPEC FLAGS:{}\n\
+         \n\
          FLAGS (same meaning on every verb that takes them):\n\
-         \x20 --injections N      trials per region (campaign/metrics/guard) or per\n\
-         \x20                     fault kind (ft)\n\
+         \x20 --injections N      trials per region (campaign/metrics/guard), per fault\n\
+         \x20                     kind (ft) or per matrix cell (chaos/perturb)\n\
          \x20 --regions R1,R2     comma-separated region list, or `all`\n\
          \x20 --seed S            campaign PRNG seed\n\
-         \x20 --jobs N / --threads N  worker threads (0 = one per core)\n\
+         \x20 --jobs N / --threads N  worker threads (0 = one per core); give one\n\
          \x20 --addr HOST:PORT    campaign service address (default 127.0.0.1:7717)\n\
          \x20 --epoch-rounds E    scheduler rounds per snapshot epoch\n\
          \x20 --ring N            per-rank event ring capacity\n\
@@ -153,48 +159,88 @@ fn print_usage() {
          \x20                     (baseline|shrink|respawn|replicated|app);\n\
          \x20                     spec: experiment family (campaign|guard|ft|chaos|perturb)\n\
          \x20 --model M           chaos/perturb: focus the table on one fault model's row\n\
-         \x20 --degraded-permille D  perturb: slowdown threshold separating Correct from\n\
-         \x20                     Degraded, in permille of the clean reference (1050 = 5%)\n\
+         \x20 perturb's permille knobs are relative to the clean reference run: a\n\
+         \x20                     degraded threshold of 1050 separates Correct from\n\
+         \x20                     Degraded at 5% slower\n\
          \n\
          APPS: wavetoy (Cactus Wavetoy), moldyn (NAMD), climsim (CAM),\n\
          \x20     jacobi3d (Jacobi-3D, fl-ulfm app-side recovery)\n\
-         REGIONS: regular-reg fp-reg bss data stack text heap message all"
+         REGIONS: regular-reg fp-reg bss data stack text heap message all",
+        matrix("guard", ""),
+        matrix("ft", " [--mode M]"),
+        matrix("chaos", " [--model M]"),
+        matrix("perturb", " [--model M]"),
+        usage_flags(&spec_flags),
     );
 }
 
-fn parse_app(name: &str) -> Result<AppKind, String> {
-    name.parse()
+/// The did-you-mean tail of an "unknown X" error: the nearest valid
+/// name, or every valid name when none is close.
+fn hint(dashes: &str, input: &str, valid: &[&str], plural: &str) -> String {
+    match suggest(input, valid) {
+        Some(v) => format!("(did you mean `{dashes}{v}`?)"),
+        None => {
+            let all: Vec<String> = valid.iter().map(|v| format!("{dashes}{v}")).collect();
+            format!("(valid {plural}: {})", all.join(", "))
+        }
+    }
 }
 
-fn parse_region(name: &str) -> Result<TargetClass, String> {
-    name.parse()
+/// The error for a flag that is not one of `valid`; `context` says
+/// where, e.g. " for mode `campaign`".
+fn unknown_flag(name: &str, valid: &[Flag], context: &str) -> String {
+    let mut names: Vec<&str> = valid.iter().map(|f| f.name()).collect();
+    names.sort_unstable();
+    names.dedup();
+    let hint = hint("--", name, &names, "flags");
+    format!("unknown flag `--{name}`{context} {hint}")
 }
 
-/// Pull `--flag value` options and bare words out of an argument list.
+/// A verb's arguments: bare words, and the `--flag [word]` options among
+/// the flags the verb accepts.
 struct Opts {
     words: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Opts {
-        let mut words = Vec::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
-            if let Some(name) = a.strip_prefix("--") {
-                let value = args.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-                if value.is_some() {
-                    i += 1;
-                }
-                flags.push((name.to_string(), value));
-            } else {
-                words.push(a.clone());
+    /// Split `args` into words and flags. `valid` says which flags exist
+    /// and which of them take a word: a switch never swallows the word
+    /// after it, a value flag always needs one, no flag repeats.
+    fn parse(args: &[String], valid: impl IntoIterator<Item = Flag>) -> Result<Opts, String> {
+        let accepted: Vec<Flag> = valid.into_iter().collect();
+        let mut o = Opts {
+            words: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                o.words.push(arg.clone());
+                continue;
+            };
+            let flag = accepted.iter().find(|f| f.name() == name);
+            let flag = flag.ok_or_else(|| unknown_flag(name, &accepted, ""))?;
+            if o.has(name) {
+                return Err(format!("flag `--{name}` given twice"));
             }
-            i += 1;
+            let word = match flag {
+                Value(_) => {
+                    let word = args.next().filter(|w| !w.starts_with("--")).cloned();
+                    Some(word.ok_or_else(|| format!("--{name} needs a value"))?)
+                }
+                _ => None,
+            };
+            o.flags.push((name.to_string(), word));
         }
-        Opts { words, flags }
+        Ok(o)
+    }
+
+    /// The app the first word names, built at the size `--tiny` asks for.
+    fn app(&self, verb: &str) -> Result<App, String> {
+        let name = self.words.first();
+        let name = name.ok_or_else(|| format!("{verb} needs an app name"))?;
+        Ok(build_app(name.parse()?, self.has("tiny")))
     }
 
     fn has(&self, name: &str) -> bool {
@@ -214,70 +260,9 @@ impl Opts {
             Some(v) => v
                 .parse()
                 .map(Some)
-                .map_err(|_| format!("--{name} expects a number, got `{v}`")),
+                .map_err(|_| format!("--{name}: expected a number, got `{v}`")),
         }
     }
-
-    /// Reject flags outside `valid`, suggesting the nearest valid flag.
-    fn expect(&self, valid: &[&str]) -> Result<(), String> {
-        for (name, _) in &self.flags {
-            if valid.iter().any(|v| v == name) {
-                continue;
-            }
-            let nearest = valid
-                .iter()
-                .map(|v| (edit_distance(name, v), *v))
-                .min()
-                .filter(|&(d, v)| d <= 3 || v.starts_with(name.as_str()) || name.starts_with(v));
-            return Err(match nearest {
-                Some((_, v)) => format!("unknown flag `--{name}` (did you mean `--{v}`?)"),
-                None => format!(
-                    "unknown flag `--{name}` (valid flags: {})",
-                    valid
-                        .iter()
-                        .map(|v| format!("--{v}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Validate a mode name against its closed set, suggesting the nearest
-/// valid mode on a miss — the same did-you-mean unknown flags get.
-fn check_mode(input: &str, valid: &[&str], what: &str) -> Result<(), String> {
-    if valid.contains(&input) {
-        return Ok(());
-    }
-    let nearest = valid
-        .iter()
-        .map(|v| (edit_distance(input, v), *v))
-        .min()
-        .filter(|&(d, v)| d <= 3 || v.starts_with(input) || input.starts_with(v));
-    Err(match nearest {
-        Some((_, v)) => format!("unknown {what} `{input}` (did you mean `{v}`?)"),
-        None => format!(
-            "unknown {what} `{input}` (valid modes: {})",
-            valid.join(", ")
-        ),
-    })
-}
-
-/// Levenshtein distance, for did-you-mean flag suggestions.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.iter().enumerate() {
-        let mut row = vec![i + 1];
-        for (j, cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            row.push(sub.min(prev[j + 1] + 1).min(row[j] + 1));
-        }
-        prev = row;
-    }
-    prev[b.len()]
 }
 
 fn build_app(kind: AppKind, tiny: bool) -> App {
@@ -289,199 +274,45 @@ fn build_app(kind: AppKind, tiny: bool) -> App {
     App::build(kind, params)
 }
 
-/// Flags shared by every spec-building verb (`campaign`, `metrics`,
-/// `guard`, `ft`, `spec`), excluding each verb's output/policy flags.
-const SPEC_FLAGS: &[&str] = &[
-    "injections",
-    "regions",
-    "seed",
-    "threads",
-    "jobs",
-    "epoch-rounds",
-    "ring",
-    "tiny",
-    "no-fastpath",
-];
+/// The campaign-level spec flags called `names` — for verbs that read
+/// only some of them.
+fn spec_flags<'a>(names: &'a [&str]) -> impl Iterator<Item = Flag> + 'a {
+    let flags = SpecMode::Campaign.flags().into_iter();
+    flags.filter(|f| names.contains(&f.name()))
+}
 
-const GUARD_FLAGS: &[&str] = &["checkpoint-rounds", "restarts", "retransmits"];
-const FT_FLAGS: &[&str] = &[
-    "buddy-rounds",
-    "respawns",
-    "replicas",
-    "probe-rounds",
-    "suspect-rounds",
-];
-const CHAOS_FLAGS: &[&str] = &[
-    "partition-lo",
-    "partition-hi",
-    "reorder-delay",
-    "burst-max",
-    "node-ranks",
-];
-const PERTURB_FLAGS: &[&str] = &[
-    "probe-rounds",
-    "suspect-rounds",
-    "tax-lo",
-    "tax-hi",
-    "tax-rounds-lo",
-    "tax-rounds-hi",
-    "hog-share-lo",
-    "hog-share-hi",
-    "hog-node-ranks",
-    "stall-access-lo",
-    "stall-access-hi",
-    "stall-window-lo",
-    "stall-window-hi",
-    "degraded-permille",
-];
-
-fn guard_policy_from(o: &Opts) -> Result<GuardPolicy, String> {
-    Ok(GuardPolicy {
-        checkpoint_rounds: o.get_num("checkpoint-rounds")?.unwrap_or(32),
-        max_restarts: o.get_num("restarts")?.unwrap_or(3),
-        max_retransmits: o.get_num("retransmits")?.unwrap_or(3),
-        ..GuardPolicy::default()
+/// The spec mode called `name`, at its default policy.
+fn parse_mode(name: &str) -> Result<SpecMode, String> {
+    SpecMode::named(name).ok_or_else(|| {
+        let names = SpecMode::all().map(|m| m.name());
+        format!("unknown mode `{name}` {}", hint("", name, &names, "modes"))
     })
 }
 
-fn ft_policy_from(o: &Opts) -> Result<FtPolicy, String> {
-    let mut policy = FtPolicy::default();
-    if let Some(b) = o.get_num("buddy-rounds")? {
-        policy.buddy_rounds = b;
-    }
-    if let Some(r) = o.get_num("respawns")? {
-        policy.max_respawns = r;
-    }
-    if let Some(n) = o.get_num("replicas")? {
-        policy.replicas = n;
-    }
-    if let Some(p) = o.get_num("probe-rounds")? {
-        policy.detector.probe_rounds = p;
-    }
-    if let Some(q) = o.get_num("suspect-rounds")? {
-        policy.detector.suspect_rounds = q;
-    }
-    Ok(policy)
-}
-
-fn chaos_policy_from(o: &Opts) -> Result<ChaosPolicy, String> {
-    // Guard and ft knobs configure the crc/watchdog and
-    // replica/shrink/app defense columns respectively.
-    let mut p = ChaosPolicy {
-        ft: ft_policy_from(o)?,
-        ..ChaosPolicy::default()
+/// What the verbs (and `spec --mode`) preset differently from the spec
+/// defaults: injections per row, and the guard verb's checkpoint cadence
+/// (the policy's own default is 64).
+fn preset(spec: &mut CampaignSpec) {
+    spec.campaign.injections = match &mut spec.mode {
+        SpecMode::Campaign => 500,
+        SpecMode::Guard(g) => {
+            g.checkpoint_rounds = 32;
+            100
+        }
+        SpecMode::Ft(_) => 40,
+        SpecMode::Chaos(_) => 20,
+        SpecMode::Perturb(_) => 10,
     };
-    if let Some(c) = o.get_num("checkpoint-rounds")? {
-        p.guard.checkpoint_rounds = c;
-    }
-    if let Some(r) = o.get_num("restarts")? {
-        p.guard.max_restarts = r;
-    }
-    if let Some(x) = o.get_num("retransmits")? {
-        p.guard.max_retransmits = x;
-    }
-    if let Some(v) = o.get_num("partition-lo")? {
-        p.partition_rounds.0 = v;
-    }
-    if let Some(v) = o.get_num("partition-hi")? {
-        p.partition_rounds.1 = v;
-    }
-    if let Some(v) = o.get_num("reorder-delay")? {
-        p.reorder_max_delay = v;
-    }
-    if let Some(v) = o.get_num("burst-max")? {
-        p.burst_max = v;
-    }
-    if let Some(v) = o.get_num("node-ranks")? {
-        p.node_ranks = v;
-    }
-    Ok(p)
 }
 
 /// Build a [`CampaignSpec`] from a verb's flags — the single source the
 /// one-shot verbs, `faultlab spec` and the service submissions share.
-/// `--jobs` and `--threads` are aliases (0 = one worker per core).
-fn perturb_policy_from(o: &Opts) -> Result<PerturbPolicy, String> {
-    let mut p = PerturbPolicy::default();
-    if let Some(v) = o.get_num("probe-rounds")? {
-        p.probe_rounds = v;
-    }
-    if let Some(v) = o.get_num("suspect-rounds")? {
-        p.suspect_rounds = v;
-    }
-    if let Some(v) = o.get_num("tax-lo")? {
-        p.tax_permille.0 = v;
-    }
-    if let Some(v) = o.get_num("tax-hi")? {
-        p.tax_permille.1 = v;
-    }
-    if let Some(v) = o.get_num("tax-rounds-lo")? {
-        p.tax_rounds.0 = v;
-    }
-    if let Some(v) = o.get_num("tax-rounds-hi")? {
-        p.tax_rounds.1 = v;
-    }
-    if let Some(v) = o.get_num("hog-share-lo")? {
-        p.hog_share_permille.0 = v;
-    }
-    if let Some(v) = o.get_num("hog-share-hi")? {
-        p.hog_share_permille.1 = v;
-    }
-    if let Some(v) = o.get_num("hog-node-ranks")? {
-        p.hog_node_ranks = v;
-    }
-    if let Some(v) = o.get_num("stall-access-lo")? {
-        p.stall_per_access.0 = v;
-    }
-    if let Some(v) = o.get_num("stall-access-hi")? {
-        p.stall_per_access.1 = v;
-    }
-    if let Some(v) = o.get_num("stall-window-lo")? {
-        p.stall_window_per16.0 = v;
-    }
-    if let Some(v) = o.get_num("stall-window-hi")? {
-        p.stall_window_per16.1 = v;
-    }
-    if let Some(v) = o.get_num("degraded-permille")? {
-        p.degraded_permille = v;
-    }
-    Ok(p)
-}
-
-fn spec_from_opts(o: &Opts, mode: &str, default_injections: u32) -> Result<CampaignSpec, String> {
+fn spec_from_opts(o: &Opts, mode: &str) -> Result<CampaignSpec, String> {
     let app_name = o.words.first().ok_or("needs an app name")?;
-    let kind = parse_app(app_name)?;
-    let mut spec = CampaignSpec::new(kind);
-    spec.tiny = o.has("tiny");
-    spec.classes = match o.get("regions") {
-        None | Some("all") => TargetClass::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(parse_region)
-            .collect::<Result<_, _>>()?,
-    };
-    let c = &mut spec.campaign;
-    c.injections = o.get_num("injections")?.unwrap_or(default_injections);
-    c.seed = o.get_num("seed")?.unwrap_or(0xFA17);
-    c.threads = match o.get_num("jobs")? {
-        Some(j) => j,
-        None => o.get_num("threads")?.unwrap_or(0),
-    };
-    c.epoch_rounds = o.get_num("epoch-rounds")?.unwrap_or(16);
-    c.obs_capacity = o.get_num("ring")?.unwrap_or(0);
-    c.fastpath = !o.has("no-fastpath");
-    check_mode(
-        mode,
-        &["campaign", "guard", "ft", "chaos", "perturb"],
-        "mode",
-    )?;
-    spec.mode = match mode {
-        "campaign" => SpecMode::Campaign,
-        "guard" => SpecMode::Guard(guard_policy_from(o)?),
-        "chaos" => SpecMode::Chaos(chaos_policy_from(o)?),
-        "perturb" => SpecMode::Perturb(perturb_policy_from(o)?),
-        _ => SpecMode::Ft(ft_policy_from(o)?),
-    };
+    let mut spec = CampaignSpec::new(app_name.parse()?);
+    spec.mode = parse_mode(mode)?;
+    preset(&mut spec);
+    spec.set_flags(&o.flags)?;
     Ok(spec)
 }
 
@@ -536,14 +367,13 @@ fn jobs_label(threads: usize) -> String {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["tiny"])?;
+    let o = Opts::parse(args, [On("tiny")])?;
     let kinds: Vec<AppKind> = if o.words.is_empty() {
         AppKind::ALL.to_vec()
     } else {
         o.words
             .iter()
-            .map(|w| parse_app(w))
+            .map(|w| w.parse())
             .collect::<Result<_, _>>()?
     };
     let mut rows = Vec::new();
@@ -559,11 +389,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(["tsv", "jsonl", "registers"]);
-    o.expect(&valid)?;
-    let spec = spec_from_opts(&o, "campaign", 500)?;
+    let own = [On("tsv"), On("jsonl"), On("registers")];
+    let o = Opts::parse(args, SpecMode::Campaign.flags().into_iter().chain(own))?;
+    let spec = spec_from_opts(&o, "campaign")?;
     let kind = spec.app;
     eprintln!(
         "campaign: {} x {} injections over {} regions, {} workers ...",
@@ -633,50 +461,50 @@ fn throughput_line(result: &fl_inject::CampaignResult) -> String {
     )
 }
 
+/// Run the campaign a spec file describes — the paper's config-file
+/// workflow (§3.1), on the same JSON `faultlab spec` prints and the
+/// service accepts.
 fn cmd_run_config(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&[])?;
+    let o = Opts::parse(args, [])?;
     let path = o.words.first().ok_or("run-config needs a file path")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let spec = fl_inject::parse_spec(&text).map_err(|e| format!("{path}: {e}"))?;
-    let app = build_app(spec.app, spec.tiny);
+    let spec = CampaignSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     eprintln!(
         "run-config: {} x {} injections over {} regions ...",
         spec.app.name(),
         spec.campaign.injections,
         spec.classes.len()
     );
-    let result = CampaignBuilder::new(&app)
-        .classes(&spec.classes)
-        .with_config(spec.campaign)
-        .run();
-    let title = format!(
-        "Fault Injection Results ({}), n = {}, d = {:.1}% @95%",
-        spec.app.name(),
-        spec.campaign.injections,
-        estimation_error(0.95, spec.campaign.injections) * 100.0
-    );
-    print!("{}", result.table(&title));
+    match run_spec_cli(&spec, &CliSink::new(&spec, false)) {
+        SpecOutcome::Campaign(result) => {
+            let title = format!(
+                "Fault Injection Results ({}), n = {}, d = {:.1}% @95%",
+                spec.app.name(),
+                spec.campaign.injections,
+                estimation_error(0.95, spec.campaign.injections) * 100.0
+            );
+            print!("{}", result.table(&title));
+        }
+        SpecOutcome::Matrix(result) => {
+            let title = matrix_title(&spec);
+            print!("{}", result.render(ReportFormat::Table, &title));
+        }
+    }
     Ok(())
 }
 
 fn cmd_regpressure(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["tiny"])?;
-    let app_name = o.words.first().ok_or("regpressure needs an app name")?;
-    let app = build_app(parse_app(app_name)?, o.has("tiny"));
+    let o = Opts::parse(args, [On("tiny")])?;
+    let app = o.app("regpressure")?;
     print!("{}", fl_inject::render_register_pressure(&app.image));
     Ok(())
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["samples", "tsv", "tiny"])?;
-    let app_name = o.words.first().ok_or("trace needs an app name")?;
-    let kind = parse_app(app_name)?;
+    let o = Opts::parse(args, [Value("samples"), On("tsv"), On("tiny")])?;
+    let app = o.app("trace")?;
     let samples: usize = o.get_num("samples")?.unwrap_or(60);
-    let app = build_app(kind, o.has("tiny"));
-    eprintln!("tracing {} ...", kind.name());
+    eprintln!("tracing {} ...", app.kind.name());
     let report = fl_trace::trace_app(&app, DEFAULT_BUDGET, samples);
     if o.has("tsv") {
         print!("{}", fl_trace::render_tsv(&report));
@@ -687,14 +515,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trial(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["seed", "tiny"])?;
-    let app_name = o.words.first().ok_or("trial needs an app name")?;
+    let o = Opts::parse(args, [Value("seed"), On("tiny")])?;
+    let app = o.app("trial")?;
     let region = o.words.get(1).ok_or("trial needs a region")?;
-    let kind = parse_app(app_name)?;
-    let class = parse_region(region)?;
+    let class: TargetClass = region.parse()?;
     let seed: u64 = o.get_num("seed")?.unwrap_or(1);
-    let app = build_app(kind, o.has("tiny"));
     // `trial` takes a raw trial seed: trial 0 of class 0 of the campaign
     // seeded with it draws exactly that seed.
     let rec = CampaignBuilder::new(&app)
@@ -702,65 +527,59 @@ fn cmd_trial(args: &[String]) -> Result<(), String> {
         .seed(seed)
         .injections(1)
         .replay(0, 0);
-    println!("app:     {}", kind.name());
+    println!("app:     {}", app.kind.name());
     println!("fault:   {}", rec.detail);
     println!("outcome: {}", rec.outcome);
     Ok(())
 }
 
+/// The trial a `replay` or `events` command line names: the campaign it
+/// belongs to, and its class, class position and index within it.
+fn trial_coords(verb: &str, o: &Opts) -> Result<(CampaignSpec, TargetClass, usize, u32), String> {
+    let spec = spec_from_opts(o, "campaign")?;
+    let region = o.words.get(1);
+    let region = region.ok_or_else(|| format!("{verb} needs a region"))?;
+    let class: TargetClass = region.parse()?;
+    let ci = spec
+        .classes
+        .iter()
+        .position(|&c| c == class)
+        .ok_or_else(|| format!("region `{region}` is not in the campaign's region list"))?;
+    let k: u32 = o
+        .get_num("trial")?
+        .ok_or_else(|| format!("{verb} needs --trial K"))?;
+    if k >= spec.campaign.injections {
+        return Err(format!(
+            "--trial {k} out of range (campaign has {} trials)",
+            spec.campaign.injections
+        ));
+    }
+    Ok((spec, class, ci, k))
+}
+
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&[
-        "trial",
+    let of_spec = [
         "regions",
         "seed",
         "injections",
         "threads",
         "epoch-rounds",
         "tiny",
-    ])?;
-    let app_name = o.words.first().ok_or("replay needs an app name")?;
-    let region = o.words.get(1).ok_or("replay needs a region")?;
-    let kind = parse_app(app_name)?;
-    let class = parse_region(region)?;
-    let regions: Vec<TargetClass> = match o.get("regions") {
-        None | Some("all") => TargetClass::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(parse_region)
-            .collect::<Result<_, _>>()?,
-    };
-    let ci = regions
-        .iter()
-        .position(|&c| c == class)
-        .ok_or_else(|| format!("region `{region}` is not in the campaign's region list"))?;
-    let k: u32 = o.get_num("trial")?.ok_or("replay needs --trial K")?;
-    let cfg = CampaignConfig {
-        injections: o.get_num("injections")?.unwrap_or(500),
-        seed: o.get_num("seed")?.unwrap_or(0xFA17),
-        budget_factor: 3.0,
-        threads: o.get_num("threads")?.unwrap_or(0),
-        epoch_rounds: o.get_num("epoch-rounds")?.unwrap_or(16),
-        ..Default::default()
-    };
-    if k >= cfg.injections {
-        return Err(format!(
-            "--trial {k} out of range (campaign has {} trials)",
-            cfg.injections
-        ));
-    }
-    let app = build_app(kind, o.has("tiny"));
+    ];
+    let o = Opts::parse(args, spec_flags(&of_spec).chain([Value("trial")]))?;
+    let (spec, class, ci, k) = trial_coords("replay", &o)?;
+    let (kind, cfg) = (spec.app, spec.campaign);
+    let app = build_app(kind, spec.tiny);
     eprintln!("replaying {} {} trial {k} ...", kind.name(), class.label());
-    let seed = cfg.seed;
     let rec = CampaignBuilder::new(&app)
-        .classes(&regions)
+        .classes(&spec.classes)
         .with_config(cfg)
         .replay(ci, k);
     println!("app:     {}", kind.name());
     println!("class:   {}", class.label());
     println!(
         "trial:   {k} (seed {:#x})",
-        fl_inject::trial_seed(seed, ci, k)
+        fl_inject::trial_seed(cfg.seed, ci, k)
     );
     println!("fault:   {}", rec.detail);
     println!("outcome: {}", rec.outcome);
@@ -768,59 +587,32 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_events(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&[
-        "trial",
+    let of_spec = [
         "regions",
         "seed",
         "injections",
         "threads",
         "epoch-rounds",
         "ring",
-        "jsonl",
         "tiny",
         "no-fastpath",
-    ])?;
-    let app_name = o.words.first().ok_or("events needs an app name")?;
-    let region = o.words.get(1).ok_or("events needs a region")?;
-    let kind = parse_app(app_name)?;
-    let class = parse_region(region)?;
-    let regions: Vec<TargetClass> = match o.get("regions") {
-        None | Some("all") => TargetClass::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(parse_region)
-            .collect::<Result<_, _>>()?,
-    };
-    let ci = regions
-        .iter()
-        .position(|&c| c == class)
-        .ok_or_else(|| format!("region `{region}` is not in the campaign's region list"))?;
-    let k: u32 = o.get_num("trial")?.ok_or("events needs --trial K")?;
-    let cfg = CampaignConfig {
-        injections: o.get_num("injections")?.unwrap_or(500),
-        seed: o.get_num("seed")?.unwrap_or(0xFA17),
-        budget_factor: 3.0,
-        threads: o.get_num("threads")?.unwrap_or(0),
-        epoch_rounds: o.get_num("epoch-rounds")?.unwrap_or(16),
-        obs_capacity: o.get_num("ring")?.unwrap_or(4096),
-        fastpath: !o.has("no-fastpath"),
-    };
-    if k >= cfg.injections {
-        return Err(format!(
-            "--trial {k} out of range (campaign has {} trials)",
-            cfg.injections
-        ));
+    ];
+    let own = [Value("trial"), On("jsonl")];
+    let o = Opts::parse(args, spec_flags(&of_spec).chain(own))?;
+    let (mut spec, class, ci, k) = trial_coords("events", &o)?;
+    if !o.has("ring") {
+        spec.campaign.obs_capacity = 4096;
     }
-    let app = build_app(kind, o.has("tiny"));
+    let kind = spec.app;
+    let app = build_app(kind, spec.tiny);
     eprintln!(
         "tracing events: {} {} trial {k} ...",
         kind.name(),
         class.label()
     );
     let trace = CampaignBuilder::new(&app)
-        .classes(&regions)
-        .with_config(cfg)
+        .classes(&spec.classes)
+        .with_config(spec.campaign)
         .replay_traced(ci, k);
     if o.has("jsonl") {
         print!("{}", trace.events_jsonl());
@@ -848,12 +640,12 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.push("tsv");
-    o.expect(&valid)?;
-    let mut spec = spec_from_opts(&o, "campaign", 500)?;
-    if o.get("ring").is_none() {
+    let o = Opts::parse(
+        args,
+        SpecMode::Campaign.flags().into_iter().chain([On("tsv")]),
+    )?;
+    let mut spec = spec_from_opts(&o, "campaign")?;
+    if !o.has("ring") {
         spec.campaign.obs_capacity = 4096;
     }
     let kind = spec.app;
@@ -884,41 +676,44 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Injections per row a matrix verb (and `spec --mode`) defaults to.
-fn default_injections(mode: &str) -> u32 {
-    match mode {
-        "guard" => 100,
-        "ft" => 40,
-        "chaos" => 20,
-        "perturb" => 10,
-        _ => 500,
-    }
+/// The table title of a matrix spec's report.
+fn matrix_title(spec: &CampaignSpec) -> String {
+    let title = match spec.mode {
+        SpecMode::Campaign => unreachable!("plain campaigns render no matrix"),
+        SpecMode::Guard(_) => "Detection Coverage ({}), guard-off vs guard-on",
+        SpecMode::Ft(_) => {
+            "Process-Level Fault Tolerance ({}), shrink vs respawn vs app vs replication"
+        }
+        SpecMode::Chaos(_) => "Chaos Defense-Coverage Matrix ({})",
+        SpecMode::Perturb(_) => "Performance-Interference Detection Matrix ({}), fixed vs accrual",
+    };
+    let (app, paper) = (spec.app.name(), spec.app.paper_name());
+    title.replace("{}", &format!("{app} / {paper} analogue"))
 }
 
 /// The four matrix verbs: `guard`, `ft`, `chaos`, `perturb`.
 fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    // The verb's policy flags, and the flag that focuses the table: one
-    // recovery discipline (`ft --mode M`) or one fault model's row
-    // (`--model M`). Every column still runs — they are paired draws.
-    let (policy_flags, focus_flag): (&[&[&str]], Option<&str>) = match verb {
-        "guard" => (&[GUARD_FLAGS], None),
-        "ft" => (&[FT_FLAGS], Some("mode")),
-        "chaos" => (&[GUARD_FLAGS, FT_FLAGS, CHAOS_FLAGS], Some("model")),
-        _ => (&[PERTURB_FLAGS], Some("model")),
+    // The flag that focuses the table: one recovery discipline
+    // (`ft --mode M`) or one fault model's row (`--model M`). Every
+    // column still runs — they are paired draws.
+    let focus_flag = match verb {
+        "guard" => None,
+        "ft" => Some("mode"),
+        _ => Some("model"),
     };
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(policy_flags.iter().copied().flatten());
-    valid.extend(["tsv", "jsonl"]);
-    valid.extend(focus_flag);
-    o.expect(&valid)?;
-    let spec = spec_from_opts(&o, verb, default_injections(verb))?;
+    let own = [On("tsv"), On("jsonl")].into_iter();
+    let valid = parse_mode(verb)?.flags().into_iter();
+    let o = Opts::parse(args, valid.chain(own).chain(focus_flag.map(Value)))?;
+    let spec = spec_from_opts(&o, verb)?;
     let matrix = spec.matrix().expect("matrix verbs build matrix specs");
     let focus: Option<String> = match focus_flag.and_then(|f| o.get(f)) {
         None => None,
         Some(m) if verb == "ft" => {
             let labels: Vec<&str> = FtMode::ALL.iter().map(|m| m.label()).collect();
-            check_mode(m, &labels, "ft mode")?;
+            if !labels.contains(&m) {
+                let hint = hint("", m, &labels, "modes");
+                return Err(format!("unknown ft mode `{m}` {hint}"));
+            }
             Some(m.to_string())
         }
         Some(m) => {
@@ -970,13 +765,6 @@ fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
     let SpecOutcome::Matrix(result) = run_spec_cli(&spec, &sink) else {
         unreachable!("matrix modes yield a matrix outcome");
     };
-    let title = match verb {
-        "guard" => "Detection Coverage ({}), guard-off vs guard-on",
-        "ft" => "Process-Level Fault Tolerance ({}), shrink vs respawn vs app vs replication",
-        "chaos" => "Chaos Defense-Coverage Matrix ({})",
-        _ => "Performance-Interference Detection Matrix ({}), fixed vs accrual",
-    };
-    let analogue = format!("{} / {} analogue", kind.name(), kind.paper_name());
     match (
         ReportFormat::from_flags(o.has("tsv"), o.has("jsonl")),
         focus,
@@ -993,22 +781,24 @@ fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
             };
             print!("{}", result.focus(row, column));
         }
-        (fmt, _) => print!("{}", result.render(fmt, &title.replace("{}", &analogue))),
+        (fmt, _) => print!("{}", result.render(fmt, &matrix_title(&spec))),
     }
     Ok(())
 }
 
 fn cmd_spec(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.push("mode");
-    valid.extend(GUARD_FLAGS);
-    valid.extend(FT_FLAGS);
-    valid.extend(CHAOS_FLAGS);
-    valid.extend(PERTURB_FLAGS);
-    o.expect(&valid)?;
+    // Which policy flags exist depends on `--mode`, itself a flag: parse
+    // against every mode's flags, then hold the line to the chosen mode's.
+    let any_mode = SpecMode::all().into_iter().flat_map(|m| m.flags());
+    let o = Opts::parse(args, any_mode.chain([Value("mode")]))?;
     let mode = o.get("mode").unwrap_or("campaign");
-    let spec = spec_from_opts(&o, mode, default_injections(mode))?;
+    let spec = spec_from_opts(&o, mode)?;
+    let read = spec.mode.flags();
+    for (name, _) in &o.flags {
+        if name != "mode" && read.iter().all(|f| f.name() != name) {
+            return Err(unknown_flag(name, &read, &format!(" for mode `{mode}`")));
+        }
+    }
     println!("{}", spec.to_json());
     Ok(())
 }
@@ -1018,8 +808,7 @@ fn serve_addr(o: &Opts) -> String {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["addr", "state-dir"])?;
+    let o = Opts::parse(args, [Value("addr"), Value("state-dir")])?;
     let cfg = ServeConfig {
         addr: serve_addr(&o),
         state_dir: o.get("state-dir").unwrap_or(".faultlab-serve").into(),
@@ -1036,8 +825,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["addr"])?;
+    let o = Opts::parse(args, [Value("addr")])?;
     let text = match o.words.first().map(String::as_str) {
         Some("-") | None => {
             let mut s = String::new();
@@ -1054,8 +842,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_status(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["addr"])?;
+    let o = Opts::parse(args, [Value("addr")])?;
     let addr = serve_addr(&o);
     match o.words.first() {
         Some(id) => println!("{}", fl_serve::status(&addr, id)?),
@@ -1071,15 +858,13 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["addr"])?;
+    let o = Opts::parse(args, [Value("addr")])?;
     let id = o.words.first().ok_or("watch needs a campaign id")?;
     fl_serve::watch(&serve_addr(&o), id, |line| println!("{line}"))
 }
 
 fn cmd_control(action: &str, args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["addr"])?;
+    let o = Opts::parse(args, [Value("addr")])?;
     let id = o
         .words
         .first()
@@ -1089,11 +874,16 @@ fn cmd_control(action: &str, args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_recovery(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["checkpoint-every", "kill-rank", "kill-round", "tiny"])?;
-    let app_name = o.words.first().ok_or("recovery needs an app name")?;
-    let kind = parse_app(app_name)?;
-    let app = build_app(kind, o.has("tiny"));
+    let o = Opts::parse(
+        args,
+        [
+            Value("checkpoint-every"),
+            Value("kill-rank"),
+            Value("kill-round"),
+            On("tiny"),
+        ],
+    )?;
+    let app = o.app("recovery")?;
     let golden = app.golden(DEFAULT_BUDGET);
     let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
     let wcfg = app.world_config(budget);
@@ -1114,7 +904,7 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
     };
     eprintln!(
         "recovery: {}, checkpoint every {every} rounds, kill rank {kill_rank} at round {kill_round} ...",
-        kind.name()
+        app.kind.name()
     );
     let r = fl_snap::run_recovery(
         &app.image,
@@ -1143,8 +933,10 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sample_size(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["error", "confidence", "injections"])?;
+    let o = Opts::parse(
+        args,
+        [Value("error"), Value("confidence"), Value("injections")],
+    )?;
     let conf: f64 = o.get_num("confidence")?.unwrap_or(0.95);
     if let Some(n) = o.get_num::<u32>("injections")? {
         println!(
@@ -1167,20 +959,16 @@ fn cmd_sample_size(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_source(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["tiny"])?;
-    let app_name = o.words.first().ok_or("source needs an app name")?;
-    let app = build_app(parse_app(app_name)?, o.has("tiny"));
+    let o = Opts::parse(args, [On("tiny")])?;
+    let app = o.app("source")?;
     print!("{}", app.source);
     Ok(())
 }
 
 fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    o.expect(&["limit", "tiny"])?;
-    let app_name = o.words.first().ok_or("disasm needs an app name")?;
+    let o = Opts::parse(args, [Value("limit"), On("tiny")])?;
+    let app = o.app("disasm")?;
     let limit: usize = o.get_num("limit")?.unwrap_or(200);
-    let app = build_app(parse_app(app_name)?, o.has("tiny"));
     let words: Vec<u32> = app
         .image
         .text
@@ -1217,21 +1005,24 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fl_inject::{ChaosPolicy, FtPolicy, GuardPolicy, PerturbPolicy};
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// Parse `args` as the verb `mode` names would (`campaign` for a
+    /// plain campaign) and build its spec.
+    fn spec_of(mode: &str, args: &[&str]) -> Result<CampaignSpec, String> {
+        let o = Opts::parse(&s(args), parse_mode(mode)?.flags())?;
+        spec_from_opts(&o, mode)
+    }
+
     #[test]
     fn opts_words_and_flags() {
-        let o = Opts::parse(&s(&[
-            "moldyn",
-            "--injections",
-            "400",
-            "--tsv",
-            "--seed",
-            "7",
-        ]));
+        let valid = [Value("injections"), On("tsv"), Value("seed")];
+        let args = s(&["moldyn", "--injections", "400", "--tsv", "--seed", "7"]);
+        let o = Opts::parse(&args, valid).unwrap();
         assert_eq!(o.words, vec!["moldyn"]);
         assert!(o.has("tsv"));
         assert_eq!(o.get("injections"), Some("400"));
@@ -1242,7 +1033,7 @@ mod tests {
 
     #[test]
     fn opts_flag_followed_by_flag_has_no_value() {
-        let o = Opts::parse(&s(&["--tiny", "--tsv"]));
+        let o = Opts::parse(&s(&["--tiny", "--tsv"]), [On("tiny"), On("tsv")]).unwrap();
         assert!(o.has("tiny"));
         assert!(o.has("tsv"));
         assert_eq!(o.get("tiny"), None);
@@ -1250,21 +1041,105 @@ mod tests {
 
     #[test]
     fn opts_bad_number_is_an_error() {
-        let o = Opts::parse(&s(&["--injections", "many"]));
+        let o = Opts::parse(&s(&["--injections", "many"]), [Value("injections")]).unwrap();
         assert!(o.get_num::<u32>("injections").is_err());
+        let err = spec_of("campaign", &["wavetoy", "--injections", "many"]).unwrap_err();
+        assert_eq!(err, "--injections: expected an integer, got `many`");
+    }
+
+    #[test]
+    fn a_switch_does_not_swallow_the_next_word() {
+        let spec = spec_of("campaign", &["--tiny", "wavetoy"]).unwrap();
+        assert!(spec.tiny && spec.app == AppKind::Wavetoy);
+        assert!(run(&s(&["spec", "--tiny", "wavetoy"])).is_ok());
+        let err = run(&s(&["campaign", "--tiny", "--injections"])).unwrap_err();
+        assert_eq!(err, "--injections needs a value");
+    }
+
+    #[test]
+    fn a_value_flag_without_a_value_is_an_error() {
+        let err = run(&s(&["spec", "wavetoy", "--seed", "--tiny"])).unwrap_err();
+        assert_eq!(err, "--seed needs a value");
+        let err = run(&s(&["spec", "wavetoy", "--seed"])).unwrap_err();
+        assert_eq!(err, "--seed needs a value");
+    }
+
+    #[test]
+    fn a_flag_given_twice_is_an_error() {
+        let err = run(&s(&["spec", "wavetoy", "--seed", "1", "--seed", "2"])).unwrap_err();
+        assert_eq!(err, "flag `--seed` given twice");
+        let err = run(&s(&["trace", "wavetoy", "--tsv", "--tsv"])).unwrap_err();
+        assert_eq!(err, "flag `--tsv` given twice");
+    }
+
+    #[test]
+    fn jobs_with_threads_is_an_error() {
+        let err = run(&s(&["spec", "wavetoy", "--jobs", "2", "--threads", "3"])).unwrap_err();
+        assert!(
+            err.contains("`--jobs`") && err.contains("`--threads`"),
+            "{err}"
+        );
+        assert!(err.contains("same knob"), "{err}");
+    }
+
+    #[test]
+    fn spec_rejects_policy_flags_its_mode_does_not_read() {
+        let err = run(&s(&["spec", "wavetoy", "--checkpoint-rounds", "5"])).unwrap_err();
+        assert!(
+            err.starts_with(
+                "unknown flag `--checkpoint-rounds` for mode `campaign` (valid flags: "
+            ),
+            "{err}"
+        );
+        let err = run(&s(&["spec", "wavetoy", "--mode", "ft", "--tax-hi", "990"])).unwrap_err();
+        assert!(err.contains("for mode `ft`"), "{err}");
+        // Near a flag the mode does read: the usual hint.
+        let err = run(&s(&[
+            "spec",
+            "wavetoy",
+            "--mode",
+            "guard",
+            "--respawns",
+            "5",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("for mode `guard` (did you mean `--restarts`?)"),
+            "{err}"
+        );
+        // The flags a mode reads still pass, chaos's borrowed ones included.
+        for args in [
+            &[
+                "spec",
+                "wavetoy",
+                "--mode",
+                "guard",
+                "--checkpoint-rounds",
+                "5",
+            ][..],
+            &["spec", "wavetoy", "--mode", "chaos", "--retransmits", "5"],
+            &["spec", "wavetoy", "--mode", "chaos", "--replicas", "5"],
+            &[
+                "spec",
+                "wavetoy",
+                "--mode",
+                "perturb",
+                "--probe-rounds",
+                "5",
+            ],
+        ] {
+            assert_eq!(run(&s(args)), Ok(()), "{args:?}");
+        }
     }
 
     #[test]
     fn app_and_region_parsing() {
-        assert_eq!(parse_app("wavetoy").unwrap(), AppKind::Wavetoy);
-        assert_eq!(parse_app("climsim").unwrap(), AppKind::Climsim);
-        assert!(parse_app("namd").is_err());
-        assert_eq!(
-            parse_region("regular-reg").unwrap(),
-            TargetClass::RegularReg
-        );
-        assert_eq!(parse_region("msg").unwrap(), TargetClass::Message);
-        assert!(parse_region("rom").is_err());
+        assert_eq!("wavetoy".parse(), Ok(AppKind::Wavetoy));
+        assert_eq!("climsim".parse(), Ok(AppKind::Climsim));
+        assert!("namd".parse::<AppKind>().is_err());
+        assert_eq!("regular-reg".parse(), Ok(TargetClass::RegularReg));
+        assert_eq!("msg".parse(), Ok(TargetClass::Message));
+        assert!("rom".parse::<TargetClass>().is_err());
     }
 
     #[test]
@@ -1274,8 +1149,10 @@ mod tests {
 
     #[test]
     fn unknown_flag_suggests_nearest() {
-        let o = Opts::parse(&s(&["--injetions", "400"]));
-        let err = o.expect(&["injections", "seed", "tiny"]).unwrap_err();
+        let valid = [Value("injections"), Value("seed"), On("tiny")];
+        let err = Opts::parse(&s(&["--injetions", "400"]), valid)
+            .err()
+            .unwrap();
         assert!(
             err.contains("did you mean `--injections`?"),
             "bad suggestion: {err}"
@@ -1284,23 +1161,15 @@ mod tests {
 
     #[test]
     fn unknown_flag_far_from_everything_lists_valid_flags() {
-        let o = Opts::parse(&s(&["--frobnicate"]));
-        let err = o.expect(&["seed", "tiny"]).unwrap_err();
+        let valid = [Value("seed"), On("tiny")];
+        let err = Opts::parse(&s(&["--frobnicate"]), valid).err().unwrap();
         assert!(err.contains("valid flags: --seed, --tiny"), "{err}");
     }
 
     #[test]
     fn known_flags_pass_validation() {
-        let o = Opts::parse(&s(&["wavetoy", "--seed", "7", "--tiny"]));
-        assert!(o.expect(&["seed", "tiny"]).is_ok());
-    }
-
-    #[test]
-    fn edit_distance_basics() {
-        assert_eq!(edit_distance("seed", "seed"), 0);
-        assert_eq!(edit_distance("sed", "seed"), 1);
-        assert_eq!(edit_distance("no-fastpath", "fastpath"), 3);
-        assert_eq!(edit_distance("", "ring"), 4);
+        let valid = [Value("seed"), On("tiny")];
+        assert!(Opts::parse(&s(&["wavetoy", "--seed", "7", "--tiny"]), valid).is_ok());
     }
 
     #[test]
@@ -1313,8 +1182,7 @@ mod tests {
 
     #[test]
     fn spec_from_opts_matches_legacy_defaults() {
-        let o = Opts::parse(&s(&["wavetoy"]));
-        let spec = spec_from_opts(&o, "campaign", 500).unwrap();
+        let spec = spec_of("campaign", &["wavetoy"]).unwrap();
         assert_eq!(spec.app, AppKind::Wavetoy);
         assert!(!spec.tiny);
         assert_eq!(spec.campaign.injections, 500);
@@ -1324,8 +1192,7 @@ mod tests {
         assert!(spec.campaign.fastpath);
         assert!(matches!(spec.mode, SpecMode::Campaign));
 
-        let o = Opts::parse(&s(&["moldyn", "--tiny", "--checkpoint-rounds", "8"]));
-        let spec = spec_from_opts(&o, "guard", 100).unwrap();
+        let spec = spec_of("guard", &["moldyn", "--tiny", "--checkpoint-rounds", "8"]).unwrap();
         assert_eq!(spec.campaign.injections, 100);
         let SpecMode::Guard(g) = &spec.mode else {
             panic!("expected guard mode");
@@ -1333,6 +1200,9 @@ mod tests {
         assert_eq!(g.checkpoint_rounds, 8);
         assert_eq!(g.max_restarts, 3);
         assert_eq!(g.max_retransmits, 3);
+        // The verb's own cadence preset, not the policy default of 64.
+        let spec = spec_of("guard", &["moldyn"]).unwrap();
+        assert!(matches!(spec.mode, SpecMode::Guard(g) if g.checkpoint_rounds == 32));
     }
 
     #[test]
@@ -1352,17 +1222,20 @@ mod tests {
 
     #[test]
     fn perturb_flags_shape_the_policy() {
-        let o = Opts::parse(&s(&[
-            "wavetoy",
-            "--tiny",
-            "--tax-hi",
-            "990",
-            "--hog-node-ranks",
-            "4",
-            "--degraded-permille",
-            "1100",
-        ]));
-        let spec = spec_from_opts(&o, "perturb", 10).unwrap();
+        let spec = spec_of(
+            "perturb",
+            &[
+                "wavetoy",
+                "--tiny",
+                "--tax-hi",
+                "990",
+                "--hog-node-ranks",
+                "4",
+                "--degraded-permille",
+                "1100",
+            ],
+        )
+        .unwrap();
         let SpecMode::Perturb(p) = &spec.mode else {
             panic!("expected perturb mode");
         };
@@ -1405,17 +1278,20 @@ mod tests {
 
     #[test]
     fn chaos_flags_shape_the_policy() {
-        let o = Opts::parse(&s(&[
-            "wavetoy",
-            "--tiny",
-            "--burst-max",
-            "4",
-            "--partition-hi",
-            "1024",
-            "--replicas",
-            "5",
-        ]));
-        let spec = spec_from_opts(&o, "chaos", 20).unwrap();
+        let spec = spec_of(
+            "chaos",
+            &[
+                "wavetoy",
+                "--tiny",
+                "--burst-max",
+                "4",
+                "--partition-hi",
+                "1024",
+                "--replicas",
+                "5",
+            ],
+        )
+        .unwrap();
         let SpecMode::Chaos(p) = &spec.mode else {
             panic!("expected chaos mode");
         };
@@ -1438,32 +1314,79 @@ mod tests {
 
     #[test]
     fn jacobi3d_parses_as_an_app() {
-        assert_eq!(parse_app("jacobi3d").unwrap(), AppKind::Jacobi3d);
-        let o = Opts::parse(&s(&["jacobi3d", "--tiny"]));
-        let spec = spec_from_opts(&o, "ft", 40).unwrap();
+        assert_eq!("jacobi3d".parse(), Ok(AppKind::Jacobi3d));
+        let spec = spec_of("ft", &["jacobi3d", "--tiny"]).unwrap();
         assert_eq!(spec.app, AppKind::Jacobi3d);
     }
 
     #[test]
     fn jobs_is_an_alias_for_threads() {
-        let o = Opts::parse(&s(&["wavetoy", "--jobs", "4"]));
-        let spec = spec_from_opts(&o, "campaign", 500).unwrap();
+        let spec = spec_of("campaign", &["wavetoy", "--jobs", "4"]).unwrap();
         assert_eq!(spec.campaign.threads, 4);
-        let o = Opts::parse(&s(&["wavetoy", "--threads", "3"]));
-        let spec = spec_from_opts(&o, "campaign", 500).unwrap();
+        let spec = spec_of("campaign", &["wavetoy", "--threads", "3"]).unwrap();
         assert_eq!(spec.campaign.threads, 3);
     }
 
     #[test]
     fn spec_verb_output_round_trips() {
-        for mode in ["campaign", "guard", "ft", "chaos"] {
-            let o = Opts::parse(&s(&["climsim", "--tiny", "--mode", mode]));
-            let spec = spec_from_opts(&o, mode, 500).unwrap();
-            let json = spec.to_json();
+        for mode in SpecMode::all().map(|m| m.name()) {
+            let json = spec_of(mode, &["climsim", "--tiny"]).unwrap().to_json();
             let back = CampaignSpec::from_json(&json).unwrap();
             assert_eq!(back.to_json(), json, "mode {mode} did not round-trip");
         }
         assert!(run(&s(&["spec", "wavetoy", "--tiny"])).is_ok());
+    }
+
+    #[test]
+    fn builder_specs_carry_the_mode_the_spec_verb_prints() {
+        let app = build_app(AppKind::Wavetoy, true);
+        let builder = CampaignBuilder::new(&app).injections(7).seed(99);
+        let knobs = ["wavetoy", "--tiny", "--injections", "7", "--seed", "99"];
+        let (guard, ft) = (GuardPolicy::default(), FtPolicy::default());
+        let (chaos, perturb) = (ChaosPolicy::default(), PerturbPolicy::default());
+        let guard = GuardPolicy {
+            checkpoint_rounds: 11,
+            ..guard
+        };
+        let ft = FtPolicy { replicas: 5, ..ft };
+        let chaos = ChaosPolicy {
+            burst_max: 2,
+            guard,
+            ft,
+            ..chaos
+        };
+        let perturb = PerturbPolicy {
+            tax_permille: (950, 990),
+            ..perturb
+        };
+        let tax = ["--tax-lo", "950", "--tax-hi", "990"];
+        for (builder, mode, flags) in [
+            (builder.clone(), "campaign", &[][..]),
+            (
+                builder.clone().guarded(guard),
+                "guard",
+                &["--checkpoint-rounds", "11"],
+            ),
+            (builder.clone().ft(ft), "ft", &["--replicas", "5"]),
+            (
+                builder.clone().chaos(chaos),
+                "chaos",
+                &[
+                    "--burst-max",
+                    "2",
+                    "--checkpoint-rounds",
+                    "11",
+                    "--replicas",
+                    "5",
+                ],
+            ),
+            (builder.clone().perturb(perturb), "perturb", &tax),
+        ] {
+            let args: Vec<&str> = knobs.iter().chain(flags).copied().collect();
+            let printed = spec_of(mode, &args).unwrap().to_json();
+            let lowered = builder.to_spec().expect("tiny apps are spec-expressible");
+            assert_eq!(lowered.to_json(), printed, "mode {mode}");
+        }
     }
 
     #[test]

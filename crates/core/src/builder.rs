@@ -30,7 +30,7 @@ use crate::campaign::{
 use crate::chaos::ChaosPolicy;
 use crate::engine::{run_campaign_engine, EngineControl, NullSink};
 use crate::faultmodel::{model_classes, run_model_trial, FaultModel};
-use crate::matrix::{run_matrix, MatrixMode, MatrixResult};
+use crate::matrix::{run_matrix, MatrixResult};
 use crate::obs::TrialTrace;
 use crate::outcome::Tally;
 use crate::perturb::PerturbPolicy;
@@ -39,6 +39,7 @@ use crate::target::TargetClass;
 use fl_apps::{App, AppParams};
 use fl_ft::FtPolicy;
 use fl_guard::GuardPolicy;
+use std::mem::discriminant;
 
 /// Fluent configuration for one injection campaign.
 ///
@@ -51,10 +52,7 @@ pub struct CampaignBuilder<'a> {
     classes: Vec<TargetClass>,
     cfg: CampaignConfig,
     model: FaultModel,
-    guard: Option<GuardPolicy>,
-    ft: Option<FtPolicy>,
-    chaos: Option<ChaosPolicy>,
-    perturb: Option<PerturbPolicy>,
+    mode: SpecMode,
 }
 
 impl<'a> CampaignBuilder<'a> {
@@ -65,10 +63,7 @@ impl<'a> CampaignBuilder<'a> {
             classes: TargetClass::ALL.to_vec(),
             cfg: CampaignConfig::default(),
             model: FaultModel::Transient,
-            guard: None,
-            ft: None,
-            chaos: None,
-            perturb: None,
+            mode: SpecMode::Campaign,
         }
     }
 
@@ -136,14 +131,14 @@ impl<'a> CampaignBuilder<'a> {
     /// Set the guard policy for [`CampaignBuilder::run_coverage`]
     /// (defaults to [`GuardPolicy::default`] if never called).
     pub fn guarded(mut self, policy: GuardPolicy) -> Self {
-        self.guard = Some(policy);
+        self.mode = SpecMode::Guard(policy);
         self
     }
 
     /// Set the recovery policy for [`CampaignBuilder::run_ft`]
     /// (defaults to [`FtPolicy::default`] if never called).
     pub fn ft(mut self, policy: FtPolicy) -> Self {
-        self.ft = Some(policy);
+        self.mode = SpecMode::Ft(policy);
         self
     }
 
@@ -151,7 +146,7 @@ impl<'a> CampaignBuilder<'a> {
     /// [`CampaignBuilder::run_chaos`] (defaults to
     /// [`ChaosPolicy::default`] if never called).
     pub fn chaos(mut self, policy: ChaosPolicy) -> Self {
-        self.chaos = Some(policy);
+        self.mode = SpecMode::Chaos(policy);
         self
     }
 
@@ -159,7 +154,7 @@ impl<'a> CampaignBuilder<'a> {
     /// [`CampaignBuilder::run_perturb`] (defaults to
     /// [`PerturbPolicy::default`] if never called).
     pub fn perturb(mut self, policy: PerturbPolicy) -> Self {
-        self.perturb = Some(policy);
+        self.mode = SpecMode::Perturb(policy);
         self
     }
 
@@ -194,10 +189,10 @@ impl<'a> CampaignBuilder<'a> {
         }
     }
 
-    /// The builder's configuration as a plain-campaign [`CampaignSpec`]
-    /// — the document `faultlab submit` would accept to run the same
-    /// campaign on a service. `None` for configurations outside the spec
-    /// language: custom app parameters (a spec names apps by kind +
+    /// The builder's configuration as a [`CampaignSpec`], policy
+    /// included — the document `faultlab submit` would accept to run the
+    /// same campaign on a service. `None` for configurations outside the
+    /// spec language: custom app parameters (a spec names apps by kind +
     /// `tiny` only) or a non-transient fault model.
     pub fn to_spec(&self) -> Option<CampaignSpec> {
         if self.model != FaultModel::Transient {
@@ -208,7 +203,7 @@ impl<'a> CampaignBuilder<'a> {
             tiny: self.canonical_tiny()?,
             classes: self.classes.clone(),
             campaign: self.cfg,
-            mode: SpecMode::Campaign,
+            mode: self.mode,
         })
     }
 
@@ -235,15 +230,20 @@ impl<'a> CampaignBuilder<'a> {
         .expect("uncontrolled engine runs always complete")
     }
 
-    /// Run a matrix campaign on the engine. Transient model only — the
+    /// Run the matrix campaign `default` names on the engine, under the
+    /// policy set for it or else `default`'s. Transient model only — the
     /// fault families are the matrix's subject, not the builder's knob.
-    fn run_mode(&self, what: &str, mode: MatrixMode) -> MatrixResult {
+    fn run_mode(&self, default: SpecMode) -> MatrixResult {
+        let same_family = discriminant(&self.mode) == discriminant(&default);
+        let mode = if same_family { self.mode } else { default };
         assert!(
             self.model == FaultModel::Transient,
-            "{what} campaigns support the transient model only"
+            "{} campaigns support the transient model only",
+            mode.name()
         );
+        let matrix = mode.matrix(&self.classes).expect("a matrix mode");
         let control = EngineControl::new();
-        run_matrix(self.app, &mode, &self.cfg, &NullSink, &control, None)
+        run_matrix(self.app, &matrix, &self.cfg, &NullSink, &control, None)
             .expect("uncontrolled engine runs always complete")
     }
 
@@ -252,8 +252,7 @@ impl<'a> CampaignBuilder<'a> {
     /// [`CampaignBuilder::guarded`]), with paired outcomes and the
     /// baseline→guarded transition matrix.
     pub fn run_coverage(self) -> MatrixResult {
-        let policy = self.guard.unwrap_or_default();
-        self.run_mode("coverage", crate::guarded::mode(&self.classes, policy))
+        self.run_mode(SpecMode::Guard(GuardPolicy::default()))
     }
 
     /// Run a process-failure recovery campaign: `injections` rank kills
@@ -262,7 +261,7 @@ impl<'a> CampaignBuilder<'a> {
     /// message faults each executed bare and in a voted replica set (see
     /// [`CampaignBuilder::ft`]).
     pub fn run_ft(self) -> MatrixResult {
-        self.run_mode("ft", crate::ft::mode(self.ft.unwrap_or_default()))
+        self.run_mode(SpecMode::Ft(FtPolicy::default()))
     }
 
     /// Run the chaos defense-coverage matrix: `injections` trials for
@@ -270,7 +269,7 @@ impl<'a> CampaignBuilder<'a> {
     /// columns replaying the byte-identical fault draw (see
     /// [`CampaignBuilder::chaos`]).
     pub fn run_chaos(self) -> MatrixResult {
-        self.run_mode("chaos", crate::chaos::mode(self.chaos.unwrap_or_default()))
+        self.run_mode(SpecMode::Chaos(ChaosPolicy::default()))
     }
 
     /// Run the performance-interference detector-comparison matrix:
@@ -278,8 +277,7 @@ impl<'a> CampaignBuilder<'a> {
     /// detection cells, all detection columns replaying the
     /// byte-identical fault draw (see [`CampaignBuilder::perturb`]).
     pub fn run_perturb(self) -> MatrixResult {
-        let policy = self.perturb.unwrap_or_default();
-        self.run_mode("perturb", crate::perturb::mode(policy))
+        self.run_mode(SpecMode::Perturb(PerturbPolicy::default()))
     }
 
     /// Replay one recorded trial from its campaign coordinates (class

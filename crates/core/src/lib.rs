@@ -41,7 +41,6 @@
 pub mod builder;
 pub mod campaign;
 pub mod chaos;
-pub mod config;
 pub mod engine;
 pub mod faultmodel;
 pub mod ft;
@@ -66,7 +65,6 @@ pub use campaign::{
     TrialRecord,
 };
 pub use chaos::{draw_chaos, syscall_counts, ChaosPolicy, Defense, SyscallCounts};
-pub use config::{parse_spec, ConfigError, ExperimentSpec};
 pub use engine::{
     parse_record_line, record_line, run_campaign_engine, run_campaign_engine_to_completion,
     run_spec, sort_records_jsonl, Aux, CompletedSlots, EngineControl, EngineRun, EngineSink,
@@ -99,7 +97,7 @@ pub use report::{
 pub use sampling::{confidence_interval, estimation_error, sample_size, z_value};
 pub use ser::{application_corruptions_per_run, SerModel};
 pub use spec::{CampaignSpec, SpecMode};
-pub use suggest::{edit_distance, suggest};
+pub use suggest::suggest;
 pub use target::{
     fp_registers, regular_registers, resolve_heap_target, resolve_stack_target, FaultDictionary,
     TargetClass,
