@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{CampaignBuilder, TargetClass};
+use fl_inject::{run_campaign, CampaignConfig, TargetClass};
 use fl_lang::compile;
 use fl_machine::{Exit, Machine, MachineConfig, F80};
 
@@ -100,14 +100,14 @@ fn bench_trial_throughput(c: &mut Criterion) {
         g.bench_function(class.label().replace(' ', "_").replace('.', ""), |b| {
             b.iter(|| {
                 seed += 1;
-                CampaignBuilder::new(&app)
-                    .classes(&[class])
-                    .injections(TRIALS)
-                    .seed(seed)
-                    .threads(1)
-                    .epoch_rounds(0)
-                    .run()
-                    .insns_total
+                let cfg = CampaignConfig {
+                    injections: TRIALS,
+                    seed,
+                    threads: 1,
+                    epoch_rounds: 0,
+                    ..Default::default()
+                };
+                run_campaign(&app, &[class], &cfg).insns_total
             })
         });
     }

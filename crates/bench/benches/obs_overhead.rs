@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{CampaignBuilder, TargetClass};
+use fl_inject::{run_campaign, CampaignConfig, TargetClass};
 
 /// Trials per measured campaign; every arm runs the same population.
 const TRIALS: u32 = 64;
@@ -27,15 +27,15 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let run_at = |name: &str, c: &mut Criterion, capacity: u32| -> f64 {
         c.bench_function(name, |b| {
             b.iter(|| {
-                CampaignBuilder::new(&app)
-                    .classes(&[TargetClass::RegularReg])
-                    .injections(TRIALS)
-                    .seed(0x0B5E)
-                    .threads(1)
-                    .epoch_rounds(0)
-                    .observe(capacity)
-                    .run()
-                    .insns_total
+                let cfg = CampaignConfig {
+                    injections: TRIALS,
+                    seed: 0x0B5E,
+                    threads: 1,
+                    epoch_rounds: 0,
+                    obs_capacity: capacity,
+                    ..Default::default()
+                };
+                run_campaign(&app, &[TargetClass::RegularReg], &cfg).insns_total
             })
         });
         c.last_ns_per_iter.expect("bench must have run") / TRIALS as f64

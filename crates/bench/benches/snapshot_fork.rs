@@ -5,13 +5,13 @@
 //! re-execution and once forked from the epoch cache — which also lets
 //! a benign trial end at the first epoch boundary where it is provably
 //! the golden run again. Each measured iteration is one single-worker
-//! campaign through `CampaignBuilder`, setup (golden run, epoch build)
+//! campaign on the engine, setup (golden run, epoch build)
 //! included. Writes the trials/sec for both paths and the speedup to
 //! `BENCH_snapshot.json` at the workspace root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{CampaignBuilder, TargetClass};
+use fl_inject::{run_campaign, CampaignConfig, TargetClass};
 use fl_snap::EpochCache;
 
 /// Trials per measured campaign; both paths run the same population.
@@ -21,13 +21,14 @@ const EPOCH_ROUNDS: u32 = 8;
 fn bench_snapshot_fork(c: &mut Criterion) {
     let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
     let campaign = |epoch_rounds: u32| {
-        CampaignBuilder::new(&app)
-            .classes(&[TargetClass::RegularReg])
-            .injections(TRIALS)
-            .seed(0xBE7C)
-            .threads(1)
-            .epoch_rounds(epoch_rounds)
-            .run()
+        let cfg = CampaignConfig {
+            injections: TRIALS,
+            seed: 0xBE7C,
+            threads: 1,
+            epoch_rounds,
+            ..Default::default()
+        };
+        run_campaign(&app, &[TargetClass::RegularReg], &cfg)
     };
     let reference = campaign(0);
     let forked = campaign(EPOCH_ROUNDS);

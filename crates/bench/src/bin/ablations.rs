@@ -135,20 +135,17 @@ fn main() {
         "  instruction overhead of signatures: {:.1}% ({gc} vs {gp})",
         100.0 * (gc as f64 - gp as f64) / gp as f64
     );
-    use fl_inject::{CampaignBuilder, TargetClass};
+    use fl_inject::{run_campaign, CampaignConfig, TargetClass};
     let classes = [TargetClass::RegularReg, TargetClass::Text];
+    let cfg = CampaignConfig {
+        injections: trials,
+        seed: 0xE13A,
+        ..Default::default()
+    };
     eprintln!("ablation E13: plain build ...");
-    let r_plain = CampaignBuilder::new(&plain)
-        .classes(&classes)
-        .injections(trials)
-        .seed(0xE13A)
-        .run();
+    let r_plain = run_campaign(&plain, &classes, &cfg);
     eprintln!("ablation E13: instrumented build ...");
-    let r_cfc = CampaignBuilder::new(&cfc)
-        .classes(&classes)
-        .injections(trials)
-        .seed(0xE13A)
-        .run();
+    let r_cfc = run_campaign(&cfc, &classes, &cfg);
     for class in classes {
         let p = &r_plain.class(class).unwrap().tally;
         let c = &r_cfc.class(class).unwrap().tally;

@@ -1,5 +1,9 @@
 //! Regenerate **Table 1**: per-process profiles of the test applications
 //! (memory section sizes; message volume and header/user distribution).
+//!
+//! Paper shape: Wavetoy 6%/94% header/user, NAMD 8%/92%, CAM 63%/37%;
+//! heap-dominant Wavetoy and NAMD, data+BSS-dominant CAM; stacks of a
+//! few KB on every code.
 
 use fl_apps::AppKind;
 use fl_bench::{emit, experiment_app, BUDGET};
@@ -14,10 +18,5 @@ fn main() {
     }
     let mut out = String::from("Table 1: Per-Process Profiles of Test Applications\n\n");
     out.push_str(&fl_apps::render_profile_table(&rows));
-    out.push_str(
-        "\nPaper shape: Wavetoy 6%/94% header/user, NAMD 8%/92%, CAM 63%/37%;\n\
-         heap-dominant Wavetoy and NAMD, data+BSS-dominant CAM; stacks of a\n\
-         few KB on every code.\n",
-    );
     emit("table1.txt", &out);
 }

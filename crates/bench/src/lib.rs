@@ -1,26 +1,20 @@
 //! # fl-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index), plus Criterion micro/macro benchmarks and the design-choice
-//! ablations. Every binary prints its table to stdout and, when a
-//! `results/` directory exists at the workspace root, writes a copy
-//! there.
+//! The campaign artifacts — Tables 2–4 and the guard, ft, chaos and
+//! interference coverage matrices — are not programs: each is a spec
+//! list under `results/specs/`, run by `faultlab run-config`. What a
+//! spec cannot state yet has a binary here (profiles, working-set traces,
+//! the §6.2 message analysis, the design-choice ablations, fault-duration
+//! models, ULFM coverage), next to the Criterion benchmarks. Every binary
+//! prints its table to stdout and, when a `results/` directory exists at
+//! the workspace root, writes a copy there.
 //!
 //! ```sh
-//! cargo run --release -p fl-bench --bin table1          # profiles
-//! cargo run --release -p fl-bench --bin table2 -- 200   # wavetoy campaign
-//! cargo run --release -p fl-bench --bin table3 -- 200   # moldyn campaign
-//! cargo run --release -p fl-bench --bin table4 -- 200   # climsim campaign
-//! cargo run --release -p fl-bench --bin table5          # wavetoy trace
-//! cargo run --release -p fl-bench --bin table6          # moldyn trace
-//! cargo run --release -p fl-bench --bin table7          # climsim trace
-//! cargo run --release -p fl-bench --bin message_analysis
-//! cargo run --release -p fl-bench --bin all_tables -- 200
-//! cargo bench -p fl-bench                               # perf + ablations
+//! scripts/regenerate-results.sh     # every committed results/* file
+//! cargo bench -p fl-bench           # perf + ablations
 //! ```
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{estimation_error, render_table, render_tsv, CampaignBuilder, CampaignResult};
 use std::path::PathBuf;
 
 /// Default instruction budget for golden/traced runs.
@@ -31,68 +25,27 @@ pub fn experiment_app(kind: AppKind) -> App {
     App::build(kind, AppParams::default_for(kind))
 }
 
-/// Run the full eight-region campaign for an application — the engine
-/// behind Tables 2, 3 and 4.
-pub fn full_campaign(kind: AppKind, injections: u32, seed: u64) -> CampaignResult {
-    let app = experiment_app(kind);
-    CampaignBuilder::new(&app)
-        .injections(injections)
-        .seed(seed)
-        .run()
+/// The trial count `arg` asks for, `default_n` without one. The paper
+/// used 400–500 (d = 4.4–4.9 % at 95 %); on a single-core host smaller
+/// counts with a correspondingly larger d keep regeneration to minutes.
+pub fn parse_injections(arg: Option<&str>, default_n: u32) -> Result<u32, String> {
+    match arg {
+        None => Ok(default_n),
+        Some(a) => a
+            .parse()
+            .map_err(|_| format!("expected a trial count, got `{a}`")),
+    }
 }
 
-/// What distinguishes one injection-results table from another: its
-/// number in the paper, the app under test, the per-region trial count
-/// and the campaign seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableSpec {
-    /// Paper table number (2, 3 or 4).
-    pub number: u32,
-    /// Application under test.
-    pub kind: AppKind,
-    /// Injections per region.
-    pub injections: u32,
-    /// Campaign seed.
-    pub seed: u64,
-}
-
-/// Run one Tables 2–4 style campaign and emit `table<N>.txt` /
-/// `table<N>.tsv` — the shared engine the `table2`/`table3`/`table4`
-/// and `all_tables` binaries all call.
-pub fn table_campaign(spec: &TableSpec) {
-    let TableSpec {
-        number,
-        kind,
-        injections,
-        seed,
-    } = *spec;
-    eprintln!(
-        "table{number}: {} x {injections} injections per region (wall time scales with n) ...",
-        kind.name()
-    );
-    let result = full_campaign(kind, injections, seed);
-    let title = format!(
-        "Table {number}: Fault Injection Results ({} / {} analogue), n = {injections}, d = {:.1}% @95%",
-        kind.name(),
-        kind.paper_name(),
-        estimation_error(0.95, injections) * 100.0
-    );
-    emit(
-        &format!("table{number}.txt"),
-        &render_table(&result, &title),
-    );
-    emit(&format!("table{number}.tsv"), &render_tsv(&result));
-}
-
-/// Injections per region taken from the first CLI argument, defaulting
-/// to `default_n`. The paper used 400–500 (d = 4.4–4.9 % at 95 %); on a
-/// single-core host smaller counts with a correspondingly larger d keep
-/// table regeneration to minutes.
+/// [`parse_injections`] of the first CLI argument; an argument that is
+/// not a count ends the process with exit status 2 rather than running
+/// (and overwriting `results/` with) the default.
 pub fn injections_from_args(default_n: u32) -> u32 {
-    std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n)
+    let arg = std::env::args().nth(1);
+    parse_injections(arg.as_deref(), default_n).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// The workspace `results/` directory, if present.
@@ -135,6 +88,10 @@ mod tests {
 
     #[test]
     fn injections_default_applies() {
-        assert_eq!(injections_from_args(123), 123);
+        assert_eq!(parse_injections(None, 123), Ok(123));
+        assert_eq!(parse_injections(Some("60"), 123), Ok(60));
+        // `6o` used to run the default and overwrite the artifact.
+        let err = parse_injections(Some("6o"), 123).unwrap_err();
+        assert!(err.contains("`6o`"), "{err}");
     }
 }

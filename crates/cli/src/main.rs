@@ -3,8 +3,9 @@
 //! ```text
 //! faultlab profile  [<app> ...]                 Table 1 application profiles
 //! faultlab campaign <app> [options]             Tables 2-4 injection campaigns
+//! faultlab run-config <spec.json|specs.jsonl>  run the spec(s) a file holds
 //! faultlab trace    <app> [--samples N]         Tables 5-7 working-set curves
-//! faultlab trial    <app> <region> --seed K     run one injection, verbosely
+//! faultlab replay   <app> <region> --trial K    re-run one trial, verbosely
 //! faultlab events   <app> <region> --trial K    replay one trial's event timeline
 //! faultlab metrics  <app> [options]             campaign-level event metrics
 //! faultlab guard    <app> [options]             guard-on/off detection coverage
@@ -23,13 +24,14 @@
 use fl_apps::{App, AppKind, AppParams};
 use fl_inject::spec::Flag::{self, On, Value};
 use fl_inject::{
-    estimation_error, render_register_breakdown, run_spec, sample_size, sort_records_jsonl,
-    suggest, CampaignBuilder, CampaignSpec, EngineControl, EngineProgress, EngineSink, FaultModel,
-    FtMode, MetricsReport, Report, ReportFormat, SpecMode, SpecOutcome, StderrProgress,
+    estimation_error, join_reports, render_register_breakdown, replay_trial, run_spec, sample_size,
+    sort_records_jsonl, suggest, CampaignSpec, EngineControl, EngineProgress, EngineSink,
+    FaultModel, FtMode, MetricsReport, Report, ReportFormat, SpecMode, SpecOutcome, StderrProgress,
     TargetClass, TrialOutput, VecSink,
 };
 use fl_serve::{ServeConfig, Server};
 use fl_snap::RecoveryConfig;
+use std::path::Path;
 
 const DEFAULT_BUDGET: u64 = 2_000_000_000;
 
@@ -59,7 +61,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "campaign" => cmd_campaign(rest),
         "run-config" => cmd_run_config(rest),
         "trace" => cmd_trace(rest),
-        "trial" => cmd_trial(rest),
         "replay" => cmd_replay(rest),
         "events" => cmd_events(rest),
         "metrics" => cmd_metrics(rest),
@@ -117,9 +118,8 @@ fn print_usage() {
          USAGE:\n\
          \x20 faultlab profile  [<app> ...]\n\
          \x20 faultlab campaign <app> [spec flags] [--tsv] [--jsonl] [--registers]\n\
-         \x20 faultlab run-config <spec.json>\n\
+         \x20 faultlab run-config <spec.json|specs.jsonl> [--out DIR] [--tsv] [--jsonl]\n\
          \x20 faultlab trace    <app> [--samples N] [--tsv] [--tiny]\n\
-         \x20 faultlab trial    <app> <region> [--seed K] [--tiny]\n\
          \x20 faultlab replay   <app> <region> --trial K [--regions R1,R2|all]\n\
          \x20                   [--seed S] [--injections N] [--epoch-rounds E] [--tiny]\n\
          \x20 faultlab events   <app> <region> --trial K [--regions R1,R2|all]\n\
@@ -153,6 +153,8 @@ fn print_usage() {
          \x20 --ring N            per-rank event ring capacity\n\
          \x20 --tiny              CI-sized app parameters (fast)\n\
          \x20 --tsv / --jsonl     machine-readable output instead of the table\n\
+         \x20 --out DIR           run-config: also write <file stem>.txt/.tsv/.jsonl,\n\
+         \x20                     every view of the run, into DIR\n\
          \x20 --no-fastpath       disable the software-TLB/basic-block fast path\n\
          \x20                     (observably identical, much slower)\n\
          \x20 --mode M            ft: focus the table on one recovery discipline\n\
@@ -196,8 +198,8 @@ fn unknown_flag(name: &str, valid: &[Flag], context: &str) -> String {
     format!("unknown flag `--{name}`{context} {hint}")
 }
 
-/// A verb's arguments: bare words, and the `--flag [word]` options among
-/// the flags the verb accepts.
+/// A verb's arguments: the bare words it reads, and the `--flag [word]`
+/// options among the flags it accepts.
 struct Opts {
     words: Vec<String>,
     flags: Vec<(String, Option<String>)>,
@@ -206,8 +208,13 @@ struct Opts {
 impl Opts {
     /// Split `args` into words and flags. `valid` says which flags exist
     /// and which of them take a word: a switch never swallows the word
-    /// after it, a value flag always needs one, no flag repeats.
-    fn parse(args: &[String], valid: impl IntoIterator<Item = Flag>) -> Result<Opts, String> {
+    /// after it, a value flag always needs one, no flag repeats. The verb
+    /// reads at most `words` bare words; one more is an error, not noise.
+    fn parse(
+        args: &[String],
+        valid: impl IntoIterator<Item = Flag>,
+        words: usize,
+    ) -> Result<Opts, String> {
         let accepted: Vec<Flag> = valid.into_iter().collect();
         let mut o = Opts {
             words: Vec::new(),
@@ -216,6 +223,9 @@ impl Opts {
         let mut args = args.iter();
         while let Some(arg) = args.next() {
             let Some(name) = arg.strip_prefix("--") else {
+                if o.words.len() == words {
+                    return Err(format!("unexpected argument `{arg}`"));
+                }
                 o.words.push(arg.clone());
                 continue;
             };
@@ -367,7 +377,7 @@ fn jobs_label(threads: usize) -> String {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [On("tiny")])?;
+    let o = Opts::parse(args, [On("tiny")], usize::MAX)?;
     let kinds: Vec<AppKind> = if o.words.is_empty() {
         AppKind::ALL.to_vec()
     } else {
@@ -390,7 +400,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let own = [On("tsv"), On("jsonl"), On("registers")];
-    let o = Opts::parse(args, SpecMode::Campaign.flags().into_iter().chain(own))?;
+    let o = Opts::parse(args, SpecMode::Campaign.flags().into_iter().chain(own), 1)?;
     let spec = spec_from_opts(&o, "campaign")?;
     let kind = spec.app;
     eprintln!(
@@ -411,13 +421,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         ReportFormat::Jsonl => print!("{}", sink.canonical_records()),
         ReportFormat::Tsv => print!("{}", result.tsv()),
         ReportFormat::Table => {
-            let title = format!(
-                "Fault Injection Results ({} / {} analogue), d = {:.1}% at 95% confidence",
-                kind.name(),
-                kind.paper_name(),
-                estimation_error(0.95, spec.campaign.injections) * 100.0
-            );
-            print!("{}", result.table(&title));
+            print!("{}", result.table(&spec.title()));
             println!("\n{}", throughput_line(&result));
             if o.has("registers") {
                 for class in [TargetClass::RegularReg, TargetClass::FpReg] {
@@ -463,45 +467,83 @@ fn throughput_line(result: &fl_inject::CampaignResult) -> String {
 
 /// Run the campaign a spec file describes — the paper's config-file
 /// workflow (§3.1), on the same JSON `faultlab spec` prints and the
-/// service accepts.
+/// service accepts — or, from a `.jsonl` file, the campaigns of a spec
+/// list (one spec per line) joined into one artifact, as every
+/// `results/specs/*.jsonl` is. Fails when a contract floor is missed.
 fn cmd_run_config(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [])?;
+    let o = Opts::parse(args, [Value("out"), On("tsv"), On("jsonl")], 1)?;
     let path = o.words.first().ok_or("run-config needs a file path")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let spec = CampaignSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
-        "run-config: {} x {} injections over {} regions ...",
-        spec.app.name(),
-        spec.campaign.injections,
-        spec.classes.len()
-    );
-    match run_spec_cli(&spec, &CliSink::new(&spec, false)) {
-        SpecOutcome::Campaign(result) => {
-            let title = format!(
-                "Fault Injection Results ({}), n = {}, d = {:.1}% @95%",
-                spec.app.name(),
-                spec.campaign.injections,
-                estimation_error(0.95, spec.campaign.injections) * 100.0
-            );
-            print!("{}", result.table(&title));
+    let path = Path::new(path);
+    let specs: Vec<CampaignSpec> = if path.extension().is_some_and(|e| e == "jsonl") {
+        let lines = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
+        lines
+            .map(|(i, l)| {
+                CampaignSpec::from_json(l).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))
+            })
+            .collect::<Result<_, _>>()?
+    } else {
+        vec![CampaignSpec::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?]
+    };
+    // Run every spec, noting the floors any of them missed.
+    let mut runs = Vec::new();
+    let mut broken = Vec::new();
+    for spec in &specs {
+        let app = spec.app.name();
+        eprintln!("run-config: {} ...", spec.title());
+        let outcome = run_spec_cli(spec, &CliSink::new(spec, false));
+        for c in outcome.contracts().iter().filter(|c| !c.passed()) {
+            broken.push(format!(
+                "{app}: contract {} broken ({}): {}/{} = {:.1}% < {:.0}%",
+                c.name,
+                c.what,
+                c.covered,
+                c.denom,
+                c.percent(),
+                c.floor_percent
+            ));
         }
-        SpecOutcome::Matrix(result) => {
-            let title = matrix_title(&spec);
-            print!("{}", result.render(ReportFormat::Table, &title));
+        runs.push((spec, outcome));
+    }
+    let shown = ReportFormat::from_flags(o.has("tsv"), o.has("jsonl"));
+    for (ext, format) in [
+        ("txt", ReportFormat::Table),
+        ("tsv", ReportFormat::Tsv),
+        ("jsonl", ReportFormat::Jsonl),
+    ] {
+        let view = |(spec, outcome): &(&CampaignSpec, SpecOutcome)| {
+            let view = outcome.report().render(format, &spec.title());
+            (spec.app.name(), view)
+        };
+        let artifact = join_reports(format, &runs.iter().map(view).collect::<Vec<_>>());
+        if format == shown {
+            print!("{artifact}");
+        }
+        if let Some(dir) = o.get("out") {
+            let stem = path.file_stem().unwrap_or_default();
+            let file = Path::new(dir).join(stem).with_extension(ext);
+            std::fs::write(&file, artifact).map_err(|e| format!("{}: {e}", file.display()))?;
         }
     }
-    Ok(())
+    if broken.is_empty() {
+        Ok(())
+    } else {
+        Err(broken.join("\n"))
+    }
 }
 
 fn cmd_regpressure(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [On("tiny")])?;
+    let o = Opts::parse(args, [On("tiny")], 1)?;
     let app = o.app("regpressure")?;
     print!("{}", fl_inject::render_register_pressure(&app.image));
     Ok(())
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [Value("samples"), On("tsv"), On("tiny")])?;
+    let o = Opts::parse(args, [Value("samples"), On("tsv"), On("tiny")], 1)?;
     let app = o.app("trace")?;
     let samples: usize = o.get_num("samples")?.unwrap_or(60);
     eprintln!("tracing {} ...", app.kind.name());
@@ -511,25 +553,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     } else {
         print!("{}", fl_trace::render_summary(&report));
     }
-    Ok(())
-}
-
-fn cmd_trial(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [Value("seed"), On("tiny")])?;
-    let app = o.app("trial")?;
-    let region = o.words.get(1).ok_or("trial needs a region")?;
-    let class: TargetClass = region.parse()?;
-    let seed: u64 = o.get_num("seed")?.unwrap_or(1);
-    // `trial` takes a raw trial seed: trial 0 of class 0 of the campaign
-    // seeded with it draws exactly that seed.
-    let rec = CampaignBuilder::new(&app)
-        .classes(&[class])
-        .seed(seed)
-        .injections(1)
-        .replay(0, 0);
-    println!("app:     {}", app.kind.name());
-    println!("fault:   {}", rec.detail);
-    println!("outcome: {}", rec.outcome);
     Ok(())
 }
 
@@ -566,15 +589,12 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         "epoch-rounds",
         "tiny",
     ];
-    let o = Opts::parse(args, spec_flags(&of_spec).chain([Value("trial")]))?;
+    let o = Opts::parse(args, spec_flags(&of_spec).chain([Value("trial")]), 2)?;
     let (spec, class, ci, k) = trial_coords("replay", &o)?;
     let (kind, cfg) = (spec.app, spec.campaign);
     let app = build_app(kind, spec.tiny);
     eprintln!("replaying {} {} trial {k} ...", kind.name(), class.label());
-    let rec = CampaignBuilder::new(&app)
-        .classes(&spec.classes)
-        .with_config(cfg)
-        .replay(ci, k);
+    let rec = replay_trial(&app, &spec.classes, &cfg, ci, k).record;
     println!("app:     {}", kind.name());
     println!("class:   {}", class.label());
     println!(
@@ -598,7 +618,7 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
         "no-fastpath",
     ];
     let own = [Value("trial"), On("jsonl")];
-    let o = Opts::parse(args, spec_flags(&of_spec).chain(own))?;
+    let o = Opts::parse(args, spec_flags(&of_spec).chain(own), 2)?;
     let (mut spec, class, ci, k) = trial_coords("events", &o)?;
     if !o.has("ring") {
         spec.campaign.obs_capacity = 4096;
@@ -610,10 +630,7 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
         kind.name(),
         class.label()
     );
-    let trace = CampaignBuilder::new(&app)
-        .classes(&spec.classes)
-        .with_config(spec.campaign)
-        .replay_traced(ci, k);
+    let trace = replay_trial(&app, &spec.classes, &spec.campaign, ci, k);
     if o.has("jsonl") {
         print!("{}", trace.events_jsonl());
         return Ok(());
@@ -643,6 +660,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(
         args,
         SpecMode::Campaign.flags().into_iter().chain([On("tsv")]),
+        1,
     )?;
     let mut spec = spec_from_opts(&o, "campaign")?;
     if !o.has("ring") {
@@ -676,21 +694,6 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The table title of a matrix spec's report.
-fn matrix_title(spec: &CampaignSpec) -> String {
-    let title = match spec.mode {
-        SpecMode::Campaign => unreachable!("plain campaigns render no matrix"),
-        SpecMode::Guard(_) => "Detection Coverage ({}), guard-off vs guard-on",
-        SpecMode::Ft(_) => {
-            "Process-Level Fault Tolerance ({}), shrink vs respawn vs app vs replication"
-        }
-        SpecMode::Chaos(_) => "Chaos Defense-Coverage Matrix ({})",
-        SpecMode::Perturb(_) => "Performance-Interference Detection Matrix ({}), fixed vs accrual",
-    };
-    let (app, paper) = (spec.app.name(), spec.app.paper_name());
-    title.replace("{}", &format!("{app} / {paper} analogue"))
-}
-
 /// The four matrix verbs: `guard`, `ft`, `chaos`, `perturb`.
 fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
     // The flag that focuses the table: one recovery discipline
@@ -703,7 +706,7 @@ fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
     };
     let own = [On("tsv"), On("jsonl")].into_iter();
     let valid = parse_mode(verb)?.flags().into_iter();
-    let o = Opts::parse(args, valid.chain(own).chain(focus_flag.map(Value)))?;
+    let o = Opts::parse(args, valid.chain(own).chain(focus_flag.map(Value)), 1)?;
     let spec = spec_from_opts(&o, verb)?;
     let matrix = spec.matrix().expect("matrix verbs build matrix specs");
     let focus: Option<String> = match focus_flag.and_then(|f| o.get(f)) {
@@ -781,7 +784,7 @@ fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
             };
             print!("{}", result.focus(row, column));
         }
-        (fmt, _) => print!("{}", result.render(fmt, &matrix_title(&spec))),
+        (fmt, _) => print!("{}", result.render(fmt, &spec.title())),
     }
     Ok(())
 }
@@ -790,7 +793,7 @@ fn cmd_spec(args: &[String]) -> Result<(), String> {
     // Which policy flags exist depends on `--mode`, itself a flag: parse
     // against every mode's flags, then hold the line to the chosen mode's.
     let any_mode = SpecMode::all().into_iter().flat_map(|m| m.flags());
-    let o = Opts::parse(args, any_mode.chain([Value("mode")]))?;
+    let o = Opts::parse(args, any_mode.chain([Value("mode")]), 1)?;
     let mode = o.get("mode").unwrap_or("campaign");
     let spec = spec_from_opts(&o, mode)?;
     let read = spec.mode.flags();
@@ -808,7 +811,7 @@ fn serve_addr(o: &Opts) -> String {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [Value("addr"), Value("state-dir")])?;
+    let o = Opts::parse(args, [Value("addr"), Value("state-dir")], 0)?;
     let cfg = ServeConfig {
         addr: serve_addr(&o),
         state_dir: o.get("state-dir").unwrap_or(".faultlab-serve").into(),
@@ -825,7 +828,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [Value("addr")])?;
+    let o = Opts::parse(args, [Value("addr")], 1)?;
     let text = match o.words.first().map(String::as_str) {
         Some("-") | None => {
             let mut s = String::new();
@@ -842,7 +845,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_status(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [Value("addr")])?;
+    let o = Opts::parse(args, [Value("addr")], 1)?;
     let addr = serve_addr(&o);
     match o.words.first() {
         Some(id) => println!("{}", fl_serve::status(&addr, id)?),
@@ -858,13 +861,13 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [Value("addr")])?;
+    let o = Opts::parse(args, [Value("addr")], 1)?;
     let id = o.words.first().ok_or("watch needs a campaign id")?;
     fl_serve::watch(&serve_addr(&o), id, |line| println!("{line}"))
 }
 
 fn cmd_control(action: &str, args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [Value("addr")])?;
+    let o = Opts::parse(args, [Value("addr")], 1)?;
     let id = o
         .words
         .first()
@@ -882,6 +885,7 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
             Value("kill-round"),
             On("tiny"),
         ],
+        1,
     )?;
     let app = o.app("recovery")?;
     let golden = app.golden(DEFAULT_BUDGET);
@@ -936,6 +940,7 @@ fn cmd_sample_size(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(
         args,
         [Value("error"), Value("confidence"), Value("injections")],
+        0,
     )?;
     let conf: f64 = o.get_num("confidence")?.unwrap_or(0.95);
     if let Some(n) = o.get_num::<u32>("injections")? {
@@ -959,14 +964,14 @@ fn cmd_sample_size(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_source(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [On("tiny")])?;
+    let o = Opts::parse(args, [On("tiny")], 1)?;
     let app = o.app("source")?;
     print!("{}", app.source);
     Ok(())
 }
 
 fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, [Value("limit"), On("tiny")])?;
+    let o = Opts::parse(args, [Value("limit"), On("tiny")], 1)?;
     let app = o.app("disasm")?;
     let limit: usize = o.get_num("limit")?.unwrap_or(200);
     let words: Vec<u32> = app
@@ -1005,7 +1010,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fl_inject::{ChaosPolicy, FtPolicy, GuardPolicy, PerturbPolicy};
+    use fl_inject::ChaosPolicy;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -1014,7 +1019,7 @@ mod tests {
     /// Parse `args` as the verb `mode` names would (`campaign` for a
     /// plain campaign) and build its spec.
     fn spec_of(mode: &str, args: &[&str]) -> Result<CampaignSpec, String> {
-        let o = Opts::parse(&s(args), parse_mode(mode)?.flags())?;
+        let o = Opts::parse(&s(args), parse_mode(mode)?.flags(), 1)?;
         spec_from_opts(&o, mode)
     }
 
@@ -1022,7 +1027,7 @@ mod tests {
     fn opts_words_and_flags() {
         let valid = [Value("injections"), On("tsv"), Value("seed")];
         let args = s(&["moldyn", "--injections", "400", "--tsv", "--seed", "7"]);
-        let o = Opts::parse(&args, valid).unwrap();
+        let o = Opts::parse(&args, valid, 1).unwrap();
         assert_eq!(o.words, vec!["moldyn"]);
         assert!(o.has("tsv"));
         assert_eq!(o.get("injections"), Some("400"));
@@ -1033,7 +1038,7 @@ mod tests {
 
     #[test]
     fn opts_flag_followed_by_flag_has_no_value() {
-        let o = Opts::parse(&s(&["--tiny", "--tsv"]), [On("tiny"), On("tsv")]).unwrap();
+        let o = Opts::parse(&s(&["--tiny", "--tsv"]), [On("tiny"), On("tsv")], 0).unwrap();
         assert!(o.has("tiny"));
         assert!(o.has("tsv"));
         assert_eq!(o.get("tiny"), None);
@@ -1041,7 +1046,7 @@ mod tests {
 
     #[test]
     fn opts_bad_number_is_an_error() {
-        let o = Opts::parse(&s(&["--injections", "many"]), [Value("injections")]).unwrap();
+        let o = Opts::parse(&s(&["--injections", "many"]), [Value("injections")], 0).unwrap();
         assert!(o.get_num::<u32>("injections").is_err());
         let err = spec_of("campaign", &["wavetoy", "--injections", "many"]).unwrap_err();
         assert_eq!(err, "--injections: expected an integer, got `many`");
@@ -1150,7 +1155,7 @@ mod tests {
     #[test]
     fn unknown_flag_suggests_nearest() {
         let valid = [Value("injections"), Value("seed"), On("tiny")];
-        let err = Opts::parse(&s(&["--injetions", "400"]), valid)
+        let err = Opts::parse(&s(&["--injetions", "400"]), valid, 0)
             .err()
             .unwrap();
         assert!(
@@ -1162,14 +1167,14 @@ mod tests {
     #[test]
     fn unknown_flag_far_from_everything_lists_valid_flags() {
         let valid = [Value("seed"), On("tiny")];
-        let err = Opts::parse(&s(&["--frobnicate"]), valid).err().unwrap();
+        let err = Opts::parse(&s(&["--frobnicate"]), valid, 0).err().unwrap();
         assert!(err.contains("valid flags: --seed, --tiny"), "{err}");
     }
 
     #[test]
     fn known_flags_pass_validation() {
         let valid = [Value("seed"), On("tiny")];
-        assert!(Opts::parse(&s(&["wavetoy", "--seed", "7", "--tiny"]), valid).is_ok());
+        assert!(Opts::parse(&s(&["wavetoy", "--seed", "7", "--tiny"]), valid, 1).is_ok());
     }
 
     #[test]
@@ -1337,56 +1342,50 @@ mod tests {
         assert!(run(&s(&["spec", "wavetoy", "--tiny"])).is_ok());
     }
 
-    #[test]
-    fn builder_specs_carry_the_mode_the_spec_verb_prints() {
-        let app = build_app(AppKind::Wavetoy, true);
-        let builder = CampaignBuilder::new(&app).injections(7).seed(99);
-        let knobs = ["wavetoy", "--tiny", "--injections", "7", "--seed", "99"];
-        let (guard, ft) = (GuardPolicy::default(), FtPolicy::default());
-        let (chaos, perturb) = (ChaosPolicy::default(), PerturbPolicy::default());
-        let guard = GuardPolicy {
-            checkpoint_rounds: 11,
-            ..guard
-        };
-        let ft = FtPolicy { replicas: 5, ..ft };
-        let chaos = ChaosPolicy {
-            burst_max: 2,
-            guard,
-            ft,
-            ..chaos
-        };
-        let perturb = PerturbPolicy {
-            tax_permille: (950, 990),
-            ..perturb
-        };
-        let tax = ["--tax-lo", "950", "--tax-hi", "990"];
-        for (builder, mode, flags) in [
-            (builder.clone(), "campaign", &[][..]),
-            (
-                builder.clone().guarded(guard),
-                "guard",
-                &["--checkpoint-rounds", "11"],
-            ),
-            (builder.clone().ft(ft), "ft", &["--replicas", "5"]),
-            (
-                builder.clone().chaos(chaos),
-                "chaos",
-                &[
-                    "--burst-max",
-                    "2",
-                    "--checkpoint-rounds",
-                    "11",
-                    "--replicas",
-                    "5",
-                ],
-            ),
-            (builder.clone().perturb(perturb), "perturb", &tax),
-        ] {
-            let args: Vec<&str> = knobs.iter().chain(flags).copied().collect();
-            let printed = spec_of(mode, &args).unwrap().to_json();
-            let lowered = builder.to_spec().expect("tiny apps are spec-expressible");
-            assert_eq!(lowered.to_json(), printed, "mode {mode}");
+    /// Each command line is given one word more than its verb reads.
+    fn rejects_the_extra_word(lines: &[(&[&str], &str)]) {
+        for (args, extra) in lines {
+            let err = run(&s(args)).unwrap_err();
+            assert_eq!(err, format!("unexpected argument `{extra}`"), "{args:?}");
         }
+    }
+
+    #[test]
+    fn spec_verbs_reject_a_second_app() {
+        rejects_the_extra_word(&[
+            (&["campaign", "wavetoy", "moldyn", "--tiny"], "moldyn"),
+            (&["chaos", "wavetoy", "--tiny", "jacobi3d"], "jacobi3d"),
+            (&["spec", "wavetoy", "--mode", "ft", "moldyn"], "moldyn"),
+        ]);
+    }
+
+    #[test]
+    fn run_config_rejects_a_second_file() {
+        let example = "examples/campaign.json";
+        rejects_the_extra_word(&[(&["run-config", example, "missing.json"], "missing.json")]);
+    }
+
+    #[test]
+    fn trial_and_tool_verbs_reject_extra_words() {
+        rejects_the_extra_word(&[
+            (
+                &["replay", "wavetoy", "stack", "heap", "--trial", "0"],
+                "heap",
+            ),
+            (&["source", "wavetoy", "moldyn"], "moldyn"),
+            (&["sample-size", "0.05"], "0.05"),
+        ]);
+        // `profile` reads every word it is given.
+        assert!(Opts::parse(&s(&["wavetoy", "moldyn"]), [], usize::MAX).is_ok());
+    }
+
+    #[test]
+    fn service_verbs_reject_extra_words() {
+        rejects_the_extra_word(&[
+            (&["watch", "abc", "def"], "def"),
+            (&["stop", "abc", "def"], "def"),
+            (&["serve", "here"], "here"),
+        ]);
     }
 
     #[test]

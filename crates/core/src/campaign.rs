@@ -397,10 +397,10 @@ impl<'a> TrialContext<'a> {
     }
 }
 
-/// Trial replay from campaign coordinates (the [`crate::CampaignBuilder`]
-/// backend). Returns the full trace; event streams are empty unless
-/// `cfg.obs_capacity > 0`.
-pub(crate) fn replay_trial_impl(
+/// Re-run one trial from its campaign coordinates: class position `ci`
+/// in `classes`, trial index `k`. Returns the full trace; event streams
+/// are empty unless `cfg.obs_capacity > 0`.
+pub fn replay_trial(
     app: &App,
     classes: &[TargetClass],
     cfg: &CampaignConfig,
@@ -563,12 +563,7 @@ mod tests {
     use super::*;
     use fl_apps::AppParams;
 
-    fn run(app: &App, classes: &[TargetClass], cfg: &CampaignConfig) -> CampaignResult {
-        crate::CampaignBuilder::new(app)
-            .classes(classes)
-            .with_config(*cfg)
-            .run()
-    }
+    use crate::engine::run_campaign as run;
 
     fn mini_campaign(kind: AppKind, classes: &[TargetClass], n: u32) -> CampaignResult {
         let app = App::build(kind, AppParams::tiny(kind));
@@ -703,7 +698,7 @@ mod tests {
         let result = run(&app, &classes, &cfg);
         for (ci, class_result) in result.classes.iter().enumerate() {
             for k in [0u32, 3, 5] {
-                let replayed = replay_trial_impl(&app, &classes, &cfg, ci, k);
+                let replayed = replay_trial(&app, &classes, &cfg, ci, k);
                 assert_eq!(
                     replayed.record, class_result.trials[k as usize],
                     "replay of class {ci} trial {k} diverged"

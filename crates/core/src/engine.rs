@@ -23,20 +23,21 @@
 //!
 //! Plain campaigns ([`run_campaign_engine`]) and matrix campaigns
 //! ([`crate::matrix::run_matrix`]) are clients of the one internal slot
-//! loop; `faultlab serve`, the one-shot CLI verbs and
-//! [`crate::CampaignBuilder`] reach both through [`run_spec`] or call
-//! them with an app they already hold. There is exactly one way trials
-//! get scheduled, executed, counted and recorded.
+//! loop; `faultlab serve` and the one-shot CLI verbs reach both through
+//! [`run_spec`], and callers that already hold an app call them with it
+//! ([`run_campaign`]). There is exactly one way trials get scheduled,
+//! executed, counted and recorded.
 
 use crate::campaign::{
     trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats, TrialContext,
     TrialRecord,
 };
 use crate::json::{escape, parse, Json};
-use crate::matrix::{run_matrix, MatrixResult};
+use crate::matrix::{run_matrix, ContractCheck, MatrixResult};
 use crate::obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, KIND_COUNT};
 use crate::outcome::{Manifestation, Tally};
 use crate::progress::EngineProgress;
+use crate::report::Report;
 use crate::spec::CampaignSpec;
 use crate::target::TargetClass;
 use fl_apps::{App, AppKind};
@@ -357,7 +358,7 @@ pub trait EngineSink: Sync {
     fn progress(&self, _p: EngineProgress) {}
 }
 
-/// A sink that ignores everything (the plain `CampaignBuilder` path).
+/// A sink that ignores everything.
 pub struct NullSink;
 
 impl EngineSink for NullSink {}
@@ -520,8 +521,8 @@ pub struct EngineRun {
 /// Run a campaign on the engine: scheduler, worker pool with stealing,
 /// record sink, pause/stop control, optional resume.
 ///
-/// This is the single backend behind `CampaignBuilder::run`, `faultlab
-/// campaign --jobs N` and `faultlab serve`. Records, metrics and
+/// This is the single backend behind [`run_spec`], `faultlab campaign
+/// --jobs N` and `faultlab serve`. Records, metrics and
 /// instruction totals are bit-identical for any worker count, steal
 /// schedule, or resume point, because every trial is deterministic in
 /// `(spec, ci, k)` and all aggregation happens in slot order.
@@ -541,6 +542,15 @@ pub fn run_campaign_engine(
         control,
         resume,
     )
+}
+
+/// [`run_campaign_engine`] for callers that hold an `App` — a custom
+/// build, a variant, one reused across campaigns — and want nothing but
+/// the result: no sink, no control, run to completion.
+pub fn run_campaign(app: &App, classes: &[TargetClass], cfg: &CampaignConfig) -> CampaignResult {
+    run_campaign_engine(app, classes, cfg, &NullSink, &EngineControl::new(), None)
+        .result
+        .expect("uncontrolled engine runs always complete")
 }
 
 /// [`run_campaign_engine`] with convergence-aware termination off: every
@@ -657,6 +667,24 @@ pub enum SpecOutcome {
     Campaign(CampaignResult),
     /// A guard, ft, chaos or perturb campaign's result.
     Matrix(MatrixResult),
+}
+
+impl SpecOutcome {
+    /// The result's table, TSV and JSONL views.
+    pub fn report(&self) -> &dyn Report {
+        match self {
+            SpecOutcome::Campaign(r) => r,
+            SpecOutcome::Matrix(r) => r,
+        }
+    }
+
+    /// The mode's contract floors, evaluated; a plain campaign has none.
+    pub fn contracts(&self) -> Vec<ContractCheck> {
+        match self {
+            SpecOutcome::Campaign(_) => Vec::new(),
+            SpecOutcome::Matrix(r) => r.contracts(),
+        }
+    }
 }
 
 /// Run a [`CampaignSpec`] end to end on the engine — the single entry
@@ -924,21 +952,31 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_legacy_backend() {
-        let app = tiny();
-        let classes = [TargetClass::RegularReg, TargetClass::Message];
-        let c = cfg(6, 0xE9, 2);
-        let run = run_campaign_engine(&app, &classes, &c, &NullSink, &EngineControl::new(), None);
-        let legacy = crate::CampaignBuilder::new(&app)
-            .classes(&classes)
-            .with_config(c)
-            .run();
-        let r = run.result.expect("uninterrupted run completes");
-        for (a, b) in r.classes.iter().zip(&legacy.classes) {
-            assert_eq!(a.trials, b.trials);
-            assert_eq!(a.tally, b.tally);
-        }
-        assert_eq!(r.insns_total, legacy.insns_total);
+    fn campaign_reports_throughput() {
+        let r = run_campaign(&tiny(), &[TargetClass::RegularReg], &cfg(4, 2, 0));
+        assert!(r.insns_total > 0);
+        assert!(r.wall_nanos > 0);
+        assert_eq!(r.trials_total(), 4);
+        assert!(r.mips() > 0.0);
+        assert!(r.trials_per_sec() > 0.0);
+        assert!(r.metrics.is_none(), "recording is off by default");
+    }
+
+    #[test]
+    fn engine_runs_an_app_no_spec_can_name() {
+        // A spec names apps by kind and `tiny`; the engine and the matrix
+        // runner take whatever app they are handed.
+        let kind = AppKind::Wavetoy;
+        let mut params = AppParams::tiny(kind);
+        params.steps += 1; // neither tiny nor default
+        let app = App::build(kind, params);
+        let classes = [TargetClass::RegularReg];
+        let c = cfg(4, 6, 0);
+        let r = run_campaign(&app, &classes, &c);
+        assert_eq!(r.classes[0].tally.executions, 4);
+        let guard = crate::guarded::mode(&classes, fl_guard::GuardPolicy::default());
+        let g = run_matrix(&app, &guard, &c, &NullSink, &EngineControl::new(), None).unwrap();
+        assert_eq!(g.cell(0, 1).tally.executions, 4);
     }
 
     #[test]

@@ -445,16 +445,6 @@ pub fn compare_models(
         .collect()
 }
 
-/// A memory region eligible for `run_model_trial`.
-pub fn model_classes() -> [TargetClass; 4] {
-    [
-        TargetClass::RegularReg,
-        TargetClass::Text,
-        TargetClass::Data,
-        TargetClass::Bss,
-    ]
-}
-
 /// Sanity helper used by tests: the region of a class.
 pub fn static_region(class: TargetClass) -> Option<Region> {
     class.region()

@@ -14,8 +14,8 @@
 //! checkpoints.
 
 use crate::matrix::{
-    slug_header, tally_fields, Column, Draw, Isolate, Layout, MatrixMode, MatrixResult, Row,
-    Runner, Slot,
+    slug_header, tally_fields, Column, Contract, Draw, Isolate, Layout, MatrixMode, MatrixResult,
+    Row, Runner, Slot,
 };
 use crate::outcome::Manifestation;
 use crate::target::TargetClass;
@@ -63,6 +63,7 @@ pub fn mode(policy: FtPolicy) -> MatrixMode {
         covers,
     };
     let recovered = |m| m == Manifestation::Recovered;
+    let masked = |m| m == Manifestation::MaskedByReplica;
     let rows = vec![
         Row {
             label: "rank-kill".into(),
@@ -106,16 +107,50 @@ pub fn mode(policy: FtPolicy) -> MatrixMode {
                     "replicated",
                     Isolate::Nothing,
                     Runner::Replicated(policy),
-                    |m| m == Manifestation::MaskedByReplica,
+                    masked,
                 ),
             ],
         },
+    ];
+    // Each discipline must cover at least 90 % of the draws whose
+    // baseline run manifested an error.
+    let floor = |name, what, row: usize, column, counts| Contract {
+        name,
+        what,
+        rows: row..row + 1,
+        column,
+        over: |m| m.is_error(),
+        counts,
+        floor_percent: 90.0,
+    };
+    let contracts = vec![
+        floor(
+            "shrink-recovers-rank-kills",
+            "manifesting rank kills shrink recovery recovered",
+            KILL,
+            SHRINK,
+            recovered,
+        ),
+        floor(
+            "respawn-recovers-rank-kills",
+            "manifesting rank kills buddy-checkpoint respawn recovered",
+            KILL,
+            RESPAWN,
+            recovered,
+        ),
+        floor(
+            "replicas-mask-message-faults",
+            "manifesting message faults the replica vote masked",
+            REPLICA,
+            REPLICATED,
+            masked,
+        ),
     ];
     MatrixMode {
         rows,
         slot: Slot::Row,
         budget_scale: 1,
-        contracts: Vec::new(),
+        contracts,
         layout: Layout {
             banner: format!(
                 "detector: probe every {} rounds, suspect after {}; buddy line every {} rounds; {} replicas",
@@ -238,14 +273,52 @@ fn jsonl(r: &MatrixResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_spec, EngineControl, NullSink, SpecOutcome};
     use crate::report::Report;
-    use crate::CampaignBuilder;
-    use fl_apps::{App, AppKind, AppParams};
+    use crate::spec::{CampaignSpec, SpecMode};
+    use fl_apps::AppKind;
     use fl_ft::FtMode;
 
     fn ft(kind: AppKind, n: u32, seed: u64) -> MatrixResult {
-        let app = App::build(kind, AppParams::tiny(kind));
-        CampaignBuilder::new(&app).injections(n).seed(seed).run_ft()
+        let mut spec = CampaignSpec::new(kind);
+        spec.tiny = true;
+        spec.campaign.injections = n;
+        spec.campaign.seed = seed;
+        spec.mode = SpecMode::Ft(FtPolicy::default());
+        match run_spec(&spec, &NullSink, &EngineControl::new(), None) {
+            Some(SpecOutcome::Matrix(r)) => r,
+            _ => panic!("an uncontrolled ft spec yields a matrix"),
+        }
+    }
+
+    #[test]
+    fn the_three_floors_are_contracts_and_a_starved_denominator_fails() {
+        // Ten draws give every floor evidence. Seed 1's single message
+        // fault is benign, so the replica floor has none and must not
+        // pass on 0 of 0.
+        let names = |r: &MatrixResult, pass: bool| -> Vec<&str> {
+            let checks = r.contracts().into_iter();
+            checks
+                .filter(|c| c.passed() == pass)
+                .map(|c| c.name)
+                .collect()
+        };
+        let fed = ft(AppKind::Wavetoy, 10, 0xF8);
+        assert_eq!(
+            names(&fed, true),
+            [
+                "shrink-recovers-rank-kills",
+                "respawn-recovers-rank-kills",
+                "replicas-mask-message-faults"
+            ]
+        );
+        let starved = ft(AppKind::Wavetoy, 1, 1);
+        assert_eq!(starved.baseline_errors(REPLICA), 0);
+        assert_eq!(names(&starved, false), ["replicas-mask-message-faults"]);
+        let replica = &starved.contracts()[2];
+        assert_eq!((replica.covered, replica.denom), (0, 0));
+        // The table prints no contract lines: its bytes are pinned.
+        assert!(!starved.table("t").contains("contract"));
     }
 
     #[test]

@@ -178,8 +178,9 @@ fn jsonl(r: &MatrixResult) -> String {
 mod tests {
     use super::*;
     use crate::engine::{run_campaign_engine, EngineControl, NullSink};
+    use crate::matrix::run_matrix;
     use crate::report::Report;
-    use crate::{CampaignBuilder, CampaignConfig};
+    use crate::CampaignConfig;
     use fl_apps::{App, AppKind, AppParams};
 
     fn coverage(
@@ -191,13 +192,15 @@ mod tests {
     ) -> MatrixResult {
         let kind = AppKind::Wavetoy;
         let app = App::build(kind, AppParams::tiny(kind));
-        CampaignBuilder::new(&app)
-            .classes(classes)
-            .injections(n)
-            .seed(seed)
-            .fastpath(fastpath)
-            .guarded(policy)
-            .run_coverage()
+        let cfg = CampaignConfig {
+            injections: n,
+            seed,
+            fastpath,
+            ..Default::default()
+        };
+        let (sink, control) = (NullSink, EngineControl::new());
+        run_matrix(&app, &mode(classes, policy), &cfg, &sink, &control, None)
+            .expect("uncontrolled runs complete")
     }
 
     fn rollback_every_16() -> GuardPolicy {

@@ -17,28 +17,33 @@
 //! then observe the run and classify it per §5.1 as Correct, Crash,
 //! Hang, Incorrect output, Application-Detected, or MPI-Detected.
 //! Guarded (fl-guard) campaigns extend the taxonomy with Guard-Detected
-//! and Recovered, and [`CampaignBuilder::run_coverage`] runs every
-//! trial's fault both bare and guarded to measure detection coverage —
-//! one of the four matrix campaigns [`matrix`] runs (see [`guarded`],
-//! [`ft`], [`chaos`], [`perturb`]).
+//! and Recovered, and a guard-mode spec runs every trial's fault both
+//! bare and guarded to measure detection coverage — one of the four
+//! matrix campaigns [`matrix`] runs (see [`guarded`], [`ft`], [`chaos`],
+//! [`perturb`]).
 //!
-//! Quick start:
+//! A campaign is a [`CampaignSpec`] — the same description `faultlab
+//! run-config` reads from a file and the service accepts over its socket
+//! — and [`run_spec`] runs it:
 //!
 //! ```
-//! use fl_apps::{App, AppKind, AppParams};
-//! use fl_inject::{CampaignBuilder, TargetClass};
+//! use fl_apps::AppKind;
+//! use fl_inject::{run_spec, CampaignSpec, EngineControl, NullSink, Report, SpecOutcome};
 //!
-//! let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-//! let result = CampaignBuilder::new(&app)
-//!     .classes(&[TargetClass::RegularReg])
-//!     .injections(10)
-//!     .run();
-//! let tally = &result.classes[0].tally;
-//! assert_eq!(tally.executions, 10);
-//! println!("{}", fl_inject::render_table(&result, "demo"));
+//! let mut spec = CampaignSpec::from_json(
+//!     r#"{"app":"wavetoy","tiny":true,"regions":["regular-reg"],"injections":10}"#,
+//! )
+//! .unwrap();
+//! spec.campaign.seed = 7;
+//! let outcome = run_spec(&spec, &NullSink, &EngineControl::new(), None).unwrap();
+//! let SpecOutcome::Campaign(result) = &outcome else {
+//!     unreachable!("a plain campaign");
+//! };
+//! assert_eq!(result.app, AppKind::Wavetoy);
+//! assert_eq!(result.classes[0].tally.executions, 10);
+//! println!("{}", outcome.report().table(&spec.title()));
 //! ```
 
-pub mod builder;
 pub mod campaign;
 pub mod chaos;
 pub mod engine;
@@ -59,16 +64,16 @@ pub mod spec;
 pub mod suggest;
 pub mod target;
 
-pub use builder::CampaignBuilder;
 pub use campaign::{
-    trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats, Dictionaries,
-    TrialRecord,
+    replay_trial, trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats,
+    Dictionaries, TrialRecord,
 };
 pub use chaos::{draw_chaos, syscall_counts, ChaosPolicy, Defense, SyscallCounts};
 pub use engine::{
-    parse_record_line, record_line, run_campaign_engine, run_campaign_engine_to_completion,
-    run_spec, sort_records_jsonl, Aux, CompletedSlots, EngineControl, EngineRun, EngineSink,
-    NullSink, RunState, SlotPlan, SpecOutcome, TrialOutput, VecSink,
+    parse_record_line, record_line, run_campaign, run_campaign_engine,
+    run_campaign_engine_to_completion, run_spec, sort_records_jsonl, Aux, CompletedSlots,
+    EngineControl, EngineRun, EngineSink, NullSink, RunState, SlotPlan, SpecOutcome, TrialOutput,
+    VecSink,
 };
 pub use faultmodel::{compare_models, run_model_trial, FaultModel};
 pub use fl_ft::{
@@ -80,10 +85,7 @@ pub use ft::draw_kill;
 pub use matrix::{
     run_matrix, Cell, ContractCheck, MatrixMode, MatrixResult, MatrixTrial, TransitionMatrix,
 };
-pub use obs::{
-    exec_cache_jsonl, exec_cache_tsv, trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics,
-    TrialTrace,
-};
+pub use obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, TrialTrace};
 pub use outcome::{classify, Manifestation, Tally};
 pub use perturb::{classify_perturb, draw_perturb, Detection, PerturbPolicy};
 pub use progress::{
@@ -91,8 +93,8 @@ pub use progress::{
 };
 pub use regpressure::{analyze_image, render_register_pressure, RegisterPressure};
 pub use report::{
-    register_breakdown, render_register_breakdown, render_table, render_tsv, MetricsReport, Report,
-    ReportFormat,
+    join_reports, register_breakdown, render_register_breakdown, render_table, render_tsv,
+    MetricsReport, Report, ReportFormat,
 };
 pub use sampling::{confidence_interval, estimation_error, sample_size, z_value};
 pub use ser::{application_corruptions_per_run, SerModel};

@@ -5,7 +5,9 @@
 //! campaigns ([`crate::matrix::MatrixResult`]) and event metrics
 //! ([`MetricsReport`]) — implements [`Report`], so every CLI verb
 //! renders through the same three formats (`table`/`tsv`/`jsonl`) and a
-//! new mode gets all three for free.
+//! new mode gets all three for free. [`join_reports`] makes one artifact
+//! of several campaigns' views — how every multi-app `results/*` file is
+//! assembled.
 //!
 //! [`render_table`] reproduces the layout of the paper's Tables 2–4: one
 //! row per injected region with the error rate and the breakdown of
@@ -66,6 +68,35 @@ pub trait Report {
             ReportFormat::Table => self.table(title),
             ReportFormat::Tsv => self.tsv(),
             ReportFormat::Jsonl => self.jsonl(),
+        }
+    }
+}
+
+/// One `format` view of several campaigns as a single artifact. `parts`
+/// pairs each campaign's app name with its rendered view; a lone part is
+/// the artifact as it is. Tables are set apart by a blank line, TSVs
+/// share the first one's header behind a leading `app` column, JSONL
+/// (every object names its app already) is concatenated.
+pub fn join_reports(format: ReportFormat, parts: &[(&str, String)]) -> String {
+    if let [(_, only)] = parts {
+        return only.clone();
+    }
+    let views = parts.iter().map(|(_, view)| view.as_str());
+    match format {
+        ReportFormat::Table => views.collect::<Vec<_>>().join("\n"),
+        ReportFormat::Jsonl => views.collect(),
+        ReportFormat::Tsv => {
+            let mut out = String::new();
+            for (i, (app, view)) in parts.iter().enumerate() {
+                let mut lines = view.lines();
+                if let (0, Some(header)) = (i, lines.next()) {
+                    let _ = writeln!(out, "app\t{header}");
+                }
+                for line in lines {
+                    let _ = writeln!(out, "{app}\t{line}");
+                }
+            }
+            out
         }
     }
 }
@@ -269,14 +300,21 @@ mod tests {
     use super::*;
     use fl_apps::{App, AppKind, AppParams};
 
-    fn small_result() -> CampaignResult {
+    /// A seed-3 campaign of wavetoy-tiny on two workers.
+    fn campaign(classes: &[TargetClass], injections: u32, obs_capacity: u32) -> CampaignResult {
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-        crate::CampaignBuilder::new(&app)
-            .classes(&[TargetClass::RegularReg, TargetClass::Data])
-            .injections(10)
-            .seed(3)
-            .threads(2)
-            .run()
+        let cfg = crate::CampaignConfig {
+            injections,
+            seed: 3,
+            threads: 2,
+            obs_capacity,
+            ..Default::default()
+        };
+        crate::engine::run_campaign(&app, classes, &cfg)
+    }
+
+    fn small_result() -> CampaignResult {
+        campaign(&[TargetClass::RegularReg, TargetClass::Data], 10, 0)
     }
 
     #[test]
@@ -317,6 +355,33 @@ mod tests {
     }
 
     #[test]
+    fn joined_reports_tag_tsv_rows_and_keep_a_lone_part_as_it_is() {
+        let tsv = |rows: &str| format!("region\terrors\n{rows}");
+        let lone = [("wavetoy", tsv("Heap\t1\n"))];
+        assert_eq!(join_reports(ReportFormat::Tsv, &lone), lone[0].1);
+        let two = [
+            ("wavetoy", tsv("Heap\t1\nData\t2\n")),
+            ("moldyn", tsv("Heap\t3\n")),
+        ];
+        assert_eq!(
+            join_reports(ReportFormat::Tsv, &two),
+            "app\tregion\terrors\nwavetoy\tHeap\t1\nwavetoy\tData\t2\nmoldyn\tHeap\t3\n"
+        );
+        let tables = [
+            ("a", "T1\nrow\n".to_string()),
+            ("b", "T2\nrow\n".to_string()),
+        ];
+        assert_eq!(
+            join_reports(ReportFormat::Table, &tables),
+            "T1\nrow\n\nT2\nrow\n"
+        );
+        assert_eq!(
+            join_reports(ReportFormat::Jsonl, &tables),
+            "T1\nrow\nT2\nrow\n"
+        );
+    }
+
+    #[test]
     fn report_format_resolves_flag_pairs() {
         assert_eq!(ReportFormat::from_flags(false, false), ReportFormat::Table);
         assert_eq!(ReportFormat::from_flags(true, false), ReportFormat::Tsv);
@@ -326,13 +391,7 @@ mod tests {
 
     #[test]
     fn metrics_report_renders_all_formats() {
-        let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-        let r = crate::CampaignBuilder::new(&app)
-            .classes(&[TargetClass::RegularReg])
-            .injections(4)
-            .seed(3)
-            .observe(256)
-            .run();
+        let r = campaign(&[TargetClass::RegularReg], 4, 256);
         let metrics = r.metrics.as_ref().unwrap();
         let view = MetricsReport {
             app: r.app,

@@ -5,10 +5,11 @@
 //! knobs, and the mode (plain, guard-coverage, fault-tolerance, chaos or
 //! perturb, each with its policy). It is the one description every front
 //! end consumes: the `faultlab` one-shot verbs build one from their
-//! flags, `faultlab run-config` reads one from a file, and the campaign
-//! service accepts the same object as JSON over its socket — `faultlab
-//! spec` prints the canonical JSON for a given flag set, so a command
-//! line can be turned into a submittable document verbatim.
+//! flags, `faultlab run-config` reads one — or a list, one per line, as
+//! the committed `results/specs/*.jsonl` are — from a file, and the
+//! campaign service accepts the same object as JSON over its socket —
+//! `faultlab spec` prints the canonical JSON for a given flag set, so a
+//! command line can be turned into a submittable document verbatim.
 //!
 //! Every knob is stated once, as a row of a knob table: its JSON key,
 //! the CLI flags that set it, and the field it lives in. The JSON codec,
@@ -25,6 +26,7 @@ use crate::engine::SlotPlan;
 use crate::json::{parse, Json};
 use crate::matrix::MatrixMode;
 use crate::perturb::PerturbPolicy;
+use crate::sampling::estimation_error;
 use crate::suggest::unknown;
 use crate::target::TargetClass;
 use fl_apps::AppKind;
@@ -432,6 +434,37 @@ impl CampaignSpec {
         };
         visit(SPEC_KNOBS, self, &mut set)?;
         self.mode.knobs(&mut set)
+    }
+
+    /// The first line of the campaign's table. A function of the spec
+    /// alone, so a verb and a committed artifact that run the same spec
+    /// print the same title.
+    pub fn title(&self) -> String {
+        let n = self.campaign.injections;
+        let (what, sample) = match self.mode {
+            SpecMode::Campaign => (
+                "Fault Injection Results",
+                format!(
+                    "n = {n}, d = {:.1}% @95%",
+                    estimation_error(0.95, n) * 100.0
+                ),
+            ),
+            SpecMode::Guard(_) => (
+                "Detection Coverage",
+                format!("n = {n} paired trials per region"),
+            ),
+            SpecMode::Ft(_) => (
+                "Process-Level Fault Tolerance",
+                format!("n = {n} per fault kind"),
+            ),
+            SpecMode::Chaos(_) => ("Chaos Defense-Coverage Matrix", format!("n = {n} per cell")),
+            SpecMode::Perturb(_) => (
+                "Performance-Interference Detection Matrix",
+                format!("n = {n} per cell"),
+            ),
+        };
+        let (app, paper) = (self.app.name(), self.app.paper_name());
+        format!("{what} ({app} / {paper} analogue), {sample}")
     }
 
     /// The matrix-campaign description this spec runs, policies

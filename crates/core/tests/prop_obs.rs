@@ -10,7 +10,7 @@
 //!   schema, emission points or ordering is a visible diff.
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{CampaignBuilder, TargetClass, TrialTrace};
+use fl_inject::{replay_trial, CampaignConfig, TargetClass, TrialTrace};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -26,11 +26,13 @@ fn app() -> &'static App {
 /// campaign seeded `seed`, with recording on; cold when `epoch_rounds`
 /// is 0, else forked from checkpoints taken at that cadence.
 fn traced(seed: u64, ci: usize, k: u32, epoch_rounds: u32) -> TrialTrace {
-    CampaignBuilder::new(app())
-        .seed(seed)
-        .observe(OBS_CAPACITY)
-        .epoch_rounds(epoch_rounds)
-        .replay_traced(ci, k)
+    let cfg = CampaignConfig {
+        seed,
+        obs_capacity: OBS_CAPACITY,
+        epoch_rounds,
+        ..Default::default()
+    };
+    replay_trial(app(), &TargetClass::ALL, &cfg, ci, k)
 }
 
 proptest! {

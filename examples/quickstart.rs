@@ -6,7 +6,9 @@
 //! ```
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{render_table, CampaignBuilder, TargetClass};
+use fl_inject::{
+    run_spec, CampaignSpec, EngineControl, NullSink, Report, SpecOutcome, TargetClass,
+};
 
 fn main() {
     // 1. Generate and compile the Cactus-Wavetoy analogue: a 2-D wave
@@ -30,15 +32,21 @@ fn main() {
 
     // 3. Inject single-bit faults: 60 into the integer registers, 60 into
     //    message payloads — the two most sensitive targets in the paper.
-    let result = CampaignBuilder::new(&app)
-        .classes(&[TargetClass::RegularReg, TargetClass::Message])
-        .injections(60)
-        .seed(2024)
-        .run();
+    //    The spec is the whole experiment: `spec.to_json()` is the file
+    //    `faultlab run-config` would run to the same table.
+    let mut spec = CampaignSpec::new(AppKind::Wavetoy);
+    spec.tiny = true;
+    spec.classes = vec![TargetClass::RegularReg, TargetClass::Message];
+    spec.campaign.injections = 60;
+    spec.campaign.seed = 2024;
+    let outcome = run_spec(&spec, &NullSink, &EngineControl::new(), None);
+    let Some(SpecOutcome::Campaign(result)) = outcome else {
+        unreachable!("an uncontrolled plain campaign completes");
+    };
 
     // 4. Print the Table 2-style summary.
     println!();
-    print!("{}", render_table(&result, "Quickstart campaign (wavetoy)"));
+    print!("{}", result.table(&spec.title()));
 
     let reg = &result.classes[0].tally;
     println!(

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Regenerate the "Measured results" section of EXPERIMENTS.md from the
-# artifacts in results/. Run from the workspace root after `all_tables`.
+# artifacts in results/. Run from the workspace root;
+# `scripts/regenerate-results.sh` runs it last.
 {
   echo "## Measured results (verbatim artifacts)"
   echo

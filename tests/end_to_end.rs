@@ -2,7 +2,7 @@
 //! cluster → fault injection → classification, across every crate.
 
 use fl_apps::{App, AppKind, AppParams, AppVariant};
-use fl_inject::{CampaignBuilder, Manifestation, TargetClass};
+use fl_inject::{run_campaign, CampaignConfig, Manifestation, TargetClass};
 use fl_mpi::WorldExit;
 
 #[test]
@@ -16,11 +16,12 @@ fn every_app_full_pipeline() {
         let golden = app.golden(2_000_000_000);
         assert!(!golden.output.is_empty(), "{}", kind.name());
         // One injection in every class completes and classifies.
-        let result = CampaignBuilder::new(&app)
-            .classes(&TargetClass::ALL)
-            .injections(3)
-            .seed(99)
-            .run();
+        let cfg = CampaignConfig {
+            injections: 3,
+            seed: 99,
+            ..Default::default()
+        };
+        let result = run_campaign(&app, &TargetClass::ALL, &cfg);
         assert_eq!(result.classes.len(), 8);
         for c in &result.classes {
             assert_eq!(c.tally.executions, 3, "{}: {:?}", kind.name(), c.class);
@@ -102,11 +103,12 @@ fn trace_and_campaign_share_one_app() {
     let app = App::build(AppKind::Climsim, AppParams::tiny(AppKind::Climsim));
     let report = fl_trace::trace_app(&app, 2_000_000_000, 20);
     assert!(report.text.at_start() > 0.0);
-    let result = CampaignBuilder::new(&app)
-        .classes(&[TargetClass::Text])
-        .injections(5)
-        .seed(1)
-        .run();
+    let cfg = CampaignConfig {
+        injections: 5,
+        seed: 1,
+        ..Default::default()
+    };
+    let result = run_campaign(&app, &[TargetClass::Text], &cfg);
     assert_eq!(result.classes[0].tally.executions, 5);
     // The small text working set explains the (mostly) correct outcomes:
     // at least some text faults must land in cold code and do nothing.

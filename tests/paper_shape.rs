@@ -4,15 +4,16 @@
 //! tests; EXPERIMENTS.md records the quantitative comparison.
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{CampaignBuilder, CampaignResult, Manifestation, TargetClass};
+use fl_inject::{run_campaign, CampaignConfig, CampaignResult, Manifestation, TargetClass};
 
 fn campaign(kind: AppKind, classes: &[TargetClass], n: u32) -> CampaignResult {
     let app = App::build(kind, AppParams::tiny(kind));
-    CampaignBuilder::new(&app)
-        .classes(classes)
-        .injections(n)
-        .seed(0x5AFE)
-        .run()
+    let cfg = CampaignConfig {
+        injections: n,
+        seed: 0x5AFE,
+        ..Default::default()
+    };
+    run_campaign(&app, classes, &cfg)
 }
 
 #[test]
