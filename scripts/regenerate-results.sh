@@ -5,8 +5,6 @@
 # yet still has a binary. Everything is deterministic in (spec, seed), so
 # `git diff --exit-code results/` afterwards must be clean. Exits
 # non-zero when a run misses a contract floor. Run from anywhere.
-# Not run: fault_models (results/fault_models.txt predates the current
-# draws and no commit since reproduces it; see ROADMAP).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -16,7 +14,7 @@ for list in results/specs/*.jsonl; do
 done
 # <binary>:<trial count of the committed file>
 for run in table1: table5: table6: table7: message_analysis:100 \
-    ablations:60 ulfm_coverage:25; do
+    ablations:60 ulfm_coverage:25 fault_models:40; do
     target/release/"${run%%:*}" ${run#*:} > /dev/null
 done
 sh results/embed_results.sh > /dev/null
