@@ -441,14 +441,15 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 /// demotions) so a cold cache or a demotion storm is visible at a
 /// glance, and one line of what early termination skipped. The
 /// instruction figure is the one full execution would report; trials
-/// ended at an epoch boundary did not execute their share of it.
+/// ended at an epoch boundary or decided at their draw did not execute
+/// their share of it.
 fn throughput_line(result: &fl_inject::CampaignResult) -> String {
     let s = &result.exec_stats;
     let c = &result.converge;
     format!(
         "throughput: {} trials, {:.1}M guest insns in {:.2}s — {:.1} MIPS, {:.1} trials/sec\n\
          exec-cache: {} block hits, {} block misses, {} trace passes, {} side exits, {} demotions\n\
-         converged: {} trials ended at an epoch boundary, {} epoch compares, {} granules excused",
+         converged: {} trials ended at an epoch boundary, {} decided at draw, {} epoch compares, {} granules excused",
         result.trials_total(),
         result.insns_total as f64 / 1e6,
         result.wall_nanos as f64 / 1e9,
@@ -460,6 +461,7 @@ fn throughput_line(result: &fl_inject::CampaignResult) -> String {
         s.trace_side_exits,
         s.demotions,
         c.trials_converged,
+        c.decided_at_draw,
         c.epoch_compares,
         c.granules_excused,
     )
@@ -594,7 +596,8 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let (kind, cfg) = (spec.app, spec.campaign);
     let app = build_app(kind, spec.tiny);
     eprintln!("replaying {} {} trial {k} ...", kind.name(), class.label());
-    let rec = replay_trial(&app, &spec.classes, &cfg, ci, k).record;
+    let trace = replay_trial(&app, &spec.classes, &cfg, ci, k);
+    let rec = trace.record;
     println!("app:     {}", kind.name());
     println!("class:   {}", class.label());
     println!(
@@ -603,6 +606,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     );
     println!("fault:   {}", rec.detail);
     println!("outcome: {}", rec.outcome);
+    println!("ended:   {}", trace.converge.ended());
     Ok(())
 }
 

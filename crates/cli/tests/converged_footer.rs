@@ -4,8 +4,9 @@
 use std::process::Command;
 
 /// Run `faultlab campaign <args>` and return the trials the footer says
-/// ended at an epoch boundary, with everything printed above the footer.
-fn campaign(args: &[&str]) -> (u64, String) {
+/// ended at an epoch boundary and were decided at their draw, with
+/// everything printed above the footer.
+fn campaign(args: &[&str]) -> ((u64, u64), String) {
     let out = Command::new(env!("CARGO_BIN_EXE_faultlab"))
         .arg("campaign")
         .args(args)
@@ -16,13 +17,19 @@ fn campaign(args: &[&str]) -> (u64, String) {
     let (table, footer) = stdout
         .split_once("throughput:")
         .expect("campaign prints a throughput footer");
-    let converged = footer
+    let line = footer
         .lines()
         .find_map(|l| l.strip_prefix("converged: "))
-        .and_then(|l| l.split_whitespace().next())
-        .and_then(|n| n.parse().ok())
         .expect("footer has a converged: line");
-    (converged, table.to_string())
+    // "<n> trials ended at an epoch boundary, <m> decided at draw, ..."
+    let count = |part: Option<&str>| -> u64 {
+        let n = part.and_then(|p| p.split_whitespace().next());
+        n.and_then(|n| n.parse().ok()).expect("a leading count")
+    };
+    let mut parts = line.split(", ");
+    let converged = count(parts.next());
+    let decided = count(parts.next().filter(|p| p.ends_with("decided at draw")));
+    ((converged, decided), table.to_string())
 }
 
 #[test]
@@ -38,13 +45,17 @@ fn moldyn_campaigns_report_trials_ended_early() {
         "--seed",
         "1604",
     ];
-    let (converged, table) = campaign(&args);
+    let ((converged, decided), table) = campaign(&args);
     assert!(converged > 0, "no moldyn-tiny trial ended early:\n{table}");
+    assert!(
+        decided > 0,
+        "no moldyn-tiny flip was dead when drawn:\n{table}"
+    );
     // Cold, nothing can end early — and the table does not change.
     let cold: Vec<&str> = args
         .iter()
         .copied()
         .chain(["--epoch-rounds", "0"])
         .collect();
-    assert_eq!(campaign(&cold), (0, table));
+    assert_eq!(campaign(&cold), ((0, 0), table));
 }

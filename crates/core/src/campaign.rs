@@ -15,9 +15,10 @@ use crate::target::{
     TargetClass,
 };
 use fl_apps::{App, AppKind, Golden};
-use fl_machine::{ExecStats, SharedCode};
+use fl_isa::RegisterName;
+use fl_machine::{Cpu, ExecStats, SharedCode};
 use fl_mpi::{Action, Clock, Effect, Fault, MpiWorld, WorldConfig, WorldExit};
-use fl_snap::EpochCache;
+use fl_snap::{Epoch, EpochCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,7 +140,8 @@ pub struct CampaignResult {
 
 /// Counters of convergence-aware early termination: how many trials were
 /// ended at an epoch boundary because they had provably become the golden
-/// run again, and what proving it took. Sums over the trials this
+/// run again, what proving it took, and how many never had to start
+/// because their flip lands where nothing reads. Sums over the trials this
 /// process executed — resume-adopted slots contribute zero, like
 /// [`ExecStats`]. Every app forks and converges, the nondeterministic
 /// one included, so all-zero counters on a fresh campaign with epochs
@@ -155,6 +157,11 @@ pub struct ConvergeStats {
     /// deciding comparison and were excused because the golden run never
     /// reads them again.
     pub granules_excused: u64,
+    /// Trials recorded `correct` when they were drawn, before any guest
+    /// instruction ran: the flip lands in a register bit no instruction
+    /// can read or a static granule the golden run has read for the last
+    /// time. Disjoint from `trials_converged`.
+    pub decided_at_draw: u64,
 }
 
 impl ConvergeStats {
@@ -163,6 +170,19 @@ impl ConvergeStats {
         self.trials_converged += o.trials_converged;
         self.epoch_compares += o.epoch_compares;
         self.granules_excused += o.granules_excused;
+        self.decided_at_draw += o.decided_at_draw;
+    }
+
+    /// How the one trial these counters belong to ended, in words.
+    pub fn ended(&self) -> String {
+        match (self.decided_at_draw, self.trials_converged) {
+            (0, 0) => "ran to its end".to_string(),
+            (0, _) => format!(
+                "at epoch boundary, {} granules excused",
+                self.granules_excused
+            ),
+            _ => "decided at draw".to_string(),
+        }
     }
 }
 
@@ -252,7 +272,8 @@ pub(crate) struct TrialContext<'a> {
     /// What every trial world is configured from.
     cfg: CampaignConfig,
     /// End a forked trial at the first epoch boundary where it is
-    /// provably the golden run again. Implied by the configuration, not
+    /// provably the golden run again, or before it runs when its flip is
+    /// dead as drawn. Implied by the configuration, not
     /// configured: on whenever trials fork and record no events (an event
     /// timeline is the product, so those trials run on). Tests turn it
     /// off to compare against full execution.
@@ -309,7 +330,7 @@ impl<'a> TrialContext<'a> {
     /// the redundant fault-free suffix.
     pub(crate) fn run_trial(&self, class: TargetClass, trial_seed: u64) -> TrialRun {
         let app = self.app;
-        let (fault, detail) = draw_fault(
+        let (fault, detail, struck) = draw_fault(
             &self.golden,
             &self.dicts,
             class,
@@ -339,11 +360,17 @@ impl<'a> TrialContext<'a> {
         world.arm(fault);
 
         let mut converge = ConvergeStats::default();
-        let (outcome, insns) = match self.run_until_converged(&mut world, &mut converge) {
-            // From the boundary on the trial is the golden run: it ends
-            // clean with the golden output, and since its counters equal
-            // the golden run's at the boundary, with the golden
-            // instruction counts.
+        let ran = if self.dead_when_drawn(struck, rank, epoch) {
+            converge.decided_at_draw = 1;
+            None
+        } else {
+            self.run_until_converged(&mut world, &mut converge)
+        };
+        let (outcome, insns) = match ran {
+            // Decided at the draw or at a boundary, the trial is the
+            // golden run from there on: it ends clean with the golden
+            // output, and since its counters equal the golden run's at
+            // that point, with the golden instruction counts.
             None => (Manifestation::Correct, self.golden.insns.iter().sum()),
             Some(exit) => {
                 let output = app.comparable_output(&world);
@@ -364,6 +391,27 @@ impl<'a> TrialContext<'a> {
             world,
             converge,
         }
+    }
+
+    /// Does the drawn flip land where nothing reads again, so that the
+    /// trial is the golden run without executing an instruction? Under
+    /// the same condition as ending at a boundary (`converge`), for a
+    /// register bit no instruction can read ([`Cpu::can_read`]) and for a
+    /// static byte in a granule the golden run last read before `epoch`,
+    /// the checkpoint the trial forks from: flipped there instead of at
+    /// its fire point, the forked world would pass
+    /// [`EpochCache::converged`] on that very epoch with this one
+    /// granule excused, and the golden run may write the granule before
+    /// the fire point but never reads it after the fork.
+    fn dead_when_drawn(&self, struck: Struck, rank: u16, epoch: Option<&Epoch>) -> bool {
+        let forked = self.epochs.as_ref().zip(epoch).filter(|_| self.converge);
+        forked.is_some_and(|(epochs, e)| match struck {
+            Struck::Register(reg, bit) => !Cpu::can_read(reg, bit),
+            Struck::Static(addr) => epochs
+                .boundary_at(e.round)
+                .is_some_and(|j| epochs.stamps(rank).get(addr) as usize <= j),
+            Struck::AtFire => false,
+        })
     }
 
     /// Run an armed trial world to its exit — or, when early termination
@@ -414,6 +462,7 @@ pub fn replay_trial(
         record: run.record,
         rank: run.rank,
         insns: run.insns,
+        converge: run.converge,
         streams: run.world.event_streams(),
     }
 }
@@ -450,15 +499,15 @@ impl Dictionaries {
 /// draw the *identical* fault (the RNG is consumed before any world
 /// exists), which is what makes per-trial guard-off/guard-on coverage
 /// comparison meaningful. Returns the armable fault (a machine fault's
-/// action is a boxed closure, so every world wants its own draw) and
-/// its human-readable record detail.
+/// action is a boxed closure, so every world wants its own draw), its
+/// human-readable record detail, and what the flip strikes.
 pub(crate) fn draw_fault(
     golden: &Golden,
     dicts: &Dictionaries,
     class: TargetClass,
     trial_seed: u64,
     nranks: u16,
-) -> (Fault, String) {
+) -> (Fault, String, Struck) {
     let mut rng = StdRng::seed_from_u64(trial_seed);
     let rank = rng.gen_range(0..nranks);
 
@@ -470,11 +519,12 @@ pub(crate) fn draw_fault(
             (
                 Fault::flip(rank, off, bit).into(),
                 format!("rank {rank} recv byte {off} bit {bit}"),
+                Struck::AtFire,
             )
         }
         _ => {
             let at_insns = rng.gen_range(1..golden.insns[rank as usize].max(2));
-            let (action, detail): (Action, String) = match class {
+            let (action, detail, struck): (Action, String, Struck) = match class {
                 TargetClass::RegularReg | TargetClass::FpReg => {
                     let regs = if class == TargetClass::RegularReg {
                         regular_registers()
@@ -488,6 +538,7 @@ pub(crate) fn draw_fault(
                             m.flip_register_bit(reg, bit);
                         }),
                         format!("{reg} bit {bit}"),
+                        Struck::Register(reg, bit),
                     )
                 }
                 TargetClass::Text | TargetClass::Data | TargetClass::Bss => {
@@ -501,6 +552,7 @@ pub(crate) fn draw_fault(
                             m.flip_mem_bit(addr, bit);
                         }),
                         format!("{} {addr:#010x} bit {bit}", class.label()),
+                        Struck::Static(addr),
                     )
                 }
                 TargetClass::Heap => {
@@ -513,6 +565,7 @@ pub(crate) fn draw_fault(
                             }
                         }),
                         format!("heap draw {r1:#x} bit {bit}"),
+                        Struck::AtFire,
                     )
                 }
                 TargetClass::Stack => {
@@ -525,6 +578,7 @@ pub(crate) fn draw_fault(
                             }
                         }),
                         format!("stack draw {r:#x} bit {bit}"),
+                        Struck::AtFire,
                     )
                 }
                 TargetClass::Message => unreachable!(),
@@ -541,9 +595,22 @@ pub(crate) fn draw_fault(
             (
                 Fault::new(rank, at_insns, Effect::Action { action, period }),
                 format!("rank {rank} t={at_insns}: {detail}"),
+                struck,
             )
         }
     }
+}
+
+/// What a drawn bit flip strikes, as far as the draw alone says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Struck {
+    /// This bit of this register.
+    Register(RegisterName, u32),
+    /// The text, data or bss byte at this address.
+    Static(u32),
+    /// Settled only when the fault fires: the heap chunk or stack frame
+    /// live then, or the message on the wire.
+    AtFire,
 }
 
 /// A finished trial before teardown: the record, the victim rank, the
@@ -741,31 +808,45 @@ mod tests {
         assert_eq!(output_a, output_b);
     }
 
+    /// Per class: trials ended without running to their end (at a
+    /// boundary or at the draw), those of them decided at the draw, and
+    /// trials that ended `correct` either way.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Ends {
+        early: u32,
+        at_draw: u32,
+        correct: u32,
+    }
+
     /// The verify property: take every trial of an eight-class campaign
-    /// that the rule ends early and run it on anyway. It must finish
-    /// clean, with the golden output and the golden per-rank counters —
-    /// which is what its record already claimed. Returns, per class, how
-    /// many trials ended early and how many ended `correct` either way,
-    /// and how many ended at the first boundary they were compared at.
-    fn verify_early_ends(app: &App, cfg: &CampaignConfig) -> ([(u32, u32); 8], u32) {
+    /// that the rule ends early — at an epoch boundary or before it ran
+    /// at all — and run it on anyway. It must finish clean, with the
+    /// golden output and the golden per-rank counters — which is what its
+    /// record already claimed. Returns the per-class counts and how many
+    /// trials ended at the first boundary they were compared at.
+    fn verify_early_ends(app: &App, cfg: &CampaignConfig) -> ([Ends; 8], u32) {
         let ctx = TrialContext::build(app, cfg);
         let golden_total: u64 = ctx.golden.insns.iter().sum();
-        let mut per_class = [(0, 0); 8];
+        let mut per_class = [Ends::default(); 8];
         let mut at_first = 0;
         for (ci, &class) in TargetClass::ALL.iter().enumerate() {
-            let (ended, correct) = &mut per_class[ci];
+            let ends = &mut per_class[ci];
             for k in 0..cfg.injections {
                 let run = ctx.run_trial(class, trial_seed(cfg.seed, ci, k));
-                *correct += (run.record.outcome == Manifestation::Correct) as u32;
-                if run.converge.trials_converged == 0 {
+                ends.correct += (run.record.outcome == Manifestation::Correct) as u32;
+                let c = run.converge;
+                if c.trials_converged + c.decided_at_draw == 0 {
                     continue;
                 }
-                *ended += 1;
-                at_first += (run.converge.epoch_compares == 1) as u32;
+                ends.early += 1;
+                ends.at_draw += c.decided_at_draw as u32;
+                at_first += (c.epoch_compares == 1) as u32;
                 assert_eq!(run.record.outcome, Manifestation::Correct);
                 assert_eq!(run.insns, golden_total);
                 let what = format!("{} {class} trial {k}: {}", app.kind, run.record.detail);
+                assert_eq!(c.decided_at_draw == 1, c.epoch_compares == 0, "{what}");
                 let mut w = run.world;
+                assert_eq!(w.fault_pending(), c.decided_at_draw == 1, "{what}");
                 assert_eq!(w.run(), WorldExit::Clean, "{what}");
                 assert_eq!(app.comparable_output(&w), ctx.golden.output, "{what}");
                 for r in 0..app.params.nranks {
@@ -776,6 +857,14 @@ mod tests {
             }
         }
         (per_class, at_first)
+    }
+
+    /// Text, data and bss: the classes whose flips can be decided by the
+    /// read stamps when they are drawn.
+    fn static_classes() -> impl Iterator<Item = usize> {
+        let is_static =
+            |c: &TargetClass| matches!(c, TargetClass::Text | TargetClass::Data | TargetClass::Bss);
+        (0..8).filter(move |&i| is_static(&TargetClass::ALL[i]))
     }
 
     #[test]
@@ -796,8 +885,13 @@ mod tests {
                 fastpath,
                 ..Default::default()
             };
-            let ended: u32 = verify_early_ends(&app, &cfg).0.iter().map(|c| c.0).sum();
+            let (per_class, _) = verify_early_ends(&app, &cfg);
+            let ended: u32 = per_class.iter().map(|c| c.early).sum();
             assert!(ended >= 30, "{kind}: only {ended} of 80 trials ended early");
+            for i in static_classes() {
+                let (class, ends) = (TargetClass::ALL[i], per_class[i]);
+                assert!(ends.at_draw >= 1, "{kind} {class}: {ends:?}");
+            }
         }
     }
 
@@ -807,7 +901,7 @@ mod tests {
     #[test]
     #[ignore = "paper-size sweep, run on demand"]
     fn early_ended_trials_are_the_golden_run_at_paper_size() {
-        let mut total = [(0, 0); 8];
+        let mut total = [Ends::default(); 8];
         for base in [20_040_611u64, 19_970_523, 20_041_611, 20_042_611] {
             // Spec order and sizes of `tables_det`, then of `tables_nondet`.
             for (kind, i, injections) in [
@@ -823,21 +917,36 @@ mod tests {
                     ..Default::default()
                 };
                 let (per_class, at_first) = verify_early_ends(&app, &cfg);
-                let ended: u32 = per_class.iter().map(|c| c.0).sum();
-                let correct: u32 = per_class.iter().map(|c| c.1).sum();
+                let sum = |f: fn(&Ends) -> u32| per_class.iter().map(f).sum::<u32>();
                 println!(
-                    "{kind} seed {}: {ended} of {correct} correct trials ({} run) \
-                     ended early ({at_first} at the first boundary), all verified",
+                    "{kind} seed {}: {} of {} correct trials ({} run) ended early \
+                     ({} at the draw, {at_first} at the first boundary), all verified",
                     cfg.seed,
-                    8 * injections
+                    sum(|e| e.early),
+                    sum(|e| e.correct),
+                    8 * injections,
+                    sum(|e| e.at_draw),
                 );
                 for (t, c) in total.iter_mut().zip(per_class) {
-                    *t = (t.0 + c.0, t.1 + c.1);
+                    t.early += c.early;
+                    t.at_draw += c.at_draw;
+                    t.correct += c.correct;
                 }
             }
         }
-        for (class, (ended, correct)) in TargetClass::ALL.iter().zip(total) {
-            println!("{class}: {ended} of {correct} correct trials ended early");
+        for (class, t) in TargetClass::ALL.iter().zip(total) {
+            println!(
+                "{class}: {} of {} correct trials ended early, {} of them at the draw",
+                t.early, t.correct, t.at_draw
+            );
+        }
+        for i in static_classes() {
+            assert!(
+                total[i].at_draw >= 1,
+                "{}: {:?}",
+                TargetClass::ALL[i],
+                total[i]
+            );
         }
     }
 
@@ -867,8 +976,8 @@ mod tests {
         let ctx = TrialContext::build(&moldyn, &CampaignConfig::default());
         let ended = (0..6)
             .map(|k| ctx.run_trial(TargetClass::Bss, trial_seed(3, 0, k)))
-            .filter(|run| run.converge.trials_converged == 1)
+            .filter(|run| run.converge.trials_converged + run.converge.decided_at_draw == 1)
             .count();
-        assert!(ended > 0, "no moldyn bss trial ended at an epoch boundary");
+        assert!(ended > 0, "no moldyn bss trial ended early");
     }
 }

@@ -1133,7 +1133,8 @@ mod tests {
             (r.converge, sink.into_lines())
         };
         let (one, lines) = run(1, None);
-        assert!(one.trials_converged >= 10, "{one:?}");
+        assert!(one.trials_converged + one.decided_at_draw >= 10, "{one:?}");
+        assert!(one.decided_at_draw >= 1, "{one:?}");
         assert!(one.epoch_compares >= one.trials_converged);
         // Unlike the exec-cache counters these do not depend on who ran
         // what: they are sums of per-trial constants.

@@ -721,7 +721,7 @@ impl<'a> Env<'a> {
                     Some(ctx) => &ctx.dicts,
                     None => self.dicts.as_ref().expect("built for Draw::Bit rows"),
                 };
-                let (fault, detail) = draw_fault(golden, dicts, class, seed, nranks);
+                let (fault, detail, _) = draw_fault(golden, dicts, class, seed, nranks);
                 (vec![fault], detail)
             }
             Draw::Kill => {

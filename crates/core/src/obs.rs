@@ -44,6 +44,9 @@ pub struct TrialTrace {
     pub rank: u16,
     /// Guest instructions retired across all ranks by trial end.
     pub insns: u64,
+    /// What early termination did to this one trial
+    /// ([`ConvergeStats::ended`] says it in words).
+    pub converge: ConvergeStats,
     /// Retained events per rank (index = rank), oldest first.
     pub streams: Vec<Vec<Event>>,
 }
@@ -385,8 +388,8 @@ impl CampaignMetrics {
 /// stay byte-identical across the trace, block, and slow paths.
 pub fn exec_cache_tsv(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String {
     format!(
-        "# exec_cache\tapp\tblock_hits\tblock_misses\ttrace_hits\ttrace_side_exits\tdemotions\ttrials_converged\tepoch_compares\tgranules_excused\n\
-         # exec_cache\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        "# exec_cache\tapp\tblock_hits\tblock_misses\ttrace_hits\ttrace_side_exits\tdemotions\ttrials_converged\tepoch_compares\tgranules_excused\tdecided_at_draw\n\
+         # exec_cache\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
         app.name(),
         s.block_hits,
         s.block_misses,
@@ -396,6 +399,7 @@ pub fn exec_cache_tsv(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String 
         c.trials_converged,
         c.epoch_compares,
         c.granules_excused,
+        c.decided_at_draw,
     )
 }
 
@@ -403,7 +407,7 @@ pub fn exec_cache_tsv(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String 
 /// `"telemetry"` discriminator so class-row consumers can skip it.
 pub fn exec_cache_jsonl(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String {
     format!(
-        "{{\"telemetry\":\"exec_cache\",\"app\":\"{}\",\"block_hits\":{},\"block_misses\":{},\"trace_hits\":{},\"trace_side_exits\":{},\"demotions\":{},\"trials_converged\":{},\"epoch_compares\":{},\"granules_excused\":{}}}\n",
+        "{{\"telemetry\":\"exec_cache\",\"app\":\"{}\",\"block_hits\":{},\"block_misses\":{},\"trace_hits\":{},\"trace_side_exits\":{},\"demotions\":{},\"trials_converged\":{},\"epoch_compares\":{},\"granules_excused\":{},\"decided_at_draw\":{}}}\n",
         app.name(),
         s.block_hits,
         s.block_misses,
@@ -413,6 +417,7 @@ pub fn exec_cache_jsonl(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> Strin
         c.trials_converged,
         c.epoch_compares,
         c.granules_excused,
+        c.decided_at_draw,
     )
 }
 

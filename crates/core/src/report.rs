@@ -418,7 +418,7 @@ mod tests {
         assert!(telem.jsonl().contains("\"block_hits\":"));
         assert!(telem
             .tsv()
-            .contains("\ttrials_converged\tepoch_compares\tgranules_excused\n"));
+            .contains("\ttrials_converged\tepoch_compares\tgranules_excused\tdecided_at_draw\n"));
         assert!(telem
             .jsonl()
             .contains("\"trials_converged\":0,\"epoch_compares\":0"));

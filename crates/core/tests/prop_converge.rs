@@ -11,7 +11,7 @@
 use fl_apps::{App, AppKind, AppParams};
 use fl_inject::{
     run_campaign_engine, run_campaign_engine_to_completion, sort_records_jsonl, CampaignConfig,
-    CampaignResult, CompletedSlots, EngineControl, TargetClass, VecSink,
+    CampaignResult, CompletedSlots, ConvergeStats, EngineControl, TargetClass, VecSink,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -95,7 +95,7 @@ proptest! {
 
         let (full_lines, full) =
             run(run_campaign_engine_to_completion, app, &classes, &cfg, None);
-        prop_assert_eq!(full.converge.epoch_compares, 0, "reference ran on: {}", &what);
+        prop_assert_eq!(full.converge, ConvergeStats::default(), "reference ran on: {}", &what);
         let (lines, ended) = run(run_campaign_engine, app, &classes, &cfg, None);
 
         prop_assert_eq!(canonical(&lines), canonical(&full_lines), "records: {}", &what);
@@ -148,12 +148,13 @@ fn termination_actually_happens() {
             } else {
                 1
             };
+            let ended = r.converge.trials_converged + r.converge.decided_at_draw;
             assert!(
-                r.converge.trials_converged >= floor,
+                ended >= floor,
                 "{kind} every {epoch_rounds}: {:?} of {correct} correct",
                 r.converge
             );
-            assert!(r.converge.trials_converged <= correct as u64);
+            assert!(ended <= correct as u64);
         }
     }
 }

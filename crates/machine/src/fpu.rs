@@ -15,8 +15,13 @@
 //!   read, so faults in them are harmless — exactly what the paper found.
 //! * Stack overflow/underflow produce the x87 "indefinite" QNaN rather
 //!   than trapping (masked exceptions, the Linux default).
+//!
+//! What an instruction can *read* of this state is narrower than what it
+//! holds — TOP, which slots are empty, and the contents of the non-empty
+//! ones; `observable.rs` states that readable set, once.
 
 use crate::f80::{F80Class, F80};
+use fl_isa::FpuSpecial;
 
 /// Tag values, as encoded in TWD (two bits per register).
 pub const TAG_VALID: u16 = 0;
@@ -168,6 +173,19 @@ impl Fpu {
         let ti = self.tag(pi);
         self.set_tag(p0, ti);
         self.set_tag(pi, t0);
+    }
+
+    /// The value of special register `s`, zero-extended.
+    pub fn special(&self, s: FpuSpecial) -> u32 {
+        match s {
+            FpuSpecial::Cwd => self.cwd as u32,
+            FpuSpecial::Swd => self.swd as u32,
+            FpuSpecial::Twd => self.twd as u32,
+            FpuSpecial::Fip => self.fip,
+            FpuSpecial::Fcs => self.fcs as u32,
+            FpuSpecial::Foo => self.foo,
+            FpuSpecial::Fos => self.fos as u32,
+        }
     }
 
     /// Number of non-empty stack slots (used by tests and the register

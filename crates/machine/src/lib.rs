@@ -29,6 +29,7 @@ pub mod layout;
 pub mod machine;
 pub mod malloc;
 pub mod mem;
+mod observable;
 pub mod stackwalk;
 
 pub use f80::{F80Class, F80};

@@ -2634,17 +2634,7 @@ impl Machine {
                 }
             }
             RegisterName::FpuSpecial(s) => {
-                let f = &self.cpu.fpu;
-                let v: u32 = match s {
-                    fl_isa::FpuSpecial::Cwd => f.cwd as u32,
-                    fl_isa::FpuSpecial::Swd => f.swd as u32,
-                    fl_isa::FpuSpecial::Twd => f.twd as u32,
-                    fl_isa::FpuSpecial::Fip => f.fip,
-                    fl_isa::FpuSpecial::Fcs => f.fcs as u32,
-                    fl_isa::FpuSpecial::Foo => f.foo,
-                    fl_isa::FpuSpecial::Fos => f.fos as u32,
-                };
-                v >> (bit % reg.width_bits()) & 1 == 1
+                self.cpu.fpu.special(s) >> (bit % reg.width_bits()) & 1 == 1
             }
         };
         if current != value {
@@ -2714,10 +2704,11 @@ impl Machine {
 
     /// Is this process the golden run's process at epoch boundary `k`
     /// again? Every piece of architectural state must equal `snap`
-    /// exactly, except memory granules the golden run never reads after
-    /// the boundary (see [`Memory::converged_on`]); returns how many of
-    /// those were excused. Decoded-code caches and telemetry are not
-    /// state and are not compared.
+    /// exactly, except CPU bits no instruction can read
+    /// ([`Cpu::observably_eq`]) and memory granules the golden run never
+    /// reads after the boundary (see [`Memory::converged_on`]); returns
+    /// how many of those granules were excused. Decoded-code caches and
+    /// telemetry are not state and are not compared.
     pub fn converged_on(&self, snap: &MachineSnapshot, stamps: &ReadStamps, k: u32) -> Option<u64> {
         // Destructured so a new field cannot be left out silently.
         let Machine {
@@ -2742,7 +2733,7 @@ impl Machine {
             stall_insns,
         } = self;
         let same = *counters == snap.counters
-            && *cpu == snap.cpu
+            && cpu.observably_eq(&snap.cpu)
             && *in_mpi == snap.in_mpi
             && *budget == snap.budget
             && *text_end == snap.text_end

@@ -4,8 +4,11 @@
 //! one of the defined exits (halt, signal, abort, trap, budget), never in
 //! UB or a crash of the simulator itself.
 
-use fl_isa::{Gpr, RegisterName};
-use fl_machine::{Exit, Machine, MachineConfig, ProgramImage, F80, TEXT_BASE};
+use fl_isa::{FpuSpecial, Gpr, Opcode, RegisterName};
+use fl_machine::fpu::TAG_EMPTY;
+use fl_machine::{
+    Cpu, Exit, Fpu, Machine, MachineConfig, ProgramImage, ReadStamps, F80, TEXT_BASE,
+};
 use proptest::prelude::*;
 
 /// A hand-assembled program: a counted loop with frame, FPU use and
@@ -79,8 +82,229 @@ fn image_from_bytes(text: Vec<u8>) -> ProgramImage {
     }
 }
 
+/// Every register the injector can name, with the width of the field
+/// behind it (`flip_register_bit` wraps a bit index at that width).
+fn all_registers() -> Vec<(RegisterName, u32)> {
+    let special = |s| match s {
+        FpuSpecial::Fip | FpuSpecial::Foo => 32,
+        _ => 16,
+    };
+    let gprs = Gpr::ALL.iter().map(|&g| (RegisterName::Gpr(g), 32));
+    gprs.chain([(RegisterName::Eip, 32), (RegisterName::Eflags, 32)])
+        .chain((0..8).map(|i| (RegisterName::St(i), 80)))
+        .chain(FpuSpecial::ALL.map(|s| (RegisterName::FpuSpecial(s), special(s))))
+        .collect()
+}
+
+/// An FPU in an arbitrary state — tags need not match values, as after
+/// an injection.
+fn noisy_fpu(noise: &[u64]) -> Fpu {
+    let mut f = Fpu::new();
+    for (p, r) in f.regs.iter_mut().enumerate() {
+        *r = F80::from_bits(
+            noise[p],
+            (noise[8] >> (8 * p)) as u16 ^ (noise[9] >> p) as u16,
+        );
+    }
+    // Half the tag pairs forced empty, so both kinds of slot occur.
+    let empties = (0..8).fold(0u16, |m, p| {
+        m | ((noise[10] >> p & 1) as u16 * 3) << (2 * p)
+    });
+    f.twd = noise[10].rotate_right(8) as u16 | empties;
+    f.cwd = noise[11] as u16;
+    f.swd = (noise[11] >> 16) as u16;
+    f.fip = (noise[11] >> 32) as u32;
+    f.fcs = noise[12] as u16;
+    f.foo = (noise[12] >> 16) as u32;
+    f.fos = (noise[12] >> 48) as u16;
+    f
+}
+
+/// Change everything about `cpu` an instruction cannot read, as `noise`
+/// says: the bits [`Cpu::can_read`] denies, the contents of empty x87
+/// slots, and which non-empty class a non-empty tag names.
+fn scramble_unreadable(cpu: &mut Cpu, noise: &[u64]) {
+    let was = cpu.clone();
+    let mut m = Machine::load(&image_from_bytes(vec![0; 4]), MachineConfig::default());
+    m.cpu = was.clone();
+    for (i, (reg, width)) in all_registers().into_iter().enumerate() {
+        for bit in (0..width).filter(|&b| !Cpu::can_read(reg, b)) {
+            if noise[i % noise.len()] >> (bit % 64) & 1 == 1 {
+                m.flip_register_bit(reg, bit);
+            }
+        }
+    }
+    let f = &mut m.cpu.fpu;
+    for p in 0..8 {
+        let n = noise[(p + 3) % noise.len()];
+        if f.tag(p) == TAG_EMPTY {
+            f.regs[p] = F80::from_bits(n, (n >> 23) as u16);
+        } else {
+            f.twd = f.twd & !(3 << (2 * p)) | ((n % 3) as u16) << (2 * p);
+        }
+    }
+    *cpu = m.cpu;
+    assert!(cpu.observably_eq(&was), "scrambling touched a readable bit");
+}
+
+/// One instruction of opcode `op` with arbitrary operand fields, then
+/// `halt`s. Registers and the immediate point mostly at mapped memory
+/// and displacements are short, so that most loads, stores, pushes,
+/// calls and returns go through instead of faulting.
+fn one_insn_machine(op: Opcode, fields: u32, imm: u32, noise: &[u64], fastpath: bool) -> Machine {
+    // aux12: a syscall number in 0..40 (every defined one and a few
+    // undefined), else a displacement in -32..32.
+    let aux = match op {
+        Opcode::Sys => (fields >> 20) % 40,
+        _ => ((fields >> 20) % 64).wrapping_sub(32) & 0xfff,
+    };
+    let word = op as u32 | fields & 0x000f_ff00 | aux << 20;
+    let halt = fl_isa::encode(&fl_isa::Insn::Halt).to_bytes();
+    let probe = image_from_bytes(vec![0; 64]);
+    let frame = Machine::load(&probe, MachineConfig::default())
+        .cpu
+        .get(Gpr::Esp)
+        - 4096;
+    let somewhere = |n: u64| match n % 4 {
+        0 => probe.data_base() + 32 + (n >> 8) as u32 % 184,
+        1 => frame + ((n >> 8) as u32 % 64) * 4,
+        2 => TEXT_BASE + ((n >> 8) as u32 % 8) * 4,
+        _ => (n >> 8) as u32,
+    };
+    let mut text = word.to_le_bytes().to_vec();
+    if op.has_imm_word() {
+        text.extend(somewhere(imm as u64 | noise[13] << 32).to_le_bytes());
+    }
+    for _ in 0..16 {
+        text.extend(&halt);
+    }
+    let cfg = MachineConfig {
+        budget: 12,
+        fastpath,
+        ..Default::default()
+    };
+    let mut m = Machine::load(&image_from_bytes(text), cfg);
+    for (i, g) in Gpr::ALL.into_iter().enumerate() {
+        m.cpu.set(g, somewhere(noise[i].rotate_left(7)));
+    }
+    if !noise[14].is_multiple_of(4) {
+        // A frame whose return address and saved EBP lead somewhere.
+        m.cpu.set(Gpr::Esp, frame);
+        m.cpu.set(Gpr::Ebp, frame + 32);
+        m.poke_mem(frame, &(TEXT_BASE + 8).to_le_bytes());
+        m.poke_mem(frame + 36, &(TEXT_BASE + 12).to_le_bytes());
+    }
+    m.cpu.eflags = noise[14].rotate_left(32) as u32;
+    m.cpu.fpu = noisy_fpu(noise);
+    m
+}
+
+fn run_to_exit(m: &mut Machine) -> Exit {
+    loop {
+        let e = m.run(5);
+        if e != Exit::Quantum {
+            return e;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Non-interference, the soundness of [`Cpu::observably_eq`]: nothing
+    /// an instruction cannot read influences what it does. For every
+    /// opcode, with arbitrary operands and machine state, on the
+    /// per-instruction path and on the block path: two machines equal in
+    /// memory and in every readable CPU bit, different in the unreadable
+    /// ones, reach the same exit (signal and address, syscall number)
+    /// with the same memory, console, output file, heap records and
+    /// counters, and CPUs that are again equal in every readable bit —
+    /// syscall arguments, which are GPRs, included.
+    #[test]
+    fn unreadable_cpu_state_never_interferes(
+        fields in proptest::collection::vec(any::<u32>(), 2 * Opcode::ALL.len()),
+        noise in proptest::collection::vec(any::<u64>(), 16),
+        scramble in proptest::collection::vec(any::<u64>(), 12),
+    ) {
+        for (i, op) in Opcode::ALL.into_iter().enumerate() {
+            for fastpath in [false, true] {
+                let mut a = one_insn_machine(op, fields[2 * i], fields[2 * i + 1], &noise, fastpath);
+                let mut b = a.snapshot().to_machine();
+                scramble_unreadable(&mut b.cpu, &scramble);
+                let (exit_a, exit_b) = (run_to_exit(&mut a), run_to_exit(&mut b));
+                prop_assert_eq!(&exit_a, &exit_b, "{:?} fastpath {}", op, fastpath);
+                // Everything but the CPU exactly, no granule excused; the
+                // CPU up to what can be read.
+                let same = b.converged_on(&a.snapshot(), &ReadStamps::default(), 0);
+                prop_assert_eq!(same, Some(0), "{:?} fastpath {} -> {:?}", op, fastpath, exit_a);
+                if fastpath {
+                    let dispatched = a.exec_stats.block_hits + a.exec_stats.block_misses;
+                    prop_assert!(dispatched > 0, "{:?} never took the block path", op);
+                }
+            }
+        }
+    }
+
+    /// The same for the x87 stack operations every FPU instruction is
+    /// made of: equal answers, and states equal in every readable bit.
+    #[test]
+    fn fpu_stack_ops_read_only_the_readable(
+        noise in proptest::collection::vec(any::<u64>(), 16),
+        scramble in proptest::collection::vec(any::<u64>(), 12),
+        ops in proptest::collection::vec((0u8..5, 0u8..8, any::<u64>()), 1..24),
+    ) {
+        let mut cpu = Machine::load(&image_from_bytes(vec![0; 4]), MachineConfig::default()).cpu;
+        cpu.fpu = noisy_fpu(&noise);
+        let mut twin = cpu.clone();
+        scramble_unreadable(&mut twin, &scramble);
+        let (a, b) = (&mut cpu.fpu, &mut twin.fpu);
+        for (op, i, bits) in ops {
+            let v = F80::from_bits(bits, (bits >> 29) as u16);
+            match op {
+                0 => { a.push(v); b.push(v) }
+                1 => prop_assert_eq!(a.pop(), b.pop()),
+                2 => prop_assert_eq!(a.read_st(i), b.read_st(i)),
+                3 => { a.write_st(i, v); b.write_st(i, v) }
+                _ => { a.fxch(i); b.fxch(i) }
+            }
+            prop_assert!(a.observably_eq(b), "after op {} on st{}", op, i);
+        }
+    }
+
+    /// The table and the compare agree, bit by bit: a flip the table
+    /// calls unreadable is invisible to `observably_eq`; a flip of a GPR,
+    /// EIP, condition-flag or TOP bit is visible; a data-register flip is
+    /// visible iff the slot is not empty, and a tag flip iff it changes
+    /// whether the slot is.
+    #[test]
+    fn readable_table_agrees_with_the_compare(
+        noise in proptest::collection::vec(any::<u64>(), 16),
+    ) {
+        let mut m = Machine::load(&image_from_bytes(vec![0; 4]), MachineConfig::default());
+        for (i, g) in Gpr::ALL.into_iter().enumerate() {
+            m.cpu.set(g, noise[i] as u32);
+        }
+        m.cpu.eflags = noise[14] as u32;
+        m.cpu.fpu = noisy_fpu(&noise);
+        let before = m.cpu.clone();
+        let empty = |cpu: &Cpu, p: usize| cpu.fpu.tag(p) == TAG_EMPTY;
+        for (reg, width) in all_registers() {
+            for bit in 0..width {
+                m.flip_register_bit(reg, bit);
+                let visible = Cpu::can_read(reg, bit) && match reg {
+                    RegisterName::St(p) => !empty(&before, p as usize),
+                    RegisterName::FpuSpecial(FpuSpecial::Twd) => {
+                        let p = bit as usize / 2;
+                        empty(&before, p) != empty(&m.cpu, p)
+                    }
+                    _ => true,
+                };
+                prop_assert_eq!(!m.cpu.observably_eq(&before), visible, "{} bit {}", reg, bit);
+                m.flip_register_bit(reg, bit);
+                prop_assert_eq!(&m.cpu, &before);
+            }
+        }
+    }
 
     /// Arbitrary bytes as text: the machine must terminate with a defined
     /// exit, never panic.

@@ -901,10 +901,18 @@ impl MpiWorld {
         stamps: &[fl_machine::ReadStamps],
         k: u32,
     ) -> Option<u64> {
-        let mut world = self.st.clone();
-        world.plan.hit = snap.st.plan.hit;
+        // Only a world whose wire fault struck differs in `hit`, and only
+        // it pays for a copy to compare the rest; the derived `==` cannot
+        // skip a field.
+        let same = if self.st.plan.hit == snap.st.plan.hit {
+            self.st == snap.st
+        } else {
+            let mut world = self.st.clone();
+            world.plan.hit = snap.st.plan.hit;
+            world == snap.st
+        };
         if self.injection.is_some()
-            || world != snap.st
+            || !same
             || self.ranks.len() != snap.ranks.len()
             || self.ranks.len() != stamps.len()
         {
