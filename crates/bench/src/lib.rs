@@ -5,13 +5,13 @@
 //! list under `results/specs/`, run by `faultlab run-config`. What a
 //! spec cannot state yet has a binary here (profiles, working-set traces,
 //! the §6.2 message analysis, the design-choice ablations, fault-duration
-//! models, ULFM coverage), next to the Criterion benchmarks. Every binary
-//! prints its table to stdout and, when a `results/` directory exists at
-//! the workspace root, writes a copy there.
+//! models, ULFM coverage). Every binary prints its table to stdout and,
+//! when a `results/` directory exists at the workspace root, writes a
+//! copy there. Timings are not taken here: `benchmark/` at the workspace
+//! root is the one harness that measures.
 //!
 //! ```sh
 //! scripts/regenerate-results.sh     # every committed results/* file
-//! cargo bench -p fl-bench           # perf + ablations
 //! ```
 
 use fl_apps::{App, AppKind, AppParams};

@@ -1,8 +1,8 @@
 //! The campaign engine: spec → scheduler → worker pool → record sink.
 //!
 //! Before this module existed every campaign flavour (plain, coverage,
-//! ft) owned a private driver loop: an atomic cursor, a crossbeam
-//! scope, a slot-addressed record vector. The engine extracts that loop
+//! ft) owned a private driver loop: an atomic cursor, a thread scope,
+//! a slot-addressed record vector. The engine extracts that loop
 //! into one place and adds the three capabilities the campaign service
 //! needs:
 //!
@@ -259,13 +259,13 @@ pub(crate) fn run_pool<T: Send>(
         acc += n;
     }
     let sched = Scheduler::new(total, threads);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for me in 0..threads {
             let sched = &sched;
             let slots = &slots;
             let exec = &exec;
             let offsets = &offsets;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 while control.proceed() {
                     let Some(flat) = sched.claim(me) else {
                         break;
@@ -288,8 +288,7 @@ pub(crate) fn run_pool<T: Send>(
                 }
             });
         }
-    })
-    .expect("campaign worker panicked");
+    });
     let slots = slots.into_inner().unwrap();
     let complete = slots.iter().flatten().all(|s| s.is_some());
     (slots, complete)
@@ -885,18 +884,17 @@ mod tests {
     fn scheduler_hands_out_every_slot_exactly_once() {
         let sched = Scheduler::new(100, 4);
         let seen = Mutex::new(vec![0u32; 100]);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for me in 0..4 {
                 let sched = &sched;
                 let seen = &seen;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     while let Some(k) = sched.claim(me) {
                         seen.lock().unwrap()[k as usize] += 1;
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(sched.remaining(), 0);
         assert!(seen.lock().unwrap().iter().all(|&n| n == 1));
     }
@@ -1103,8 +1101,8 @@ mod tests {
         control.pause();
         assert_eq!(control.state(), RunState::Paused);
         let done = AtomicU64::new(0);
-        crossbeam::thread::scope(|s| {
-            s.spawn(|_| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
                 let (_, complete) = run_pool(&[8], 2, &control, |_, k| {
                     done.fetch_add(1, Ordering::Relaxed);
                     k
@@ -1115,8 +1113,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(50));
             assert_eq!(done.load(Ordering::Relaxed), 0);
             control.resume();
-        })
-        .unwrap();
+        });
         assert_eq!(done.load(Ordering::Relaxed), 8);
     }
 

@@ -65,42 +65,33 @@ pub mod suggest;
 pub mod target;
 
 pub use campaign::{
-    replay_trial, trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats,
-    Dictionaries, TrialRecord,
+    replay_trial, trial_seed, CampaignConfig, CampaignResult, ConvergeStats, Dictionaries,
 };
-pub use chaos::{draw_chaos, syscall_counts, ChaosPolicy, Defense, SyscallCounts};
+pub use chaos::{ChaosPolicy, Defense};
 pub use engine::{
     parse_record_line, record_line, run_campaign, run_campaign_engine,
-    run_campaign_engine_to_completion, run_spec, sort_records_jsonl, Aux, CompletedSlots,
-    EngineControl, EngineRun, EngineSink, NullSink, RunState, SlotPlan, SpecOutcome, TrialOutput,
-    VecSink,
+    run_campaign_engine_to_completion, run_spec, sort_records_jsonl, CompletedSlots, EngineControl,
+    EngineRun, EngineSink, NullSink, SpecOutcome, TrialOutput, VecSink,
 };
-pub use faultmodel::{compare_models, run_model_trial, FaultModel};
+pub use faultmodel::{compare_models, FaultModel};
 pub use fl_ft::{
-    ft_config, run_app, run_replicated, run_respawn, run_shrink, shrink, ulfm_config, FtMode,
-    FtPolicy, FtReport,
+    run_app, run_replicated, run_respawn, run_shrink, shrink, ulfm_config, FtMode, FtPolicy,
+    FtReport,
 };
 pub use fl_guard::{run_guarded, GuardPolicy, GuardReport};
 pub use ft::draw_kill;
-pub use matrix::{
-    run_matrix, Cell, ContractCheck, MatrixMode, MatrixResult, MatrixTrial, TransitionMatrix,
-};
-pub use obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, TrialTrace};
+pub use matrix::{Cell, MatrixResult};
+pub use obs::TrialTrace;
 pub use outcome::{classify, Manifestation, Tally};
-pub use perturb::{classify_perturb, draw_perturb, Detection, PerturbPolicy};
+pub use perturb::{Detection, PerturbPolicy};
 pub use progress::{
     EngineProgress, ProgressMonitor, ProgressSample, ProgressVerdict, StderrProgress,
 };
-pub use regpressure::{analyze_image, render_register_pressure, RegisterPressure};
+pub use regpressure::render_register_pressure;
 pub use report::{
-    join_reports, register_breakdown, render_register_breakdown, render_table, render_tsv,
-    MetricsReport, Report, ReportFormat,
+    join_reports, render_register_breakdown, render_tsv, MetricsReport, Report, ReportFormat,
 };
-pub use sampling::{confidence_interval, estimation_error, sample_size, z_value};
-pub use ser::{application_corruptions_per_run, SerModel};
+pub use sampling::{estimation_error, sample_size};
 pub use spec::{CampaignSpec, SpecMode};
 pub use suggest::suggest;
-pub use target::{
-    fp_registers, regular_registers, resolve_heap_target, resolve_stack_target, FaultDictionary,
-    TargetClass,
-};
+pub use target::{resolve_heap_target, TargetClass};

@@ -488,6 +488,27 @@ mod tests {
     }
 
     #[test]
+    fn failure_free_ft_runs_are_clean_and_intervention_free() {
+        // Where no rank fails the detector suspects nobody and the buddy
+        // line is never restored: the run is the bare run.
+        for kind in [AppKind::Wavetoy, AppKind::Moldyn, AppKind::Climsim] {
+            let app = tiny(kind);
+            let golden = app.golden(BUDGET);
+            let (cfg, policy) = (app.world_config(BUDGET), FtPolicy::default());
+
+            let mut detecting = MpiWorld::new(&app.image, ft_config(cfg, &policy));
+            assert_eq!(detecting.run(), WorldExit::Clean, "{kind:?}");
+            assert_eq!(app.comparable_output(&detecting), golden.output, "{kind:?}");
+
+            let (world, report) = run_respawn(&app.image, cfg, &policy, |_| {});
+            assert_eq!(report.exit, WorldExit::Clean, "{kind:?}");
+            assert!(!report.intervened(), "{kind:?}: {report:?}");
+            assert_eq!(report.failures_detected, 0, "{kind:?}");
+            assert_eq!(app.comparable_output(&world), golden.output, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn shrink_recovers_to_survivor_golden() {
         let app = tiny(AppKind::Wavetoy);
         let golden = app.golden(BUDGET);

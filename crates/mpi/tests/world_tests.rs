@@ -1,8 +1,8 @@
 //! End-to-end tests of the MPI world running compiled FL programs.
 
 use fl_lang::compile;
-use fl_machine::MachineConfig;
-use fl_mpi::{FailureDetector, Fault, MpiWorld, WorldConfig, WorldEffect, WorldExit};
+use fl_machine::{MachineConfig, SyscallFaultKind};
+use fl_mpi::{Effect, FailureDetector, Fault, MpiWorld, WorldConfig, WorldEffect, WorldExit};
 
 fn world(src: &str, nranks: u16) -> MpiWorld {
     let img = compile(src).expect("compiles");
@@ -701,12 +701,109 @@ fn detector_does_not_false_positive_on_long_blocked_rank() {
 
 #[test]
 fn kill_after_exit_is_a_missed_fault() {
-    // at_blocks beyond the victim's lifetime: the rank exits cleanly
-    // first, the armed kill never fires, the job completes.
-    let mut w = world(PING_LOOP, 2);
-    w.arm(Fault::kill(1, u64::MAX, false));
-    assert_eq!(w.run(), WorldExit::Clean);
-    assert!(w.plan().armed().is_empty(), "missed kills disarm");
+    // A fault due beyond its rank's lifetime never fires: the rank exits
+    // cleanly first and the job completes. Until it fires it also does no
+    // guest-visible work — every rank retires the instructions, the world
+    // takes the rounds and rank 0 prints the bytes of the unarmed run.
+    // The program allocates, touches the heap and exchanges messages, so
+    // each effect's per-call / per-access / per-byte / per-round check runs.
+    const SRC: &str = "global float b[1];
+         fn main() {
+             var int i;
+             var int p;
+             mpi_init();
+             p = malloc(8);
+             storef(p, 0.5);
+             for (i = 0; i < 40; i = i + 1) {
+                 if (mpi_rank() == 0) {
+                     b[0] = float(i);
+                     mpi_send(addr(b), 8, 1, 4);
+                     mpi_recv(addr(b), 8, 1, 5);
+                 } else {
+                     mpi_recv(addr(b), 8, 0, 4);
+                     b[0] = b[0] + loadf(p);
+                     mpi_send(addr(b), 8, 0, 5);
+                 }
+             }
+             if (mpi_rank() == 0) { print_flt(b[0], 1); }
+             mpi_finalize();
+         }";
+    use Effect::{Stall, Syscall, World};
+    use WorldEffect::*;
+    let idle = |rank: u16| -> [(&str, Effect); 7] {
+        // Rank sets name the *other* rank, so a set that fired early would
+        // show on a rank the trigger's own exit cannot excuse.
+        let other = 1 << (1 - rank);
+        [
+            ("corrupt", World(Wire(NetFaultKind::Corrupt))),
+            (
+                "cut",
+                World(Cut {
+                    mask: other,
+                    rounds: 256,
+                }),
+            ),
+            (
+                "node kill",
+                World(Kill {
+                    mates: other,
+                    wedge: false,
+                }),
+            ),
+            (
+                "malloc",
+                Syscall {
+                    kind: SyscallFaultKind::Malloc,
+                    persist: false,
+                },
+            ),
+            (
+                "tax",
+                World(Tax {
+                    permille: 990,
+                    rounds: 256,
+                }),
+            ),
+            (
+                "hog",
+                World(Hog {
+                    mask: other,
+                    permille: 500,
+                    rounds: 256,
+                }),
+            ),
+            (
+                "stall",
+                Stall {
+                    window_insns: 1024,
+                    per_access: 4,
+                },
+            ),
+        ]
+    };
+    let observe = |w: &mut MpiWorld| {
+        assert_eq!(w.run(), WorldExit::Clean);
+        let insns: Vec<u64> = (0..w.nranks())
+            .map(|r| w.machine(r).counters.insns)
+            .collect();
+        (insns, w.round(), w.machine(0).console_text())
+    };
+    let unarmed = observe(&mut world(SRC, 2));
+    assert_eq!(unarmed.2, "39.5", "the probe program prints its last echo");
+    for rank in 0..2 {
+        for (name, effect) in idle(rank) {
+            let mut w = world(SRC, 2);
+            w.arm(Fault::new(rank, u64::MAX, effect));
+            assert_eq!(observe(&mut w), unarmed, "{name} armed on rank {rank}");
+            let plan = w.plan();
+            assert!(plan.hit.is_none(), "{name}: no wire strike");
+            assert_eq!(plan.starved, 0, "{name}: nobody starved");
+            assert!(
+                plan.armed().iter().all(|f| matches!(f.effect, Wire(_))),
+                "{name}: a missed block-clock fault disarms (a wire fault waits on)"
+            );
+        }
+    }
 }
 
 #[test]

@@ -43,7 +43,7 @@ pub struct RecoveryReport {
     pub recovered: bool,
 }
 
-/// Rank-0 output streams, the recovery correctness criterion.
+/// Rank-0 output streams: what a correct recovery must reproduce.
 fn outputs(w: &MpiWorld) -> (Vec<u8>, Vec<u8>) {
     let m = w.machine(0);
     (m.outfile.clone(), m.console.clone())

@@ -5,6 +5,8 @@
 #                 test module (the first unindented `#[cfg(test)]`),
 #                 neither blank nor `//` comments
 #   root names    names a crate's lib.rs re-exports with `pub use`
+#   shim lines    code lines, same rule, of shims/<crate>/src/**/*.rs
+#   CI steps      `      - name:` lines of .github/workflows/ci.yml
 #
 # Prints to stdout; CI regenerates results/tracked_numbers.txt from it
 # and diffs. Run from anywhere.
@@ -16,6 +18,17 @@ code_lines() { # files...
          /^#\[cfg\(test\)\]/ { live = 0 }
          live && !/^[[:space:]]*($|\/\/)/ { n++ }
          END { print n + 0 }' "$@"
+}
+
+per_dir() { # total-label src-dirs...
+    label=$1 total=0
+    shift
+    for dir; do
+        n=$(code_lines $(find "$dir" -name '*.rs' | sort))
+        total=$((total + n))
+        printf '%-28s %6d\n' "$dir" "$n"
+    done
+    printf '%-28s %6d\n' "$label" "$total"
 }
 
 root_names() { # lib.rs
@@ -31,13 +44,7 @@ root_names() { # lib.rs
 }
 
 echo "# code lines per crate (scripts/tracked-numbers.sh)"
-total=0
-for dir in crates/*/src; do
-    n=$(code_lines $(find "$dir" -name '*.rs' | sort))
-    total=$((total + n))
-    printf '%-28s %6d\n' "$dir" "$n"
-done
-printf '%-28s %6d\n' "all crates" "$total"
+per_dir "all crates" crates/*/src
 echo
 echo "# tracked sums"
 printf '%-28s %6d\n' "crates/mpi/src/world.rs" "$(code_lines crates/mpi/src/world.rs)"
@@ -49,3 +56,10 @@ echo
 echo "# names re-exported at the crate root"
 printf '%-28s %6d\n' "fl_mpi" "$(root_names crates/mpi/src/lib.rs)"
 printf '%-28s %6d\n' "fl_inject" "$(root_names crates/core/src/lib.rs)"
+echo
+echo "# code lines per shim"
+per_dir "all shims" shims/*/src
+echo
+echo "# named CI steps"
+printf '%-28s %6d\n' ".github/workflows/ci.yml" \
+    "$(grep -c '^      - name:' .github/workflows/ci.yml)"
