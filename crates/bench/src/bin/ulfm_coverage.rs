@@ -22,7 +22,7 @@
 use fl_apps::{App, AppKind, AppParams};
 use fl_bench::{emit, injections_from_args};
 use fl_inject::{classify, draw_kill, run_app, run_respawn, run_shrink, FtPolicy, Manifestation};
-use fl_mpi::{MpiWorld, WorldExit};
+use fl_mpi::{Launch, MpiWorld, WorldExit};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -84,6 +84,7 @@ fn main() {
         let app = App::build(kind, AppParams::tiny(kind));
         let golden = app.golden(2_000_000_000);
         let budget = golden.insns.iter().max().unwrap() * 4 + 4_000_000;
+        let launch = Launch::new(&app.image, app.world_config(budget).machine, None);
         let mut shrink_s = ModeStats::default();
         let mut respawn_s = ModeStats::default();
         let mut app_s = ModeStats::default();
@@ -98,14 +99,14 @@ fn main() {
 
             // Harness shrink: detector fires, fresh world at n-1 ranks.
             let t0 = Instant::now();
-            let (sw, sr) = run_shrink(&app.image, wcfg, &policy, |w| w.arm(kill));
+            let (sw, sr) = run_shrink(&launch, wcfg, &policy, |w| w.arm(kill));
             let s_wall = t0.elapsed().as_nanos() as u64;
             let s_ok = sr.intervened() && sr.exit == WorldExit::Clean;
             shrink_s.note(s_ok, world_insns(&sw), s_wall);
 
             // Harness respawn: buddy checkpoints, restore, re-execute.
             let t0 = Instant::now();
-            let (rw, rr) = run_respawn(&app.image, wcfg, &policy, |w| w.arm(kill));
+            let (rw, rr) = run_respawn(&launch, wcfg, &policy, |w| w.arm(kill));
             let r_wall = t0.elapsed().as_nanos() as u64;
             let r_ok = rr.intervened()
                 && rr.exit == WorldExit::Clean
@@ -115,7 +116,7 @@ fn main() {
             // App-side: the world only *reports* the failure; recovery is
             // the application's problem.
             let t0 = Instant::now();
-            let (aw, ar) = run_app(&app.image, wcfg, &policy, |w| w.arm(kill));
+            let (aw, ar) = run_app(&launch, wcfg, &policy, |w| w.arm(kill));
             let a_wall = t0.elapsed().as_nanos() as u64;
             let a_m = if ar.exit == WorldExit::Clean && ar.shrinks > 0 {
                 if app.comparable_output(&aw) == golden.output {

@@ -895,6 +895,7 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
     let golden = app.golden(DEFAULT_BUDGET);
     let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
     let wcfg = app.world_config(budget);
+    let launch = fl_mpi::Launch::new(&app.image, wcfg.machine, None);
     let every: u32 = o.get_num("checkpoint-every")?.unwrap_or(16);
     let kill_rank: u16 = o.get_num("kill-rank")?.unwrap_or(1);
     if kill_rank >= app.params.nranks {
@@ -907,7 +908,8 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
         Some(r) => r,
         None => {
             // Default: mid-run, measured on a throwaway golden pass.
-            fl_snap::EpochCache::build(&app.image, wcfg, u32::MAX).rounds() / 2
+            let (golden, _) = fl_snap::EpochCache::run_golden(&launch, wcfg, u32::MAX);
+            golden.rounds() / 2
         }
     };
     eprintln!(
@@ -915,7 +917,7 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
         app.kind.name()
     );
     let r = fl_snap::run_recovery(
-        &app.image,
+        &launch,
         wcfg,
         RecoveryConfig {
             checkpoint_every: every,

@@ -16,8 +16,8 @@ use crate::target::{
 };
 use fl_apps::{App, AppKind, Golden};
 use fl_isa::RegisterName;
-use fl_machine::{Cpu, ExecStats, SharedCode};
-use fl_mpi::{Action, Clock, Effect, Fault, MpiWorld, WorldConfig, WorldExit};
+use fl_machine::{Cpu, ExecStats};
+use fl_mpi::{Action, Clock, Effect, Fault, Launch, MpiWorld, WorldConfig, WorldExit};
 use fl_snap::{Epoch, EpochCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -255,7 +255,7 @@ pub(crate) fn trial_world_config(app: &App, cfg: &CampaignConfig, budget: u64) -
 /// Everything the trials of one campaign share, built once by
 /// [`TrialContext::build`]: the app, its golden run, the fault
 /// dictionaries, the hang budget, the epoch snapshots with their read
-/// stamps, the pre-decoded code store, and the recording and
+/// stamps, the launch every world starts from, and the recording and
 /// execution-tier settings. [`TrialContext::run_trial`] is the one place
 /// a trial is executed.
 pub(crate) struct TrialContext<'a> {
@@ -266,9 +266,9 @@ pub(crate) struct TrialContext<'a> {
     pub(crate) budget: u64,
     /// Present iff trials fork (`epoch_rounds > 0`).
     epochs: Option<EpochCache>,
-    /// One campaign-wide pre-decoded store: the golden pass and every
-    /// trial share it, so decode work is paid once per campaign.
-    code: Option<SharedCode>,
+    /// The image loaded and pre-decoded once: the golden pass and every
+    /// world that cannot fork from a later epoch start from it.
+    pub(crate) launch: Launch,
     /// What every trial world is configured from.
     cfg: CampaignConfig,
     /// End a forked trial at the first epoch boundary where it is
@@ -285,14 +285,13 @@ impl<'a> TrialContext<'a> {
     /// fork, one execution yields the golden record, the epoch snapshots
     /// and the read stamps; otherwise it is a plain golden run.
     pub(crate) fn build(app: &'a App, cfg: &CampaignConfig) -> TrialContext<'a> {
-        let code = cfg.fastpath.then(|| app.image.pre_decode());
         let wcfg = trial_world_config(app, cfg, GOLDEN_BUDGET);
+        let launch = Launch::new(&app.image, wcfg.machine, None);
         let (golden, mut epochs) = if cfg.epoch_rounds > 0 {
-            let (epochs, world) =
-                EpochCache::run_golden(&app.image, wcfg, cfg.epoch_rounds, code.as_ref());
+            let (epochs, world) = EpochCache::run_golden(&launch, wcfg, cfg.epoch_rounds);
             (app.golden_of(&world, epochs.golden_exit()), Some(epochs))
         } else {
-            let mut world = MpiWorld::new_with_code(&app.image, wcfg, code.as_ref());
+            let mut world = launch.world(wcfg);
             let exit = world.run();
             (app.golden_of(&world, &exit), None)
         };
@@ -307,7 +306,7 @@ impl<'a> TrialContext<'a> {
             budget,
             converge: epochs.is_some() && cfg.obs_capacity == 0,
             epochs,
-            code,
+            launch,
             cfg: *cfg,
         }
     }
@@ -352,10 +351,9 @@ impl<'a> TrialContext<'a> {
             });
         let mut world = match epoch {
             Some(e) => e.snap.restore(),
-            None => {
-                let wcfg = trial_world_config(app, &self.cfg, self.budget);
-                MpiWorld::new_with_code(&app.image, wcfg, self.code.as_ref())
-            }
+            None => self
+                .launch
+                .world(trial_world_config(app, &self.cfg, self.budget)),
         };
         world.arm(fault);
 

@@ -19,18 +19,17 @@
 //! through the ordinary sink/record machinery, so chaos campaigns resume
 //! and sort exactly like plain ones.
 
-use crate::campaign::{trial_world_config, CampaignConfig};
 use crate::faultmodel::FaultModel;
 use crate::matrix::{
     cell_jsonl, cell_tsv, contract_lines, Column, Contract, Draw, Isolate, Layout, MatrixMode,
     MatrixResult, Row, Runner, Slot, Summary,
 };
 use crate::outcome::Manifestation;
-use fl_apps::{App, Golden};
+use fl_apps::Golden;
 use fl_ft::FtPolicy;
 use fl_guard::GuardPolicy;
 use fl_machine::SyscallFaultKind;
-use fl_mpi::{Effect, Fault, MpiWorld, NetFaultKind, WorldEffect, WorldExit};
+use fl_mpi::{Effect, Fault, MpiWorld, NetFaultKind, WorldEffect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -113,7 +112,7 @@ impl Default for ChaosPolicy {
 }
 
 /// Fault-free per-rank syscall activity — the draw denominators for the
-/// syscall failure models, read off one extra golden-configuration run
+/// syscall failure models, read off the clean golden-configuration run
 /// (the [`Golden`] profile predates these counters).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyscallCounts {
@@ -123,17 +122,16 @@ pub struct SyscallCounts {
     pub io_writes: Vec<u64>,
 }
 
-/// Run one fault-free world and collect [`SyscallCounts`]. Deterministic
-/// in the app and configuration, so every worker recomputes the same
-/// denominators.
-pub fn syscall_counts(app: &App, cfg: &CampaignConfig, budget: u64) -> SyscallCounts {
-    let mut w = MpiWorld::new(&app.image, trial_world_config(app, cfg, budget));
-    let exit = w.run();
-    assert_eq!(exit, WorldExit::Clean, "golden counter run must be clean");
-    let n = app.params.nranks;
-    SyscallCounts {
-        mallocs: (0..n).map(|r| w.machine(r).counters.mallocs).collect(),
-        io_writes: (0..n).map(|r| w.machine(r).counters.io_writes).collect(),
+impl SyscallCounts {
+    /// The counts of a finished fault-free world. Deterministic in the
+    /// app and configuration, so every campaign recomputes the same
+    /// denominators.
+    pub fn of(w: &MpiWorld) -> SyscallCounts {
+        let counters = |r| w.machine(r).counters;
+        SyscallCounts {
+            mallocs: (0..w.nranks()).map(|r| counters(r).mallocs).collect(),
+            io_writes: (0..w.nranks()).map(|r| counters(r).io_writes).collect(),
+        }
     }
 }
 
@@ -471,11 +469,11 @@ fn table(r: &MatrixResult, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{trial_budget, trial_seed};
+    use crate::campaign::{trial_seed, CampaignConfig};
     use crate::engine::{parse_record_line, EngineControl, VecSink};
     use crate::matrix::{run_matrix, ContractCheck};
     use crate::report::Report;
-    use fl_apps::{AppKind, AppParams};
+    use fl_apps::{App, AppKind, AppParams};
 
     fn tiny() -> App {
         App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy))
@@ -484,10 +482,9 @@ mod tests {
     #[test]
     fn chaos_draws_are_reproducible_and_model_shaped() {
         let app = tiny();
-        let golden = app.golden(2_000_000_000);
-        let cfg = CampaignConfig::default();
-        let budget = trial_budget(&golden, &cfg);
-        let sys = syscall_counts(&app, &cfg, budget);
+        let mut clean = app.world(2_000_000_000);
+        let exit = clean.run();
+        let (golden, sys) = (app.golden_of(&clean, &exit), SyscallCounts::of(&clean));
         let policy = ChaosPolicy::default();
         for (mi, model) in FaultModel::chaos_models().iter().enumerate() {
             for k in 0..4u32 {

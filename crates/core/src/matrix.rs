@@ -19,7 +19,7 @@ use crate::campaign::{
     draw_fault, trial_budget, trial_seed, trial_world_config, CampaignConfig, Dictionaries,
     TrialContext, TrialRecord, GOLDEN_BUDGET,
 };
-use crate::chaos::{draw_chaos, syscall_counts, ChaosPolicy, SyscallCounts};
+use crate::chaos::{draw_chaos, ChaosPolicy, SyscallCounts};
 use crate::engine::{
     run_slots, Aux, CompletedSlots, EngineControl, EngineSink, SlotPlan, TrialOutput,
 };
@@ -33,7 +33,7 @@ use crate::target::TargetClass;
 use fl_apps::{App, AppKind, Golden};
 use fl_ft::{run_app, run_replicated, run_respawn, run_shrink, FtPolicy};
 use fl_guard::{run_guarded, GuardPolicy};
-use fl_mpi::{FailureDetector, Fault, MpiWorld, WorldConfig, WorldExit};
+use fl_mpi::{FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldExit};
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -68,7 +68,10 @@ pub enum Isolate {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Runner {
     /// The plain campaign's own trial path — epoch fork and early
-    /// termination included. Every other runner starts cold.
+    /// termination included. Every other runner starts from the
+    /// campaign's [`Launch`]: the pristine just-loaded machine and the
+    /// decoded-code store its worlds share, with no fault-free prefix
+    /// skipped.
     Trial,
     /// One world, classified per §5.1.
     World,
@@ -88,8 +91,8 @@ pub enum Runner {
     /// intervened, any other exit `DetectedByGuard`. Aux: `[detections,
     /// restarts, retransmits]`.
     Guarded(GuardPolicy),
-    /// [`run_replicated`], the draw armed on replica 0 only. Aux:
-    /// `[votes, 0, 0]`.
+    /// [`run_replicated`], the draw armed on replica 0 only (so the
+    /// others are one clean world). Aux: `[votes, 0, 0]`.
     Replicated(FtPolicy),
     /// [`run_shrink`], judged against the one-fewer-rank reference.
     Shrink(FtPolicy),
@@ -636,13 +639,18 @@ fn world_insns(w: &MpiWorld) -> u64 {
     (0..w.nranks()).map(|r| w.machine(r).counters.insns).sum()
 }
 
-/// What the trials of one matrix campaign share: the golden run, the
-/// hang budget, and the reference runs the mode's draws and runners
-/// read — each made once, and only if the description calls for it.
+/// What the trials of one matrix campaign share: the launch every world
+/// starts from, the golden run, the hang budget, and the reference runs
+/// the mode's draws and runners read — each made once, and only if the
+/// description calls for it. Nothing here outlives the campaign.
 struct Env<'a> {
     app: &'a App,
     /// The plain campaign's trial context ([`Runner::Trial`] columns).
     trial: Option<TrialContext<'a>>,
+    /// The image loaded and pre-decoded once — what every column's world
+    /// and every reference run starts from; the trial context's own,
+    /// where there is one.
+    launch: Launch,
     golden: Golden,
     /// Fault dictionaries of [`Draw::Bit`] rows when no trial context
     /// already holds them.
@@ -654,10 +662,39 @@ struct Env<'a> {
     /// are weak-scaled, so a shrunken world solves a different problem
     /// ([`Runner::Shrink`] columns).
     shrunken_output: Vec<u8>,
-    /// Fault-free syscall activity ([`Draw::Chaos`] rows).
+    /// Fault-free syscall activity, read off the golden-configuration
+    /// run ([`Draw::Chaos`] rows).
     sys: Option<SyscallCounts>,
-    /// Rounds of the clean run ([`Runner::Paced`] columns).
+    /// Rounds of the clean detection-off run ([`Runner::Paced`] columns)
+    /// — the golden run itself unless the app's configuration asks for
+    /// detection.
     ref_rounds: u64,
+}
+
+/// The clean reference runs of one campaign's setup: one execution per
+/// distinct world configuration, all under the golden budget (a run that
+/// stays under two budgets is the same run under either).
+struct CleanRuns<'a> {
+    launch: &'a Launch,
+    base: WorldConfig,
+    done: Vec<(WorldConfig, MpiWorld)>,
+}
+
+impl CleanRuns<'_> {
+    /// The finished clean world of the base configuration as `tune`
+    /// adjusts it.
+    fn world(&mut self, what: &str, tune: impl FnOnce(&mut WorldConfig)) -> &MpiWorld {
+        let mut cfg = self.base;
+        tune(&mut cfg);
+        let known = self.done.iter().position(|(c, _)| *c == cfg);
+        let i = known.unwrap_or_else(|| {
+            let mut w = self.launch.world(cfg);
+            assert_eq!(w.run(), WorldExit::Clean, "{what} run must be clean");
+            self.done.push((cfg, w));
+            self.done.len() - 1
+        });
+        &self.done[i].1
+    }
 }
 
 impl<'a> Env<'a> {
@@ -669,43 +706,47 @@ impl<'a> Env<'a> {
             obs_capacity: 0,
             ..*cfg
         };
-        // One clean world under the trials' configuration, adjusted.
-        let clean = |what: &str, budget: u64, tune: fn(&mut WorldConfig)| {
-            let mut wcfg = trial_world_config(app, &cfg, budget);
-            tune(&mut wcfg);
-            let mut w = MpiWorld::new(&app.image, wcfg);
-            assert_eq!(w.run(), WorldExit::Clean, "{what} run must be clean");
-            w
-        };
+        let base = trial_world_config(app, &cfg, GOLDEN_BUDGET);
         let trial = runs(|r| *r == Runner::Trial).then(|| TrialContext::build(app, &cfg));
+        let launch = match &trial {
+            Some(ctx) => ctx.launch.clone(),
+            None => Launch::new(&app.image, base.machine, None),
+        };
+        let mut clean = CleanRuns {
+            launch: &launch,
+            base,
+            done: Vec::new(),
+        };
         let golden = match &trial {
             Some(ctx) => ctx.golden.clone(),
-            None => app.golden_of(&clean("golden", GOLDEN_BUDGET, |_| {}), &WorldExit::Clean),
+            None => app.golden_of(clean.world("golden", |_| {}), &WorldExit::Clean),
         };
-        let budget = trial_budget(&golden, &cfg).saturating_mul(mode.budget_scale);
+        let sys = draws(|d| matches!(d, Draw::Chaos(..)))
+            .then(|| SyscallCounts::of(clean.world("golden", |_| {})));
+        // Probe answers never add rounds, so the detection-off
+        // reference holds for every column.
+        let ref_rounds = if mode.paced() {
+            let detection_off = |c: &mut WorldConfig| isolate(c, Isolate::UlfmAndDetector);
+            clean.world("reference", detection_off).round()
+        } else {
+            0
+        };
+        let shrunken_output = if runs(|r| matches!(r, Runner::Shrink(_))) {
+            app.comparable_output(clean.world("shrunken golden", |c| c.nranks -= 1))
+        } else {
+            Vec::new()
+        };
         Env {
             app,
             dicts: (trial.is_none() && draws(|d| matches!(d, Draw::Bit(_))))
                 .then(|| Dictionaries::build(app)),
-            shrunken_output: if runs(|r| matches!(r, Runner::Shrink(_))) {
-                app.comparable_output(&clean("shrunken golden", budget, |c| c.nranks -= 1))
-            } else {
-                Vec::new()
-            },
-            sys: draws(|d| matches!(d, Draw::Chaos(..))).then(|| syscall_counts(app, &cfg, budget)),
-            // Probe answers never add rounds, so the detection-off
-            // reference holds for every column.
-            ref_rounds: if mode.paced() {
-                clean("reference", budget, |c| {
-                    isolate(c, Isolate::UlfmAndDetector)
-                })
-                .round()
-            } else {
-                0
-            },
+            budget: trial_budget(&golden, &cfg).saturating_mul(mode.budget_scale),
+            shrunken_output,
+            sys,
+            ref_rounds,
             trial,
+            launch,
             golden,
-            budget,
             cfg,
         }
     }
@@ -757,8 +798,9 @@ impl<'a> Env<'a> {
         let mut cfg = trial_world_config(app, &self.cfg, self.budget);
         isolate(&mut cfg, col.isolate);
         let output = |w: &MpiWorld| app.comparable_output(w);
+        let launch = &self.launch;
         let world = |cfg: WorldConfig| {
-            let mut w = MpiWorld::new(&app.image, cfg);
+            let mut w = launch.world(cfg);
             arm(&mut w);
             let exit = w.run();
             (w, exit)
@@ -801,7 +843,7 @@ impl<'a> Env<'a> {
                 (w, m, [permille, 0, 0])
             }
             Runner::Guarded(p) => {
-                let (w, rep) = run_guarded(&app.image, cfg, &p, arm);
+                let (w, rep) = run_guarded(launch, cfg, &p, arm);
                 let m = match &rep.exit {
                     WorldExit::Clean => judge(&w, &rep.exit, rep.intervened(), golden, Recovered),
                     _ => Manifestation::DetectedByGuard,
@@ -810,28 +852,24 @@ impl<'a> Env<'a> {
                 (w, m, aux)
             }
             Runner::Replicated(p) => {
-                let corrupt_one = |replica, w: &mut MpiWorld| {
-                    if replica == 0 {
-                        arm(w)
-                    }
-                };
-                let (w, rep) = run_replicated(&app.image, cfg, &p, corrupt_one, output);
+                let corrupt_one = vec![self.draw(row, seed).0];
+                let (w, rep) = run_replicated(launch, cfg, &p, corrupt_one, output);
                 let m = judge(&w, &rep.exit, rep.votes > 0, golden, MaskedByReplica);
                 (w, m, one(rep.votes))
             }
             Runner::Shrink(p) => {
-                let (w, rep) = run_shrink(&app.image, cfg, &p, arm);
+                let (w, rep) = run_shrink(launch, cfg, &p, arm);
                 let survivors = &self.shrunken_output;
                 let m = judge(&w, &rep.exit, rep.intervened(), survivors, Recovered);
                 (w, m, Aux::default())
             }
             Runner::Respawn(p) => {
-                let (w, rep) = run_respawn(&app.image, cfg, &p, arm);
+                let (w, rep) = run_respawn(launch, cfg, &p, arm);
                 let m = judge(&w, &rep.exit, rep.intervened(), golden, Recovered);
                 (w, m, one(rep.respawns))
             }
             Runner::App(p) => {
-                let (w, rep) = run_app(&app.image, cfg, &p, arm);
+                let (w, rep) = run_app(launch, cfg, &p, arm);
                 let m = judge(&w, &rep.exit, rep.shrinks > 0, golden, RecoveredByApp);
                 (w, m, one(rep.shrinks))
             }

@@ -28,8 +28,9 @@
 //! dies (or wedges: stays resident but silent) at a drawn retired-block
 //! clock, the process-level analogue of the paper's bit flips.
 
-use fl_machine::ProgramImage;
-use fl_mpi::{FailureDetector, MpiWorld, WorldConfig, WorldEffect, WorldExit, WorldSnapshot};
+use fl_mpi::{
+    FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldEffect, WorldExit, WorldSnapshot,
+};
 
 pub use fl_mpi::Health;
 
@@ -189,29 +190,29 @@ pub fn ft_config(cfg: WorldConfig, policy: &FtPolicy) -> WorldConfig {
 /// The returned world is deterministic given `cfg`: no detector residue
 /// and no carried fault, so its event stream is bit-identical to a cold
 /// run at `nranks - 1` (pinned by the fl-ft property tests).
-pub fn shrink(image: &ProgramImage, cfg: WorldConfig) -> MpiWorld {
+pub fn shrink(launch: &Launch, cfg: WorldConfig) -> MpiWorld {
     assert!(cfg.nranks >= 2, "cannot shrink a single-rank world");
     let mut scfg = cfg;
     scfg.nranks = cfg.nranks - 1;
-    MpiWorld::new(image, scfg)
+    launch.world(scfg)
 }
 
 /// Run with the detector on; on [`WorldExit::RankFailed`], shrink to the
 /// survivors and rerun. `arm` plants the fault (if any) in the initial
 /// world.
 pub fn run_shrink(
-    image: &ProgramImage,
+    launch: &Launch,
     cfg: WorldConfig,
     policy: &FtPolicy,
     arm: impl FnOnce(&mut MpiWorld),
 ) -> (MpiWorld, FtReport) {
-    let mut world = MpiWorld::new(image, ft_config(cfg, policy));
+    let mut world = launch.world(ft_config(cfg, policy));
     arm(&mut world);
     let exit = world.run();
     let mut report = FtReport::fresh(exit.clone(), world.nranks());
     if let WorldExit::RankFailed { rank, .. } = exit {
         report.failures_detected = 1;
-        let mut survivor = shrink(image, ft_config(cfg, policy));
+        let mut survivor = shrink(launch, ft_config(cfg, policy));
         // The shrunken world itself is pristine; the marker event is the
         // recovery runner's doing, not shrink()'s, so the survivor stream
         // minus this prefix stays comparable to a cold shrunken run.
@@ -238,12 +239,12 @@ pub fn ulfm_config(cfg: WorldConfig, policy: &FtPolicy) -> WorldConfig {
 /// records what the app-visible machinery did: failures surfaced and
 /// worlds the *application* rebuilt via `mpix_comm_shrink`.
 pub fn run_app(
-    image: &ProgramImage,
+    launch: &Launch,
     cfg: WorldConfig,
     policy: &FtPolicy,
     arm: impl FnOnce(&mut MpiWorld),
 ) -> (MpiWorld, FtReport) {
-    let mut world = MpiWorld::new(image, ulfm_config(cfg, policy));
+    let mut world = launch.world(ulfm_config(cfg, policy));
     arm(&mut world);
     let exit = world.run();
     let mut report = FtReport::fresh(exit, world.nranks());
@@ -268,12 +269,12 @@ struct BuddyLine {
 /// the spare must not re-execute the fault — so a detected kill costs
 /// one respawn and the run completes at full size.
 pub fn run_respawn(
-    image: &ProgramImage,
+    launch: &Launch,
     cfg: WorldConfig,
     policy: &FtPolicy,
     arm: impl FnOnce(&mut MpiWorld),
 ) -> (MpiWorld, FtReport) {
-    let mut world = MpiWorld::new(image, ft_config(cfg, policy));
+    let mut world = launch.world(ft_config(cfg, policy));
     arm(&mut world);
     let mut line = BuddyLine {
         snap: world.snapshot(),
@@ -324,23 +325,53 @@ fn digests_of(w: &MpiWorld, nranks: u16) -> Vec<u32> {
     (0..nranks).map(|r| w.out_digest(r)).collect()
 }
 
-/// Vote replica `idx` out: drop its world, count the vote, and record
-/// the event on every surviving replica.
-fn vote_out(worlds: &mut [Option<MpiWorld>], idx: usize, votes: &mut u32) {
-    worlds[idx] = None;
-    *votes += 1;
-    let live = worlds.iter().filter(|w| w.is_some()).count() as u16;
-    for w in worlds.iter_mut().flatten() {
-        w.note_replica_vote(idx as u16, live);
+/// The executed worlds of a replica set. Replicas armed with nothing are
+/// the same deterministic run, so one world executes for all of them;
+/// `home[i]` is the world replica `i` lives in, `None` once voted out. A
+/// world counts in a vote once per replica living in it.
+struct Replicas {
+    worlds: Vec<Option<MpiWorld>>,
+    home: Vec<Option<usize>>,
+}
+
+impl Replicas {
+    /// Index of the world a live replica lives in.
+    fn slot(&self, replica: usize) -> usize {
+        self.home[replica].expect("a live replica")
+    }
+
+    fn world(&self, replica: usize) -> &MpiWorld {
+        let w = self.worlds[self.slot(replica)].as_ref();
+        w.expect("a live replica's world")
+    }
+
+    fn take(&mut self, replica: usize) -> MpiWorld {
+        let slot = self.slot(replica);
+        self.worlds[slot].take().expect("a live replica's world")
+    }
+
+    /// Vote replica `idx` out: count the vote, drop its world with its
+    /// last replica, and record the event on every surviving replica.
+    fn vote_out(&mut self, idx: usize, votes: &mut u32) {
+        let w = self.home[idx].take().expect("a live replica");
+        if !self.home.contains(&Some(w)) {
+            self.worlds[w] = None;
+        }
+        *votes += 1;
+        let live = self.home.iter().flatten().count() as u16;
+        for w in self.worlds.iter_mut().flatten() {
+            w.note_replica_vote(idx as u16, live);
+        }
     }
 }
 
 /// Run `policy.replicas` full copies of the world in lockstep and vote.
 ///
 /// All replicas share `cfg` (same seed: identical scheduling, so a fault
-/// is the *only* source of divergence). `arm` is called once per replica
-/// with its index to plant per-replica faults; `output` extracts the
-/// comparable output of a finished world (app-specific, hence a closure).
+/// is the *only* source of divergence). `armed[i]` is what replica `i` is
+/// armed with — nothing, for a replica past the end of the list; `output`
+/// extracts the comparable output of a finished world (app-specific,
+/// hence a closure).
 ///
 /// Two voting layers:
 /// - every lockstep round, the per-rank digest vectors of the replicas
@@ -356,38 +387,49 @@ fn vote_out(worlds: &mut [Option<MpiWorld>], idx: usize, votes: &mut u32) {
 /// replicas, so `votes > 0` with a clean matching exit means the fault
 /// was *masked by replication*.
 pub fn run_replicated(
-    image: &ProgramImage,
+    launch: &Launch,
     cfg: WorldConfig,
     policy: &FtPolicy,
-    arm: impl Fn(u16, &mut MpiWorld),
+    armed: Vec<Vec<Fault>>,
     output: impl Fn(&MpiWorld) -> Vec<u8>,
 ) -> (MpiWorld, FtReport) {
     let nrep = policy.replicas.max(2) as usize;
+    assert!(armed.len() <= nrep, "more fault lists than replicas");
     let mut rcfg = cfg;
     rcfg.track_digests = true;
-    let mut worlds: Vec<Option<MpiWorld>> = (0..nrep)
-        .map(|i| {
-            let mut w = MpiWorld::new(image, rcfg);
-            arm(i as u16, &mut w);
-            Some(w)
-        })
-        .collect();
-    let mut finished: Vec<Option<WorldExit>> = (0..nrep).map(|_| None).collect();
+    let mut reps = Replicas {
+        worlds: Vec::new(),
+        home: Vec::new(),
+    };
+    let mut clean = None;
+    let mut armed = armed.into_iter();
+    for _ in 0..nrep {
+        let faults = armed.next().unwrap_or_default();
+        let home = match clean {
+            Some(shared) if faults.is_empty() => shared,
+            _ => {
+                if faults.is_empty() {
+                    clean = Some(reps.worlds.len());
+                }
+                let mut w = launch.world(rcfg);
+                faults.into_iter().for_each(|f| w.arm(f));
+                reps.worlds.push(Some(w));
+                reps.worlds.len() - 1
+            }
+        };
+        reps.home.push(Some(home));
+    }
+    let mut finished: Vec<Option<WorldExit>> = reps.worlds.iter().map(|_| None).collect();
     let mut report = FtReport::fresh(WorldExit::Clean, cfg.nranks);
 
     loop {
-        // Lockstep: one scheduler round on every live replica still
+        // Lockstep: one scheduler round on every live world still
         // running. Same seed ⇒ identical rounds unless a fault diverged.
         let mut stepped = false;
-        for i in 0..nrep {
-            if finished[i].is_some() {
-                continue;
-            }
-            if let Some(w) = worlds[i].as_mut() {
+        for (w, done) in reps.worlds.iter_mut().zip(&mut finished) {
+            if let (Some(w), None) = (w, &done) {
                 stepped = true;
-                if let Some(e) = w.run_round() {
-                    finished[i] = Some(e);
-                }
+                *done = w.run_round();
             }
         }
         if !stepped {
@@ -398,12 +440,12 @@ pub fn run_replicated(
         // digest is final and no longer comparable round-for-round; it
         // faces the exit/output vote instead).
         let running: Vec<usize> = (0..nrep)
-            .filter(|&i| worlds[i].is_some() && finished[i].is_none())
+            .filter(|&i| reps.home[i].is_some_and(|w| finished[w].is_none()))
             .collect();
         if running.len() >= 2 {
             let digs: Vec<Vec<u32>> = running
                 .iter()
-                .map(|&i| digests_of(worlds[i].as_ref().unwrap(), cfg.nranks))
+                .map(|&i| digests_of(reps.world(i), cfg.nranks))
                 .collect();
             if digs.iter().any(|d| d != &digs[0]) {
                 let majority = digs
@@ -414,7 +456,7 @@ pub fn run_replicated(
                     Some(maj) => {
                         for (k, &i) in running.iter().enumerate() {
                             if digs[k] != maj {
-                                vote_out(&mut worlds, i, &mut report.votes);
+                                reps.vote_out(i, &mut report.votes);
                             }
                         }
                     }
@@ -426,8 +468,7 @@ pub fn run_replicated(
                                 digs.len()
                             ),
                         };
-                        let first = running[0];
-                        return (worlds[first].take().unwrap(), report);
+                        return (reps.take(running[0]), report);
                     }
                 }
             }
@@ -435,14 +476,12 @@ pub fn run_replicated(
     }
 
     // Final vote on (exit, output) among surviving replicas.
-    let live: Vec<usize> = (0..nrep).filter(|&i| worlds[i].is_some()).collect();
+    let live: Vec<usize> = (0..nrep).filter(|&i| reps.home[i].is_some()).collect();
     let keys: Vec<(WorldExit, Vec<u8>)> = live
         .iter()
         .map(|&i| {
-            (
-                finished[i].clone().expect("live replica finished"),
-                output(worlds[i].as_ref().unwrap()),
-            )
+            let exit = finished[reps.slot(i)].clone();
+            (exit.expect("live replica finished"), output(reps.world(i)))
         })
         .collect();
     let mut winner = 0usize;
@@ -462,29 +501,33 @@ pub fn run_replicated(
                 live.len()
             ),
         };
-        let first = live[0];
-        return (worlds[first].take().unwrap(), report);
+        return (reps.take(live[0]), report);
     }
     let winning_key = keys[winner].clone();
     for (a, ka) in keys.iter().enumerate() {
         if *ka != winning_key {
-            vote_out(&mut worlds, live[a], &mut report.votes);
+            reps.vote_out(live[a], &mut report.votes);
         }
     }
     report.exit = winning_key.0;
-    (worlds[live[winner]].take().unwrap(), report)
+    (reps.take(live[winner]), report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fl_apps::{App, AppKind, AppParams};
-    use fl_mpi::Fault;
+    use fl_machine::SyscallFaultKind;
+    use fl_mpi::{Effect, NetFaultKind};
 
     const BUDGET: u64 = 2_000_000_000;
 
     fn tiny(kind: AppKind) -> App {
         App::build(kind, AppParams::tiny(kind))
+    }
+
+    fn launch(app: &App, cfg: WorldConfig) -> Launch {
+        Launch::new(&app.image, cfg.machine, None)
     }
 
     #[test]
@@ -500,7 +543,7 @@ mod tests {
             assert_eq!(detecting.run(), WorldExit::Clean, "{kind:?}");
             assert_eq!(app.comparable_output(&detecting), golden.output, "{kind:?}");
 
-            let (world, report) = run_respawn(&app.image, cfg, &policy, |_| {});
+            let (world, report) = run_respawn(&launch(&app, cfg), cfg, &policy, |_| {});
             assert_eq!(report.exit, WorldExit::Clean, "{kind:?}");
             assert!(!report.intervened(), "{kind:?}: {report:?}");
             assert_eq!(report.failures_detected, 0, "{kind:?}");
@@ -515,7 +558,9 @@ mod tests {
         let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
         let cfg = app.world_config(budget);
         let kill = Fault::kill(1, golden.blocks[1] / 2, false);
-        let (survivor, report) = run_shrink(&app.image, cfg, &FtPolicy::default(), |w| w.arm(kill));
+        let (survivor, report) = run_shrink(&launch(&app, cfg), cfg, &FtPolicy::default(), |w| {
+            w.arm(kill)
+        });
         assert_eq!(report.exit, WorldExit::Clean);
         assert_eq!(report.failures_detected, 1);
         assert_eq!(report.shrinks, 1);
@@ -540,8 +585,9 @@ mod tests {
         let cfg = app.world_config(budget);
         for wedge in [false, true] {
             let kill = Fault::kill(2, golden.blocks[2] / 2, wedge);
-            let (world, report) =
-                run_respawn(&app.image, cfg, &FtPolicy::default(), |w| w.arm(kill));
+            let (world, report) = run_respawn(&launch(&app, cfg), cfg, &FtPolicy::default(), |w| {
+                w.arm(kill)
+            });
             assert_eq!(report.exit, WorldExit::Clean, "wedge={wedge}");
             assert_eq!(report.failures_detected, 1);
             assert_eq!(report.respawns, 1);
@@ -587,14 +633,10 @@ mod tests {
             })
             .expect("some payload flip must manifest");
         let (winner, report) = run_replicated(
-            &app.image,
+            &launch(&app, cfg),
             cfg,
             &FtPolicy::default(),
-            |replica, w| {
-                if replica == 0 {
-                    w.arm(fault);
-                }
-            },
+            vec![vec![fault.into()]],
             |w| app.comparable_output(w),
         );
         assert_eq!(report.exit, WorldExit::Clean);
@@ -605,6 +647,186 @@ mod tests {
         assert_eq!(app.comparable_output(&winner), golden.output);
     }
 
+    /// The replica set as it was before clean replicas shared a world:
+    /// one real world per replica, one vote per world. The reference
+    /// [`run_replicated`] is held to.
+    fn run_replicated_reference(
+        launch: &Launch,
+        cfg: WorldConfig,
+        policy: &FtPolicy,
+        armed: Vec<Vec<Fault>>,
+        output: impl Fn(&MpiWorld) -> Vec<u8>,
+    ) -> (MpiWorld, FtReport) {
+        fn vote_out(worlds: &mut [Option<MpiWorld>], idx: usize, votes: &mut u32) {
+            worlds[idx] = None;
+            *votes += 1;
+            let live = worlds.iter().filter(|w| w.is_some()).count() as u16;
+            for w in worlds.iter_mut().flatten() {
+                w.note_replica_vote(idx as u16, live);
+            }
+        }
+        let nrep = policy.replicas.max(2) as usize;
+        let mut rcfg = cfg;
+        rcfg.track_digests = true;
+        let mut armed = armed.into_iter();
+        let mut worlds: Vec<Option<MpiWorld>> = (0..nrep)
+            .map(|_| {
+                let mut w = launch.world(rcfg);
+                for f in armed.next().unwrap_or_default() {
+                    w.arm(f);
+                }
+                Some(w)
+            })
+            .collect();
+        let mut finished: Vec<Option<WorldExit>> = (0..nrep).map(|_| None).collect();
+        let mut report = FtReport::fresh(WorldExit::Clean, cfg.nranks);
+        let no_majority = |layer: &str, n: usize| WorldExit::GuardDetected {
+            rank: 0,
+            what: format!("replica vote: no {layer} majority among {n} replicas"),
+        };
+
+        loop {
+            let mut stepped = false;
+            for i in 0..nrep {
+                if finished[i].is_some() {
+                    continue;
+                }
+                if let Some(w) = worlds[i].as_mut() {
+                    stepped = true;
+                    if let Some(e) = w.run_round() {
+                        finished[i] = Some(e);
+                    }
+                }
+            }
+            if !stepped {
+                break;
+            }
+            let running: Vec<usize> = (0..nrep)
+                .filter(|&i| worlds[i].is_some() && finished[i].is_none())
+                .collect();
+            if running.len() >= 2 {
+                let digs: Vec<Vec<u32>> = running
+                    .iter()
+                    .map(|&i| digests_of(worlds[i].as_ref().unwrap(), cfg.nranks))
+                    .collect();
+                if digs.iter().any(|d| d != &digs[0]) {
+                    let majority = digs
+                        .iter()
+                        .find(|a| digs.iter().filter(|b| b == a).count() * 2 > digs.len())
+                        .cloned();
+                    let Some(maj) = majority else {
+                        report.exit = no_majority("digest", digs.len());
+                        return (worlds[running[0]].take().unwrap(), report);
+                    };
+                    for (k, &i) in running.iter().enumerate() {
+                        if digs[k] != maj {
+                            vote_out(&mut worlds, i, &mut report.votes);
+                        }
+                    }
+                }
+            }
+        }
+
+        let live: Vec<usize> = (0..nrep).filter(|&i| worlds[i].is_some()).collect();
+        let keys: Vec<(WorldExit, Vec<u8>)> = live
+            .iter()
+            .map(|&i| {
+                (
+                    finished[i].clone().expect("live replica finished"),
+                    output(worlds[i].as_ref().unwrap()),
+                )
+            })
+            .collect();
+        let mut winner = 0usize;
+        let mut winner_count = 0usize;
+        for (a, ka) in keys.iter().enumerate() {
+            let c = keys.iter().filter(|kb| *kb == ka).count();
+            if c > winner_count {
+                winner = a;
+                winner_count = c;
+            }
+        }
+        if winner_count * 2 <= live.len() {
+            report.exit = no_majority("exit/output", live.len());
+            return (worlds[live[0]].take().unwrap(), report);
+        }
+        let winning_key = keys[winner].clone();
+        for (a, ka) in keys.iter().enumerate() {
+            if *ka != winning_key {
+                vote_out(&mut worlds, live[a], &mut report.votes);
+            }
+        }
+        report.exit = winning_key.0;
+        (worlds[live[winner]].take().unwrap(), report)
+    }
+
+    #[test]
+    fn weighted_replicas_equal_three_real_worlds() {
+        // One world executes for every replica armed with nothing and
+        // votes with their weight: report, winner output, per-rank
+        // instruction counts and — recording on — the survivors' event
+        // streams, `ReplicaVote { excluded, live }` included, are those of
+        // three real worlds.
+        let policy = FtPolicy::default();
+        let mut masked = 0;
+        let mut split = 0;
+        for kind in [AppKind::Wavetoy, AppKind::Jacobi3d] {
+            let app = tiny(kind);
+            let golden = app.golden(BUDGET);
+            let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
+            let flip = |bit: u32| -> Fault {
+                Fault::once(1, golden.insns[1] / 2, move |m| m.cpu.eip ^= 1 << bit)
+            };
+            let corrupt = || {
+                let wire = WorldEffect::Wire(NetFaultKind::Corrupt);
+                Fault::new(1, golden.recv_bytes[1] / 2, wire).into()
+            };
+            let malloc = || {
+                let (kind, persist) = (SyscallFaultKind::Malloc, false);
+                Fault::new(1, 1, Effect::Syscall { kind, persist })
+            };
+            let kill = || Fault::kill(1, golden.blocks[1] / 2, false).into();
+            type Armed = Vec<Vec<Fault>>;
+            let cases: [(&str, &dyn Fn() -> Armed); 7] = [
+                ("no fault", &Vec::new),
+                ("flip on 0", &|| vec![vec![flip(30)]]),
+                ("corrupt on 0", &|| vec![vec![corrupt()]]),
+                ("kill on 0", &|| vec![vec![kill()]]),
+                ("malloc on 0", &|| vec![vec![malloc()]]),
+                ("flips on 0 and 1", &|| vec![vec![flip(30)], vec![flip(3)]]),
+                ("one flip on all", &|| {
+                    (0..3).map(|_| vec![flip(30)]).collect()
+                }),
+            ];
+            for ring in [0, 64] {
+                let mut cfg = app.world_config(budget);
+                cfg.machine.obs_capacity = ring;
+                let launch = launch(&app, cfg);
+                for (name, armed) in cases {
+                    let what = format!("{kind:?}, ring {ring}, {name}");
+                    let output = |w: &MpiWorld| app.comparable_output(w);
+                    let (w, got) = run_replicated(&launch, cfg, &policy, armed(), output);
+                    let (r, want) =
+                        run_replicated_reference(&launch, cfg, &policy, armed(), output);
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(output(&w), output(&r), "{what}");
+                    let insns = |w: &MpiWorld| -> Vec<u64> {
+                        (0..w.nranks())
+                            .map(|r| w.machine(r).counters.insns)
+                            .collect()
+                    };
+                    assert_eq!(insns(&w), insns(&r), "{what}");
+                    assert_eq!(w.event_streams(), r.event_streams(), "{what}");
+                    masked += u32::from(got.votes == 1 && got.exit == WorldExit::Clean);
+                    split += u32::from(matches!(got.exit, WorldExit::GuardDetected { .. }));
+                }
+            }
+        }
+        // A fault on one replica of three is outvoted; two different
+        // faults leave no majority.
+        assert_eq!((masked, split), (16, 4));
+    }
+
     #[test]
     fn replication_clean_run_votes_nobody_out() {
         let app = tiny(AppKind::Climsim);
@@ -612,10 +834,10 @@ mod tests {
         let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
         let cfg = app.world_config(budget);
         let (winner, report) = run_replicated(
-            &app.image,
+            &launch(&app, cfg),
             cfg,
             &FtPolicy::default(),
-            |_, _| {},
+            Vec::new(),
             |w| app.comparable_output(w),
         );
         assert_eq!(report.exit, WorldExit::Clean);

@@ -16,7 +16,7 @@
 
 use fl_apps::{App, AppKind, AppParams, Golden};
 use fl_ft::{run_replicated, shrink, FtPolicy};
-use fl_mpi::{FailureDetector, Fault, MpiWorld, WorldEffect, WorldExit};
+use fl_mpi::{FailureDetector, Fault, Launch, MpiWorld, WorldEffect, WorldExit};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -53,7 +53,7 @@ fn shrink_pair(
         matches!(exit, WorldExit::RankFailed { rank: r, .. } if r == rank),
         "kill of rank {rank} @ {at_blocks} must be detected, got {exit:?}"
     );
-    let mut survivor = shrink(&app.image, cfg);
+    let mut survivor = shrink(&Launch::new(&app.image, cfg.machine, None), cfg);
     prop_assert_eq!(survivor.run(), WorldExit::Clean);
     let mut scfg = cfg;
     scfg.nranks -= 1;
@@ -158,15 +158,12 @@ proptest! {
         let rank = (rank_pick % app.params.nranks as u64) as u16;
         let fault = Fault::flip(rank, byte_pick % golden.recv_bytes[rank as usize].max(1), bit);
         let corrupt = (replica_pick % 3) as u16;
+        let cfg = app.world_config(budget);
         let (winner, report) = run_replicated(
-            &app.image,
-            app.world_config(budget),
+            &Launch::new(&app.image, cfg.machine, None),
+            cfg,
             &FtPolicy::default(),
-            |r, w| {
-                if r == corrupt {
-                    w.arm(fault);
-                }
-            },
+            (0..3).map(|r| Vec::from_iter((r == corrupt).then(|| fault.into()))).collect(),
             |w| app.comparable_output(w),
         );
         prop_assert_eq!(&report.exit, &WorldExit::Clean, "{fault:?} on replica {corrupt}");
@@ -215,17 +212,12 @@ proptest! {
             // duplicate-effect limit as identical draws.
             return Ok(());
         }
+        let cfg = app.world_config(budget);
         let (winner, report) = run_replicated(
-            &app.image,
-            app.world_config(budget),
+            &Launch::new(&app.image, cfg.machine, None),
+            cfg,
             &FtPolicy::default(),
-            |r, w| {
-                if r == 0 {
-                    w.arm(fa);
-                } else if r == 1 {
-                    w.arm(fb);
-                }
-            },
+            vec![vec![fa.into()], vec![fb.into()]],
             |w| app.comparable_output(w),
         );
         // The overarching invariant: a clean verdict is never wrong.

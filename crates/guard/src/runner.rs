@@ -3,8 +3,7 @@
 //! budget.
 
 use crate::watchdog::Watchdog;
-use fl_machine::ProgramImage;
-use fl_mpi::{ChannelGuard, MpiWorld, WorldConfig, WorldExit};
+use fl_mpi::{ChannelGuard, Launch, MpiWorld, WorldConfig, WorldExit};
 use fl_snap::Epoch;
 
 /// Knobs of one guarded execution.
@@ -82,10 +81,10 @@ impl GuardReport {
     }
 }
 
-/// Run `image` under full guarding: CRC+retransmit channel, progress
-/// watchdog, periodic checkpoints, rollback with a bounded restart
-/// budget. `arm` is called once on the fresh world to plant the trial's
-/// fault (pass `|_| {}` for a fault-free guarded run).
+/// Run a world of `launch` under full guarding: CRC+retransmit channel,
+/// progress watchdog, periodic checkpoints, rollback with a bounded
+/// restart budget. `arm` is called once on the fresh world to plant the
+/// trial's fault (pass `|_| {}` for a fault-free guarded run).
 ///
 /// A not-yet-fired register/memory injection is carried across rollbacks
 /// by [`MpiWorld::take_injection`] and [`MpiWorld::arm`] (snapshots cannot
@@ -98,13 +97,13 @@ impl GuardReport {
 ///
 /// Returns the final world (for output comparison) and the report.
 pub fn run_guarded(
-    image: &ProgramImage,
+    launch: &Launch,
     mut cfg: WorldConfig,
     policy: &GuardPolicy,
     arm: impl FnOnce(&mut MpiWorld),
 ) -> (MpiWorld, GuardReport) {
     cfg.guard = policy.channel_guard();
-    let mut world = MpiWorld::new(image, cfg);
+    let mut world = launch.world(cfg);
     arm(&mut world);
 
     let mut checkpoint = Epoch {
@@ -205,6 +204,10 @@ mod tests {
         App::build(kind, AppParams::tiny(kind))
     }
 
+    fn launch(app: &App, cfg: WorldConfig) -> Launch {
+        Launch::new(&app.image, cfg.machine, None)
+    }
+
     fn outputs(w: &MpiWorld) -> (Vec<u8>, Vec<u8>) {
         let m = w.machine(0);
         (m.outfile.clone(), m.console.clone())
@@ -218,7 +221,8 @@ mod tests {
             let mut golden = MpiWorld::new(&app.image, cfg);
             assert_eq!(golden.run(), WorldExit::Clean);
 
-            let (world, report) = run_guarded(&app.image, cfg, &GuardPolicy::default(), |_| {});
+            let (world, report) =
+                run_guarded(&launch(&app, cfg), cfg, &GuardPolicy::default(), |_| {});
             assert_eq!(report.exit, WorldExit::Clean, "{kind:?}");
             assert!(!report.intervened(), "{kind:?}: {report:?}");
             assert_eq!(outputs(&world), outputs(&golden), "{kind:?}");
@@ -235,8 +239,9 @@ mod tests {
         // Unguarded, this flip lands somewhere in a live message; with
         // the guard on, the CRC catches it and the sender redelivers.
         let fault = Fault::flip(1, 100, 3);
-        let (world, report) =
-            run_guarded(&app.image, cfg, &GuardPolicy::default(), |w| w.arm(fault));
+        let (world, report) = run_guarded(&launch(&app, cfg), cfg, &GuardPolicy::default(), |w| {
+            w.arm(fault)
+        });
         assert_eq!(report.exit, WorldExit::Clean);
         assert!(report.retransmits > 0, "CRC must have caught the flip");
         assert_eq!(report.restarts, 0, "retransmit suffices, no rollback");
@@ -253,7 +258,9 @@ mod tests {
             max_restarts: 0,
             ..GuardPolicy::default()
         };
-        let (_, report) = run_guarded(&app.image, cfg, &policy, |w| w.arm(Fault::flip(1, 100, 3)));
+        let (_, report) = run_guarded(&launch(&app, cfg), cfg, &policy, |w| {
+            w.arm(Fault::flip(1, 100, 3))
+        });
         assert!(
             matches!(report.exit, WorldExit::GuardDetected { .. }),
             "exhausted budget must surface as GuardDetected, got {:?}",
@@ -278,7 +285,7 @@ mod tests {
             checkpoint_rounds: 16,
             ..GuardPolicy::default()
         };
-        let (world, report) = run_guarded(&app.image, cfg, &policy, |w| {
+        let (world, report) = run_guarded(&launch(&app, cfg), cfg, &policy, |w| {
             w.arm(Fault::once(1, kill_at, |m| {
                 m.cpu.eip = KERNEL_BASE + 4;
             }))
@@ -307,7 +314,7 @@ mod tests {
         };
         // Persistent injection: re-asserts forever, so even though the
         // rollback target is the armed initial state, every re-run fails.
-        let (_, report) = run_guarded(&app.image, cfg, &policy, |w| {
+        let (_, report) = run_guarded(&launch(&app, cfg), cfg, &policy, |w| {
             w.arm(Fault::persistent(0, 500, 200, |m| {
                 m.cpu.eip = KERNEL_BASE + 4;
             }))
@@ -336,7 +343,7 @@ mod tests {
             checkpoint_rounds: 16,
             ..GuardPolicy::default()
         };
-        let (world, report) = run_guarded(&app.image, cfg, &policy, |w| {
+        let (world, report) = run_guarded(&launch(&app, cfg), cfg, &policy, |w| {
             w.arm(Fault::once(0, kill_at, |m| {
                 m.cpu.eip = KERNEL_BASE + 4;
             }))

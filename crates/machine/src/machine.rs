@@ -1294,6 +1294,12 @@ impl Machine {
         self.mem_stall
     }
 
+    /// Whether a syscall fault is armed (yet to fire, or persistent) or a
+    /// mem-stall window has yet to close.
+    pub fn fault_armed(&self) -> bool {
+        self.syscall_fault.is_some() || self.mem_stall.is_some()
+    }
+
     /// Surcharge instructions charged by mem-stall windows so far.
     pub fn stall_insns(&self) -> u64 {
         self.stall_insns
@@ -1312,6 +1318,12 @@ impl Machine {
     /// The library text range.
     pub fn lib_text_range(&self) -> (u32, u32) {
         (LIB_BASE, self.lib_text_end)
+    }
+
+    /// Replace the instruction budget (the hang bound). A run that stays
+    /// under both budgets is the same run under either.
+    pub fn set_budget(&mut self, budget: u64) {
+        self.budget = budget;
     }
 
     /// Remaining instruction budget.

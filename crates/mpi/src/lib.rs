@@ -47,7 +47,7 @@ pub use message::{
 };
 pub use profile::TrafficProfile;
 pub use world::{
-    Action, ChannelGuard, Clock, Effect, FailureDetector, Fault, FaultPlan, Health,
+    Action, ChannelGuard, Clock, Effect, FailureDetector, Fault, FaultPlan, Health, Launch,
     MessageFaultHit, MpiWorld, NetFaultKind, WorldConfig, WorldEffect, WorldExit, WorldSnapshot,
     ANY_SOURCE, MAX_USER_TAG, MPIX_ERR_PROC_FAILED,
 };

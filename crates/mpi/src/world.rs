@@ -633,22 +633,38 @@ struct WorldState {
     idle_rounds: u64,
 }
 
-impl MpiWorld {
-    /// Create a world of `cfg.nranks` processes all running `image`.
-    /// Pre-decodes the image once and shares the store across all ranks.
-    pub fn new(image: &ProgramImage, cfg: WorldConfig) -> MpiWorld {
-        MpiWorld::new_with_code(image, cfg, None)
+/// One image loaded once, to launch many worlds from: the pristine
+/// just-loaded machine — epoch 0 of every world — with the handles of
+/// the decoded-code store it was loaded against. [`Launch::world`] builds
+/// a world of copy-on-write clones of it, so every rank of every world
+/// shares the pages it never writes and the blocks and superblocks any
+/// of them decoded or promoted. A campaign holds one per image and
+/// machine configuration and drops it when it ends.
+#[derive(Clone)]
+pub struct Launch {
+    pristine: MachineSnapshot,
+    /// What `pristine` was loaded under; each world brings its own budget.
+    machine: MachineConfig,
+}
+
+impl Launch {
+    /// Load `image` once under `machine`. `code` must have been built
+    /// from `image`; with `None` a fresh store is built unless the
+    /// configuration cannot use one ([`Machine::load_shared`]).
+    pub fn new(image: &ProgramImage, machine: MachineConfig, code: Option<&SharedCode>) -> Launch {
+        Launch {
+            pristine: Machine::load_shared(image, machine, code).snapshot(),
+            machine,
+        }
     }
 
-    /// Like [`MpiWorld::new`], but attach an existing campaign-wide
-    /// [`SharedCode`] store (which must have been built from `image`)
-    /// so decoded blocks and promoted superblocks carry over between
-    /// worlds instead of being rebuilt per world.
-    pub fn new_with_code(
-        image: &ProgramImage,
-        cfg: WorldConfig,
-        code: Option<&SharedCode>,
-    ) -> MpiWorld {
+    /// A world of `cfg.nranks` pristine processes, each under
+    /// `cfg.machine.budget`.
+    ///
+    /// # Panics
+    /// If `cfg.machine` differs from what the image was loaded under in
+    /// more than its budget.
+    pub fn world(&self, cfg: WorldConfig) -> MpiWorld {
         assert!(cfg.nranks >= 1);
         if cfg.ulfm {
             assert!(
@@ -656,21 +672,23 @@ impl MpiWorld {
                 "ulfm mode carries failure knowledge as a 32-bit rank mask"
             );
         }
-        // One store for every rank: build here rather than per-machine
-        // (ranks run identical text).
-        let owned;
-        let code = match code {
-            Some(c) => Some(c),
-            None if cfg.machine.fastpath && !cfg.machine.trace => {
-                owned = SharedCode::build(image);
-                Some(&owned)
-            }
-            None => None,
-        };
+        let budget = cfg.machine.budget;
+        assert_eq!(
+            cfg.machine,
+            MachineConfig {
+                budget,
+                ..self.machine
+            },
+            "a launch serves one machine configuration"
+        );
         let ranks = (0..cfg.nranks)
-            .map(|_| Rank {
-                machine: Machine::load_shared(image, cfg.machine, code),
-                st: RankState::default(),
+            .map(|_| {
+                let mut machine = self.pristine.to_machine();
+                machine.set_budget(budget);
+                Rank {
+                    machine,
+                    st: RankState::default(),
+                }
             })
             .collect();
         MpiWorld {
@@ -689,6 +707,27 @@ impl MpiWorld {
             },
             injection: None,
         }
+    }
+}
+
+impl MpiWorld {
+    /// Create a world of `cfg.nranks` processes all running `image`: the
+    /// one-shot [`Launch`]. The image is loaded and pre-decoded once and
+    /// every rank is a copy-on-write clone of that one machine; a caller
+    /// that starts more than one world from an image keeps the `Launch`.
+    pub fn new(image: &ProgramImage, cfg: WorldConfig) -> MpiWorld {
+        MpiWorld::new_with_code(image, cfg, None)
+    }
+
+    /// Like [`MpiWorld::new`], but attach an existing [`SharedCode`]
+    /// store (which must have been built from `image`) instead of
+    /// pre-decoding a fresh one.
+    pub fn new_with_code(
+        image: &ProgramImage,
+        cfg: WorldConfig,
+        code: Option<&SharedCode>,
+    ) -> MpiWorld {
+        Launch::new(image, cfg.machine, code).world(cfg)
     }
 
     /// Arm a fault — the one way in, for every kind. World-level faults
@@ -762,10 +801,14 @@ impl MpiWorld {
         &self.st.plan
     }
 
-    /// Whether any armed machine action or world-level fault has yet to
-    /// fire (a persistent injection stays pending for good).
+    /// Whether any armed fault of any kind has yet to fire — a machine
+    /// action, a world-level fault, or a syscall fault or stall window on
+    /// a rank's machine (a persistent one stays pending for good, a stall
+    /// until its window closes).
     pub fn fault_pending(&self) -> bool {
-        self.injection.is_some() || !self.st.plan.armed.is_empty()
+        self.injection.is_some()
+            || !self.st.plan.armed.is_empty()
+            || self.ranks.iter().any(|r| r.machine.fault_armed())
     }
 
     /// A rank's process-level liveness.
@@ -2546,5 +2589,116 @@ impl WorldSnapshot {
     /// eligibility key for message trials.
     pub fn rank_received_bytes(&self, rank: u16) -> u64 {
         self.ranks[rank as usize].st.received_bytes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fl_apps::{App, AppKind, AppParams};
+
+    /// World construction as it was before [`Launch`]: every rank loads
+    /// the image for itself. The reference [`Launch::world`] is held to.
+    fn loaded_per_rank(image: &ProgramImage, cfg: WorldConfig) -> MpiWorld {
+        let code = SharedCode::build(image);
+        let mut world = Launch::new(image, cfg.machine, Some(&code)).world(cfg);
+        for r in &mut world.ranks {
+            r.machine = Machine::load_shared(image, cfg.machine, Some(&code));
+        }
+        world
+    }
+
+    /// The app's own configuration (`App::world_config`, restated on this
+    /// build's `WorldConfig`: fl-apps links the crate, not its test build).
+    fn config(app: &App, fastpath: bool, obs_capacity: u32) -> WorldConfig {
+        let ulfm = app.kind == AppKind::Jacobi3d;
+        WorldConfig {
+            nranks: app.params.nranks,
+            nondet: app.kind == AppKind::Moldyn,
+            seed: app.params.seed,
+            machine: MachineConfig {
+                budget: 2_000_000_000,
+                fastpath,
+                obs_capacity,
+                ..Default::default()
+            },
+            eager_threshold: if app.kind == AppKind::Moldyn {
+                512
+            } else {
+                1024
+            },
+            ulfm,
+            ft: FailureDetector {
+                enabled: ulfm,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    /// Everything a finished world shows.
+    fn finished(mut w: MpiWorld) -> (WorldExit, WorldSnapshot, Vec<Vec<fl_obs::Event>>) {
+        let exit = w.run();
+        (exit, w.snapshot(), w.event_streams())
+    }
+
+    #[test]
+    fn launched_worlds_equal_loaded_worlds() {
+        for kind in AppKind::ALL {
+            let app = App::build(kind, AppParams::tiny(kind));
+            for (fastpath, ring) in [(true, 0), (true, 64), (false, 0), (false, 64)] {
+                let what = format!("{kind:?}, fastpath {fastpath}, ring {ring}");
+                let cfg = config(&app, fastpath, ring);
+                // Loaded under another budget: each world brings its own.
+                let other = MachineConfig {
+                    budget: 1,
+                    ..cfg.machine
+                };
+                let launch = Launch::new(&app.image, other, None);
+                let (launched, loaded) = (launch.world(cfg), loaded_per_rank(&app.image, cfg));
+                assert!(launched.snapshot() == loaded.snapshot(), "{what}: pristine");
+
+                // Exit, output, per-rank counters, rounds: the snapshot
+                // holds them all.
+                let reference = finished(loaded);
+                assert_eq!(reference.0, WorldExit::Clean, "{what}");
+                assert!(finished(launched) == reference, "{what}: after run()");
+                let one_shot = MpiWorld::new(&app.image, cfg);
+                assert!(finished(one_shot) == reference, "{what}: one-shot");
+
+                // One launch, two threads: the same worlds.
+                let run = || finished(launch.world(cfg));
+                let (a, b) = std::thread::scope(|s| {
+                    let (a, b) = (s.spawn(run), s.spawn(run));
+                    (a.join().expect("ran"), b.join().expect("ran"))
+                });
+                assert!(a == reference && b == reference, "{what}: threads");
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_share_pages_until_one_writes() {
+        let kind = AppKind::Wavetoy;
+        let app = App::build(kind, AppParams::tiny(kind));
+        let cfg = config(&app, true, 0);
+        let launch = Launch::new(&app.image, cfg.machine, None);
+        let mut w = launch.world(cfg);
+        let pages = |w: &MpiWorld, r: u16| w.machine(r).snapshot().mem;
+        let resident = pages(&w, 0).resident_pages();
+        assert!(resident > 0);
+        assert_eq!(pages(&w, 0).pages_shared_with(&pages(&w, 1)), resident);
+
+        let addr = app.image.data_base();
+        let before = w.machine(1).mem.peek_u8(addr);
+        w.machine_mut(0).poke_mem(addr, &[!before]);
+        assert_eq!(w.machine(0).mem.peek_u8(addr), !before);
+        assert_eq!(w.machine(1).mem.peek_u8(addr), before, "rank 1");
+        assert_eq!(launch.world(cfg).machine(0).mem.peek_u8(addr), before);
+        assert_eq!(
+            pages(&w, 0).pages_shared_with(&pages(&w, 1)),
+            resident - 1,
+            "the write copied one page"
+        );
     }
 }

@@ -794,6 +794,7 @@ fn kill_after_exit_is_a_missed_fault() {
         for (name, effect) in idle(rank) {
             let mut w = world(SRC, 2);
             w.arm(Fault::new(rank, u64::MAX, effect));
+            assert!(w.fault_pending(), "{name} armed on rank {rank} is pending");
             assert_eq!(observe(&mut w), unarmed, "{name} armed on rank {rank}");
             let plan = w.plan();
             assert!(plan.hit.is_none(), "{name}: no wire strike");

@@ -5,7 +5,7 @@
 //! [`EpochCache::converged`] and the crate documentation).
 
 use fl_machine::{ProgramImage, ReadStamps, SharedCode};
-use fl_mpi::{MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
+use fl_mpi::{Launch, MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
 
 /// One checkpoint of the golden world, taken at a scheduler-round
 /// boundary.
@@ -31,9 +31,10 @@ impl Epoch {
 
 /// Checkpoints of one application's golden run, ordered by round.
 ///
-/// Epoch 0 is always the pristine just-loaded world (zero instructions
-/// retired anywhere), so every trial has at least one usable epoch and
-/// even "cold" forks skip the program-image load.
+/// Epoch 0 is always the pristine just-launched world (zero instructions
+/// retired anywhere), so every trial has at least one usable epoch. A
+/// world that cannot fork from a later one starts from the same state:
+/// the campaign's [`Launch`].
 pub struct EpochCache {
     epochs: Vec<Epoch>,
     exit: WorldExit,
@@ -56,17 +57,17 @@ impl EpochCache {
         EpochCache::build_with_code(image, cfg, every_rounds, None)
     }
 
-    /// Like [`EpochCache::build`], but run the golden world against a
-    /// campaign-wide [`SharedCode`] store so every epoch snapshot hands
-    /// its forks warm decoded caches (and superblocks promoted during
-    /// the golden run carry straight into the trials).
+    /// Like [`EpochCache::build`], but run the golden world against an
+    /// existing [`SharedCode`] store so every epoch snapshot hands its
+    /// forks warm decoded caches (and superblocks promoted during the
+    /// golden run carry straight into the trials).
     pub fn build_with_code(
         image: &ProgramImage,
         cfg: WorldConfig,
         every_rounds: u32,
         code: Option<&SharedCode>,
     ) -> EpochCache {
-        EpochCache::run_golden(image, cfg, every_rounds, code).0
+        EpochCache::run_golden(&Launch::new(image, cfg.machine, code), cfg, every_rounds).0
     }
 
     /// The golden pass itself: run the fault-free world to completion
@@ -80,13 +81,12 @@ impl EpochCache {
     ///
     /// Panics if `every_rounds` is zero.
     pub fn run_golden(
-        image: &ProgramImage,
+        launch: &Launch,
         cfg: WorldConfig,
         every_rounds: u32,
-        code: Option<&SharedCode>,
     ) -> (EpochCache, MpiWorld) {
         assert!(every_rounds > 0, "every_rounds must be nonzero");
-        let mut world = MpiWorld::new_with_code(image, cfg, code);
+        let mut world = launch.world(cfg);
         let mut epochs = vec![Epoch {
             snap: world.snapshot(),
             round: 0,

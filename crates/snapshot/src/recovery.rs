@@ -8,8 +8,8 @@
 //! output bit-identical to the fault-free run.
 
 use crate::epoch::Epoch;
-use fl_machine::{ProgramImage, KERNEL_BASE};
-use fl_mpi::{MpiWorld, WorldConfig, WorldExit};
+use fl_machine::KERNEL_BASE;
+use fl_mpi::{Launch, MpiWorld, WorldConfig, WorldExit};
 
 /// Parameters of one recovery experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,23 +71,19 @@ fn run_counting(w: &mut MpiWorld) -> (WorldExit, u64) {
 /// # Panics
 ///
 /// Panics if `checkpoint_every` is zero or `kill_rank` is out of range.
-pub fn run_recovery(
-    image: &ProgramImage,
-    cfg: WorldConfig,
-    rcfg: RecoveryConfig,
-) -> RecoveryReport {
+pub fn run_recovery(launch: &Launch, cfg: WorldConfig, rcfg: RecoveryConfig) -> RecoveryReport {
     assert!(
         rcfg.checkpoint_every > 0,
         "checkpoint_every must be nonzero"
     );
     assert!(rcfg.kill_rank < cfg.nranks, "kill_rank out of range");
 
-    let mut golden_world = MpiWorld::new(image, cfg);
+    let mut golden_world = launch.world(cfg);
     let (_, golden_rounds) = run_counting(&mut golden_world);
     let golden_out = outputs(&golden_world);
 
     // Checkpointed faulty run.
-    let mut world = MpiWorld::new(image, cfg);
+    let mut world = launch.world(cfg);
     let mut latest = Epoch {
         snap: world.snapshot(),
         round: 0,

@@ -24,7 +24,8 @@ fn golden_with_quantum(app: &App, every_rounds: u32, fastpath: bool, quantum: u6
     let mut cfg = app.world_config(BUDGET);
     cfg.machine.fastpath = fastpath;
     cfg.quantum = quantum;
-    let (cache, world) = EpochCache::run_golden(&app.image, cfg, every_rounds, None);
+    let launch = fl_mpi::Launch::new(&app.image, cfg.machine, None);
+    let (cache, world) = EpochCache::run_golden(&launch, cfg, every_rounds);
     assert_eq!(cache.golden_exit(), &WorldExit::Clean);
     assert_eq!(world.round(), cache.rounds() + 1, "the finished world");
     cache

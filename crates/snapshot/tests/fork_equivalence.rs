@@ -210,9 +210,10 @@ fn injection_on_forked_world_fires() {
 #[test]
 fn recovery_restores_lost_work() {
     let app = tiny(AppKind::Wavetoy);
+    let cfg = app.world_config(BUDGET);
     let report = fl_snap::run_recovery(
-        &app.image,
-        app.world_config(BUDGET),
+        &fl_mpi::Launch::new(&app.image, cfg.machine, None),
+        cfg,
         RecoveryConfig {
             checkpoint_every: 8,
             kill_rank: 1,

@@ -7,6 +7,9 @@
 #   root names    names a crate's lib.rs re-exports with `pub use`
 #   shim lines    code lines, same rule, of shims/<crate>/src/**/*.rs
 #   CI steps      `      - name:` lines of .github/workflows/ci.yml
+#   cold starts   `MpiWorld::new(` / `new_with_code(` calls in the code
+#                 lines (same rule) of crates/{core,ft,guard,snapshot}/src:
+#                 worlds that load the image instead of taking a `Launch`
 #
 # Prints to stdout; CI regenerates results/tracked_numbers.txt from it
 # and diffs. Run from anywhere.
@@ -29,6 +32,13 @@ per_dir() { # total-label src-dirs...
         printf '%-28s %6d\n' "$dir" "$n"
     done
     printf '%-28s %6d\n' "$label" "$total"
+}
+
+cold_starts() { # files...
+    awk 'FNR == 1 { live = 1 }
+         /^#\[cfg\(test\)\]/ { live = 0 }
+         live && !/^[[:space:]]*\/\// { n += gsub(/MpiWorld::new\(|new_with_code\(/, "") }
+         END { print n + 0 }' "$@"
 }
 
 root_names() { # lib.rs
@@ -63,3 +73,7 @@ echo
 echo "# named CI steps"
 printf '%-28s %6d\n' ".github/workflows/ci.yml" \
     "$(grep -c '^      - name:' .github/workflows/ci.yml)"
+echo
+echo "# worlds built by loading the image (non-test call sites)"
+printf '%-28s %6d\n' "core + ft + guard + snapshot" \
+    "$(cold_starts $(find crates/core/src crates/ft/src crates/guard/src crates/snapshot/src -name '*.rs' | sort))"
