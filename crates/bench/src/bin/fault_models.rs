@@ -6,6 +6,7 @@
 
 use fl_apps::AppKind;
 use fl_bench::{emit, experiment_app, injections_from_args};
+use fl_inject::faultmodel::Duration;
 use fl_inject::{compare_models, TargetClass};
 use std::fmt::Write as _;
 
@@ -13,10 +14,13 @@ fn main() {
     let trials = injections_from_args(80);
     let app = experiment_app(AppKind::Climsim);
     let mut out = format!(
-        "Fault-duration models on climsim (n = {trials} per cell)\n\
-         {:<14} {:>11} {:>11} {:>11} {:>11}\n",
-        "Region", "transient", "held-flip", "stuck-at-0", "stuck-at-1"
+        "Fault-duration models on climsim (n = {trials} per cell)\n{:<14}",
+        "Region"
     );
+    for d in Duration::ALL {
+        let _ = write!(out, " {:>11}", d.label());
+    }
+    out.push('\n');
     for class in [
         TargetClass::RegularReg,
         TargetClass::Text,
@@ -24,16 +28,11 @@ fn main() {
         TargetClass::Bss,
     ] {
         eprintln!("fault models: {class:?} ...");
-        let rows = compare_models(&app, class, trials, 0xE16);
-        let _ = writeln!(
-            out,
-            "{:<14} {:>10.1}% {:>10.1}% {:>10.1}% {:>10.1}%",
-            class.label(),
-            rows[0].1,
-            rows[1].1,
-            rows[2].1,
-            rows[3].1
-        );
+        let _ = write!(out, "{:<14}", class.label());
+        for (_, rate, _) in compare_models(&app, class, trials, 0xE16) {
+            let _ = write!(out, " {rate:>10.1}%");
+        }
+        out.push('\n');
     }
     out.push_str(
         "\nPaper context (§8.1): Constantinescu's stuck-at injections on ASCI\n\

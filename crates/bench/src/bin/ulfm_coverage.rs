@@ -21,7 +21,8 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_bench::{emit, injections_from_args};
-use fl_inject::{classify, draw_kill, run_app, run_respawn, run_shrink, FtPolicy, Manifestation};
+use fl_inject::faultmodel::Draw;
+use fl_inject::{classify, run_app, run_respawn, run_shrink, FtPolicy, Manifestation};
 use fl_mpi::{Launch, MpiWorld, WorldExit};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -91,7 +92,11 @@ fn main() {
 
         for k in 0..trials {
             let seed = 0x01F3 + k as u64 * 7919;
-            let (kill, detail) = draw_kill(&golden, seed, app.params.nranks);
+            // A drawn fault is spent by arming it: every run draws again.
+            let draw =
+                || Draw::Kill { wedge: None }.draw(&golden, None, None, seed, app.params.nranks);
+            let arm = |w: &mut MpiWorld| draw().0.into_iter().for_each(|f| w.arm(f));
+            let detail = draw().1;
             let mut wcfg = app.world_config(budget);
             wcfg.seed = seed;
             wcfg.ulfm = false;
@@ -99,14 +104,14 @@ fn main() {
 
             // Harness shrink: detector fires, fresh world at n-1 ranks.
             let t0 = Instant::now();
-            let (sw, sr) = run_shrink(&launch, wcfg, &policy, |w| w.arm(kill));
+            let (sw, sr) = run_shrink(&launch, wcfg, &policy, arm);
             let s_wall = t0.elapsed().as_nanos() as u64;
             let s_ok = sr.intervened() && sr.exit == WorldExit::Clean;
             shrink_s.note(s_ok, world_insns(&sw), s_wall);
 
             // Harness respawn: buddy checkpoints, restore, re-execute.
             let t0 = Instant::now();
-            let (rw, rr) = run_respawn(&launch, wcfg, &policy, |w| w.arm(kill));
+            let (rw, rr) = run_respawn(&launch, wcfg, &policy, arm);
             let r_wall = t0.elapsed().as_nanos() as u64;
             let r_ok = rr.intervened()
                 && rr.exit == WorldExit::Clean
@@ -116,7 +121,7 @@ fn main() {
             // App-side: the world only *reports* the failure; recovery is
             // the application's problem.
             let t0 = Instant::now();
-            let (aw, ar) = run_app(&launch, wcfg, &policy, |w| w.arm(kill));
+            let (aw, ar) = run_app(&launch, wcfg, &policy, arm);
             let a_wall = t0.elapsed().as_nanos() as u64;
             let a_m = if ar.exit == WorldExit::Clean && ar.shrinks > 0 {
                 if app.comparable_output(&aw) == golden.output {

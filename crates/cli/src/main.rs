@@ -26,8 +26,8 @@ use fl_inject::spec::Flag::{self, On, Value};
 use fl_inject::{
     estimation_error, join_reports, render_register_breakdown, replay_trial, run_spec, sample_size,
     sort_records_jsonl, suggest, CampaignSpec, EngineControl, EngineProgress, EngineSink,
-    FaultModel, FtMode, MetricsReport, Report, ReportFormat, SpecMode, SpecOutcome, StderrProgress,
-    TargetClass, TrialOutput, VecSink,
+    MetricsReport, Report, ReportFormat, SpecMode, SpecOutcome, StderrProgress, TargetClass,
+    TrialOutput, VecSink,
 };
 use fl_serve::{ServeConfig, Server};
 use fl_snap::RecoveryConfig;
@@ -546,8 +546,11 @@ fn cmd_regpressure(args: &[String]) -> Result<(), String> {
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args, [Value("samples"), On("tsv"), On("tiny")], 1)?;
-    let app = o.app("trace")?;
     let samples: usize = o.get_num("samples")?.unwrap_or(60);
+    if samples < 2 {
+        return Err(format!("--samples must be at least 2, got {samples}"));
+    }
+    let app = o.app("trace")?;
     eprintln!("tracing {} ...", app.kind.name());
     let report = fl_trace::trace_app(&app, DEFAULT_BUDGET, samples);
     if o.has("tsv") {
@@ -713,28 +716,30 @@ fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args, valid.chain(own).chain(focus_flag.map(Value)), 1)?;
     let spec = spec_from_opts(&o, verb)?;
     let matrix = spec.matrix().expect("matrix verbs build matrix specs");
-    let focus: Option<String> = match focus_flag.and_then(|f| o.get(f)) {
+    // A focus is matched against the names the matrix itself prints:
+    // ft's column names, or the other modes' row labels.
+    let focus = match focus_flag.and_then(|f| o.get(f)) {
         None => None,
-        Some(m) if verb == "ft" => {
-            let labels: Vec<&str> = FtMode::ALL.iter().map(|m| m.label()).collect();
-            if !labels.contains(&m) {
-                let hint = hint("", m, &labels, "modes");
-                return Err(format!("unknown ft mode `{m}` {hint}"));
-            }
-            Some(m.to_string())
-        }
         Some(m) => {
-            // The parse error carries the registry-wide did-you-mean
-            // hint; a real model that is not a row names the rows.
-            let model: FaultModel = m.parse()?;
-            let rows: Vec<&str> = matrix.rows.iter().map(|r| r.label.as_str()).collect();
-            if !rows.contains(&model.label()) {
-                return Err(format!(
-                    "`{model}` is not a {verb} model (matrix rows: {})",
-                    rows.join(", ")
-                ));
+            let rows = matrix.rows.iter();
+            let names: Vec<&str> = if verb == "ft" {
+                rows.flat_map(|r| r.columns.iter().map(|c| c.name))
+                    .collect()
+            } else {
+                rows.map(|r| r.label).collect()
+            };
+            if !names.contains(&m) {
+                let err = if verb == "ft" {
+                    format!("unknown ft mode `{m}` {}", hint("", m, &names, "modes"))
+                } else if let Some(v) = suggest(m, &names) {
+                    format!("unknown fault model `{m}` (did you mean `{v}`?)")
+                } else {
+                    let rows = names.join(", ");
+                    format!("`{m}` is not a {verb} model (matrix rows: {rows})")
+                };
+                return Err(err);
             }
-            Some(model.label().to_string())
+            Some(m)
         }
     };
     let kind = spec.app;
@@ -779,12 +784,12 @@ fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
         (ReportFormat::Jsonl, _) if streams => print!("{}", sink.canonical_records()),
         // The machine formats always carry every column; focus only
         // changes the human-readable view.
-        (ReportFormat::Table, Some(label)) => {
+        (ReportFormat::Table, Some(name)) => {
             let (row, column) = if verb == "ft" {
-                let (row, column) = result.find_column(&label).expect("a column per FtMode");
+                let (row, column) = result.find_column(name).expect("validated above");
                 (row, Some(column))
             } else {
-                (result.find_row(&label).expect("validated above"), None)
+                (result.find_row(name).expect("validated above"), None)
             };
             print!("{}", result.focus(row, column));
         }
@@ -891,12 +896,15 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
         ],
         1,
     )?;
+    let every: u32 = o.get_num("checkpoint-every")?.unwrap_or(16);
+    if every == 0 {
+        return Err("--checkpoint-every must be at least 1".into());
+    }
     let app = o.app("recovery")?;
     let golden = app.golden(DEFAULT_BUDGET);
     let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
     let wcfg = app.world_config(budget);
     let launch = fl_mpi::Launch::new(&app.image, wcfg.machine, None);
-    let every: u32 = o.get_num("checkpoint-every")?.unwrap_or(16);
     let kill_rank: u16 = o.get_num("kill-rank")?.unwrap_or(1);
     if kill_rank >= app.params.nranks {
         return Err(format!(
@@ -948,8 +956,21 @@ fn cmd_sample_size(args: &[String]) -> Result<(), String> {
         [Value("error"), Value("confidence"), Value("injections")],
         0,
     )?;
-    let conf: f64 = o.get_num("confidence")?.unwrap_or(0.95);
+    // Both are fractions strictly inside (0, 1); NaN is not.
+    let fraction = |name: &str, v: f64| {
+        if v > 0.0 && v < 1.0 {
+            Ok(v)
+        } else {
+            Err(format!(
+                "--{name} must lie strictly between 0 and 1, got {v}"
+            ))
+        }
+    };
+    let conf = fraction("confidence", o.get_num("confidence")?.unwrap_or(0.95))?;
     if let Some(n) = o.get_num::<u32>("injections")? {
+        if n == 0 {
+            return Err("--injections must be at least 1".into());
+        }
         println!(
             "n = {n} at {:.0}% confidence -> estimation error d = {:.2}%",
             conf * 100.0,
@@ -960,6 +981,7 @@ fn cmd_sample_size(args: &[String]) -> Result<(), String> {
     let d: f64 = o
         .get_num("error")?
         .ok_or("sample-size needs --error D (fraction) or --injections N")?;
+    let d = fraction("error", d)?;
     println!(
         "d = {:.2}% at {:.0}% confidence -> n >= {} injections (oversampled, P = 0.5)",
         d * 100.0,
@@ -1316,6 +1338,9 @@ mod tests {
     fn chaos_model_flag_surfaces_parse_suggestions() {
         let err = run(&s(&["chaos", "wavetoy", "--tiny", "--model", "net-crrupt"])).unwrap_err();
         assert!(err.contains("did you mean `net-corrupt`?"), "{err}");
+        // The old aliases are near misses of the row labels now.
+        let err = run(&s(&["chaos", "wavetoy", "--tiny", "--model", "burst"])).unwrap_err();
+        assert!(err.contains("did you mean `burst-kill`?"), "{err}");
         // A real model that is not a matrix row is rejected with the
         // row list, not run.
         let err = run(&s(&["chaos", "wavetoy", "--tiny", "--model", "transient"])).unwrap_err();
@@ -1402,6 +1427,23 @@ mod tests {
         assert!(err.contains("campaign id"), "{err}");
         let err = run(&s(&["submit", "/no/such/spec.json"])).unwrap_err();
         assert!(err.contains("/no/such/spec.json"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_not_panics() {
+        // Each of these once reached a library assertion (exit 101).
+        for args in [
+            &["sample-size", "--error", "0"][..],
+            &["sample-size", "--error", "nan"],
+            &["sample-size", "--error", "0.05", "--confidence", "1"],
+            &["sample-size", "--injections", "0"],
+            &["trace", "wavetoy", "--tiny", "--samples", "1"],
+            &["recovery", "wavetoy", "--tiny", "--checkpoint-every", "0"],
+        ] {
+            let flag = args.iter().rev().nth(1).unwrap();
+            let err = run(&s(args)).expect_err(&format!("{args:?}"));
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
     }
 
     #[test]

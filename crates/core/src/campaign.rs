@@ -8,6 +8,7 @@
 //! between injections; we get the same isolation by constructing fresh
 //! machines.
 
+use crate::faultmodel::Duration;
 use crate::obs::{CampaignMetrics, TrialTrace};
 use crate::outcome::{classify, Manifestation, Tally};
 use crate::target::{
@@ -327,12 +328,18 @@ impl<'a> TrialContext<'a> {
     /// — so a campaign produces the same records either way; forking
     /// only skips the redundant fault-free prefix, and convergence only
     /// the redundant fault-free suffix.
-    pub(crate) fn run_trial(&self, class: TargetClass, trial_seed: u64) -> TrialRun {
+    pub(crate) fn run_trial(
+        &self,
+        class: TargetClass,
+        duration: Duration,
+        trial_seed: u64,
+    ) -> TrialRun {
         let app = self.app;
         let (fault, detail, struck) = draw_fault(
             &self.golden,
             &self.dicts,
             class,
+            duration,
             trial_seed,
             app.params.nranks,
         );
@@ -455,7 +462,8 @@ pub fn replay_trial(
 ) -> TrialTrace {
     assert!(ci < classes.len(), "class index {ci} out of range");
     assert!(k < cfg.injections, "trial index {k} out of range");
-    let run = TrialContext::build(app, cfg).run_trial(classes[ci], trial_seed(cfg.seed, ci, k));
+    let seed = trial_seed(cfg.seed, ci, k);
+    let run = TrialContext::build(app, cfg).run_trial(classes[ci], Duration::Transient, seed);
     TrialTrace {
         record: run.record,
         rank: run.rank,
@@ -481,34 +489,50 @@ impl Dictionaries {
             bss: FaultDictionary::build(&app.image, fl_machine::Region::Bss),
         }
     }
-
-    fn get(&self, class: TargetClass) -> &FaultDictionary {
-        match class {
-            TargetClass::Text => &self.text,
-            TargetClass::Data => &self.data,
-            TargetClass::Bss => &self.bss,
-            _ => unreachable!("no dictionary for {class:?}"),
-        }
-    }
 }
 
 /// Draw a trial's complete fault specification from its seed — §4.3's
 /// three-axis sampling. Baseline and guarded runs of the same trial seed
 /// draw the *identical* fault (the RNG is consumed before any world
 /// exists), which is what makes per-trial guard-off/guard-on coverage
-/// comparison meaningful. Returns the armable fault (a machine fault's
-/// action is a boxed closure, so every world wants its own draw), its
-/// human-readable record detail, and what the flip strikes.
+/// comparison meaningful. A register or static-memory flip lasts
+/// `duration` (§8.1); heap and stack targets are resolved when the fault
+/// fires and a message flip strikes the wire, so those flip once.
+/// Returns the armable fault (a machine fault's action is a boxed
+/// closure, so every world wants its own draw), its human-readable
+/// record detail, and what the flip strikes.
 pub(crate) fn draw_fault(
     golden: &Golden,
     dicts: &Dictionaries,
     class: TargetClass,
+    duration: Duration,
     trial_seed: u64,
     nranks: u16,
 ) -> (Fault, String, Struck) {
     let mut rng = StdRng::seed_from_u64(trial_seed);
     let rank = rng.gen_range(0..nranks);
-
+    let at_insns = |rng: &mut StdRng| rng.gen_range(1..golden.insns[rank as usize].max(2));
+    let fault = |at, (action, period): (Action, Option<u64>), what: String, struck| {
+        let effect = Effect::Action { action, period };
+        let detail = format!("rank {rank} t={at}: {what}");
+        (Fault::new(rank, at, effect), detail, struck)
+    };
+    // A text, data or bss byte from the region's dictionary.
+    let mut static_flip = |dict: &FaultDictionary| {
+        let at = at_insns(&mut rng);
+        let addr = dict
+            .pick(&mut rng)
+            .expect("static region must have symbols");
+        let bit = rng.gen_range(0..8u8);
+        let lasting = duration.action(
+            move |m| m.mem.peek_u8(addr) >> (bit & 7) & 1 == 1,
+            move |m, v| {
+                m.set_mem_bit(addr, bit, v);
+            },
+        );
+        let what = format!("{} {addr:#010x} bit {bit}", class.label());
+        fault(at, lasting, what, Struck::Static(addr))
+    };
     match class {
         TargetClass::Message => {
             let volume = golden.recv_bytes[rank as usize].max(1);
@@ -520,81 +544,57 @@ pub(crate) fn draw_fault(
                 Struck::AtFire,
             )
         }
-        _ => {
-            let at_insns = rng.gen_range(1..golden.insns[rank as usize].max(2));
-            let (action, detail, struck): (Action, String, Struck) = match class {
-                TargetClass::RegularReg | TargetClass::FpReg => {
-                    let regs = if class == TargetClass::RegularReg {
-                        regular_registers()
-                    } else {
-                        fp_registers()
-                    };
-                    let reg = regs[rng.gen_range(0..regs.len())];
-                    let bit = rng.gen_range(0..reg.width_bits());
-                    (
-                        Box::new(move |m: &mut fl_machine::Machine| {
-                            m.flip_register_bit(reg, bit);
-                        }),
-                        format!("{reg} bit {bit}"),
-                        Struck::Register(reg, bit),
-                    )
-                }
-                TargetClass::Text | TargetClass::Data | TargetClass::Bss => {
-                    let addr = dicts
-                        .get(class)
-                        .pick(&mut rng)
-                        .expect("static region must have symbols");
-                    let bit = rng.gen_range(0..8u8);
-                    (
-                        Box::new(move |m: &mut fl_machine::Machine| {
-                            m.flip_mem_bit(addr, bit);
-                        }),
-                        format!("{} {addr:#010x} bit {bit}", class.label()),
-                        Struck::Static(addr),
-                    )
-                }
-                TargetClass::Heap => {
-                    let (r1, r2) = (rng.gen::<u64>(), rng.gen::<u64>());
-                    let bit = rng.gen_range(0..8u8);
-                    (
-                        Box::new(move |m: &mut fl_machine::Machine| {
-                            if let Some(addr) = resolve_heap_target(m, r1, r2) {
-                                m.flip_mem_bit(addr, bit);
-                            }
-                        }),
-                        format!("heap draw {r1:#x} bit {bit}"),
-                        Struck::AtFire,
-                    )
-                }
-                TargetClass::Stack => {
-                    let r = rng.gen::<u64>();
-                    let bit = rng.gen_range(0..8u8);
-                    (
-                        Box::new(move |m: &mut fl_machine::Machine| {
-                            if let Some(addr) = resolve_stack_target(m, r) {
-                                m.flip_mem_bit(addr, bit);
-                            }
-                        }),
-                        format!("stack draw {r:#x} bit {bit}"),
-                        Struck::AtFire,
-                    )
-                }
-                TargetClass::Message => unreachable!(),
-                // Chaos classes are drawn by the chaos engine, never
-                // here; the perturb class by draw_perturb.
-                TargetClass::Network
-                | TargetClass::Syscall
-                | TargetClass::Process
-                | TargetClass::Sched => {
-                    unreachable!("chaos/perturb classes are drawn by their engines")
-                }
+        TargetClass::RegularReg | TargetClass::FpReg => {
+            let at = at_insns(&mut rng);
+            let regs = if class == TargetClass::RegularReg {
+                regular_registers()
+            } else {
+                fp_registers()
             };
-            let period = None;
-            (
-                Fault::new(rank, at_insns, Effect::Action { action, period }),
-                format!("rank {rank} t={at_insns}: {detail}"),
-                struck,
+            let reg = regs[rng.gen_range(0..regs.len())];
+            let bit = rng.gen_range(0..reg.width_bits());
+            let lasting = duration.action(
+                move |m| m.register_bit(reg, bit),
+                move |m, v| m.set_register_bit(reg, bit, v),
+            );
+            fault(
+                at,
+                lasting,
+                format!("{reg} bit {bit}"),
+                Struck::Register(reg, bit),
             )
+        }
+        TargetClass::Text => static_flip(&dicts.text),
+        TargetClass::Data => static_flip(&dicts.data),
+        TargetClass::Bss => static_flip(&dicts.bss),
+        TargetClass::Heap => {
+            let at = at_insns(&mut rng);
+            let (r1, r2) = (rng.gen::<u64>(), rng.gen::<u64>());
+            let bit = rng.gen_range(0..8u8);
+            let action: Action = Box::new(move |m| {
+                if let Some(addr) = resolve_heap_target(m, r1, r2) {
+                    m.flip_mem_bit(addr, bit);
+                }
+            });
+            let what = format!("heap draw {r1:#x} bit {bit}");
+            fault(at, (action, None), what, Struck::AtFire)
+        }
+        TargetClass::Stack => {
+            let at = at_insns(&mut rng);
+            let r = rng.gen::<u64>();
+            let bit = rng.gen_range(0..8u8);
+            let action: Action = Box::new(move |m| {
+                if let Some(addr) = resolve_stack_target(m, r) {
+                    m.flip_mem_bit(addr, bit);
+                }
+            });
+            let what = format!("stack draw {r:#x} bit {bit}");
+            fault(at, (action, None), what, Struck::AtFire)
+        }
+        // Region lists admit only the eight §4.3 regions; these classes
+        // are what matrix rows record (`faultmodel::Draw::class`).
+        TargetClass::Network | TargetClass::Syscall | TargetClass::Process | TargetClass::Sched => {
+            panic!("`{class}` is not a §4.3 injection region")
         }
     }
 }
@@ -830,7 +830,7 @@ mod tests {
         for (ci, &class) in TargetClass::ALL.iter().enumerate() {
             let ends = &mut per_class[ci];
             for k in 0..cfg.injections {
-                let run = ctx.run_trial(class, trial_seed(cfg.seed, ci, k));
+                let run = ctx.run_trial(class, Duration::Transient, trial_seed(cfg.seed, ci, k));
                 ends.correct += (run.record.outcome == Manifestation::Correct) as u32;
                 let c = run.converge;
                 if c.trials_converged + c.decided_at_draw == 0 {
@@ -954,7 +954,7 @@ mod tests {
         let quiet = |cfg: CampaignConfig| {
             let ctx = TrialContext::build(&app, &cfg);
             (0..6).all(|k| {
-                let run = ctx.run_trial(TargetClass::Bss, trial_seed(3, 0, k));
+                let run = ctx.run_trial(TargetClass::Bss, Duration::Transient, trial_seed(3, 0, k));
                 run.converge == ConvergeStats::default()
             })
         };
@@ -973,7 +973,7 @@ mod tests {
         let moldyn = App::build(AppKind::Moldyn, AppParams::tiny(AppKind::Moldyn));
         let ctx = TrialContext::build(&moldyn, &CampaignConfig::default());
         let ended = (0..6)
-            .map(|k| ctx.run_trial(TargetClass::Bss, trial_seed(3, 0, k)))
+            .map(|k| ctx.run_trial(TargetClass::Bss, Duration::Transient, trial_seed(3, 0, k)))
             .filter(|run| run.converge.trials_converged + run.converge.decided_at_draw == 1)
             .count();
         assert!(ended > 0, "no moldyn bss trial ended early");

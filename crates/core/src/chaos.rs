@@ -19,19 +19,14 @@
 //! through the ordinary sink/record machinery, so chaos campaigns resume
 //! and sort exactly like plain ones.
 
-use crate::faultmodel::FaultModel;
+use crate::faultmodel::Draw;
 use crate::matrix::{
-    cell_jsonl, cell_tsv, contract_lines, Column, Contract, Draw, Isolate, Layout, MatrixMode,
+    cell_jsonl, cell_tsv, contract_lines, Column, Contract, Isolate, Layout, MatrixMode,
     MatrixResult, Row, Runner, Slot, Summary,
 };
 use crate::outcome::Manifestation;
-use fl_apps::Golden;
 use fl_ft::FtPolicy;
 use fl_guard::GuardPolicy;
-use fl_machine::SyscallFaultKind;
-use fl_mpi::{Effect, Fault, MpiWorld, NetFaultKind, WorldEffect};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
 /// One column of the coverage matrix: which mechanism stands between the
@@ -111,184 +106,6 @@ impl Default for ChaosPolicy {
     }
 }
 
-/// Fault-free per-rank syscall activity — the draw denominators for the
-/// syscall failure models, read off the clean golden-configuration run
-/// (the [`Golden`] profile predates these counters).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyscallCounts {
-    /// `malloc` calls served per rank.
-    pub mallocs: Vec<u64>,
-    /// Output syscalls issued per rank.
-    pub io_writes: Vec<u64>,
-}
-
-impl SyscallCounts {
-    /// The counts of a finished fault-free world. Deterministic in the
-    /// app and configuration, so every campaign recomputes the same
-    /// denominators.
-    pub fn of(w: &MpiWorld) -> SyscallCounts {
-        let counters = |r| w.machine(r).counters;
-        SyscallCounts {
-            mallocs: (0..w.nranks()).map(|r| counters(r).mallocs).collect(),
-            io_writes: (0..w.nranks()).map(|r| counters(r).io_writes).collect(),
-        }
-    }
-}
-
-/// Draw the chaos fault for one trial seed — one [`Fault`], or one per
-/// victim for a burst. Fully determined by `(golden, sys, model, seed,
-/// nranks, policy)` — recomputable from the campaign coordinates like
-/// every other fault draw, and shared by all defense columns of the
-/// trial's row.
-pub fn draw_chaos(
-    golden: &Golden,
-    sys: &SyscallCounts,
-    model: FaultModel,
-    seed: u64,
-    nranks: u16,
-    policy: &ChaosPolicy,
-) -> (Vec<Fault>, String) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    match model {
-        FaultModel::NetDrop
-        | FaultModel::NetDuplicate
-        | FaultModel::NetReorder
-        | FaultModel::NetCorrupt => {
-            // Target a rank that actually receives traffic.
-            let eligible: Vec<u16> = (0..nranks)
-                .filter(|&r| golden.recv_bytes[r as usize] > 0)
-                .collect();
-            let rank = eligible[rng.gen_range(0..eligible.len())];
-            let at_recv_byte = rng.gen_range(0..golden.recv_bytes[rank as usize]);
-            let (kind, what) = match model {
-                FaultModel::NetDrop => (NetFaultKind::Drop, "drop".to_string()),
-                FaultModel::NetDuplicate => (NetFaultKind::Duplicate, "duplicate".to_string()),
-                FaultModel::NetReorder => {
-                    let delay = rng.gen_range(1..policy.reorder_max_delay.max(1) + 1);
-                    (
-                        NetFaultKind::Reorder {
-                            delay_rounds: delay,
-                        },
-                        format!("reorder +{delay} rounds"),
-                    )
-                }
-                _ => (NetFaultKind::Corrupt, "corrupt".to_string()),
-            };
-            (
-                vec![Fault::new(rank, at_recv_byte, WorldEffect::Wire(kind)).into()],
-                format!("{what} into rank {rank} @ recv byte {at_recv_byte}"),
-            )
-        }
-        FaultModel::Partition => {
-            // Any mask in (0, 2^n - 1) splits the ranks into two
-            // non-empty groups.
-            let mask = rng.gen_range(1..(1u32 << nranks) - 1);
-            let trigger_rank = rng.gen_range(0..nranks);
-            let at_blocks = rng.gen_range(1..golden.blocks[trigger_rank as usize].max(2));
-            let (lo, hi) = policy.partition_rounds;
-            let lo = lo.max(1);
-            let rounds = rng.gen_range(lo..hi.max(lo) + 1);
-            let cut = WorldEffect::Cut { mask, rounds };
-            (
-                vec![Fault::new(trigger_rank, at_blocks, cut).into()],
-                format!(
-                    "partition mask {mask:#06b} for {rounds} rounds @ rank {trigger_rank} \
-                     block {at_blocks}"
-                ),
-            )
-        }
-        FaultModel::SyscallMalloc | FaultModel::SyscallWrite => {
-            let rank = rng.gen_range(0..nranks);
-            let (kind, counts, what) = if model == FaultModel::SyscallMalloc {
-                (SyscallFaultKind::Malloc, &sys.mallocs, "malloc")
-            } else {
-                (SyscallFaultKind::Write, &sys.io_writes, "write")
-            };
-            let at_call = rng.gen_range(1..counts[rank as usize].max(1) + 1);
-            let persist = rng.gen_range(0..2u32) == 1;
-            (
-                vec![Fault::new(rank, at_call, Effect::Syscall { kind, persist })],
-                format!(
-                    "{what} denied on rank {rank} @ call {at_call}{}",
-                    if persist { " (persistent)" } else { "" }
-                ),
-            )
-        }
-        FaultModel::Burst => {
-            // One arrival process emits K kills across distinct ranks.
-            // Integer pseudo-MTBF: successive gaps of mtbf/2 + U[0,mtbf)
-            // block clocks, no survivor-free bursts.
-            let hi = policy.burst_max.min(nranks.saturating_sub(1)).max(1);
-            let lo = 2u16.min(hi);
-            let k = rng.gen_range(lo as u32..hi as u32 + 1) as u16;
-            let mut pool: Vec<u16> = (0..nranks).collect();
-            let mut kills = Vec::with_capacity(k as usize);
-            let mut detail = String::from("burst:");
-            let first = pool.remove(rng.gen_range(0..pool.len()));
-            let mtbf = (golden.blocks[first as usize] / 8).max(4);
-            let mut t = rng.gen_range(1..golden.blocks[first as usize].max(2));
-            for i in 0..k {
-                let victim = if i == 0 {
-                    first
-                } else {
-                    pool.remove(rng.gen_range(0..pool.len()))
-                };
-                let wedge = rng.gen_range(0..2u32) == 1;
-                let at_blocks = t.clamp(1, golden.blocks[victim as usize].max(2) - 1);
-                kills.push(Fault::kill(victim, at_blocks, wedge).into());
-                let _ = write!(
-                    detail,
-                    " {} r{victim}@{at_blocks}",
-                    if wedge { "wedge" } else { "kill" }
-                );
-                t += mtbf / 2 + rng.gen_range(0..mtbf);
-            }
-            (kills, detail)
-        }
-        FaultModel::NodeKill => {
-            // Contiguous groups of `node_ranks` form the nodes; one dies
-            // whole. Never take the last survivor.
-            let per = policy.node_ranks.clamp(1, nranks);
-            let nodes = nranks.div_ceil(per);
-            let node = rng.gen_range(0..nodes);
-            let lo = node * per;
-            let hi = ((node + 1) * per).min(nranks);
-            let mut mask = 0u32;
-            for r in lo..hi {
-                mask |= 1 << r;
-            }
-            if hi - lo == nranks {
-                mask &= !(1 << (nranks - 1)); // leave one rank alive
-            }
-            let trigger_rank = mask.trailing_zeros() as u16;
-            let at_blocks = rng.gen_range(1..golden.blocks[trigger_rank as usize].max(2));
-            let wedge = rng.gen_range(0..2u32) == 1;
-            let mates = mask;
-            (
-                vec![
-                    Fault::new(trigger_rank, at_blocks, WorldEffect::Kill { mates, wedge }).into(),
-                ],
-                format!(
-                    "node {} down (mask {mask:#06b}) @ block {at_blocks}{}",
-                    node,
-                    if wedge { ", wedged" } else { "" }
-                ),
-            )
-        }
-        FaultModel::Transient
-        | FaultModel::Held
-        | FaultModel::StuckAt0
-        | FaultModel::StuckAt1
-        | FaultModel::KillRank
-        | FaultModel::WedgeRank
-        | FaultModel::QuantumTax
-        | FaultModel::HogRank
-        | FaultModel::MemStall => {
-            unreachable!("draw_chaos only draws chaos models, got {model}")
-        }
-    }
-}
-
 /// Did this defense-column outcome neutralize the fault — masked,
 /// recovered, or at least *detected*? (Measured against baseline-error
 /// draws, so a plain `Correct` means the defense's environment kept the
@@ -338,25 +155,32 @@ const SUMMARY: &[Summary] = &[
     }),
 ];
 
-/// The chaos mode: every [`FaultModel::chaos_models`] row against every
-/// [`Defense`] column, `injections` draws per row, one cell's trial per
-/// slot.
+/// The chaos mode: one row per chaos model — network, then system, then
+/// correlated — against every [`Defense`] column, `injections` draws per
+/// row, one cell's trial per slot.
 pub fn mode(policy: ChaosPolicy) -> MatrixMode {
-    let models = FaultModel::chaos_models();
+    let draws = [
+        Draw::NetDrop,
+        Draw::NetDup,
+        Draw::NetReorder {
+            max_delay: policy.reorder_max_delay,
+        },
+        Draw::NetCorrupt,
+        Draw::Partition {
+            rounds: policy.partition_rounds,
+        },
+        Draw::SyscallMalloc,
+        Draw::SyscallWrite,
+        Draw::Burst {
+            max: policy.burst_max,
+        },
+        Draw::NodeKill {
+            node_ranks: policy.node_ranks,
+        },
+    ];
     let columns: Vec<Column> = Defense::ALL.iter().map(|d| d.column(&policy)).collect();
-    let row = |&model: &FaultModel| Row {
-        label: model.label().to_string(),
-        class: model
-            .chaos_class()
-            .expect("chaos models carry a chaos class"),
-        draw: Draw::Chaos(model, policy),
-        columns: columns.clone(),
-    };
-    let contract = |name, what, model, defense, over, counts| {
-        let row = models
-            .iter()
-            .position(|&m| m == model)
-            .expect("a chaos model");
+    let contract = |name, what, model: fn(&Draw) -> bool, defense, over, counts| {
+        let row = draws.iter().position(model).expect("a chaos row");
         Contract {
             name,
             what,
@@ -377,7 +201,7 @@ pub fn mode(policy: ChaosPolicy) -> MatrixMode {
         contract(
             "crc-catches-net-corrupt",
             "net-corrupt trials the CRC channel masked or detected",
-            FaultModel::NetCorrupt,
+            |d| *d == Draw::NetCorrupt,
             Defense::Crc,
             |_| true,
             |m| {
@@ -394,7 +218,7 @@ pub fn mode(policy: ChaosPolicy) -> MatrixMode {
         contract(
             "watchdog-catches-partition-hangs",
             "baseline-hang partition trials the watchdog detected or recovered",
-            FaultModel::Partition,
+            |d| matches!(d, Draw::Partition { .. }),
             Defense::Watchdog,
             |b| b == Manifestation::Hang,
             |m| matches!(m, Manifestation::DetectedByGuard | Manifestation::Recovered),
@@ -405,14 +229,14 @@ pub fn mode(policy: ChaosPolicy) -> MatrixMode {
         contract(
             "shrink-recovers-node-kill",
             "baseline-error node-kill trials shrink recovery converted",
-            FaultModel::NodeKill,
+            |d| matches!(d, Draw::NodeKill { .. }),
             Defense::Shrink,
             Manifestation::is_error,
             |m| m == Manifestation::Recovered,
         ),
     ];
     MatrixMode {
-        rows: models.iter().map(row).collect(),
+        rows: draws.map(|d| Row::new(d, columns.clone())).into(),
         slot: Slot::Cell {
             write_aux: |_| String::new(),
             read_aux: |_| Some([0; 3]),
@@ -471,9 +295,12 @@ mod tests {
     use super::*;
     use crate::campaign::{trial_seed, CampaignConfig};
     use crate::engine::{parse_record_line, EngineControl, VecSink};
+    use crate::faultmodel::SyscallCounts;
     use crate::matrix::{run_matrix, ContractCheck};
     use crate::report::Report;
     use fl_apps::{App, AppKind, AppParams};
+    use fl_machine::SyscallFaultKind;
+    use fl_mpi::{Effect, Fault, NetFaultKind, WorldEffect};
 
     fn tiny() -> App {
         App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy))
@@ -485,52 +312,52 @@ mod tests {
         let mut clean = app.world(2_000_000_000);
         let exit = clean.run();
         let (golden, sys) = (app.golden_of(&clean, &exit), SyscallCounts::of(&clean));
-        let policy = ChaosPolicy::default();
-        for (mi, model) in FaultModel::chaos_models().iter().enumerate() {
+        let n = app.params.nranks;
+        for (mi, row) in mode(ChaosPolicy::default()).rows.iter().enumerate() {
             for k in 0..4u32 {
                 let seed = trial_seed(7, mi, k);
-                let a = draw_chaos(&golden, &sys, *model, seed, app.params.nranks, &policy);
-                let b = draw_chaos(&golden, &sys, *model, seed, app.params.nranks, &policy);
+                let draw = || row.draw.draw(&golden, None, Some(&sys), seed, n);
+                let (a, b) = (draw(), draw());
+                let model = row.label;
                 assert_eq!(
                     format!("{a:?}"),
                     format!("{b:?}"),
                     "{model} draw must be pure in the seed"
                 );
-                let n = app.params.nranks;
                 let world = |f: &Fault| match f.effect {
                     Effect::World(e) => e,
                     ref other => panic!("{model} drew {other:?}"),
                 };
-                match (model, &a.0[..]) {
-                    (FaultModel::NetDrop, [f]) => {
+                match (row.draw, &a.0[..]) {
+                    (Draw::NetDrop, [f]) => {
                         assert_eq!(world(f), WorldEffect::Wire(NetFaultKind::Drop))
                     }
-                    (FaultModel::NetDuplicate, [f]) => {
+                    (Draw::NetDup, [f]) => {
                         assert_eq!(world(f), WorldEffect::Wire(NetFaultKind::Duplicate))
                     }
-                    (FaultModel::NetReorder, [f]) => assert!(matches!(
+                    (Draw::NetReorder { .. }, [f]) => assert!(matches!(
                         world(f),
                         WorldEffect::Wire(NetFaultKind::Reorder { .. })
                     )),
-                    (FaultModel::NetCorrupt, [f]) => {
+                    (Draw::NetCorrupt, [f]) => {
                         assert_eq!(world(f), WorldEffect::Wire(NetFaultKind::Corrupt))
                     }
-                    (FaultModel::Partition, [f]) => {
+                    (Draw::Partition { .. }, [f]) => {
                         let WorldEffect::Cut { mask, rounds } = world(f) else {
                             panic!("{model} drew {f:?}")
                         };
                         assert!(mask > 0 && mask < (1 << n));
                         assert!(rounds >= 64);
                     }
-                    (FaultModel::SyscallMalloc | FaultModel::SyscallWrite, [f]) => {
+                    (Draw::SyscallMalloc | Draw::SyscallWrite, [f]) => {
                         let Effect::Syscall { kind, .. } = f.effect else {
                             panic!("{model} drew {f:?}")
                         };
-                        let malloc = *model == FaultModel::SyscallMalloc;
+                        let malloc = row.draw == Draw::SyscallMalloc;
                         assert_eq!(kind == SyscallFaultKind::Malloc, malloc);
                         assert!(f.at >= 1);
                     }
-                    (FaultModel::Burst, kills) => {
+                    (Draw::Burst { .. }, kills) => {
                         assert!(kills.len() >= 2, "{kills:?}");
                         assert!(kills.len() < n as usize);
                         for k in kills {
@@ -541,14 +368,14 @@ mod tests {
                         ranks.dedup();
                         assert_eq!(ranks.len(), kills.len(), "distinct victims");
                     }
-                    (FaultModel::NodeKill, [f]) => {
+                    (Draw::NodeKill { .. }, [f]) => {
                         let WorldEffect::Kill { mates, .. } = world(f) else {
                             panic!("{model} drew {f:?}")
                         };
                         assert!(mates > 0 && mates < (1 << n));
                         assert_eq!(mates >> f.rank & 1, 1);
                     }
-                    (m, f) => panic!("{m} drew {f:?}"),
+                    (_, f) => panic!("{model} drew {f:?}"),
                 }
             }
         }

@@ -32,6 +32,7 @@ use crate::campaign::{
     trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats, TrialContext,
     TrialRecord,
 };
+use crate::faultmodel::Duration;
 use crate::json::{escape, parse, Json};
 use crate::matrix::{run_matrix, ContractCheck, MatrixResult};
 use crate::obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, KIND_COUNT};
@@ -589,7 +590,11 @@ fn run_engine(
         if let Some(t) = resume.take(ci, k) {
             return t;
         }
-        let run = ctx.run_trial(classes[ci], trial_seed(cfg.seed, ci, k));
+        let run = ctx.run_trial(
+            classes[ci],
+            Duration::Transient,
+            trial_seed(cfg.seed, ci, k),
+        );
         {
             let mut t = telemetry.lock().unwrap();
             t.0.add(&run.world.exec_stats());

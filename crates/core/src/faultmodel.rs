@@ -1,26 +1,35 @@
-//! Fault duration models: transient single-event upsets versus stuck-at
-//! faults.
+//! The fault models, each stated once: what a matrix row draws
+//! ([`Draw`]) and how long a §4.3 bit flip lasts ([`Duration`]).
+//!
+//! A [`Draw`] has one variant per drawable fault — the paper's bit flip,
+//! fl-ft's rank kill, fl-chaos's network, syscall and correlated faults,
+//! fl-perturb's interference — each carrying the draw ranges its mode's
+//! policy gives it. Its label, its record class and its draw are one arm
+//! each of an exhaustive `match`, so a new model is a compile error
+//! until every one of them names it.
 //!
 //! The paper injects *transient* single-bit flips; the hardware study it
 //! compares against (Constantinescu's ASCI Red experiments, §8.1)
 //! injected *stuck-at-0/1* faults at the IC pin level and found that
 //! "transients proved more difficult to detect, whereas longer faults led
-//! to application failures". This module adds the stuck-at model so that
-//! comparison can be reproduced: a stuck-at fault re-asserts its bit
-//! value periodically for the rest of the run, so the program cannot
-//! simply overwrite it and move on.
+//! to application failures". A [`Duration`] is an argument of the §4.3
+//! draw: a held or stuck-at fault re-asserts its bit periodically for the
+//! rest of the run, so the program cannot simply overwrite it and move
+//! on, and [`compare_models`] runs the comparison on the campaign's own
+//! trial path.
 
-use crate::outcome::{classify, Manifestation};
-use crate::target::{regular_registers, FaultDictionary, TargetClass};
+use crate::campaign::{draw_fault, trial_seed, CampaignConfig, Dictionaries, TrialContext};
+use crate::target::TargetClass;
 use fl_apps::{App, Golden};
-use fl_machine::Region;
-use fl_mpi::{Fault, MpiWorld};
+use fl_machine::{Machine, SyscallFaultKind};
+use fl_mpi::{Action, Effect, Fault, MpiWorld, NetFaultKind, WorldEffect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 
-/// How long an injected fault lasts.
+/// How long a §4.3 register or static-memory bit flip lasts (§8.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultModel {
+pub enum Duration {
     /// A single-event upset: the bit is flipped once (the paper's model).
     Transient,
     /// The bit is flipped once and the corrupted value is *held* for the
@@ -32,428 +41,611 @@ pub enum FaultModel {
     StuckAt0,
     /// The bit is forced to 1 and held there.
     StuckAt1,
-    /// Process-level fault: the whole rank dies at a drawn block clock
-    /// (fl-ft's `RankKill`). Not a bit-duration model — it is injected
-    /// and recovered through the `ft` campaign paths, so it is excluded
-    /// from [`FaultModel::ALL`].
-    KillRank,
-    /// Process-level fault: the rank stays resident but goes silent
-    /// (`RankKill` with `wedge`). Excluded from [`FaultModel::ALL`] like
-    /// [`FaultModel::KillRank`].
-    WedgeRank,
-    /// Network fault: one drawn in-flight message is silently dropped at
-    /// the channel layer (fl-chaos).
-    NetDrop,
-    /// Network fault: one drawn message is delivered twice.
-    NetDuplicate,
-    /// Network fault: one drawn message is delayed a bounded number of
-    /// rounds before delivery (reordering past later traffic).
-    NetReorder,
-    /// Network fault: one payload byte of a drawn message is corrupted
-    /// in flight — the class the channel CRC provably covers.
-    NetCorrupt,
-    /// Network fault: a rank-set partition severs all channels between
-    /// two groups for a window of rounds.
-    Partition,
-    /// System fault: a drawn `malloc` call returns NULL, exercising the
-    /// application's allocation error path.
-    SyscallMalloc,
-    /// System fault: a drawn write/print I/O call returns an error.
-    SyscallWrite,
-    /// Correlated fault: one MTBF-style arrival process kills several
-    /// ranks within a burst window (each on its own block clock).
-    Burst,
-    /// Correlated fault: a whole rank group (a "node") dies at once —
-    /// FINJ's node-level model.
-    NodeKill,
-    /// Performance-interference fault (fl-perturb): a multiplicative tax
-    /// on one rank's scheduling quantum over a block-clock window — the
-    /// rank computes correctly but is starved of CPU time.
-    QuantumTax,
-    /// Performance-interference fault (fl-perturb): a co-scheduled hog
-    /// steals a share of every round's quantum from a whole node group.
-    HogRank,
-    /// Performance-interference fault (fl-perturb): every retired
-    /// load/store in a window pays a latency surcharge in retired-insn
-    /// accounting — contended memory bandwidth.
-    MemStall,
 }
 
-impl FaultModel {
-    /// All *bit-duration* models, transient first. The process-level
-    /// models ([`FaultModel::KillRank`], [`FaultModel::WedgeRank`]) are
-    /// deliberately not listed: model-comparison campaigns sweep this
-    /// array and rank kills are run through the ft coverage paths. The
-    /// chaos models live in their own registries below — sweep code must
-    /// use those instead of hand-listing variants.
-    pub const ALL: [FaultModel; 4] = [
-        FaultModel::Transient,
-        FaultModel::Held,
-        FaultModel::StuckAt0,
-        FaultModel::StuckAt1,
-    ];
-
-    /// The process-level models the ft campaign paths inject.
-    pub const fn process_models() -> [FaultModel; 2] {
-        [FaultModel::KillRank, FaultModel::WedgeRank]
-    }
-
-    /// The channel-layer network fault models (fl-chaos).
-    pub const fn network_models() -> [FaultModel; 5] {
-        [
-            FaultModel::NetDrop,
-            FaultModel::NetDuplicate,
-            FaultModel::NetReorder,
-            FaultModel::NetCorrupt,
-            FaultModel::Partition,
-        ]
-    }
-
-    /// The syscall failure-injection models (fl-chaos).
-    pub const fn system_models() -> [FaultModel; 2] {
-        [FaultModel::SyscallMalloc, FaultModel::SyscallWrite]
-    }
-
-    /// The correlated / multi-rank models (fl-chaos).
-    pub const fn correlated_models() -> [FaultModel; 2] {
-        [FaultModel::Burst, FaultModel::NodeKill]
-    }
-
-    /// The performance-interference models the `perturb` campaign sweeps
-    /// (fl-perturb): faults that degrade timing, never state.
-    pub const fn perturb_models() -> [FaultModel; 3] {
-        [
-            FaultModel::QuantumTax,
-            FaultModel::HogRank,
-            FaultModel::MemStall,
-        ]
-    }
-
-    /// Every model the `chaos` campaign sweeps: network, then system,
-    /// then correlated.
-    pub fn chaos_models() -> [FaultModel; 9] {
-        let mut out = [FaultModel::Transient; 9];
-        let mut i = 0;
-        for m in Self::network_models()
-            .into_iter()
-            .chain(Self::system_models())
-            .chain(Self::correlated_models())
-        {
-            out[i] = m;
-            i += 1;
-        }
-        assert_eq!(i, 9);
-        out
-    }
-
-    /// Every variant there is: bit-duration, process-level, chaos, then
-    /// perturb. The single source of truth for parsers, round-trip tests
-    /// and did-you-mean suggestions.
-    pub fn all_models() -> [FaultModel; 18] {
-        let mut out = [FaultModel::Transient; 18];
-        let mut i = 0;
-        for m in Self::ALL
-            .into_iter()
-            .chain(Self::process_models())
-            .chain(Self::chaos_models())
-            .chain(Self::perturb_models())
-        {
-            out[i] = m;
-            i += 1;
-        }
-        assert_eq!(i, 18);
-        out
-    }
-
-    /// The chaos target class a chaos model injects through, or `None`
-    /// for the bit-duration and single-rank process models.
-    pub fn chaos_class(self) -> Option<TargetClass> {
-        match self {
-            FaultModel::NetDrop
-            | FaultModel::NetDuplicate
-            | FaultModel::NetReorder
-            | FaultModel::NetCorrupt
-            | FaultModel::Partition => Some(TargetClass::Network),
-            FaultModel::SyscallMalloc | FaultModel::SyscallWrite => Some(TargetClass::Syscall),
-            FaultModel::Burst | FaultModel::NodeKill => Some(TargetClass::Process),
-            FaultModel::QuantumTax | FaultModel::HogRank | FaultModel::MemStall => {
-                Some(TargetClass::Sched)
-            }
-            FaultModel::Transient
-            | FaultModel::Held
-            | FaultModel::StuckAt0
-            | FaultModel::StuckAt1
-            | FaultModel::KillRank
-            | FaultModel::WedgeRank => None,
-        }
-    }
-
-    /// Display label — also the canonical parse name, see
-    /// [`std::str::FromStr`].
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultModel::Transient => "transient",
-            FaultModel::Held => "held-flip",
-            FaultModel::StuckAt0 => "stuck-at-0",
-            FaultModel::StuckAt1 => "stuck-at-1",
-            FaultModel::KillRank => "kill-rank",
-            FaultModel::WedgeRank => "wedge-rank",
-            FaultModel::NetDrop => "net-drop",
-            FaultModel::NetDuplicate => "net-dup",
-            FaultModel::NetReorder => "net-reorder",
-            FaultModel::NetCorrupt => "net-corrupt",
-            FaultModel::Partition => "partition",
-            FaultModel::SyscallMalloc => "syscall-malloc",
-            FaultModel::SyscallWrite => "syscall-write",
-            FaultModel::Burst => "burst-kill",
-            FaultModel::NodeKill => "node-kill",
-            FaultModel::QuantumTax => "quantum-tax",
-            FaultModel::HogRank => "hog-rank",
-            FaultModel::MemStall => "mem-stall",
-        }
-    }
-
-    /// Every parseable label, used for did-you-mean suggestions.
-    pub const LABELS: [&'static str; 18] = [
-        "transient",
-        "held-flip",
-        "stuck-at-0",
-        "stuck-at-1",
-        "kill-rank",
-        "wedge-rank",
-        "net-drop",
-        "net-dup",
-        "net-reorder",
-        "net-corrupt",
-        "partition",
-        "syscall-malloc",
-        "syscall-write",
-        "burst-kill",
-        "node-kill",
-        "quantum-tax",
-        "hog-rank",
-        "mem-stall",
-    ];
-}
-
-impl std::fmt::Display for FaultModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for FaultModel {
-    type Err = String;
-
-    /// Accepts the labels plus the aliases `held` (`held-flip`),
-    /// `net-duplicate` (`net-dup`) and `burst` (`burst-kill`). Unknown
-    /// names get a nearest-match suggestion.
-    fn from_str(s: &str) -> Result<FaultModel, String> {
-        Ok(match s {
-            "transient" => FaultModel::Transient,
-            "held-flip" | "held" => FaultModel::Held,
-            "stuck-at-0" => FaultModel::StuckAt0,
-            "stuck-at-1" => FaultModel::StuckAt1,
-            "kill-rank" => FaultModel::KillRank,
-            "wedge-rank" => FaultModel::WedgeRank,
-            "net-drop" => FaultModel::NetDrop,
-            "net-dup" | "net-duplicate" => FaultModel::NetDuplicate,
-            "net-reorder" => FaultModel::NetReorder,
-            "net-corrupt" => FaultModel::NetCorrupt,
-            "partition" => FaultModel::Partition,
-            "syscall-malloc" => FaultModel::SyscallMalloc,
-            "syscall-write" => FaultModel::SyscallWrite,
-            "burst-kill" | "burst" => FaultModel::Burst,
-            "node-kill" => FaultModel::NodeKill,
-            "quantum-tax" => FaultModel::QuantumTax,
-            "hog-rank" | "hog" => FaultModel::HogRank,
-            "mem-stall" => FaultModel::MemStall,
-            other => {
-                return Err(crate::suggest::unknown(
-                    "fault model",
-                    other,
-                    &FaultModel::LABELS,
-                ))
-            }
-        })
-    }
-}
-
-/// Re-assertion period for stuck-at faults, in instructions. Small enough
-/// that the program cannot make meaningful progress between assertions.
+/// Re-assertion period of a held or stuck-at bit, in instructions. Small
+/// enough that the program cannot make meaningful progress between
+/// assertions.
 const REASSERT_PERIOD: u64 = 500;
 
-/// Read one bit of a 32-bit-class register (helper for the held model).
-fn reg_bit(m: &fl_machine::Machine, reg: fl_isa::RegisterName, bit: u32) -> bool {
-    use fl_isa::RegisterName;
-    match reg {
-        RegisterName::Gpr(g) => m.cpu.get(g) >> (bit & 31) & 1 == 1,
-        RegisterName::Eip => m.cpu.eip >> (bit & 31) & 1 == 1,
-        RegisterName::Eflags => m.cpu.eflags >> (bit & 31) & 1 == 1,
-        _ => unreachable!("held model targets regular registers only"),
+impl Duration {
+    /// Every duration, transient first: the columns of the comparison.
+    pub const ALL: [Duration; 4] = [
+        Duration::Transient,
+        Duration::Held,
+        Duration::StuckAt0,
+        Duration::StuckAt1,
+    ];
+
+    /// Display label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Duration::Transient => "transient",
+            Duration::Held => "held-flip",
+            Duration::StuckAt0 => "stuck-at-0",
+            Duration::StuckAt1 => "stuck-at-1",
+        }
+    }
+
+    /// The action that makes one bit last this long, and how often it
+    /// re-fires: `read` reads the bit, `force` sets it. A held bit is
+    /// forced to the complement of what it read at the first firing.
+    pub(crate) fn action(
+        self,
+        read: impl Fn(&Machine) -> bool + Send + 'static,
+        force: impl Fn(&mut Machine, bool) + Send + 'static,
+    ) -> (Action, Option<u64>) {
+        let period = Some(REASSERT_PERIOD);
+        match self {
+            Duration::Transient => (Box::new(move |m: &mut Machine| force(m, !read(m))), None),
+            Duration::Held => {
+                let mut held = None;
+                let action = move |m: &mut Machine| {
+                    let v = *held.get_or_insert_with(|| !read(m));
+                    force(m, v)
+                };
+                (Box::new(action), period)
+            }
+            Duration::StuckAt0 => (Box::new(move |m: &mut Machine| force(m, false)), period),
+            Duration::StuckAt1 => (Box::new(move |m: &mut Machine| force(m, true)), period),
+        }
     }
 }
 
-/// Run one trial under a duration model against a register or a static
-/// memory region. Returns the §5.1 manifestation.
-pub fn run_model_trial(
-    app: &App,
-    golden: &Golden,
-    class: TargetClass,
-    model: FaultModel,
-    trial_seed: u64,
-    budget: u64,
-) -> Manifestation {
-    assert!(
-        FaultModel::ALL.contains(&model),
-        "only bit-duration models run here: process models go through the \
-         ft campaign paths, chaos models through the chaos engine"
-    );
-    let mut rng = StdRng::seed_from_u64(trial_seed);
-    let rank = rng.gen_range(0..app.params.nranks);
-    let at_insns = rng.gen_range(1..golden.insns[rank as usize].max(2));
-    let mut cfg = app.world_config(budget);
-    cfg.seed = trial_seed;
-    let mut world = MpiWorld::new(&app.image, cfg);
-
-    let injection = match class {
-        TargetClass::RegularReg => {
-            let regs = regular_registers();
-            let reg = regs[rng.gen_range(0..regs.len())];
-            let bit = rng.gen_range(0..reg.width_bits());
-            match model {
-                FaultModel::Transient => Fault::once(rank, at_insns, move |m| {
-                    m.flip_register_bit(reg, bit);
-                }),
-                FaultModel::Held => {
-                    // First assertion flips and remembers the corrupted
-                    // value; later ones re-force it.
-                    let mut forced: Option<bool> = None;
-                    Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
-                        match forced {
-                            None => {
-                                m.flip_register_bit(reg, bit);
-                                // Read back what we forced.
-                                let v = reg_bit(m, reg, bit);
-                                forced = Some(v);
-                            }
-                            Some(v) => m.set_register_bit(reg, bit, v),
-                        }
-                    })
-                }
-                FaultModel::StuckAt0 | FaultModel::StuckAt1 => {
-                    let v = model == FaultModel::StuckAt1;
-                    Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
-                        m.set_register_bit(reg, bit, v);
-                    })
-                }
-                FaultModel::KillRank
-                | FaultModel::WedgeRank
-                | FaultModel::NetDrop
-                | FaultModel::NetDuplicate
-                | FaultModel::NetReorder
-                | FaultModel::NetCorrupt
-                | FaultModel::Partition
-                | FaultModel::SyscallMalloc
-                | FaultModel::SyscallWrite
-                | FaultModel::Burst
-                | FaultModel::NodeKill
-                | FaultModel::QuantumTax
-                | FaultModel::HogRank
-                | FaultModel::MemStall => unreachable!(),
-            }
-        }
-        TargetClass::Text | TargetClass::Data | TargetClass::Bss => {
-            let region = class.region().expect("static class");
-            let dict = FaultDictionary::build(&app.image, region);
-            let addr = dict.pick(&mut rng).expect("region has symbols");
-            let bit = rng.gen_range(0..8u8);
-            match model {
-                FaultModel::Transient => Fault::once(rank, at_insns, move |m| {
-                    m.flip_mem_bit(addr, bit);
-                }),
-                FaultModel::Held => {
-                    let mut forced: Option<bool> = None;
-                    Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| match forced {
-                        None => {
-                            m.flip_mem_bit(addr, bit);
-                            forced = Some(m.mem.peek_u8(addr) >> (bit & 7) & 1 == 1);
-                        }
-                        Some(v) => {
-                            m.set_mem_bit(addr, bit, v);
-                        }
-                    })
-                }
-                FaultModel::StuckAt0 | FaultModel::StuckAt1 => {
-                    let v = model == FaultModel::StuckAt1;
-                    Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
-                        m.set_mem_bit(addr, bit, v);
-                    })
-                }
-                FaultModel::KillRank
-                | FaultModel::WedgeRank
-                | FaultModel::NetDrop
-                | FaultModel::NetDuplicate
-                | FaultModel::NetReorder
-                | FaultModel::NetCorrupt
-                | FaultModel::Partition
-                | FaultModel::SyscallMalloc
-                | FaultModel::SyscallWrite
-                | FaultModel::Burst
-                | FaultModel::NodeKill
-                | FaultModel::QuantumTax
-                | FaultModel::HogRank
-                | FaultModel::MemStall => unreachable!(),
-            }
-        }
-        other => panic!("run_model_trial does not support {other:?}"),
-    };
-    world.arm(injection);
-    let exit = world.run();
-    let output = app.comparable_output(&world);
-    classify(&exit, &output, &golden.output)
+/// What a matrix row draws from each trial seed: one variant per
+/// drawable fault, carrying the draw ranges its mode's policy gives it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Draw {
+    /// One transient §4.3 bit flip in the class ([`crate::campaign`]'s
+    /// draw).
+    Bit(TargetClass),
+    /// One rank dies at a drawn block clock — or, wedged, stays resident
+    /// but silent (fl-ft's `RankKill`); `None` draws which.
+    Kill {
+        /// Wedged, killed, or drawn.
+        wedge: Option<bool>,
+    },
+    /// One drawn in-flight message is silently dropped at the channel
+    /// layer (fl-chaos).
+    NetDrop,
+    /// One drawn message is delivered twice.
+    NetDup,
+    /// One drawn message is delayed a bounded number of rounds before
+    /// delivery (reordering past later traffic).
+    NetReorder {
+        /// Largest delay, in scheduler rounds.
+        max_delay: u64,
+    },
+    /// One payload byte of a drawn message is corrupted in flight — the
+    /// class the channel CRC provably covers.
+    NetCorrupt,
+    /// A rank-set partition severs all channels between two groups for a
+    /// window of rounds.
+    Partition {
+        /// Window draw range, in scheduler rounds (inclusive).
+        rounds: (u64, u64),
+    },
+    /// A drawn `malloc` call returns NULL, exercising the application's
+    /// allocation error path.
+    SyscallMalloc,
+    /// A drawn write/print I/O call returns an error.
+    SyscallWrite,
+    /// One MTBF-style arrival process kills several ranks within a burst
+    /// window, each on its own block clock.
+    Burst {
+        /// Most ranks one burst may kill (clamped to leave a survivor).
+        max: u16,
+    },
+    /// A whole rank group (a "node") dies at once — FINJ's node-level
+    /// model.
+    NodeKill {
+        /// Ranks per node.
+        node_ranks: u16,
+    },
+    /// A multiplicative tax on one rank's scheduling quantum over a
+    /// window of rounds — the rank computes correctly but is starved of
+    /// CPU time (fl-perturb).
+    QuantumTax {
+        /// Window draw range, in scheduler rounds (inclusive).
+        rounds: (u64, u64),
+        /// Severity draw range, in permille of the victim's quantum.
+        permille: (u32, u32),
+    },
+    /// A co-scheduled hog steals a share of every round's quantum from a
+    /// whole node group.
+    HogRank {
+        /// Ranks per node.
+        node_ranks: u16,
+        /// Window draw range, in scheduler rounds (inclusive).
+        rounds: (u64, u64),
+        /// Share draw range, in permille of each hogged rank's quantum.
+        share_permille: (u32, u32),
+    },
+    /// Every retired load/store in a window pays a latency surcharge in
+    /// retired-insn accounting — contended memory bandwidth.
+    MemStall {
+        /// Surcharge draw range, in retired insns per access (inclusive).
+        per_access: (u64, u64),
+        /// Window draw range, in sixteenths of the victim's golden
+        /// instruction count (inclusive).
+        window_per16: (u64, u64),
+    },
 }
 
-/// Error-rate comparison of duration models over one target class.
+impl Draw {
+    /// The model's name, as a matrix row shows it.
+    pub fn label(&self) -> &'static str {
+        match *self {
+            Draw::Bit(class) => class.label(),
+            Draw::Kill { wedge: None } => "rank-kill",
+            Draw::Kill { wedge: Some(false) } => "kill-rank",
+            Draw::Kill { wedge: Some(true) } => "wedge-rank",
+            Draw::NetDrop => "net-drop",
+            Draw::NetDup => "net-dup",
+            Draw::NetReorder { .. } => "net-reorder",
+            Draw::NetCorrupt => "net-corrupt",
+            Draw::Partition { .. } => "partition",
+            Draw::SyscallMalloc => "syscall-malloc",
+            Draw::SyscallWrite => "syscall-write",
+            Draw::Burst { .. } => "burst-kill",
+            Draw::NodeKill { .. } => "node-kill",
+            Draw::QuantumTax { .. } => "quantum-tax",
+            Draw::HogRank { .. } => "hog-rank",
+            Draw::MemStall { .. } => "mem-stall",
+        }
+    }
+
+    /// The class its records carry.
+    pub fn class(&self) -> TargetClass {
+        match *self {
+            Draw::Bit(class) => class,
+            Draw::NetDrop
+            | Draw::NetDup
+            | Draw::NetReorder { .. }
+            | Draw::NetCorrupt
+            | Draw::Partition { .. } => TargetClass::Network,
+            Draw::SyscallMalloc | Draw::SyscallWrite => TargetClass::Syscall,
+            Draw::Kill { .. } | Draw::Burst { .. } | Draw::NodeKill { .. } => TargetClass::Process,
+            Draw::QuantumTax { .. } | Draw::HogRank { .. } | Draw::MemStall { .. } => {
+                TargetClass::Sched
+            }
+        }
+    }
+
+    /// Draw the fault for one trial seed: the faults to arm (one, or one
+    /// per victim of a burst) and the record detail. Fully determined by
+    /// the golden run, the fault dictionaries (bit flips), the fault-free
+    /// syscall counts (syscall faults), the seed and the rank count, so
+    /// it is recomputable from the campaign coordinates and every column
+    /// of a row faces the identical draw.
+    pub fn draw(
+        &self,
+        golden: &Golden,
+        dicts: Option<&Dictionaries>,
+        sys: Option<&SyscallCounts>,
+        seed: u64,
+        nranks: u16,
+    ) -> (Vec<Fault>, String) {
+        let mut s = Stream {
+            rng: StdRng::seed_from_u64(seed),
+            golden,
+            nranks,
+        };
+        let one = |fault: Fault, detail| (vec![fault], detail);
+        let counts = || sys.expect("syscall rows read the fault-free syscall counts");
+        match *self {
+            Draw::Bit(class) => {
+                let dicts = dicts.expect("bit-flip rows read the fault dictionaries");
+                let (fault, detail, _) =
+                    draw_fault(golden, dicts, class, Duration::Transient, seed, nranks);
+                one(fault, detail)
+            }
+            Draw::Kill { wedge } => {
+                let (rank, at_blocks) = s.victim();
+                let wedge = wedge.unwrap_or_else(|| s.coin());
+                let what = if wedge { "wedge" } else { "kill" };
+                let detail = format!("{what} rank {rank} @ block {at_blocks}");
+                one(Fault::kill(rank, at_blocks, wedge).into(), detail)
+            }
+            Draw::NetDrop => s.wire(NetFaultKind::Drop, "drop"),
+            Draw::NetDup => s.wire(NetFaultKind::Duplicate, "duplicate"),
+            Draw::NetReorder { max_delay } => {
+                let (rank, at) = s.receiver();
+                let delay = s.rng.gen_range(1..max_delay.max(1) + 1);
+                let kind = NetFaultKind::Reorder {
+                    delay_rounds: delay,
+                };
+                wire(rank, at, kind, &format!("reorder +{delay} rounds"))
+            }
+            Draw::NetCorrupt => s.wire(NetFaultKind::Corrupt, "corrupt"),
+            Draw::Partition { rounds } => {
+                // Any mask in (0, 2^n - 1) splits the ranks into two
+                // non-empty groups.
+                let mask = s.rng.gen_range(1..(1u32 << nranks) - 1);
+                let (trigger_rank, at_blocks) = s.victim();
+                let rounds = s.window(rounds);
+                let cut = WorldEffect::Cut { mask, rounds };
+                let detail = format!(
+                    "partition mask {mask:#06b} for {rounds} rounds @ rank {trigger_rank} \
+                     block {at_blocks}"
+                );
+                one(Fault::new(trigger_rank, at_blocks, cut).into(), detail)
+            }
+            Draw::SyscallMalloc => s.denied(SyscallFaultKind::Malloc, &counts().mallocs, "malloc"),
+            Draw::SyscallWrite => s.denied(SyscallFaultKind::Write, &counts().io_writes, "write"),
+            Draw::Burst { max } => {
+                // One arrival process emits K kills across distinct ranks.
+                // Integer pseudo-MTBF: successive gaps of mtbf/2 + U[0,mtbf)
+                // block clocks, no survivor-free bursts.
+                let hi = max.min(nranks.saturating_sub(1)).max(1);
+                let lo = 2u16.min(hi);
+                let k = s.rng.gen_range(lo as u32..hi as u32 + 1) as u16;
+                let mut pool: Vec<u16> = (0..nranks).collect();
+                let mut kills = Vec::with_capacity(k as usize);
+                let mut detail = String::from("burst:");
+                let first = pool.remove(s.rng.gen_range(0..pool.len()));
+                let blocks = |r: u16| golden.blocks[r as usize];
+                let mtbf = (blocks(first) / 8).max(4);
+                let mut t = s.mid_run(first);
+                for i in 0..k {
+                    let victim = if i == 0 {
+                        first
+                    } else {
+                        pool.remove(s.rng.gen_range(0..pool.len()))
+                    };
+                    let wedge = s.coin();
+                    let at_blocks = t.clamp(1, blocks(victim).max(2) - 1);
+                    kills.push(Fault::kill(victim, at_blocks, wedge).into());
+                    let what = if wedge { "wedge" } else { "kill" };
+                    let _ = write!(detail, " {what} r{victim}@{at_blocks}");
+                    t += mtbf / 2 + s.rng.gen_range(0..mtbf);
+                }
+                (kills, detail)
+            }
+            Draw::NodeKill { node_ranks } => {
+                let (node, mut mates) = s.node(node_ranks);
+                if mates.count_ones() == u32::from(nranks) {
+                    mates &= !(1 << (nranks - 1)); // leave one rank alive
+                }
+                let trigger_rank = mates.trailing_zeros() as u16;
+                let at_blocks = s.mid_run(trigger_rank);
+                let wedge = s.coin();
+                let kill = WorldEffect::Kill { mates, wedge };
+                let detail = format!(
+                    "node {node} down (mask {mates:#06b}) @ block {at_blocks}{}",
+                    if wedge { ", wedged" } else { "" }
+                );
+                one(Fault::new(trigger_rank, at_blocks, kill).into(), detail)
+            }
+            Draw::QuantumTax { rounds, permille } => {
+                let (rank, at_blocks) = s.victim();
+                let rounds = s.window(rounds);
+                let permille = s.permille(permille);
+                let tax = WorldEffect::Tax { permille, rounds };
+                let detail = format!(
+                    "tax {permille}\u{2030} on rank {rank} for {rounds} rounds @ block {at_blocks}"
+                );
+                one(Fault::new(rank, at_blocks, tax).into(), detail)
+            }
+            Draw::HogRank {
+                node_ranks,
+                rounds,
+                share_permille,
+            } => {
+                let (node, mask) = s.node(node_ranks);
+                let trigger_rank = mask.trailing_zeros() as u16;
+                let at_blocks = s.mid_run(trigger_rank);
+                let rounds = s.window(rounds);
+                let permille = s.permille(share_permille);
+                let hog = WorldEffect::Hog {
+                    mask,
+                    permille,
+                    rounds,
+                };
+                let detail = format!(
+                    "hog steals {permille}\u{2030} from node {node} (mask {mask:#06b}) \
+                     for {rounds} rounds @ block {at_blocks}"
+                );
+                one(Fault::new(trigger_rank, at_blocks, hog).into(), detail)
+            }
+            Draw::MemStall {
+                per_access,
+                window_per16,
+            } => {
+                let rank = s.rng.gen_range(0..nranks);
+                let insns = golden.insns[rank as usize].max(16);
+                let at_insns = s.rng.gen_range(1..insns);
+                let per16 = s.window(window_per16).min(16);
+                let window_insns = (insns * per16 / 16).max(1);
+                let per_access = s.window(per_access);
+                let stall = Effect::Stall {
+                    window_insns,
+                    per_access,
+                };
+                let detail = format!(
+                    "stall +{per_access}/access on rank {rank} for {window_insns} insns @ t={at_insns}"
+                );
+                one(Fault::new(rank, at_insns, stall), detail)
+            }
+        }
+    }
+}
+
+/// One draw's random stream over the golden run's clocks. The order of
+/// its calls is part of every record.
+struct Stream<'a> {
+    rng: StdRng,
+    golden: &'a Golden,
+    nranks: u16,
+}
+
+impl Stream<'_> {
+    /// A block clock inside `rank`'s golden run, so the fault lands
+    /// mid-run.
+    fn mid_run(&mut self, rank: u16) -> u64 {
+        self.rng
+            .gen_range(1..self.golden.blocks[rank as usize].max(2))
+    }
+
+    /// A rank, and a block clock inside its run.
+    fn victim(&mut self) -> (u16, u64) {
+        let rank = self.rng.gen_range(0..self.nranks);
+        (rank, self.mid_run(rank))
+    }
+
+    fn coin(&mut self) -> bool {
+        self.rng.gen_range(0..2u32) == 1
+    }
+
+    /// A value of the inclusive range, at least 1.
+    fn window(&mut self, (lo, hi): (u64, u64)) -> u64 {
+        let lo = lo.max(1);
+        self.rng.gen_range(lo..hi.max(lo) + 1)
+    }
+
+    /// A share of the inclusive range, capped at 999‰.
+    fn permille(&mut self, (lo, hi): (u32, u32)) -> u32 {
+        self.rng.gen_range(lo..hi.max(lo) + 1).min(999)
+    }
+
+    /// One of the contiguous groups of `per` ranks (the "nodes"): its
+    /// index and its rank mask.
+    fn node(&mut self, per: u16) -> (u16, u32) {
+        let per = per.clamp(1, self.nranks);
+        let node = self.rng.gen_range(0..self.nranks.div_ceil(per));
+        let ranks = node * per..((node + 1) * per).min(self.nranks);
+        (node, ranks.fold(0, |mask, r| mask | 1 << r))
+    }
+
+    /// A rank that receives traffic, and an offset into what it
+    /// receives.
+    fn receiver(&mut self) -> (u16, u64) {
+        let recv = &self.golden.recv_bytes;
+        let eligible: Vec<u16> = (0..self.nranks).filter(|&r| recv[r as usize] > 0).collect();
+        let rank = eligible[self.rng.gen_range(0..eligible.len())];
+        (rank, self.rng.gen_range(0..recv[rank as usize]))
+    }
+
+    /// A network fault of `kind` on a drawn receiver.
+    fn wire(&mut self, kind: NetFaultKind, what: &str) -> (Vec<Fault>, String) {
+        let (rank, at) = self.receiver();
+        wire(rank, at, kind, what)
+    }
+
+    /// The `at`-th of a drawn rank's fault-free `counts` calls denied,
+    /// once or from then on.
+    fn denied(
+        &mut self,
+        kind: SyscallFaultKind,
+        counts: &[u64],
+        what: &str,
+    ) -> (Vec<Fault>, String) {
+        let rank = self.rng.gen_range(0..self.nranks);
+        let at_call = self.rng.gen_range(1..counts[rank as usize].max(1) + 1);
+        let persist = self.coin();
+        let detail = format!(
+            "{what} denied on rank {rank} @ call {at_call}{}",
+            if persist { " (persistent)" } else { "" }
+        );
+        let fault = Fault::new(rank, at_call, Effect::Syscall { kind, persist });
+        (vec![fault], detail)
+    }
+}
+
+/// The network fault `kind` striking `rank`'s received byte `at`.
+fn wire(rank: u16, at: u64, kind: NetFaultKind, what: &str) -> (Vec<Fault>, String) {
+    let fault = Fault::new(rank, at, WorldEffect::Wire(kind)).into();
+    (
+        vec![fault],
+        format!("{what} into rank {rank} @ recv byte {at}"),
+    )
+}
+
+/// Fault-free per-rank syscall activity — the draw denominators for the
+/// syscall failure models, read off the clean golden-configuration run
+/// (the [`Golden`] profile predates these counters).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SyscallCounts {
+    /// `malloc` calls served per rank.
+    pub mallocs: Vec<u64>,
+    /// Output syscalls issued per rank.
+    pub io_writes: Vec<u64>,
+}
+
+impl SyscallCounts {
+    /// The counts of a finished fault-free world. Deterministic in the
+    /// app and configuration, so every campaign recomputes the same
+    /// denominators.
+    pub fn of(w: &MpiWorld) -> SyscallCounts {
+        let counters = |r| w.machine(r).counters;
+        SyscallCounts {
+            mallocs: (0..w.nranks()).map(|r| counters(r).mallocs).collect(),
+            io_writes: (0..w.nranks()).map(|r| counters(r).io_writes).collect(),
+        }
+    }
+}
+
+/// Error-rate comparison of the durations over one register or static
+/// class: per [`Duration`], the error rate in percent and the error
+/// count over `trials` trials. Trial `k` draws from `seed + k`; the
+/// trials run on the campaign trial path, forked from epoch checkpoints
+/// and ended early where provably golden.
+///
+/// # Panics
+///
+/// Panics unless `class` is a register or static-memory class — heap and
+/// stack targets are resolved when a fault fires, and a message flip
+/// strikes the wire once.
 pub fn compare_models(
     app: &App,
     class: TargetClass,
     trials: u32,
     seed: u64,
-) -> Vec<(FaultModel, f64, u32)> {
-    let golden = app.golden(2_000_000_000);
-    let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
-    FaultModel::ALL
+) -> Vec<(Duration, f64, u32)> {
+    use TargetClass::{Bss, Data, FpReg, RegularReg, Text};
+    assert!(
+        matches!(class, RegularReg | FpReg | Text | Data | Bss),
+        "durations hold a register or static-memory bit, not {class}"
+    );
+    let cfg = CampaignConfig {
+        seed,
+        ..Default::default()
+    };
+    let ctx = TrialContext::build(app, &cfg);
+    Duration::ALL
         .iter()
-        .map(|&model| {
-            let mut errors = 0;
-            for k in 0..trials {
-                let m = run_model_trial(
-                    app,
-                    &golden,
-                    class,
-                    model,
-                    seed.wrapping_add(k as u64),
-                    budget,
-                );
-                if m.is_error() {
-                    errors += 1;
-                }
-            }
-            (model, 100.0 * errors as f64 / trials.max(1) as f64, errors)
+        .map(|&d| {
+            let trial = |k| ctx.run_trial(class, d, trial_seed(seed, 0, k));
+            let errors = (0..trials)
+                .filter(|&k| trial(k).record.outcome.is_error())
+                .count() as u32;
+            (d, 100.0 * errors as f64 / trials.max(1) as f64, errors)
         })
         .collect()
-}
-
-/// Sanity helper used by tests: the region of a class.
-pub fn static_region(class: TargetClass) -> Option<Region> {
-    class.region()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::{classify, Manifestation};
+    use crate::target::{regular_registers, FaultDictionary};
     use fl_apps::{AppKind, AppParams};
+
+    /// The cold model-trial loop `compare_models` ran before durations
+    /// joined the campaign trial path: a fresh world per trial, the draw
+    /// restated, a held bit read back after the flip. The reference the
+    /// trial path must match.
+    fn run_model_trial(
+        app: &App,
+        golden: &Golden,
+        class: TargetClass,
+        duration: Duration,
+        trial_seed: u64,
+        budget: u64,
+    ) -> (Manifestation, String) {
+        let mut rng = StdRng::seed_from_u64(trial_seed);
+        let rank = rng.gen_range(0..app.params.nranks);
+        let at_insns = rng.gen_range(1..golden.insns[rank as usize].max(2));
+        let mut cfg = app.world_config(budget);
+        cfg.seed = trial_seed;
+        let mut world = MpiWorld::new(&app.image, cfg);
+        let stuck = match duration {
+            Duration::StuckAt0 => Some(false),
+            Duration::StuckAt1 => Some(true),
+            Duration::Transient | Duration::Held => None,
+        };
+        let (injection, what) = match class {
+            TargetClass::RegularReg => {
+                let regs = regular_registers();
+                let reg = regs[rng.gen_range(0..regs.len())];
+                let bit = rng.gen_range(0..reg.width_bits());
+                let mut forced: Option<bool> = None;
+                let fault = match (duration, stuck) {
+                    (Duration::Transient, _) => Fault::once(rank, at_insns, move |m| {
+                        m.flip_register_bit(reg, bit);
+                    }),
+                    (_, Some(v)) => Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
+                        m.set_register_bit(reg, bit, v);
+                    }),
+                    (_, None) => {
+                        Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| match forced {
+                            None => {
+                                m.flip_register_bit(reg, bit);
+                                forced = Some(m.register_bit(reg, bit));
+                            }
+                            Some(v) => m.set_register_bit(reg, bit, v),
+                        })
+                    }
+                };
+                (fault, format!("{reg} bit {bit}"))
+            }
+            _ => {
+                let region = class.region().expect("a static class");
+                let dict = FaultDictionary::build(&app.image, region);
+                let addr = dict.pick(&mut rng).expect("region has symbols");
+                let bit = rng.gen_range(0..8u8);
+                let mut forced: Option<bool> = None;
+                let fault = match (duration, stuck) {
+                    (Duration::Transient, _) => Fault::once(rank, at_insns, move |m| {
+                        m.flip_mem_bit(addr, bit);
+                    }),
+                    (_, Some(v)) => Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| {
+                        m.set_mem_bit(addr, bit, v);
+                    }),
+                    (_, None) => {
+                        Fault::persistent(rank, at_insns, REASSERT_PERIOD, move |m| match forced {
+                            None => {
+                                m.flip_mem_bit(addr, bit);
+                                forced = Some(m.mem.peek_u8(addr) >> (bit & 7) & 1 == 1);
+                            }
+                            Some(v) => {
+                                m.set_mem_bit(addr, bit, v);
+                            }
+                        })
+                    }
+                };
+                (fault, format!("{} {addr:#010x} bit {bit}", class.label()))
+            }
+        };
+        world.arm(injection);
+        let exit = world.run();
+        let output = app.comparable_output(&world);
+        let m = classify(&exit, &output, &golden.output);
+        (m, format!("rank {rank} t={at_insns}: {what}"))
+    }
+
+    #[test]
+    fn durations_on_the_trial_path_match_the_cold_loop() {
+        // Every duration on a register class and the three static
+        // classes, forked from epochs and ended early where provably
+        // golden, against the cold loop: the same detail and the same
+        // manifestation, trial by trial.
+        use TargetClass::{Bss, Data, RegularReg, Text};
+        for kind in [AppKind::Climsim, AppKind::Wavetoy] {
+            let app = App::build(kind, AppParams::tiny(kind));
+            let cfg = CampaignConfig {
+                seed: 0xD0,
+                ..Default::default()
+            };
+            let ctx = TrialContext::build(&app, &cfg);
+            let mut errors = [0; 4];
+            for class in [RegularReg, Text, Data, Bss] {
+                for (d, &duration) in Duration::ALL.iter().enumerate() {
+                    for k in 0..10 {
+                        let seed = trial_seed(cfg.seed, 0, k);
+                        let run = ctx.run_trial(class, duration, seed);
+                        let cold =
+                            run_model_trial(&app, &ctx.golden, class, duration, seed, ctx.budget);
+                        let got = (run.record.outcome, run.record.detail);
+                        assert_eq!(got, cold, "{kind} {class} {} trial {k}", duration.label());
+                        errors[d] += u32::from(got.0.is_error());
+                    }
+                }
+            }
+            // Not vacuous: every duration manifests somewhere.
+            assert!(errors.iter().all(|&e| e > 0), "{kind}: {errors:?}");
+        }
+    }
 
     #[test]
     fn held_faults_are_at_least_as_severe_as_transients() {
@@ -462,9 +654,9 @@ mod tests {
         // exact same flips as the transient model, then keeps them.
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
         let rows = compare_models(&app, TargetClass::RegularReg, 30, 0x517C);
-        let rate = |m: FaultModel| rows.iter().find(|(x, _, _)| *x == m).unwrap().1;
-        let transient = rate(FaultModel::Transient);
-        let held = rate(FaultModel::Held);
+        let rate = |m: Duration| rows.iter().find(|(x, _, _)| *x == m).unwrap().1;
+        let transient = rate(Duration::Transient);
+        let held = rate(Duration::Held);
         assert!(
             held + 7.0 >= transient,
             "held ({held:.0}%) must not be materially below transient ({transient:.0}%)"
@@ -473,79 +665,58 @@ mod tests {
 
     #[test]
     fn stuck_at_register_bit_stays_forced() {
-        // Force a low EAX bit to 1 persistently; the machine still reaches
-        // a defined exit and the injection re-arms (covered by the world's
-        // period handling).
+        // A stuck-at fault re-arms after every assertion: it is still
+        // pending when the run ends, where a transient is spent.
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-        let golden = app.golden(2_000_000_000);
-        let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
-        let m = run_model_trial(
-            &app,
-            &golden,
-            TargetClass::RegularReg,
-            FaultModel::StuckAt1,
-            7,
-            budget,
-        );
-        // Any §5.1 class is acceptable; the point is a defined outcome.
-        let _ = m;
+        let ctx = TrialContext::build(&app, &CampaignConfig::default());
+        let pending = |duration| {
+            let (fault, _, _) = draw_fault(
+                &ctx.golden,
+                &ctx.dicts,
+                TargetClass::RegularReg,
+                duration,
+                7,
+                app.params.nranks,
+            );
+            let mut world = app.world(ctx.budget);
+            world.arm(fault);
+            world.run();
+            world.fault_pending()
+        };
+        assert!(pending(Duration::StuckAt1));
+        assert!(!pending(Duration::Transient));
     }
 
     #[test]
     fn model_labels() {
-        assert_eq!(FaultModel::Transient.label(), "transient");
-        assert_eq!(FaultModel::Held.label(), "held-flip");
-        assert_eq!(FaultModel::StuckAt0.label(), "stuck-at-0");
-        assert_eq!(FaultModel::KillRank.label(), "kill-rank");
-        assert_eq!(FaultModel::WedgeRank.label(), "wedge-rank");
-        assert_eq!("kill-rank".parse::<FaultModel>(), Ok(FaultModel::KillRank));
-        // Process-level models are not part of the bit-duration sweep.
-        assert_eq!(FaultModel::ALL.len(), 4);
-        assert!(!FaultModel::ALL.contains(&FaultModel::KillRank));
-    }
-
-    #[test]
-    fn every_model_round_trips_through_parse_and_display() {
-        for m in FaultModel::all_models() {
-            let shown = m.to_string();
-            assert_eq!(shown.parse::<FaultModel>(), Ok(m), "round-trip {shown}");
-        }
-        // LABELS is exactly the set of canonical labels, in registry order.
-        let labels: Vec<&str> = FaultModel::all_models().iter().map(|m| m.label()).collect();
-        assert_eq!(labels, FaultModel::LABELS);
+        assert_eq!(Duration::Transient.label(), "transient");
+        assert_eq!(Duration::Held.label(), "held-flip");
+        assert_eq!(Duration::StuckAt0.label(), "stuck-at-0");
+        let kill = |wedge| Draw::Kill { wedge }.label();
+        assert_eq!(kill(Some(false)), "kill-rank");
+        assert_eq!(kill(Some(true)), "wedge-rank");
+        assert_eq!(kill(None), "rank-kill");
+        assert_eq!(Draw::Bit(TargetClass::Bss).label(), "BSS");
     }
 
     #[test]
     fn registries_partition_the_model_space() {
-        let all = FaultModel::all_models();
-        assert_eq!(all.len(), 18);
-        // No duplicates across registries.
-        for (i, a) in all.iter().enumerate() {
-            assert!(!all[i + 1..].contains(a), "{a} listed twice");
+        // The matrix rows that draw a model, plus the durations: eighteen
+        // models, no label twice, each carrying its own record class.
+        let rows = |mode: crate::matrix::MatrixMode| mode.rows.into_iter().map(|r| r.draw);
+        let chaos: Vec<Draw> = rows(crate::chaos::mode(Default::default())).collect();
+        let perturb: Vec<Draw> = rows(crate::perturb::mode(Default::default())).collect();
+        let mut labels: Vec<&str> = Duration::ALL.iter().map(|d| d.label()).collect();
+        labels.extend(chaos.iter().chain(&perturb).map(Draw::label));
+        assert_eq!(labels.len(), 18);
+        for (i, a) in labels.iter().enumerate() {
+            assert!(!labels[i + 1..].contains(a), "{a} listed twice");
         }
-        // Chaos models map to chaos classes; the rest map to none.
-        for m in FaultModel::chaos_models() {
-            assert!(m.chaos_class().is_some(), "{m} needs a chaos class");
+        use TargetClass::{Network, Process, Sched, Syscall};
+        for d in &chaos {
+            assert!(matches!(d.class(), Network | Syscall | Process), "{d:?}");
         }
-        for m in FaultModel::perturb_models() {
-            assert_eq!(m.chaos_class(), Some(crate::target::TargetClass::Sched));
-        }
-        for m in FaultModel::ALL
-            .into_iter()
-            .chain(FaultModel::process_models())
-        {
-            assert_eq!(m.chaos_class(), None);
-        }
-    }
-
-    #[test]
-    fn unknown_model_names_get_a_suggestion() {
-        let err = "net-crrupt".parse::<FaultModel>().unwrap_err();
-        assert_eq!(
-            err,
-            "unknown fault model `net-crrupt` (did you mean `net-corrupt`?)"
-        );
-        let err = "burst-".parse::<FaultModel>().unwrap_err();
-        assert!(err.contains("did you mean `burst-kill`?"), "{err}");
+        let classes: Vec<TargetClass> = perturb.iter().map(Draw::class).collect();
+        assert_eq!(classes, [Sched, Sched, Sched, Process, Process]);
     }
 }

@@ -5,7 +5,7 @@
 //! detection catch the paper's faults?"; this mode asks the follow-up
 //! the paper's §7 conclusion points at — what happens when the fault is
 //! not a flipped bit but a *lost process*. Its matrix has two rows. The
-//! kill row draws one kill ([`draw_kill`]) per trial and runs it four ways from
+//! kill row draws one kill ([`Draw::Kill`]) per trial and runs it four ways from
 //! the same draw: bare (the victim strands its peers), detector-only
 //! shrink recovery, buddy-checkpoint respawn recovery, and app-owned
 //! fl-ulfm recovery. The replica row pairs each §3.3 message fault with
@@ -13,35 +13,15 @@
 //! is outvoted and masked. All runs are cold — recovery owns its own
 //! checkpoints.
 
+use crate::faultmodel::Draw;
 use crate::matrix::{
-    slug_header, tally_fields, Column, Contract, Draw, Isolate, Layout, MatrixMode, MatrixResult,
-    Row, Runner, Slot,
+    slug_header, tally_fields, Column, Contract, Isolate, Layout, MatrixMode, MatrixResult, Row,
+    Runner, Slot,
 };
 use crate::outcome::Manifestation;
 use crate::target::TargetClass;
-use fl_apps::Golden;
 use fl_ft::FtPolicy;
-use fl_mpi::{Fault, WorldEffect};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-
-/// Draw the kill for trial seed `s`: victim rank, a firing clock inside
-/// its golden block count (so the kill always lands mid-run), and the
-/// kill flavour. Recomputable from the campaign coordinates, like every
-/// other fault draw.
-pub fn draw_kill(golden: &Golden, s: u64, nranks: u16) -> (Fault<WorldEffect>, String) {
-    let mut rng = StdRng::seed_from_u64(s);
-    let rank = rng.gen_range(0..nranks);
-    let at_blocks = rng.gen_range(1..golden.blocks[rank as usize].max(2));
-    let wedge = rng.gen_range(0..2u32) == 1;
-    let kill = Fault::kill(rank, at_blocks, wedge);
-    let detail = format!(
-        "{} rank {rank} @ block {at_blocks}",
-        if wedge { "wedge" } else { "kill" }
-    );
-    (kill, detail)
-}
 
 /// The rank-kill row and its columns after the baseline.
 const KILL: usize = 0;
@@ -65,11 +45,9 @@ pub fn mode(policy: FtPolicy) -> MatrixMode {
     let recovered = |m| m == Manifestation::Recovered;
     let masked = |m| m == Manifestation::MaskedByReplica;
     let rows = vec![
-        Row {
-            label: "rank-kill".into(),
-            class: TargetClass::Process,
-            draw: Draw::Kill,
-            columns: vec![
+        Row::new(
+            Draw::Kill { wedge: None },
+            vec![
                 // The strand: no detector, no app-visible failures —
                 // jacobi3d's own configuration asks for ulfm, which
                 // would let it recover out of the baseline column.
@@ -94,22 +72,23 @@ pub fn mode(policy: FtPolicy) -> MatrixMode {
                     m == Manifestation::RecoveredByApp
                 }),
             ],
-        },
+        ),
         Row {
-            label: "message-fault".into(),
-            class: TargetClass::Message,
-            draw: Draw::Bit(TargetClass::Message),
-            columns: vec![
-                column("replica-baseline", Isolate::Nothing, Runner::World, |_| {
-                    false
-                }),
-                column(
-                    "replicated",
-                    Isolate::Nothing,
-                    Runner::Replicated(policy),
-                    masked,
-                ),
-            ],
+            label: "message-fault",
+            ..Row::new(
+                Draw::Bit(TargetClass::Message),
+                vec![
+                    column("replica-baseline", Isolate::Nothing, Runner::World, |_| {
+                        false
+                    }),
+                    column(
+                        "replicated",
+                        Isolate::Nothing,
+                        Runner::Replicated(policy),
+                        masked,
+                    ),
+                ],
+            )
         },
     ];
     // Each discipline must cover at least 90 % of the draws whose
@@ -277,7 +256,6 @@ mod tests {
     use crate::report::Report;
     use crate::spec::{CampaignSpec, SpecMode};
     use fl_apps::AppKind;
-    use fl_ft::FtMode;
 
     fn ft(kind: AppKind, n: u32, seed: u64) -> MatrixResult {
         let mut spec = CampaignSpec::new(kind);
@@ -375,18 +353,18 @@ mod tests {
     #[test]
     fn focus_renderer_covers_every_discipline() {
         let r = ft(AppKind::Wavetoy, 3, 13);
-        let focus = |mode: FtMode| {
-            let (row, column) = r.find_column(mode.label()).expect("a column per FtMode");
+        let focus = |mode| {
+            let (row, column) = r.find_column(mode).expect("a column per discipline");
             r.focus(row, Some(column))
         };
-        for mode in FtMode::ALL {
+        for mode in ["baseline", "shrink", "respawn", "replicated", "app"] {
             let text = focus(mode);
             assert!(text.starts_with("wavetoy / mode "), "{text}");
-            assert!(text.contains(mode.label()), "{text}");
+            assert!(text.contains(mode), "{text}");
         }
-        assert!(focus(FtMode::Shrink).contains("harness shrink"));
-        assert!(focus(FtMode::App).contains("fl-ulfm"));
-        assert!(focus(FtMode::Replicated).contains("message-fault"));
+        assert!(focus("shrink").contains("harness shrink"));
+        assert!(focus("app").contains("fl-ulfm"));
+        assert!(focus("replicated").contains("message-fault"));
     }
 
     #[test]

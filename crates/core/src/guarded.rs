@@ -15,9 +15,9 @@
 //! Both runs consume the same RNG draw before any world exists, so the
 //! comparison is paired at the trial level, not just distributional.
 
+use crate::faultmodel::Draw;
 use crate::matrix::{
-    slug_header, tally_fields, Column, Draw, Isolate, Layout, MatrixMode, MatrixResult, Row,
-    Runner, Slot,
+    slug_header, tally_fields, Column, Isolate, Layout, MatrixMode, MatrixResult, Row, Runner, Slot,
 };
 use crate::outcome::Manifestation;
 use crate::target::TargetClass;
@@ -47,12 +47,7 @@ pub fn mode(classes: &[TargetClass], policy: GuardPolicy) -> MatrixMode {
             covers: |m| matches!(m, Manifestation::Recovered | Manifestation::DetectedByGuard),
         },
     ];
-    let row = |&class: &TargetClass| Row {
-        label: class.label().to_string(),
-        class,
-        draw: Draw::Bit(class),
-        columns: columns.clone(),
-    };
+    let row = |&class: &TargetClass| Row::new(Draw::Bit(class), columns.clone());
     MatrixMode {
         rows: classes.iter().map(row).collect(),
         slot: Slot::Row,
@@ -163,7 +158,7 @@ fn jsonl(r: &MatrixResult) -> String {
                 out,
                 "{{\"app\":\"{}\",\"class\":\"{}\",\"trial\":{k},\"detail\":\"{}\",\"baseline\":\"{}\",\"guarded\":\"{}\",\"detections\":{detections},\"restarts\":{restarts},\"retransmits\":{retransmits},\"converted\":{}}}",
                 r.app.name(),
-                row.class.name(),
+                row.draw.class().name(),
                 base.detail,
                 base.outcome.slug(),
                 guarded.outcome.slug(),

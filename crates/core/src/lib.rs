@@ -73,13 +73,11 @@ pub use engine::{
     run_campaign_engine_to_completion, run_spec, sort_records_jsonl, CompletedSlots, EngineControl,
     EngineRun, EngineSink, NullSink, SpecOutcome, TrialOutput, VecSink,
 };
-pub use faultmodel::{compare_models, FaultModel};
+pub use faultmodel::compare_models;
 pub use fl_ft::{
-    run_app, run_replicated, run_respawn, run_shrink, shrink, ulfm_config, FtMode, FtPolicy,
-    FtReport,
+    run_app, run_replicated, run_respawn, run_shrink, shrink, ulfm_config, FtPolicy, FtReport,
 };
 pub use fl_guard::{run_guarded, GuardPolicy, GuardReport};
-pub use ft::draw_kill;
 pub use matrix::{Cell, MatrixResult};
 pub use obs::TrialTrace;
 pub use outcome::{classify, Manifestation, Tally};

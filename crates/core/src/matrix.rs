@@ -16,18 +16,16 @@
 //! [`crate::perturb`].
 
 use crate::campaign::{
-    draw_fault, trial_budget, trial_seed, trial_world_config, CampaignConfig, Dictionaries,
-    TrialContext, TrialRecord, GOLDEN_BUDGET,
+    trial_budget, trial_seed, trial_world_config, CampaignConfig, Dictionaries, TrialContext,
+    TrialRecord, GOLDEN_BUDGET,
 };
-use crate::chaos::{draw_chaos, ChaosPolicy, SyscallCounts};
 use crate::engine::{
     run_slots, Aux, CompletedSlots, EngineControl, EngineSink, SlotPlan, TrialOutput,
 };
-use crate::faultmodel::FaultModel;
-use crate::ft::draw_kill;
+use crate::faultmodel::{Draw, Duration, SyscallCounts};
 use crate::obs::{CampaignMetrics, ClassMetrics};
 use crate::outcome::{classify, Manifestation, Tally};
-use crate::perturb::{classify_perturb, draw_perturb, PerturbPolicy};
+use crate::perturb::classify_perturb;
 use crate::report::Report;
 use crate::target::TargetClass;
 use fl_apps::{App, AppKind, Golden};
@@ -36,19 +34,6 @@ use fl_guard::{run_guarded, GuardPolicy};
 use fl_mpi::{FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldExit};
 use std::fmt::Write as _;
 use std::ops::Range;
-
-/// What a row draws from each trial seed.
-#[derive(Debug, Clone, Copy)]
-pub enum Draw {
-    /// One §4.3 bit flip in the class ([`crate::campaign`]'s draw).
-    Bit(TargetClass),
-    /// One rank kill or wedge ([`draw_kill`]).
-    Kill,
-    /// One fault of a chaos model ([`draw_chaos`]).
-    Chaos(FaultModel, ChaosPolicy),
-    /// One fault of a perturb-matrix model ([`draw_perturb`]).
-    Perturb(FaultModel, PerturbPolicy),
-}
 
 /// What a column strips from the application's own world configuration
 /// so that it isolates exactly one mechanism (a no-op for the paper's
@@ -122,13 +107,22 @@ pub struct Column {
 #[derive(Debug, Clone)]
 pub struct Row {
     /// The row's name in the mode's views.
-    pub label: String,
-    /// The class its streamed records carry.
-    pub class: TargetClass,
+    pub label: &'static str,
     /// What it draws.
     pub draw: Draw,
     /// Its columns, baseline first.
     pub columns: Vec<Column>,
+}
+
+impl Row {
+    /// A row named after the model it draws.
+    pub fn new(draw: Draw, columns: Vec<Column>) -> Row {
+        Row {
+            label: draw.label(),
+            draw,
+            columns,
+        }
+    }
 }
 
 /// What one engine slot holds.
@@ -271,7 +265,7 @@ impl MatrixMode {
     /// statement the engine, the CLI and the daemon all read.
     pub fn slot_plan(&self, injections: u32) -> SlotPlan {
         let groups = self.groups();
-        let class = |(r, _): &(usize, Range<usize>)| self.rows[*r].class;
+        let class = |(r, _): &(usize, Range<usize>)| self.rows[*r].draw.class();
         let (classes, read_aux): (_, fn(&str) -> Option<Aux>) = match self.slot {
             Slot::Row => (Vec::new(), |_| None),
             Slot::Cell { read_aux, .. } => (groups.iter().map(class).collect(), read_aux),
@@ -467,7 +461,7 @@ impl MatrixResult {
         let rows = self.mode.rows.iter().zip(&self.cells);
         self.mode.paced().then(|| CampaignMetrics {
             classes: rows
-                .flat_map(|(row, cells)| cells.iter().map(|c| c.metrics(row.class)))
+                .flat_map(|(row, cells)| cells.iter().map(|c| c.metrics(row.draw.class())))
                 .collect(),
         })
     }
@@ -663,7 +657,7 @@ struct Env<'a> {
     /// ([`Runner::Shrink`] columns).
     shrunken_output: Vec<u8>,
     /// Fault-free syscall activity, read off the golden-configuration
-    /// run ([`Draw::Chaos`] rows).
+    /// run ([`Draw::SyscallMalloc`] and [`Draw::SyscallWrite`] rows).
     sys: Option<SyscallCounts>,
     /// Rounds of the clean detection-off run ([`Runner::Paced`] columns)
     /// — the golden run itself unless the app's configuration asks for
@@ -721,7 +715,7 @@ impl<'a> Env<'a> {
             Some(ctx) => ctx.golden.clone(),
             None => app.golden_of(clean.world("golden", |_| {}), &WorldExit::Clean),
         };
-        let sys = draws(|d| matches!(d, Draw::Chaos(..)))
+        let sys = draws(|d| matches!(d, Draw::SyscallMalloc | Draw::SyscallWrite))
             .then(|| SyscallCounts::of(clean.world("golden", |_| {})));
         // Probe answers never add rounds, so the detection-off
         // reference holds for every column.
@@ -755,29 +749,10 @@ impl<'a> Env<'a> {
     /// is spent by arming it (a bit flip's action is a boxed closure), so
     /// every world that faces the draw draws it again — identically.
     fn draw(&self, row: &Row, seed: u64) -> (Vec<Fault>, String) {
-        let (golden, nranks) = (&self.golden, self.app.params.nranks);
-        match row.draw {
-            Draw::Bit(class) => {
-                let dicts = match &self.trial {
-                    Some(ctx) => &ctx.dicts,
-                    None => self.dicts.as_ref().expect("built for Draw::Bit rows"),
-                };
-                let (fault, detail, _) = draw_fault(golden, dicts, class, seed, nranks);
-                (vec![fault], detail)
-            }
-            Draw::Kill => {
-                let (kill, detail) = draw_kill(golden, seed, nranks);
-                (vec![kill.into()], detail)
-            }
-            Draw::Chaos(model, policy) => {
-                let sys = self.sys.as_ref().expect("built for Draw::Chaos rows");
-                draw_chaos(golden, sys, model, seed, nranks, &policy)
-            }
-            Draw::Perturb(model, policy) => {
-                let (fault, detail) = draw_perturb(golden, model, seed, nranks, &policy);
-                (vec![fault], detail)
-            }
-        }
+        let dicts = self.trial.as_ref().map(|ctx| &ctx.dicts);
+        let dicts = dicts.or(self.dicts.as_ref());
+        let (sys, nranks) = (self.sys.as_ref(), self.app.params.nranks);
+        row.draw.draw(&self.golden, dicts, sys, seed, nranks)
     }
 
     /// Run one column of one draw: build the column's world, arm the
@@ -790,11 +765,6 @@ impl<'a> Env<'a> {
                 w.arm(fault);
             }
         };
-        if col.runner == Runner::Trial {
-            let ctx = self.trial.as_ref().expect("built for Runner::Trial");
-            let run = ctx.run_trial(row.class, seed);
-            return (run.record.outcome, Aux::default(), run.insns);
-        }
         let mut cfg = trial_world_config(app, &self.cfg, self.budget);
         isolate(&mut cfg, col.isolate);
         let output = |w: &MpiWorld| app.comparable_output(w);
@@ -819,7 +789,11 @@ impl<'a> Env<'a> {
         use Manifestation::{MaskedByChannel, MaskedByReplica, Recovered, RecoveredByApp};
         let one = |n: u32| [n.into(), 0, 0];
         let (w, outcome, aux) = match col.runner {
-            Runner::Trial => unreachable!("handled above"),
+            Runner::Trial => {
+                let ctx = self.trial.as_ref().expect("built for Runner::Trial");
+                let run = ctx.run_trial(row.draw.class(), Duration::Transient, seed);
+                return (run.record.outcome, Aux::default(), run.insns);
+            }
             Runner::World => {
                 let (w, exit) = world(cfg);
                 let m = classify(&exit, &output(&w), golden);
@@ -953,7 +927,7 @@ pub fn run_matrix(
                 ci: g,
                 k,
                 record: TrialRecord {
-                    class: row.class,
+                    class: row.draw.class(),
                     detail: t.detail.clone(),
                     outcome: t.outcome,
                 },

@@ -4,10 +4,10 @@
 //! Every fault family so far corrupts *state*: bits, messages, whole
 //! processes. This module injects faults that corrupt *timing* only —
 //! a multiplicative tax on one rank's scheduling quantum
-//! ([`FaultModel::QuantumTax`]), a co-scheduled hog stealing a share of
-//! a node group's quanta ([`FaultModel::HogRank`]), and a per-access
+//! ([`Draw::QuantumTax`]), a co-scheduled hog stealing a share of
+//! a node group's quanta ([`Draw::HogRank`]), and a per-access
 //! latency surcharge on retired loads and stores
-//! ([`FaultModel::MemStall`]). All three draw on the deterministic
+//! ([`Draw::MemStall`]). All three draw on the deterministic
 //! block/instruction clocks, never wall time, so perturb campaigns keep
 //! the byte-identity guarantees of every other campaign flavour.
 //!
@@ -31,18 +31,14 @@
 //! detection columns face the byte-identical interference draw.
 
 use crate::engine::Aux;
-use crate::faultmodel::FaultModel;
+use crate::faultmodel::Draw;
 use crate::matrix::{
-    cell_jsonl, cell_tsv, contract_lines, Column, Contract, Draw, Isolate, Layout, MatrixMode,
+    cell_jsonl, cell_tsv, contract_lines, Column, Contract, Isolate, Layout, MatrixMode,
     MatrixResult, Row, Runner, Slot, Summary,
 };
 use crate::obs::ClassMetrics;
 use crate::outcome::{classify, Manifestation};
-use crate::target::TargetClass;
-use fl_apps::Golden;
-use fl_mpi::{Effect, FailureDetector, Fault, WorldEffect, WorldExit};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use fl_mpi::{FailureDetector, WorldExit};
 use std::fmt::Write as _;
 
 /// One column of the interference matrix: what stands between a slow
@@ -124,124 +120,6 @@ impl Default for PerturbPolicy {
     }
 }
 
-/// Draw the perturb fault for one trial seed. Fully determined by
-/// `(golden, model, seed, nranks, policy)` and shared by all three
-/// detection columns of the trial's row.
-pub fn draw_perturb(
-    golden: &Golden,
-    model: FaultModel,
-    seed: u64,
-    nranks: u16,
-    policy: &PerturbPolicy,
-) -> (Fault, String) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let window = |rng: &mut StdRng| {
-        let (lo, hi) = policy.tax_rounds;
-        let lo = lo.max(1);
-        rng.gen_range(lo..hi.max(lo) + 1)
-    };
-    match model {
-        FaultModel::QuantumTax => {
-            let rank = rng.gen_range(0..nranks);
-            let at_blocks = rng.gen_range(1..golden.blocks[rank as usize].max(2));
-            let rounds = window(&mut rng);
-            let (lo, hi) = policy.tax_permille;
-            let tax_permille = rng.gen_range(lo..hi.max(lo) + 1).min(999);
-            let tax = WorldEffect::Tax {
-                permille: tax_permille,
-                rounds,
-            };
-            (
-                Fault::new(rank, at_blocks, tax).into(),
-                format!("tax {tax_permille}\u{2030} on rank {rank} for {rounds} rounds @ block {at_blocks}"),
-            )
-        }
-        FaultModel::HogRank => {
-            // Contiguous groups of `hog_node_ranks` form the nodes; a
-            // hog lands on one whole group.
-            let per = policy.hog_node_ranks.clamp(1, nranks);
-            let nodes = nranks.div_ceil(per);
-            let node = rng.gen_range(0..nodes);
-            let lo = node * per;
-            let hi = ((node + 1) * per).min(nranks);
-            let mut mask = 0u32;
-            for r in lo..hi {
-                mask |= 1 << r;
-            }
-            let trigger_rank = mask.trailing_zeros() as u16;
-            let at_blocks = rng.gen_range(1..golden.blocks[trigger_rank as usize].max(2));
-            let rounds = window(&mut rng);
-            let (slo, shi) = policy.hog_share_permille;
-            let share_permille = rng.gen_range(slo..shi.max(slo) + 1).min(999);
-            let hog = WorldEffect::Hog {
-                mask,
-                permille: share_permille,
-                rounds,
-            };
-            (
-                Fault::new(trigger_rank, at_blocks, hog).into(),
-                format!(
-                    "hog steals {share_permille}\u{2030} from node {node} (mask {mask:#06b}) \
-                     for {rounds} rounds @ block {at_blocks}"
-                ),
-            )
-        }
-        FaultModel::MemStall => {
-            let rank = rng.gen_range(0..nranks);
-            let insns = golden.insns[rank as usize].max(16);
-            let at_insns = rng.gen_range(1..insns);
-            let (lo, hi) = policy.stall_window_per16;
-            let per16 = rng.gen_range(lo.max(1)..hi.max(lo.max(1)) + 1).min(16);
-            let window_insns = (insns * per16 / 16).max(1);
-            let (plo, phi) = policy.stall_per_access;
-            let per_access = rng.gen_range(plo.max(1)..phi.max(plo.max(1)) + 1);
-            let stall = Effect::Stall {
-                window_insns,
-                per_access,
-            };
-            (
-                Fault::new(rank, at_insns, stall),
-                format!(
-                    "stall +{per_access}/access on rank {rank} for {window_insns} insns @ t={at_insns}"
-                ),
-            )
-        }
-        FaultModel::KillRank | FaultModel::WedgeRank => {
-            let rank = rng.gen_range(0..nranks);
-            let at_blocks = rng.gen_range(1..golden.blocks[rank as usize].max(2));
-            let wedge = model == FaultModel::WedgeRank;
-            (
-                Fault::kill(rank, at_blocks, wedge).into(),
-                format!(
-                    "{} rank {rank} @ block {at_blocks}",
-                    if wedge { "wedge" } else { "kill" }
-                ),
-            )
-        }
-        other => unreachable!("draw_perturb only draws perturb/process models, got {other}"),
-    }
-}
-
-/// The record class of one matrix row: the interference models carry
-/// [`TargetClass::Sched`]; the kill/wedge denominator rows are process
-/// failures.
-pub fn perturb_class(model: FaultModel) -> TargetClass {
-    match model {
-        FaultModel::KillRank | FaultModel::WedgeRank => TargetClass::Process,
-        m => m
-            .chaos_class()
-            .expect("perturb interference models carry a class"),
-    }
-}
-
-/// The matrix rows, in slot order: the three interference models, then
-/// the two true process failures as the detection denominator.
-pub fn perturb_models() -> [FaultModel; 5] {
-    let p = FaultModel::perturb_models();
-    let k = FaultModel::process_models();
-    [p[0], p[1], p[2], k[0], k[1]]
-}
-
 impl Detection {
     /// The detector as a matrix column. Each column isolates exactly one
     /// detector: app-visible ULFM recovery would absorb failure verdicts
@@ -287,7 +165,7 @@ fn read_permille(detail: &str) -> Option<Aux> {
 
 /// A cell's degradation aggregates.
 fn degradation(r: &MatrixResult, row: usize, column: usize) -> ClassMetrics {
-    r.cell(row, column).metrics(r.mode.rows[row].class)
+    r.cell(row, column).metrics(r.mode.rows[row].draw.class())
 }
 
 /// The per-cell values of the perturb TSV and JSONL.
@@ -310,21 +188,35 @@ const SUMMARY: &[Summary] = &[
     }),
 ];
 
-/// The perturb mode: every [`perturb_models`] row against every
+/// The perturb mode: the three interference models, then the two true
+/// process failures as the detection denominator, against every
 /// [`Detection`] column, `injections` draws per row, one cell's trial
 /// per slot. Interference inflates rounds — and the mem-stall surcharge
 /// inflates retired-insn accounting — without adding real work, so every
 /// trial gets double the ordinary hang budget: a slow-but-correct run
 /// never masquerades as non-termination.
 pub fn mode(policy: PerturbPolicy) -> MatrixMode {
+    let interference = [
+        Draw::QuantumTax {
+            rounds: policy.tax_rounds,
+            permille: policy.tax_permille,
+        },
+        Draw::HogRank {
+            node_ranks: policy.hog_node_ranks,
+            rounds: policy.tax_rounds,
+            share_permille: policy.hog_share_permille,
+        },
+        Draw::MemStall {
+            per_access: policy.stall_per_access,
+            window_per16: policy.stall_window_per16,
+        },
+    ];
+    let failures = [false, true].map(|wedge| Draw::Kill { wedge: Some(wedge) });
     let columns: Vec<Column> = Detection::ALL.iter().map(|d| d.column(&policy)).collect();
-    let row = |&model: &FaultModel| Row {
-        label: model.label().to_string(),
-        class: perturb_class(model),
-        draw: Draw::Perturb(model, policy),
-        columns: columns.clone(),
-    };
-    let interference = FaultModel::perturb_models().len();
+    let rows: Vec<Row> = (interference.iter().chain(&failures))
+        .map(|&d| Row::new(d, columns.clone()))
+        .collect();
+    let interference = interference.len();
     let column = |d| Detection::ALL.iter().position(|&x| x == d).expect("listed");
     // Detection coverage: over the kill and wedge rows, each real
     // detector must convert >=90% of trials into an explicit failure
@@ -332,7 +224,7 @@ pub fn mode(policy: PerturbPolicy) -> MatrixMode {
     let detects = |name, detection| Contract {
         name,
         what: "kill/wedge trials the detector converted into a failure verdict",
-        rows: interference..perturb_models().len(),
+        rows: interference..rows.len(),
         column: column(detection),
         over: |_| true,
         counts: is_verdict,
@@ -355,7 +247,7 @@ pub fn mode(policy: PerturbPolicy) -> MatrixMode {
         detects("accrual-detects-process-failures", Detection::Accrual),
     ];
     MatrixMode {
-        rows: perturb_models().iter().map(row).collect(),
+        rows,
         slot: Slot::Cell {
             write_aux: write_permille,
             read_aux: read_permille,
@@ -446,6 +338,7 @@ mod tests {
     use crate::matrix::run_matrix;
     use crate::report::Report;
     use fl_apps::{App, AppKind, AppParams};
+    use fl_mpi::{Effect, WorldEffect};
 
     fn tiny() -> App {
         App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy))
@@ -455,32 +348,35 @@ mod tests {
     fn perturb_draws_are_reproducible_and_model_shaped() {
         let app = tiny();
         let golden = app.golden(2_000_000_000);
-        let policy = PerturbPolicy::default();
-        for (mi, model) in perturb_models().iter().enumerate() {
+        let n = app.params.nranks;
+        for (mi, row) in mode(PerturbPolicy::default()).rows.iter().enumerate() {
             for k in 0..4u32 {
                 let seed = trial_seed(11, mi, k);
-                let a = draw_perturb(&golden, *model, seed, app.params.nranks, &policy);
-                let b = draw_perturb(&golden, *model, seed, app.params.nranks, &policy);
+                let draw = || row.draw.draw(&golden, None, None, seed, n);
+                let (a, b) = (draw(), draw());
+                let model = row.label;
                 assert_eq!(
                     format!("{a:?}"),
                     format!("{b:?}"),
                     "{model} draw must be pure in the seed"
                 );
-                let n = app.params.nranks;
-                assert!(a.0.rank < n && a.0.at >= 1);
+                let [f] = &a.0[..] else {
+                    panic!("{model} drew {:?}", a.0)
+                };
+                assert!(f.rank < n && f.at >= 1);
                 use WorldEffect::{Hog, Kill, Tax};
-                match (model, &a.0.effect) {
-                    (FaultModel::QuantumTax, Effect::World(Tax { permille, rounds })) => {
+                match (row.draw, &f.effect) {
+                    (Draw::QuantumTax { .. }, Effect::World(Tax { permille, rounds })) => {
                         assert!((900..=995).contains(permille));
                         assert!((256..=1024).contains(rounds));
                     }
-                    (FaultModel::HogRank, Effect::World(Hog { mask, permille, .. })) => {
+                    (Draw::HogRank { .. }, Effect::World(Hog { mask, permille, .. })) => {
                         assert!(*mask > 0 && *mask < (1 << n));
-                        assert_eq!(mask >> a.0.rank & 1, 1);
+                        assert_eq!(mask >> f.rank & 1, 1);
                         assert!((300..=900).contains(permille));
                     }
                     (
-                        FaultModel::MemStall,
+                        Draw::MemStall { .. },
                         Effect::Stall {
                             window_insns,
                             per_access,
@@ -489,9 +385,10 @@ mod tests {
                         assert!((1..=6).contains(per_access));
                         assert!(*window_insns >= 1);
                     }
-                    (FaultModel::KillRank, Effect::World(Kill { wedge, .. })) => assert!(!wedge),
-                    (FaultModel::WedgeRank, Effect::World(Kill { wedge, .. })) => assert!(wedge),
-                    (m, f) => panic!("{m} drew {f:?}"),
+                    (Draw::Kill { wedge: Some(w) }, Effect::World(Kill { wedge, .. })) => {
+                        assert_eq!(w, *wedge)
+                    }
+                    (_, f) => panic!("{model} drew {f:?}"),
                 }
             }
         }

@@ -95,6 +95,19 @@ scalar_slots! {
     bool: as_bool, "a bool";
 }
 
+/// One of the eight §4.3 injection regions. The chaos and perturb classes
+/// parse as record classes, but nothing draws a bit flip in them.
+fn region(name: &str) -> Result<TargetClass, String> {
+    let class: TargetClass = name.parse()?;
+    if TargetClass::ALL.contains(&class) {
+        return Ok(class);
+    }
+    let regions = TargetClass::ALL.map(TargetClass::name).join(", ");
+    Err(format!(
+        "`{name}` is a record class, not an injection region (regions: {regions})"
+    ))
+}
+
 /// A region list: a JSON array of names, or on the command line a
 /// comma-separated list or `all`.
 impl Slot for Vec<TargetClass> {
@@ -108,14 +121,14 @@ impl Slot for Vec<TargetClass> {
             .ok_or_else(|| format!("`{key}` must be an array"))?;
         *self = names
             .iter()
-            .map(|x| x.as_str().ok_or("region names must be strings")?.parse())
+            .map(|x| region(x.as_str().ok_or("region names must be strings")?))
             .collect::<Result<_, String>>()?;
         Ok(())
     }
     fn parse(&mut self, word: &str) -> Result<(), String> {
         *self = match word {
             "all" => TargetClass::ALL.to_vec(),
-            list => list.split(',').map(str::parse).collect::<Result<_, _>>()?,
+            list => list.split(',').map(region).collect::<Result<_, _>>()?,
         };
         Ok(())
     }
@@ -954,6 +967,9 @@ mod tests {
         assert!(CampaignSpec::from_json(r#"{"app":"namd"}"#).is_err());
         assert!(CampaignSpec::from_json(r#"{"app":"wavetoy","mode":"turbo"}"#).is_err());
         assert!(CampaignSpec::from_json(r#"{"app":"wavetoy","regions":["rom"]}"#).is_err());
+        // A record class is not a region: nothing draws a bit flip in it.
+        let err = CampaignSpec::from_json(r#"{"app":"wavetoy","regions":["network"]}"#);
+        assert!(err.unwrap_err().contains("not an injection region"));
         let err = CampaignSpec::from_json(r#"{"app":"wavetoy","injetions":5}"#).unwrap_err();
         assert!(err.contains("unknown spec key"), "{err}");
         // An integer its field cannot hold is an error, not a wrap

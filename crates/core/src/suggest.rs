@@ -1,8 +1,9 @@
 //! Nearest-match suggestions for user-supplied names.
 //!
-//! Shared by the `FaultModel`/`TargetClass` parsers (and reusable by any
-//! CLI surface) so every "unknown X" error can offer a did-you-mean hint
-//! with the same matching rule the `faultlab` flag validator uses.
+//! Shared by the `TargetClass` and spec parsers and by the `faultlab`
+//! verbs — flags, modes, and the `--model` / `--mode` focus, matched
+//! against the row labels and column names a matrix prints — so every
+//! "unknown X" error offers a did-you-mean hint by the same rule.
 
 /// Levenshtein edit distance between two ASCII-ish strings.
 pub fn edit_distance(a: &str, b: &str) -> usize {

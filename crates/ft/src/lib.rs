@@ -64,67 +64,6 @@ impl Default for FtPolicy {
     }
 }
 
-/// Which fault-tolerance discipline a run used (campaign axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FtMode {
-    /// No detector, no recovery: a killed rank strands its peers.
-    Baseline,
-    /// Detect, then rebuild the world over the survivors.
-    Shrink,
-    /// Detect, then boot a spare from the buddy checkpoint line.
-    Respawn,
-    /// N lockstep replicas with digest/output voting.
-    Replicated,
-    /// ULFM mode: failures surface *inside* the application as
-    /// `MPIX_ERR_PROC_FAILED` returns and fault-aware collectives; the
-    /// app recovers itself (ack / agree / shrink / checkpoint rollback)
-    /// with no harness intervention at all.
-    App,
-}
-
-impl FtMode {
-    /// Every mode, baseline first (campaign sweep order).
-    pub const ALL: [FtMode; 5] = [
-        FtMode::Baseline,
-        FtMode::Shrink,
-        FtMode::Respawn,
-        FtMode::Replicated,
-        FtMode::App,
-    ];
-
-    /// Display label — also the canonical parse name.
-    pub fn label(self) -> &'static str {
-        match self {
-            FtMode::Baseline => "baseline",
-            FtMode::Shrink => "shrink",
-            FtMode::Respawn => "respawn",
-            FtMode::Replicated => "replicated",
-            FtMode::App => "app",
-        }
-    }
-}
-
-impl std::fmt::Display for FtMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for FtMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<FtMode, String> {
-        Ok(match s {
-            "baseline" => FtMode::Baseline,
-            "shrink" => FtMode::Shrink,
-            "respawn" => FtMode::Respawn,
-            "replicated" => FtMode::Replicated,
-            "app" => FtMode::App,
-            other => return Err(format!("unknown ft mode `{other}`")),
-        })
-    }
-}
-
 /// What a recovery run did and how it ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FtReport {
@@ -843,14 +782,6 @@ mod tests {
         assert_eq!(report.exit, WorldExit::Clean);
         assert_eq!(report.votes, 0);
         assert_eq!(app.comparable_output(&winner), golden.output);
-    }
-
-    #[test]
-    fn ft_mode_labels_roundtrip() {
-        for mode in FtMode::ALL {
-            assert_eq!(mode.label().parse::<FtMode>(), Ok(mode));
-        }
-        assert!("nope".parse::<FtMode>().is_err());
     }
 
     #[test]

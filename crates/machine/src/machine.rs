@@ -2628,11 +2628,10 @@ impl Machine {
         new != old
     }
 
-    /// Force one bit of a 32-bit register to a value (stuck-at model).
-    /// FPU registers re-route through [`Machine::flip_register_bit`]
-    /// semantics: the bit is read, and flipped only when it differs.
-    pub fn set_register_bit(&mut self, reg: RegisterName, bit: u32, value: bool) {
-        let current = match reg {
+    /// One bit of a register, addressed as [`Machine::flip_register_bit`]
+    /// addresses it.
+    pub fn register_bit(&self, reg: RegisterName, bit: u32) -> bool {
+        match reg {
             RegisterName::Gpr(g) => self.cpu.get(g) >> (bit & 31) & 1 == 1,
             RegisterName::Eip => self.cpu.eip >> (bit & 31) & 1 == 1,
             RegisterName::Eflags => self.cpu.eflags >> (bit & 31) & 1 == 1,
@@ -2648,8 +2647,13 @@ impl Machine {
             RegisterName::FpuSpecial(s) => {
                 self.cpu.fpu.special(s) >> (bit % reg.width_bits()) & 1 == 1
             }
-        };
-        if current != value {
+        }
+    }
+
+    /// Force one bit of a register to a value (stuck-at model): the bit
+    /// is read, and flipped only when it differs.
+    pub fn set_register_bit(&mut self, reg: RegisterName, bit: u32, value: bool) {
+        if self.register_bit(reg, bit) != value {
             self.flip_register_bit(reg, bit);
         }
     }

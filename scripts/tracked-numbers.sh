@@ -8,8 +8,9 @@
 #   shim lines    code lines, same rule, of shims/<crate>/src/**/*.rs
 #   CI steps      `      - name:` lines of .github/workflows/ci.yml
 #   cold starts   `MpiWorld::new(` / `new_with_code(` calls in the code
-#                 lines (same rule) of crates/{core,ft,guard,snapshot}/src:
-#                 worlds that load the image instead of taking a `Launch`
+#                 lines (same rule) of crates/{core,ft,guard,snapshot}/src,
+#                 then of crates/bench/src: worlds that load the image
+#                 instead of taking a `Launch`
 #
 # Prints to stdout; CI regenerates results/tracked_numbers.txt from it
 # and diffs. Run from anywhere.
@@ -77,3 +78,4 @@ echo
 echo "# worlds built by loading the image (non-test call sites)"
 printf '%-28s %6d\n' "core + ft + guard + snapshot" \
     "$(cold_starts $(find crates/core/src crates/ft/src crates/guard/src crates/snapshot/src -name '*.rs' | sort))"
+printf '%-28s %6d\n' "crates/bench/src" "$(cold_starts $(find crates/bench/src -name '*.rs' | sort))"
