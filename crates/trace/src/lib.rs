@@ -78,7 +78,8 @@ pub struct TraceReport {
 }
 
 /// Run `app` with tracing enabled and compute its working-set curves with
-/// `samples` points along the block-count axis.
+/// `samples` points along the block-count axis — at most one per block
+/// the traced rank retired, plus time 0.
 ///
 /// # Panics
 ///
@@ -96,8 +97,10 @@ pub fn trace_app(app: &App, budget: u64, samples: usize) -> TraceReport {
     let (text_sz, data_sz, bss_sz) = app.image.section_sizes();
     let heap_sz = m.heap.peak_bytes() as u64;
 
+    // A curve has at most one distinct point per retired block.
+    let samples = (samples as u64).min(total_blocks.saturating_add(1));
     let times: Vec<u64> = (0..samples)
-        .map(|i| total_blocks * i as u64 / (samples as u64 - 1).max(1))
+        .map(|i| total_blocks * i / (samples - 1).max(1))
         .collect();
 
     let curve = |region: Region, size: u64| -> Curve {
