@@ -37,7 +37,6 @@ use crate::json::{escape, parse, Json};
 use crate::matrix::{run_matrix, ContractCheck, MatrixResult};
 use crate::obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, KIND_COUNT};
 use crate::outcome::{Manifestation, Tally};
-use crate::progress::EngineProgress;
 use crate::report::Report;
 use crate::spec::CampaignSpec;
 use crate::target::TargetClass;
@@ -387,6 +386,99 @@ impl VecSink {
 impl EngineSink for VecSink {
     fn trial(&self, t: &TrialOutput) {
         self.lines.lock().unwrap().push(record_line(self.app, t));
+    }
+}
+
+/// A snapshot of a campaign engine run's progress counters, emitted to
+/// every [`EngineSink`] after each trial completes. One-shot CLI
+/// progress lines, the server's status responses and the watch stream
+/// all render from it ([`StderrProgress`] is the CLI one) — there is no
+/// ad-hoc progress printing anywhere else.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineProgress {
+    /// Trials in the campaign's slot space.
+    pub total: u64,
+    /// Slots finished so far this run, including adopted ones.
+    pub done: u64,
+    /// Slots adopted from a previous run's records rather than executed.
+    pub resumed: u64,
+    /// Wall-clock nanoseconds since the engine run started.
+    pub wall_nanos: u64,
+}
+
+impl EngineProgress {
+    /// Trials actually executed by this run (done minus adopted).
+    pub fn executed(&self) -> u64 {
+        self.done.saturating_sub(self.resumed)
+    }
+
+    /// Completed fraction in percent (100 for an empty campaign).
+    pub fn percent(&self) -> f64 {
+        if self.total == 0 {
+            return 100.0;
+        }
+        100.0 * self.done as f64 / self.total as f64
+    }
+
+    /// Executed-trial throughput in trials per second (0 before any
+    /// wall time has elapsed).
+    pub fn trials_per_sec(&self) -> f64 {
+        if self.wall_nanos == 0 {
+            return 0.0;
+        }
+        self.executed() as f64 * 1e9 / self.wall_nanos as f64
+    }
+
+    /// One-line human rendering, shared by the CLI progress line and
+    /// the server's watch stream.
+    pub fn render(&self) -> String {
+        let mut line = format!(
+            "{}/{} trials ({:.0}%), {:.1} trials/s",
+            self.done,
+            self.total,
+            self.percent(),
+            self.trials_per_sec()
+        );
+        if self.resumed > 0 {
+            line.push_str(&format!(" ({} resumed)", self.resumed));
+        }
+        line
+    }
+}
+
+/// The one-shot CLI's progress subscriber: rewrites a stderr status
+/// line every `every` trials (and on completion). Stderr so piped
+/// stdout (JSONL, TSV) stays clean.
+pub struct StderrProgress {
+    every: u64,
+    last: AtomicU64,
+}
+
+impl StderrProgress {
+    /// Report every `every` trials (clamped to at least 1).
+    pub fn new(every: u64) -> StderrProgress {
+        StderrProgress {
+            every: every.max(1),
+            last: AtomicU64::new(0),
+        }
+    }
+}
+
+impl EngineSink for StderrProgress {
+    fn progress(&self, p: EngineProgress) {
+        if !p.done.is_multiple_of(self.every) && p.done != p.total {
+            return;
+        }
+        // Monotonic filter: completion-order updates may arrive slightly
+        // out of order across workers; never paint a stale count.
+        let prev = self.last.fetch_max(p.done, Ordering::Relaxed);
+        if p.done < prev {
+            return;
+        }
+        eprint!("\r  {}", p.render());
+        if p.done == p.total {
+            eprintln!();
+        }
     }
 }
 
@@ -883,6 +975,24 @@ mod tests {
             threads,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn engine_progress_derivations() {
+        let p = EngineProgress {
+            total: 200,
+            done: 50,
+            resumed: 10,
+            wall_nanos: 2_000_000_000,
+        };
+        assert_eq!(p.executed(), 40);
+        assert!((p.percent() - 25.0).abs() < 1e-12);
+        assert!((p.trials_per_sec() - 20.0).abs() < 1e-12);
+        let line = p.render();
+        assert!(line.contains("50/200"), "{line}");
+        assert!(line.contains("(10 resumed)"), "{line}");
+        assert_eq!(EngineProgress::default().percent(), 100.0);
+        assert_eq!(EngineProgress::default().trials_per_sec(), 0.0);
     }
 
     #[test]

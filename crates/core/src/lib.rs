@@ -55,7 +55,6 @@ pub mod matrix;
 pub mod obs;
 pub mod outcome;
 pub mod perturb;
-pub mod progress;
 pub mod regpressure;
 pub mod report;
 pub mod sampling;
@@ -71,7 +70,8 @@ pub use chaos::{ChaosPolicy, Defense};
 pub use engine::{
     parse_record_line, record_line, run_campaign, run_campaign_engine,
     run_campaign_engine_to_completion, run_spec, sort_records_jsonl, CompletedSlots, EngineControl,
-    EngineRun, EngineSink, NullSink, SpecOutcome, TrialOutput, VecSink,
+    EngineProgress, EngineRun, EngineSink, NullSink, SpecOutcome, StderrProgress, TrialOutput,
+    VecSink,
 };
 pub use faultmodel::compare_models;
 pub use fl_ft::{
@@ -82,9 +82,6 @@ pub use matrix::{Cell, MatrixResult};
 pub use obs::TrialTrace;
 pub use outcome::{classify, Manifestation, Tally};
 pub use perturb::{Detection, PerturbPolicy};
-pub use progress::{
-    EngineProgress, ProgressMonitor, ProgressSample, ProgressVerdict, StderrProgress,
-};
 pub use regpressure::render_register_pressure;
 pub use report::{
     join_reports, render_register_breakdown, render_tsv, MetricsReport, Report, ReportFormat,

@@ -230,6 +230,28 @@ mod tests {
     }
 
     #[test]
+    fn spin_loop_detected_despite_retiring_instructions() {
+        // The key §7 case: instructions and blocks keep retiring on every
+        // rank, FLOPs and MPI calls do not — a spin loop, caught at
+        // exactly `stall_windows`.
+        let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
+        let mut world = MpiWorld::new(&app.image, app.world_config(1_000_000));
+        let mut dog = Watchdog::new(3);
+        dog.prime(&world);
+        for window in 1..=3 {
+            for r in 0..world.nranks() {
+                let c = &mut world.machine_mut(r).counters;
+                c.insns += 10_000;
+                c.blocks += 2_000;
+            }
+            match dog.observe(&world) {
+                None => assert!(window < 3, "spinning must trip at window 3"),
+                Some(trip) => assert_eq!((window, trip.windows), (3, 3)),
+            }
+        }
+    }
+
+    #[test]
     fn boundary_hang_trips_at_exact_clock() {
         // Regression: a hang already in effect at the first sampling
         // boundary must trip after exactly `stall_windows` windows. The

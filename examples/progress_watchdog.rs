@@ -6,16 +6,17 @@
 //! practical detection mechanisms."
 //!
 //! This example corrupts a message tag so a receive never matches, then
-//! watches the cluster with a [`fl_inject::ProgressMonitor`]: the
-//! watchdog flags the hang after a few silent windows, long before the
-//! instruction-budget timeout would.
+//! watches the cluster with an [`fl_guard::Watchdog`] sampled every
+//! scheduler round: the watchdog flags the hang after a few windows
+//! without FLOP or MPI progress, long before the instruction-budget
+//! timeout would.
 //!
 //! ```sh
 //! cargo run --release --example progress_watchdog
 //! ```
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{ProgressMonitor, ProgressSample, ProgressVerdict};
+use fl_guard::Watchdog;
 use fl_mpi::Fault;
 
 fn main() {
@@ -28,39 +29,19 @@ fn main() {
     let mut w = app.world(budget);
     w.arm(Fault::flip(1, 12, 5));
 
-    let nranks = app.params.nranks;
-    let mut monitor = ProgressMonitor::new(5);
-    let mut rounds: u64 = 0;
+    let mut dog = Watchdog::new(3);
+    dog.prime(&w);
     let verdict = loop {
-        match w.run_round() {
-            Some(exit) => break format!("world exited on its own: {exit:?}"),
-            None => {
-                rounds += 1;
-                let sample = ProgressSample::take(&w, nranks);
-                match monitor.observe(sample) {
-                    ProgressVerdict::Progressing => {
-                        if rounds.is_multiple_of(50) {
-                            println!(
-                                "round {rounds}: progressing ({} flops, {} MPI calls)",
-                                sample.flops, sample.mpi_calls
-                            );
-                        }
-                    }
-                    ProgressVerdict::Stalled(n) => {
-                        println!(
-                            "round {rounds}: no FLOP/MPI progress for {n} window(s) \
-                             (instructions still at {})",
-                            sample.insns
-                        );
-                        if monitor.hung() {
-                            break format!(
-                                "WATCHDOG: hang detected after {rounds} rounds — the \
-                                 instruction budget would have needed {budget} instructions"
-                            );
-                        }
-                    }
-                }
-            }
+        if let Some(exit) = w.run_round() {
+            break format!("world exited on its own: {exit:?}");
+        }
+        if let Some(trip) = dog.observe(&w) {
+            break format!(
+                "WATCHDOG: no FLOP/MPI progress for {} rounds (blame rank {}, \
+                 {} blocks retired) — the instruction budget would have needed \
+                 {budget} instructions",
+                trip.windows, trip.victim, trip.blocks
+            );
         }
     };
     println!("\n{verdict}");
