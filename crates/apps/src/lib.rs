@@ -70,6 +70,13 @@ impl AppKind {
         }
     }
 
+    /// Does the application carry fl-ulfm recovery code of its own —
+    /// recover from a lost rank by itself when the world reports the
+    /// failure to it instead of terminating?
+    pub fn owns_recovery(self) -> bool {
+        self == AppKind::Jacobi3d
+    }
+
     /// The paper application this stands in for.
     pub fn paper_name(self) -> &'static str {
         match self {
@@ -298,13 +305,14 @@ impl App {
     /// World configuration for this app. Moldyn runs with nondeterministic
     /// scheduling (§4.2.2) and a lower eager threshold (its Charm++-style
     /// runtime favours rendezvous for position blocks); the others run
-    /// deterministically with the default threshold. Jacobi3d runs in
-    /// ulfm mode with the failure detector on — its fault tolerance lives
-    /// in the application, so the world must report failures to it rather
-    /// than terminate (harmless on a fault-free run: the detector only
-    /// matures suspicion for ranks that actually stop heartbeating).
+    /// deterministically with the default threshold. An app that owns its
+    /// recovery ([`AppKind::owns_recovery`]: jacobi3d) runs in ulfm mode
+    /// with the failure detector on — its fault tolerance lives in the
+    /// application, so the world must report failures to it rather than
+    /// terminate (harmless on a fault-free run: the detector only matures
+    /// suspicion for ranks that actually stop heartbeating).
     pub fn world_config(&self, budget: u64) -> WorldConfig {
-        let ulfm = self.kind == AppKind::Jacobi3d;
+        let ulfm = self.kind.owns_recovery();
         let mut ft = fl_mpi::FailureDetector::default();
         if ulfm {
             ft.enabled = true;

@@ -324,13 +324,13 @@ impl SpecMode {
         of_spec.chain(of_policy).flatten().copied().collect()
     }
 
-    /// The matrix-campaign description this mode runs over `classes`,
-    /// policies included; `None` for a plain campaign.
-    pub(crate) fn matrix(&self, classes: &[TargetClass]) -> Option<MatrixMode> {
+    /// The matrix-campaign description this mode runs on `app` over
+    /// `classes`, policies included; `None` for a plain campaign.
+    pub(crate) fn matrix(&self, app: AppKind, classes: &[TargetClass]) -> Option<MatrixMode> {
         match *self {
             SpecMode::Campaign => None,
             SpecMode::Guard(policy) => Some(crate::guarded::mode(classes, policy)),
-            SpecMode::Ft(policy) => Some(crate::ft::mode(policy)),
+            SpecMode::Ft(policy) => Some(crate::ft::mode(policy, app)),
             SpecMode::Chaos(policy) => Some(crate::chaos::mode(policy)),
             SpecMode::Perturb(policy) => Some(crate::perturb::mode(policy)),
         }
@@ -483,7 +483,7 @@ impl CampaignSpec {
     /// The matrix-campaign description this spec runs, policies
     /// included; `None` for a plain campaign.
     pub fn matrix(&self) -> Option<MatrixMode> {
-        self.mode.matrix(&self.classes)
+        self.mode.matrix(self.app, &self.classes)
     }
 
     /// The spec's slot space — what the engine schedules, the progress

@@ -75,6 +75,12 @@ pub struct FtReport {
     pub shrinks: u32,
     /// Spares booted from a buddy line.
     pub respawns: u32,
+    /// Buddy checkpoint lines cut (respawn only), re-cut lines after a
+    /// restore included — the fault-free path's checkpoint cost.
+    pub checkpoints: u32,
+    /// Rounds re-executed after the restores: per respawn, the detection
+    /// round minus the round of the line restored (respawn only).
+    pub lost_rounds: u64,
     /// Replicas voted out (digest or final-output divergence).
     pub votes: u32,
     /// Rank count of the world that produced `exit`.
@@ -88,6 +94,8 @@ impl FtReport {
             failures_detected: 0,
             shrinks: 0,
             respawns: 0,
+            checkpoints: 0,
+            lost_rounds: 0,
             votes: 0,
             final_nranks: nranks,
         }
@@ -206,7 +214,8 @@ struct BuddyLine {
 /// `policy.buddy_rounds`; on failure, boot a spare from the last line
 /// and resume. Every armed kill the line carries is disarmed on restore —
 /// the spare must not re-execute the fault — so a detected kill costs
-/// one respawn and the run completes at full size.
+/// one respawn and the run completes at full size. The report counts
+/// the lines cut and the rounds each restore threw away.
 pub fn run_respawn(
     launch: &Launch,
     cfg: WorldConfig,
@@ -233,6 +242,7 @@ pub fn run_respawn(
                 restored.disarm(|f| matches!(f.effect, WorldEffect::Kill { .. }));
                 restored.note_rank_respawned(rank, line.round);
                 report.respawns += 1;
+                report.lost_rounds += round - line.round;
                 world = restored;
             }
             Some(exit) => break exit,
@@ -246,6 +256,7 @@ pub fn run_respawn(
                     // its piece; a world with a dead rank in it is not a
                     // valid restart point.
                     world.note_snapshot_captured(r);
+                    report.checkpoints += 1;
                     line = BuddyLine {
                         snap: world.snapshot(),
                         round: r,
