@@ -11,7 +11,7 @@
 //! *follows* the injection point: a trial that has provably become the
 //! golden run again need not execute its suffix either.
 //!
-//! Four layers:
+//! Three layers:
 //!
 //! * **Snapshots** — [`MachineSnapshot`] (registers, EFLAGS, EIP, the
 //!   full x87 state, copy-on-write memory pages, malloc-runtime state)
@@ -45,9 +45,6 @@
 //!   which is why `fl-mpi` fires an injection *inside* the victim's
 //!   quantum instead of clipping the quantum at the fire point. Trials
 //!   that record events are never ended early.
-//! * **[`recovery`]** — the checkpoint/restart experiment: kill a rank
-//!   mid-run, restore the world from the latest checkpoint, and measure
-//!   what was recovered versus lost.
 //!
 //! Forking is valid whenever trial and golden run share their prefix.
 //! Deterministic applications always do; moldyn's arrival-order shuffle
@@ -57,9 +54,7 @@
 //! seed — the campaign layer seeds it per campaign.
 
 pub mod epoch;
-pub mod recovery;
 
 pub use epoch::{Epoch, EpochCache};
 pub use fl_machine::{MachineSnapshot, MemorySnapshot};
 pub use fl_mpi::WorldSnapshot;
-pub use recovery::{run_recovery, RecoveryConfig, RecoveryReport};

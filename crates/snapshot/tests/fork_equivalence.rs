@@ -4,7 +4,7 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_mpi::{MpiWorld, WorldExit};
-use fl_snap::{EpochCache, RecoveryConfig};
+use fl_snap::EpochCache;
 
 const BUDGET: u64 = 200_000_000;
 
@@ -205,32 +205,4 @@ fn injection_on_forked_world_fires() {
     }));
     let exit = w.run();
     assert_ne!(exit, WorldExit::Clean, "EIP clobber must manifest");
-}
-
-#[test]
-fn recovery_restores_lost_work() {
-    let app = tiny(AppKind::Wavetoy);
-    let cfg = app.world_config(BUDGET);
-    let report = fl_snap::run_recovery(
-        &fl_mpi::Launch::new(&app.image, cfg.machine, None),
-        cfg,
-        RecoveryConfig {
-            checkpoint_every: 8,
-            kill_rank: 1,
-            kill_round: 30,
-        },
-    );
-    assert!(
-        matches!(report.crash_exit, WorldExit::Crashed { .. }),
-        "kill must crash the job, got {:?}",
-        report.crash_exit
-    );
-    assert_eq!(report.recovered_exit, WorldExit::Clean);
-    assert!(report.recovered, "transient kill must be fully recovered");
-    assert!(report.checkpoint_round <= 30);
-    assert!(
-        report.lost_rounds < 8,
-        "lost work exceeds the checkpoint interval"
-    );
-    assert!(report.checkpoints_taken >= 2);
 }
