@@ -2,10 +2,12 @@
 //!
 //! The campaign artifacts — Tables 2–4 and the guard, ft, chaos and
 //! interference coverage matrices — are not programs: each is a spec
-//! list under `results/specs/`, run by `faultlab run-config`. What a
-//! spec cannot state yet has a binary here (profiles, working-set traces,
-//! the §6.2 message analysis, the design-choice ablations, fault-duration
-//! models, ULFM coverage). Every binary prints its table to stdout and,
+//! list under `results/specs/`, run by `faultlab run-config`; Table 1 is
+//! `faultlab profile` and Tables 5–7 are `faultlab trace`. Three
+//! artifacts need a knob no spec has yet, and each has a binary here:
+//! the §6.2 message analysis and the design-choice ablations (both run
+//! app build variants) and the fault-duration comparison (it varies the
+//! duration). Every binary prints its table to stdout and,
 //! when a `results/` directory exists at the workspace root, writes a
 //! copy there. Timings are not taken here: `benchmark/` at the workspace
 //! root is the one harness that measures.
