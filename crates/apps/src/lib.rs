@@ -349,8 +349,10 @@ impl App {
         MpiWorld::new(&self.image, cfg)
     }
 
-    /// Create a world with memory-access tracing enabled (working-set
-    /// analysis, Tables 5–7).
+    /// Create a world in trace mode (working-set analysis, Tables 5–7):
+    /// every rank stamps its reads with its block clock on the slow path
+    /// (see `MachineConfig::trace`); collect a rank's stamps with
+    /// `Machine::take_read_stamps` after the run.
     pub fn traced_world(&self, budget: u64) -> MpiWorld {
         let mut cfg = self.world_config(budget);
         cfg.machine.trace = true;

@@ -46,7 +46,5 @@ pub use machine::{
 pub use malloc::{
     AllocTag, ChunkInfo, HeapAllocator, HeapError, HEADER_SIZE, MAGIC_FREE, MAGIC_MPI, MAGIC_USER,
 };
-pub use mem::{
-    AccessKind, AccessTrace, MemFault, Memory, MemorySnapshot, Page, ReadStamps, TraceKind,
-};
+pub use mem::{AccessKind, MemFault, Memory, MemorySnapshot, Page, ReadStamps};
 pub use stackwalk::{app_stack_extents, walk, Frame};

@@ -403,7 +403,7 @@ mod tests {
         let err = h.alloc(&mut mem, 0x0100_0000, AllocTag::User).unwrap_err();
         assert!(matches!(err, HeapError::OutOfMemory { .. }));
         // Stores inside grown area work.
-        mem.store_u32(*ptrs.last().unwrap(), 42, 0).unwrap();
+        mem.store_u32(*ptrs.last().unwrap(), 42).unwrap();
     }
 
     #[test]

@@ -8,16 +8,22 @@
 //! low memory-injection error rates: faults outside the (small, shrinking)
 //! working set cannot manifest.
 //!
-//! Here the machine itself records per-granule last-access block counts
-//! when tracing is enabled (no binary rewriting needed), and this crate
-//! turns one rank's trace into the paper's curves and summary statistics.
-//! As in the paper (§6.1.2 footnote), the data comes from a single
-//! instrumented process — rank 1, an interior rank with typical
-//! communication behaviour — and the run is slower than normal, which is
-//! why tracing is off for injection campaigns.
+//! Here the machine itself records, per 4-byte granule, when it was last
+//! read: a traced run ([`fl_machine::MachineConfig::trace`]) stamps every
+//! read with the retired-block clock + 1 in the same [`ReadStamps`] that
+//! convergence-aware termination reads (no binary rewriting needed), and
+//! this crate turns one rank's stamps into the paper's curves and summary
+//! statistics. A read is what the stamps count: a guest load, an
+//! instruction word the program consumed, or the host reading on the
+//! guest's behalf (the MPI library copying a send buffer, the allocator
+//! checking a chunk header) — in the paper's processes those are loads
+//! MPICH and glibc execute. As in the paper (§6.1.2 footnote), the data
+//! comes from a single instrumented process — rank 1, an interior rank
+//! with typical communication behaviour — and the run is slower than
+//! normal, which is why tracing is off for injection campaigns.
 
 use fl_apps::App;
-use fl_machine::Region;
+use fl_machine::{Mapping, ReadStamps, Region};
 use fl_mpi::WorldExit;
 use std::fmt::Write as _;
 
@@ -77,21 +83,28 @@ pub struct TraceReport {
     pub section_bytes: (u64, u64, u64, u64),
 }
 
-/// Run `app` with tracing enabled and compute its working-set curves with
+/// Run `app` in trace mode and compute its working-set curves with
 /// `samples` points along the block-count axis — at most one per block
 /// the traced rank retired, plus time 0.
 ///
 /// # Panics
 ///
-/// Panics if the traced (fault-free) run does not complete cleanly.
+/// Panics if `budget` is 2^32 instructions or more (read stamps are
+/// `u32`, and the block clock never exceeds the instruction count), or
+/// if the traced (fault-free) run does not complete cleanly.
 pub fn trace_app(app: &App, budget: u64, samples: usize) -> TraceReport {
     assert!(samples >= 2);
+    assert!(budget < 1 << 32, "block clock must fit a u32 stamp");
     let mut w = app.traced_world(budget);
     let exit = w.run();
     assert_eq!(exit, WorldExit::Clean, "traced run must be clean");
     // Instrument an interior rank (the paper instrumented one randomly
     // selected process; rank 1 has both neighbours on every app).
     let rank: u16 = if app.params.nranks > 1 { 1 } else { 0 };
+    let stamps = w
+        .machine_mut(rank)
+        .take_read_stamps()
+        .expect("a traced run stamps reads");
     let m = w.machine(rank);
     let total_blocks = m.counters.blocks;
     let (text_sz, data_sz, bss_sz) = app.image.section_sizes();
@@ -104,14 +117,12 @@ pub fn trace_app(app: &App, budget: u64, samples: usize) -> TraceReport {
         .collect();
 
     let curve = |region: Region, size: u64| -> Curve {
+        let last = section_stamps(&stamps, m.mem.map().region(region));
         let percent = times
             .iter()
             .map(|&t| {
-                let ws = m
-                    .mem
-                    .trace(region)
-                    .map(|tr| tr.working_set_bytes(t))
-                    .unwrap_or(0);
+                // Bytes of the granules last read after block count t.
+                let ws = 4 * (last.len() - last.partition_point(|&s| u64::from(s) <= t)) as u64;
                 if size == 0 {
                     0.0
                 } else {
@@ -160,6 +171,21 @@ pub fn trace_app(app: &App, budget: u64, samples: usize) -> TraceReport {
         combined,
         section_bytes: (text_sz as u64, data_sz as u64, bss_sz as u64, heap_sz),
     }
+}
+
+/// The read stamps of the granules inside `section` (the heap at its
+/// final extent), sorted so WS(t) is one binary search per sample.
+fn section_stamps(stamps: &ReadStamps, section: Option<&Mapping>) -> Vec<u32> {
+    let Some(section) = section else {
+        return Vec::new();
+    };
+    let mut last: Vec<u32> = stamps
+        .iter()
+        .filter(|&(addr, _)| section.contains(addr))
+        .map(|(_, stamp)| stamp)
+        .collect();
+    last.sort_unstable();
+    last
 }
 
 /// Render the report as tab-separated values matching the plots of
