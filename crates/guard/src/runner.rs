@@ -20,11 +20,6 @@ pub struct GuardPolicy {
     pub stall_windows: u32,
     /// Channel-level redelivery budget per message sequence number.
     pub max_retransmits: u8,
-    /// Accrual watchdog deadline (fl-perturb): calibrate the trip
-    /// threshold from the longest no-progress streak the world has
-    /// recovered from, so interference-slowed runs are not rolled back
-    /// as hangs. Default off — bit-identical to the fixed threshold.
-    pub accrual: bool,
 }
 
 impl Default for GuardPolicy {
@@ -35,7 +30,6 @@ impl Default for GuardPolicy {
             window_rounds: 8,
             stall_windows: 24,
             max_retransmits: 3,
-            accrual: false,
         }
     }
 }
@@ -110,11 +104,7 @@ pub fn run_guarded(
         snap: world.snapshot(),
         round: 0,
     };
-    let mut watchdog = if policy.accrual {
-        Watchdog::accrual(policy.stall_windows)
-    } else {
-        Watchdog::new(policy.stall_windows)
-    };
+    let mut watchdog = Watchdog::new(policy.stall_windows);
     watchdog.prime(&world);
     let mut report = GuardReport {
         exit: WorldExit::Clean,

@@ -39,21 +39,9 @@ struct RankSample {
 pub struct Watchdog {
     /// Trip after this many consecutive windows without useful progress.
     pub stall_windows: u32,
-    /// Accrual mode (fl-perturb): instead of the fixed `stall_windows`
-    /// deadline, trip at `max(8 * stall_windows, 4 * max_streak)` where
-    /// `max_streak` is the longest no-progress streak the world has
-    /// ever *recovered* from. A world that is merely slow — a taxed
-    /// rank progressing once per starvation cycle — keeps ending its
-    /// streaks and keeps the deadline above them; a true wedge never
-    /// ends one and is still caught. Default off: the trip arithmetic
-    /// is bit-identical to the fixed watchdog.
-    pub accrual: bool,
     last: Option<Vec<RankSample>>,
     baseline: Option<Vec<RankSample>>,
     stalled: u32,
-    /// Longest stall streak that ended in recovered progress (the
-    /// accrual deadline's learned patience).
-    max_streak: u32,
 }
 
 impl Watchdog {
@@ -62,26 +50,14 @@ impl Watchdog {
     pub fn new(stall_windows: u32) -> Watchdog {
         Watchdog {
             stall_windows: stall_windows.max(1),
-            accrual: false,
             last: None,
             baseline: None,
             stalled: 0,
-            max_streak: 0,
-        }
-    }
-
-    /// Like [`Watchdog::new`], with the accrual deadline enabled.
-    pub fn accrual(stall_windows: u32) -> Watchdog {
-        Watchdog {
-            accrual: true,
-            ..Watchdog::new(stall_windows)
         }
     }
 
     /// Forget all history (called after a rollback: the restored world's
-    /// counters jumped backwards and must re-baseline). Learned accrual
-    /// patience survives: the restored world's progress rate is the same
-    /// world's.
+    /// counters jumped backwards and must re-baseline).
     pub fn reset(&mut self) {
         self.last = None;
         self.baseline = None;
@@ -112,17 +88,6 @@ impl Watchdog {
             .collect()
     }
 
-    /// The trip deadline in windows: the fixed threshold, or — in
-    /// accrual mode — at least 8x it, extended to 4x the longest stall
-    /// streak this world has ever recovered from.
-    fn deadline(&self) -> u32 {
-        if self.accrual {
-            (self.stall_windows.saturating_mul(8)).max(self.max_streak.saturating_mul(4))
-        } else {
-            self.stall_windows
-        }
-    }
-
     /// Feed one sampling window. Returns a trip when the stall deadline
     /// is reached (the caller decides what to do about it; the counter
     /// keeps running, so a caller that ignores trips sees one per window
@@ -148,17 +113,12 @@ impl Watchdog {
                     .zip(prev)
                     .any(|(n, p)| n.flops > p.flops || n.mpi_calls > p.mpi_calls);
                 if useful {
-                    if self.stalled > self.max_streak {
-                        // A streak that ends in progress is the world's
-                        // demonstrated worst-case gap: learn it.
-                        self.max_streak = self.stalled;
-                    }
                     self.stalled = 0;
                     self.baseline = Some(now.clone());
                     None
                 } else {
                     self.stalled += 1;
-                    (self.stalled >= self.deadline()).then(|| {
+                    (self.stalled >= self.stall_windows).then(|| {
                         let base = self.baseline.as_deref().unwrap_or(prev);
                         let victim = (0..world.nranks())
                             .filter(|&r| !world.rank_exited(r))
@@ -307,44 +267,5 @@ mod tests {
             dog.observe(&world).is_some(),
             "a full fresh stall run must still trip"
         );
-    }
-
-    #[test]
-    fn accrual_deadline_outlasts_every_recovered_streak() {
-        // Interference cadence: the world stalls for 5 windows, then
-        // progresses, repeatedly. The fixed watchdog at 3 windows trips
-        // on the first streak; the accrual watchdog learns the cadence
-        // and never trips, while a permanent freeze still does.
-        let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-        let mut world = MpiWorld::new(&app.image, app.world_config(2_000_000_000));
-        let mut fixed = Watchdog::new(3);
-        let mut accrual = Watchdog::accrual(3);
-        fixed.prime(&world);
-        accrual.prime(&world);
-        let mut fixed_trips = 0u32;
-        for _cycle in 0..4 {
-            for _stall in 0..5 {
-                if fixed.observe(&world).is_some() {
-                    fixed_trips += 1;
-                }
-                assert!(
-                    accrual.observe(&world).is_none(),
-                    "accrual must outlast a 5-window streak (floor 8x3)"
-                );
-            }
-            assert!(world.run_round().is_none());
-        }
-        assert!(fixed_trips > 0, "the fixed threshold must have tripped");
-        // Now wedge the world for good: the accrual deadline is
-        // max(8 * 3, 4 * 5) = 24 windows, and the trip still comes.
-        let mut windows = 0u32;
-        let trip = loop {
-            windows += 1;
-            if let Some(t) = accrual.observe(&world) {
-                break t;
-            }
-            assert!(windows < 100, "accrual watchdog never tripped on a wedge");
-        };
-        assert_eq!(trip.windows, 24, "deadline = max(8*3, 4*max_streak=20)");
     }
 }
