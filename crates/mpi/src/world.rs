@@ -1010,15 +1010,6 @@ impl MpiWorld {
         }
     }
 
-    /// Out-of-band marker: this world was restored from a checkpoint
-    /// taken at scheduler round `round`. See
-    /// [`MpiWorld::note_snapshot_captured`] for the determinism caveat.
-    pub fn note_snapshot_restored(&mut self, round: u64) {
-        for i in 0..self.ranks.len() {
-            self.obs_record(i, EventKind::SnapshotRestored { round });
-        }
-    }
-
     /// Out-of-band marker: the progress watchdog declared `rank` stalled
     /// after `window` consecutive no-progress windows. Guard paths only.
     pub fn note_watchdog_trip(&mut self, rank: u16, window: u32) {
