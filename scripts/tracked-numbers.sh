@@ -65,6 +65,7 @@ printf '%-28s %6d\n' "core + cli + serve" \
     "$(code_lines $(find crates/core/src crates/cli/src crates/serve/src -name '*.rs' | sort))"
 echo
 echo "# names re-exported at the crate root"
+printf '%-28s %6d\n' "fl_machine" "$(root_names crates/machine/src/lib.rs)"
 printf '%-28s %6d\n' "fl_mpi" "$(root_names crates/mpi/src/lib.rs)"
 printf '%-28s %6d\n' "fl_inject" "$(root_names crates/core/src/lib.rs)"
 echo
