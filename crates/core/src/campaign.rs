@@ -18,7 +18,7 @@ use crate::target::{
 use fl_apps::{App, AppKind, Golden};
 use fl_isa::RegisterName;
 use fl_machine::{Cpu, ExecStats};
-use fl_mpi::{Action, Clock, Effect, Fault, Launch, MpiWorld, WorldConfig, WorldExit};
+use fl_mpi::{Action, Effect, Fault, Launch, MpiWorld, WorldConfig, WorldExit};
 use fl_snap::{Epoch, EpochCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -345,17 +345,9 @@ impl<'a> TrialContext<'a> {
         );
         let rank = fault.rank;
 
-        // Pick the latest checkpoint the injection point permits: the
-        // target rank must not yet have passed the fire point (strictly,
-        // for instruction-timed faults) or ingested the struck byte.
-        let epoch = self
-            .epochs
-            .as_ref()
-            .and_then(|e| match fault.effect.clock() {
-                Clock::RecvBytes => e.best_for_recv(rank, fault.at),
-                Clock::Insns => e.best_for_insns(rank, fault.at),
-                Clock::Blocks | Clock::Calls => None,
-            });
+        // Fork from the latest checkpoint the injection point permits.
+        let point = [(rank, fault.effect.clock(), fault.at)];
+        let epoch = self.epochs.as_ref().map(|e| e.best_for(&point));
         let mut world = match epoch {
             Some(e) => e.snap.restore(),
             None => self

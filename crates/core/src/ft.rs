@@ -390,7 +390,7 @@ mod tests {
         // matrix, retires what the trial and the JSONL say; the table's
         // and the TSV's cost is the mean of those per-draw sums.
         use crate::campaign::{trial_budget, trial_seed, trial_world_config};
-        use fl_ft::{run_app, run_respawn, run_shrink};
+        use fl_ft::{ft_config, run_app, run_respawn, run_shrink, run_survivors, ulfm_config};
         use fl_mpi::{Launch, MpiWorld};
         let (n, seed) = (4, 0xC0);
         let r = ft(AppKind::Wavetoy, n, seed);
@@ -418,11 +418,16 @@ mod tests {
                     trial_seed(seed, KILL, k),
                     app.params.nranks,
                 );
-                let arm = |w: &mut MpiWorld| faults.into_iter().for_each(|f| w.arm(f));
+                let armed = |cfg| {
+                    let mut w = launch.world(cfg);
+                    faults.into_iter().for_each(|f| w.arm(f));
+                    w
+                };
+                let fcfg = ft_config(wcfg, &policy);
                 let (w, _) = match column {
-                    SHRINK => run_shrink(&launch, wcfg, &policy, arm),
-                    RESPAWN => run_respawn(&launch, wcfg, &policy, arm),
-                    _ => run_app(&launch, wcfg, &policy, arm),
+                    SHRINK => run_shrink(armed(fcfg), |r| run_survivors(&launch, fcfg, r)),
+                    RESPAWN => run_respawn(armed(fcfg), &policy),
+                    _ => run_app(armed(ulfm_config(wcfg, &policy))),
                 };
                 let insns = world_insns(&w);
                 assert_eq!(r.cell(KILL, column).trials[k as usize].insns, insns);

@@ -29,11 +29,18 @@ use crate::perturb::classify_perturb;
 use crate::report::Report;
 use crate::target::TargetClass;
 use fl_apps::{App, AppKind, Golden};
-use fl_ft::{run_app, run_replicated, run_respawn, run_shrink, FtPolicy};
+use fl_ft::{
+    ft_config, replica_config, run_app, run_replicated, run_respawn, run_shrink, run_survivors,
+    ulfm_config, FtPolicy,
+};
 use fl_guard::{run_guarded, GuardPolicy};
-use fl_mpi::{FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldExit};
+use fl_mpi::{FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
+use fl_snap::EpochCache;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// What a column strips from the application's own world configuration
 /// so that it isolates exactly one mechanism (a no-op for the paper's
@@ -50,13 +57,19 @@ pub enum Isolate {
 
 /// How a column builds and runs the world it arms the draw on, and with
 /// it how the run is classified and what the trial's [`Aux`] holds.
+///
+/// Every world comes from the campaign's [`Launch`]: the pristine
+/// just-loaded machine and the decoded-code store its worlds share.
+/// [`Runner::Trial`] forks from the golden run's epochs. `World`,
+/// `Channel`, `Paced`, `Replicated`, `Shrink` and `App` fork each draw
+/// from a checkpoint of their own configuration's clean run — the latest
+/// before the draw's first fault fires ([`fl_snap::EpochCache::best_for`]),
+/// epoch 0 being the launch itself. `Guarded` and `Respawn` start at
+/// round 0, where their watchdog and checkpoint cadences start.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Runner {
     /// The plain campaign's own trial path — epoch fork and early
-    /// termination included. Every other runner starts from the
-    /// campaign's [`Launch`]: the pristine just-loaded machine and the
-    /// decoded-code store its worlds share, with no fault-free prefix
-    /// skipped.
+    /// termination included.
     Trial,
     /// One world, classified per §5.1.
     World,
@@ -644,24 +657,30 @@ fn world_insns(w: &MpiWorld) -> u64 {
 }
 
 /// What the trials of one matrix campaign share: the launch every world
-/// starts from, the golden run, the hang budget, and the reference runs
-/// the mode's draws and runners read — each made once, and only if the
-/// description calls for it. Nothing here outlives the campaign.
+/// starts from, the golden run, the hang budget, what the setup read off
+/// the reference runs the mode's draws and runners need, and the clean
+/// run of every world configuration a forking column runs under — each
+/// made once, and only if the description calls for it. Nothing here
+/// outlives the campaign.
 struct Env<'a> {
     app: &'a App,
     /// The plain campaign's trial context ([`Runner::Trial`] columns).
     trial: Option<TrialContext<'a>>,
-    /// The image loaded and pre-decoded once — what every column's world
-    /// and every reference run starts from; the trial context's own,
-    /// where there is one.
+    /// The image loaded and pre-decoded once — what every world starts
+    /// from, as epoch 0 of its configuration's clean run or launched
+    /// directly; the trial context's own, where there is one.
     launch: Launch,
     golden: Golden,
     /// Fault dictionaries of [`Draw::Bit`] rows when no trial context
     /// already holds them.
     dicts: Option<Dictionaries>,
-    budget: u64,
-    /// What every column's world is configured from (recording off).
-    cfg: CampaignConfig,
+    /// What every column's world is configured from: the campaign's
+    /// configuration under the trial hang budget, recording off.
+    world: WorldConfig,
+    /// The clean runs of the setup's reference configurations while the
+    /// setup reads them; then those of the forking columns'
+    /// configurations and of their shrink survivors.
+    clean: CleanRuns,
     /// Output of the same image run clean at one fewer rank — the apps
     /// are weak-scaled, so a shrunken world solves a different problem
     /// ([`Runner::Shrink`] columns).
@@ -673,31 +692,144 @@ struct Env<'a> {
     /// — the golden run itself unless the app's configuration asks for
     /// detection.
     ref_rounds: u64,
+    /// Start each column world from a checkpoint of its configuration's
+    /// clean run. Always on; tests turn it off to start every world from
+    /// the launch, the reference forked columns must match.
+    fork: bool,
 }
 
-/// The clean reference runs of one campaign's setup: one execution per
-/// distinct world configuration, all under the golden budget (a run that
-/// stays under two budgets is the same run under either).
-struct CleanRuns<'a> {
-    launch: &'a Launch,
-    base: WorldConfig,
-    done: Vec<(WorldConfig, MpiWorld)>,
+/// One world configuration's clean run: its checkpoints
+/// ([`EpochCache::run_clean`]) and, where no column forks from it — a
+/// reference run, or a shrink column's survivors — the world it ended as.
+struct CleanRun {
+    epochs: EpochCache,
+    end: Option<WorldSnapshot>,
 }
 
-impl CleanRuns<'_> {
-    /// The finished clean world of the base configuration as `tune`
-    /// adjusts it.
-    fn world(&mut self, what: &str, tune: impl FnOnce(&mut WorldConfig)) -> &MpiWorld {
-        let mut cfg = self.base;
-        tune(&mut cfg);
-        let known = self.done.iter().position(|(c, _)| *c == cfg);
-        let i = known.unwrap_or_else(|| {
-            let mut w = self.launch.world(cfg);
-            assert_eq!(w.run(), WorldExit::Clean, "{what} run must be clean");
-            self.done.push((cfg, w));
-            self.done.len() - 1
-        });
-        &self.done[i].1
+impl CleanRun {
+    /// The world the run ended as, with how it ended.
+    fn end(&self) -> (MpiWorld, WorldExit) {
+        let end = self
+            .end
+            .as_ref()
+            .expect("a run no column forks from keeps its end");
+        (end.restore(), self.epochs.golden_exit().clone())
+    }
+}
+
+/// The clean runs of one campaign: one execution per distinct world
+/// configuration its setup or its columns run under, each listed when
+/// the campaign starts and made at most once, by the worker that first
+/// needs it. A configuration's clean run is that configuration's cold
+/// world with nothing armed, so its checkpoints are exact fork points
+/// for any fault that has not fired by them; a run that does not end
+/// clean is kept as it ended. Only a run that columns fork from holds
+/// checkpoints past epoch 0, and those share every page they can with
+/// the runs made before them.
+struct CleanRuns {
+    runs: Vec<CleanEntry>,
+}
+
+/// One configuration of [`CleanRuns`].
+struct CleanEntry {
+    cfg: WorldConfig,
+    /// Columns fork from the run; else its end is what is read.
+    forked: bool,
+    /// A column has asked to fork from the run.
+    asked: AtomicBool,
+    run: OnceLock<CleanRun>,
+}
+
+impl CleanRuns {
+    /// List `cfg` (once), as forked from if `forked`.
+    fn add(&mut self, cfg: WorldConfig, forked: bool) {
+        match self.runs.iter_mut().find(|e| e.cfg == cfg) {
+            Some(e) => e.forked |= forked,
+            None => self.runs.push(CleanEntry {
+                cfg,
+                forked,
+                asked: AtomicBool::new(false),
+                run: OnceLock::new(),
+            }),
+        }
+    }
+
+    fn entry(&self, cfg: &WorldConfig) -> &CleanEntry {
+        let listed = self.runs.iter().find(|e| e.cfg == *cfg);
+        listed.expect("every configuration is listed when the campaign starts")
+    }
+
+    /// `cfg`'s clean run, executed from `launch` if this is its first use.
+    fn get(&self, launch: &Launch, cfg: &WorldConfig) -> &CleanRun {
+        let entry = self.entry(cfg);
+        entry.run.get_or_init(|| {
+            let made = self.runs.iter().filter_map(|e| e.run.get());
+            let like: Vec<&EpochCache> = made.map(|r| &r.epochs).collect();
+            let (epochs, end) = EpochCache::run_clean(launch, *cfg, entry.forked, &like);
+            let end = (!entry.forked).then(|| end.snapshot());
+            CleanRun { epochs, end }
+        })
+    }
+
+    /// `cfg`'s clean run to fork from, made when a column asks for it the
+    /// second time: the first draw a configuration faces starts from the
+    /// launch, so no campaign's first results wait for a clean run.
+    fn fork_source(&self, launch: &Launch, cfg: &WorldConfig) -> Option<&CleanRun> {
+        // Relaxed: the flag publishes nothing; the run is published by
+        // its `OnceLock`.
+        let asked = self.entry(cfg).asked.swap(true, Ordering::Relaxed);
+        asked.then(|| self.get(launch, cfg))
+    }
+
+    /// The finished world of a reference run, which must end clean.
+    fn reference(&self, launch: &Launch, what: &str, cfg: &WorldConfig) -> MpiWorld {
+        let (world, exit) = self.get(launch, cfg).end();
+        assert_eq!(exit, WorldExit::Clean, "{what} run must be clean");
+        world
+    }
+}
+
+impl Runner {
+    /// Does a column of this runner fork its worlds from its
+    /// configuration's clean run? [`Runner::Trial`] forks from the golden
+    /// epochs instead; [`Runner::Guarded`] and [`Runner::Respawn`] start
+    /// at round 0, where their watchdog and checkpoint cadences start.
+    fn forks(&self) -> bool {
+        !matches!(
+            self,
+            Runner::Trial | Runner::Guarded(_) | Runner::Respawn(_)
+        )
+    }
+}
+
+/// The world configuration a column runs its worlds under, derived from
+/// the campaign's `world` — the one statement of each runner's; `None`
+/// for [`Runner::Trial`], which runs the campaign's trial path.
+fn column_config(world: WorldConfig, col: &Column) -> Option<WorldConfig> {
+    let mut cfg = world;
+    isolate(&mut cfg, col.isolate);
+    Some(match col.runner {
+        Runner::Trial => return None,
+        Runner::World => cfg,
+        Runner::Channel(p) | Runner::Guarded(p) => WorldConfig {
+            guard: p.channel_guard(),
+            ..cfg
+        },
+        Runner::Paced { detector, .. } => WorldConfig {
+            ft: detector,
+            ..cfg
+        },
+        Runner::Replicated(_) => replica_config(cfg),
+        Runner::Shrink(p) | Runner::Respawn(p) => ft_config(cfg, &p),
+        Runner::App(p) => ulfm_config(cfg, &p),
+    })
+}
+
+/// The configuration of a shrink column's survivors: one rank fewer.
+fn shrunk(cfg: WorldConfig) -> WorldConfig {
+    WorldConfig {
+        nranks: cfg.nranks - 1,
+        ..cfg
     }
 }
 
@@ -716,43 +848,68 @@ impl<'a> Env<'a> {
             Some(ctx) => ctx.launch.clone(),
             None => Launch::new(&app.image, base.machine, None),
         };
-        let mut clean = CleanRuns {
-            launch: &launch,
-            base,
-            done: Vec::new(),
-        };
+        // The setup's reference runs, all under the golden budget (a run
+        // that stays under two budgets is the same run under either).
+        // Probe answers never add rounds, so the detection-off reference
+        // holds for every column.
+        let paced = mode.paced().then(|| {
+            let mut c = base;
+            isolate(&mut c, Isolate::UlfmAndDetector);
+            c
+        });
+        let shrinks = runs(|r| matches!(r, Runner::Shrink(_))).then(|| shrunk(base));
+        let sys_rows = draws(|d| matches!(d, Draw::SyscallMalloc | Draw::SyscallWrite));
+        let mut clean = CleanRuns { runs: Vec::new() };
+        for c in [Some(base), paced, shrinks].into_iter().flatten() {
+            clean.add(c, false);
+        }
         let golden = match &trial {
             Some(ctx) => ctx.golden.clone(),
-            None => app.golden_of(clean.world("golden", |_| {}), &WorldExit::Clean),
+            None => app.golden_of(
+                &clean.reference(&launch, "golden", &base),
+                &WorldExit::Clean,
+            ),
         };
-        let sys = draws(|d| matches!(d, Draw::SyscallMalloc | Draw::SyscallWrite))
-            .then(|| SyscallCounts::of(clean.world("golden", |_| {})));
-        // Probe answers never add rounds, so the detection-off
-        // reference holds for every column.
-        let ref_rounds = if mode.paced() {
-            let detection_off = |c: &mut WorldConfig| isolate(c, Isolate::UlfmAndDetector);
-            clean.world("reference", detection_off).round()
-        } else {
-            0
-        };
-        let shrunken_output = if runs(|r| matches!(r, Runner::Shrink(_))) {
-            app.comparable_output(clean.world("shrunken golden", |c| c.nranks -= 1))
-        } else {
-            Vec::new()
-        };
+        let sys = sys_rows.then(|| SyscallCounts::of(&clean.reference(&launch, "golden", &base)));
+        let ref_rounds = paced.map_or(0, |c| clean.reference(&launch, "reference", &c).round());
+        let shrunken_output = shrinks.map_or_else(Vec::new, |c| {
+            app.comparable_output(&clean.reference(&launch, "shrunken golden", &c))
+        });
+        // The setup has read its reference runs; the campaign keeps the
+        // runs its columns read.
+        clean.runs.clear();
+        let budget = trial_budget(&golden, &cfg).saturating_mul(mode.budget_scale);
+        let world = trial_world_config(app, &cfg, budget);
+        for col in mode.columns().filter(|c| c.runner.forks()) {
+            let c = column_config(world, col).expect("a forking column runs worlds");
+            clean.add(c, true);
+            if matches!(col.runner, Runner::Shrink(_)) {
+                clean.add(shrunk(c), false);
+            }
+        }
         Env {
             app,
             dicts: (trial.is_none() && draws(|d| matches!(d, Draw::Bit(_))))
                 .then(|| Dictionaries::build(app)),
-            budget: trial_budget(&golden, &cfg).saturating_mul(mode.budget_scale),
+            world,
+            clean,
             shrunken_output,
             sys,
             ref_rounds,
             trial,
             launch,
             golden,
-            cfg,
+            fork: true,
         }
+    }
+
+    /// The same campaign with every column world started from the
+    /// launch. Test-only — the reference forked columns must match byte
+    /// for byte.
+    #[cfg(test)]
+    fn launch_every_world(mut self) -> Env<'a> {
+        self.fork = false;
+        self
     }
 
     /// Draw the row's faults for `seed` and their detail. A drawn fault
@@ -765,26 +922,54 @@ impl<'a> Env<'a> {
         row.draw.draw(&self.golden, dicts, sys, seed, nranks)
     }
 
-    /// Run one column of one draw: build the column's world, arm the
+    /// The checkpoint a world of `cfg` armed with `faults` starts from:
+    /// the latest of `cfg`'s clean run at which none of them has fired.
+    /// `None` — start from the launch — when not forking, and on the
+    /// configuration's first draw (see [`CleanRuns::fork_source`]).
+    fn fork_point(&self, cfg: &WorldConfig, faults: &[Fault]) -> Option<&WorldSnapshot> {
+        let run = self.fork.then(|| self.clean.fork_source(&self.launch, cfg));
+        let run = run.flatten()?;
+        let points: Vec<_> = faults
+            .iter()
+            .map(|f| (f.rank, f.effect.clock(), f.at))
+            .collect();
+        Some(&run.epochs.best_for(&points).snap)
+    }
+
+    /// A `cfg` world armed with `faults`: forked from its fork point when
+    /// the column forks and there is one, else launched at round 0.
+    fn armed(&self, cfg: WorldConfig, faults: Vec<Fault>, forks: bool) -> MpiWorld {
+        let start = forks.then(|| self.fork_point(&cfg, &faults)).flatten();
+        let mut w = start.map_or_else(|| self.launch.world(cfg), WorldSnapshot::restore);
+        faults.into_iter().for_each(|f| w.arm(f));
+        w
+    }
+
+    /// Run one column of one draw: start the column's world, arm the
     /// draw, run, classify. Returns the outcome, the runner's counters
     /// and the guest instructions retired.
     fn run(&self, row: &Row, col: &Column, seed: u64) -> (Manifestation, Aux, u64) {
+        let Some(cfg) = column_config(self.world, col) else {
+            let ctx = self.trial.as_ref().expect("built for Runner::Trial");
+            let run = ctx.run_trial(row.draw.class(), Duration::Transient, seed);
+            return (run.record.outcome, Aux::default(), run.insns);
+        };
+        let (w, outcome, aux) = self.face(col, cfg, self.draw(row, seed).0);
+        (outcome, aux, world_insns(&w))
+    }
+
+    /// Face `faults` with column `col`, whose worlds run under `cfg`:
+    /// start its world, arm them, run, classify. Returns the world the
+    /// run ended with, the outcome and the runner's counters.
+    fn face(
+        &self,
+        col: &Column,
+        cfg: WorldConfig,
+        faults: Vec<Fault>,
+    ) -> (MpiWorld, Manifestation, Aux) {
         let (app, golden) = (self.app, &self.golden.output);
-        let arm = |w: &mut MpiWorld| {
-            for fault in self.draw(row, seed).0 {
-                w.arm(fault);
-            }
-        };
-        let mut cfg = trial_world_config(app, &self.cfg, self.budget);
-        isolate(&mut cfg, col.isolate);
         let output = |w: &MpiWorld| app.comparable_output(w);
-        let launch = &self.launch;
-        let world = |cfg: WorldConfig| {
-            let mut w = launch.world(cfg);
-            arm(&mut w);
-            let exit = w.run();
-            (w, exit)
-        };
+        let world = |faults| self.armed(cfg, faults, col.runner.forks());
         // A mechanism that intervened and still finished clean succeeded
         // if the output is its reference; every other run classifies as
         // usual.
@@ -798,36 +983,31 @@ impl<'a> Env<'a> {
         };
         use Manifestation::{MaskedByChannel, MaskedByReplica, Recovered, RecoveredByApp};
         let one = |n: u32| [n.into(), 0, 0];
-        let (w, outcome, aux) = match col.runner {
-            Runner::Trial => {
-                let ctx = self.trial.as_ref().expect("built for Runner::Trial");
-                let run = ctx.run_trial(row.draw.class(), Duration::Transient, seed);
-                return (run.record.outcome, Aux::default(), run.insns);
-            }
+        match col.runner {
+            Runner::Trial => unreachable!("the trial path has no column configuration"),
             Runner::World => {
-                let (w, exit) = world(cfg);
-                let m = classify(&exit, &output(&w), golden);
+                let mut w = world(faults);
+                let m = classify(&w.run(), &output(&w), golden);
                 (w, m, Aux::default())
             }
-            Runner::Channel(p) => {
-                cfg.guard = p.channel_guard();
-                let (w, exit) = world(cfg);
+            Runner::Channel(_) => {
+                let mut w = world(faults);
+                let exit = w.run();
                 let m = judge(&w, &exit, w.retransmits() > 0, golden, MaskedByChannel);
                 (w, m, Aux::default())
             }
             Runner::Paced {
-                detector,
-                degraded_permille,
+                degraded_permille, ..
             } => {
-                cfg.ft = detector;
-                let (w, exit) = world(cfg);
+                let mut w = world(faults);
+                let exit = w.run();
                 let (rounds, clean) = (w.round(), self.ref_rounds);
                 let (m, permille) =
                     classify_perturb(&exit, &output(&w), golden, rounds, clean, degraded_permille);
                 (w, m, [permille, 0, 0])
             }
             Runner::Guarded(p) => {
-                let (w, rep) = run_guarded(launch, cfg, &p, arm);
+                let (w, rep) = run_guarded(world(faults), &p);
                 let m = match &rep.exit {
                     WorldExit::Clean => judge(&w, &rep.exit, rep.intervened(), golden, Recovered),
                     _ => Manifestation::DetectedByGuard,
@@ -836,31 +1016,42 @@ impl<'a> Env<'a> {
                 (w, m, aux)
             }
             Runner::Replicated(p) => {
-                let corrupt_one = vec![self.draw(row, seed).0];
-                let (w, rep) = run_replicated(launch, cfg, &p, corrupt_one, output);
+                // The armed replica and the clean ones fork from one
+                // checkpoint, so they stay in lockstep.
+                let start = match self.fork_point(&cfg, &faults) {
+                    Some(checkpoint) => Cow::Borrowed(checkpoint),
+                    None => Cow::Owned(self.launch.world(cfg).snapshot()),
+                };
+                let (w, rep) = run_replicated(&start, &p, vec![faults], output);
                 let m = judge(&w, &rep.exit, rep.votes > 0, golden, MaskedByReplica);
                 (w, m, one(rep.votes))
             }
-            Runner::Shrink(p) => {
-                let (w, rep) = run_shrink(launch, cfg, &p, arm);
+            Runner::Shrink(_) => {
+                // The survivors carry no fault and this campaign records
+                // no events, so every draw's survivors are the one clean
+                // run of their configuration.
+                let survivors = |failed| match self.fork {
+                    true => self.clean.get(&self.launch, &shrunk(cfg)).end(),
+                    false => run_survivors(&self.launch, cfg, failed),
+                };
+                let (w, rep) = run_shrink(world(faults), survivors);
                 let survivors = &self.shrunken_output;
                 let m = judge(&w, &rep.exit, rep.intervened(), survivors, Recovered);
                 (w, m, Aux::default())
             }
             Runner::Respawn(p) => {
-                let (w, rep) = run_respawn(launch, cfg, &p, arm);
+                let (w, rep) = run_respawn(world(faults), &p);
                 let m = judge(&w, &rep.exit, rep.intervened(), golden, Recovered);
                 let (respawns, lines) = (rep.respawns.into(), rep.checkpoints.into());
                 (w, m, [respawns, lines, rep.lost_rounds])
             }
-            Runner::App(p) => {
+            Runner::App(_) => {
                 // Only a shrink the application itself called counts.
-                let (w, rep) = run_app(launch, cfg, &p, arm);
+                let (w, rep) = run_app(world(faults));
                 let m = judge(&w, &rep.exit, w.app_shrinks() > 0, golden, RecoveredByApp);
                 (w, m, one(rep.shrinks))
             }
-        };
-        (outcome, aux, world_insns(&w))
+        }
     }
 }
 
@@ -1007,5 +1198,165 @@ mod tests {
         assert_eq!(m.entries(), want);
         assert_eq!(want.len(), 13 * 13);
         assert!(TransitionMatrix::default().entries().is_empty());
+    }
+
+    /// What [`forked_columns_are_cold_columns`] saw.
+    #[derive(Default)]
+    struct Seen {
+        /// Column runs compared.
+        runs: u32,
+        /// Of those, runs whose column forked from a checkpoint past
+        /// round 0.
+        forked_late: u32,
+        /// Column configurations whose clean run did not end clean.
+        unclean: u32,
+    }
+
+    /// `faults` faced by `col` of `forked` and of `cold`: the same
+    /// outcome, counters and retired instructions, and the same world at
+    /// the end.
+    fn same_face(
+        forked: &Env,
+        cold: &Env,
+        col: &Column,
+        faults: impl Fn() -> Vec<Fault>,
+        what: &str,
+    ) {
+        let cfg = column_config(forked.world, col).expect("a column that runs worlds");
+        let (a, m, aux) = forked.face(col, cfg, faults());
+        let (b, cold_m, cold_aux) = cold.face(col, cfg, faults());
+        assert_eq!((m, aux), (cold_m, cold_aux), "{what}");
+        assert_eq!(world_insns(&a), world_insns(&b), "{what}");
+        assert!(
+            a.snapshot() == b.snapshot(),
+            "{what}: the worlds ended apart"
+        );
+    }
+
+    /// The lattice plane "forked column = cold column": every draw of
+    /// every row of `mode` (the spec mode so named, with `flags` set, on
+    /// the message and regular-register regions), faced by every column
+    /// forked from its configuration's clean run and by the same column
+    /// launched at round 0, on wavetoy and jacobi3d and both exec tiers,
+    /// ends alike: outcome, aux, retired instructions and the final world,
+    /// under the same draw detail. Then the block-clock edge, on the fast
+    /// tier: every column running the failure detector faces a kill of
+    /// every rank at exactly that rank's block clock at each checkpoint
+    /// of its configuration's clean run — a kill that fired a round
+    /// before a checkpoint where its rank sat blocked through the round.
+    fn forked_columns_are_cold_columns(mode: &str, flags: &[(&str, &str)], n: u32) -> Seen {
+        use crate::spec::{CampaignSpec, SpecMode};
+        use fl_apps::AppParams;
+        let mut seen = Seen::default();
+        for kind in [AppKind::Wavetoy, AppKind::Jacobi3d] {
+            let app = App::build(kind, AppParams::tiny(kind));
+            let mut spec = CampaignSpec::new(kind);
+            spec.classes = vec![TargetClass::Message, TargetClass::RegularReg];
+            spec.mode = SpecMode::named(mode).expect("a matrix mode");
+            let flags = flags
+                .iter()
+                .map(|(f, v)| (f.to_string(), Some(v.to_string())));
+            spec.set_flags(&flags.collect::<Vec<_>>())
+                .expect("valid flags");
+            let matrix = spec.matrix().expect("a matrix mode");
+            for fastpath in [true, false] {
+                let cfg = CampaignConfig {
+                    injections: n,
+                    seed: 0x01A7_71CE,
+                    fastpath,
+                    ..Default::default()
+                };
+                let forked = Env::build(&app, &matrix, &cfg);
+                let cold = Env::build(&app, &matrix, &cfg).launch_every_world();
+                for (r, row) in matrix.rows.iter().enumerate() {
+                    for k in 0..n {
+                        let seed = trial_seed(cfg.seed, r, k);
+                        let (faults, detail) = forked.draw(row, seed);
+                        assert_eq!(detail, cold.draw(row, seed).1);
+                        for col in &row.columns {
+                            let what = format!(
+                                "{kind} fastpath={fastpath} {} × {}: {detail}",
+                                row.label, col.name
+                            );
+                            seen.runs += 1;
+                            let Some(c) = column_config(forked.world, col) else {
+                                let got = forked.run(row, col, seed);
+                                assert_eq!(got, cold.run(row, col, seed), "{what}");
+                                continue;
+                            };
+                            same_face(&forked, &cold, col, || forked.draw(row, seed).0, &what);
+                            let late = col.runner.forks()
+                                && forked
+                                    .fork_point(&c, &faults)
+                                    .is_some_and(|s| s.round() > 0);
+                            seen.forked_late += u32::from(late);
+                        }
+                    }
+                }
+                let mut edges = Vec::new();
+                for col in matrix.columns().filter(|c| fastpath && c.runner.forks()) {
+                    let c = column_config(forked.world, col).expect("a forking column");
+                    if !c.ft.enabled || edges.contains(&c) {
+                        continue;
+                    }
+                    edges.push(c);
+                    for e in &forked.clean.get(&forked.launch, &c).epochs.epochs()[1..] {
+                        for rank in 0..c.nranks {
+                            let at = e.snap.machine(rank).counters.blocks;
+                            let kill = || vec![Fault::kill(rank, at, false).into()];
+                            let what =
+                                format!("{kind} {}: rank {rank} killed at block {at}", col.name);
+                            same_face(&forked, &cold, col, kill, &what);
+                        }
+                    }
+                }
+                let ended = forked.clean.runs.iter().filter_map(|e| e.run.get());
+                let unclean = ended.filter(|run| *run.epochs.golden_exit() != WorldExit::Clean);
+                seen.unclean += unclean.count() as u32;
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn forked_chaos_columns_are_cold_columns() {
+        let seen = forked_columns_are_cold_columns("chaos", &[], 1);
+        assert!(
+            seen.forked_late * 2 > seen.runs,
+            "{} of {}",
+            seen.forked_late,
+            seen.runs
+        );
+    }
+
+    #[test]
+    fn forked_perturb_columns_are_cold_columns() {
+        let seen = forked_columns_are_cold_columns("perturb", &[], 1);
+        assert!(
+            seen.forked_late * 4 > seen.runs,
+            "{} of {}",
+            seen.forked_late,
+            seen.runs
+        );
+        assert_eq!(seen.unclean, 0);
+    }
+
+    #[test]
+    fn forked_ft_and_guard_columns_are_cold_columns() {
+        for mode in ["ft", "guard"] {
+            let seen = forked_columns_are_cold_columns(mode, &[], 2);
+            assert!(seen.runs > 0, "{mode}");
+        }
+    }
+
+    #[test]
+    fn a_column_whose_clean_run_fails_still_forks_exactly() {
+        // One silent round is a suspicion: the detector columns' clean
+        // runs end in a false positive. Their draws fork from the
+        // checkpoints before it and end as the cold runs do, whatever
+        // that is.
+        let seen = forked_columns_are_cold_columns("perturb", &[("suspect-rounds", "1")], 1);
+        assert!(seen.unclean > 0, "every clean run ended clean");
+        assert!(seen.forked_late > 0);
     }
 }

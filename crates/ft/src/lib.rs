@@ -128,6 +128,15 @@ pub fn ft_config(cfg: WorldConfig, policy: &FtPolicy) -> WorldConfig {
     out
 }
 
+/// `cfg` with replica voting's comparison key on: every outbound wire
+/// message folds into its rank's rolling digest.
+pub fn replica_config(cfg: WorldConfig) -> WorldConfig {
+    WorldConfig {
+        track_digests: true,
+        ..cfg
+    }
+}
+
 /// ULFM-style shrink: a fresh world over one fewer rank.
 ///
 /// `MPI_Comm_size` is resolved at run time in the simulated apps, so the
@@ -144,28 +153,36 @@ pub fn shrink(launch: &Launch, cfg: WorldConfig) -> MpiWorld {
     launch.world(scfg)
 }
 
-/// Run with the detector on; on [`WorldExit::RankFailed`], shrink to the
-/// survivors and rerun. `arm` plants the fault (if any) in the initial
-/// world.
+/// The survivors' rerun after rank `failed` of a `cfg` world was lost:
+/// the [`shrink`]ed world, marked as such, run to its end. It carries no
+/// fault, so it is the same run whichever rank failed, bar the marker
+/// event — a caller that records no events may run it once and hand
+/// [`run_shrink`] that one run for every failure.
+pub fn run_survivors(launch: &Launch, cfg: WorldConfig, failed: u16) -> (MpiWorld, WorldExit) {
+    let mut survivor = shrink(launch, cfg);
+    // The shrunken world itself is pristine; the marker event is the
+    // recovery runner's doing, not shrink()'s, so the survivor stream
+    // minus this prefix stays comparable to a cold shrunken run.
+    survivor.note_world_shrunk(failed, survivor.nranks());
+    let exit = survivor.run();
+    (survivor, exit)
+}
+
+/// Run `world` — armed, under [`ft_config`] — to its end; on
+/// [`WorldExit::RankFailed`], shrink to the survivors: `survivors` is
+/// handed the failed rank and returns their finished run
+/// ([`run_survivors`]) and its exit.
 pub fn run_shrink(
-    launch: &Launch,
-    cfg: WorldConfig,
-    policy: &FtPolicy,
-    arm: impl FnOnce(&mut MpiWorld),
+    mut world: MpiWorld,
+    survivors: impl FnOnce(u16) -> (MpiWorld, WorldExit),
 ) -> (MpiWorld, FtReport) {
-    let mut world = launch.world(ft_config(cfg, policy));
-    arm(&mut world);
     let exit = world.run();
     let mut report = FtReport::fresh(exit.clone(), world.nranks());
     if let WorldExit::RankFailed { rank, .. } = exit {
         report.failures_detected = 1;
-        let mut survivor = shrink(launch, ft_config(cfg, policy));
-        // The shrunken world itself is pristine; the marker event is the
-        // recovery runner's doing, not shrink()'s, so the survivor stream
-        // minus this prefix stays comparable to a cold shrunken run.
-        survivor.note_world_shrunk(rank, survivor.nranks());
+        let (survivor, exit) = survivors(rank);
         report.shrinks = 1;
-        report.exit = survivor.run();
+        report.exit = exit;
         report.final_nranks = survivor.nranks();
         return (survivor, report);
     }
@@ -179,26 +196,21 @@ pub fn ulfm_config(cfg: WorldConfig, policy: &FtPolicy) -> WorldConfig {
     out
 }
 
-/// Run in app-visible ULFM mode: failures become `MPIX_ERR_PROC_FAILED`
+/// Run `world` — armed, under [`ulfm_config`] — to its end in
+/// app-visible ULFM mode: failures become `MPIX_ERR_PROC_FAILED`
 /// completions and fault-aware collectives *inside* the program, and the
 /// application is expected to recover itself (ack / agree / shrink /
 /// checkpoint rollback). The harness never intervenes — the report only
 /// records what the app-visible machinery did: failures surfaced and
 /// worlds the *application* rebuilt via `mpix_comm_shrink`.
-pub fn run_app(
-    launch: &Launch,
-    cfg: WorldConfig,
-    policy: &FtPolicy,
-    arm: impl FnOnce(&mut MpiWorld),
-) -> (MpiWorld, FtReport) {
-    let mut world = launch.world(ulfm_config(cfg, policy));
-    arm(&mut world);
+pub fn run_app(mut world: MpiWorld) -> (MpiWorld, FtReport) {
+    let nranks = world.nranks();
     let exit = world.run();
     let mut report = FtReport::fresh(exit, world.nranks());
     // Ranks the app shrank away, plus failures known but not (yet)
     // recovered from.
     report.failures_detected =
-        (cfg.nranks - world.nranks()) as u32 + world.ulfm_failed_mask().count_ones();
+        (nranks - world.nranks()) as u32 + world.ulfm_failed_mask().count_ones();
     report.shrinks = world.app_shrinks();
     (world, report)
 }
@@ -210,20 +222,14 @@ struct BuddyLine {
     round: u64,
 }
 
-/// Run with the detector on, cutting a buddy checkpoint line every
+/// Run `world` — armed, under [`ft_config`], at round 0, where the
+/// first line is cut — cutting a buddy checkpoint line every
 /// `policy.buddy_rounds`; on failure, boot a spare from the last line
 /// and resume. Every armed kill the line carries is disarmed on restore —
 /// the spare must not re-execute the fault — so a detected kill costs
 /// one respawn and the run completes at full size. The report counts
 /// the lines cut and the rounds each restore threw away.
-pub fn run_respawn(
-    launch: &Launch,
-    cfg: WorldConfig,
-    policy: &FtPolicy,
-    arm: impl FnOnce(&mut MpiWorld),
-) -> (MpiWorld, FtReport) {
-    let mut world = launch.world(ft_config(cfg, policy));
-    arm(&mut world);
+pub fn run_respawn(mut world: MpiWorld, policy: &FtPolicy) -> (MpiWorld, FtReport) {
     let mut line = BuddyLine {
         snap: world.snapshot(),
         round: 0,
@@ -317,11 +323,13 @@ impl Replicas {
 
 /// Run `policy.replicas` full copies of the world in lockstep and vote.
 ///
-/// All replicas share `cfg` (same seed: identical scheduling, so a fault
-/// is the *only* source of divergence). `armed[i]` is what replica `i` is
-/// armed with — nothing, for a replica past the end of the list; `output`
-/// extracts the comparable output of a finished world (app-specific,
-/// hence a closure).
+/// Every replica starts as `start` restored — a world under
+/// [`replica_config`], at round 0 or at a checkpoint before any of the
+/// armed faults fires — so all share one configuration and seed:
+/// identical scheduling, and a fault is the *only* source of divergence.
+/// `armed[i]` is what replica `i` is armed with — nothing, for a replica
+/// past the end of the list; `output` extracts the comparable output of
+/// a finished world (app-specific, hence a closure).
 ///
 /// Two voting layers:
 /// - every lockstep round, the per-rank digest vectors of the replicas
@@ -337,16 +345,14 @@ impl Replicas {
 /// replicas, so `votes > 0` with a clean matching exit means the fault
 /// was *masked by replication*.
 pub fn run_replicated(
-    launch: &Launch,
-    cfg: WorldConfig,
+    start: &WorldSnapshot,
     policy: &FtPolicy,
     armed: Vec<Vec<Fault>>,
     output: impl Fn(&MpiWorld) -> Vec<u8>,
 ) -> (MpiWorld, FtReport) {
     let nrep = policy.replicas.max(2) as usize;
     assert!(armed.len() <= nrep, "more fault lists than replicas");
-    let mut rcfg = cfg;
-    rcfg.track_digests = true;
+    let nranks = start.nranks();
     let mut reps = Replicas {
         worlds: Vec::new(),
         home: Vec::new(),
@@ -361,7 +367,7 @@ pub fn run_replicated(
                 if faults.is_empty() {
                     clean = Some(reps.worlds.len());
                 }
-                let mut w = launch.world(rcfg);
+                let mut w = start.restore();
                 faults.into_iter().for_each(|f| w.arm(f));
                 reps.worlds.push(Some(w));
                 reps.worlds.len() - 1
@@ -370,7 +376,7 @@ pub fn run_replicated(
         reps.home.push(Some(home));
     }
     let mut finished: Vec<Option<WorldExit>> = reps.worlds.iter().map(|_| None).collect();
-    let mut report = FtReport::fresh(WorldExit::Clean, cfg.nranks);
+    let mut report = FtReport::fresh(WorldExit::Clean, nranks);
 
     loop {
         // Lockstep: one scheduler round on every live world still
@@ -395,7 +401,7 @@ pub fn run_replicated(
         if running.len() >= 2 {
             let digs: Vec<Vec<u32>> = running
                 .iter()
-                .map(|&i| digests_of(reps.world(i), cfg.nranks))
+                .map(|&i| digests_of(reps.world(i), nranks))
                 .collect();
             if digs.iter().any(|d| d != &digs[0]) {
                 let majority = digs
@@ -480,6 +486,18 @@ mod tests {
         Launch::new(&app.image, cfg.machine, None)
     }
 
+    /// A fresh `cfg` world of `app`, `arm`ed.
+    fn armed(app: &App, cfg: WorldConfig, arm: impl FnOnce(&mut MpiWorld)) -> MpiWorld {
+        let mut world = launch(app, cfg).world(cfg);
+        arm(&mut world);
+        world
+    }
+
+    /// The pristine replica of `cfg`.
+    fn replica(launch: &Launch, cfg: WorldConfig) -> WorldSnapshot {
+        launch.world(replica_config(cfg)).snapshot()
+    }
+
     #[test]
     fn failure_free_ft_runs_are_clean_and_intervention_free() {
         // Where no rank fails the detector suspects nobody and the buddy
@@ -493,7 +511,8 @@ mod tests {
             assert_eq!(detecting.run(), WorldExit::Clean, "{kind:?}");
             assert_eq!(app.comparable_output(&detecting), golden.output, "{kind:?}");
 
-            let (world, report) = run_respawn(&launch(&app, cfg), cfg, &policy, |_| {});
+            let (world, report) =
+                run_respawn(armed(&app, ft_config(cfg, &policy), |_| {}), &policy);
             assert_eq!(report.exit, WorldExit::Clean, "{kind:?}");
             assert!(!report.intervened(), "{kind:?}: {report:?}");
             assert_eq!(report.failures_detected, 0, "{kind:?}");
@@ -508,8 +527,10 @@ mod tests {
         let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
         let cfg = app.world_config(budget);
         let kill = Fault::kill(1, golden.blocks[1] / 2, false);
-        let (survivor, report) = run_shrink(&launch(&app, cfg), cfg, &FtPolicy::default(), |w| {
-            w.arm(kill)
+        let fcfg = ft_config(cfg, &FtPolicy::default());
+        let launch = launch(&app, fcfg);
+        let (survivor, report) = run_shrink(armed(&app, fcfg, |w| w.arm(kill)), |rank| {
+            run_survivors(&launch, fcfg, rank)
         });
         assert_eq!(report.exit, WorldExit::Clean);
         assert_eq!(report.failures_detected, 1);
@@ -535,9 +556,9 @@ mod tests {
         let cfg = app.world_config(budget);
         for wedge in [false, true] {
             let kill = Fault::kill(2, golden.blocks[2] / 2, wedge);
-            let (world, report) = run_respawn(&launch(&app, cfg), cfg, &FtPolicy::default(), |w| {
-                w.arm(kill)
-            });
+            let policy = FtPolicy::default();
+            let world = armed(&app, ft_config(cfg, &policy), |w| w.arm(kill));
+            let (world, report) = run_respawn(world, &policy);
             assert_eq!(report.exit, WorldExit::Clean, "wedge={wedge}");
             assert_eq!(report.failures_detected, 1);
             assert_eq!(report.respawns, 1);
@@ -583,8 +604,7 @@ mod tests {
             })
             .expect("some payload flip must manifest");
         let (winner, report) = run_replicated(
-            &launch(&app, cfg),
-            cfg,
+            &replica(&launch(&app, cfg), cfg),
             &FtPolicy::default(),
             vec![vec![fault.into()]],
             |w| app.comparable_output(w),
@@ -601,8 +621,7 @@ mod tests {
     /// one real world per replica, one vote per world. The reference
     /// [`run_replicated`] is held to.
     fn run_replicated_reference(
-        launch: &Launch,
-        cfg: WorldConfig,
+        start: &WorldSnapshot,
         policy: &FtPolicy,
         armed: Vec<Vec<Fault>>,
         output: impl Fn(&MpiWorld) -> Vec<u8>,
@@ -616,12 +635,11 @@ mod tests {
             }
         }
         let nrep = policy.replicas.max(2) as usize;
-        let mut rcfg = cfg;
-        rcfg.track_digests = true;
+        let nranks = start.nranks();
         let mut armed = armed.into_iter();
         let mut worlds: Vec<Option<MpiWorld>> = (0..nrep)
             .map(|_| {
-                let mut w = launch.world(rcfg);
+                let mut w = start.restore();
                 for f in armed.next().unwrap_or_default() {
                     w.arm(f);
                 }
@@ -629,7 +647,7 @@ mod tests {
             })
             .collect();
         let mut finished: Vec<Option<WorldExit>> = (0..nrep).map(|_| None).collect();
-        let mut report = FtReport::fresh(WorldExit::Clean, cfg.nranks);
+        let mut report = FtReport::fresh(WorldExit::Clean, nranks);
         let no_majority = |layer: &str, n: usize| WorldExit::GuardDetected {
             rank: 0,
             what: format!("replica vote: no {layer} majority among {n} replicas"),
@@ -657,7 +675,7 @@ mod tests {
             if running.len() >= 2 {
                 let digs: Vec<Vec<u32>> = running
                     .iter()
-                    .map(|&i| digests_of(worlds[i].as_ref().unwrap(), cfg.nranks))
+                    .map(|&i| digests_of(worlds[i].as_ref().unwrap(), nranks))
                     .collect();
                 if digs.iter().any(|d| d != &digs[0]) {
                     let majority = digs
@@ -755,9 +773,9 @@ mod tests {
                 for (name, armed) in cases {
                     let what = format!("{kind:?}, ring {ring}, {name}");
                     let output = |w: &MpiWorld| app.comparable_output(w);
-                    let (w, got) = run_replicated(&launch, cfg, &policy, armed(), output);
-                    let (r, want) =
-                        run_replicated_reference(&launch, cfg, &policy, armed(), output);
+                    let start = replica(&launch, cfg);
+                    let (w, got) = run_replicated(&start, &policy, armed(), output);
+                    let (r, want) = run_replicated_reference(&start, &policy, armed(), output);
                     assert_eq!(got, want, "{what}");
                     assert_eq!(output(&w), output(&r), "{what}");
                     let insns = |w: &MpiWorld| -> Vec<u64> {
@@ -784,8 +802,7 @@ mod tests {
         let budget = golden.insns.iter().max().unwrap() * 3 + 2_000_000;
         let cfg = app.world_config(budget);
         let (winner, report) = run_replicated(
-            &launch(&app, cfg),
-            cfg,
+            &replica(&launch(&app, cfg), cfg),
             &FtPolicy::default(),
             Vec::new(),
             |w| app.comparable_output(w),

@@ -15,8 +15,10 @@
 //!    output.
 
 use fl_apps::{App, AppKind, AppParams, Golden};
-use fl_ft::{run_replicated, shrink, FtPolicy};
-use fl_mpi::{FailureDetector, Fault, Launch, MpiWorld, WorldEffect, WorldExit};
+use fl_ft::{replica_config, run_replicated, shrink, FtPolicy};
+use fl_mpi::{
+    FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldEffect, WorldExit, WorldSnapshot,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -133,6 +135,14 @@ fn solo(app: &App, budget: u64, fault: Fault<WorldEffect>) -> (WorldExit, Vec<u8
     (exit, app.comparable_output(&w), digs)
 }
 
+/// The pristine replica every member of a `cfg` replica set starts as.
+fn replica(app: &App, cfg: WorldConfig) -> WorldSnapshot {
+    let cfg = replica_config(cfg);
+    Launch::new(&app.image, cfg.machine, None)
+        .world(cfg)
+        .snapshot()
+}
+
 /// Does this fault manifest at all when run in a lone world?
 fn manifests_solo(app: &App, golden: &Golden, budget: u64, fault: Fault<WorldEffect>) -> bool {
     let (exit, out, _) = solo(app, budget, fault);
@@ -160,8 +170,7 @@ proptest! {
         let corrupt = (replica_pick % 3) as u16;
         let cfg = app.world_config(budget);
         let (winner, report) = run_replicated(
-            &Launch::new(&app.image, cfg.machine, None),
-            cfg,
+            &replica(app, cfg),
             &FtPolicy::default(),
             (0..3).map(|r| Vec::from_iter((r == corrupt).then(|| fault.into()))).collect(),
             |w| app.comparable_output(w),
@@ -214,8 +223,7 @@ proptest! {
         }
         let cfg = app.world_config(budget);
         let (winner, report) = run_replicated(
-            &Launch::new(&app.image, cfg.machine, None),
-            cfg,
+            &replica(app, cfg),
             &FtPolicy::default(),
             vec![vec![fa.into()], vec![fb.into()]],
             |w| app.comparable_output(w),

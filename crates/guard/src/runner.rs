@@ -3,7 +3,7 @@
 //! budget.
 
 use crate::watchdog::Watchdog;
-use fl_mpi::{ChannelGuard, Launch, MpiWorld, WorldConfig, WorldExit};
+use fl_mpi::{ChannelGuard, MpiWorld, WorldExit};
 use fl_snap::Epoch;
 
 /// Knobs of one guarded execution.
@@ -75,10 +75,11 @@ impl GuardReport {
     }
 }
 
-/// Run a world of `launch` under full guarding: CRC+retransmit channel,
-/// progress watchdog, periodic checkpoints, rollback with a bounded
-/// restart budget. `arm` is called once on the fresh world to plant the
-/// trial's fault (pass `|_| {}` for a fault-free guarded run).
+/// Run `world` — at round 0, armed with the trial's fault (or with
+/// nothing, for a fault-free guarded run), under
+/// [`GuardPolicy::channel_guard`] — under full guarding: CRC+retransmit
+/// channel, progress watchdog, periodic checkpoints, rollback with a
+/// bounded restart budget.
 ///
 /// A not-yet-fired register/memory injection is carried across rollbacks
 /// by [`MpiWorld::take_injection`] and [`MpiWorld::arm`] (snapshots cannot
@@ -90,19 +91,10 @@ impl GuardReport {
 /// re-manifests deterministically until the budget is spent.
 ///
 /// Returns the final world (for output comparison) and the report.
-pub fn run_guarded(
-    launch: &Launch,
-    mut cfg: WorldConfig,
-    policy: &GuardPolicy,
-    arm: impl FnOnce(&mut MpiWorld),
-) -> (MpiWorld, GuardReport) {
-    cfg.guard = policy.channel_guard();
-    let mut world = launch.world(cfg);
-    arm(&mut world);
-
+pub fn run_guarded(mut world: MpiWorld, policy: &GuardPolicy) -> (MpiWorld, GuardReport) {
     let mut checkpoint = Epoch {
         snap: world.snapshot(),
-        round: 0,
+        round: world.round(),
     };
     let mut watchdog = Watchdog::new(policy.stall_windows);
     watchdog.prime(&world);
@@ -188,14 +180,23 @@ mod tests {
     use super::*;
     use fl_apps::{App, AppKind, AppParams};
     use fl_machine::KERNEL_BASE;
-    use fl_mpi::Fault;
+    use fl_mpi::{Fault, Launch, WorldConfig};
 
     fn tiny(kind: AppKind) -> App {
         App::build(kind, AppParams::tiny(kind))
     }
 
-    fn launch(app: &App, cfg: WorldConfig) -> Launch {
-        Launch::new(&app.image, cfg.machine, None)
+    /// A fresh `cfg` world of `app` under `policy`'s channel, `arm`ed.
+    fn armed(
+        app: &App,
+        mut cfg: WorldConfig,
+        policy: &GuardPolicy,
+        arm: impl FnOnce(&mut MpiWorld),
+    ) -> MpiWorld {
+        cfg.guard = policy.channel_guard();
+        let mut world = Launch::new(&app.image, cfg.machine, None).world(cfg);
+        arm(&mut world);
+        world
     }
 
     fn outputs(w: &MpiWorld) -> (Vec<u8>, Vec<u8>) {
@@ -211,8 +212,8 @@ mod tests {
             let mut golden = MpiWorld::new(&app.image, cfg);
             assert_eq!(golden.run(), WorldExit::Clean);
 
-            let (world, report) =
-                run_guarded(&launch(&app, cfg), cfg, &GuardPolicy::default(), |_| {});
+            let policy = GuardPolicy::default();
+            let (world, report) = run_guarded(armed(&app, cfg, &policy, |_| {}), &policy);
             assert_eq!(report.exit, WorldExit::Clean, "{kind:?}");
             assert!(!report.intervened(), "{kind:?}: {report:?}");
             assert_eq!(outputs(&world), outputs(&golden), "{kind:?}");
@@ -229,9 +230,8 @@ mod tests {
         // Unguarded, this flip lands somewhere in a live message; with
         // the guard on, the CRC catches it and the sender redelivers.
         let fault = Fault::flip(1, 100, 3);
-        let (world, report) = run_guarded(&launch(&app, cfg), cfg, &GuardPolicy::default(), |w| {
-            w.arm(fault)
-        });
+        let policy = GuardPolicy::default();
+        let (world, report) = run_guarded(armed(&app, cfg, &policy, |w| w.arm(fault)), &policy);
         assert_eq!(report.exit, WorldExit::Clean);
         assert!(report.retransmits > 0, "CRC must have caught the flip");
         assert_eq!(report.restarts, 0, "retransmit suffices, no rollback");
@@ -248,9 +248,8 @@ mod tests {
             max_restarts: 0,
             ..GuardPolicy::default()
         };
-        let (_, report) = run_guarded(&launch(&app, cfg), cfg, &policy, |w| {
-            w.arm(Fault::flip(1, 100, 3))
-        });
+        let world = armed(&app, cfg, &policy, |w| w.arm(Fault::flip(1, 100, 3)));
+        let (_, report) = run_guarded(world, &policy);
         assert!(
             matches!(report.exit, WorldExit::GuardDetected { .. }),
             "exhausted budget must surface as GuardDetected, got {:?}",
@@ -275,11 +274,12 @@ mod tests {
             checkpoint_rounds: 16,
             ..GuardPolicy::default()
         };
-        let (world, report) = run_guarded(&launch(&app, cfg), cfg, &policy, |w| {
+        let world = armed(&app, cfg, &policy, |w| {
             w.arm(Fault::once(1, kill_at, |m| {
                 m.cpu.eip = KERNEL_BASE + 4;
             }))
         });
+        let (world, report) = run_guarded(world, &policy);
         assert_eq!(report.exit, WorldExit::Clean, "{report:?}");
         assert_eq!(report.restarts, 1);
         assert_eq!(report.detections, 1);
@@ -304,11 +304,12 @@ mod tests {
         };
         // Persistent injection: re-asserts forever, so even though the
         // rollback target is the armed initial state, every re-run fails.
-        let (_, report) = run_guarded(&launch(&app, cfg), cfg, &policy, |w| {
+        let world = armed(&app, cfg, &policy, |w| {
             w.arm(Fault::persistent(0, 500, 200, |m| {
                 m.cpu.eip = KERNEL_BASE + 4;
             }))
         });
+        let (_, report) = run_guarded(world, &policy);
         assert!(
             matches!(report.exit, WorldExit::Crashed { .. }),
             "{report:?}"
@@ -333,11 +334,12 @@ mod tests {
             checkpoint_rounds: 16,
             ..GuardPolicy::default()
         };
-        let (world, report) = run_guarded(&launch(&app, cfg), cfg, &policy, |w| {
+        let world = armed(&app, cfg, &policy, |w| {
             w.arm(Fault::once(0, kill_at, |m| {
                 m.cpu.eip = KERNEL_BASE + 4;
             }))
         });
+        let (world, report) = run_guarded(world, &policy);
         assert_eq!(report.exit, WorldExit::Clean);
         let streams = world.event_streams();
         let kinds: Vec<&'static str> = streams

@@ -990,6 +990,20 @@ impl MemorySnapshot {
             .count()
     }
 
+    /// Hold `like`'s copy of every page whose bytes equal this
+    /// snapshot's page at the same address, so that snapshots of equal
+    /// memory keep one copy of it. What the snapshot reads is unchanged:
+    /// a shared page is copied before it is written, like every page.
+    pub fn share_pages(&mut self, like: &MemorySnapshot) {
+        for (k, p) in self.pages.iter_mut() {
+            if let Some(q) = like.pages.get(k) {
+                if !Arc::ptr_eq(p, q) && **p == **q {
+                    *p = Arc::clone(q);
+                }
+            }
+        }
+    }
+
     /// Logical content equality: two snapshots are equal when every
     /// mapped byte reads the same, regardless of which pages happen to
     /// be materialised (an absent page reads as zeros).

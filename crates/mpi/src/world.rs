@@ -1155,7 +1155,7 @@ impl MpiWorld {
             );
             // A copy re-enters the channel later like any redelivery.
             let later = |rounds: u64, msg| Redelivery {
-                due_round: self.st.round + rounds,
+                due_round: self.st.round.saturating_add(rounds),
                 src,
                 dst,
                 msg,
@@ -2322,8 +2322,22 @@ impl MpiWorld {
                 return None;
             }
             // A redelivery still waiting out its backoff is traffic: let
-            // rounds elapse until it becomes due, this is not a deadlock.
-            if !self.st.pending_redelivery.is_empty() {
+            // rounds elapse until it becomes due, this is not a deadlock —
+            // unless it is due further ahead than a world may take rounds
+            // that retire a full quantum each before its budget runs out.
+            // Idle rounds retire nothing, so the budget would never end
+            // the wait.
+            if let Some(due) = self.st.pending_redelivery.iter().map(|r| r.due_round).min() {
+                let cfg = &self.st.cfg;
+                let bound = cfg.machine.budget / cfg.quantum.max(1);
+                if due.saturating_sub(self.st.round) > bound {
+                    return Some(WorldExit::Hung {
+                        reason: format!(
+                            "no runnable rank, and the next redelivery is due at round \
+                             {due}, more than {bound} rounds (budget / quantum) ahead"
+                        ),
+                    });
+                }
                 return None;
             }
             // App-visible mode replaces the instant deadlock verdict with
@@ -2546,6 +2560,17 @@ impl WorldSnapshot {
     /// Number of ranks captured.
     pub fn nranks(&self) -> u16 {
         self.ranks.len() as u16
+    }
+
+    /// Hold `like`'s copy of every memory page whose bytes equal this
+    /// checkpoint's at the same rank and address
+    /// ([`fl_machine::MemorySnapshot::share_pages`]): checkpoints of two
+    /// worlds that computed alike keep one copy of their memory. What
+    /// the checkpoint restores is unchanged.
+    pub fn share_pages(&mut self, like: &WorldSnapshot) {
+        for (r, l) in self.ranks.iter_mut().zip(&like.ranks) {
+            r.machine.mem.share_pages(&l.machine.mem);
+        }
     }
 
     /// Replace the per-rank instruction budget (the hang bound) carried

@@ -1194,6 +1194,42 @@ fn net_reorder_only_delays_a_serialized_exchange() {
 }
 
 #[test]
+fn net_reorder_past_what_the_budget_allows_hangs_at_once() {
+    // Idle rounds retire no instruction, so the budget never ends a wait
+    // on a deferred message. A delay longer than the world may take
+    // rounds (budget / quantum) ends it `Hung` at once, naming the round
+    // the message was due; a shorter one is only a delay.
+    let at = mid_run_recv_bytes(PING_LOOP, 2, 0);
+    let bound = 50_000_000 / WorldConfig::default().quantum;
+    for (delay, hangs) in [(bound / 2, false), (10_000_000_000, true), (u64::MAX, true)] {
+        let mut w = world(PING_LOOP, 2);
+        let reorder = NetFaultKind::Reorder {
+            delay_rounds: delay,
+        };
+        w.arm(Fault::new(0, at, WorldEffect::Wire(reorder)));
+        let exit = w.run();
+        assert!(w.plan().hit.is_some(), "delay {delay}");
+        if !hangs {
+            assert_eq!(exit, WorldExit::Clean, "delay {delay}");
+            assert!(w.round() > delay, "delay {delay}: {} rounds", w.round());
+            continue;
+        }
+        let WorldExit::Hung { reason } = exit else {
+            panic!("delay {delay}: {exit:?}");
+        };
+        assert!(w.round() < bound, "delay {delay}: {} rounds", w.round());
+        // The message was deferred at some round in 1..=now.
+        let due: u64 = reason
+            .split("due at round ")
+            .nth(1)
+            .and_then(|tail| tail.split(',').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no due round in {reason:?}"));
+        assert!(due > delay || due == u64::MAX, "{reason}");
+        assert!(due <= w.round().saturating_add(delay), "{reason}");
+    }
+}
+
+#[test]
 fn net_corrupt_unguarded_reaches_the_user_buffer() {
     let mut g = world(ONE_SEND, 2);
     assert_eq!(g.run(), WorldExit::Clean);

@@ -1,14 +1,13 @@
-//! Epoch snapshot cache: periodic checkpoints of the golden run that
+//! Epoch snapshot cache: periodic checkpoints of a clean run that
 //! injection trials fork from instead of re-executing the fault-free
-//! prefix — and, through the read stamps collected by the same pass,
-//! stop at instead of re-executing the fault-free *suffix* (see
+//! prefix — and, through the read stamps the golden pass collects, stop
+//! at instead of re-executing the fault-free *suffix* (see
 //! [`EpochCache::converged`] and the crate documentation).
 
 use fl_machine::{ProgramImage, ReadStamps, SharedCode};
-use fl_mpi::{Launch, MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
+use fl_mpi::{Clock, Launch, MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
 
-/// One checkpoint of the golden world, taken at a scheduler-round
-/// boundary.
+/// One checkpoint of a clean world, taken at a scheduler-round boundary.
 #[derive(Clone)]
 pub struct Epoch {
     /// The captured world.
@@ -27,13 +26,39 @@ impl Epoch {
     pub fn rank_received_bytes(&self, rank: u16) -> u64 {
         self.snap.rank_received_bytes(rank)
     }
+
+    /// Does a world restored from this epoch and armed with a fault on
+    /// `rank`'s `clock` at `at` fire it where a world armed at round 0
+    /// does? The per-clock fire rules of [`MpiWorld`], restated on the
+    /// captured counters: an instruction-clock fault fires inside the
+    /// quantum that reaches `at`, so it is unfired only while fewer
+    /// instructions are retired; a wire fault strikes the message holding
+    /// received byte `at`, which has not arrived while at most `at` bytes
+    /// have; a block-clock fault fires between rounds once the block
+    /// clock is `>= at`, so it is unfired only while the clock is below
+    /// it. A syscall fault counts matching calls from its arming, so only
+    /// the pristine epoch serves it.
+    fn serves(&self, rank: u16, clock: Clock, at: u64) -> bool {
+        match clock {
+            Clock::Insns => self.rank_insns(rank) < at,
+            Clock::RecvBytes => self.rank_received_bytes(rank) <= at,
+            Clock::Blocks => self.snap.machine(rank).counters.blocks < at,
+            Clock::Calls => self.round == 0,
+        }
+    }
 }
 
-/// Checkpoints of one application's golden run, ordered by round.
+/// The most checkpoints [`EpochCache::run_clean`] holds: with at least
+/// five spread evenly over the run, a fault drawn uniformly over it
+/// forks on average within an eighth of the run of its fire point; with at
+/// most eight, a campaign can hold one set per world configuration.
+const CLEAN_EPOCHS: usize = 8;
+
+/// Checkpoints of one clean run, ordered by round.
 ///
 /// Epoch 0 is always the pristine just-launched world (zero instructions
-/// retired anywhere), so every trial has at least one usable epoch. A
-/// world that cannot fork from a later one starts from the same state:
+/// retired anywhere), so every trial has at least one usable epoch: a
+/// world that cannot fork from a later one starts from epoch 0, which is
 /// the campaign's [`Launch`].
 pub struct EpochCache {
     epochs: Vec<Epoch>,
@@ -42,7 +67,9 @@ pub struct EpochCache {
     every_rounds: u32,
     /// Per rank: for every 4-byte granule, the index of the last epoch
     /// interval in which the golden run read it (interval `k` is the
-    /// rounds between epoch `k - 1` and epoch `k`; 0 = never read).
+    /// rounds between epoch `k - 1` and epoch `k`; 0 = never read). Empty
+    /// for a cache built by [`EpochCache::run_clean`], which no trial
+    /// converges on.
     stamps: Vec<ReadStamps>,
 }
 
@@ -131,6 +158,68 @@ impl EpochCache {
         (cache, world)
     }
 
+    /// Run one world configuration's clean run to its end, however it
+    /// ends. When worlds will fork from it (`forked`), hold at most eight
+    /// checkpoints spaced evenly over its rounds: the spacing is not
+    /// known before the run ends, so the pass checkpoints every round
+    /// and, each time the set overflows, keeps every other checkpoint and
+    /// doubles the spacing. Otherwise hold epoch 0 alone. No read stamps:
+    /// a world forked from these checkpoints runs to its end.
+    ///
+    /// A checkpoint holds the copy of each memory page that a checkpoint
+    /// of `like` at the same round holds, where their bytes are equal
+    /// ([`WorldSnapshot::share_pages`]): configurations that differ only
+    /// in what the world does around the guest (the channel, the
+    /// detector, digests) compute alike, and keep one copy of it. Returns
+    /// the cache and the finished world.
+    pub fn run_clean(
+        launch: &Launch,
+        cfg: WorldConfig,
+        forked: bool,
+        like: &[&EpochCache],
+    ) -> (EpochCache, MpiWorld) {
+        let most = if forked { CLEAN_EPOCHS } else { 1 };
+        let mut world = launch.world(cfg);
+        let mut epochs = vec![Epoch {
+            snap: world.snapshot(),
+            round: 0,
+        }];
+        let (mut every, mut round) = (1u64, 0u64);
+        let exit = loop {
+            if let Some(e) = world.run_round() {
+                break e;
+            }
+            round += 1;
+            if !round.is_multiple_of(every) {
+                continue;
+            }
+            if epochs.len() == most {
+                every *= 2;
+                epochs.retain(|e| e.round.is_multiple_of(every));
+                if !round.is_multiple_of(every) {
+                    continue;
+                }
+            }
+            let mut snap = world.snapshot();
+            let same_round = like
+                .iter()
+                .flat_map(|c| &c.epochs)
+                .find(|e| e.round == round);
+            if let Some(e) = same_round {
+                snap.share_pages(&e.snap);
+            }
+            epochs.push(Epoch { snap, round });
+        };
+        let cache = EpochCache {
+            epochs,
+            exit,
+            rounds: round,
+            every_rounds: u32::try_from(every).unwrap_or(u32::MAX),
+            stamps: Vec::new(),
+        };
+        (cache, world)
+    }
+
     /// Replace the per-rank instruction budget carried by every
     /// checkpoint (see [`WorldSnapshot::set_budget`]): a campaign derives
     /// its hang bound from the golden instruction counts, which only
@@ -190,26 +279,18 @@ impl EpochCache {
         &self.epochs
     }
 
-    /// Latest epoch usable for a register/memory trial that fires at
-    /// rank-local instruction `at_insns` on `rank`: the target rank must
-    /// not yet have reached the fire point (strictly fewer instructions
-    /// retired), so the injection still fires at exactly `at_insns` after
-    /// the fork.
-    pub fn best_for_insns(&self, rank: u16, at_insns: u64) -> Option<&Epoch> {
-        self.epochs
-            .iter()
-            .rev()
-            .find(|e| e.rank_insns(rank) < at_insns)
-    }
-
-    /// Latest epoch usable for a message trial that strikes cumulative
-    /// received-byte offset `at_recv_byte` on `rank`: the struck byte
-    /// must not have been ingested yet (`<=` — the fault fires on the
-    /// message *containing* the offset, which arrives after the capture).
-    pub fn best_for_recv(&self, rank: u16, at_recv_byte: u64) -> Option<&Epoch> {
-        self.epochs
-            .iter()
-            .rev()
-            .find(|e| e.rank_received_bytes(rank) <= at_recv_byte)
+    /// The one fork-point rule: the latest epoch at which none of
+    /// `faults` — each `(rank, clock, at)`, the trigger rank, clock and
+    /// fire point of one armed fault — has fired. A world restored from
+    /// it and armed with them then fires each exactly where a world armed
+    /// at round 0 would. A burst of faults takes the earliest epoch any
+    /// of them demands. Epoch 0, the pristine world, serves every fault
+    /// — a [`Clock::Calls`] fault always, since its count starts at
+    /// arming — and is where nothing has run, so it is the answer when no
+    /// later epoch is.
+    pub fn best_for(&self, faults: &[(u16, Clock, u64)]) -> &Epoch {
+        let serves = |e: &&Epoch| faults.iter().all(|&(r, c, at)| e.serves(r, c, at));
+        let later = self.epochs[1..].iter().rev().find(serves);
+        later.unwrap_or(&self.epochs[0])
     }
 }

@@ -24,11 +24,16 @@
 //!   ([`EpochCache::run_golden`]), checkpointing every K scheduler
 //!   rounds. A trial that injects at rank-local instruction `t` then
 //!   *forks* from the latest epoch whose target rank had retired fewer
-//!   than `t` instructions, skipping the shared prefix entirely.
-//!   Page-granular copy-on-write means N concurrent forks share every
-//!   page none of them has written. The finished golden world is handed
-//!   back, so the caller takes the reference output and counters from
-//!   the same pass.
+//!   than `t` instructions, skipping the shared prefix entirely
+//!   ([`EpochCache::best_for`] states that rule once, for every fault
+//!   clock). Page-granular copy-on-write means N concurrent forks share
+//!   every page none of them has written. The finished golden world is
+//!   handed back, so the caller takes the reference output and counters
+//!   from the same pass. A world configuration other than the golden
+//!   run's gets its own cache from its own clean run
+//!   ([`EpochCache::run_clean`]: a few checkpoints, no read stamps), so
+//!   a matrix column forks from checkpoints that are exact by
+//!   construction.
 //! * **Convergence-aware termination** — the same pass stamps, per rank
 //!   and 4-byte granule, the index of the last epoch interval in which
 //!   the golden run *read* it ([`fl_machine::ReadStamps`]; a read is a

@@ -3,8 +3,8 @@
 //! fast-path result in the campaign layer rests on this.
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_mpi::{MpiWorld, WorldExit};
-use fl_snap::EpochCache;
+use fl_mpi::{Clock, Fault, Launch, MpiWorld, WorldExit};
+use fl_snap::{Epoch, EpochCache};
 
 const BUDGET: u64 = 200_000_000;
 
@@ -156,20 +156,20 @@ fn epoch_cache_covers_golden_run() {
     );
     assert_eq!(cache.len(), 1 + (cache.rounds() / 8) as usize);
 
-    // Epoch 0 is pristine: eligible for any fire time >= 1.
+    // Epoch 0 is pristine, and where a fire point no later epoch serves
+    // forks.
     let e0 = &cache.epochs()[0];
     assert_eq!(e0.round, 0);
     assert_eq!(e0.rank_insns(0), 0);
-    assert!(cache.best_for_insns(0, 1).is_some());
+    assert_eq!(cache.best_for(&[(0, Clock::Insns, 1)]).round, 0);
+    assert_eq!(cache.best_for(&[(0, Clock::Insns, 0)]).round, 0);
 
     // Eligibility is strict: an epoch is returned only if the target rank
     // is strictly before the fire point.
     let golden = app.golden(BUDGET);
     let late = golden.insns[1] - 1;
-    let best = cache
-        .best_for_insns(1, late)
-        .expect("late fire time must have an epoch");
-    assert!(best.rank_insns(1) < late);
+    let best = cache.best_for(&[(1, Clock::Insns, late)]);
+    assert!(best.round > 0 && best.rank_insns(1) < late);
     // And it is the *latest* such epoch.
     for e in cache.epochs() {
         if e.rank_insns(1) < late {
@@ -180,24 +180,110 @@ fn epoch_cache_covers_golden_run() {
     // Message eligibility uses <= (fault strikes a message that arrives
     // after the capture).
     let vol = golden.recv_bytes[2];
-    assert!(cache.best_for_recv(2, vol - 1).is_some());
-    let b0 = cache
-        .best_for_recv(2, 0)
-        .expect("offset 0 must match the pristine epoch");
+    assert!(cache.best_for(&[(2, Clock::RecvBytes, vol - 1)]).round > 0);
+    let b0 = cache.best_for(&[(2, Clock::RecvBytes, 0)]);
     assert_eq!(b0.rank_received_bytes(2), 0);
+    let e = &cache.epochs()[3];
+    let at = e.rank_received_bytes(2);
+    let best = cache.best_for(&[(2, Clock::RecvBytes, at)]);
+    assert!(best.round >= e.round && best.rank_received_bytes(2) == at);
+
+    // Block clocks are strict like instructions; a syscall fault counts
+    // from its arming, so only the pristine epoch serves it; and a burst
+    // forks where its earliest fault demands.
+    let blocks = |e: &Epoch, r: u16| e.snap.machine(r).counters.blocks;
+    let k = (1..cache.len() - 1)
+        .find(|&k| blocks(&cache.epochs()[k], 1) < blocks(&cache.epochs()[k + 1], 1))
+        .expect("rank 1 retires blocks between some two epochs");
+    let e = &cache.epochs()[k];
+    let at = blocks(e, 1);
+    assert!(cache.best_for(&[(1, Clock::Blocks, at)]).round < e.round);
+    assert_eq!(cache.best_for(&[(1, Clock::Blocks, at + 1)]).round, e.round);
+    assert_eq!(cache.best_for(&[(1, Clock::Calls, 1)]).round, 0);
+    let burst = [(1, Clock::Blocks, at + 1), (0, Clock::Insns, late)];
+    assert_eq!(cache.best_for(&burst).round, e.round);
+    let burst = [(0, Clock::Insns, late), (3, Clock::Calls, 5)];
+    assert_eq!(cache.best_for(&burst).round, 0);
+}
+
+#[test]
+fn clean_run_checkpoints_are_sparse_and_exact() {
+    // A configuration's own clean run (detector on here, so a kill ends
+    // the world with the round it was detected in): at most eight evenly
+    // spaced checkpoints from the pristine world on, and its end is a
+    // cold run's end.
+    for kind in [AppKind::Wavetoy, AppKind::Jacobi3d] {
+        let app = tiny(kind);
+        let mut cfg = app.world_config(BUDGET);
+        (cfg.ft.enabled, cfg.ulfm) = (true, false);
+        let launch = Launch::new(&app.image, cfg.machine, None);
+        let (cache, end) = EpochCache::run_clean(&launch, cfg, true, &[]);
+        assert!((5..=8).contains(&cache.len()), "{kind}: {}", cache.len());
+        let every = cache.epochs()[1].round;
+        for (k, e) in cache.epochs().iter().enumerate() {
+            assert_eq!(e.round, k as u64 * every, "{kind}");
+        }
+        assert!(cache.rounds() >= (cache.len() as u64 - 1) * every);
+        assert!(cache.rounds() < cache.len() as u64 * every);
+        let mut cold = launch.world(cfg);
+        assert_eq!(cold.run(), *cache.golden_exit(), "{kind}");
+        assert!(cold.snapshot() == end.snapshot(), "{kind}");
+    }
+}
+
+#[test]
+fn kills_at_a_checkpoints_block_clock_fork_exactly() {
+    // The block-clock edge of the fork-point rule. A kill fires between
+    // rounds once its rank's block clock is >= the fire point. A rank
+    // that sat blocked through the round a checkpoint closes reached the
+    // checkpoint's clock a round earlier, so a kill at exactly that clock
+    // fired before the checkpoint was taken: forking from it would fire
+    // a round late, and where the detector probed the rank that round it
+    // would name another round. Every (checkpoint, rank) pair where the
+    // rank sat out the round, with one checkpoint per round.
+    let app = tiny(AppKind::Wavetoy);
+    let mut cfg = app.world_config(BUDGET);
+    (cfg.ft.enabled, cfg.ulfm) = (true, false);
+    let launch = Launch::new(&app.image, cfg.machine, None);
+    let cache = EpochCache::run_golden(&launch, cfg, 1).0;
+    let blocks = |e: &Epoch, r: u16| e.snap.machine(r).counters.blocks;
+    let idle: Vec<(u16, u64, &Epoch)> = cache
+        .epochs()
+        .windows(2)
+        .flat_map(|pair| (0..cfg.nranks).map(move |r| (r, blocks(&pair[0], r), &pair[1])))
+        .filter(|&(r, before, after)| before > 0 && blocks(after, r) == before)
+        .collect();
+    let mut late_differs = 0;
+    for &(r, at, after) in &idle {
+        let kill = Fault::kill(r, at, false);
+        let mut forked = cache.best_for(&[(r, Clock::Blocks, at)]).snap.restore();
+        forked.arm(kill);
+        let mut cold = launch.world(cfg);
+        cold.arm(kill);
+        let what = format!("rank {r} killed at block {at}");
+        let exit = cold.run();
+        assert_eq!(forked.run(), exit, "{what}");
+        assert!(forked.snapshot() == cold.snapshot(), "{what}");
+        // Not vacuous: forking from the checkpoint the clock equals
+        // fires late (where a probe found the rank alive that round).
+        let mut late = after.snap.restore();
+        late.arm(kill);
+        late_differs += u32::from(late.run() != exit || late.snapshot() != cold.snapshot());
+    }
+    assert!(late_differs > 0, "no tested kill tells the rules apart");
 }
 
 #[test]
 fn injection_on_forked_world_fires() {
     // Arm a register fault on a forked world and check it still
     // manifests — the campaign fast path in one line.
-    use fl_mpi::Fault;
     let app = tiny(AppKind::Wavetoy);
     let golden = app.golden(BUDGET);
     let cache = EpochCache::build(&app.image, app.world_config(BUDGET), 8);
     let rank = 0u16;
     let at = golden.insns[0] / 2;
-    let epoch = cache.best_for_insns(rank, at).unwrap();
+    let epoch = cache.best_for(&[(rank, Clock::Insns, at)]);
+    assert!(epoch.round > 0);
     let mut w = epoch.snap.restore();
     w.arm(Fault::once(rank, at, |m: &mut fl_machine::Machine| {
         // Clobber EIP: guaranteed wild transfer.

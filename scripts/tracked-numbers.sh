@@ -11,6 +11,8 @@
 #                 lines (same rule) of crates/{core,ft,guard,snapshot}/src,
 #                 then of crates/bench/src: worlds that load the image
 #                 instead of taking a `Launch`
+#   round-0 starts  `launch.world(` calls, same lines: worlds that start
+#                 at round 0 instead of forking from a checkpoint
 #
 # Prints to stdout; CI regenerates results/tracked_numbers.txt from it
 # and diffs. Run from anywhere.
@@ -35,11 +37,17 @@ per_dir() { # total-label src-dirs...
     printf '%-28s %6d\n' "$label" "$total"
 }
 
-cold_starts() { # files...
-    awk 'FNR == 1 { live = 1 }
+calls() { # regex files...
+    re=$1
+    shift
+    awk -v re="$re" 'FNR == 1 { live = 1 }
          /^#\[cfg\(test\)\]/ { live = 0 }
-         live && !/^[[:space:]]*\/\// { n += gsub(/MpiWorld::new\(|new_with_code\(/, "") }
+         live && !/^[[:space:]]*\/\// { n += gsub(re, "") }
          END { print n + 0 }' "$@"
+}
+
+cold_starts() { # files...
+    calls 'MpiWorld::new\\(|new_with_code\\(' "$@"
 }
 
 root_names() { # lib.rs
@@ -80,3 +88,7 @@ echo "# worlds built by loading the image (non-test call sites)"
 printf '%-28s %6d\n' "core + ft + guard + snapshot" \
     "$(cold_starts $(find crates/core/src crates/ft/src crates/guard/src crates/snapshot/src -name '*.rs' | sort))"
 printf '%-28s %6d\n' "crates/bench/src" "$(cold_starts $(find crates/bench/src -name '*.rs' | sort))"
+echo
+echo "# worlds started at round 0 (non-test \`launch.world(\` call sites)"
+printf '%-28s %6d\n' "core + ft + guard + snapshot" \
+    "$(calls 'launch\\.world\\(' $(find crates/core/src crates/ft/src crates/guard/src crates/snapshot/src -name '*.rs' | sort))"
