@@ -77,6 +77,37 @@ impl AppKind {
         self == AppKind::Jacobi3d
     }
 
+    /// World configuration for this app at `params`, which is all it
+    /// depends on — no image needed. Moldyn runs with nondeterministic
+    /// scheduling (§4.2.2) and a lower eager threshold (its Charm++-style
+    /// runtime favours rendezvous for position blocks); the others run
+    /// deterministically with the default threshold. An app that owns its
+    /// recovery ([`AppKind::owns_recovery`]: jacobi3d) runs in ulfm mode
+    /// with the failure detector on — its fault tolerance lives in the
+    /// application, so the world must report failures to it rather than
+    /// terminate (harmless on a fault-free run: the detector only matures
+    /// suspicion for ranks that actually stop heartbeating).
+    pub fn world_config(self, params: &AppParams, budget: u64) -> WorldConfig {
+        let ulfm = self.owns_recovery();
+        let mut ft = fl_mpi::FailureDetector::default();
+        if ulfm {
+            ft.enabled = true;
+        }
+        WorldConfig {
+            nranks: params.nranks,
+            nondet: self == AppKind::Moldyn,
+            seed: params.seed,
+            machine: MachineConfig {
+                budget,
+                ..Default::default()
+            },
+            eager_threshold: if self == AppKind::Moldyn { 512 } else { 1024 },
+            ulfm,
+            ft,
+            ..Default::default()
+        }
+    }
+
     /// The paper application this stands in for.
     pub fn paper_name(self) -> &'static str {
         match self {
@@ -227,6 +258,7 @@ pub enum AppVariant {
 }
 
 /// A built application: generated source, compiled image, parameters.
+#[derive(Clone)]
 pub struct App {
     /// Which app this is.
     pub kind: AppKind,
@@ -302,38 +334,10 @@ impl App {
         }
     }
 
-    /// World configuration for this app. Moldyn runs with nondeterministic
-    /// scheduling (§4.2.2) and a lower eager threshold (its Charm++-style
-    /// runtime favours rendezvous for position blocks); the others run
-    /// deterministically with the default threshold. An app that owns its
-    /// recovery ([`AppKind::owns_recovery`]: jacobi3d) runs in ulfm mode
-    /// with the failure detector on — its fault tolerance lives in the
-    /// application, so the world must report failures to it rather than
-    /// terminate (harmless on a fault-free run: the detector only matures
-    /// suspicion for ranks that actually stop heartbeating).
+    /// World configuration for this app: [`AppKind::world_config`] at
+    /// its parameters.
     pub fn world_config(&self, budget: u64) -> WorldConfig {
-        let ulfm = self.kind.owns_recovery();
-        let mut ft = fl_mpi::FailureDetector::default();
-        if ulfm {
-            ft.enabled = true;
-        }
-        WorldConfig {
-            nranks: self.params.nranks,
-            nondet: self.kind == AppKind::Moldyn,
-            seed: self.params.seed,
-            machine: MachineConfig {
-                budget,
-                ..Default::default()
-            },
-            eager_threshold: if self.kind == AppKind::Moldyn {
-                512
-            } else {
-                1024
-            },
-            ulfm,
-            ft,
-            ..Default::default()
-        }
+        self.kind.world_config(&self.params, budget)
     }
 
     /// Create a world running this app.

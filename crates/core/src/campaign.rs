@@ -15,7 +15,7 @@ use crate::target::{
     fp_registers, regular_registers, resolve_heap_target, resolve_stack_target, FaultDictionary,
     TargetClass,
 };
-use fl_apps::{App, AppKind, Golden};
+use fl_apps::{App, AppKind, AppParams, Golden};
 use fl_isa::RegisterName;
 use fl_machine::{Cpu, ExecStats};
 use fl_mpi::{Action, Effect, Fault, Launch, MpiWorld, WorldConfig, WorldExit};
@@ -244,34 +244,74 @@ pub fn trial_seed(campaign_seed: u64, ci: usize, k: u32) -> u64 {
 /// oracle to tolerate that, which campaign seeds provide, while one
 /// schedule per campaign gives every trial the golden run's prefix and
 /// pairs every matrix column with its reference run. Deterministic apps
-/// never draw from the schedule RNG.
-pub(crate) fn trial_world_config(app: &App, cfg: &CampaignConfig, budget: u64) -> WorldConfig {
-    let mut wcfg = app.world_config(budget);
-    wcfg.seed = app.params.seed ^ cfg.seed;
+/// never draw from the schedule RNG, so their worlds keep the app's own
+/// seed: their configuration, and with it their golden pass, is the same
+/// for every campaign seed.
+pub(crate) fn trial_world_config(
+    kind: AppKind,
+    params: &AppParams,
+    cfg: &CampaignConfig,
+    budget: u64,
+) -> WorldConfig {
+    let mut wcfg = kind.world_config(params, budget);
+    if wcfg.nondet {
+        wcfg.seed = params.seed ^ cfg.seed;
+    }
     wcfg.machine.obs_capacity = cfg.obs_capacity;
     wcfg.machine.fastpath = cfg.fastpath;
     wcfg
 }
 
-/// Everything the trials of one campaign share, built once by
+/// What a [`TrialContext`] is a function of: the app, the golden pass's
+/// world configuration — which carries the recording capacity, the
+/// execution tier and, for a nondeterministic app only, the campaign's
+/// schedule seed — the epoch interval and the hang-bound factor. Two
+/// campaigns with equal keys build equal contexts, whatever their seeds,
+/// regions, injection counts and worker counts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ContextKey {
+    kind: AppKind,
+    params: AppParams,
+    world: WorldConfig,
+    epoch_rounds: u32,
+    budget_factor: f64,
+}
+
+impl ContextKey {
+    /// The key of the context a campaign of `kind` at `params` under
+    /// `cfg` runs on.
+    pub(crate) fn new(kind: AppKind, params: AppParams, cfg: &CampaignConfig) -> ContextKey {
+        ContextKey {
+            kind,
+            params,
+            world: trial_world_config(kind, &params, cfg, GOLDEN_BUDGET),
+            epoch_rounds: cfg.epoch_rounds,
+            budget_factor: cfg.budget_factor,
+        }
+    }
+}
+
+/// Everything the trials of a campaign share, built once by
 /// [`TrialContext::build`]: the app, its golden run, the fault
 /// dictionaries, the hang budget, the epoch snapshots with their read
 /// stamps, the launch every world starts from, and the recording and
 /// execution-tier settings. [`TrialContext::run_trial`] is the one place
-/// a trial is executed.
-pub(crate) struct TrialContext<'a> {
-    pub(crate) app: &'a App,
+/// a trial is executed. It holds nothing of the campaign that is not in
+/// its [`ContextKey`] — no seed, region list, injection count or worker
+/// count — so campaigns with equal keys can share one.
+pub(crate) struct TrialContext {
+    pub(crate) app: App,
     pub(crate) golden: Golden,
     pub(crate) dicts: Dictionaries,
-    /// Per-rank instruction budget of a trial (the hang bound).
-    pub(crate) budget: u64,
     /// Present iff trials fork (`epoch_rounds > 0`).
     epochs: Option<EpochCache>,
     /// The image loaded and pre-decoded once: the golden pass and every
     /// world that cannot fork from a later epoch start from it.
     pub(crate) launch: Launch,
-    /// What every trial world is configured from.
-    cfg: CampaignConfig,
+    /// What every trial world is configured from: the golden pass's
+    /// configuration under the trial's per-rank instruction budget (the
+    /// hang bound).
+    pub(crate) world: WorldConfig,
     /// End a forked trial at the first epoch boundary where it is
     /// provably the golden run again, or before it runs when its flip is
     /// dead as drawn. Implied by the configuration, not
@@ -281,12 +321,12 @@ pub(crate) struct TrialContext<'a> {
     converge: bool,
 }
 
-impl<'a> TrialContext<'a> {
+impl TrialContext {
     /// Run the golden pass and build everything trials need. When trials
     /// fork, one execution yields the golden record, the epoch snapshots
     /// and the read stamps; otherwise it is a plain golden run.
-    pub(crate) fn build(app: &'a App, cfg: &CampaignConfig) -> TrialContext<'a> {
-        let wcfg = trial_world_config(app, cfg, GOLDEN_BUDGET);
+    pub(crate) fn build(app: App, cfg: &CampaignConfig) -> TrialContext {
+        let wcfg = trial_world_config(app.kind, &app.params, cfg, GOLDEN_BUDGET);
         let launch = Launch::new(&app.image, wcfg.machine, None);
         let (golden, mut epochs) = if cfg.epoch_rounds > 0 {
             let (epochs, world) = EpochCache::run_golden(&launch, wcfg, cfg.epoch_rounds);
@@ -300,22 +340,23 @@ impl<'a> TrialContext<'a> {
         if let Some(e) = &mut epochs {
             e.set_budget(budget);
         }
+        let mut world = wcfg;
+        world.machine.budget = budget;
         TrialContext {
+            dicts: Dictionaries::build(&app),
             app,
             golden,
-            dicts: Dictionaries::build(app),
-            budget,
             converge: epochs.is_some() && cfg.obs_capacity == 0,
             epochs,
             launch,
-            cfg: *cfg,
+            world,
         }
     }
 
     /// The same context with early termination off: every trial runs to
     /// its own end. Test-only — the reference that terminated campaigns
     /// must match byte for byte.
-    pub(crate) fn run_to_completion(mut self) -> TrialContext<'a> {
+    pub(crate) fn run_to_completion(mut self) -> TrialContext {
         self.converge = false;
         self
     }
@@ -334,7 +375,7 @@ impl<'a> TrialContext<'a> {
         duration: Duration,
         trial_seed: u64,
     ) -> TrialRun {
-        let app = self.app;
+        let app = &self.app;
         let (fault, detail, struck) = draw_fault(
             &self.golden,
             &self.dicts,
@@ -350,9 +391,7 @@ impl<'a> TrialContext<'a> {
         let epoch = self.epochs.as_ref().map(|e| e.best_for(&point));
         let mut world = match epoch {
             Some(e) => e.snap.restore(),
-            None => self
-                .launch
-                .world(trial_world_config(app, &self.cfg, self.budget)),
+            None => self.launch.world(self.world),
         };
         world.arm(fault);
 
@@ -455,7 +494,8 @@ pub fn replay_trial(
     assert!(ci < classes.len(), "class index {ci} out of range");
     assert!(k < cfg.injections, "trial index {k} out of range");
     let seed = trial_seed(cfg.seed, ci, k);
-    let run = TrialContext::build(app, cfg).run_trial(classes[ci], Duration::Transient, seed);
+    let ctx = TrialContext::build(app.clone(), cfg);
+    let run = ctx.run_trial(classes[ci], Duration::Transient, seed);
     TrialTrace {
         record: run.record,
         rank: run.rank,
@@ -787,7 +827,10 @@ mod tests {
                 obs_capacity: 1 << 16,
                 ..Default::default()
             };
-            let mut w = MpiWorld::new(&app.image, trial_world_config(&app, &cfg, GOLDEN_BUDGET));
+            let mut w = MpiWorld::new(
+                &app.image,
+                trial_world_config(app.kind, &app.params, &cfg, GOLDEN_BUDGET),
+            );
             assert_eq!(w.run(), WorldExit::Clean);
             (w.event_streams(), app.comparable_output(&w))
         };
@@ -815,7 +858,7 @@ mod tests {
     /// record already claimed. Returns the per-class counts and how many
     /// trials ended at the first boundary they were compared at.
     fn verify_early_ends(app: &App, cfg: &CampaignConfig) -> ([Ends; 8], u32) {
-        let ctx = TrialContext::build(app, cfg);
+        let ctx = TrialContext::build(app.clone(), cfg);
         let golden_total: u64 = ctx.golden.insns.iter().sum();
         let mut per_class = [Ends::default(); 8];
         let mut at_first = 0;
@@ -941,10 +984,48 @@ mod tests {
     }
 
     #[test]
+    fn context_keys_differ_exactly_where_contexts_do() {
+        let key = |kind, tiny, set: &dyn Fn(&mut CampaignConfig)| {
+            let params = if tiny {
+                AppParams::tiny(kind)
+            } else {
+                AppParams::default_for(kind)
+            };
+            let mut cfg = CampaignConfig::default();
+            set(&mut cfg);
+            ContextKey::new(kind, params, &cfg)
+        };
+        let wavetoy = key(AppKind::Wavetoy, true, &|_| {});
+        // Seed, injections and workers are the campaign's, not the
+        // context's: a deterministic app's golden pass ignores them.
+        let campaign = |c: &mut CampaignConfig| {
+            c.seed = 99;
+            c.injections = 3;
+            c.threads = 2;
+        };
+        assert_eq!(wavetoy, key(AppKind::Wavetoy, true, &campaign));
+        let others = [
+            key(AppKind::Wavetoy, false, &|_| {}),
+            key(AppKind::Climsim, true, &|_| {}),
+            key(AppKind::Wavetoy, true, &|c| c.epoch_rounds = 4),
+            key(AppKind::Wavetoy, true, &|c| c.obs_capacity = 64),
+            key(AppKind::Wavetoy, true, &|c| c.fastpath = false),
+            key(AppKind::Wavetoy, true, &|c| c.budget_factor = 4.0),
+        ];
+        for other in others {
+            assert_ne!(wavetoy, other, "{other:?}");
+        }
+        // A nondeterministic app's seed is its schedule.
+        let moldyn = key(AppKind::Moldyn, true, &|_| {});
+        assert_ne!(moldyn, key(AppKind::Moldyn, true, &campaign));
+        assert_eq!(moldyn, key(AppKind::Moldyn, true, &|c| c.threads = 2));
+    }
+
+    #[test]
     fn recording_and_cold_campaigns_never_end_trials_early() {
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
         let quiet = |cfg: CampaignConfig| {
-            let ctx = TrialContext::build(&app, &cfg);
+            let ctx = TrialContext::build(app.clone(), &cfg);
             (0..6).all(|k| {
                 let run = ctx.run_trial(TargetClass::Bss, Duration::Transient, trial_seed(3, 0, k));
                 run.converge == ConvergeStats::default()
@@ -963,7 +1044,7 @@ mod tests {
         assert!(!quiet(CampaignConfig::default()));
         // Nondeterministic apps fork and converge like the others.
         let moldyn = App::build(AppKind::Moldyn, AppParams::tiny(AppKind::Moldyn));
-        let ctx = TrialContext::build(&moldyn, &CampaignConfig::default());
+        let ctx = TrialContext::build(moldyn, &CampaignConfig::default());
         let ended = (0..6)
             .map(|k| ctx.run_trial(TargetClass::Bss, Duration::Transient, trial_seed(3, 0, k)))
             .filter(|run| run.converge.trials_converged + run.converge.decided_at_draw == 1)

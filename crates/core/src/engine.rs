@@ -23,14 +23,15 @@
 //!
 //! Plain campaigns ([`run_campaign_engine`]) and matrix campaigns
 //! ([`crate::matrix::run_matrix`]) are clients of the one internal slot
-//! loop; `faultlab serve` and the one-shot CLI verbs reach both through
-//! [`run_spec`], and callers that already hold an app call them with it
-//! ([`run_campaign`]). There is exactly one way trials get scheduled,
-//! executed, counted and recorded.
+//! loop; the one-shot CLI verbs reach both through [`run_spec`], and
+//! `faultlab serve` through [`run_spec_memo`], which may run a plain
+//! campaign on the context the previous one built; callers that already
+//! hold an app call them with it ([`run_campaign`]). There is exactly one
+//! way trials get scheduled, executed, counted and recorded.
 
 use crate::campaign::{
-    trial_seed, CampaignConfig, CampaignResult, ClassResult, ConvergeStats, TrialContext,
-    TrialRecord,
+    trial_seed, CampaignConfig, CampaignResult, ClassResult, ContextKey, ConvergeStats,
+    TrialContext, TrialRecord,
 };
 use crate::faultmodel::Duration;
 use crate::json::{escape, parse, Json};
@@ -40,12 +41,12 @@ use crate::outcome::{Manifestation, Tally};
 use crate::report::Report;
 use crate::spec::CampaignSpec;
 use crate::target::TargetClass;
-use fl_apps::{App, AppKind};
+use fl_apps::{App, AppKind, AppParams};
 use fl_machine::ExecStats;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Engine run state, transitioned by controllers and observed by
 /// workers between trials.
@@ -259,35 +260,37 @@ pub(crate) fn run_pool<T: Send>(
         acc += n;
     }
     let sched = Scheduler::new(total, threads);
-    std::thread::scope(|s| {
-        for me in 0..threads {
-            let sched = &sched;
-            let slots = &slots;
-            let exec = &exec;
-            let offsets = &offsets;
-            s.spawn(move || {
-                while control.proceed() {
-                    let Some(flat) = sched.claim(me) else {
-                        break;
-                    };
-                    let g = match offsets.binary_search(&flat) {
-                        Ok(i) => {
-                            // Equal offsets mark empty groups; the slot
-                            // belongs to the last group starting here.
-                            let mut i = i;
-                            while i + 1 < offsets.len() && offsets[i + 1] == flat {
-                                i += 1;
-                            }
-                            i
-                        }
-                        Err(i) => i - 1,
-                    };
-                    let k = flat - offsets[g];
-                    let t = exec(g, k);
-                    slots.lock().unwrap()[g][k as usize] = Some(t);
+    let work = |me: usize| {
+        while control.proceed() {
+            let Some(flat) = sched.claim(me) else {
+                break;
+            };
+            let g = match offsets.binary_search(&flat) {
+                Ok(i) => {
+                    // Equal offsets mark empty groups; the slot
+                    // belongs to the last group starting here.
+                    let mut i = i;
+                    while i + 1 < offsets.len() && offsets[i + 1] == flat {
+                        i += 1;
+                    }
+                    i
                 }
-            });
+                Err(i) => i - 1,
+            };
+            let k = flat - offsets[g];
+            let t = exec(g, k);
+            slots.lock().unwrap()[g][k as usize] = Some(t);
         }
+    };
+    // The last worker is the calling thread: a one-worker campaign
+    // starts no thread, and a long-lived caller's thread does the work
+    // instead of waiting on one that is new for every campaign.
+    std::thread::scope(|s| {
+        let work = &work;
+        for me in 0..threads - 1 {
+            s.spawn(move || work(me));
+        }
+        work(threads - 1);
     });
     let slots = slots.into_inner().unwrap();
     let complete = slots.iter().flatten().all(|s| s.is_some());
@@ -613,8 +616,8 @@ pub struct EngineRun {
 /// Run a campaign on the engine: scheduler, worker pool with stealing,
 /// record sink, pause/stop control, optional resume.
 ///
-/// This is the single backend behind [`run_spec`], `faultlab campaign
-/// --jobs N` and `faultlab serve`. Records, metrics and
+/// Its trial loop is the single backend behind [`run_spec`], `faultlab
+/// campaign --jobs N` and `faultlab serve`. Records, metrics and
 /// instruction totals are bit-identical for any worker count, steal
 /// schedule, or resume point, because every trial is deterministic in
 /// `(spec, ci, k)` and all aggregation happens in slot order.
@@ -626,14 +629,8 @@ pub fn run_campaign_engine(
     control: &EngineControl,
     resume: Option<CompletedSlots>,
 ) -> EngineRun {
-    run_engine(
-        TrialContext::build(app, cfg),
-        classes,
-        cfg,
-        sink,
-        control,
-        resume,
-    )
+    let ctx = TrialContext::build(app.clone(), cfg);
+    run_engine(&ctx, classes, cfg, sink, control, resume)
 }
 
 /// [`run_campaign_engine`] for callers that hold an `App` — a custom
@@ -658,12 +655,15 @@ pub fn run_campaign_engine_to_completion(
     control: &EngineControl,
     resume: Option<CompletedSlots>,
 ) -> EngineRun {
-    let ctx = TrialContext::build(app, cfg).run_to_completion();
-    run_engine(ctx, classes, cfg, sink, control, resume)
+    let ctx = TrialContext::build(app.clone(), cfg).run_to_completion();
+    run_engine(&ctx, classes, cfg, sink, control, resume)
 }
 
+/// Run the trials of the campaign `classes` × `cfg` names on `ctx`, a
+/// context built for `cfg`'s [`ContextKey`] — by this campaign or by an
+/// earlier one with the same key.
 fn run_engine(
-    ctx: TrialContext,
+    ctx: &TrialContext,
     classes: &[TargetClass],
     cfg: &CampaignConfig,
     sink: &dyn EngineSink,
@@ -745,7 +745,7 @@ fn run_engine(
         result: Some(CampaignResult {
             app: ctx.app.kind,
             classes: results,
-            golden: ctx.golden,
+            golden: ctx.golden.clone(),
             metrics: observe.then_some(CampaignMetrics { classes: metrics }),
             insns_total,
             wall_nanos: progress.wall_nanos,
@@ -796,19 +796,76 @@ pub fn run_spec(
     control: &EngineControl,
     resume: Option<CompletedSlots>,
 ) -> Option<SpecOutcome> {
+    run_spec_memo(spec, sink, control, resume, &ContextMemo::default())
+}
+
+/// [`run_spec`] with a plain campaign's context taken from `memo` when
+/// the previous plain campaign run through it left one that fits, and
+/// left there for the next. Records are byte-identical either way: a
+/// context is a function of its key alone (see [`ContextMemo`]). Matrix
+/// campaigns bypass the memo.
+pub fn run_spec_memo(
+    spec: &CampaignSpec,
+    sink: &dyn EngineSink,
+    control: &EngineControl,
+    resume: Option<CompletedSlots>,
+    memo: &ContextMemo,
+) -> Option<SpecOutcome> {
     let params = if spec.tiny {
         fl_apps::AppParams::tiny(spec.app)
     } else {
         fl_apps::AppParams::default_for(spec.app)
     };
-    let app = App::build(spec.app, params);
+    let cfg = &spec.campaign;
     match spec.matrix() {
-        None => run_campaign_engine(&app, &spec.classes, &spec.campaign, sink, control, resume)
-            .result
-            .map(SpecOutcome::Campaign),
-        Some(mode) => {
-            run_matrix(&app, &mode, &spec.campaign, sink, control, resume).map(SpecOutcome::Matrix)
+        None => {
+            let ctx = memo.context(spec.app, params, cfg);
+            run_engine(&ctx, &spec.classes, cfg, sink, control, resume)
+                .result
+                .map(SpecOutcome::Campaign)
         }
+        Some(mode) => {
+            let app = App::build(spec.app, params);
+            run_matrix(&app, &mode, cfg, sink, control, resume).map(SpecOutcome::Matrix)
+        }
+    }
+}
+
+/// The trial context of the last plain campaign run through
+/// [`run_spec_memo`], kept for the next one. A long-lived caller — the
+/// campaign daemon — holds one, so a campaign whose context fits the
+/// previous one's skips compile, launch and the golden pass. Contexts
+/// fit when the app, its size, the epoch interval, the hang-bound
+/// factor, the event-ring capacity and the execution tier are equal,
+/// and for a nondeterministic app the seed, which fixes its schedule;
+/// seed, regions, injections and workers are otherwise the campaign's
+/// own. It holds one context, never more: on a miss the old
+/// context is let go before the new one is built, so the memo adds at
+/// most one context to what running campaigns hold.
+#[derive(Default)]
+pub struct ContextMemo {
+    last: Mutex<Option<(ContextKey, Arc<TrialContext>)>>,
+}
+
+impl ContextMemo {
+    /// The context of a campaign of `kind` at `params` under `cfg`: the
+    /// held one if its key matches, else a new one, which is then held.
+    fn context(&self, kind: AppKind, params: AppParams, cfg: &CampaignConfig) -> Arc<TrialContext> {
+        let key = ContextKey::new(kind, params, cfg);
+        // Every update is one assignment, so a poisoned lock still holds
+        // a valid memo.
+        let last = || self.last.lock().unwrap_or_else(PoisonError::into_inner);
+        let held = last().take();
+        match held {
+            Some((held, ctx)) if held == key => {
+                *last() = Some((held, ctx.clone()));
+                return ctx;
+            }
+            stale => drop(stale),
+        }
+        let ctx = Arc::new(TrialContext::build(App::build(kind, params), cfg));
+        *last() = Some((key, ctx.clone()));
+        ctx
     }
 }
 

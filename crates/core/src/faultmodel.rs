@@ -515,7 +515,7 @@ pub fn compare_models(
         seed,
         ..Default::default()
     };
-    let ctx = TrialContext::build(app, &cfg);
+    let ctx = TrialContext::build(app.clone(), &cfg);
     Duration::ALL
         .iter()
         .map(|&d| {
@@ -631,15 +631,21 @@ mod tests {
                 seed: 0xD0,
                 ..Default::default()
             };
-            let ctx = TrialContext::build(&app, &cfg);
+            let ctx = TrialContext::build(app.clone(), &cfg);
             let mut errors = [0; 4];
             for class in [RegularReg, Text, Data, Bss] {
                 for (d, &duration) in Duration::ALL.iter().enumerate() {
                     for k in 0..10 {
                         let seed = trial_seed(cfg.seed, 0, k);
                         let run = ctx.run_trial(class, duration, seed);
-                        let cold =
-                            run_model_trial(&app, &ctx.golden, class, duration, seed, ctx.budget);
+                        let cold = run_model_trial(
+                            &app,
+                            &ctx.golden,
+                            class,
+                            duration,
+                            seed,
+                            ctx.world.machine.budget,
+                        );
                         let got = (run.record.outcome, run.record.detail);
                         assert_eq!(got, cold, "{kind} {class} {} trial {k}", duration.label());
                         errors[d] += u32::from(got.0.is_error());
@@ -672,7 +678,7 @@ mod tests {
         // A stuck-at fault re-arms after every assertion: it is still
         // pending when the run ends, where a transient is spent.
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
-        let ctx = TrialContext::build(&app, &CampaignConfig::default());
+        let ctx = TrialContext::build(app.clone(), &CampaignConfig::default());
         let pending = |duration| {
             let (fault, _, _) = draw_fault(
                 &ctx.golden,
@@ -682,7 +688,7 @@ mod tests {
                 7,
                 app.params.nranks,
             );
-            let mut world = app.world(ctx.budget);
+            let mut world = app.world(ctx.world.machine.budget);
             world.arm(fault);
             world.run();
             world.fault_pending()

@@ -400,7 +400,7 @@ mod tests {
             seed,
             ..Default::default()
         };
-        let wcfg = trial_world_config(&app, &cfg, trial_budget(&r.golden, &cfg));
+        let wcfg = trial_world_config(app.kind, &app.params, &cfg, trial_budget(&r.golden, &cfg));
         let launch = Launch::new(&app.image, wcfg.machine, None);
         let policy = FtPolicy::default();
         let world_insns =

@@ -665,7 +665,7 @@ fn world_insns(w: &MpiWorld) -> u64 {
 struct Env<'a> {
     app: &'a App,
     /// The plain campaign's trial context ([`Runner::Trial`] columns).
-    trial: Option<TrialContext<'a>>,
+    trial: Option<TrialContext>,
     /// The image loaded and pre-decoded once — what every world starts
     /// from, as epoch 0 of its configuration's clean run or launched
     /// directly; the trial context's own, where there is one.
@@ -842,8 +842,8 @@ impl<'a> Env<'a> {
             obs_capacity: 0,
             ..*cfg
         };
-        let base = trial_world_config(app, &cfg, GOLDEN_BUDGET);
-        let trial = runs(|r| *r == Runner::Trial).then(|| TrialContext::build(app, &cfg));
+        let base = trial_world_config(app.kind, &app.params, &cfg, GOLDEN_BUDGET);
+        let trial = runs(|r| *r == Runner::Trial).then(|| TrialContext::build(app.clone(), &cfg));
         let launch = match &trial {
             Some(ctx) => ctx.launch.clone(),
             None => Launch::new(&app.image, base.machine, None),
@@ -879,7 +879,7 @@ impl<'a> Env<'a> {
         // runs its columns read.
         clean.runs.clear();
         let budget = trial_budget(&golden, &cfg).saturating_mul(mode.budget_scale);
-        let world = trial_world_config(app, &cfg, budget);
+        let world = trial_world_config(app.kind, &app.params, &cfg, budget);
         for col in mode.columns().filter(|c| c.runner.forks()) {
             let c = column_config(world, col).expect("a forking column runs worlds");
             clean.add(c, true);

@@ -525,6 +525,9 @@ struct Trace {
     /// re-dispatching.
     closes_loop: bool,
     ops: Vec<TraceOp>,
+    /// The text byte ranges `[lo, hi)` the chain was compiled from — what
+    /// a pass may fetch, and so what read stamping marks as read.
+    spans: Vec<(u32, u32)>,
 }
 
 /// Extend the last span when `[lo, hi)` continues it, else start one.
@@ -635,15 +638,6 @@ impl SharedBank {
     /// stop at indirect control flow, undecodable words, the size caps,
     /// or when the chain closes back on the entry.
     fn build_trace(&self, entry: u32) -> Option<Trace> {
-        self.compile_trace(entry).map(|(trace, _)| trace)
-    }
-
-    /// [`Self::build_trace`] plus the text byte ranges `[lo, hi)` the
-    /// chain was compiled from — what a pass may fetch. Only read
-    /// stamping wants the ranges, once per stamp value, so they are
-    /// recomputed on demand rather than stored in every trace slot (a
-    /// trace is a pure function of the bank's words).
-    fn compile_trace(&self, entry: u32) -> Option<(Trace, Vec<(u32, u32)>)> {
         let mut ops: Vec<TraceOp> = Vec::new();
         let mut spans: Vec<(u32, u32)> = Vec::new();
         let mut insn_count: u64 = 0;
@@ -879,13 +873,13 @@ impl SharedBank {
         {
             ops.push(TraceOp::FallThrough { to: at });
         }
-        let trace = Trace {
+        Some(Trace {
             entry,
             insn_count,
             closes_loop,
             ops,
-        };
-        Some((trace, spans))
+            spans,
+        })
     }
 }
 
@@ -1539,8 +1533,7 @@ impl Machine {
         match bank.traces[i].get() {
             Some(tr) if limit.saturating_sub(self.counters.insns) >= tr.insn_count => {
                 if STAMP && self.first_dispatch_under_stamp(eip, i, true) {
-                    let (_, spans) = bank.compile_trace(eip).expect("a published trace compiles");
-                    for (lo, hi) in spans {
+                    for &(lo, hi) in &tr.spans {
                         self.mem.stamp_read(lo, hi - lo);
                     }
                 }

@@ -167,6 +167,7 @@ fn reason(status: u16) -> &'static str {
         408 => "Request Timeout",
         409 => "Conflict",
         413 => "Content Too Large",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }

@@ -28,4 +28,4 @@ pub mod server;
 pub use client::{
     control, records, request, status, status_field, submit, wait_done, wait_terminal, watch,
 };
-pub use server::{campaign_id, ServeConfig, Server};
+pub use server::{campaign_id, ServeConfig, Server, HANDLERS};

@@ -38,18 +38,25 @@ use crate::http::{read_request, refuse, respond, start_stream, Request};
 use fl_apps::AppKind;
 use fl_inject::json::{parse, Json};
 use fl_inject::{
-    record_line, run_spec, sort_records_jsonl, CampaignSpec, EngineControl, EngineProgress,
-    EngineSink, Report, SpecOutcome, TrialOutput,
+    record_line, run_spec_memo, sort_records_jsonl, CampaignSpec, ContextMemo, EngineControl,
+    EngineProgress, EngineSink, Report, SpecOutcome, TrialOutput,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Connection handler threads. The accept loop hands each connection to
+/// a free one; when every handler is busy — each `watch` stream holds
+/// one until its campaign ends — it answers 503 itself rather than queue
+/// the request behind them. The handlers live as long as the server, so
+/// the daemon's thread count is fixed however many clients connect.
+pub const HANDLERS: usize = 4;
 
 /// The campaign id for a spec: FNV-1a 64 of its canonical JSON. Equal
 /// specs hash to equal ids, which is what makes submit idempotent and
@@ -197,8 +204,90 @@ struct Inner {
     addr: Mutex<Option<SocketAddr>>,
     state_dir: PathBuf,
     campaigns: Mutex<BTreeMap<String, Arc<Campaign>>>,
+    /// Campaign run threads not yet joined: the running ones, and those
+    /// finished since the last launch.
     runs: Mutex<Vec<JoinHandle<()>>>,
+    /// The last plain campaign's trial context, for the next one.
+    memo: ContextMemo,
     shutdown: AtomicBool,
+}
+
+/// Connections on their way from the accept loop to the handlers.
+struct Handoff {
+    state: Mutex<HandoffState>,
+    cv: Condvar,
+}
+
+struct HandoffState {
+    /// Handed over, not yet picked up.
+    waiting: VecDeque<TcpStream>,
+    /// Handlers not serving a connection. A handler counts as free from
+    /// the moment it is spawned and again before it closes the
+    /// connection it served, so a client that waits for each reply
+    /// before it connects again always finds one.
+    free: usize,
+    /// The accept loop has exited: handlers finish what is waiting and
+    /// return.
+    closed: bool,
+}
+
+impl Handoff {
+    fn new(handlers: usize) -> Handoff {
+        Handoff {
+            state: Mutex::new(HandoffState {
+                waiting: VecDeque::new(),
+                free: handlers,
+                closed: false,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HandoffState> {
+        self.state
+            .lock()
+            .expect("no handler panics while holding the handoff lock")
+    }
+
+    /// Give `stream` to a free handler; hand it back when none is free.
+    fn offer(&self, stream: TcpStream) -> Result<(), TcpStream> {
+        let mut st = self.lock();
+        if st.free <= st.waiting.len() {
+            return Err(stream);
+        }
+        st.waiting.push_back(stream);
+        self.cv.notify_one();
+        Ok(())
+    }
+
+    /// The next connection to serve, waiting for it; `None` once the
+    /// handoff is closed and drained.
+    fn next(&self) -> Option<TcpStream> {
+        let mut st = self.lock();
+        loop {
+            if let Some(stream) = st.waiting.pop_front() {
+                st.free -= 1;
+                return Some(stream);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self
+                .cv
+                .wait(st)
+                .expect("no handler panics while holding the handoff lock");
+        }
+    }
+
+    /// A handler has answered its connection and is free again.
+    fn served(&self) {
+        self.lock().free += 1;
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.cv.notify_all();
+    }
 }
 
 /// A running campaign service. Dropping the handle does *not* stop the
@@ -208,6 +297,8 @@ pub struct Server {
     addr: SocketAddr,
     inner: Arc<Inner>,
     accept: Option<JoinHandle<()>>,
+    handoff: Arc<Handoff>,
+    handlers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -222,24 +313,44 @@ impl Server {
             state_dir: cfg.state_dir,
             campaigns: Mutex::new(BTreeMap::new()),
             runs: Mutex::new(Vec::new()),
+            memo: ContextMemo::default(),
             shutdown: AtomicBool::new(false),
         });
         load_state_dir(&inner);
-        let inner2 = inner.clone();
+        let handoff = Arc::new(Handoff::new(HANDLERS));
+        let handlers = (0..HANDLERS)
+            .map(|_| {
+                let (inner, handoff) = (inner.clone(), handoff.clone());
+                std::thread::spawn(move || {
+                    while let Some(mut stream) = handoff.next() {
+                        // A panicking route must not cost the server a
+                        // handler; the client sees its connection close.
+                        let serve = std::panic::AssertUnwindSafe(|| handle(&inner, &mut stream));
+                        let _ = std::panic::catch_unwind(serve);
+                        handoff.served();
+                        drop(stream);
+                    }
+                })
+            })
+            .collect();
+        let (inner2, handoff2) = (inner.clone(), handoff.clone());
         let accept = std::thread::spawn(move || {
             for stream in listener.incoming() {
                 if inner2.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let inner3 = inner2.clone();
-                std::thread::spawn(move || handle(&inner3, stream));
+                if let Err(mut stream) = handoff2.offer(stream) {
+                    let _ = refuse(&mut stream, 503, "every connection handler is busy");
+                }
             }
         });
         Ok(Server {
             addr,
             inner,
             accept: Some(accept),
+            handoff,
+            handlers,
         })
     }
 
@@ -249,29 +360,32 @@ impl Server {
     }
 
     /// Block until the accept loop exits (a `POST /shutdown` arrived),
-    /// then drain campaign threads.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        drain_runs(&self.inner);
+    /// then join the connection handlers and drain campaign threads.
+    pub fn join(self) {
+        self.wind_down();
     }
 
-    /// Stop every campaign, close the socket loop, and wait for all
-    /// run threads to drain their in-flight trials.
-    pub fn shutdown(mut self) {
+    /// Stop every campaign, close the socket loop, and wait for the
+    /// connection handlers to finish their requests and all run threads
+    /// to drain their in-flight trials. A handler still reading a
+    /// request finishes within the read timeout.
+    pub fn shutdown(self) {
         trigger_shutdown(&self.inner);
+        self.wind_down();
+    }
+
+    fn wind_down(mut self) {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        drain_runs(&self.inner);
-    }
-}
-
-fn drain_runs(inner: &Inner) {
-    let handles: Vec<_> = inner.runs.lock().unwrap().drain(..).collect();
-    for h in handles {
-        let _ = h.join();
+        self.handoff.close();
+        for h in self.handlers.drain(..) {
+            let _ = h.join();
+        }
+        let handles: Vec<_> = self.inner.runs.lock().unwrap().drain(..).collect();
+        for h in handles {
+            let _ = h.join();
+        }
     }
 }
 
@@ -336,15 +450,25 @@ fn read_done_marker(dir: &std::path::Path) -> Option<EngineProgress> {
     })
 }
 
-/// Spawn the campaign's run thread and track its handle.
+/// Spawn the campaign's run thread and track its handle, joining the
+/// run threads that have finished since the last launch: an unjoined
+/// thread keeps its stack.
 fn launch(inner: &Arc<Inner>, camp: Arc<Campaign>) {
-    let h = std::thread::spawn(move || run_campaign(&camp));
-    inner.runs.lock().unwrap().push(h);
+    let mut runs = inner.runs.lock().unwrap();
+    let (finished, running) = std::mem::take(&mut *runs)
+        .into_iter()
+        .partition::<Vec<_>, _>(|h| h.is_finished());
+    *runs = running;
+    for h in finished {
+        let _ = h.join();
+    }
+    let inner = inner.clone();
+    runs.push(std::thread::spawn(move || run_campaign(&inner, &camp)));
 }
 
 /// One campaign's whole life on a dedicated thread: load resume state,
 /// run the engine with the durable sink, commit the outcome.
-fn run_campaign(camp: &Arc<Campaign>) {
+fn run_campaign(inner: &Inner, camp: &Arc<Campaign>) {
     let records = camp.dir.join("records.jsonl");
     let plan = camp.spec.slot_plan();
     let mut resume = None;
@@ -385,7 +509,7 @@ fn run_campaign(camp: &Arc<Campaign>) {
     };
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_spec(&camp.spec, &sink, &camp.control, resume)
+        run_spec_memo(&camp.spec, &sink, &camp.control, resume, &inner.memo)
     }));
     match outcome {
         Err(_) => camp.set_status(Status::Failed),
@@ -430,23 +554,23 @@ fn run_campaign(camp: &Arc<Campaign>) {
     }
 }
 
-fn handle(inner: &Arc<Inner>, mut stream: TcpStream) {
-    let req = match read_request(&stream) {
+fn handle(inner: &Arc<Inner>, stream: &mut TcpStream) {
+    let req = match read_request(stream) {
         Ok(req) => req,
         Err(e) => {
             if let Some((status, msg)) = e.reply() {
-                let _ = refuse(&mut stream, status, msg);
+                let _ = refuse(stream, status, msg);
             }
             return;
         }
     };
-    match route(inner, &req, &mut stream) {
+    match route(inner, &req, stream) {
         Ok(Some((status, content_type, body))) => {
-            let _ = respond(&mut stream, status, content_type, &body);
+            let _ = respond(stream, status, content_type, &body);
         }
         Ok(None) => {} // streamed
         Err((status, msg)) => {
-            let _ = respond(&mut stream, status, "text/plain", &msg);
+            let _ = respond(stream, status, "text/plain", &msg);
         }
     }
 }
@@ -593,6 +717,57 @@ mod tests {
         assert_ne!(campaign_id(&a), campaign_id(&other.to_json()));
         assert!(campaign_id(&a).starts_with('c'));
         assert_eq!(campaign_id(&a).len(), 17);
+    }
+
+    #[test]
+    fn a_handler_is_free_from_its_start_and_again_before_it_closes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn = || TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let handoff = Handoff::new(1);
+        // The handler has not asked for work yet; it is free all the same.
+        assert!(handoff.offer(conn()).is_ok());
+        assert!(
+            handoff.offer(conn()).is_err(),
+            "one handler, one connection"
+        );
+        let answered = handoff.next().expect("the waiting connection");
+        assert!(handoff.offer(conn()).is_err(), "the handler is busy");
+        handoff.served();
+        assert!(handoff.offer(conn()).is_ok(), "free before it closes");
+        drop(answered);
+        handoff.close();
+        assert!(handoff.next().is_some(), "what is waiting is still served");
+        assert!(handoff.next().is_none());
+    }
+
+    #[test]
+    fn finished_run_threads_are_joined_at_the_next_launch() {
+        let state_dir = std::env::temp_dir().join(format!("fl-serve-reap-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&state_dir);
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            state_dir: state_dir.clone(),
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let runs = || server.inner.runs.lock().unwrap();
+        for seed in 0..4 {
+            let mut spec = CampaignSpec::new(AppKind::Wavetoy);
+            spec.tiny = true;
+            spec.classes = vec![fl_inject::TargetClass::RegularReg];
+            spec.campaign.injections = 1;
+            spec.campaign.seed = seed;
+            let id = crate::client::submit(&addr, &spec.to_json()).unwrap();
+            // The campaign just launched is the only one held.
+            assert_eq!(runs().len(), 1, "campaign {seed}");
+            crate::client::wait_done(&addr, &id, Duration::from_secs(300)).unwrap();
+            // Its thread ends right after it commits.
+            while !runs().iter().all(JoinHandle::is_finished) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        server.shutdown();
+        let _ = fs::remove_dir_all(&state_dir);
     }
 
     #[test]

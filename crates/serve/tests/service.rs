@@ -328,3 +328,40 @@ fn hostile_requests_get_a_status_and_register_nothing() {
     assert_eq!((code, body.as_str()), (200, "[]"), "nothing reached submit");
     server.shutdown();
 }
+
+/// The memo plane of the lattice: a plain campaign served right after
+/// another whose context fits its own runs on that context, and its
+/// records are byte for byte those of its one-shot run. A
+/// nondeterministic app's next seed is another schedule, so its pair
+/// must not share a context.
+#[test]
+fn a_campaign_after_one_with_its_context_matches_its_one_shot_run() {
+    let (server, addr, _dir) = start("memo");
+    let spec = |app, seed, classes: Vec<TargetClass>, injections, threads| {
+        let mut spec = CampaignSpec::new(app);
+        spec.tiny = true;
+        spec.classes = classes;
+        spec.campaign.seed = seed;
+        spec.campaign.injections = injections;
+        spec.campaign.threads = threads;
+        spec
+    };
+    let one_shot = |spec: &CampaignSpec| {
+        let sink = VecSink::new(spec.app);
+        run_spec(spec, &sink, &EngineControl::new(), None).expect("one-shot run completes");
+        sort_records_jsonl(&sink.into_lines().join("\n"))
+    };
+    use fl_apps::AppKind::{Climsim, Moldyn};
+    use TargetClass::{Bss, Message, RegularReg, Stack, Text};
+    for app in [Climsim, Moldyn] {
+        let a = spec(app, 0xA, vec![RegularReg, Message], 4, 1);
+        let b = spec(app, 0xB, vec![Stack, Text, Bss], 3, 2);
+        for s in [&a, &b] {
+            let id = client::submit(&addr, &s.to_json()).unwrap();
+            client::wait_done(&addr, &id, WAIT).unwrap();
+        }
+        let served = client::records(&addr, &campaign_id(&b.to_json())).unwrap();
+        assert_eq!(served, one_shot(&b), "{app}");
+    }
+    server.shutdown();
+}
