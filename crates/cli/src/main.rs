@@ -437,15 +437,16 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 /// demotions) so a cold cache or a demotion storm is visible at a
 /// glance, and one line of what early termination skipped. The
 /// instruction figure is the one full execution would report; trials
-/// ended at an epoch boundary or decided at their draw did not execute
-/// their share of it.
+/// ended early (at an epoch boundary or between epochs) or decided at
+/// their draw did not execute their share of it, and trials forked from
+/// a round checkpoint did not execute their prefix.
 fn throughput_line(result: &fl_inject::CampaignResult) -> String {
     let s = &result.exec_stats;
     let c = &result.converge;
     format!(
         "throughput: {} trials, {:.1}M guest insns in {:.2}s — {:.1} MIPS, {:.1} trials/sec\n\
          exec-cache: {} block hits, {} block misses, {} trace passes, {} side exits, {} demotions\n\
-         converged: {} trials ended at an epoch boundary, {} decided at draw, {} epoch compares, {} granules excused",
+         converged: {} trials ended early ({} between epochs), {} decided at draw, {} forked at a round checkpoint, {} compares, {} granules excused",
         result.trials_total(),
         result.insns_total as f64 / 1e6,
         result.wall_nanos as f64 / 1e9,
@@ -457,7 +458,9 @@ fn throughput_line(result: &fl_inject::CampaignResult) -> String {
         s.trace_side_exits,
         s.demotions,
         c.trials_converged,
+        c.ended_between_epochs,
         c.decided_at_draw,
+        c.forked_at_round,
         c.epoch_compares,
         c.granules_excused,
     )
@@ -605,7 +608,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     );
     println!("fault:   {}", rec.detail);
     println!("outcome: {}", rec.outcome);
-    println!("ended:   {}", trace.converge.ended());
+    println!("ended:   {}", trace.converge.ended(trace.round));
     Ok(())
 }
 

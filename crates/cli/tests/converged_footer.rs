@@ -4,8 +4,8 @@
 use std::process::Command;
 
 /// Run `faultlab campaign <args>` and return the trials the footer says
-/// ended at an epoch boundary and were decided at their draw, with
-/// everything printed above the footer.
+/// ended early (at an epoch boundary or between epochs) and were decided
+/// at their draw, with everything printed above the footer.
 fn campaign(args: &[&str]) -> ((u64, u64), String) {
     let out = Command::new(env!("CARGO_BIN_EXE_faultlab"))
         .arg("campaign")
@@ -21,7 +21,7 @@ fn campaign(args: &[&str]) -> ((u64, u64), String) {
         .lines()
         .find_map(|l| l.strip_prefix("converged: "))
         .expect("footer has a converged: line");
-    // "<n> trials ended at an epoch boundary, <m> decided at draw, ..."
+    // "<n> trials ended early (<b> between epochs), <m> decided at draw, ..."
     let count = |part: Option<&str>| -> u64 {
         let n = part.and_then(|p| p.split_whitespace().next());
         n.and_then(|n| n.parse().ok()).expect("a leading count")

@@ -18,8 +18,8 @@ use crate::target::{
 use fl_apps::{App, AppKind, AppParams, Golden};
 use fl_isa::RegisterName;
 use fl_machine::{Cpu, ExecStats};
-use fl_mpi::{Action, Effect, Fault, Launch, MpiWorld, WorldConfig, WorldExit};
-use fl_snap::{Epoch, EpochCache};
+use fl_mpi::{Action, Clock, Effect, Fault, Launch, MpiWorld, WorldConfig, WorldExit};
+use fl_snap::{EpochCache, Interval};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -140,19 +140,22 @@ pub struct CampaignResult {
 }
 
 /// Counters of convergence-aware early termination: how many trials were
-/// ended at an epoch boundary because they had provably become the golden
-/// run again, what proving it took, and how many never had to start
-/// because their flip lands where nothing reads. Sums over the trials this
-/// process executed — resume-adopted slots contribute zero, like
-/// [`ExecStats`]. Every app forks and converges, the nondeterministic
-/// one included, so all-zero counters on a fresh campaign with epochs
-/// and no event recording mean its trials ran cold.
+/// ended at an epoch boundary or between two epochs because they had
+/// provably become the golden run again, what proving it took, how many
+/// never had to start because their flip lands where nothing reads, and
+/// how many forked from a round checkpoint of a swept interval. Sums over
+/// the trials this process executed — resume-adopted slots contribute
+/// zero, like [`ExecStats`]. Every app forks and converges, the
+/// nondeterministic one included, so all-zero counters on a fresh
+/// campaign with epochs and no event recording mean its trials ran cold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConvergeStats {
-    /// Trials ended early as `correct`.
+    /// Trials ended early as `correct`, at an epoch boundary or between
+    /// two epochs.
     pub trials_converged: u64,
-    /// Live-world-against-epoch comparisons made (those of trials that
-    /// never converged included).
+    /// Live-world-against-golden comparisons made, at epoch boundaries
+    /// and at the round checkpoints of swept intervals (those of trials
+    /// that never converged included).
     pub epoch_compares: u64,
     /// Memory granules that differed from the golden run's at the
     /// deciding comparison and were excused because the golden run never
@@ -163,6 +166,12 @@ pub struct ConvergeStats {
     /// can read or a static granule the golden run has read for the last
     /// time. Disjoint from `trials_converged`.
     pub decided_at_draw: u64,
+    /// Trials forked from a round checkpoint of a swept interval, later
+    /// than the epoch that opens it ([`EpochCache::sweep`]).
+    pub forked_at_round: u64,
+    /// Trials ended at a round checkpoint between two epochs. A subset of
+    /// `trials_converged`.
+    pub ended_between_epochs: u64,
 }
 
 impl ConvergeStats {
@@ -172,16 +181,20 @@ impl ConvergeStats {
         self.epoch_compares += o.epoch_compares;
         self.granules_excused += o.granules_excused;
         self.decided_at_draw += o.decided_at_draw;
+        self.forked_at_round += o.forked_at_round;
+        self.ended_between_epochs += o.ended_between_epochs;
     }
 
-    /// How the one trial these counters belong to ended, in words.
-    pub fn ended(&self) -> String {
+    /// How the one trial these counters belong to ended, in words;
+    /// `round` is the scheduler round its world stood at when it ended.
+    pub fn ended(&self, round: u64) -> String {
+        let excused = self.granules_excused;
         match (self.decided_at_draw, self.trials_converged) {
             (0, 0) => "ran to its end".to_string(),
-            (0, _) => format!(
-                "at epoch boundary, {} granules excused",
-                self.granules_excused
-            ),
+            _ if self.ended_between_epochs > 0 => {
+                format!("between epochs at round {round}, {excused} granules excused")
+            }
+            (0, _) => format!("at epoch boundary, {excused} granules excused"),
             _ => "decided at draw".to_string(),
         }
     }
@@ -319,6 +332,47 @@ pub(crate) struct TrialContext {
     /// timeline is the product, so those trials run on). Tests turn it
     /// off to compare against full execution.
     converge: bool,
+    /// Which epoch intervals [`TrialContext::plan`] has swept. Only
+    /// tests choose anything but [`Sweeps::Shared`].
+    sweeps: Sweeps,
+}
+
+/// Which epoch intervals a plain campaign that ends trials early sweeps
+/// ([`EpochCache::sweep`]) before running the trials that fork in them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sweeps {
+    /// Those at least two executing trials fork in: a sweep costs about
+    /// one interval of execution, and each trial it serves skips about
+    /// half of one.
+    Shared,
+    /// Every interval an executing trial forks in, one trial or more.
+    Always,
+    /// None: every trial forks from its epoch and is compared only at
+    /// epoch boundaries.
+    Never,
+}
+
+/// One slot of a plain campaign in execution order: its coordinates, the
+/// epoch its trial forks from and whether that epoch's interval is swept
+/// before the trial runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Planned {
+    pub(crate) ci: usize,
+    pub(crate) k: u32,
+    /// Index of the fork epoch (0 without epochs).
+    pub(crate) epoch: usize,
+    pub(crate) swept: bool,
+}
+
+/// A trial's fault as drawn, with everything decided before any world
+/// exists: the fork epoch and whether the flip is dead on arrival.
+struct Drawn {
+    fault: Fault,
+    detail: String,
+    point: (u16, Clock, u64),
+    /// Index of the epoch [`EpochCache::best_for`] forks from.
+    epoch: Option<usize>,
+    dead: bool,
 }
 
 impl TrialContext {
@@ -347,6 +401,7 @@ impl TrialContext {
             app,
             golden,
             converge: epochs.is_some() && cfg.obs_capacity == 0,
+            sweeps: Sweeps::Shared,
             epochs,
             launch,
             world,
@@ -359,6 +414,116 @@ impl TrialContext {
     pub(crate) fn run_to_completion(mut self) -> TrialContext {
         self.converge = false;
         self
+    }
+
+    /// The same context sweeping the intervals `sweeps` names. Test-only,
+    /// like [`TrialContext::run_to_completion`]: which intervals are swept
+    /// must change no record byte, so tests hold every choice to the
+    /// run-to-completion reference.
+    pub(crate) fn sweeping(mut self, sweeps: Sweeps) -> TrialContext {
+        self.sweeps = sweeps;
+        self
+    }
+
+    /// Draw a trial's fault and settle what the draw alone settles.
+    fn draw(&self, class: TargetClass, duration: Duration, trial_seed: u64) -> Drawn {
+        let nranks = self.app.params.nranks;
+        let (fault, detail, struck) = draw_fault(
+            &self.golden,
+            &self.dicts,
+            class,
+            duration,
+            trial_seed,
+            nranks,
+        );
+        let point = (fault.rank, fault.effect.clock(), fault.at);
+        let epoch = self.epochs.as_ref().map(|e| e.best_index(&[point]));
+        let dead = self.dead_when_drawn(struck, fault.rank, epoch);
+        Drawn {
+            fault,
+            detail,
+            point,
+            epoch,
+            dead,
+        }
+    }
+
+    /// The draw-first plan of the campaign `classes` × `cfg`: every slot
+    /// not `adopted`, its fault drawn (draws are pure in `(seed, ci, k)`),
+    /// grouped by the epoch its trial forks from, with the intervals to
+    /// sweep marked ([`Sweeps`]); the adopted slots first, then those
+    /// decided at their draw. Trials only run in another order — their
+    /// records still land in their `(ci, k)` slots — and the plan is a
+    /// function of the campaign and the adopted set alone, never of the
+    /// worker count.
+    pub(crate) fn plan(
+        &self,
+        classes: &[TargetClass],
+        cfg: &CampaignConfig,
+        adopted: &dyn Fn(usize, u32) -> bool,
+    ) -> Vec<Planned> {
+        let mut plan = Vec::new();
+        let mut executing = vec![0u32; self.epochs.as_ref().map_or(1, EpochCache::len)];
+        let mut drawn = Vec::new();
+        for (ci, &class) in classes.iter().enumerate() {
+            for k in 0..cfg.injections {
+                let at = |epoch| Planned {
+                    ci,
+                    k,
+                    epoch,
+                    swept: false,
+                };
+                if adopted(ci, k) {
+                    plan.push(at(0));
+                    continue;
+                }
+                let d = self.draw(class, Duration::Transient, trial_seed(cfg.seed, ci, k));
+                let epoch = d.epoch.unwrap_or(0);
+                executing[epoch] += u32::from(!d.dead);
+                drawn.push((at(epoch), d.dead));
+            }
+        }
+        // Trials decided at their draw first: they finish at once. Within
+        // an interval, trial index before region: the first trial also
+        // waits for the interval's sweep, and the regions take turns.
+        drawn.sort_by_key(|&(p, dead)| (!dead, p.epoch, p.k, p.ci));
+        let least = match self.sweeps {
+            Sweeps::Shared => 2,
+            Sweeps::Always => 1,
+            Sweeps::Never => u32::MAX,
+        };
+        let sweep = self.converge && self.epochs.is_some();
+        plan.extend(drawn.into_iter().map(|(p, dead)| Planned {
+            swept: sweep && !dead && executing[p.epoch] >= least,
+            ..p
+        }));
+        plan
+    }
+
+    /// Run planned slot `p`, a trial of `class` with seed `seed`, as a
+    /// worker does. `held` is the one interval sweep the worker holds: it
+    /// is let go when `p` forks in another interval, and made when `p`'s
+    /// interval is swept and not held. Returns the run and the guest
+    /// execution of a sweep made for it, which the campaign paid for too.
+    pub(crate) fn run_planned(
+        &self,
+        p: &Planned,
+        class: TargetClass,
+        seed: u64,
+        held: &mut Option<Interval>,
+    ) -> (TrialRun, ExecStats) {
+        if held.as_ref().is_some_and(|h| h.open() != p.epoch) {
+            *held = None;
+        }
+        let mut swept = ExecStats::default();
+        if let (true, None, Some(epochs)) = (p.swept, &held, &self.epochs) {
+            let interval = epochs.sweep(p.epoch);
+            swept = interval.exec_stats();
+            *held = Some(interval);
+        }
+        let interval = held.as_ref().filter(|_| p.swept);
+        let run = self.run_trial_on(class, Duration::Transient, seed, interval);
+        (run, swept)
     }
 
     /// Execute one injection experiment, forking from the latest
@@ -375,32 +540,45 @@ impl TrialContext {
         duration: Duration,
         trial_seed: u64,
     ) -> TrialRun {
+        self.run_trial_on(class, duration, trial_seed, None)
+    }
+
+    /// [`TrialContext::run_trial`] on `interval`, the sweep of the
+    /// interval the trial's fork epoch opens, when the plan swept it: the
+    /// trial forks from the latest round checkpoint its fault has not
+    /// fired by, and is compared with the golden run at every checkpoint
+    /// round after its fault is spent, not only at epoch boundaries.
+    pub(crate) fn run_trial_on(
+        &self,
+        class: TargetClass,
+        duration: Duration,
+        trial_seed: u64,
+        interval: Option<&Interval>,
+    ) -> TrialRun {
         let app = &self.app;
-        let (fault, detail, struck) = draw_fault(
-            &self.golden,
-            &self.dicts,
-            class,
-            duration,
-            trial_seed,
-            app.params.nranks,
-        );
-        let rank = fault.rank;
+        let drawn = self.draw(class, duration, trial_seed);
+        let (rank, detail) = (drawn.fault.rank, drawn.detail);
+        debug_assert!(interval.is_none_or(|i| Some(i.open()) == drawn.epoch));
 
         // Fork from the latest checkpoint the injection point permits.
-        let point = [(rank, fault.effect.clock(), fault.at)];
-        let epoch = self.epochs.as_ref().map(|e| e.best_for(&point));
-        let mut world = match epoch {
+        let epoch = self.epochs.as_ref().zip(drawn.epoch);
+        let epoch = epoch.map(|(epochs, k)| &epochs.epochs()[k]);
+        let from = interval.map_or(epoch, |i| Some(i.best_for(&[drawn.point])));
+        let mut world = match from {
             Some(e) => e.snap.restore(),
             None => self.launch.world(self.world),
         };
-        world.arm(fault);
+        world.arm(drawn.fault);
 
         let mut converge = ConvergeStats::default();
-        let ran = if self.dead_when_drawn(struck, rank, epoch) {
+        let later = from.zip(epoch).is_some_and(|(f, e)| f.round > e.round);
+        converge.forked_at_round = u64::from(later);
+
+        let ran = if drawn.dead {
             converge.decided_at_draw = 1;
             None
         } else {
-            self.run_until_converged(&mut world, &mut converge)
+            self.run_until_converged(&mut world, &mut converge, interval)
         };
         let (outcome, insns) = match ran {
             // Decided at the draw or at a boundary, the trial is the
@@ -439,24 +617,24 @@ impl TrialContext {
     /// [`EpochCache::converged`] on that very epoch with this one
     /// granule excused, and the golden run may write the granule before
     /// the fire point but never reads it after the fork.
-    fn dead_when_drawn(&self, struck: Struck, rank: u16, epoch: Option<&Epoch>) -> bool {
+    fn dead_when_drawn(&self, struck: Struck, rank: u16, epoch: Option<usize>) -> bool {
         let forked = self.epochs.as_ref().zip(epoch).filter(|_| self.converge);
-        forked.is_some_and(|(epochs, e)| match struck {
+        forked.is_some_and(|(epochs, j)| match struck {
             Struck::Register(reg, bit) => !Cpu::can_read(reg, bit),
-            Struck::Static(addr) => epochs
-                .boundary_at(e.round)
-                .is_some_and(|j| epochs.stamps(rank).get(addr) as usize <= j),
+            Struck::Static(addr) => epochs.stamps(rank).get(addr) as usize <= j,
             Struck::AtFire => false,
         })
     }
 
     /// Run an armed trial world to its exit — or, when early termination
-    /// applies, only until the first epoch boundary at which its fault is
-    /// spent and it has provably become the golden run again (`None`).
+    /// applies, only until the first epoch boundary, or round checkpoint
+    /// of its swept `interval`, at which its fault is spent and it has
+    /// provably become the golden run again (`None`).
     fn run_until_converged(
         &self,
         world: &mut MpiWorld,
         stats: &mut ConvergeStats,
+        interval: Option<&Interval>,
     ) -> Option<WorldExit> {
         let Some(epochs) = self.epochs.as_ref().filter(|_| self.converge) else {
             return Some(world.run());
@@ -465,15 +643,21 @@ impl TrialContext {
             if let Some(exit) = world.run_round() {
                 return Some(exit);
             }
-            let Some(k) = epochs.boundary_at(world.round()) else {
-                continue;
-            };
-            if world.fault_pending() {
+            let round = world.round();
+            let at_epoch = epochs.boundary_at(round);
+            let between = interval.filter(|i| at_epoch.is_none() && i.at(round).is_some());
+            if (at_epoch.is_none() && between.is_none()) || world.fault_pending() {
                 continue;
             }
             stats.epoch_compares += 1;
-            if let Some(excused) = epochs.converged(k, world) {
+            let excused = match (at_epoch, between) {
+                (Some(k), _) => epochs.converged(k, world),
+                (None, Some(i)) => epochs.converged_between(i, world),
+                (None, None) => unreachable!("compared only at a checkpoint"),
+            };
+            if let Some(excused) = excused {
                 stats.trials_converged = 1;
+                stats.ended_between_epochs = u64::from(at_epoch.is_none());
                 stats.granules_excused = excused;
                 return None;
             }
@@ -495,12 +679,18 @@ pub fn replay_trial(
     assert!(k < cfg.injections, "trial index {k} out of range");
     let seed = trial_seed(cfg.seed, ci, k);
     let ctx = TrialContext::build(app.clone(), cfg);
-    let run = ctx.run_trial(classes[ci], Duration::Transient, seed);
+    // Run it as the campaign did: on the sweep of its interval if the
+    // campaign's plan swept it.
+    let plan = ctx.plan(classes, cfg, &|_, _| false);
+    let slot = plan.iter().find(|p| (p.ci, p.k) == (ci, k));
+    let slot = slot.expect("the plan holds every slot");
+    let (run, _) = ctx.run_planned(slot, classes[ci], seed, &mut None);
     TrialTrace {
         record: run.record,
         rank: run.rank,
         insns: run.insns,
         converge: run.converge,
+        round: run.world.round(),
         streams: run.world.event_streams(),
     }
 }
@@ -805,6 +995,29 @@ mod tests {
     }
 
     #[test]
+    fn replay_ends_trials_as_the_campaign_did() {
+        // Replay plans the campaign it reproduces, so a trial the campaign
+        // ran on its interval's sweep is replayed on it too: summed over
+        // every trial, replay's counters are the campaign's.
+        let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
+        let classes = [TargetClass::Stack, TargetClass::Heap];
+        let cfg = CampaignConfig {
+            injections: 8,
+            seed: 77,
+            ..Default::default()
+        };
+        let result = run(&app, &classes, &cfg);
+        let mut replayed = ConvergeStats::default();
+        for ci in 0..classes.len() {
+            for k in 0..cfg.injections {
+                replayed.add(&replay_trial(&app, &classes, &cfg, ci, k).converge);
+            }
+        }
+        assert_eq!(replayed, result.converge);
+        assert!(replayed.ended_between_epochs > 0, "{replayed:?}");
+    }
+
+    #[test]
     fn message_faults_hit_headers_and_payloads() {
         let r = mini_campaign(AppKind::Moldyn, &[TargetClass::Message], 40);
         let t = &r.classes[0].tally;
@@ -842,51 +1055,59 @@ mod tests {
     }
 
     /// Per class: trials ended without running to their end (at a
-    /// boundary or at the draw), those of them decided at the draw, and
-    /// trials that ended `correct` either way.
+    /// boundary, between epochs or at the draw), those of them decided at
+    /// the draw and those ended between epochs, trials forked from a
+    /// round checkpoint, and trials that ended `correct` either way.
     #[derive(Debug, Clone, Copy, Default)]
     struct Ends {
         early: u32,
         at_draw: u32,
+        between: u32,
+        forked_at_round: u32,
         correct: u32,
     }
 
     /// The verify property: take every trial of an eight-class campaign
-    /// that the rule ends early — at an epoch boundary or before it ran
-    /// at all — and run it on anyway. It must finish clean, with the
-    /// golden output and the golden per-rank counters — which is what its
-    /// record already claimed. Returns the per-class counts and how many
-    /// trials ended at the first boundary they were compared at.
+    /// that the rule ends early — at an epoch boundary, between epochs
+    /// or before it ran at all — run as the campaign runs it (on its
+    /// interval's sweep when the plan sweeps it), and run it on anyway.
+    /// It must finish clean, with the golden output and the golden
+    /// per-rank counters — which is what its record already claimed.
+    /// Returns the per-class counts and how many trials ended at the
+    /// first checkpoint they were compared at.
     fn verify_early_ends(app: &App, cfg: &CampaignConfig) -> ([Ends; 8], u32) {
         let ctx = TrialContext::build(app.clone(), cfg);
         let golden_total: u64 = ctx.golden.insns.iter().sum();
         let mut per_class = [Ends::default(); 8];
         let mut at_first = 0;
-        for (ci, &class) in TargetClass::ALL.iter().enumerate() {
+        let mut held = None;
+        for p in ctx.plan(&TargetClass::ALL, cfg, &|_, _| false) {
+            let (ci, k, class) = (p.ci, p.k, TargetClass::ALL[p.ci]);
             let ends = &mut per_class[ci];
-            for k in 0..cfg.injections {
-                let run = ctx.run_trial(class, Duration::Transient, trial_seed(cfg.seed, ci, k));
-                ends.correct += (run.record.outcome == Manifestation::Correct) as u32;
-                let c = run.converge;
-                if c.trials_converged + c.decided_at_draw == 0 {
-                    continue;
-                }
-                ends.early += 1;
-                ends.at_draw += c.decided_at_draw as u32;
-                at_first += (c.epoch_compares == 1) as u32;
-                assert_eq!(run.record.outcome, Manifestation::Correct);
-                assert_eq!(run.insns, golden_total);
-                let what = format!("{} {class} trial {k}: {}", app.kind, run.record.detail);
-                assert_eq!(c.decided_at_draw == 1, c.epoch_compares == 0, "{what}");
-                let mut w = run.world;
-                assert_eq!(w.fault_pending(), c.decided_at_draw == 1, "{what}");
-                assert_eq!(w.run(), WorldExit::Clean, "{what}");
-                assert_eq!(app.comparable_output(&w), ctx.golden.output, "{what}");
-                for r in 0..app.params.nranks {
-                    let c = w.machine(r).counters;
-                    assert_eq!(c.insns, ctx.golden.insns[r as usize], "{what}");
-                    assert_eq!(c.blocks, ctx.golden.blocks[r as usize], "{what}");
-                }
+            let seed = trial_seed(cfg.seed, ci, k);
+            let (run, _) = ctx.run_planned(&p, class, seed, &mut held);
+            ends.correct += (run.record.outcome == Manifestation::Correct) as u32;
+            let c = run.converge;
+            ends.forked_at_round += c.forked_at_round as u32;
+            if c.trials_converged + c.decided_at_draw == 0 {
+                continue;
+            }
+            ends.early += 1;
+            ends.at_draw += c.decided_at_draw as u32;
+            ends.between += c.ended_between_epochs as u32;
+            at_first += (c.epoch_compares == 1) as u32;
+            assert_eq!(run.record.outcome, Manifestation::Correct);
+            assert_eq!(run.insns, golden_total);
+            let what = format!("{} {class} trial {k}: {}", app.kind, run.record.detail);
+            assert_eq!(c.decided_at_draw == 1, c.epoch_compares == 0, "{what}");
+            let mut w = run.world;
+            assert_eq!(w.fault_pending(), c.decided_at_draw == 1, "{what}");
+            assert_eq!(w.run(), WorldExit::Clean, "{what}");
+            assert_eq!(app.comparable_output(&w), ctx.golden.output, "{what}");
+            for r in 0..app.params.nranks {
+                let c = w.machine(r).counters;
+                assert_eq!(c.insns, ctx.golden.insns[r as usize], "{what}");
+                assert_eq!(c.blocks, ctx.golden.blocks[r as usize], "{what}");
             }
         }
         (per_class, at_first)
@@ -902,6 +1123,7 @@ mod tests {
 
     #[test]
     fn early_ended_trials_are_the_golden_run() {
+        let mut between = 0;
         for (kind, fastpath) in [
             (AppKind::Wavetoy, true),
             (AppKind::Wavetoy, false),
@@ -925,7 +1147,9 @@ mod tests {
                 let (class, ends) = (TargetClass::ALL[i], per_class[i]);
                 assert!(ends.at_draw >= 1, "{kind} {class}: {ends:?}");
             }
+            between += per_class.iter().map(|c| c.between).sum::<u32>();
         }
+        assert!(between >= 10, "only {between} trials ended between epochs");
     }
 
     /// The same property on the paper-size apps and seeds the benchmark
@@ -953,26 +1177,34 @@ mod tests {
                 let sum = |f: fn(&Ends) -> u32| per_class.iter().map(f).sum::<u32>();
                 println!(
                     "{kind} seed {}: {} of {} correct trials ({} run) ended early \
-                     ({} at the draw, {at_first} at the first boundary), all verified",
+                     ({} at the draw, {} between epochs, {at_first} at the first \
+                     checkpoint), {} forked at a round checkpoint, all verified",
                     cfg.seed,
                     sum(|e| e.early),
                     sum(|e| e.correct),
                     8 * injections,
                     sum(|e| e.at_draw),
+                    sum(|e| e.between),
+                    sum(|e| e.forked_at_round),
                 );
                 for (t, c) in total.iter_mut().zip(per_class) {
                     t.early += c.early;
                     t.at_draw += c.at_draw;
+                    t.between += c.between;
+                    t.forked_at_round += c.forked_at_round;
                     t.correct += c.correct;
                 }
             }
         }
         for (class, t) in TargetClass::ALL.iter().zip(total) {
             println!(
-                "{class}: {} of {} correct trials ended early, {} of them at the draw",
-                t.early, t.correct, t.at_draw
+                "{class}: {} of {} correct trials ended early, {} of them at the draw \
+                 and {} between epochs; {} forked at a round checkpoint",
+                t.early, t.correct, t.at_draw, t.between, t.forked_at_round
             );
         }
+        let between: u32 = total.iter().map(|t| t.between).sum();
+        assert!(between >= 100, "only {between} trials ended between epochs");
         for i in static_classes() {
             assert!(
                 total[i].at_draw >= 1,

@@ -30,10 +30,9 @@
 //! way trials get scheduled, executed, counted and recorded.
 
 use crate::campaign::{
-    trial_seed, CampaignConfig, CampaignResult, ClassResult, ContextKey, ConvergeStats,
+    trial_seed, CampaignConfig, CampaignResult, ClassResult, ContextKey, ConvergeStats, Sweeps,
     TrialContext, TrialRecord,
 };
-use crate::faultmodel::Duration;
 use crate::json::{escape, parse, Json};
 use crate::matrix::{run_matrix, ContractCheck, MatrixResult};
 use crate::obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, KIND_COUNT};
@@ -43,6 +42,7 @@ use crate::spec::CampaignSpec;
 use crate::target::TargetClass;
 use fl_apps::{App, AppKind, AppParams};
 use fl_machine::ExecStats;
+use fl_snap::Interval;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -236,13 +236,14 @@ pub(crate) fn resolve_threads(n: usize) -> usize {
 
 /// The one scheduling loop every campaign flavour runs on: `counts[g]`
 /// trials per group, flattened, sharded across `threads` workers with
-/// stealing, slot-addressed results. Returns the slot vectors and
-/// whether every slot was filled (`false` after a stop).
-pub(crate) fn run_pool<T: Send>(
+/// stealing, slot-addressed results. Each worker hands `exec` its own
+/// state `W`, which lives as long as the worker. Returns the slot
+/// vectors and whether every slot was filled (`false` after a stop).
+pub(crate) fn run_pool<T: Send, W: Default>(
     counts: &[u32],
     threads: usize,
     control: &EngineControl,
-    exec: impl Fn(usize, u32) -> T + Sync,
+    exec: impl Fn(&mut W, usize, u32) -> T + Sync,
 ) -> (Vec<Vec<Option<T>>>, bool) {
     let total: u32 = counts.iter().sum();
     let threads = resolve_threads(threads).max(1);
@@ -261,6 +262,7 @@ pub(crate) fn run_pool<T: Send>(
     }
     let sched = Scheduler::new(total, threads);
     let work = |me: usize| {
+        let mut state = W::default();
         while control.proceed() {
             let Some(flat) = sched.claim(me) else {
                 break;
@@ -278,7 +280,7 @@ pub(crate) fn run_pool<T: Send>(
                 Err(i) => i - 1,
             };
             let k = flat - offsets[g];
-            let t = exec(g, k);
+            let t = exec(&mut state, g, k);
             slots.lock().unwrap()[g][k as usize] = Some(t);
         }
     };
@@ -299,18 +301,21 @@ pub(crate) fn run_pool<T: Send>(
 
 /// The slot loop of every campaign: [`run_pool`] over `counts`, with the
 /// one place a finished slot is counted and reported to `sink`. `exec`
-/// adopts or executes slot `(group, k)`; `resumed` is how many slots the
-/// caller holds for adoption. Returns the filled slots (`None` after a
-/// stop) and the final counters.
-pub(crate) fn run_slots<T: Send>(
+/// adopts or executes slot `(group, k)` with its worker's state;
+/// `resumed` is how many slots the caller holds for adoption, so at
+/// most one worker starts per slot left to run. Returns the filled slots
+/// (`None` after a stop) and the final counters.
+pub(crate) fn run_slots<T: Send, W: Default>(
     counts: &[u32],
     threads: usize,
     control: &EngineControl,
     sink: &dyn EngineSink,
     resumed: u64,
-    exec: impl Fn(usize, u32) -> T + Sync,
+    exec: impl Fn(&mut W, usize, u32) -> T + Sync,
 ) -> (Option<Vec<Vec<T>>>, EngineProgress) {
-    let total = counts.iter().map(|&n| n as u64).sum();
+    let total: u64 = counts.iter().map(|&n| n as u64).sum();
+    let to_run = usize::try_from(total.saturating_sub(resumed)).unwrap_or(usize::MAX);
+    let threads = resolve_threads(threads).min(to_run);
     let done = AtomicU64::new(0);
     let started = std::time::Instant::now();
     let progress = |done: u64| EngineProgress {
@@ -319,8 +324,8 @@ pub(crate) fn run_slots<T: Send>(
         resumed,
         wall_nanos: started.elapsed().as_nanos() as u64,
     };
-    let (slots, complete) = run_pool(counts, threads, control, |g, k| {
-        let out = exec(g, k);
+    let (slots, complete) = run_pool(counts, threads, control, |w: &mut W, g, k| {
+        let out = exec(w, g, k);
         sink.progress(progress(done.fetch_add(1, Ordering::Relaxed) + 1));
         out
     });
@@ -517,6 +522,10 @@ impl CompletedSlots {
         self.map.lock().unwrap().remove(&(ci, k))
     }
 
+    fn holds(&self, ci: usize, k: u32) -> bool {
+        self.map.lock().unwrap().contains_key(&(ci, k))
+    }
+
     /// Parse a streamed JSONL record file back into the completed slots
     /// of a plain campaign over `classes`; see [`SlotPlan::adopt`].
     /// Returns the slots and how many lines were skipped.
@@ -659,6 +668,30 @@ pub fn run_campaign_engine_to_completion(
     run_engine(&ctx, classes, cfg, sink, control, resume)
 }
 
+/// [`run_campaign_engine`] sweeping every epoch interval a trial
+/// executes in (`always`) or none, instead of those at least two trials
+/// execute in. Exists so tests can hold every choice of swept intervals
+/// to byte-identity with full execution; like
+/// [`run_campaign_engine_to_completion`], it is not a mode.
+#[doc(hidden)]
+pub fn run_campaign_engine_sweeping(
+    always: bool,
+    app: &App,
+    classes: &[TargetClass],
+    cfg: &CampaignConfig,
+    sink: &dyn EngineSink,
+    control: &EngineControl,
+    resume: Option<CompletedSlots>,
+) -> EngineRun {
+    let sweeps = if always {
+        Sweeps::Always
+    } else {
+        Sweeps::Never
+    };
+    let ctx = TrialContext::build(app.clone(), cfg).sweeping(sweeps);
+    run_engine(&ctx, classes, cfg, sink, control, resume)
+}
+
 /// Run the trials of the campaign `classes` × `cfg` names on `ctx`, a
 /// context built for `cfg`'s [`ContextKey`] — by this campaign or by an
 /// earlier one with the same key.
@@ -676,19 +709,22 @@ fn run_engine(
     // slots contribute zero (their worlds ran in a previous process).
     let telemetry = Mutex::new((ExecStats::default(), ConvergeStats::default()));
     let resume = resume.unwrap_or_default();
-    let counts = vec![cfg.injections; classes.len()];
+    let plan = ctx.plan(classes, cfg, &|ci, k| resume.holds(ci, k));
     let adoptable = resume.len() as u64;
-    let (slots, progress) = run_slots(&counts, cfg.threads, control, sink, adoptable, |ci, k| {
+    let counts = [plan.len() as u32];
+    // A worker holds the sweep of one interval at a time, and only while
+    // the trials it claims fork in that interval.
+    let exec = |held: &mut Option<Interval>, _, i: u32| {
+        let p = &plan[i as usize];
+        let (ci, k) = (p.ci, p.k);
         if let Some(t) = resume.take(ci, k) {
             return t;
         }
-        let run = ctx.run_trial(
-            classes[ci],
-            Duration::Transient,
-            trial_seed(cfg.seed, ci, k),
-        );
+        let seed = trial_seed(cfg.seed, ci, k);
+        let (run, swept) = ctx.run_planned(p, classes[ci], seed, held);
         {
             let mut t = telemetry.lock().unwrap();
+            t.0.add(&swept);
             t.0.add(&run.world.exec_stats());
             t.1.add(&run.converge);
         }
@@ -703,7 +739,8 @@ fn run_engine(
         };
         sink.trial(&t);
         t
-    });
+    };
+    let (slots, progress) = run_slots(&counts, cfg.threads, control, sink, adoptable, exec);
     let Some(slots) = slots else {
         return EngineRun {
             result: None,
@@ -712,16 +749,17 @@ fn run_engine(
     };
 
     // Assemble the result in slot order — the same folds in the same
-    // order regardless of worker count or resume point.
+    // order regardless of worker count, resume point or plan order.
+    let mut done: Vec<TrialOutput> = slots.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|t| (t.ci, t.k));
+    let mut done = done.into_iter().peekable();
     let mut insns_total = 0u64;
     let mut results = Vec::new();
     let mut metrics: Vec<ClassMetrics> = Vec::new();
-    for (ci, class_slots) in slots.into_iter().enumerate() {
-        let class = classes[ci];
+    for (ci, &class) in classes.iter().enumerate() {
         let mut class_metrics = ClassMetrics::new(class);
         let mut tally = Tally::default();
-        let trials: Vec<TrialRecord> = class_slots
-            .into_iter()
+        let trials: Vec<TrialRecord> = std::iter::from_fn(|| done.next_if(|t| t.ci == ci))
             .map(|t| {
                 insns_total += t.insns;
                 if let Some(tm) = &t.metrics {
@@ -1086,7 +1124,7 @@ mod tests {
     #[test]
     fn pool_slots_are_complete_and_ordered() {
         let control = EngineControl::new();
-        let (slots, complete) = run_pool(&[5, 3], 3, &control, |g, k| (g, k));
+        let (slots, complete) = run_pool(&[5, 3], 3, &control, |_: &mut (), g, k| (g, k));
         assert!(complete);
         assert_eq!(slots.len(), 2);
         for (g, group) in slots.iter().enumerate() {
@@ -1099,7 +1137,7 @@ mod tests {
     #[test]
     fn pool_handles_empty_groups() {
         let control = EngineControl::new();
-        let (slots, complete) = run_pool(&[0, 4, 0, 2], 2, &control, |g, k| (g, k));
+        let (slots, complete) = run_pool(&[0, 4, 0, 2], 2, &control, |_: &mut (), g, k| (g, k));
         assert!(complete);
         assert!(slots[0].is_empty() && slots[2].is_empty());
         assert_eq!(slots[1][3], Some((1, 3)));
@@ -1110,7 +1148,7 @@ mod tests {
     fn stopped_pool_returns_partial() {
         let control = EngineControl::new();
         let ran = AtomicU64::new(0);
-        let (slots, complete) = run_pool(&[64], 1, &control, |_, k| {
+        let (slots, complete) = run_pool(&[64], 1, &control, |_: &mut (), _, k| {
             if ran.fetch_add(1, Ordering::Relaxed) + 1 == 10 {
                 control.stop();
             }
@@ -1275,7 +1313,7 @@ mod tests {
         let done = AtomicU64::new(0);
         std::thread::scope(|s| {
             s.spawn(|| {
-                let (_, complete) = run_pool(&[8], 2, &control, |_, k| {
+                let (_, complete) = run_pool(&[8], 2, &control, |_: &mut (), _, k| {
                     done.fetch_add(1, Ordering::Relaxed);
                     k
                 });

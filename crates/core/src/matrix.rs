@@ -1093,7 +1093,7 @@ pub fn run_matrix(
 
     // One slot: adopt it, or draw once and run the slot's columns. A
     // record the mode cannot read back completely is not adopted.
-    let exec = |g: usize, k: u32| -> Vec<MatrixTrial> {
+    let exec = |_: &mut (), g: usize, k: u32| -> Vec<MatrixTrial> {
         if let (Some(t), Some((_, read_aux))) = (resume.take(g, k), codec) {
             if let Some(aux) = read_aux(&t.record.detail) {
                 let trial = MatrixTrial {

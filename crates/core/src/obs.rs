@@ -47,6 +47,8 @@ pub struct TrialTrace {
     /// What early termination did to this one trial
     /// ([`ConvergeStats::ended`] says it in words).
     pub converge: ConvergeStats,
+    /// The scheduler round the trial's world stood at when it ended.
+    pub round: u64,
     /// Retained events per rank (index = rank), oldest first.
     pub streams: Vec<Vec<Event>>,
 }
@@ -388,8 +390,8 @@ impl CampaignMetrics {
 /// stay byte-identical across the trace, block, and slow paths.
 pub fn exec_cache_tsv(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String {
     format!(
-        "# exec_cache\tapp\tblock_hits\tblock_misses\ttrace_hits\ttrace_side_exits\tdemotions\ttrials_converged\tepoch_compares\tgranules_excused\tdecided_at_draw\n\
-         # exec_cache\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        "# exec_cache\tapp\tblock_hits\tblock_misses\ttrace_hits\ttrace_side_exits\tdemotions\ttrials_converged\tepoch_compares\tgranules_excused\tdecided_at_draw\tforked_at_round\tended_between_epochs\n\
+         # exec_cache\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
         app.name(),
         s.block_hits,
         s.block_misses,
@@ -400,6 +402,8 @@ pub fn exec_cache_tsv(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String 
         c.epoch_compares,
         c.granules_excused,
         c.decided_at_draw,
+        c.forked_at_round,
+        c.ended_between_epochs,
     )
 }
 
@@ -407,7 +411,7 @@ pub fn exec_cache_tsv(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String 
 /// `"telemetry"` discriminator so class-row consumers can skip it.
 pub fn exec_cache_jsonl(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> String {
     format!(
-        "{{\"telemetry\":\"exec_cache\",\"app\":\"{}\",\"block_hits\":{},\"block_misses\":{},\"trace_hits\":{},\"trace_side_exits\":{},\"demotions\":{},\"trials_converged\":{},\"epoch_compares\":{},\"granules_excused\":{},\"decided_at_draw\":{}}}\n",
+        "{{\"telemetry\":\"exec_cache\",\"app\":\"{}\",\"block_hits\":{},\"block_misses\":{},\"trace_hits\":{},\"trace_side_exits\":{},\"demotions\":{},\"trials_converged\":{},\"epoch_compares\":{},\"granules_excused\":{},\"decided_at_draw\":{},\"forked_at_round\":{},\"ended_between_epochs\":{}}}\n",
         app.name(),
         s.block_hits,
         s.block_misses,
@@ -418,6 +422,8 @@ pub fn exec_cache_jsonl(app: AppKind, s: &ExecStats, c: &ConvergeStats) -> Strin
         c.epoch_compares,
         c.granules_excused,
         c.decided_at_draw,
+        c.forked_at_round,
+        c.ended_between_epochs,
     )
 }
 

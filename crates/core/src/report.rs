@@ -418,10 +418,13 @@ mod tests {
         assert!(telem.jsonl().contains("\"block_hits\":"));
         assert!(telem
             .tsv()
-            .contains("\ttrials_converged\tepoch_compares\tgranules_excused\tdecided_at_draw\n"));
+            .contains("\ttrials_converged\tepoch_compares\tgranules_excused\tdecided_at_draw\tforked_at_round\tended_between_epochs\n"));
         assert!(telem
             .jsonl()
             .contains("\"trials_converged\":0,\"epoch_compares\":0"));
+        assert!(telem
+            .jsonl()
+            .contains("\"forked_at_round\":0,\"ended_between_epochs\":0}"));
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! Convergence-aware termination changes no record byte.
 //!
 //! A forked trial may end at the first epoch boundary where it is
-//! provably the golden run again. The claim under test is the strongest
-//! one available: across apps, class subsets, seeds, epoch cadences,
-//! worker counts and execution tiers, the campaign's record lines
-//! (`insns` included), tallies and `insns_total` equal those of the same
-//! campaign with every trial run to its own end — also when the campaign
-//! is killed at an arbitrary slot and resumed from its record file.
+//! provably the golden run again — or, in an interval the campaign swept,
+//! at the first round checkpoint between two epochs. The claim under
+//! test is the strongest one available: across apps, class subsets,
+//! seeds, epoch cadences, worker counts, execution tiers and choices of
+//! swept intervals (those two trials share, every one, none), the
+//! campaign's record lines (`insns` included), tallies and `insns_total`
+//! equal those of the same campaign with every trial run to its own end
+//! — also when the campaign is killed at an arbitrary slot and resumed
+//! from its record file.
 
 use fl_apps::{App, AppKind, AppParams};
+use fl_inject::engine::run_campaign_engine_sweeping;
 use fl_inject::{
     run_campaign_engine, run_campaign_engine_to_completion, sort_records_jsonl, CampaignConfig,
-    CampaignResult, CompletedSlots, ConvergeStats, EngineControl, TargetClass, VecSink,
+    CampaignResult, CompletedSlots, ConvergeStats, EngineControl, EngineRun, EngineSink,
+    TargetClass, VecSink,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -44,10 +49,41 @@ type Engine = fn(
     &App,
     &[TargetClass],
     &CampaignConfig,
-    &dyn fl_inject::EngineSink,
+    &dyn EngineSink,
     &EngineControl,
     Option<CompletedSlots>,
-) -> fl_inject::EngineRun;
+) -> EngineRun;
+
+fn sweep_always(
+    app: &App,
+    classes: &[TargetClass],
+    cfg: &CampaignConfig,
+    sink: &dyn EngineSink,
+    control: &EngineControl,
+    resume: Option<CompletedSlots>,
+) -> EngineRun {
+    run_campaign_engine_sweeping(true, app, classes, cfg, sink, control, resume)
+}
+
+fn sweep_never(
+    app: &App,
+    classes: &[TargetClass],
+    cfg: &CampaignConfig,
+    sink: &dyn EngineSink,
+    control: &EngineControl,
+    resume: Option<CompletedSlots>,
+) -> EngineRun {
+    run_campaign_engine_sweeping(false, app, classes, cfg, sink, control, resume)
+}
+
+/// The engines that end trials early: sweeping the intervals at least
+/// two executing trials fork in (the campaign's own rule), every one,
+/// none.
+const ENDING: [(&str, Engine); 3] = [
+    ("shared", run_campaign_engine),
+    ("always", sweep_always),
+    ("never", sweep_never),
+];
 
 /// Completion-order record lines and the assembled result.
 fn run(
@@ -69,7 +105,7 @@ fn canonical(lines: &[String]) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(14))]
+    #![proptest_config(ProptestConfig::with_cases(18))]
 
     #[test]
     fn terminated_campaigns_equal_full_execution(
@@ -80,8 +116,10 @@ proptest! {
         threads in prop_oneof![Just(1usize), Just(4usize)],
         fastpath in any::<bool>(),
         cut in 0usize..32,
+        sweeps in 0usize..3,
     ) {
         let app = app(AppKind::ALL[app_idx]);
+        let (sweeps, engine) = ENDING[sweeps];
         let classes = classes(mask);
         let cfg = CampaignConfig {
             injections: INJECTIONS,
@@ -91,12 +129,12 @@ proptest! {
             fastpath,
             ..Default::default()
         };
-        let what = format!("{} {:?} {:?}", app.kind, classes, cfg);
+        let what = format!("{} {:?} {:?} sweeping {}", app.kind, classes, cfg, sweeps);
 
         let (full_lines, full) =
             run(run_campaign_engine_to_completion, app, &classes, &cfg, None);
         prop_assert_eq!(full.converge, ConvergeStats::default(), "reference ran on: {}", &what);
-        let (lines, ended) = run(run_campaign_engine, app, &classes, &cfg, None);
+        let (lines, ended) = run(engine, app, &classes, &cfg, None);
 
         prop_assert_eq!(canonical(&lines), canonical(&full_lines), "records: {}", &what);
         prop_assert_eq!(ended.insns_total, full.insns_total, "insns_total: {}", &what);
@@ -109,7 +147,7 @@ proptest! {
         let file = lines[..cut].join("\n");
         let (slots, skipped) = CompletedSlots::from_jsonl(&file, &classes, INJECTIONS);
         prop_assert_eq!((slots.len(), skipped), (cut, 0));
-        let (fresh, resumed) = run(run_campaign_engine, app, &classes, &cfg, Some(slots));
+        let (fresh, resumed) = run(engine, app, &classes, &cfg, Some(slots));
         let mut all = lines[..cut].to_vec();
         all.extend(fresh);
         prop_assert_eq!(canonical(&all), canonical(&full_lines), "resume at {}: {}", cut, &what);
@@ -155,6 +193,35 @@ fn termination_actually_happens() {
                 r.converge
             );
             assert!(ended <= correct as u64);
+        }
+    }
+}
+
+/// Nor may the sweep plane: trials do fork from round checkpoints and do
+/// end between epochs — on every app, at every cadence with rounds
+/// between its epochs — when every interval is swept, and a sweep ends
+/// no fewer trials early.
+#[test]
+fn sweeps_actually_fork_and_end_between_epochs() {
+    for kind in AppKind::ALL {
+        for epoch_rounds in [4, 16, 64] {
+            let cfg = CampaignConfig {
+                injections: 6,
+                seed: 0x5EE9,
+                threads: 2,
+                epoch_rounds,
+                ..Default::default()
+            };
+            let classes = [TargetClass::Stack, TargetClass::Heap, TargetClass::Data];
+            let (_, swept) = run(sweep_always, app(kind), &classes, &cfg, None);
+            let (_, plain) = run(sweep_never, app(kind), &classes, &cfg, None);
+            let (s, p) = (swept.converge, plain.converge);
+            let what = format!("{kind} every {epoch_rounds}: {s:?}");
+            assert!(s.forked_at_round > 0, "{what}");
+            assert!(s.ended_between_epochs > 0, "{what}");
+            assert_eq!(p.forked_at_round + p.ended_between_epochs, 0, "{what}");
+            let early = |c: ConvergeStats| c.trials_converged + c.decided_at_draw;
+            assert!(early(s) >= early(p), "{what}");
         }
     }
 }

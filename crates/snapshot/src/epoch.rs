@@ -4,7 +4,7 @@
 //! at instead of re-executing the fault-free *suffix* (see
 //! [`EpochCache::converged`] and the crate documentation).
 
-use fl_machine::{ProgramImage, ReadStamps, SharedCode};
+use fl_machine::{ExecStats, ProgramImage, ReadStamps, SharedCode};
 use fl_mpi::{Clock, Launch, MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
 
 /// One checkpoint of a clean world, taken at a scheduler-round boundary.
@@ -53,6 +53,11 @@ impl Epoch {
 /// forks on average within an eighth of the run of its fire point; with at
 /// most eight, a campaign can hold one set per world configuration.
 const CLEAN_EPOCHS: usize = 8;
+
+/// The most round checkpoints an [`Interval`] holds, its opening epoch
+/// included, whatever the epoch cadence: every round at the default
+/// cadence of 16, evenly spaced at a coarser one.
+pub const SWEEP_CHECKPOINTS: u64 = 16;
 
 /// Checkpoints of one clean run, ordered by round.
 ///
@@ -289,8 +294,125 @@ impl EpochCache {
     /// arming — and is where nothing has run, so it is the answer when no
     /// later epoch is.
     pub fn best_for(&self, faults: &[(u16, Clock, u64)]) -> &Epoch {
-        let serves = |e: &&Epoch| faults.iter().all(|&(r, c, at)| e.serves(r, c, at));
-        let later = self.epochs[1..].iter().rev().find(serves);
-        later.unwrap_or(&self.epochs[0])
+        &self.epochs[self.best_index(faults)]
+    }
+
+    /// The index of the epoch [`EpochCache::best_for`] picks: the interval
+    /// a trial armed with `faults` opens, and the one [`EpochCache::sweep`]
+    /// would step for it.
+    pub fn best_index(&self, faults: &[(u16, Clock, u64)]) -> usize {
+        latest_serving(&self.epochs, faults)
+    }
+
+    /// Step the golden run through the interval epoch `open` opens — up
+    /// to the next epoch, or for the last one up to the golden exit —
+    /// checkpointing it at most [`SWEEP_CHECKPOINTS`] times, evenly
+    /// spaced. One sweep costs about one interval of execution; every
+    /// trial that forks from `open` can then fork from the latest
+    /// checkpoint before its fire point instead, and be compared with the
+    /// golden run at every checkpoint round after it
+    /// ([`EpochCache::converged_between`]).
+    pub fn sweep(&self, open: usize) -> Interval {
+        let start = &self.epochs[open];
+        // The last round a checkpoint may be taken after: the round
+        // before the closing epoch's, or the golden run's last full one.
+        let last = match self.epochs.get(open + 1) {
+            Some(close) => close.round - 1,
+            None => self.rounds,
+        };
+        let span = last + 1 - start.round;
+        let every = span.div_ceil(SWEEP_CHECKPOINTS).max(1);
+        let mut world = start.snap.restore();
+        let mut checkpoints = vec![start.clone()];
+        let mut round = start.round + every;
+        while round <= last {
+            while world.round() < round {
+                let exit = world.run_round();
+                assert!(exit.is_none(), "the golden run ended inside an interval");
+            }
+            checkpoints.push(Epoch {
+                snap: world.snapshot(),
+                round,
+            });
+            round += every;
+        }
+        Interval {
+            open,
+            every,
+            checkpoints,
+            exec: world.exec_stats(),
+        }
+    }
+
+    /// Is `world` — a trial whose fault has fired, standing at the round
+    /// of one of `interval`'s checkpoints other than its opening epoch —
+    /// provably the golden run again? As [`EpochCache::converged`], but
+    /// between two epochs: a granule may differ only if the golden run
+    /// last read it in an interval no later than the one the opening
+    /// epoch closes. A granule stamped with the interval that is open at
+    /// this round may still be read before the next epoch, so it is
+    /// never excused here. `None` also when `interval` holds no
+    /// checkpoint at the world's round.
+    pub fn converged_between(&self, interval: &Interval, world: &MpiWorld) -> Option<u64> {
+        let cp = interval.at(world.round())?;
+        // `open` indexes a held epoch, and their count was checked to fit.
+        world.converged_on(&cp.snap, &self.stamps, interval.open as u32)
+    }
+}
+
+/// The index of the latest of `epochs` at which none of `faults` has
+/// fired, 0 when no later one is.
+fn latest_serving(epochs: &[Epoch], faults: &[(u16, Clock, u64)]) -> usize {
+    let serves = |e: &Epoch| faults.iter().all(|&(r, c, at)| e.serves(r, c, at));
+    (1..epochs.len())
+        .rev()
+        .find(|&i| serves(&epochs[i]))
+        .unwrap_or(0)
+}
+
+/// One epoch interval of the golden run, stepped round by round by
+/// [`EpochCache::sweep`]: checkpoints evenly spaced from the opening
+/// epoch up to the closing one (or the golden exit). Held by a worker
+/// only while it runs the trials that fork from the opening epoch.
+pub struct Interval {
+    open: usize,
+    every: u64,
+    /// Oldest first; the first is the opening epoch itself.
+    checkpoints: Vec<Epoch>,
+    exec: ExecStats,
+}
+
+impl Interval {
+    /// Index of the epoch that opens the interval.
+    pub fn open(&self) -> usize {
+        self.open
+    }
+
+    /// All checkpoints, oldest first; the first is the opening epoch.
+    pub fn checkpoints(&self) -> &[Epoch] {
+        &self.checkpoints
+    }
+
+    /// [`EpochCache::best_for`] over this interval's checkpoints: the
+    /// latest at which none of `faults` has fired. For faults whose best
+    /// epoch opens this interval the opening epoch always serves, so
+    /// this is never earlier than it.
+    pub fn best_for(&self, faults: &[(u16, Clock, u64)]) -> &Epoch {
+        &self.checkpoints[latest_serving(&self.checkpoints, faults)]
+    }
+
+    /// The checkpoint taken after exactly `round` rounds, the opening
+    /// epoch excepted.
+    pub fn at(&self, round: u64) -> Option<&Epoch> {
+        let from = round.checked_sub(self.checkpoints[0].round)?;
+        let i = usize::try_from(from / self.every).ok()?;
+        let held = from.is_multiple_of(self.every) && i > 0;
+        held.then(|| self.checkpoints.get(i)).flatten()
+    }
+
+    /// The guest execution the sweep did, which is execution the
+    /// campaign paid for like any trial's.
+    pub fn exec_stats(&self) -> ExecStats {
+        self.exec
     }
 }

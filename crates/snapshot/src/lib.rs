@@ -50,6 +50,14 @@
 //!   which is why `fl-mpi` fires an injection *inside* the victim's
 //!   quantum instead of clipping the quantum at the fire point. Trials
 //!   that record events are never ended early.
+//! * **Interval sweeps** — when several trials fork from one epoch,
+//!   [`EpochCache::sweep`] steps the golden run through the interval it
+//!   opens once, keeping up to [`SWEEP_CHECKPOINTS`] round checkpoints
+//!   ([`Interval`]). Each of those trials then forks from the latest
+//!   checkpoint before its fire point instead of from the epoch, and is
+//!   compared at every checkpoint round
+//!   ([`EpochCache::converged_between`]), where only granules the golden
+//!   run last read before the opening epoch may differ.
 //!
 //! Forking is valid whenever trial and golden run share their prefix.
 //! Deterministic applications always do; moldyn's arrival-order shuffle
@@ -60,6 +68,6 @@
 
 pub mod epoch;
 
-pub use epoch::{Epoch, EpochCache};
+pub use epoch::{Epoch, EpochCache, Interval, SWEEP_CHECKPOINTS};
 pub use fl_machine::{MachineSnapshot, MemorySnapshot};
 pub use fl_mpi::WorldSnapshot;

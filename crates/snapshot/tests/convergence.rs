@@ -174,3 +174,90 @@ fn the_budget_is_patched_into_every_checkpoint() {
     }
     assert_eq!(cache.converged(2, &w), Some(0));
 }
+
+#[test]
+fn round_checkpoints_are_the_golden_run_at_their_rounds() {
+    for (kind, every_rounds) in [(AppKind::Wavetoy, 16), (AppKind::Jacobi3d, 64)] {
+        let app = tiny(kind);
+        let mut cfg = app.world_config(BUDGET);
+        cfg.quantum = 10_000;
+        let launch = fl_mpi::Launch::new(&app.image, cfg.machine, None);
+        let (cache, _) = EpochCache::run_golden(&launch, cfg, every_rounds);
+        // The first interval, one in the middle, and the last, which
+        // ends at the golden exit instead of at an epoch.
+        for open in [0, cache.len() / 2, cache.len() - 1] {
+            let interval = cache.sweep(open);
+            let cps = interval.checkpoints();
+            assert!(cps.len() as u64 <= fl_snap::SWEEP_CHECKPOINTS, "{kind}");
+            let opening = &cache.epochs()[open];
+            assert!(cps[0].round == opening.round && cps[0].snap == opening.snap);
+            // A cold world stepped to each checkpoint's round is that
+            // checkpoint.
+            let mut cold = launch.world(cfg);
+            for cp in cps {
+                while cold.round() < cp.round {
+                    assert!(cold.run_round().is_none());
+                }
+                assert!(cold.snapshot() == cp.snap, "{kind} round {}", cp.round);
+                assert_eq!(interval.at(cp.round).is_some(), cp.round > cps[0].round);
+            }
+            // Stepped on from the last checkpoint, the sweep reaches the
+            // closing epoch — or, for the last interval, the golden exit.
+            let mut w = cps.last().unwrap().snap.restore();
+            match cache.epochs().get(open + 1) {
+                Some(close) => {
+                    let every = cps.get(1).map_or(close.round, |c| c.round) - cps[0].round;
+                    assert_eq!(close.round - cps.last().unwrap().round, every);
+                    while w.round() < close.round {
+                        assert!(w.run_round().is_none());
+                    }
+                    assert!(
+                        w.snapshot() == close.snap,
+                        "{kind} closing epoch {}",
+                        open + 1
+                    );
+                }
+                None => assert_eq!(w.run(), WorldExit::Clean),
+            }
+        }
+    }
+}
+
+#[test]
+fn between_epochs_only_granules_stamped_by_the_opening_epoch_are_excused() {
+    let app = tiny(AppKind::Wavetoy);
+    let cache = golden(&app, 16, true);
+    let open = cache.len() / 2;
+    let interval = cache.sweep(open);
+    // An unfaulted fork is the golden run at every checkpoint round.
+    let mut w = cache.epochs()[open].snap.restore();
+    let mut compared = 0;
+    while w.round() < interval.checkpoints().last().unwrap().round {
+        assert!(w.run_round().is_none());
+        assert_eq!(cache.converged_between(&interval, &w), Some(0));
+        compared += 1;
+    }
+    assert_eq!(compared, interval.checkpoints().len() - 1);
+    // No checkpoint at the opening epoch's own round: that compare is
+    // the epoch's.
+    let at_open = cache.epochs()[open].snap.restore();
+    assert_eq!(cache.converged_between(&interval, &at_open), None);
+
+    // A granule last read before the opening epoch is dead at every
+    // round of the interval; one stamped with the interval the opening
+    // epoch starts may still be read before the closing one, so it is
+    // not excused even where a boundary compare at the closing epoch
+    // would excuse it.
+    let mid = &interval.checkpoints()[interval.checkpoints().len() / 2];
+    let stamps = cache.stamps(1);
+    let (dead, _) = stamps.iter().find(|&(_, s)| s as usize == open).unwrap();
+    let (open_next, _) = stamps
+        .iter()
+        .find(|&(_, s)| s as usize == open + 1)
+        .unwrap();
+    let mut w = mid.snap.restore();
+    w.machine_mut(1).flip_mem_bit(dead, 0);
+    assert_eq!(cache.converged_between(&interval, &w), Some(1));
+    w.machine_mut(1).flip_mem_bit(open_next, 0);
+    assert_eq!(cache.converged_between(&interval, &w), None);
+}
