@@ -308,9 +308,10 @@ impl ContextKey {
 /// [`TrialContext::build`]: the app, its golden run, the fault
 /// dictionaries, the hang budget, the epoch snapshots with their read
 /// stamps, the launch every world starts from, and the recording and
-/// execution-tier settings. [`TrialContext::run_trial`] is the one place
-/// a trial is executed. It holds nothing of the campaign that is not in
-/// its [`ContextKey`] — no seed, region list, injection count or worker
+/// execution-tier settings. [`TrialContext::plan`] lays a campaign's
+/// trials out and [`TrialContext::run_planned`] is the one place a trial
+/// is executed. It holds nothing of the campaign that is not in its
+/// [`ContextKey`] — no seed, region list, injection count or worker
 /// count — so campaigns with equal keys can share one.
 pub(crate) struct TrialContext {
     pub(crate) app: App,
@@ -337,7 +338,7 @@ pub(crate) struct TrialContext {
     sweeps: Sweeps,
 }
 
-/// Which epoch intervals a plain campaign that ends trials early sweeps
+/// Which epoch intervals a campaign that ends trials early sweeps
 /// ([`EpochCache::sweep`]) before running the trials that fork in them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Sweeps {
@@ -346,19 +347,25 @@ pub(crate) enum Sweeps {
     /// half of one.
     Shared,
     /// Every interval an executing trial forks in, one trial or more.
+    #[cfg(test)]
     Always,
     /// None: every trial forks from its epoch and is compared only at
     /// epoch boundaries.
+    #[cfg(test)]
     Never,
 }
 
-/// One slot of a plain campaign in execution order: its coordinates, the
-/// epoch its trial forks from and whether that epoch's interval is swept
-/// before the trial runs.
+/// One slot of a campaign in execution order: everything its trial is a
+/// function of — its coordinates `(ci, k)`, its class, seed and flip
+/// duration — the epoch it forks from and whether that epoch's interval
+/// is swept before it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Planned {
     pub(crate) ci: usize,
     pub(crate) k: u32,
+    pub(crate) class: TargetClass,
+    pub(crate) seed: u64,
+    pub(crate) duration: Duration,
     /// Index of the fork epoch (0 without epochs).
     pub(crate) epoch: usize,
     pub(crate) swept: bool,
@@ -411,6 +418,7 @@ impl TrialContext {
     /// The same context with early termination off: every trial runs to
     /// its own end. Test-only — the reference that terminated campaigns
     /// must match byte for byte.
+    #[cfg(test)]
     pub(crate) fn run_to_completion(mut self) -> TrialContext {
         self.converge = false;
         self
@@ -420,6 +428,7 @@ impl TrialContext {
     /// like [`TrialContext::run_to_completion`]: which intervals are swept
     /// must change no record byte, so tests hold every choice to the
     /// run-to-completion reference.
+    #[cfg(test)]
     pub(crate) fn sweeping(mut self, sweeps: Sweeps) -> TrialContext {
         self.sweeps = sweeps;
         self
@@ -448,68 +457,82 @@ impl TrialContext {
         }
     }
 
-    /// The draw-first plan of the campaign `classes` × `cfg`: every slot
-    /// not `adopted`, its fault drawn (draws are pure in `(seed, ci, k)`),
-    /// grouped by the epoch its trial forks from, with the intervals to
-    /// sweep marked ([`Sweeps`]); the adopted slots first, then those
-    /// decided at their draw. Trials only run in another order — their
-    /// records still land in their `(ci, k)` slots — and the plan is a
-    /// function of the campaign and the adopted set alone, never of the
-    /// worker count.
+    /// The draw-first plan of the campaign `classes` × `cfg`, its flips
+    /// lasting `duration`: every slot, its fault drawn (draws are pure in
+    /// `(seed, ci, k)`), grouped by the epoch its trial forks from, with
+    /// the intervals to sweep marked ([`Sweeps`]); the `adopted` slots
+    /// first, then those decided at their draw. Adopted slots are drawn
+    /// and counted like the others, so a resumed campaign sweeps the
+    /// intervals the fresh one swept: adoption decides only where a slot
+    /// stands. Trials only run in another order — their records still
+    /// land in their `(ci, k)` slots — and the plan is a function of the
+    /// campaign and the adopted set alone, never of the worker count.
     pub(crate) fn plan(
         &self,
         classes: &[TargetClass],
         cfg: &CampaignConfig,
+        duration: Duration,
         adopted: &dyn Fn(usize, u32) -> bool,
     ) -> Vec<Planned> {
-        let mut plan = Vec::new();
         let mut executing = vec![0u32; self.epochs.as_ref().map_or(1, EpochCache::len)];
         let mut drawn = Vec::new();
         for (ci, &class) in classes.iter().enumerate() {
             for k in 0..cfg.injections {
-                let at = |epoch| Planned {
+                let seed = trial_seed(cfg.seed, ci, k);
+                let d = self.draw(class, duration, seed);
+                let epoch = d.epoch.unwrap_or(0);
+                executing[epoch] += u32::from(!d.dead);
+                let p = Planned {
                     ci,
                     k,
+                    class,
+                    seed,
+                    duration,
                     epoch,
                     swept: false,
                 };
-                if adopted(ci, k) {
-                    plan.push(at(0));
-                    continue;
-                }
-                let d = self.draw(class, Duration::Transient, trial_seed(cfg.seed, ci, k));
-                let epoch = d.epoch.unwrap_or(0);
-                executing[epoch] += u32::from(!d.dead);
-                drawn.push((at(epoch), d.dead));
+                drawn.push((adopted(ci, k), d.dead, p));
             }
         }
-        // Trials decided at their draw first: they finish at once. Within
-        // an interval, trial index before region: the first trial also
-        // waits for the interval's sweep, and the regions take turns.
-        drawn.sort_by_key(|&(p, dead)| (!dead, p.epoch, p.k, p.ci));
+        // Adopted slots and trials decided at their draw first: they finish
+        // at once. Within an interval, trial index before region: the
+        // first trial also waits for the interval's sweep, and the regions
+        // take turns.
+        drawn.sort_by_key(|&(adopted, dead, p)| (!adopted, !dead, p.epoch, p.k, p.ci));
         let least = match self.sweeps {
             Sweeps::Shared => 2,
+            #[cfg(test)]
             Sweeps::Always => 1,
+            #[cfg(test)]
             Sweeps::Never => u32::MAX,
         };
         let sweep = self.converge && self.epochs.is_some();
-        plan.extend(drawn.into_iter().map(|(p, dead)| Planned {
-            swept: sweep && !dead && executing[p.epoch] >= least,
+        let swept = |dead: bool, p: &Planned| sweep && !dead && executing[p.epoch] >= least;
+        let planned = drawn.into_iter().map(|(_, dead, p)| Planned {
+            swept: swept(dead, &p),
             ..p
-        }));
-        plan
+        });
+        planned.collect()
     }
 
-    /// Run planned slot `p`, a trial of `class` with seed `seed`, as a
-    /// worker does. `held` is the one interval sweep the worker holds: it
-    /// is let go when `p` forks in another interval, and made when `p`'s
+    /// Run planned slot `p` as a worker does: the one place a trial is
+    /// executed. `held` is the one interval sweep the worker holds: it is
+    /// let go when `p` forks in another interval, and made when `p`'s
     /// interval is swept and not held. Returns the run and the guest
     /// execution of a sweep made for it, which the campaign paid for too.
+    ///
+    /// The trial forks from the latest checkpoint its injection point
+    /// permits: of its interval's sweep when the plan swept it, else its
+    /// epoch. Swept, it is compared with the golden run at every
+    /// checkpoint round after its fault is spent, not only at epoch
+    /// boundaries. Cold and forked trials consume the identical random
+    /// sequence — the complete fault specification is drawn before any
+    /// world exists — so a campaign produces the same records either way;
+    /// forking only skips the redundant fault-free prefix, and
+    /// convergence only the redundant fault-free suffix.
     pub(crate) fn run_planned(
         &self,
         p: &Planned,
-        class: TargetClass,
-        seed: u64,
         held: &mut Option<Interval>,
     ) -> (TrialRun, ExecStats) {
         if held.as_ref().is_some_and(|h| h.open() != p.epoch) {
@@ -522,41 +545,8 @@ impl TrialContext {
             *held = Some(interval);
         }
         let interval = held.as_ref().filter(|_| p.swept);
-        let run = self.run_trial_on(class, Duration::Transient, seed, interval);
-        (run, swept)
-    }
-
-    /// Execute one injection experiment, forking from the latest
-    /// eligible epoch checkpoint when the campaign has them.
-    ///
-    /// Cold and forked trials consume the identical random sequence —
-    /// the complete fault specification is drawn before any world exists
-    /// — so a campaign produces the same records either way; forking
-    /// only skips the redundant fault-free prefix, and convergence only
-    /// the redundant fault-free suffix.
-    pub(crate) fn run_trial(
-        &self,
-        class: TargetClass,
-        duration: Duration,
-        trial_seed: u64,
-    ) -> TrialRun {
-        self.run_trial_on(class, duration, trial_seed, None)
-    }
-
-    /// [`TrialContext::run_trial`] on `interval`, the sweep of the
-    /// interval the trial's fork epoch opens, when the plan swept it: the
-    /// trial forks from the latest round checkpoint its fault has not
-    /// fired by, and is compared with the golden run at every checkpoint
-    /// round after its fault is spent, not only at epoch boundaries.
-    pub(crate) fn run_trial_on(
-        &self,
-        class: TargetClass,
-        duration: Duration,
-        trial_seed: u64,
-        interval: Option<&Interval>,
-    ) -> TrialRun {
         let app = &self.app;
-        let drawn = self.draw(class, duration, trial_seed);
+        let drawn = self.draw(p.class, p.duration, p.seed);
         let (rank, detail) = (drawn.fault.rank, drawn.detail);
         debug_assert!(interval.is_none_or(|i| Some(i.open()) == drawn.epoch));
 
@@ -594,9 +584,9 @@ impl TrialContext {
                 (classify(&exit, &output, &self.golden.output), insns)
             }
         };
-        TrialRun {
+        let run = TrialRun {
             record: TrialRecord {
-                class,
+                class: p.class,
                 detail,
                 outcome,
             },
@@ -604,7 +594,8 @@ impl TrialContext {
             insns,
             world,
             converge,
-        }
+        };
+        (run, swept)
     }
 
     /// Does the drawn flip land where nothing reads again, so that the
@@ -677,14 +668,14 @@ pub fn replay_trial(
 ) -> TrialTrace {
     assert!(ci < classes.len(), "class index {ci} out of range");
     assert!(k < cfg.injections, "trial index {k} out of range");
-    let seed = trial_seed(cfg.seed, ci, k);
     let ctx = TrialContext::build(app.clone(), cfg);
     // Run it as the campaign did: on the sweep of its interval if the
-    // campaign's plan swept it.
-    let plan = ctx.plan(classes, cfg, &|_, _| false);
+    // campaign's plan swept it — whether this process ran the trial or a
+    // resumed one did, since the plan counts adopted slots alike.
+    let plan = ctx.plan(classes, cfg, Duration::Transient, &|_, _| false);
     let slot = plan.iter().find(|p| (p.ci, p.k) == (ci, k));
     let slot = slot.expect("the plan holds every slot");
-    let (run, _) = ctx.run_planned(slot, classes[ci], seed, &mut None);
+    let (run, _) = ctx.run_planned(slot, &mut None);
     TrialTrace {
         record: run.record,
         rank: run.rank,
@@ -998,23 +989,59 @@ mod tests {
     fn replay_ends_trials_as_the_campaign_did() {
         // Replay plans the campaign it reproduces, so a trial the campaign
         // ran on its interval's sweep is replayed on it too: summed over
-        // every trial, replay's counters are the campaign's.
+        // every trial, replay's counters are the campaign's — and summed
+        // over the trials a resumed campaign executed, the resumed run's.
+        use crate::engine::{parse_record_line, run_campaign_engine};
+        use crate::engine::{CompletedSlots, EngineControl, NullSink, VecSink};
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
         let classes = [TargetClass::Stack, TargetClass::Heap];
         let cfg = CampaignConfig {
             injections: 8,
             seed: 77,
+            threads: 1,
             ..Default::default()
         };
-        let result = run(&app, &classes, &cfg);
+        let control = EngineControl::new();
+        let sink = VecSink::new(app.kind);
+        let result = run_campaign_engine(&app, &classes, &cfg, &sink, &control, None);
+        let (result, lines) = (result.result.unwrap(), sink.into_lines());
+        let replay = |p: &Planned| replay_trial(&app, &classes, &cfg, p.ci, p.k).converge;
+        let ctx = TrialContext::build(app.clone(), &cfg);
+        let plan = ctx.plan(&classes, &cfg, Duration::Transient, &|_, _| false);
+        let replays: Vec<ConvergeStats> = plan.iter().map(replay).collect();
         let mut replayed = ConvergeStats::default();
-        for ci in 0..classes.len() {
-            for k in 0..cfg.injections {
-                replayed.add(&replay_trial(&app, &classes, &cfg, ci, k).converge);
-            }
-        }
+        replays.iter().for_each(|c| replayed.add(c));
         assert_eq!(replayed, result.converge);
         assert!(replayed.ended_between_epochs > 0, "{replayed:?}");
+
+        // One worker completes the slots in plan order. Kill it at a cut
+        // that leaves one trial of a swept interval to the resumed run
+        // alone, a trial the sweep forked at a round checkpoint or ended
+        // between epochs.
+        for (line, p) in lines.iter().zip(&plan) {
+            let t = parse_record_line(line).unwrap();
+            assert_eq!((t.ci, t.k), (p.ci, p.k));
+        }
+        let swept_in = |slots: &[Planned], epoch| {
+            let swept = slots.iter().filter(|q| q.swept && q.epoch == epoch);
+            swept.count()
+        };
+        let splits = |cut: usize| {
+            let (p, c) = (&plan[cut], replays[cut]);
+            let lone = swept_in(&plan[cut..], p.epoch) == 1 && swept_in(&plan[..cut], p.epoch) > 0;
+            p.swept && lone && c.forked_at_round + c.ended_between_epochs > 0
+        };
+        let cut = (1..plan.len()).find(|&cut| splits(cut));
+        let cut = cut.expect("a cut that splits a swept interval");
+        let (adopted, _) = CompletedSlots::from_jsonl(&lines[..cut].join("\n"), &classes, 8);
+        let resumed = run_campaign_engine(&app, &classes, &cfg, &NullSink, &control, Some(adopted));
+        let mut executed = ConvergeStats::default();
+        replays[cut..].iter().for_each(|c| executed.add(c));
+        assert_eq!(
+            resumed.result.unwrap().converge,
+            executed,
+            "resumed at {cut}"
+        );
     }
 
     #[test]
@@ -1081,11 +1108,10 @@ mod tests {
         let mut per_class = [Ends::default(); 8];
         let mut at_first = 0;
         let mut held = None;
-        for p in ctx.plan(&TargetClass::ALL, cfg, &|_, _| false) {
-            let (ci, k, class) = (p.ci, p.k, TargetClass::ALL[p.ci]);
+        for p in ctx.plan(&TargetClass::ALL, cfg, Duration::Transient, &|_, _| false) {
+            let (ci, k, class) = (p.ci, p.k, p.class);
             let ends = &mut per_class[ci];
-            let seed = trial_seed(cfg.seed, ci, k);
-            let (run, _) = ctx.run_planned(&p, class, seed, &mut held);
+            let (run, _) = ctx.run_planned(&p, &mut held);
             ends.correct += (run.record.outcome == Manifestation::Correct) as u32;
             let c = run.converge;
             ends.forked_at_round += c.forked_at_round as u32;
@@ -1255,13 +1281,26 @@ mod tests {
 
     #[test]
     fn recording_and_cold_campaigns_never_end_trials_early() {
+        // Six bss trials of seed 3 on a context built for `cfg`, run as a
+        // one-worker campaign runs them.
+        let bss_trials = |app: &App, cfg: CampaignConfig| {
+            let ctx = TrialContext::build(app.clone(), &cfg);
+            let cfg = CampaignConfig {
+                injections: 6,
+                seed: 3,
+                ..cfg
+            };
+            let mut held = None;
+            let plan = ctx.plan(&[TargetClass::Bss], &cfg, Duration::Transient, &|_, _| {
+                false
+            });
+            let run = |p: &Planned| ctx.run_planned(p, &mut held).0.converge;
+            plan.iter().map(run).collect::<Vec<_>>()
+        };
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
         let quiet = |cfg: CampaignConfig| {
-            let ctx = TrialContext::build(app.clone(), &cfg);
-            (0..6).all(|k| {
-                let run = ctx.run_trial(TargetClass::Bss, Duration::Transient, trial_seed(3, 0, k));
-                run.converge == ConvergeStats::default()
-            })
+            let trials = bss_trials(&app, cfg);
+            trials.iter().all(|c| *c == ConvergeStats::default())
         };
         // An event timeline is the product: those trials run on.
         assert!(quiet(CampaignConfig {
@@ -1276,10 +1315,9 @@ mod tests {
         assert!(!quiet(CampaignConfig::default()));
         // Nondeterministic apps fork and converge like the others.
         let moldyn = App::build(AppKind::Moldyn, AppParams::tiny(AppKind::Moldyn));
-        let ctx = TrialContext::build(moldyn, &CampaignConfig::default());
-        let ended = (0..6)
-            .map(|k| ctx.run_trial(TargetClass::Bss, Duration::Transient, trial_seed(3, 0, k)))
-            .filter(|run| run.converge.trials_converged + run.converge.decided_at_draw == 1)
+        let ended = bss_trials(&moldyn, CampaignConfig::default())
+            .iter()
+            .filter(|c| c.trials_converged + c.decided_at_draw == 1)
             .count();
         assert!(ended > 0, "no moldyn bss trial ended early");
     }

@@ -6,11 +6,11 @@
 //! into one place and adds the three capabilities the campaign service
 //! needs:
 //!
-//! * **Work stealing** — the flattened `(class, trial)` slot space is
-//!   split into one contiguous shard per worker; a worker that drains
-//!   its shard steals the upper half of the richest remaining shard.
-//!   Records stay slot-addressed, so the output is bit-identical no
-//!   matter which worker ran which trial.
+//! * **Work stealing** — the campaign's slots, in the order its plan
+//!   lays them out, are split into one contiguous shard per worker; a
+//!   worker that drains its shard steals the upper half of the richest
+//!   remaining shard. Records stay addressed by `(class, trial)`, so the
+//!   output is bit-identical no matter which worker ran which trial.
 //! * **Pause / stop** — workers consult an [`EngineControl`] between
 //!   trials. Pause parks them on a condvar mid-campaign; stop makes
 //!   them drain and exit, leaving a partial slot vector.
@@ -30,9 +30,10 @@
 //! way trials get scheduled, executed, counted and recorded.
 
 use crate::campaign::{
-    trial_seed, CampaignConfig, CampaignResult, ClassResult, ContextKey, ConvergeStats, Sweeps,
-    TrialContext, TrialRecord,
+    CampaignConfig, CampaignResult, ClassResult, ContextKey, ConvergeStats, TrialContext,
+    TrialRecord,
 };
+use crate::faultmodel::Duration;
 use crate::json::{escape, parse, Json};
 use crate::matrix::{run_matrix, ContractCheck, MatrixResult};
 use crate::obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, KIND_COUNT};
@@ -234,54 +235,28 @@ pub(crate) fn resolve_threads(n: usize) -> usize {
     }
 }
 
-/// The one scheduling loop every campaign flavour runs on: `counts[g]`
-/// trials per group, flattened, sharded across `threads` workers with
-/// stealing, slot-addressed results. Each worker hands `exec` its own
-/// state `W`, which lives as long as the worker. Returns the slot
-/// vectors and whether every slot was filled (`false` after a stop).
+/// The one scheduling loop every campaign flavour runs on: `total`
+/// slots, sharded across `threads` workers with stealing, results
+/// addressed by slot index. Each worker hands `exec` its own state `W`,
+/// which lives as long as the worker. Returns the slot vector and whether
+/// every slot was filled (`false` after a stop).
 pub(crate) fn run_pool<T: Send, W: Default>(
-    counts: &[u32],
+    total: u32,
     threads: usize,
     control: &EngineControl,
-    exec: impl Fn(&mut W, usize, u32) -> T + Sync,
-) -> (Vec<Vec<Option<T>>>, bool) {
-    let total: u32 = counts.iter().sum();
+    exec: impl Fn(&mut W, u32) -> T + Sync,
+) -> (Vec<Option<T>>, bool) {
     let threads = resolve_threads(threads).max(1);
-    let slots: Mutex<Vec<Vec<Option<T>>>> = Mutex::new(
-        counts
-            .iter()
-            .map(|&n| (0..n).map(|_| None).collect())
-            .collect(),
-    );
-    // Group offsets for flat-index → (group, k) translation.
-    let mut offsets = Vec::with_capacity(counts.len());
-    let mut acc = 0u32;
-    for &n in counts {
-        offsets.push(acc);
-        acc += n;
-    }
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..total).map(|_| None).collect());
     let sched = Scheduler::new(total, threads);
     let work = |me: usize| {
         let mut state = W::default();
         while control.proceed() {
-            let Some(flat) = sched.claim(me) else {
+            let Some(i) = sched.claim(me) else {
                 break;
             };
-            let g = match offsets.binary_search(&flat) {
-                Ok(i) => {
-                    // Equal offsets mark empty groups; the slot
-                    // belongs to the last group starting here.
-                    let mut i = i;
-                    while i + 1 < offsets.len() && offsets[i + 1] == flat {
-                        i += 1;
-                    }
-                    i
-                }
-                Err(i) => i - 1,
-            };
-            let k = flat - offsets[g];
-            let t = exec(&mut state, g, k);
-            slots.lock().unwrap()[g][k as usize] = Some(t);
+            let t = exec(&mut state, i);
+            slots.lock().unwrap()[i as usize] = Some(t);
         }
     };
     // The last worker is the calling thread: a one-worker campaign
@@ -295,44 +270,40 @@ pub(crate) fn run_pool<T: Send, W: Default>(
         work(threads - 1);
     });
     let slots = slots.into_inner().unwrap();
-    let complete = slots.iter().flatten().all(|s| s.is_some());
+    let complete = slots.iter().all(|s| s.is_some());
     (slots, complete)
 }
 
-/// The slot loop of every campaign: [`run_pool`] over `counts`, with the
-/// one place a finished slot is counted and reported to `sink`. `exec`
-/// adopts or executes slot `(group, k)` with its worker's state;
-/// `resumed` is how many slots the caller holds for adoption, so at
-/// most one worker starts per slot left to run. Returns the filled slots
-/// (`None` after a stop) and the final counters.
+/// The slot loop of every campaign: [`run_pool`] over `total` slots, with
+/// the one place a finished slot is counted and reported to `sink`.
+/// `exec` adopts or executes slot `i` with its worker's state; `resumed`
+/// is how many slots the caller holds for adoption, so at most one worker
+/// starts per slot left to run. Returns the filled slots (`None` after a
+/// stop) and the final counters.
 pub(crate) fn run_slots<T: Send, W: Default>(
-    counts: &[u32],
+    total: u32,
     threads: usize,
     control: &EngineControl,
     sink: &dyn EngineSink,
     resumed: u64,
-    exec: impl Fn(&mut W, usize, u32) -> T + Sync,
-) -> (Option<Vec<Vec<T>>>, EngineProgress) {
-    let total: u64 = counts.iter().map(|&n| n as u64).sum();
-    let to_run = usize::try_from(total.saturating_sub(resumed)).unwrap_or(usize::MAX);
+    exec: impl Fn(&mut W, u32) -> T + Sync,
+) -> (Option<Vec<T>>, EngineProgress) {
+    let to_run = usize::try_from(u64::from(total).saturating_sub(resumed)).unwrap_or(usize::MAX);
     let threads = resolve_threads(threads).min(to_run);
     let done = AtomicU64::new(0);
     let started = std::time::Instant::now();
     let progress = |done: u64| EngineProgress {
-        total,
+        total: total.into(),
         done,
         resumed,
         wall_nanos: started.elapsed().as_nanos() as u64,
     };
-    let (slots, complete) = run_pool(counts, threads, control, |w: &mut W, g, k| {
-        let out = exec(w, g, k);
+    let (slots, complete) = run_pool(total, threads, control, |w: &mut W, i| {
+        let out = exec(w, i);
         sink.progress(progress(done.fetch_add(1, Ordering::Relaxed) + 1));
         out
     });
-    let filled = complete.then(|| {
-        let fill = |group: Vec<Option<T>>| group.into_iter().flatten().collect();
-        slots.into_iter().map(fill).collect()
-    });
+    let filled = complete.then(|| slots.into_iter().flatten().collect());
     (filled, progress(done.load(Ordering::Relaxed)))
 }
 
@@ -651,47 +622,6 @@ pub fn run_campaign(app: &App, classes: &[TargetClass], cfg: &CampaignConfig) ->
         .expect("uncontrolled engine runs always complete")
 }
 
-/// [`run_campaign_engine`] with convergence-aware termination off: every
-/// trial executes to its own end. Exists so tests can hold campaigns
-/// that end trials early to byte-identity with full execution; it is not
-/// a mode — no spec key, flag or environment variable selects it.
-#[doc(hidden)]
-pub fn run_campaign_engine_to_completion(
-    app: &App,
-    classes: &[TargetClass],
-    cfg: &CampaignConfig,
-    sink: &dyn EngineSink,
-    control: &EngineControl,
-    resume: Option<CompletedSlots>,
-) -> EngineRun {
-    let ctx = TrialContext::build(app.clone(), cfg).run_to_completion();
-    run_engine(&ctx, classes, cfg, sink, control, resume)
-}
-
-/// [`run_campaign_engine`] sweeping every epoch interval a trial
-/// executes in (`always`) or none, instead of those at least two trials
-/// execute in. Exists so tests can hold every choice of swept intervals
-/// to byte-identity with full execution; like
-/// [`run_campaign_engine_to_completion`], it is not a mode.
-#[doc(hidden)]
-pub fn run_campaign_engine_sweeping(
-    always: bool,
-    app: &App,
-    classes: &[TargetClass],
-    cfg: &CampaignConfig,
-    sink: &dyn EngineSink,
-    control: &EngineControl,
-    resume: Option<CompletedSlots>,
-) -> EngineRun {
-    let sweeps = if always {
-        Sweeps::Always
-    } else {
-        Sweeps::Never
-    };
-    let ctx = TrialContext::build(app.clone(), cfg).sweeping(sweeps);
-    run_engine(&ctx, classes, cfg, sink, control, resume)
-}
-
 /// Run the trials of the campaign `classes` × `cfg` names on `ctx`, a
 /// context built for `cfg`'s [`ContextKey`] — by this campaign or by an
 /// earlier one with the same key.
@@ -709,19 +639,19 @@ fn run_engine(
     // slots contribute zero (their worlds ran in a previous process).
     let telemetry = Mutex::new((ExecStats::default(), ConvergeStats::default()));
     let resume = resume.unwrap_or_default();
-    let plan = ctx.plan(classes, cfg, &|ci, k| resume.holds(ci, k));
+    let plan = ctx.plan(classes, cfg, Duration::Transient, &|ci, k| {
+        resume.holds(ci, k)
+    });
     let adoptable = resume.len() as u64;
-    let counts = [plan.len() as u32];
     // A worker holds the sweep of one interval at a time, and only while
     // the trials it claims fork in that interval.
-    let exec = |held: &mut Option<Interval>, _, i: u32| {
+    let exec = |held: &mut Option<Interval>, i: u32| {
         let p = &plan[i as usize];
         let (ci, k) = (p.ci, p.k);
         if let Some(t) = resume.take(ci, k) {
             return t;
         }
-        let seed = trial_seed(cfg.seed, ci, k);
-        let (run, swept) = ctx.run_planned(p, classes[ci], seed, held);
+        let (run, swept) = ctx.run_planned(p, held);
         {
             let mut t = telemetry.lock().unwrap();
             t.0.add(&swept);
@@ -740,8 +670,9 @@ fn run_engine(
         sink.trial(&t);
         t
     };
-    let (slots, progress) = run_slots(&counts, cfg.threads, control, sink, adoptable, exec);
-    let Some(slots) = slots else {
+    let total = plan.len() as u32;
+    let (slots, progress) = run_slots(total, cfg.threads, control, sink, adoptable, exec);
+    let Some(mut done) = slots else {
         return EngineRun {
             result: None,
             progress,
@@ -750,7 +681,6 @@ fn run_engine(
 
     // Assemble the result in slot order — the same folds in the same
     // order regardless of worker count, resume point or plan order.
-    let mut done: Vec<TrialOutput> = slots.into_iter().flatten().collect();
     done.sort_unstable_by_key(|t| (t.ci, t.k));
     let mut done = done.into_iter().peekable();
     let mut insns_total = 0u64;
@@ -1124,38 +1054,32 @@ mod tests {
     #[test]
     fn pool_slots_are_complete_and_ordered() {
         let control = EngineControl::new();
-        let (slots, complete) = run_pool(&[5, 3], 3, &control, |_: &mut (), g, k| (g, k));
+        let (slots, complete) = run_pool(8, 3, &control, |_: &mut (), i| i);
         assert!(complete);
-        assert_eq!(slots.len(), 2);
-        for (g, group) in slots.iter().enumerate() {
-            for (k, s) in group.iter().enumerate() {
-                assert_eq!(*s, Some((g, k as u32)));
-            }
-        }
-    }
-
-    #[test]
-    fn pool_handles_empty_groups() {
-        let control = EngineControl::new();
-        let (slots, complete) = run_pool(&[0, 4, 0, 2], 2, &control, |_: &mut (), g, k| (g, k));
-        assert!(complete);
-        assert!(slots[0].is_empty() && slots[2].is_empty());
-        assert_eq!(slots[1][3], Some((1, 3)));
-        assert_eq!(slots[3][1], Some((3, 1)));
+        let want: Vec<_> = (0..8).map(Some).collect();
+        assert_eq!(slots, want);
+        // Each worker's state lives across the slots it claims.
+        let (slots, _) = run_pool(8, 1, &control, |seen: &mut u32, _| {
+            *seen += 1;
+            *seen
+        });
+        assert_eq!(slots, (1..=8).map(Some).collect::<Vec<_>>());
+        let (slots, complete) = run_pool(0, 2, &control, |_: &mut (), i| i);
+        assert!(slots.is_empty() && complete);
     }
 
     #[test]
     fn stopped_pool_returns_partial() {
         let control = EngineControl::new();
         let ran = AtomicU64::new(0);
-        let (slots, complete) = run_pool(&[64], 1, &control, |_: &mut (), _, k| {
+        let (slots, complete) = run_pool(64, 1, &control, |_: &mut (), i| {
             if ran.fetch_add(1, Ordering::Relaxed) + 1 == 10 {
                 control.stop();
             }
-            k
+            i
         });
         assert!(!complete);
-        let filled = slots[0].iter().filter(|s| s.is_some()).count();
+        let filled = slots.iter().filter(|s| s.is_some()).count();
         assert!((10..64).contains(&filled), "filled {filled}");
     }
 
@@ -1313,7 +1237,7 @@ mod tests {
         let done = AtomicU64::new(0);
         std::thread::scope(|s| {
             s.spawn(|| {
-                let (_, complete) = run_pool(&[8], 2, &control, |_: &mut (), _, k| {
+                let (_, complete) = run_pool(8, 2, &control, |_: &mut (), k| {
                     done.fetch_add(1, Ordering::Relaxed);
                     k
                 });
@@ -1351,5 +1275,200 @@ mod tests {
         // Adopted slots ran in another process: they contribute nothing.
         let (slots, _) = CompletedSlots::from_jsonl(&lines.join("\n"), &classes, 10);
         assert_eq!(run(2, Some(slots)).0, ConvergeStats::default());
+    }
+
+    /// Convergence-aware termination changes no record byte.
+    ///
+    /// A forked trial may end at the first epoch boundary where it is
+    /// provably the golden run again — or, in an interval the campaign
+    /// swept, at the first round checkpoint between two epochs. The claim
+    /// under test is the strongest one available: across apps, class
+    /// subsets, seeds, epoch cadences, worker counts, execution tiers and
+    /// choices of swept intervals (those two trials share, every one,
+    /// none), the campaign's record lines (`insns` included), tallies and
+    /// `insns_total` equal those of the same campaign with every trial run
+    /// to its own end — also when the campaign is killed at an arbitrary
+    /// slot and resumed from its record file.
+    mod prop_converge {
+        use super::super::*;
+        use crate::campaign::Sweeps;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        const INJECTIONS: u32 = 4;
+
+        fn app(kind: AppKind) -> &'static App {
+            static APPS: OnceLock<Vec<App>> = OnceLock::new();
+            let apps = APPS.get_or_init(|| {
+                let kinds = AppKind::ALL.iter();
+                kinds.map(|&k| App::build(k, AppParams::tiny(k))).collect()
+            });
+            apps.iter().find(|a| a.kind == kind).unwrap()
+        }
+
+        /// Classes picked by the low eight bits of `mask` (never empty).
+        fn classes(mask: u8) -> Vec<TargetClass> {
+            let picked: Vec<TargetClass> = (0..8)
+                .filter(|i| mask >> i & 1 == 1)
+                .map(|i| TargetClass::ALL[i])
+                .collect();
+            if picked.is_empty() {
+                vec![TargetClass::Bss]
+            } else {
+                picked
+            }
+        }
+
+        /// The choices of swept intervals a campaign that ends trials
+        /// early can make: those at least two executing trials fork in
+        /// (the campaign's own rule), every one, none.
+        const ENDING: [Sweeps; 3] = [Sweeps::Shared, Sweeps::Always, Sweeps::Never];
+
+        /// Completion-order record lines and the assembled result of the
+        /// campaign on a context sweeping the intervals `sweeps` names, or
+        /// running every trial to its own end (`None`).
+        fn run(
+            sweeps: Option<Sweeps>,
+            app: &App,
+            classes: &[TargetClass],
+            cfg: &CampaignConfig,
+            resume: Option<CompletedSlots>,
+        ) -> (Vec<String>, CampaignResult) {
+            let ctx = TrialContext::build(app.clone(), cfg);
+            let ctx = match sweeps {
+                Some(sweeps) => ctx.sweeping(sweeps),
+                None => ctx.run_to_completion(),
+            };
+            let sink = VecSink::new(app.kind);
+            let result = run_engine(&ctx, classes, cfg, &sink, &EngineControl::new(), resume)
+                .result
+                .expect("uncontrolled runs complete");
+            (sink.into_lines(), result)
+        }
+
+        fn canonical(lines: &[String]) -> String {
+            sort_records_jsonl(&(lines.join("\n") + "\n"))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(18))]
+
+            #[test]
+            fn terminated_campaigns_equal_full_execution(
+                app_idx in 0usize..4,
+                mask in any::<u8>(),
+                seed in any::<u64>(),
+                cadence in 0usize..4,
+                threads in prop_oneof![Just(1usize), Just(4usize)],
+                fastpath in any::<bool>(),
+                cut in 0usize..32,
+                sweeps in 0usize..3,
+            ) {
+                let app = app(AppKind::ALL[app_idx]);
+                let sweeps = Some(ENDING[sweeps]);
+                let classes = classes(mask);
+                let cfg = CampaignConfig {
+                    injections: INJECTIONS,
+                    seed,
+                    threads,
+                    epoch_rounds: [1, 4, 16, 64][cadence],
+                    fastpath,
+                    ..Default::default()
+                };
+                let what = format!("{} {:?} {:?} sweeping {:?}", app.kind, classes, cfg, sweeps);
+
+                let (full_lines, full) = run(None, app, &classes, &cfg, None);
+                prop_assert_eq!(full.converge, ConvergeStats::default(), "reference ran on: {}", &what);
+                let (lines, ended) = run(sweeps, app, &classes, &cfg, None);
+
+                prop_assert_eq!(canonical(&lines), canonical(&full_lines), "records: {}", &what);
+                prop_assert_eq!(ended.insns_total, full.insns_total, "insns_total: {}", &what);
+                for (a, b) in ended.classes.iter().zip(&full.classes) {
+                    prop_assert_eq!(&a.trials, &b.trials, "{}: {}", a.class, &what);
+                    prop_assert_eq!(&a.tally, &b.tally, "{}: {}", a.class, &what);
+                }
+                // Kill after `cut` completed trials, resume from the record file.
+                let cut = cut % (lines.len() + 1);
+                let file = lines[..cut].join("\n");
+                let (slots, skipped) = CompletedSlots::from_jsonl(&file, &classes, INJECTIONS);
+                prop_assert_eq!((slots.len(), skipped), (cut, 0));
+                let (fresh, resumed) = run(sweeps, app, &classes, &cfg, Some(slots));
+                let mut all = lines[..cut].to_vec();
+                all.extend(fresh);
+                prop_assert_eq!(canonical(&all), canonical(&full_lines), "resume at {}: {}", cut, &what);
+                prop_assert_eq!(resumed.insns_total, full.insns_total);
+                for (a, b) in resumed.classes.iter().zip(&full.classes) {
+                    prop_assert_eq!(&a.tally, &b.tally);
+                }
+            }
+        }
+
+        /// The property must not hold vacuously: on every app — the
+        /// nondeterministic one included — most benign trials do end
+        /// early, at every cadence.
+        #[test]
+        fn termination_actually_happens() {
+            for kind in AppKind::ALL {
+                for epoch_rounds in [1, 4, 16, 64] {
+                    let cfg = CampaignConfig {
+                        injections: 6,
+                        seed: 0x7E57,
+                        threads: 2,
+                        epoch_rounds,
+                        ..Default::default()
+                    };
+                    let classes = [TargetClass::Bss, TargetClass::Heap, TargetClass::Text];
+                    let (_, r) = run(Some(Sweeps::Shared), app(kind), &classes, &cfg, None);
+                    let correct: u32 = r
+                        .classes
+                        .iter()
+                        .map(|c| c.tally.count(Manifestation::Correct))
+                        .sum();
+                    // A coarse cadence can outlast a tiny app's tail; a
+                    // fine one must catch nearly every benign trial.
+                    let floor = if epoch_rounds <= 16 {
+                        correct as u64 / 2
+                    } else {
+                        1
+                    };
+                    let ended = r.converge.trials_converged + r.converge.decided_at_draw;
+                    assert!(
+                        ended >= floor,
+                        "{kind} every {epoch_rounds}: {:?} of {correct} correct",
+                        r.converge
+                    );
+                    assert!(ended <= correct as u64);
+                }
+            }
+        }
+
+        /// Nor may the sweep plane: trials do fork from round checkpoints
+        /// and do end between epochs — on every app, at every cadence with
+        /// rounds between its epochs — when every interval is swept, and a
+        /// sweep ends no fewer trials early.
+        #[test]
+        fn sweeps_actually_fork_and_end_between_epochs() {
+            for kind in AppKind::ALL {
+                for epoch_rounds in [4, 16, 64] {
+                    let cfg = CampaignConfig {
+                        injections: 6,
+                        seed: 0x5EE9,
+                        threads: 2,
+                        epoch_rounds,
+                        ..Default::default()
+                    };
+                    let classes = [TargetClass::Stack, TargetClass::Heap, TargetClass::Data];
+                    let (_, swept) = run(Some(Sweeps::Always), app(kind), &classes, &cfg, None);
+                    let (_, plain) = run(Some(Sweeps::Never), app(kind), &classes, &cfg, None);
+                    let (s, p) = (swept.converge, plain.converge);
+                    let what = format!("{kind} every {epoch_rounds}: {s:?}");
+                    assert!(s.forked_at_round > 0, "{what}");
+                    assert!(s.ended_between_epochs > 0, "{what}");
+                    assert_eq!(p.forked_at_round + p.ended_between_epochs, 0, "{what}");
+                    let early = |c: ConvergeStats| c.trials_converged + c.decided_at_draw;
+                    assert!(early(s) >= early(p), "{what}");
+                }
+            }
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! on, and [`compare_models`] runs the comparison on the campaign's own
 //! trial path.
 
-use crate::campaign::{draw_fault, trial_seed, CampaignConfig, Dictionaries, TrialContext};
+use crate::campaign::{draw_fault, CampaignConfig, Dictionaries, TrialContext};
 use crate::target::TargetClass;
 use fl_apps::{App, Golden};
 use fl_machine::{Machine, SyscallFaultKind};
@@ -491,9 +491,10 @@ impl SyscallCounts {
 
 /// Error-rate comparison of the durations over one register or static
 /// class: per [`Duration`], the error rate in percent and the error
-/// count over `trials` trials. Trial `k` draws from `seed + k`; the
-/// trials run on the campaign trial path, forked from epoch checkpoints
-/// and ended early where provably golden.
+/// count over `trials` trials. Trial `k` draws from `seed + k`; each
+/// duration's trials are planned and run as a one-worker campaign of
+/// `class` runs its trials — forked from epoch or round checkpoints and
+/// ended early where provably golden.
 ///
 /// # Panics
 ///
@@ -513,15 +514,18 @@ pub fn compare_models(
     );
     let cfg = CampaignConfig {
         seed,
+        injections: trials,
         ..Default::default()
     };
     let ctx = TrialContext::build(app.clone(), &cfg);
     Duration::ALL
         .iter()
         .map(|&d| {
-            let trial = |k| ctx.run_trial(class, d, trial_seed(seed, 0, k));
-            let errors = (0..trials)
-                .filter(|&k| trial(k).record.outcome.is_error())
+            let mut held = None;
+            let plan = ctx.plan(&[class], &cfg, d, &|_, _| false);
+            let errors = plan
+                .iter()
+                .filter(|p| ctx.run_planned(p, &mut held).0.record.outcome.is_error())
                 .count() as u32;
             (d, 100.0 * errors as f64 / trials.max(1) as f64, errors)
         })
@@ -531,6 +535,7 @@ pub fn compare_models(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::trial_seed;
     use crate::outcome::{classify, Manifestation};
     use crate::target::{regular_registers, FaultDictionary};
     use fl_apps::{AppKind, AppParams};
@@ -621,40 +626,49 @@ mod tests {
     #[test]
     fn durations_on_the_trial_path_match_the_cold_loop() {
         // Every duration on a register class and the three static
-        // classes, forked from epochs and ended early where provably
-        // golden, against the cold loop: the same detail and the same
+        // classes, planned and run as `compare_models` runs them — forked
+        // from epoch or round checkpoints and ended early where provably
+        // golden — against the cold loop: the same detail and the same
         // manifestation, trial by trial.
         use TargetClass::{Bss, Data, RegularReg, Text};
+        let mut lasting_forked_at_round = 0;
         for kind in [AppKind::Climsim, AppKind::Wavetoy] {
             let app = App::build(kind, AppParams::tiny(kind));
             let cfg = CampaignConfig {
                 seed: 0xD0,
+                injections: 10,
                 ..Default::default()
             };
             let ctx = TrialContext::build(app.clone(), &cfg);
             let mut errors = [0; 4];
             for class in [RegularReg, Text, Data, Bss] {
                 for (d, &duration) in Duration::ALL.iter().enumerate() {
-                    for k in 0..10 {
-                        let seed = trial_seed(cfg.seed, 0, k);
-                        let run = ctx.run_trial(class, duration, seed);
+                    let mut held = None;
+                    for p in ctx.plan(&[class], &cfg, duration, &|_, _| false) {
+                        let run = ctx.run_planned(&p, &mut held).0;
                         let cold = run_model_trial(
                             &app,
                             &ctx.golden,
                             class,
                             duration,
-                            seed,
+                            p.seed,
                             ctx.world.machine.budget,
                         );
                         let got = (run.record.outcome, run.record.detail);
-                        assert_eq!(got, cold, "{kind} {class} {} trial {k}", duration.label());
+                        let what = format!("{kind} {class} {} trial {}", duration.label(), p.k);
+                        assert_eq!(got, cold, "{what}");
                         errors[d] += u32::from(got.0.is_error());
+                        if duration != Duration::Transient {
+                            lasting_forked_at_round += run.converge.forked_at_round;
+                        }
                     }
                 }
             }
             // Not vacuous: every duration manifests somewhere.
             assert!(errors.iter().all(|&e| e > 0), "{kind}: {errors:?}");
         }
+        // Held and stuck-at faults sweep too.
+        assert!(lasting_forked_at_round > 0);
     }
 
     #[test]

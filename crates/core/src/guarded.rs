@@ -28,10 +28,11 @@ use std::fmt::Write as _;
 const GUARDED: usize = 1;
 
 /// The guard-coverage mode: a row per class, bare against guarded.
-/// Baseline runs may fork from epoch checkpoints (observably identical,
-/// per the campaign invariant); guarded runs always start cold — their
-/// checkpoints belong to the guarded world itself. A slot holds both
-/// runs of one draw.
+/// Baseline runs are the plain campaign's trials, planned and run as it
+/// runs them — forked from epoch or round checkpoints (observably
+/// identical, per the campaign invariant); guarded runs always start
+/// cold — their checkpoints belong to the guarded world itself. A slot
+/// holds both runs of one draw.
 pub fn mode(classes: &[TargetClass], policy: GuardPolicy) -> MatrixMode {
     let columns = vec![
         Column {
@@ -172,7 +173,9 @@ fn jsonl(r: &MatrixResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::TrialContext;
     use crate::engine::{run_campaign_engine, EngineControl, NullSink};
+    use crate::faultmodel::Duration;
     use crate::matrix::run_matrix;
     use crate::report::Report;
     use crate::CampaignConfig;
@@ -284,26 +287,37 @@ mod tests {
     #[test]
     fn baseline_half_matches_unguarded_campaign() {
         // The paired baseline must be the exact campaign the unguarded
-        // path runs: same seeds, same draws, same outcomes.
+        // path runs — same seeds, same draws, same outcomes, the same
+        // instructions — at any worker count, on a plan that sweeps.
         let app = App::build(AppKind::Wavetoy, AppParams::tiny(AppKind::Wavetoy));
         let cfg = CampaignConfig {
-            injections: 8,
+            injections: 12,
             seed: 31,
             ..Default::default()
         };
-        let classes = [TargetClass::Message];
-        let plain =
-            run_campaign_engine(&app, &classes, &cfg, &NullSink, &EngineControl::new(), None)
-                .result
-                .unwrap();
-        let paired = coverage(&classes, 8, 31, GuardPolicy::default(), true);
-        for (p, g) in plain.classes[0]
-            .trials
-            .iter()
-            .zip(&paired.cell(0, 0).trials)
-        {
-            assert_eq!(p.detail, g.detail);
-            assert_eq!(p.outcome, g.outcome);
+        let classes = [TargetClass::Message, TargetClass::Stack];
+        let ctx = TrialContext::build(app.clone(), &cfg);
+        let plan = ctx.plan(&classes, &cfg, Duration::Transient, &|_, _| false);
+        assert!(plan.iter().any(|p| p.swept), "the plan sweeps no interval");
+        let control = EngineControl::new();
+        let plain = run_campaign_engine(&app, &classes, &cfg, &NullSink, &control, None)
+            .result
+            .unwrap();
+        let mode = mode(&classes, GuardPolicy::default());
+        for threads in [1, 2] {
+            let cfg = CampaignConfig { threads, ..cfg };
+            let paired = run_matrix(&app, &mode, &cfg, &NullSink, &control, None).unwrap();
+            let mut insns = 0;
+            for (ci, class) in plain.classes.iter().enumerate() {
+                let baseline = &paired.cell(ci, 0).trials;
+                assert_eq!(class.trials.len(), baseline.len(), "{threads} workers");
+                for (p, g) in class.trials.iter().zip(baseline) {
+                    assert_eq!(p.detail, g.detail);
+                    assert_eq!(p.outcome, g.outcome);
+                    insns += g.insns;
+                }
+            }
+            assert_eq!(insns, plain.insns_total, "{threads} workers");
         }
     }
 

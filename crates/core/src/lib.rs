@@ -68,10 +68,9 @@ pub use campaign::{
 };
 pub use chaos::{ChaosPolicy, Defense};
 pub use engine::{
-    parse_record_line, record_line, run_campaign, run_campaign_engine,
-    run_campaign_engine_to_completion, run_spec, run_spec_memo, sort_records_jsonl, CompletedSlots,
-    ContextMemo, EngineControl, EngineProgress, EngineRun, EngineSink, NullSink, SpecOutcome,
-    StderrProgress, TrialOutput, VecSink,
+    parse_record_line, record_line, run_campaign, run_campaign_engine, run_spec, run_spec_memo,
+    sort_records_jsonl, CompletedSlots, ContextMemo, EngineControl, EngineProgress, EngineRun,
+    EngineSink, NullSink, SpecOutcome, StderrProgress, TrialOutput, VecSink,
 };
 pub use faultmodel::compare_models;
 pub use fl_ft::{

@@ -16,8 +16,8 @@
 //! [`crate::perturb`].
 
 use crate::campaign::{
-    trial_budget, trial_seed, trial_world_config, CampaignConfig, Dictionaries, TrialContext,
-    TrialRecord, GOLDEN_BUDGET,
+    trial_budget, trial_seed, trial_world_config, CampaignConfig, Dictionaries, Planned,
+    TrialContext, TrialRecord, GOLDEN_BUDGET,
 };
 use crate::engine::{
     run_slots, Aux, CompletedSlots, EngineControl, EngineSink, SlotPlan, TrialOutput,
@@ -35,7 +35,7 @@ use fl_ft::{
 };
 use fl_guard::{run_guarded, GuardPolicy};
 use fl_mpi::{FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
-use fl_snap::EpochCache;
+use fl_snap::{EpochCache, Interval};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -912,6 +912,15 @@ impl<'a> Env<'a> {
         self
     }
 
+    /// The trial context's plan of a mode with a [`Runner::Trial`]
+    /// column: a slot per row and draw, in the order a plain campaign of
+    /// the rows' classes runs them. `None` for the other modes.
+    fn plan(&self, mode: &MatrixMode, cfg: &CampaignConfig) -> Option<Vec<Planned>> {
+        let ctx = self.trial.as_ref()?;
+        let classes: Vec<TargetClass> = mode.rows.iter().map(|r| r.draw.class()).collect();
+        Some(ctx.plan(&classes, cfg, Duration::Transient, &|_, _| false))
+    }
+
     /// Draw the row's faults for `seed` and their detail. A drawn fault
     /// is spent by arming it (a bit flip's action is a boxed closure), so
     /// every world that faces the draw draws it again — identically.
@@ -946,12 +955,22 @@ impl<'a> Env<'a> {
     }
 
     /// Run one column of one draw: start the column's world, arm the
-    /// draw, run, classify. Returns the outcome, the runner's counters
-    /// and the guest instructions retired.
-    fn run(&self, row: &Row, col: &Column, seed: u64) -> (Manifestation, Aux, u64) {
+    /// draw, run, classify. A [`Runner::Trial`] column runs `planned`, the
+    /// draw's slot of the trial context's plan, as a plain campaign's
+    /// worker does, on the interval sweep `held`. Returns the outcome, the
+    /// runner's counters and the guest instructions retired.
+    fn run(
+        &self,
+        row: &Row,
+        col: &Column,
+        seed: u64,
+        planned: Option<&Planned>,
+        held: &mut Option<Interval>,
+    ) -> (Manifestation, Aux, u64) {
         let Some(cfg) = column_config(self.world, col) else {
             let ctx = self.trial.as_ref().expect("built for Runner::Trial");
-            let run = ctx.run_trial(row.draw.class(), Duration::Transient, seed);
+            let p = planned.expect("a mode with a trial column runs on the plan");
+            let (run, _) = ctx.run_planned(p, held);
             return (run.record.outcome, Aux::default(), run.insns);
         };
         let (w, outcome, aux) = self.face(col, cfg, self.draw(row, seed).0);
@@ -1063,8 +1082,10 @@ fn isolate(cfg: &mut WorldConfig, what: Isolate) {
 /// Run a matrix campaign on the engine's slot loop: work stealing
 /// across slots, pause/stop via `control`, progress — and, where a slot
 /// is a cell, one canonical record per slot — through `sink`, and
-/// record-level resume. Returns `None` when stopped before every slot
-/// completed.
+/// record-level resume. A mode with a [`Runner::Trial`] column claims its
+/// slots in the trial context's plan order, each worker holding one
+/// interval sweep, as a plain campaign does; the others in `(group, k)`
+/// order. Returns `None` when stopped before every slot completed.
 ///
 /// Everything a worker computes is a function of `(app, mode, cfg, row,
 /// k)`, and cells are assembled in slot order, so the result is
@@ -1089,11 +1110,28 @@ pub fn run_matrix(
     };
     let resume = resume.filter(|_| codec.is_some()).unwrap_or_default();
     let adoptable = resume.len() as u64;
-    let counts = vec![cfg.injections; groups.len()];
+    // The slots `(group, k)` in claim order, each with its planned trial
+    // where the mode has a trial column.
+    let order: Vec<(usize, u32, Option<Planned>)> = match env.plan(mode, cfg) {
+        Some(plan) => {
+            let groups = &groups;
+            let of_row = move |p: Planned| {
+                let row = groups.iter().enumerate().filter(move |(_, g)| g.0 == p.ci);
+                row.map(move |(g, _)| (g, p.k, Some(p)))
+            };
+            plan.into_iter().flat_map(of_row).collect()
+        }
+        None => {
+            let all = |g| (0..cfg.injections).map(move |k| (g, k, None));
+            (0..groups.len()).flat_map(all).collect()
+        }
+    };
 
     // One slot: adopt it, or draw once and run the slot's columns. A
     // record the mode cannot read back completely is not adopted.
-    let exec = |_: &mut (), g: usize, k: u32| -> Vec<MatrixTrial> {
+    let exec = |held: &mut Option<Interval>, i: u32| -> Vec<MatrixTrial> {
+        let (g, k, planned) = &order[i as usize];
+        let (g, k) = (*g, *k);
         if let (Some(t), Some((_, read_aux))) = (resume.take(g, k), codec) {
             if let Some(aux) = read_aux(&t.record.detail) {
                 let trial = MatrixTrial {
@@ -1109,8 +1147,8 @@ pub fn run_matrix(
         let row = &mode.rows[*r];
         let seed = trial_seed(cfg.seed, *r, k);
         let (_, drawn) = env.draw(row, seed);
-        let run = |col: &Column| {
-            let (outcome, aux, insns) = env.run(row, col, seed);
+        let mut run = |col: &Column| {
+            let (outcome, aux, insns) = env.run(row, col, seed, planned.as_ref(), held);
             let detail = match codec {
                 Some((write_aux, _)) => {
                     format!("{}/{}: {drawn}{}", col.name, row.label, write_aux(&aux))
@@ -1124,7 +1162,7 @@ pub fn run_matrix(
                 insns,
             }
         };
-        let slot: Vec<_> = row.columns[columns.clone()].iter().map(run).collect();
+        let slot: Vec<_> = row.columns[columns.clone()].iter().map(&mut run).collect();
         if codec.is_some() {
             let t = &slot[0];
             sink.trial(&TrialOutput {
@@ -1141,23 +1179,25 @@ pub fn run_matrix(
         }
         slot
     };
-    let (slots, _) = run_slots(&counts, cfg.threads, control, sink, adoptable, exec);
+    let total = order.len() as u32;
+    let (slots, _) = run_slots(total, cfg.threads, control, sink, adoptable, exec);
+    let mut done: Vec<_> = order.iter().map(|&(g, k, _)| (g, k)).zip(slots?).collect();
+    done.sort_unstable_by_key(|&(slot, _)| slot);
 
     // Assemble in slot order — the same folds in the same order
-    // regardless of worker count or resume point.
+    // regardless of worker count, resume point or claim order.
     let mut cells: Vec<Vec<Cell>> = mode
         .rows
         .iter()
         .map(|r| vec![Cell::default(); r.columns.len()])
         .collect();
     let mut insns_total = 0;
-    for ((r, columns), group) in groups.iter().zip(slots?) {
-        for slot in group {
-            for (c, trial) in columns.clone().zip(slot) {
-                insns_total += trial.insns;
-                cells[*r][c].tally.record(trial.outcome);
-                cells[*r][c].trials.push(trial);
-            }
+    for ((g, _), slot) in done {
+        let (r, columns) = &groups[g];
+        for (c, trial) in columns.clone().zip(slot) {
+            insns_total += trial.insns;
+            cells[*r][c].tally.record(trial.outcome);
+            cells[*r][c].trials.push(trial);
         }
     }
     Some(MatrixResult {
@@ -1268,9 +1308,11 @@ mod tests {
                 };
                 let forked = Env::build(&app, &matrix, &cfg);
                 let cold = Env::build(&app, &matrix, &cfg).launch_every_world();
+                let plan = forked.plan(&matrix, &cfg).unwrap_or_default();
                 for (r, row) in matrix.rows.iter().enumerate() {
                     for k in 0..n {
                         let seed = trial_seed(cfg.seed, r, k);
+                        let planned = plan.iter().find(|p| (p.ci, p.k) == (r, k));
                         let (faults, detail) = forked.draw(row, seed);
                         assert_eq!(detail, cold.draw(row, seed).1);
                         for col in &row.columns {
@@ -1280,8 +1322,9 @@ mod tests {
                             );
                             seen.runs += 1;
                             let Some(c) = column_config(forked.world, col) else {
-                                let got = forked.run(row, col, seed);
-                                assert_eq!(got, cold.run(row, col, seed), "{what}");
+                                let got = forked.run(row, col, seed, planned, &mut None);
+                                let want = cold.run(row, col, seed, planned, &mut None);
+                                assert_eq!(got, want, "{what}");
                                 continue;
                             };
                             same_face(&forked, &cold, col, || forked.draw(row, seed).0, &what);

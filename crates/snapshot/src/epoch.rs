@@ -59,17 +59,116 @@ const CLEAN_EPOCHS: usize = 8;
 /// cadence of 16, evenly spaced at a coarser one.
 pub const SWEEP_CHECKPOINTS: u64 = 16;
 
-/// Checkpoints of one clean run, ordered by round.
+/// Which rounds a stepping pass checkpoints, after the round it starts
+/// at, and where it stops.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// Every this many rounds, up to the world's exit.
+    Every(u64),
+    /// At most this many checkpoints, evenly spaced, up to the world's
+    /// exit ([`EpochCache::run_clean`]).
+    AtMost(usize),
+    /// Every `every` rounds up to the checkpoint at round `stop`, where
+    /// the pass ends.
+    Until { every: u64, stop: u64 },
+}
+
+/// The one stepping loop: run `world`, which stands where `first` was
+/// taken, round by round, checkpointing it at the rounds `rule` names.
+/// With `stamp`, every granule each rank reads is stamped with the index
+/// of the checkpoint interval the read falls in (interval `k` is the
+/// rounds between checkpoints `k - 1` and `k`). A checkpoint holds the
+/// copy of each memory page that a checkpoint of `like` at the same round
+/// holds, where their bytes are equal ([`WorldSnapshot::share_pages`]).
+/// Returns the checkpoints and the world as the pass left it.
+fn step(
+    mut world: MpiWorld,
+    first: Epoch,
+    rule: Rule,
+    stamp: bool,
+    like: &[&EpochCache],
+) -> (EpochCache, MpiWorld) {
+    let (mut every, most, stop) = match rule {
+        Rule::Every(every) => (every, usize::MAX, None),
+        Rule::AtMost(most) => (1, most, None),
+        Rule::Until { every, stop } => (every, usize::MAX, Some(stop)),
+    };
+    let (origin, mut round) = (first.round, first.round);
+    let due = |every: u64, round: u64| (round - origin).is_multiple_of(every);
+    let mut epochs = vec![first];
+    // Reads between two checkpoints belong to the interval the later one
+    // closes. One stamp value per held snapshot, so a u32 cannot wrap
+    // before memory runs out.
+    let open_interval = |world: &mut MpiWorld, index: usize| {
+        let stamp = u32::try_from(index).expect("epoch count fits a u32 stamp");
+        for r in 0..world.nranks() {
+            world.machine_mut(r).set_read_stamp(stamp);
+        }
+    };
+    if stamp {
+        open_interval(&mut world, 1);
+    }
+    let exit = loop {
+        if stop == Some(round) {
+            break None;
+        }
+        if let Some(e) = world.run_round() {
+            break Some(e);
+        }
+        round += 1;
+        if !due(every, round) {
+            continue;
+        }
+        if epochs.len() == most {
+            every *= 2;
+            epochs.retain(|e| due(every, e.round));
+            if !due(every, round) {
+                continue;
+            }
+        }
+        let mut snap = world.snapshot();
+        let same_round = like
+            .iter()
+            .flat_map(|c| &c.epochs)
+            .find(|e| e.round == round);
+        if let Some(e) = same_round {
+            snap.share_pages(&e.snap);
+        }
+        epochs.push(Epoch { snap, round });
+        if stamp {
+            open_interval(&mut world, epochs.len());
+        }
+    };
+    let stamps = (0..world.nranks()).filter(|_| stamp).map(|r| {
+        let taken = world.machine_mut(r).take_read_stamps();
+        taken.expect("stamping was on for the whole pass")
+    });
+    let cache = EpochCache {
+        stamps: stamps.collect(),
+        epochs,
+        exit,
+        rounds: round,
+        every,
+    };
+    (cache, world)
+}
+
+/// Checkpoints of one run, ordered by round.
 ///
-/// Epoch 0 is always the pristine just-launched world (zero instructions
-/// retired anywhere), so every trial has at least one usable epoch: a
-/// world that cannot fork from a later one starts from epoch 0, which is
-/// the campaign's [`Launch`].
+/// Epoch 0 of a clean run is always the pristine just-launched world
+/// (zero instructions retired anywhere), so every trial has at least one
+/// usable epoch: a world that cannot fork from a later one starts from
+/// epoch 0, which is the campaign's [`Launch`].
 pub struct EpochCache {
     epochs: Vec<Epoch>,
-    exit: WorldExit,
+    /// How the run ended; `None` for an [`Interval`], whose sweep stops
+    /// at its last checkpoint.
+    exit: Option<WorldExit>,
+    /// The rounds the run completed, the exit's round not counted.
     rounds: u64,
-    every_rounds: u32,
+    /// The checkpoints were taken every this many rounds from the
+    /// first's.
+    every: u64,
     /// Per rank: for every 4-byte granule, the index of the last epoch
     /// interval in which the golden run read it (interval `k` is the
     /// rounds between epoch `k - 1` and epoch `k`; 0 = never read). Empty
@@ -79,20 +178,15 @@ pub struct EpochCache {
 }
 
 impl EpochCache {
-    /// Run the golden world to completion, capturing a checkpoint every
-    /// `every_rounds` scheduler rounds (and one before the first round).
+    /// Run the golden world to completion against an existing
+    /// [`SharedCode`] store, capturing a checkpoint every `every_rounds`
+    /// scheduler rounds (and one before the first round), so every epoch
+    /// snapshot hands its forks warm decoded caches (and superblocks
+    /// promoted during the golden run carry straight into the trials).
     ///
     /// # Panics
     ///
     /// Panics if `every_rounds` is zero.
-    pub fn build(image: &ProgramImage, cfg: WorldConfig, every_rounds: u32) -> EpochCache {
-        EpochCache::build_with_code(image, cfg, every_rounds, None)
-    }
-
-    /// Like [`EpochCache::build`], but run the golden world against an
-    /// existing [`SharedCode`] store so every epoch snapshot hands its
-    /// forks warm decoded caches (and superblocks promoted during the
-    /// golden run carry straight into the trials).
     pub fn build_with_code(
         image: &ProgramImage,
         cfg: WorldConfig,
@@ -118,49 +212,7 @@ impl EpochCache {
         every_rounds: u32,
     ) -> (EpochCache, MpiWorld) {
         assert!(every_rounds > 0, "every_rounds must be nonzero");
-        let mut world = launch.world(cfg);
-        let mut epochs = vec![Epoch {
-            snap: world.snapshot(),
-            round: 0,
-        }];
-        // Reads between two checkpoints belong to the interval the later
-        // one closes: interval k ends at epoch k. One stamp value per
-        // held snapshot, so a u32 cannot wrap before memory runs out.
-        let open_interval = |world: &mut MpiWorld, index: usize| {
-            let stamp = u32::try_from(index).expect("epoch count fits a u32 stamp");
-            for r in 0..world.nranks() {
-                world.machine_mut(r).set_read_stamp(stamp);
-            }
-        };
-        open_interval(&mut world, 1);
-        let mut rounds: u64 = 0;
-        let exit = loop {
-            if let Some(e) = world.run_round() {
-                break e;
-            }
-            rounds += 1;
-            if rounds.is_multiple_of(every_rounds as u64) {
-                epochs.push(Epoch {
-                    snap: world.snapshot(),
-                    round: rounds,
-                });
-                open_interval(&mut world, epochs.len());
-            }
-        };
-        let stamps = (0..world.nranks())
-            .map(|r| {
-                let taken = world.machine_mut(r).take_read_stamps();
-                taken.expect("stamping was on for the whole pass")
-            })
-            .collect();
-        let cache = EpochCache {
-            epochs,
-            exit,
-            rounds,
-            every_rounds,
-            stamps,
-        };
-        (cache, world)
+        EpochCache::run(launch, cfg, Rule::Every(every_rounds.into()), true, &[])
     }
 
     /// Run one world configuration's clean run to its end, however it
@@ -184,45 +236,21 @@ impl EpochCache {
         like: &[&EpochCache],
     ) -> (EpochCache, MpiWorld) {
         let most = if forked { CLEAN_EPOCHS } else { 1 };
-        let mut world = launch.world(cfg);
-        let mut epochs = vec![Epoch {
-            snap: world.snapshot(),
-            round: 0,
-        }];
-        let (mut every, mut round) = (1u64, 0u64);
-        let exit = loop {
-            if let Some(e) = world.run_round() {
-                break e;
-            }
-            round += 1;
-            if !round.is_multiple_of(every) {
-                continue;
-            }
-            if epochs.len() == most {
-                every *= 2;
-                epochs.retain(|e| e.round.is_multiple_of(every));
-                if !round.is_multiple_of(every) {
-                    continue;
-                }
-            }
-            let mut snap = world.snapshot();
-            let same_round = like
-                .iter()
-                .flat_map(|c| &c.epochs)
-                .find(|e| e.round == round);
-            if let Some(e) = same_round {
-                snap.share_pages(&e.snap);
-            }
-            epochs.push(Epoch { snap, round });
-        };
-        let cache = EpochCache {
-            epochs,
-            exit,
-            rounds: round,
-            every_rounds: u32::try_from(every).unwrap_or(u32::MAX),
-            stamps: Vec::new(),
-        };
-        (cache, world)
+        EpochCache::run(launch, cfg, Rule::AtMost(most), false, like)
+    }
+
+    /// A `cfg` world launched from `launch`, stepped to its exit on
+    /// `rule`.
+    fn run(
+        launch: &Launch,
+        cfg: WorldConfig,
+        rule: Rule,
+        stamp: bool,
+        like: &[&EpochCache],
+    ) -> (EpochCache, MpiWorld) {
+        let world = launch.world(cfg);
+        let snap = world.snapshot();
+        step(world, Epoch { snap, round: 0 }, rule, stamp, like)
     }
 
     /// Replace the per-rank instruction budget carried by every
@@ -240,11 +268,13 @@ impl EpochCache {
         &self.stamps[rank as usize]
     }
 
-    /// The epoch taken after exactly `round` scheduler rounds, if any.
+    /// The epoch taken after exactly `round` scheduler rounds, if any:
+    /// the one round-to-checkpoint rule, an origin (the first
+    /// checkpoint's round) plus a cadence.
     pub fn boundary_at(&self, round: u64) -> Option<usize> {
-        let every = self.every_rounds as u64;
-        let k = usize::try_from(round / every).ok()?;
-        (round.is_multiple_of(every) && k < self.epochs.len()).then_some(k)
+        let from = round.checked_sub(self.epochs[0].round)?;
+        let k = usize::try_from(from / self.every).ok()?;
+        (from.is_multiple_of(self.every) && k < self.epochs.len()).then_some(k)
     }
 
     /// Is `world` — a trial whose fault has fired, standing at the round
@@ -261,7 +291,7 @@ impl EpochCache {
 
     /// How the golden run ended (clean for a healthy application).
     pub fn golden_exit(&self) -> &WorldExit {
-        &self.exit
+        self.exit.as_ref().expect("a run to its exit")
     }
 
     /// Total scheduler rounds the golden run took.
@@ -301,7 +331,12 @@ impl EpochCache {
     /// a trial armed with `faults` opens, and the one [`EpochCache::sweep`]
     /// would step for it.
     pub fn best_index(&self, faults: &[(u16, Clock, u64)]) -> usize {
-        latest_serving(&self.epochs, faults)
+        let serves = |e: &Epoch| faults.iter().all(|&(r, c, at)| e.serves(r, c, at));
+        let epochs = &self.epochs;
+        (1..epochs.len())
+            .rev()
+            .find(|&i| serves(&epochs[i]))
+            .unwrap_or(0)
     }
 
     /// Step the golden run through the interval epoch `open` opens — up
@@ -314,7 +349,7 @@ impl EpochCache {
     /// ([`EpochCache::converged_between`]).
     pub fn sweep(&self, open: usize) -> Interval {
         let start = &self.epochs[open];
-        // The last round a checkpoint may be taken after: the round
+        // The last round a checkpoint may be taken at: the round
         // before the closing epoch's, or the golden run's last full one.
         let last = match self.epochs.get(open + 1) {
             Some(close) => close.round - 1,
@@ -322,26 +357,15 @@ impl EpochCache {
         };
         let span = last + 1 - start.round;
         let every = span.div_ceil(SWEEP_CHECKPOINTS).max(1);
-        let mut world = start.snap.restore();
-        let mut checkpoints = vec![start.clone()];
-        let mut round = start.round + every;
-        while round <= last {
-            while world.round() < round {
-                let exit = world.run_round();
-                assert!(exit.is_none(), "the golden run ended inside an interval");
-            }
-            checkpoints.push(Epoch {
-                snap: world.snapshot(),
-                round,
-            });
-            round += every;
-        }
-        Interval {
-            open,
-            every,
-            checkpoints,
-            exec: world.exec_stats(),
-        }
+        let stop = start.round + (last - start.round) / every * every;
+        let rule = Rule::Until { every, stop };
+        let (sweep, world) = step(start.snap.restore(), start.clone(), rule, false, &[]);
+        assert!(
+            sweep.exit.is_none(),
+            "the golden run ended inside an interval"
+        );
+        let exec = world.exec_stats();
+        Interval { open, sweep, exec }
     }
 
     /// Is `world` — a trial whose fault has fired, standing at the round
@@ -360,25 +384,15 @@ impl EpochCache {
     }
 }
 
-/// The index of the latest of `epochs` at which none of `faults` has
-/// fired, 0 when no later one is.
-fn latest_serving(epochs: &[Epoch], faults: &[(u16, Clock, u64)]) -> usize {
-    let serves = |e: &Epoch| faults.iter().all(|&(r, c, at)| e.serves(r, c, at));
-    (1..epochs.len())
-        .rev()
-        .find(|&i| serves(&epochs[i]))
-        .unwrap_or(0)
-}
-
 /// One epoch interval of the golden run, stepped round by round by
 /// [`EpochCache::sweep`]: checkpoints evenly spaced from the opening
 /// epoch up to the closing one (or the golden exit). Held by a worker
 /// only while it runs the trials that fork from the opening epoch.
 pub struct Interval {
     open: usize,
-    every: u64,
-    /// Oldest first; the first is the opening epoch itself.
-    checkpoints: Vec<Epoch>,
+    /// The sweep's checkpoints, oldest first; the first is the opening
+    /// epoch itself.
+    sweep: EpochCache,
     exec: ExecStats,
 }
 
@@ -390,7 +404,7 @@ impl Interval {
 
     /// All checkpoints, oldest first; the first is the opening epoch.
     pub fn checkpoints(&self) -> &[Epoch] {
-        &self.checkpoints
+        self.sweep.epochs()
     }
 
     /// [`EpochCache::best_for`] over this interval's checkpoints: the
@@ -398,16 +412,14 @@ impl Interval {
     /// epoch opens this interval the opening epoch always serves, so
     /// this is never earlier than it.
     pub fn best_for(&self, faults: &[(u16, Clock, u64)]) -> &Epoch {
-        &self.checkpoints[latest_serving(&self.checkpoints, faults)]
+        self.sweep.best_for(faults)
     }
 
     /// The checkpoint taken after exactly `round` rounds, the opening
-    /// epoch excepted.
+    /// epoch excepted ([`EpochCache::boundary_at`]).
     pub fn at(&self, round: u64) -> Option<&Epoch> {
-        let from = round.checked_sub(self.checkpoints[0].round)?;
-        let i = usize::try_from(from / self.every).ok()?;
-        let held = from.is_multiple_of(self.every) && i > 0;
-        held.then(|| self.checkpoints.get(i)).flatten()
+        let i = self.sweep.boundary_at(round).filter(|&i| i > 0)?;
+        Some(&self.sweep.epochs[i])
     }
 
     /// The guest execution the sweep did, which is execution the

@@ -33,7 +33,12 @@
 //!   run's gets its own cache from its own clean run
 //!   ([`EpochCache::run_clean`]: a few checkpoints, no read stamps), so
 //!   a matrix column forks from checkpoints that are exact by
-//!   construction.
+//!   construction. The golden pass, a clean run and an interval sweep
+//!   (below) are one stepping loop under three checkpoint rules — every
+//!   K rounds; at most eight, evenly spaced; every K rounds up to a stop
+//!   round — with read stamping and page sharing as its only options,
+//!   and [`EpochCache::boundary_at`] is the one round-to-checkpoint rule
+//!   all three caches answer by.
 //! * **Convergence-aware termination** — the same pass stamps, per rank
 //!   and 4-byte granule, the index of the last epoch interval in which
 //!   the golden run *read* it ([`fl_machine::ReadStamps`]; a read is a
@@ -53,7 +58,8 @@
 //! * **Interval sweeps** — when several trials fork from one epoch,
 //!   [`EpochCache::sweep`] steps the golden run through the interval it
 //!   opens once, keeping up to [`SWEEP_CHECKPOINTS`] round checkpoints
-//!   ([`Interval`]). Each of those trials then forks from the latest
+//!   ([`Interval`], itself a cache of the stepping loop). Each of those
+//!   trials then forks from the latest
 //!   checkpoint before its fire point instead of from the epoch, and is
 //!   compared at every checkpoint round
 //!   ([`EpochCache::converged_between`]), where only granules the golden

@@ -148,7 +148,7 @@ fn cow_pages_are_shared_until_written() {
 #[test]
 fn epoch_cache_covers_golden_run() {
     let app = tiny(AppKind::Wavetoy);
-    let cache = EpochCache::build(&app.image, app.world_config(BUDGET), 8);
+    let cache = EpochCache::build_with_code(&app.image, app.world_config(BUDGET), 8, None);
     assert_eq!(*cache.golden_exit(), WorldExit::Clean);
     assert!(
         cache.rounds() > 8,
@@ -279,7 +279,7 @@ fn injection_on_forked_world_fires() {
     // manifests — the campaign fast path in one line.
     let app = tiny(AppKind::Wavetoy);
     let golden = app.golden(BUDGET);
-    let cache = EpochCache::build(&app.image, app.world_config(BUDGET), 8);
+    let cache = EpochCache::build_with_code(&app.image, app.world_config(BUDGET), 8, None);
     let rank = 0u16;
     let at = golden.insns[0] / 2;
     let epoch = cache.best_for(&[(rank, Clock::Insns, at)]);

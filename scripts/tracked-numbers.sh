@@ -13,6 +13,8 @@
 #                 instead of taking a `Launch`
 #   round-0 starts  `launch.world(` calls, same lines: worlds that start
 #                 at round 0 instead of forking from a checkpoint
+#   hidden items  `#[doc(hidden)]` attributes in the code lines (same
+#                 rule) of crates/*/src: public items kept out of the docs
 #
 # Prints to stdout; CI regenerates results/tracked_numbers.txt from it
 # and diffs. Run from anywhere.
@@ -92,3 +94,7 @@ echo
 echo "# worlds started at round 0 (non-test \`launch.world(\` call sites)"
 printf '%-28s %6d\n' "core + ft + guard + snapshot" \
     "$(calls 'launch\\.world\\(' $(find crates/core/src crates/ft/src crates/guard/src crates/snapshot/src -name '*.rs' | sort))"
+echo
+echo "# hidden public items (non-test \`#[doc(hidden)]\` attributes)"
+printf '%-28s %6d\n' "crates/*/src" \
+    "$(calls '#\\[doc\\(hidden\\)\\]' $(find crates/*/src -name '*.rs' | sort))"
