@@ -15,10 +15,9 @@
 //!    output.
 
 use fl_apps::{App, AppKind, AppParams, Golden};
-use fl_ft::{replica_config, run_replicated, shrink, FtPolicy};
-use fl_mpi::{
-    FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldEffect, WorldExit, WorldSnapshot,
-};
+use fl_ft::{replica_config, run_replicated, shrink, CleanReplica, DigestLog, FtPolicy};
+use fl_mpi::{FailureDetector, Fault, Launch, MpiWorld, WorldEffect, WorldExit, WorldSnapshot};
+use fl_snap::EpochCache;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -135,12 +134,21 @@ fn solo(app: &App, budget: u64, fault: Fault<WorldEffect>) -> (WorldExit, Vec<u8
     (exit, app.comparable_output(&w), digs)
 }
 
-/// The pristine replica every member of a `cfg` replica set starts as.
-fn replica(app: &App, cfg: WorldConfig) -> WorldSnapshot {
-    let cfg = replica_config(cfg);
-    Launch::new(&app.image, cfg.machine, None)
-        .world(cfg)
-        .snapshot()
+/// The pristine replica every member of the fixture's replica set starts
+/// as, and the set's clean run recorded for the vote.
+fn replica() -> &'static (WorldSnapshot, CleanReplica) {
+    static R: OnceLock<(WorldSnapshot, CleanReplica)> = OnceLock::new();
+    R.get_or_init(|| {
+        let (app, _, budget) = fixture();
+        let cfg = replica_config(app.world_config(*budget));
+        let world = Launch::new(&app.image, cfg.machine, None).world(cfg);
+        let start = world.snapshot();
+        let mut log = DigestLog::new(&world);
+        let (epochs, _, end) = EpochCache::run_clean(world, false, &[], &mut log);
+        let output = app.comparable_output(&end);
+        let clean = CleanReplica::new(log, &end, epochs.golden_exit().clone(), output);
+        (start, clean)
+    })
 }
 
 /// Does this fault manifest at all when run in a lone world?
@@ -168,9 +176,10 @@ proptest! {
         let rank = (rank_pick % app.params.nranks as u64) as u16;
         let fault = Fault::flip(rank, byte_pick % golden.recv_bytes[rank as usize].max(1), bit);
         let corrupt = (replica_pick % 3) as u16;
-        let cfg = app.world_config(budget);
+        let (start, clean) = replica();
         let (winner, report) = run_replicated(
-            &replica(app, cfg),
+            start,
+            clean,
             &FtPolicy::default(),
             (0..3).map(|r| Vec::from_iter((r == corrupt).then(|| fault.into()))).collect(),
             |w| app.comparable_output(w),
@@ -221,9 +230,10 @@ proptest! {
             // duplicate-effect limit as identical draws.
             return Ok(());
         }
-        let cfg = app.world_config(budget);
+        let (start, clean) = replica();
         let (winner, report) = run_replicated(
-            &replica(app, cfg),
+            start,
+            clean,
             &FtPolicy::default(),
             vec![vec![fa.into()], vec![fb.into()]],
             |w| app.comparable_output(w),

@@ -36,5 +36,5 @@
 pub mod runner;
 pub mod watchdog;
 
-pub use runner::{run_guarded, GuardPolicy, GuardReport};
+pub use runner::{resume_guarded, run_guarded, GuardPolicy, GuardReport, GuardState};
 pub use watchdog::{Watchdog, WatchdogTrip};

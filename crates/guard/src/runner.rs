@@ -2,9 +2,9 @@
 //! and re-execute on any detected failure, within a bounded restart
 //! budget.
 
-use crate::watchdog::Watchdog;
+use crate::watchdog::{Watchdog, WatchdogTrip};
 use fl_mpi::{ChannelGuard, MpiWorld, WorldExit};
-use fl_snap::Epoch;
+use fl_snap::{Epoch, Rider};
 
 /// Knobs of one guarded execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,7 @@ impl GuardPolicy {
 }
 
 /// What one guarded execution observed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuardReport {
     /// Final exit of the last (re-)execution.
     pub exit: WorldExit,
@@ -75,6 +75,91 @@ impl GuardReport {
     }
 }
 
+/// Where a guarded run stands beside its world between two rounds: the
+/// checkpoint a rollback restores — the world at the last multiple of
+/// `checkpoint_rounds`, the start before the first — and the progress
+/// watchdog, which samples at multiples of `window_rounds`. Until a
+/// run's faults fire, both are what a fault-free run holds at the same
+/// round, so a checkpoint of a fault-free guarded pass, with the state
+/// the pass held there, is where a run armed at its start stands
+/// ([`Rider`]).
+#[derive(Clone)]
+pub struct GuardState {
+    policy: GuardPolicy,
+    checkpoint: Epoch,
+    watchdog: Watchdog,
+}
+
+impl GuardState {
+    /// The state of a run that starts at `world`: `world` is its first
+    /// rollback checkpoint, and the watchdog's first sample.
+    pub fn new(world: &MpiWorld, policy: &GuardPolicy) -> GuardState {
+        let mut watchdog = Watchdog::new(policy.stall_windows);
+        watchdog.prime(world);
+        GuardState {
+            policy: *policy,
+            checkpoint: Epoch {
+                snap: world.snapshot(),
+                round: world.round(),
+            },
+            watchdog,
+        }
+    }
+
+    /// This state, taken from a fault-free pass, for a world that resumes
+    /// from the pass armed with faults that have not fired yet: a run
+    /// armed at its start carried them in its rollback checkpoint too, so
+    /// the checkpoint is restored, `arm`ed and captured again.
+    pub fn armed(&self, arm: impl FnOnce(&mut MpiWorld)) -> GuardState {
+        let mut world = self.checkpoint.snap.restore();
+        arm(&mut world);
+        GuardState {
+            policy: self.policy,
+            checkpoint: Epoch {
+                snap: world.snapshot(),
+                round: self.checkpoint.round,
+            },
+            watchdog: self.watchdog.clone(),
+        }
+    }
+
+    /// After a round that did not end `world`: sample the watchdog on its
+    /// cadence, and on a healthy round checkpoint on its cadence. The
+    /// capture marker is recorded first, so the event is part of the
+    /// checkpoint. Returns a watchdog trip.
+    fn between_rounds(&mut self, world: &mut MpiWorld) -> Option<WatchdogTrip> {
+        let round = world.round();
+        let window_rounds = self.policy.window_rounds.max(1) as u64;
+        if round.is_multiple_of(window_rounds) {
+            if let Some(trip) = self.watchdog.observe(world) {
+                return Some(trip);
+            }
+        }
+        if round.is_multiple_of(self.policy.checkpoint_rounds.max(1) as u64) {
+            world.note_snapshot_captured(round);
+            self.checkpoint = Epoch {
+                snap: world.snapshot(),
+                round,
+            };
+        }
+        None
+    }
+}
+
+/// The guarded pass: a watchdog trip is the one intervention a run whose
+/// faults have not fired makes before its end.
+impl Rider for GuardState {
+    type State = GuardState;
+
+    fn after_round(&mut self, world: &mut MpiWorld) -> bool {
+        self.between_rounds(world).is_none()
+    }
+
+    fn state(&self) -> GuardState {
+        self.clone()
+    }
+}
+
 /// Run `world` — at round 0, armed with the trial's fault (or with
 /// nothing, for a fault-free guarded run), under
 /// [`GuardPolicy::channel_guard`] — under full guarding: CRC+retransmit
@@ -91,13 +176,17 @@ impl GuardReport {
 /// re-manifests deterministically until the budget is spent.
 ///
 /// Returns the final world (for output comparison) and the report.
-pub fn run_guarded(mut world: MpiWorld, policy: &GuardPolicy) -> (MpiWorld, GuardReport) {
-    let mut checkpoint = Epoch {
-        snap: world.snapshot(),
-        round: world.round(),
-    };
-    let mut watchdog = Watchdog::new(policy.stall_windows);
-    watchdog.prime(&world);
+pub fn run_guarded(world: MpiWorld, policy: &GuardPolicy) -> (MpiWorld, GuardReport) {
+    let state = GuardState::new(&world, policy);
+    resume_guarded(world, state)
+}
+
+/// [`run_guarded`] from a later round: `world` stands where a run
+/// started at round 0 would, and `state` is what that run holds there
+/// (a fault-free pass's [`GuardState`], [`GuardState::armed`] with the
+/// faults `world` carries). Nothing has intervened before it, so the
+/// report counts from zero.
+pub fn resume_guarded(mut world: MpiWorld, mut state: GuardState) -> (MpiWorld, GuardReport) {
     let mut report = GuardReport {
         exit: WorldExit::Clean,
         detections: 0,
@@ -107,57 +196,38 @@ pub fn run_guarded(mut world: MpiWorld, policy: &GuardPolicy) -> (MpiWorld, Guar
         exhausted: false,
         last_checkpoint_round: 0,
     };
-    let checkpoint_rounds = policy.checkpoint_rounds.max(1) as u64;
-    let window_rounds = policy.window_rounds.max(1) as u64;
-
     let exit = loop {
         // A detected failure: terminal world exit, or a watchdog trip
         // promoted to one.
         let failure = match world.run_round() {
             Some(WorldExit::Clean) => break WorldExit::Clean,
-            Some(exit) => Some(exit),
+            Some(exit) => exit,
             None => {
-                let round = world.round();
-                if round.is_multiple_of(window_rounds) {
-                    watchdog.observe(&world).map(|trip| {
-                        report.watchdog_trips += 1;
-                        world.note_watchdog_trip(trip.victim, trip.windows);
-                        WorldExit::GuardDetected {
-                            rank: trip.victim,
-                            what: format!(
-                                "watchdog: no useful progress for {} windows \
-                                 (block clock {})",
-                                trip.windows, trip.blocks
-                            ),
-                        }
-                    })
-                } else {
-                    None
+                let Some(trip) = state.between_rounds(&mut world) else {
+                    continue;
+                };
+                report.watchdog_trips += 1;
+                world.note_watchdog_trip(trip.victim, trip.windows);
+                WorldExit::GuardDetected {
+                    rank: trip.victim,
+                    what: format!(
+                        "watchdog: no useful progress for {} windows \
+                         (block clock {})",
+                        trip.windows, trip.blocks
+                    ),
                 }
             }
         };
-        let Some(failure) = failure else {
-            // Healthy round: checkpoint on cadence. The capture marker is
-            // recorded first so the event is part of the snapshot.
-            let round = world.round();
-            if round.is_multiple_of(checkpoint_rounds) {
-                world.note_snapshot_captured(round);
-                checkpoint = Epoch {
-                    snap: world.snapshot(),
-                    round,
-                };
-            }
-            continue;
-        };
 
         report.detections += 1;
-        if report.restarts >= policy.max_restarts {
+        if report.restarts >= state.policy.max_restarts {
             report.exhausted = true;
             break failure;
         }
         // Roll back: restore the checkpoint, carry any unfired injection
         // over from the failed world, re-baseline the watchdog.
         let carried = world.take_injection();
+        let checkpoint = &state.checkpoint;
         let mut restored = checkpoint.snap.restore();
         report.restarts += 1;
         report.last_checkpoint_round = checkpoint.round;
@@ -166,8 +236,8 @@ pub fn run_guarded(mut world: MpiWorld, policy: &GuardPolicy) -> (MpiWorld, Guar
             restored.arm(inj);
         }
         world = restored;
-        watchdog.reset();
-        watchdog.prime(&world);
+        state.watchdog.reset();
+        state.watchdog.prime(&world);
     };
 
     report.exit = exit;

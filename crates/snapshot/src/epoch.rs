@@ -73,21 +73,58 @@ enum Rule {
     Until { every: u64, stop: u64 },
 }
 
+/// What a runner keeps beside the world it steps, between rounds — a
+/// guard's rollback checkpoint and watchdog, a respawn's buddy line, a
+/// replica vote's digest record. A clean run made with a rider
+/// ([`EpochCache::run_clean`]) is that runner's own pass with nothing
+/// armed, and holds the runner's state at each of its checkpoints: a
+/// world forked from one, armed with faults that have not fired there,
+/// resumes the runner exactly where a run started at round 0 stands.
+/// `()` is the plain world's rider, which keeps nothing.
+pub trait Rider {
+    /// What the runner holds beside the world at a round boundary.
+    type State: Clone;
+
+    /// Do what the runner does after a round that did not end `world`.
+    /// `false` when it intervened — did what a run whose faults have not
+    /// fired would not — so that its state at this and every later
+    /// checkpoint is no fork point; the world runs on as a plain one, and
+    /// the rider is not called again.
+    fn after_round(&mut self, world: &mut MpiWorld) -> bool;
+
+    /// The runner's state now.
+    fn state(&self) -> Self::State;
+}
+
+impl Rider for () {
+    type State = ();
+
+    fn after_round(&mut self, _: &mut MpiWorld) -> bool {
+        true
+    }
+
+    fn state(&self) {}
+}
+
 /// The one stepping loop: run `world`, which stands where `first` was
 /// taken, round by round, checkpointing it at the rounds `rule` names.
-/// With `stamp`, every granule each rank reads is stamped with the index
-/// of the checkpoint interval the read falls in (interval `k` is the
-/// rounds between checkpoints `k - 1` and `k`). A checkpoint holds the
-/// copy of each memory page that a checkpoint of `like` at the same round
-/// holds, where their bytes are equal ([`WorldSnapshot::share_pages`]).
-/// Returns the checkpoints and the world as the pass left it.
-fn step(
+/// After each round that does not end it, `rider` does what its runner
+/// does between rounds, and each checkpoint holds the rider's state, or
+/// `None` from its first intervention on. With `stamp`, every granule
+/// each rank reads is stamped with the index of the checkpoint interval
+/// the read falls in (interval `k` is the rounds between checkpoints
+/// `k - 1` and `k`). A checkpoint holds the copy of each memory page that
+/// a checkpoint of `like` at the same round holds, where their bytes are
+/// equal ([`WorldSnapshot::share_pages`]). Returns the checkpoints, the
+/// rider's states at them and the world as the pass left it.
+fn step<R: Rider>(
     mut world: MpiWorld,
     first: Epoch,
     rule: Rule,
     stamp: bool,
     like: &[&EpochCache],
-) -> (EpochCache, MpiWorld) {
+    rider: &mut R,
+) -> (EpochCache, Vec<Option<R::State>>, MpiWorld) {
     let (mut every, most, stop) = match rule {
         Rule::Every(every) => (every, usize::MAX, None),
         Rule::AtMost(most) => (1, most, None),
@@ -95,7 +132,8 @@ fn step(
     };
     let (origin, mut round) = (first.round, first.round);
     let due = |every: u64, round: u64| (round - origin).is_multiple_of(every);
-    let mut epochs = vec![first];
+    let mut held = vec![(first, Some(rider.state()))];
+    let mut exact = true;
     // Reads between two checkpoints belong to the interval the later one
     // closes. One stamp value per held snapshot, so a u32 cannot wrap
     // before memory runs out.
@@ -116,12 +154,13 @@ fn step(
             break Some(e);
         }
         round += 1;
+        exact = exact && rider.after_round(&mut world);
         if !due(every, round) {
             continue;
         }
-        if epochs.len() == most {
+        if held.len() == most {
             every *= 2;
-            epochs.retain(|e| due(every, e.round));
+            held.retain(|(e, _)| due(every, e.round));
             if !due(every, round) {
                 continue;
             }
@@ -134,15 +173,16 @@ fn step(
         if let Some(e) = same_round {
             snap.share_pages(&e.snap);
         }
-        epochs.push(Epoch { snap, round });
+        held.push((Epoch { snap, round }, exact.then(|| rider.state())));
         if stamp {
-            open_interval(&mut world, epochs.len());
+            open_interval(&mut world, held.len());
         }
     };
     let stamps = (0..world.nranks()).filter(|_| stamp).map(|r| {
         let taken = world.machine_mut(r).take_read_stamps();
         taken.expect("stamping was on for the whole pass")
     });
+    let (epochs, states) = held.into_iter().unzip();
     let cache = EpochCache {
         stamps: stamps.collect(),
         epochs,
@@ -150,7 +190,7 @@ fn step(
         rounds: round,
         every,
     };
-    (cache, world)
+    (cache, states, world)
 }
 
 /// Checkpoints of one run, ordered by round.
@@ -212,11 +252,20 @@ impl EpochCache {
         every_rounds: u32,
     ) -> (EpochCache, MpiWorld) {
         assert!(every_rounds > 0, "every_rounds must be nonzero");
-        EpochCache::run(launch, cfg, Rule::Every(every_rounds.into()), true, &[])
+        let world = launch.world(cfg);
+        let first = Epoch {
+            snap: world.snapshot(),
+            round: 0,
+        };
+        let rule = Rule::Every(every_rounds.into());
+        let (cache, _, world) = step(world, first, rule, true, &[], &mut ());
+        (cache, world)
     }
 
     /// Run one world configuration's clean run to its end, however it
-    /// ends. When worlds will fork from it (`forked`), hold at most eight
+    /// ends: `world`, just launched, stepped with `rider` — the pass of
+    /// the runner whose state it carries, `()` for a plain world. When
+    /// worlds will fork from it (`forked`), hold at most eight
     /// checkpoints spaced evenly over its rounds: the spacing is not
     /// known before the run ends, so the pass checkpoints every round
     /// and, each time the set overflows, keeps every other checkpoint and
@@ -228,29 +277,21 @@ impl EpochCache {
     /// ([`WorldSnapshot::share_pages`]): configurations that differ only
     /// in what the world does around the guest (the channel, the
     /// detector, digests) compute alike, and keep one copy of it. Returns
-    /// the cache and the finished world.
-    pub fn run_clean(
-        launch: &Launch,
-        cfg: WorldConfig,
+    /// the cache, the rider's state at each checkpoint (`None` from its
+    /// first intervention on, see [`Rider::after_round`]) and the
+    /// finished world.
+    pub fn run_clean<R: Rider>(
+        world: MpiWorld,
         forked: bool,
         like: &[&EpochCache],
-    ) -> (EpochCache, MpiWorld) {
+        rider: &mut R,
+    ) -> (EpochCache, Vec<Option<R::State>>, MpiWorld) {
         let most = if forked { CLEAN_EPOCHS } else { 1 };
-        EpochCache::run(launch, cfg, Rule::AtMost(most), false, like)
-    }
-
-    /// A `cfg` world launched from `launch`, stepped to its exit on
-    /// `rule`.
-    fn run(
-        launch: &Launch,
-        cfg: WorldConfig,
-        rule: Rule,
-        stamp: bool,
-        like: &[&EpochCache],
-    ) -> (EpochCache, MpiWorld) {
-        let world = launch.world(cfg);
-        let snap = world.snapshot();
-        step(world, Epoch { snap, round: 0 }, rule, stamp, like)
+        let first = Epoch {
+            snap: world.snapshot(),
+            round: world.round(),
+        };
+        step(world, first, Rule::AtMost(most), false, like, rider)
     }
 
     /// Replace the per-rank instruction budget carried by every
@@ -359,7 +400,14 @@ impl EpochCache {
         let every = span.div_ceil(SWEEP_CHECKPOINTS).max(1);
         let stop = start.round + (last - start.round) / every * every;
         let rule = Rule::Until { every, stop };
-        let (sweep, world) = step(start.snap.restore(), start.clone(), rule, false, &[]);
+        let (sweep, _, world) = step(
+            start.snap.restore(),
+            start.clone(),
+            rule,
+            false,
+            &[],
+            &mut (),
+        );
         assert!(
             sweep.exit.is_none(),
             "the golden run ended inside an interval"

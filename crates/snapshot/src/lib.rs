@@ -33,7 +33,11 @@
 //!   run's gets its own cache from its own clean run
 //!   ([`EpochCache::run_clean`]: a few checkpoints, no read stamps), so
 //!   a matrix column forks from checkpoints that are exact by
-//!   construction. The golden pass, a clean run and an interval sweep
+//!   construction. A runner that keeps state beside its world (a
+//!   guard's rollback checkpoint and watchdog, a respawn's buddy line, a
+//!   replica vote's digest record) steps that run as its own pass — a
+//!   [`Rider`] — and the run holds the runner's state at each
+//!   checkpoint too, so the runner resumes there as well. The golden pass, a clean run and an interval sweep
 //!   (below) are one stepping loop under three checkpoint rules — every
 //!   K rounds; at most eight, evenly spaced; every K rounds up to a stop
 //!   round — with read stamping and page sharing as its only options,
@@ -74,6 +78,6 @@
 
 pub mod epoch;
 
-pub use epoch::{Epoch, EpochCache, Interval, SWEEP_CHECKPOINTS};
+pub use epoch::{Epoch, EpochCache, Interval, Rider, SWEEP_CHECKPOINTS};
 pub use fl_machine::{MachineSnapshot, MemorySnapshot};
 pub use fl_mpi::WorldSnapshot;

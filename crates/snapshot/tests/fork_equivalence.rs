@@ -217,7 +217,7 @@ fn clean_run_checkpoints_are_sparse_and_exact() {
         let mut cfg = app.world_config(BUDGET);
         (cfg.ft.enabled, cfg.ulfm) = (true, false);
         let launch = Launch::new(&app.image, cfg.machine, None);
-        let (cache, end) = EpochCache::run_clean(&launch, cfg, true, &[]);
+        let (cache, _, end) = EpochCache::run_clean(launch.world(cfg), true, &[], &mut ());
         assert!((5..=8).contains(&cache.len()), "{kind}: {}", cache.len());
         let every = cache.epochs()[1].round;
         for (k, e) in cache.epochs().iter().enumerate() {
