@@ -41,7 +41,8 @@ pub enum Defense {
     /// The full fl-guard harness: watchdog, checkpoints,
     /// rollback-and-re-execute (which includes the CRC channel).
     Watchdog,
-    /// N-replica lockstep voting (fl-ft).
+    /// N-replica voting (fl-ft): armed replicas run, the others are read
+    /// off the configuration's recorded clean run.
     Replica,
     /// Heartbeat detector + shrink-to-survivors recovery (fl-ft).
     Shrink,

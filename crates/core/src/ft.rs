@@ -10,8 +10,11 @@
 //! shrink recovery, buddy-checkpoint respawn recovery, and app-owned
 //! fl-ulfm recovery. The replica row pairs each §3.3 message fault with
 //! an N-replica voted run to measure how often a single corrupt replica
-//! is outvoted and masked. All runs are cold — recovery owns its own
-//! checkpoints. Every view carries each column's recovery cost, the mean
+//! is outvoted and masked. Every column starts from its configuration's
+//! clean run: shrink and app fork from its checkpoints, respawn resumes
+//! with the buddy line that run held there, and the replica column
+//! steps only armed replicas and reads the others off the recorded
+//! clean run. Every view carries each column's recovery cost, the mean
 //! guest instructions its runs retired; the respawn column also counts
 //! the checkpoint lines it cut and the rounds its restores threw away.
 

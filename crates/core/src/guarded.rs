@@ -30,9 +30,10 @@ const GUARDED: usize = 1;
 /// The guard-coverage mode: a row per class, bare against guarded.
 /// Baseline runs are the plain campaign's trials, planned and run as it
 /// runs them — forked from epoch or round checkpoints (observably
-/// identical, per the campaign invariant); guarded runs always start
-/// cold — their checkpoints belong to the guarded world itself. A slot
-/// holds both runs of one draw.
+/// identical, per the campaign invariant). Guarded runs fork from a
+/// checkpoint of the guarded configuration's clean run, a fault-free
+/// guarded pass, and resume with the rollback checkpoint and watchdog
+/// that pass held there. A slot holds both runs of one draw.
 pub fn mode(classes: &[TargetClass], policy: GuardPolicy) -> MatrixMode {
     let columns = vec![
         Column {

@@ -63,20 +63,16 @@ pub mod spec;
 pub mod suggest;
 pub mod target;
 
-pub use campaign::{
-    replay_trial, trial_seed, CampaignConfig, CampaignResult, ConvergeStats, Dictionaries,
-};
-pub use chaos::{ChaosPolicy, Defense};
+pub use campaign::{replay_trial, trial_seed, CampaignConfig, CampaignResult, Dictionaries};
+pub use chaos::ChaosPolicy;
 pub use engine::{
     parse_record_line, record_line, run_campaign, run_campaign_engine, run_spec, run_spec_memo,
-    sort_records_jsonl, CompletedSlots, ContextMemo, EngineControl, EngineProgress, EngineRun,
-    EngineSink, NullSink, SpecOutcome, StderrProgress, TrialOutput, VecSink,
+    sort_records_jsonl, CompletedSlots, ContextMemo, EngineControl, EngineProgress, EngineSink,
+    NullSink, SpecOutcome, StderrProgress, TrialOutput, VecSink,
 };
 pub use faultmodel::compare_models;
-pub use fl_ft::{
-    run_app, run_replicated, run_respawn, run_shrink, shrink, ulfm_config, FtPolicy, FtReport,
-};
-pub use fl_guard::{run_guarded, GuardPolicy, GuardReport};
+pub use fl_ft::FtPolicy;
+pub use fl_guard::GuardPolicy;
 pub use matrix::{Cell, MatrixResult};
 pub use obs::TrialTrace;
 pub use outcome::{classify, Manifestation, Tally};

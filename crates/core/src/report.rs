@@ -15,7 +15,7 @@
 //! without internal checks (Wavetoy) simply show empty App/MPI-Detected
 //! columns, as Table 2 does.
 
-use crate::campaign::{CampaignResult, ClassResult};
+use crate::campaign::{CampaignResult, ClassResult, ConvergeStats};
 use crate::json::escape;
 use crate::obs::CampaignMetrics;
 use crate::outcome::Manifestation;
@@ -144,7 +144,7 @@ pub struct MetricsReport<'a> {
     /// Campaign telemetry (exec-cache and early-termination counters),
     /// appended as a trailing TSV/JSONL row when present. `None` leaves
     /// the rendering exactly as before (model campaigns have neither).
-    pub telemetry: Option<(&'a fl_machine::ExecStats, &'a crate::ConvergeStats)>,
+    pub telemetry: Option<(&'a fl_machine::ExecStats, &'a ConvergeStats)>,
 }
 
 impl Report for MetricsReport<'_> {

@@ -39,7 +39,7 @@
 use fl_mpi::{
     FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldEffect, WorldExit, WorldSnapshot,
 };
-use fl_snap::Rider;
+use fl_snap::{Epoch, Rider};
 
 pub use fl_mpi::Health;
 
@@ -224,14 +224,6 @@ pub fn run_app(mut world: MpiWorld) -> (MpiWorld, FtReport) {
     (world, report)
 }
 
-/// One coordinated buddy checkpoint line: the assembled per-rank pieces
-/// (modelled as a world snapshot) plus the round they were cut at.
-#[derive(Clone)]
-struct BuddyLine {
-    snap: WorldSnapshot,
-    round: u64,
-}
-
 /// Where a respawn run stands beside its world between rounds: its last
 /// buddy line — the world at the last multiple of `buddy_rounds` at which
 /// every rank was alive, or the start before the first — and the lines
@@ -242,7 +234,10 @@ struct BuddyLine {
 #[derive(Clone)]
 pub struct RespawnState {
     policy: FtPolicy,
-    line: BuddyLine,
+    /// The last coordinated buddy checkpoint line: the assembled
+    /// per-rank pieces (modelled as one world checkpoint) and the round
+    /// they were cut at.
+    line: Epoch,
     lines: u32,
 }
 
@@ -251,26 +246,19 @@ impl RespawnState {
     pub fn new(world: &MpiWorld, policy: &FtPolicy) -> RespawnState {
         RespawnState {
             policy: *policy,
-            line: BuddyLine {
-                snap: world.snapshot(),
-                round: world.round(),
-            },
+            line: Epoch::of(world),
             lines: 0,
         }
     }
 
     /// This state, taken from a fault-free pass, for a world that resumes
-    /// from the pass armed with faults that have not fired yet: a run
-    /// armed at its start carried them in its line too, so the line is
-    /// restored, `arm`ed and captured again.
+    /// from the pass armed with faults that have not fired yet: the line
+    /// is [`Epoch::armed`].
     pub fn armed(&self, arm: impl FnOnce(&mut MpiWorld)) -> RespawnState {
-        let mut world = self.line.snap.restore();
-        arm(&mut world);
-        let line = BuddyLine {
-            snap: world.snapshot(),
-            round: self.line.round,
-        };
-        RespawnState { line, ..*self }
+        RespawnState {
+            line: self.line.armed(arm),
+            ..*self
+        }
     }
 
     /// After a round that did not end `world`: cut a line on the cadence.
@@ -285,10 +273,7 @@ impl RespawnState {
             // restart point.
             world.note_snapshot_captured(r);
             self.lines += 1;
-            self.line = BuddyLine {
-                snap: world.snapshot(),
-                round: r,
-            };
+            self.line = Epoch::of(world);
         }
     }
 }

@@ -98,27 +98,18 @@ impl GuardState {
         watchdog.prime(world);
         GuardState {
             policy: *policy,
-            checkpoint: Epoch {
-                snap: world.snapshot(),
-                round: world.round(),
-            },
+            checkpoint: Epoch::of(world),
             watchdog,
         }
     }
 
     /// This state, taken from a fault-free pass, for a world that resumes
-    /// from the pass armed with faults that have not fired yet: a run
-    /// armed at its start carried them in its rollback checkpoint too, so
-    /// the checkpoint is restored, `arm`ed and captured again.
+    /// from the pass armed with faults that have not fired yet: the
+    /// rollback checkpoint is [`Epoch::armed`].
     pub fn armed(&self, arm: impl FnOnce(&mut MpiWorld)) -> GuardState {
-        let mut world = self.checkpoint.snap.restore();
-        arm(&mut world);
         GuardState {
             policy: self.policy,
-            checkpoint: Epoch {
-                snap: world.snapshot(),
-                round: self.checkpoint.round,
-            },
+            checkpoint: self.checkpoint.armed(arm),
             watchdog: self.watchdog.clone(),
         }
     }
@@ -137,10 +128,7 @@ impl GuardState {
         }
         if round.is_multiple_of(self.policy.checkpoint_rounds.max(1) as u64) {
             world.note_snapshot_captured(round);
-            self.checkpoint = Epoch {
-                snap: world.snapshot(),
-                round,
-            };
+            self.checkpoint = Epoch::of(world);
         }
         None
     }

@@ -87,9 +87,9 @@ impl ProgramImage {
     /// Link-time pre-decode: eagerly decode both text sections into a
     /// campaign-shareable [`crate::SharedCode`] store. Build this once
     /// per image and pass it to [`crate::Machine::load_shared`] so every
-    /// machine — across ranks, worlds and snapshot forks — starts with
-    /// warm decoded caches instead of decoding lazily on first
-    /// execution.
+    /// machine — across ranks, worlds and snapshot forks — shares one
+    /// decode of the image's text, and the blocks and superblocks any of
+    /// them assembled.
     pub fn pre_decode(&self) -> crate::SharedCode {
         crate::SharedCode::build(self)
     }

@@ -207,43 +207,10 @@ impl Default for MachineConfig {
     }
 }
 
-struct ICache {
-    base: u32,
-    entries: Vec<Option<(Insn, u8)>>,
-}
-
-impl ICache {
-    fn new(base: u32, len: u32) -> Self {
-        ICache {
-            base,
-            entries: vec![None; (len as usize).div_ceil(4)],
-        }
-    }
-
-    fn idx(&self, addr: u32) -> Option<usize> {
-        if addr < self.base || !addr.is_multiple_of(4) {
-            return None;
-        }
-        let i = ((addr - self.base) / 4) as usize;
-        (i < self.entries.len()).then_some(i)
-    }
-
-    fn invalidate(&mut self, addr: u32) {
-        // A poke at `addr` can change the instruction starting there or
-        // the immediate word of the instruction one word earlier.
-        if let Some(i) = self.idx(addr & !3) {
-            self.entries[i] = None;
-            if i > 0 {
-                self.entries[i - 1] = None;
-            }
-        }
-    }
-}
-
 /// A decoded basic block: the straight-line instruction run starting at
 /// some text address, ending at the first block-ending instruction (or
 /// a size cap). Instructions are stored as `(insn, words)` exactly as
-/// the per-instruction icache stores them.
+/// the decoded-code store holds each word.
 struct Block {
     insns: Vec<(Insn, u8)>,
 }
@@ -255,34 +222,8 @@ impl Block {
     }
 }
 
-/// Basic-block cache, indexed like [`ICache`] by entry word. Blocks are
-/// built lazily by [`Machine::run`]'s fast path and flushed wholesale on
-/// any text poke (pokes happen at injection rate, so coarse-grained
-/// invalidation costs nothing measurable); `generation` detects a flush
-/// that lands while a block is checked out for execution.
-struct BlockCache {
-    slots: Vec<Option<Block>>,
-    generation: u64,
-}
-
-impl BlockCache {
-    fn new(len: u32) -> Self {
-        BlockCache {
-            slots: (0..(len as usize).div_ceil(4)).map(|_| None).collect(),
-            generation: 0,
-        }
-    }
-
-    fn flush(&mut self) {
-        self.generation += 1;
-        for s in &mut self.slots {
-            *s = None;
-        }
-    }
-}
-
 /// Straight-line blocks stop at the first block-ending instruction or
-/// at this many instructions, on both the shared and private paths.
+/// at this many instructions.
 const MAX_BLOCK_INSNS: usize = 64;
 
 /// Block-entry dispatch count after which a superblock is compiled.
@@ -307,7 +248,8 @@ pub struct ExecStats {
     pub trace_hits: u64,
     /// Superblock passes abandoned mid-body by a mispredicted branch.
     pub trace_side_exits: u64,
-    /// Text banks demoted from the shared store by a poke.
+    /// Text banks that took their first poke: from then on the bank
+    /// bypasses the decoded words, blocks and superblocks a poke touched.
     pub demotions: u64,
     /// Scheduler quanta this machine was granted (fl-perturb
     /// effective-quantum telemetry, filled by the round scheduler).
@@ -616,8 +558,8 @@ impl SharedBank {
     }
 
     /// Assemble the straight-line block at slot `i` from the pre-decoded
-    /// words — the shared-store twin of `Machine::build_block`, with the
-    /// identical stop conditions.
+    /// words: up to the first block-ending instruction, undecodable word
+    /// or `MAX_BLOCK_INSNS`. The one block assembler.
     fn assemble_block(&self, i: usize) -> Option<Block> {
         let mut insns = Vec::new();
         let mut j = i;
@@ -914,18 +856,20 @@ impl std::fmt::Debug for SharedCode {
     }
 }
 
-/// One text bank's view of the decode machinery: the `Arc`-shared
-/// pre-decoded store while the bank's text still matches the image, or
-/// private lazy caches after a poke demotes it (copy-on-poke — the
-/// shared store always describes pristine text, so a text-corrupting
-/// fault drops the handle and falls back to the PR 4 per-machine
-/// caches with their generation-flush semantics).
+/// One text bank's view of the decoded-code store: the `Arc`-shared
+/// pre-decoded bank, which always describes the image's pristine text,
+/// and the text byte ranges privileged pokes have rewritten in this
+/// machine since. A decoded unit that read a poked byte is stale here:
+/// `step()` decodes such a word from memory, and dispatch skips such
+/// blocks and superblocks. The store itself is never written, so a poke
+/// costs other machines nothing.
+#[derive(Clone)]
 struct CacheBank {
-    base: u32,
-    /// Mapping length in bytes (`text_len.max(4)`, like the mappings).
-    len: u32,
-    /// The shared store; `None` once demoted or when loaded cold.
-    shared: Option<Arc<SharedBank>>,
+    shared: Arc<SharedBank>,
+    /// Poked byte ranges `[lo, hi)`: sorted, disjoint and not touching,
+    /// so a held fault re-poking one byte never grows it. Empty while
+    /// the bank is pristine.
+    poked: Vec<(u32, u32)>,
     /// Per-machine promotion heat for shared block entries (lazily
     /// sized — most forks never run anything hot).
     hotness: Vec<u16>,
@@ -934,92 +878,93 @@ struct CacheBank {
     /// once per stamp value instead of once per dispatch (lazily sized;
     /// 0 = never).
     fetch_marks: Vec<u64>,
-    /// Private decode caches, used only when `shared` is gone.
-    icache: Option<Box<ICache>>,
-    bcache: Option<Box<BlockCache>>,
 }
 
 impl CacheBank {
-    fn cold(base: u32, len: u32) -> CacheBank {
+    fn new(shared: Arc<SharedBank>) -> CacheBank {
         CacheBank {
-            base,
-            len: len.max(4),
-            shared: None,
+            shared,
+            poked: Vec::new(),
             hotness: Vec::new(),
             fetch_marks: Vec::new(),
-            icache: None,
-            bcache: None,
         }
     }
 
-    fn warm(base: u32, len: u32, shared: Arc<SharedBank>) -> CacheBank {
+    /// The same store and poked set; heat and stamp marks start empty.
+    fn fork(&self) -> CacheBank {
         CacheBank {
-            shared: Some(shared),
-            ..CacheBank::cold(base, len)
+            poked: self.poked.clone(),
+            ..CacheBank::new(self.shared.clone())
         }
     }
 
     fn idx(&self, addr: u32) -> Option<usize> {
-        if addr < self.base || !addr.is_multiple_of(4) {
-            return None;
-        }
-        let i = ((addr - self.base) / 4) as usize;
-        (i < (self.len as usize).div_ceil(4)).then_some(i)
+        self.shared.idx(addr)
     }
 
     fn heat(&mut self, i: usize) -> &mut u16 {
         if self.hotness.is_empty() {
-            self.hotness = vec![0; (self.len as usize).div_ceil(4)];
+            self.hotness = vec![0; self.shared.insns.len()];
         }
         &mut self.hotness[i]
     }
 
     fn fetch_mark(&mut self, i: usize) -> &mut u64 {
         if self.fetch_marks.is_empty() {
-            self.fetch_marks = vec![0; (self.len as usize).div_ceil(4)];
+            self.fetch_marks = vec![0; self.shared.insns.len()];
         }
         &mut self.fetch_marks[i]
     }
 
-    fn icache_mut(&mut self) -> &mut ICache {
-        self.icache
-            .get_or_insert_with(|| Box::new(ICache::new(self.base, self.len)))
+    /// Does `[lo, hi)` hold a poked byte?
+    fn is_poked(&self, lo: u32, hi: u32) -> bool {
+        let k = self.poked.partition_point(|r| r.1 <= lo);
+        self.poked.get(k).is_some_and(|r| r.0 < hi)
     }
 
-    fn bcache_mut(&mut self) -> &mut BlockCache {
-        self.bcache
-            .get_or_insert_with(|| Box::new(BlockCache::new(self.len)))
+    /// Does any of `spans` hold a poked byte?
+    fn any_poked(&self, spans: &[(u32, u32)]) -> bool {
+        spans.iter().any(|&(lo, hi)| self.is_poked(lo, hi))
     }
 
-    /// A privileged poke landed on [lo, hi): demote a shared bank to
-    /// the private caches, or flush the private caches (the
-    /// pre-demotion semantics).
+    /// The decode `step()` may take from the store for slot `i`: the
+    /// store's, unless a poke touched the word or the one after it
+    /// (which holds a two-word instruction's immediate).
+    fn decoded(&self, i: usize) -> Option<(Insn, u8)> {
+        let at = self.shared.base + 4 * i as u32;
+        if self.is_poked(at, at.saturating_add(8)) {
+            return None;
+        }
+        self.shared.insns[i]
+    }
+
+    /// A privileged poke landed on `[lo, hi)`: add the part inside this
+    /// bank to the poked set, merging every range it overlaps or
+    /// touches. A bank's first poke counts as a demotion.
     fn poke(&mut self, lo: u32, hi: u32, stats: &mut ExecStats) {
-        let bank_end = self.base + self.len;
-        if lo >= bank_end || hi <= self.base {
+        let (base, words) = (self.shared.base, self.shared.insns.len() as u32);
+        let (lo, hi) = (lo.max(base), hi.min(base + 4 * words));
+        if lo >= hi {
             return;
         }
-        if self.shared.take().is_some() {
-            self.hotness = Vec::new();
-            self.icache = None;
-            self.bcache = None;
+        if self.poked.is_empty() {
             stats.demotions += 1;
-            return;
         }
-        if let Some(ic) = self.icache.as_deref_mut() {
-            for a in lo..hi {
-                ic.invalidate(a);
-            }
-        }
-        if let Some(bc) = self.bcache.as_deref_mut() {
-            bc.flush();
-        }
+        let first = self.poked.partition_point(|r| r.1 < lo);
+        let last = self.poked.partition_point(|r| r.0 <= hi);
+        let merged = if first < last {
+            (lo.min(self.poked[first].0), hi.max(self.poked[last - 1].1))
+        } else {
+            (lo, hi)
+        };
+        self.poked.splice(first..last, [merged]);
     }
 }
 
 /// The two text banks (app at `TEXT_BASE`, lib at `LIB_BASE`) behind
 /// one probe: every use site resolves a bank by address instead of
 /// repeating the app-then-lib fallback dance.
+#[derive(Clone)]
 struct CodeCache {
     app: CacheBank,
     lib: CacheBank,
@@ -1039,6 +984,15 @@ impl CodeCache {
             &mut self.app
         } else {
             &mut self.lib
+        }
+    }
+
+    /// The banks a fork of this machine starts with: the same store and
+    /// poked set, no heat.
+    fn fork(&self) -> CodeCache {
+        CodeCache {
+            app: self.app.fork(),
+            lib: self.lib.fork(),
         }
     }
 }
@@ -1144,9 +1098,8 @@ impl Machine {
     /// hand it to every world, so all ranks, snapshot forks and worker
     /// threads share decoded blocks and promoted superblocks.
     ///
-    /// With `None`, a fresh store is built — unless the configuration
-    /// cannot use it (fast path off, or trace mode on), in which case
-    /// the machine loads cold and decodes lazily as before.
+    /// With `None`, a fresh store is built. Every configuration uses
+    /// one: the slow path and trace mode decode through it in `step()`.
     pub fn load_shared(
         image: &ProgramImage,
         cfg: MachineConfig,
@@ -1217,30 +1170,12 @@ impl Machine {
         mem.poke(lib_data_base, &image.lib_data);
 
         let heap_limit = heap_base + cfg.heap_limit.min(LIB_BASE - heap_base);
-        let code = if mem.fastpath() {
-            let owned;
-            let code = match code {
-                Some(c) => c,
-                None => {
-                    owned = SharedCode::build(image);
-                    &owned
-                }
-            };
-            debug_assert_eq!(
-                code.app.insns.len(),
-                (text_len.max(4) as usize).div_ceil(4),
-                "shared store was built from a different image"
-            );
-            CodeCache {
-                app: CacheBank::warm(TEXT_BASE, text_len, code.app.clone()),
-                lib: CacheBank::warm(LIB_BASE, lib_text_len, code.lib.clone()),
-            }
-        } else {
-            CodeCache {
-                app: CacheBank::cold(TEXT_BASE, text_len),
-                lib: CacheBank::cold(LIB_BASE, lib_text_len),
-            }
-        };
+        let code = code.cloned().unwrap_or_else(|| SharedCode::build(image));
+        debug_assert_eq!(
+            code.app.insns.len(),
+            (text_len.max(4) as usize).div_ceil(4),
+            "shared store was built from a different image"
+        );
         let mut m = Machine {
             cpu: Cpu::new(image.entry, STACK_TOP - 16),
             mem,
@@ -1258,7 +1193,10 @@ impl Machine {
             budget: cfg.budget,
             text_end: TEXT_BASE + text_len,
             lib_text_end: LIB_BASE + lib_text_len,
-            code,
+            code: CodeCache {
+                app: CacheBank::new(code.app),
+                lib: CacheBank::new(code.lib),
+            },
             min_esp: STACK_TOP - 16,
             syscall_fault: None,
             syscall_fault_seen: 0,
@@ -1490,10 +1428,16 @@ impl Machine {
     /// of once per instruction.
     fn run_fast<const STAMP: bool>(&mut self, stop_at: u64) -> Exit {
         let limit = self.budget.min(stop_at);
-        // The shared banks cannot change during a run (demotion happens
-        // on privileged pokes, between runs), so resolve them once.
-        let app = self.code.app.shared.clone();
-        let lib = self.code.lib.shared.clone();
+        // Pokes land between runs, never during one, so each bank and
+        // whether it holds poked text are resolved once.
+        let app = (
+            self.code.app.shared.clone(),
+            !self.code.app.poked.is_empty(),
+        );
+        let lib = (
+            self.code.lib.shared.clone(),
+            !self.code.lib.poked.is_empty(),
+        );
         loop {
             if self.counters.insns >= limit {
                 return if self.counters.insns >= self.budget {
@@ -1503,24 +1447,23 @@ impl Machine {
                 };
             }
             let eip = self.cpu.eip;
-            let bank = if eip < LIB_BASE { &app } else { &lib };
-            let exit = match bank.as_deref() {
-                Some(b) => self.dispatch_shared::<STAMP>(b, eip, stop_at, limit),
-                None => self.dispatch_private::<STAMP>(eip, stop_at),
-            };
-            if let Some(exit) = exit {
+            let (bank, poked) = if eip < LIB_BASE { &app } else { &lib };
+            if let Some(exit) = self.dispatch::<STAMP>(bank, *poked, eip, stop_at, limit) {
                 return exit;
             }
         }
     }
 
-    /// One dispatch against the shared store: enter a promoted
-    /// superblock if a full pass fits under the limits, otherwise heat
-    /// the entry (compiling a superblock at the threshold) and run the
-    /// shared decoded block.
-    fn dispatch_shared<const STAMP: bool>(
+    /// One dispatch against the store: enter a promoted superblock if a
+    /// full pass fits under the limits, otherwise heat the entry
+    /// (compiling a superblock at the threshold) and run the decoded
+    /// block. On a `poked` bank, a superblock or block that covers a
+    /// poked byte is skipped: trace falls back to block, block to
+    /// `step()`.
+    fn dispatch<const STAMP: bool>(
         &mut self,
         bank: &SharedBank,
+        poked: bool,
         eip: u32,
         stop_at: u64,
         limit: u64,
@@ -1531,7 +1474,10 @@ impl Machine {
             return self.step();
         };
         match bank.traces[i].get() {
-            Some(tr) if limit.saturating_sub(self.counters.insns) >= tr.insn_count => {
+            Some(tr)
+                if limit.saturating_sub(self.counters.insns) >= tr.insn_count
+                    && !(poked && self.code.bank(eip).any_poked(&tr.spans)) =>
+            {
                 if STAMP && self.first_dispatch_under_stamp(eip, i, true) {
                     for &(lo, hi) in &tr.spans {
                         self.mem.stamp_read(lo, hi - lo);
@@ -1539,8 +1485,9 @@ impl Machine {
                 }
                 return self.exec_trace(tr, limit);
             }
-            // Not enough headroom for a full pass: the block path below
-            // finishes the quantum with per-instruction exactness.
+            // Not enough headroom for a full pass (or the pass reads a
+            // poked byte): the block path below finishes with
+            // per-instruction exactness.
             Some(_) => {}
             None => {
                 let h = self.code.bank_mut(eip).heat(i);
@@ -1557,6 +1504,10 @@ impl Machine {
             // raises the proper SIGSEGV/SIGILL with events.
             return self.step();
         };
+        let end = eip.saturating_add(block.bytes());
+        if poked && self.code.bank(eip).is_poked(eip, end) {
+            return self.step();
+        }
         if STAMP && self.first_dispatch_under_stamp(eip, i, false) {
             self.mem.stamp_read(eip, block.bytes());
         }
@@ -1574,43 +1525,6 @@ impl Machine {
         let mark = (((self.mem.read_stamp() as u64) << 1) | is_trace as u64) + 1;
         let slot = self.code.bank_mut(eip).fetch_mark(i);
         std::mem::replace(slot, mark) != mark
-    }
-
-    /// One dispatch against the private caches (a demoted bank, or a
-    /// configuration that never attached the shared store).
-    fn dispatch_private<const STAMP: bool>(&mut self, eip: u32, stop_at: u64) -> Option<Exit> {
-        let bank = self.code.bank_mut(eip);
-        let Some(idx) = bank.idx(eip) else {
-            // Not a block-cacheable address (unaligned or outside
-            // text): single-step, which raises the right signal.
-            return self.step();
-        };
-        let bc = bank.bcache_mut();
-        let generation = bc.generation;
-        let slot = bc.slots[idx].take();
-        if slot.is_some() {
-            self.exec_stats.block_hits += 1;
-        } else {
-            self.exec_stats.block_misses += 1;
-        }
-        let block = match slot.or_else(|| self.build_block(eip)) {
-            Some(b) => b,
-            // Head instruction unfetchable/undecodable: the step path
-            // raises the proper SIGSEGV/SIGILL with events.
-            None => return self.step(),
-        };
-        if STAMP && self.first_dispatch_under_stamp(eip, idx, false) {
-            self.mem.stamp_read(eip, block.bytes());
-        }
-        let exit = self.exec_block(&block, eip, stop_at);
-        // Put the block back unless a flush raced the execution
-        // (nothing inside exec can poke text today, but the generation
-        // check keeps the contract local).
-        let bc = self.code.bank_mut(eip).bcache_mut();
-        if bc.generation == generation {
-            bc.slots[idx] = Some(block);
-        }
-        exit
     }
 
     /// Execute one full pass (or several, for a loop-closing trace) of a
@@ -1978,30 +1892,6 @@ impl Machine {
         self.raise(Signal::Segv { addr })
     }
 
-    /// Decode the straight-line run starting at `eip`, up to the first
-    /// block-ending instruction or a size cap. `None` if even the first
-    /// instruction cannot be fetched or decoded.
-    fn build_block(&mut self, eip: u32) -> Option<Block> {
-        const MAX_BLOCK_INSNS: usize = 64;
-        let mut insns = Vec::new();
-        let mut a = eip;
-        while let Ok(words) = self.mem.fetch_words(a) {
-            let Ok((insn, len)) = decode_at(&words, 0) else {
-                break;
-            };
-            insns.push((insn, len as u8));
-            if insn.is_block_end() || insns.len() >= MAX_BLOCK_INSNS {
-                break;
-            }
-            a = a.wrapping_add(4 * len as u32);
-        }
-        if insns.is_empty() {
-            None
-        } else {
-            Some(Block { insns })
-        }
-    }
-
     /// Execute a decoded block starting at `eip`, replicating
     /// [`Machine::step`]'s retire order exactly: budget/quantum check,
     /// counters, then exec. Leaves the block early on any taken branch,
@@ -2044,16 +1934,11 @@ impl Machine {
     pub fn step(&mut self) -> Option<Exit> {
         let eip = self.cpu.eip;
 
-        // Decode: through the shared pre-decoded store while the bank is
-        // pristine, else through the private i-cache (aligned text only).
+        // Decode through the store, unless a poke made the entry stale or
+        // EIP is not an aligned text word: then from memory, uncached.
         let bank = self.code.bank(eip);
-        let cached = match (bank.idx(eip), &bank.shared) {
-            (Some(i), Some(s)) => s.insns[i],
-            (Some(i), None) => bank.icache.as_ref().and_then(|ic| ic.entries[i]),
-            (None, _) => None,
-        };
-        let (insn, len) = match cached {
-            // Protection was checked when the cache entry was built and
+        let (insn, len) = match bank.idx(eip).and_then(|i| bank.decoded(i)) {
+            // Store words lie inside the executable text mapping, and
             // text is immutable to the program itself.
             Some((insn, len)) => (insn, len as usize),
             None => {
@@ -2062,18 +1947,7 @@ impl Machine {
                     Err(f) => return Some(self.raise(Signal::Segv { addr: f.addr })),
                 };
                 match decode_at(&words, 0) {
-                    Ok((insn, len)) => {
-                        // A shared bank can never miss on a decodable word
-                        // (its text is pristine by construction), so an
-                        // insert only ever targets the private cache.
-                        let bank = self.code.bank_mut(eip);
-                        if bank.shared.is_none() {
-                            if let Some(i) = bank.idx(eip) {
-                                bank.icache_mut().entries[i] = Some((insn, len as u8));
-                            }
-                        }
-                        (insn, len)
-                    }
+                    Ok(d) => d,
                     Err(_) => return Some(self.raise(Signal::Ill { eip })),
                 }
             }
@@ -2585,10 +2459,10 @@ impl Machine {
 
     // --- fault-injection interface (the `ptrace` analogue, §3.1) ---------
 
-    /// Privileged memory write; keeps the decode caches coherent. A
-    /// poke landing in a shared text bank demotes it to private caches
-    /// (copy-on-poke); private caches invalidate per-word and flush
-    /// blocks coarsely, as before (pokes happen at injection rate).
+    /// Privileged memory write; keeps decoded code coherent. A poke
+    /// landing in text joins its bank's poked set, so from then on this
+    /// machine bypasses exactly the decoded words, blocks and superblocks
+    /// that read a poked byte. Nothing is allocated or re-decoded.
     pub fn poke_mem(&mut self, addr: u32, data: &[u8]) {
         self.mem.poke(addr, data);
         let end = addr.saturating_add(data.len() as u32);
@@ -2774,9 +2648,8 @@ impl Machine {
     /// (GPRs, EFLAGS, EIP, full FPU), memory (COW page table + region
     /// map), malloc-runtime records, console/output buffers, counters
     /// and budget. Decoded code is *not* architectural state — the
-    /// snapshot only carries the shared-store handles (if the banks are
-    /// still pristine) so forks start with warm caches; demoted banks
-    /// hand their forks cold private caches that refill lazily.
+    /// snapshot carries the store handles, so forks start warm, and each
+    /// bank's poked set, so forks bypass what their origin bypassed.
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             cpu: self.cpu.clone(),
@@ -2790,10 +2663,7 @@ impl Machine {
             budget: self.budget,
             text_end: self.text_end,
             lib_text_end: self.lib_text_end,
-            code: CodeHandle {
-                app: self.code.app.shared.clone(),
-                lib: self.code.lib.shared.clone(),
-            },
+            code: CodeHandle(self.code.fork()),
             min_esp: self.min_esp,
             syscall_fault: self.syscall_fault,
             syscall_fault_seen: self.syscall_fault_seen,
@@ -2804,16 +2674,13 @@ impl Machine {
     }
 }
 
-/// The shared-store handles a [`MachineSnapshot`] carries so forked
-/// machines start with warm decoded caches. A pure performance
-/// artifact: `PartialEq` ignores it entirely — two snapshots are
-/// architecturally equal whether their forks will run warm or cold —
-/// mirroring how `MemorySnapshot` equality ignores the fastpath flag.
-#[derive(Clone, Default)]
-pub struct CodeHandle {
-    app: Option<Arc<SharedBank>>,
-    lib: Option<Arc<SharedBank>>,
-}
+/// The decoded code a [`MachineSnapshot`] carries: the store handles,
+/// so forked machines start warm, and each bank's poked set. A pure
+/// performance artifact: `PartialEq` ignores it entirely — the poked
+/// bytes themselves are in the snapshot's memory — mirroring how
+/// `MemorySnapshot` equality ignores the fastpath flag.
+#[derive(Clone)]
+pub struct CodeHandle(CodeCache);
 
 impl PartialEq for CodeHandle {
     fn eq(&self, _: &CodeHandle) -> bool {
@@ -2824,8 +2691,8 @@ impl PartialEq for CodeHandle {
 impl std::fmt::Debug for CodeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CodeHandle")
-            .field("app_warm", &self.app.is_some())
-            .field("lib_warm", &self.lib.is_some())
+            .field("app_poked", &self.0.app.poked)
+            .field("lib_poked", &self.0.lib.poked)
             .finish()
     }
 }
@@ -2862,16 +2729,9 @@ pub struct MachineSnapshot {
 impl MachineSnapshot {
     /// Materialise a runnable [`Machine`] from this snapshot. Memory
     /// pages are shared copy-on-write with the snapshot (and with every
-    /// other machine forked from it); decoded code reattaches warm from
-    /// the shared store when the snapshot carries the handles, else the
-    /// private caches start cold and refill on execution.
+    /// other machine forked from it); decoded code reattaches warm to
+    /// the store, with the snapshot's poked sets.
     pub fn to_machine(&self) -> Machine {
-        let text_len = (self.text_end - TEXT_BASE).max(4);
-        let lib_text_len = (self.lib_text_end - LIB_BASE).max(4);
-        let bank = |base: u32, len: u32, shared: &Option<Arc<SharedBank>>| match shared {
-            Some(s) => CacheBank::warm(base, len, s.clone()),
-            None => CacheBank::cold(base, len),
-        };
         let mut m = Machine {
             cpu: self.cpu.clone(),
             mem: self.mem.to_memory(),
@@ -2885,10 +2745,7 @@ impl MachineSnapshot {
             budget: self.budget,
             text_end: self.text_end,
             lib_text_end: self.lib_text_end,
-            code: CodeCache {
-                app: bank(TEXT_BASE, text_len, &self.code.app),
-                lib: bank(LIB_BASE, lib_text_len, &self.code.lib),
-            },
+            code: self.code.0.fork(),
             min_esp: self.min_esp,
             syscall_fault: self.syscall_fault,
             syscall_fault_seen: self.syscall_fault_seen,
@@ -3429,7 +3286,7 @@ mod tests {
         use Gpr::*;
         let img = image(&[Insn::MovI { rd: Eax, imm: 5 }, Insn::Halt]);
         let mut m = Machine::load(&img, MachineConfig::default());
-        // Run once partially to warm the i-cache, then rewind.
+        // Run once to warm the store's blocks, then rewind.
         assert!(matches!(m.run(100), Exit::Halted(5)));
 
         let mut m = Machine::load(&img, MachineConfig::default());
@@ -3480,6 +3337,94 @@ mod tests {
             m.run(10),
             Exit::Signal(Signal::Ill { eip }) if eip == TEXT_BASE
         ));
+    }
+
+    /// The one decode rule, for every word of both text banks of every
+    /// app, tiny and paper size: a pristine store entry is the decode of
+    /// `fetch_words` at that word, and after multi-byte pokes — a bank's
+    /// last word, the immediate word of two-word instructions, random
+    /// runs — the decode `step()` takes from the store is either bypassed
+    /// or still that fresh decode.
+    #[test]
+    fn store_entries_decode_like_memory_before_and_after_pokes() {
+        use fl_apps::{App, AppKind, AppParams};
+        let fresh = |m: &mut Machine, addr: u32| {
+            let words = m.mem.fetch_words(addr).ok()?;
+            decode_at(&words, 0)
+                .ok()
+                .map(|(insn, len)| (insn, len as u8))
+        };
+        // Every word of both banks; with `poked`, what `step()` takes.
+        let check = |m: &mut Machine, poked: bool, what: &str| {
+            for base in [TEXT_BASE, LIB_BASE] {
+                for i in 0..m.code.bank(base).shared.insns.len() {
+                    let addr = base + 4 * i as u32;
+                    let want = fresh(m, addr);
+                    let bank = m.code.bank(base);
+                    let got = match poked {
+                        false => bank.shared.insns[i],
+                        true => bank.decoded(i).or(want),
+                    };
+                    assert_eq!(got, want, "{what}: word {addr:#x}");
+                }
+            }
+        };
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u32| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 32) as u32 % n
+        };
+        for kind in AppKind::ALL {
+            for params in [AppParams::tiny(kind), AppParams::default_for(kind)] {
+                // fl-apps links the crate, not this test build: restate
+                // the image on this build's type.
+                let app = App::build(kind, params).image;
+                let img = ProgramImage {
+                    text: app.text.clone(),
+                    data: app.data.clone(),
+                    bss_size: app.bss_size,
+                    lib_text: app.lib_text.clone(),
+                    lib_data: app.lib_data.clone(),
+                    entry: app.entry,
+                    symbols: Vec::new(),
+                    heap_reserve: app.heap_reserve,
+                };
+                let what = format!("{kind:?} text {}", img.text.len());
+                let mut m = Machine::load(&img, MachineConfig::default());
+                check(&mut m, false, &what);
+                for base in [TEXT_BASE, LIB_BASE] {
+                    let bank = &m.code.bank(base).shared;
+                    let words = bank.insns.len() as u32;
+                    let two_word: Vec<u32> = (0..words)
+                        .filter(|&i| matches!(bank.insns[i as usize], Some((_, 2))))
+                        .collect();
+                    let mut pokes = vec![(base + 4 * (words - 1), 4)];
+                    for _ in 0..8 {
+                        let i = two_word[next(two_word.len() as u32) as usize];
+                        pokes.push((base + 4 * (i + 1) + next(4), 1 + next(4)));
+                        pokes.push((base + 4 * next(words), 1 + next(12)));
+                    }
+                    for (addr, len) in pokes {
+                        let bytes: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+                        m.poke_mem(
+                            addr,
+                            &bytes[..bytes.len().min((base + 4 * words - addr) as usize)],
+                        );
+                    }
+                }
+                assert_eq!(m.exec_stats.demotions, 2);
+                check(&mut m, true, &what);
+                // A held fault re-poking one byte never grows the set.
+                let ranges = m.code.app.poked.len();
+                for _ in 0..1000 {
+                    m.flip_mem_bit(TEXT_BASE + 4, 3);
+                }
+                assert!(m.code.app.poked.len() <= ranges + 1);
+                check(&mut m, true, &what);
+            }
+        }
     }
 
     #[test]
@@ -3650,7 +3595,7 @@ mod tests {
         t.flip_register_bit(RegisterName::Gpr(Gpr::Ecx), 0);
         assert_eq!(t.converged_on(&snap, &stamps, 1), None);
         // Text the golden run still executes is live; dead code and the
-        // finished prologue are not. The demoted decode cache is ignored.
+        // finished prologue are not. The poked set is ignored.
         let mut t = snap.to_machine();
         t.flip_mem_bit(TEXT_BASE + 40, 0);
         t.flip_mem_bit(TEXT_BASE, 0);

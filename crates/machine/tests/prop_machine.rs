@@ -419,8 +419,9 @@ proptest! {
                 }
             }
             // The injection plan: one register flip, one memory flip,
-            // one multi-byte text poke (exercises icache + block-cache
-            // invalidation and the TLB's poke contract).
+            // one multi-byte text poke (exercises the poked set's bypass
+            // of stale words, blocks and superblocks, and the TLB's poke
+            // contract).
             let regs: Vec<RegisterName> = Gpr::ALL
                 .iter()
                 .map(|&g| RegisterName::Gpr(g))
@@ -461,8 +462,9 @@ proptest! {
     }
 
     /// Poke text *inside* a promoted, actively-running superblock: the
-    /// bank must demote to private caches (copy-on-poke) and keep
-    /// retiring bit-identically with a slow twin, fork/restore included.
+    /// bank must bypass the superblock and the blocks over the poke and
+    /// keep retiring bit-identically with a slow twin, fork/restore
+    /// included.
     #[test]
     fn poke_inside_hot_trace_matches_slow(
         warm_iters in 20u64..120,
@@ -505,7 +507,7 @@ proptest! {
         prop_assert_eq!(fast_exits, slow_exits);
         prop_assert_eq!(&fast_end, &slow_end);
         prop_assert_eq!(&fast_restored, &slow_restored);
-        // The poke hit a pristine shared bank, so it must have demoted.
+        // The poke hit a pristine bank, so it counts as a demotion.
         prop_assert!(stats.demotions >= 1, "text poke must demote the shared bank");
     }
 

@@ -649,8 +649,8 @@ pub struct Launch {
 
 impl Launch {
     /// Load `image` once under `machine`. `code` must have been built
-    /// from `image`; with `None` a fresh store is built unless the
-    /// configuration cannot use one ([`Machine::load_shared`]).
+    /// from `image`; with `None` a fresh store is built
+    /// ([`Machine::load_shared`]).
     pub fn new(image: &ProgramImage, machine: MachineConfig, code: Option<&SharedCode>) -> Launch {
         Launch {
             pristine: Machine::load_shared(image, machine, code).snapshot(),

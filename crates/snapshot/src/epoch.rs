@@ -17,6 +17,27 @@ pub struct Epoch {
 }
 
 impl Epoch {
+    /// A checkpoint of `world` as it stands.
+    pub fn of(world: &MpiWorld) -> Epoch {
+        Epoch {
+            snap: world.snapshot(),
+            round: world.round(),
+        }
+    }
+
+    /// This checkpoint, taken before any fault fired, for a run armed at
+    /// its start: such a run carried its faults in the checkpoint too,
+    /// so the world is restored, `arm`ed and captured again at the same
+    /// round.
+    pub fn armed(&self, arm: impl FnOnce(&mut MpiWorld)) -> Epoch {
+        let mut world = self.snap.restore();
+        arm(&mut world);
+        Epoch {
+            snap: world.snapshot(),
+            round: self.round,
+        }
+    }
+
     /// Rank-local instructions retired at capture time.
     pub fn rank_insns(&self, rank: u16) -> u64 {
         self.snap.rank_insns(rank)
@@ -253,10 +274,7 @@ impl EpochCache {
     ) -> (EpochCache, MpiWorld) {
         assert!(every_rounds > 0, "every_rounds must be nonzero");
         let world = launch.world(cfg);
-        let first = Epoch {
-            snap: world.snapshot(),
-            round: 0,
-        };
+        let first = Epoch::of(&world);
         let rule = Rule::Every(every_rounds.into());
         let (cache, _, world) = step(world, first, rule, true, &[], &mut ());
         (cache, world)
@@ -287,10 +305,7 @@ impl EpochCache {
         rider: &mut R,
     ) -> (EpochCache, Vec<Option<R::State>>, MpiWorld) {
         let most = if forked { CLEAN_EPOCHS } else { 1 };
-        let first = Epoch {
-            snap: world.snapshot(),
-            round: world.round(),
-        };
+        let first = Epoch::of(&world);
         step(world, first, Rule::AtMost(most), false, like, rider)
     }
 
