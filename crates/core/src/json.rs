@@ -5,10 +5,49 @@
 //! parser instead of serde. It covers exactly the JSON the lab emits:
 //! objects, arrays, strings with the standard escapes, integers and
 //! floats, booleans and null. Numbers keep their source text so that
-//! 64-bit seeds round-trip without `f64` truncation.
+//! 64-bit seeds round-trip without `f64` truncation. Arrays and objects
+//! nest at most [`MAX_DEPTH`] deep, so no document — a request body, a
+//! record line — can overflow the parsing thread's stack.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// How deep arrays and objects may nest. The lab's own documents nest
+/// three levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Why a document did not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Malformed text: what is wrong, and where.
+    Syntax(String),
+    /// An array or object opens at byte `at`, [`MAX_DEPTH`] levels deep.
+    TooDeep {
+        /// Byte offset of the bracket past the bound.
+        at: usize,
+    },
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::Syntax(msg) => f.write_str(msg),
+            JsonError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+        }
+    }
+}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
+fn syntax(msg: impl Into<String>) -> JsonError {
+    JsonError::Syntax(msg.into())
+}
 
 /// A parsed JSON value. Object keys keep insertion order irrelevant —
 /// lookups go through [`Json::get`]; a `BTreeMap` keeps comparisons and
@@ -81,13 +120,13 @@ impl Json {
 }
 
 /// Parse one JSON document; trailing non-whitespace is an error.
-pub fn parse(text: &str) -> Result<Json, String> {
+pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+        return Err(syntax(format!("trailing data at byte {pos}")));
     }
     Ok(v)
 }
@@ -98,22 +137,24 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     skip_ws(b, pos);
     if *pos < b.len() && b[*pos] == c {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
+        Err(syntax(format!("expected `{}` at byte {pos}", c as char)))
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        None => Err(syntax("unexpected end of input")),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError::TooDeep { at: *pos }),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -122,16 +163,16 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
+fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, JsonError> {
     if b[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(v)
     } else {
-        Err(format!("bad literal at byte {pos}"))
+        Err(syntax(format!("bad literal at byte {pos}")))
     }
 }
 
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
     if matches!(b.get(*pos), Some(b'-')) {
         *pos += 1;
@@ -142,17 +183,17 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     let tok = std::str::from_utf8(&b[start..*pos]).unwrap();
     if tok.is_empty() || tok.parse::<f64>().is_err() {
-        return Err(format!("bad number `{tok}` at byte {start}"));
+        return Err(syntax(format!("bad number `{tok}` at byte {start}")));
     }
     Ok(Json::Num(tok.to_string()))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
         match b.get(*pos) {
-            None => return Err("unterminated string".into()),
+            None => return Err(syntax("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -173,13 +214,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape")
                             .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))
-                            .map_err(String::from)?;
+                            .map_err(syntax)?;
                         let n = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
+                            .map_err(|_| syntax(format!("bad \\u escape `{hex}`")))?;
                         out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    other => return Err(format!("bad escape {other:?}")),
+                    other => return Err(syntax(format!("bad escape {other:?}"))),
                 }
                 *pos += 1;
             }
@@ -193,8 +234,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => 2,
                 };
                 out.push_str(
-                    std::str::from_utf8(&s[..ch_len.min(s.len())])
-                        .map_err(|e| format!("invalid UTF-8 in string at byte {pos}: {e}"))?,
+                    std::str::from_utf8(&s[..ch_len.min(s.len())]).map_err(|e| {
+                        syntax(format!("invalid UTF-8 in string at byte {pos}: {e}"))
+                    })?,
                 );
                 *pos += ch_len;
             }
@@ -202,7 +244,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -214,7 +256,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -223,12 +265,12 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 *pos += 1;
                 return Ok(Json::Obj(map));
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
+            _ => return Err(syntax(format!("expected `,` or `}}` at byte {pos}"))),
         }
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(b, pos, b'[')?;
     let mut v = Vec::new();
     skip_ws(b, pos);
@@ -237,7 +279,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(v));
     }
     loop {
-        v.push(parse_value(b, pos)?);
+        v.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -245,7 +287,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 *pos += 1;
                 return Ok(Json::Arr(v));
             }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
+            _ => return Err(syntax(format!("expected `,` or `]` at byte {pos}"))),
         }
     }
 }
@@ -325,6 +367,30 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("tru").is_err());
+    }
+
+    #[test]
+    fn deep_arrays_are_refused_not_recursed_into() {
+        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let at = MAX_DEPTH;
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep { at })
+        );
+        // Far past what a thread's stack holds in recursion, unclosed.
+        assert_eq!(parse(&"[".repeat(200_000)), Err(JsonError::TooDeep { at }));
+    }
+
+    #[test]
+    fn deep_objects_are_refused_not_recursed_into() {
+        let nested = |n| format!("{}0{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).unwrap().get("a").is_some());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, JsonError::TooDeep { at: 5 * MAX_DEPTH });
+        assert!(String::from(err).contains("nesting deeper than 64 levels"));
+        let err = parse(&"{\"a\":[".repeat(100_000)).unwrap_err();
+        assert!(matches!(err, JsonError::TooDeep { .. }), "{err}");
     }
 
     #[test]

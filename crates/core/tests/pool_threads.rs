@@ -1,12 +1,13 @@
-//! A campaign starts at most one worker per slot it has left to run: a
-//! worker count far beyond the slots, or beyond what resume left, starts
-//! no thread that would find nothing to do. The only test in its binary,
-//! so that the process's thread count is the campaign's alone.
+//! A campaign starts at most one worker per run of slots it has left to
+//! run: a worker count far beyond the slots, or beyond what resume left,
+//! starts no thread that would find nothing to do — none at all when
+//! resume left nothing. The only test in its binary, so that the
+//! process's thread count is the campaign's alone.
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_inject::{
     run_campaign_engine, sort_records_jsonl, CampaignConfig, CompletedSlots, EngineControl,
-    EngineSink, TargetClass, TrialOutput, VecSink,
+    EngineProgress, EngineSink, TargetClass, TrialOutput, VecSink,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -16,8 +17,8 @@ fn threads() -> usize {
         .count()
 }
 
-/// Collects records and the most threads the process had while a trial
-/// was finishing.
+/// Collects records and the most threads the process had while a slot
+/// was finishing, adopted slots included.
 struct Counting {
     lines: VecSink,
     most: AtomicUsize,
@@ -27,6 +28,10 @@ impl EngineSink for Counting {
     fn trial(&self, t: &TrialOutput) {
         self.most.fetch_max(threads(), Ordering::Relaxed);
         self.lines.trial(t);
+    }
+
+    fn progress(&self, _: EngineProgress) {
+        self.most.fetch_max(threads(), Ordering::Relaxed);
     }
 }
 
@@ -65,6 +70,19 @@ fn a_campaign_starts_no_worker_beyond_its_slots_left_to_run() {
     all.extend(rest);
     let canonical = |l: &[String]| sort_records_jsonl(&l.join("\n"));
     assert_eq!(canonical(&all), canonical(&both));
+
+    // Every slot adopted: nothing left to run, so no thread beside the
+    // caller, which adopts them all.
+    let (_, four) = run(4, 1, None);
+    for jobs in [0, 64] {
+        let (slots, _) = CompletedSlots::from_jsonl(&four.join("\n"), &classes, 4);
+        let (extra, rest) = run(4, jobs, Some(slots));
+        assert_eq!(
+            extra, 0,
+            "threads started at --jobs {jobs} with every slot adopted"
+        );
+        assert!(rest.is_empty(), "adopted slots stream nothing");
+    }
 
     // Three slots, three workers: two threads beside the caller, at most.
     let (extra, three) = run(3, 64, None);

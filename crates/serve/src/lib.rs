@@ -3,8 +3,8 @@
 //! `faultlab serve` turns the campaign engine into a long-lived local
 //! daemon: clients submit a [`CampaignSpec`](fl_inject::CampaignSpec)
 //! as JSON over a TCP socket (a deliberately minimal HTTP/1.1 dialect,
-//! no external dependencies), the server shards the trials across the
-//! engine's work-stealing worker pool, and per-trial records stream
+//! no external dependencies), the server runs the trials on the
+//! engine's worker pool, and per-trial records stream
 //! incrementally to an append-only JSONL file that doubles as the
 //! campaign's durable state.
 //!

@@ -323,6 +323,11 @@ fn hostile_requests_get_a_status_and_register_nothing() {
     let mut endless = b"POST /campaigns?".to_vec();
     endless.resize(9000, b'x');
     assert_eq!(status_of(&endless), 413);
+    // A body nested past what a handler thread's stack could recurse
+    // through is refused, and the daemon keeps answering.
+    let deep = "[".repeat(200_000);
+    let nested = format!("POST /campaigns HTTP/1.1\r\nContent-Length: 200000\r\n\r\n{deep}");
+    assert_eq!(status_of(nested.as_bytes()), 400);
 
     let (code, body) = client::request(&addr, "GET", "/campaigns", None).unwrap();
     assert_eq!((code, body.as_str()), (200, "[]"), "nothing reached submit");
