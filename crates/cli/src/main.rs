@@ -441,28 +441,32 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 /// their draw did not execute their share of it, and trials forked from
 /// a round checkpoint did not execute their prefix.
 fn throughput_line(result: &fl_inject::CampaignResult) -> String {
-    let s = &result.exec_stats;
     let c = &result.converge;
     format!(
         "throughput: {} trials, {:.1}M guest insns in {:.2}s — {:.1} MIPS, {:.1} trials/sec\n\
-         exec-cache: {} block hits, {} block misses, {} trace passes, {} side exits, {} demotions\n\
+         {}\n\
          converged: {} trials ended early ({} between epochs), {} decided at draw, {} forked at a round checkpoint, {} compares, {} granules excused",
         result.trials_total(),
         result.insns_total as f64 / 1e6,
         result.wall_nanos as f64 / 1e9,
         result.mips(),
         result.trials_per_sec(),
-        s.block_hits,
-        s.block_misses,
-        s.trace_hits,
-        s.trace_side_exits,
-        s.demotions,
+        exec_cache_line(&result.exec_stats),
         c.trials_converged,
         c.ended_between_epochs,
         c.decided_at_draw,
         c.forked_at_round,
         c.epoch_compares,
         c.granules_excused,
+    )
+}
+
+/// The footer line of exec-cache behaviour every campaign-running verb
+/// prints under its table.
+fn exec_cache_line(s: &fl_machine::ExecStats) -> String {
+    format!(
+        "exec-cache: {} block hits, {} block misses, {} trace passes, {} side exits, {} demotions",
+        s.block_hits, s.block_misses, s.trace_hits, s.trace_side_exits, s.demotions,
     )
 }
 
@@ -776,10 +780,8 @@ fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
     let SpecOutcome::Matrix(result) = run_spec_cli(&spec, &sink) else {
         unreachable!("matrix modes yield a matrix outcome");
     };
-    match (
-        ReportFormat::from_flags(o.has("tsv"), o.has("jsonl")),
-        focus,
-    ) {
+    let format = ReportFormat::from_flags(o.has("tsv"), o.has("jsonl"));
+    match (format, focus) {
         (ReportFormat::Jsonl, _) if streams => print!("{}", sink.canonical_records()),
         // The machine formats always carry every column; focus only
         // changes the human-readable view.
@@ -793,6 +795,16 @@ fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
             print!("{}", result.focus(row, column));
         }
         (fmt, _) => print!("{}", result.render(fmt, &spec.title())),
+    }
+    // The human-readable views end with what the campaign executed: a
+    // cell read off ran no world of its own.
+    if format == ReportFormat::Table {
+        println!(
+            "\n{}\ncells: {} run, {} read off",
+            exec_cache_line(&result.exec_stats),
+            result.cells_run,
+            result.cells_read_off
+        );
     }
     Ok(())
 }

@@ -336,6 +336,10 @@ pub(crate) struct TrialContext {
     /// Which epoch intervals [`TrialContext::plan`] has swept. Only
     /// tests choose anything but [`Sweeps::Shared`].
     sweeps: Sweeps,
+    /// The GPRs some instruction of the image reads
+    /// ([`crate::regpressure::gprs_read`]): a flip of any other is read
+    /// by nothing.
+    gprs_read: u8,
 }
 
 /// Which epoch intervals a campaign that ends trials early sweeps
@@ -405,6 +409,7 @@ impl TrialContext {
         world.machine.budget = budget;
         TrialContext {
             dicts: Dictionaries::build(&app),
+            gprs_read: crate::regpressure::gprs_read(&app.image),
             app,
             golden,
             converge: epochs.is_some() && cfg.obs_capacity == 0,
@@ -601,17 +606,24 @@ impl TrialContext {
     /// Does the drawn flip land where nothing reads again, so that the
     /// trial is the golden run without executing an instruction? Under
     /// the same condition as ending at a boundary (`converge`), for a
-    /// register bit no instruction can read ([`Cpu::can_read`]) and for a
-    /// static byte in a granule the golden run last read before `epoch`,
-    /// the checkpoint the trial forks from: flipped there instead of at
-    /// its fire point, the forked world would pass
+    /// register bit no instruction can read ([`Cpu::can_read`]) or a
+    /// general-purpose register no instruction of the image reads, and
+    /// for a static byte in a granule the golden run last read before
+    /// `epoch`, the checkpoint the trial forks from: flipped there
+    /// instead of at its fire point, the forked world would pass
     /// [`EpochCache::converged`] on that very epoch with this one
     /// granule excused, and the golden run may write the granule before
     /// the fire point but never reads it after the fork.
     fn dead_when_drawn(&self, struck: Struck, rank: u16, epoch: Option<usize>) -> bool {
         let forked = self.epochs.as_ref().zip(epoch).filter(|_| self.converge);
         forked.is_some_and(|(epochs, j)| match struck {
-            Struck::Register(reg, bit) => !Cpu::can_read(reg, bit),
+            Struck::Register(reg, bit) => {
+                let unread = match reg {
+                    RegisterName::Gpr(g) => self.gprs_read >> g.index() & 1 == 0,
+                    _ => false,
+                };
+                unread || !Cpu::can_read(reg, bit)
+            }
             Struck::Static(addr) => epochs.stamps(rank).get(addr) as usize <= j,
             Struck::AtFire => false,
         })

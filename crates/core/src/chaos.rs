@@ -136,11 +136,20 @@ impl Defense {
             Defense::Shrink => (Isolate::Ulfm, Runner::Shrink(policy.ft)),
             Defense::App => (Isolate::Nothing, Runner::App(policy.ft)),
         };
+        // Idle, the watchdog is the CRC channel it includes; idle, the
+        // channel, the replica vote and the detector are the bare world.
+        // The app's own recovery has no exact idle signal.
+        let idle_is = match self {
+            Defense::Watchdog => Some(Defense::Crc),
+            Defense::Crc | Defense::Replica | Defense::Shrink => Some(Defense::Baseline),
+            Defense::Baseline | Defense::App => None,
+        };
         Column {
             name: self.name(),
             isolate,
             runner,
             covers: is_covered,
+            idle_is: idle_is.map(Defense::name),
         }
     }
 }

@@ -47,6 +47,7 @@ pub fn mode(policy: FtPolicy, app: AppKind) -> MatrixMode {
         isolate,
         runner,
         covers,
+        idle_is: None,
     };
     let recovered = |m| m == Manifestation::Recovered;
     let masked = |m| m == Manifestation::MaskedByReplica;
@@ -86,12 +87,17 @@ pub fn mode(policy: FtPolicy, app: AppKind) -> MatrixMode {
                     column("replica-baseline", Isolate::Nothing, Runner::World, |_| {
                         false
                     }),
-                    column(
-                        "replicated",
-                        Isolate::Nothing,
-                        Runner::Replicated(policy),
-                        masked,
-                    ),
+                    // With no vote cast, the armed replica is the bare
+                    // world run to its end.
+                    Column {
+                        idle_is: Some("replica-baseline"),
+                        ..column(
+                            "replicated",
+                            Isolate::Nothing,
+                            Runner::Replicated(policy),
+                            masked,
+                        )
+                    },
                 ],
             )
         },

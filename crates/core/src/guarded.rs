@@ -41,12 +41,14 @@ pub fn mode(classes: &[TargetClass], policy: GuardPolicy) -> MatrixMode {
             isolate: Isolate::Nothing,
             runner: Runner::Trial,
             covers: |_| false,
+            idle_is: None,
         },
         Column {
             name: "guarded",
             isolate: Isolate::Nothing,
             runner: Runner::Guarded(policy),
             covers: |m| matches!(m, Manifestation::Recovered | Manifestation::DetectedByGuard),
+            idle_is: None,
         },
     ];
     let row = |&class: &TargetClass| Row::new(Draw::Bit(class), columns.clone());

@@ -34,10 +34,12 @@ use fl_ft::{
     run_survivors, ulfm_config, CleanReplica, DigestLog, FtPolicy, RespawnState,
 };
 use fl_guard::{resume_guarded, run_guarded, GuardPolicy, GuardReport, GuardState};
+use fl_machine::ExecStats;
 use fl_mpi::{FailureDetector, Fault, Launch, MpiWorld, WorldConfig, WorldExit, WorldSnapshot};
 use fl_snap::{EpochCache, Interval};
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -117,6 +119,13 @@ pub struct Column {
     /// Does this outcome count as covering a draw whose baseline run
     /// manifested an error?
     pub covers: fn(Manifestation) -> bool,
+    /// The column of the row whose world this column's world is, step
+    /// for step, on any draw this column's mechanism stays idle on: the
+    /// mechanism is the only difference between the two configurations.
+    /// Such a draw's run is that column's run too, so its cell is judged
+    /// from this one's world rather than stepping its own. `None` when no
+    /// column of the row is this one with a mechanism taken away.
+    pub idle_is: Option<&'static str>,
 }
 
 /// One row: `injections` draws, each faced by every column. Trial `k`
@@ -139,6 +148,37 @@ impl Row {
             draw,
             columns,
         }
+    }
+
+    /// Each column's [`Column::idle_is`] as a column index.
+    fn idle_links(&self) -> Vec<Option<usize>> {
+        let index = |name| {
+            let c = self.columns.iter().position(|c| c.name == name);
+            c.expect("idle_is names a column of the same row")
+        };
+        self.columns.iter().map(|c| c.idle_is.map(index)).collect()
+    }
+
+    /// The order a draw's columns face it in: the longest
+    /// [`Column::idle_is`] chain first, so every run a column may read
+    /// comes before it; columns of equal depth in row order.
+    fn face_order(&self) -> Vec<usize> {
+        let links = self.idle_links();
+        let depth = |mut c: usize| {
+            let mut d = 0;
+            while let Some(next) = links[c] {
+                (c, d) = (next, d + 1);
+                assert!(
+                    d <= links.len(),
+                    "the idle_is links of row {} loop",
+                    self.label
+                );
+            }
+            d
+        };
+        let mut order: Vec<usize> = (0..self.columns.len()).collect();
+        order.sort_by_key(|&c| std::cmp::Reverse(depth(c)));
+        order
     }
 }
 
@@ -397,6 +437,18 @@ pub struct MatrixResult {
     pub ref_rounds: u64,
     /// Guest instructions retired across every trial.
     pub insns_total: u64,
+    /// Exec-cache counters of the worlds the cells ended as — each
+    /// counting what it stepped since it was last restored from a
+    /// checkpoint — plus those of the intervals trial columns swept, as a
+    /// plain campaign sums them. Telemetry: it depends on worker
+    /// scheduling, never on records. Adopted and read-off cells add
+    /// nothing.
+    pub exec_stats: ExecStats,
+    /// Cells that ran their own world (or trial).
+    pub cells_run: u64,
+    /// Cells judged from the world of a column whose mechanism stayed
+    /// idle on the draw ([`Column::idle_is`]).
+    pub cells_read_off: u64,
 }
 
 impl MatrixResult {
@@ -699,6 +751,11 @@ struct Env<'a> {
     /// clean run. Always on; tests turn it off to start every world from
     /// the launch, the reference forked columns must match.
     fork: bool,
+    /// Judge a cell from the run of a column whose mechanism stayed idle
+    /// on the draw ([`Column::idle_is`]). Always on; tests turn it off to
+    /// step every cell's own world, the reference read-off cells must
+    /// match.
+    read_off: bool,
 }
 
 /// One world configuration's clean run: its checkpoints
@@ -1013,6 +1070,7 @@ impl<'a> Env<'a> {
             launch,
             golden,
             fork: true,
+            read_off: true,
         }
     }
 
@@ -1022,6 +1080,14 @@ impl<'a> Env<'a> {
     #[cfg(test)]
     fn launch_every_world(mut self) -> Env<'a> {
         self.fork = false;
+        self
+    }
+
+    /// The same campaign with every cell stepping its own world.
+    /// Test-only — the reference read-off cells must match byte for byte.
+    #[cfg(test)]
+    fn run_every_column(mut self) -> Env<'a> {
+        self.read_off = false;
         self
     }
 
@@ -1103,27 +1169,74 @@ impl<'a> Env<'a> {
         w
     }
 
-    /// Run one column of one draw: start the column's world, arm the
-    /// draw, run, classify. A [`Runner::Trial`] column runs `planned`, the
-    /// draw's slot of the trial context's plan, as a plain campaign's
-    /// worker does, on the interval sweep `held`. Returns the outcome, the
-    /// runner's counters and the guest instructions retired.
-    fn run(
+    /// Column `c` of `row` facing the draw of `seed`. Judged from a run
+    /// `held` keeps for it ([`Column::idle_is`]) where its runner reads
+    /// a world alone; else run: its world started, armed with the draw,
+    /// run and classified, or, for a [`Runner::Trial`] column, `planned`
+    /// (the draw's slot of the trial context's plan) run as a plain
+    /// campaign's worker does, on the interval sweep `held` keeps. A run
+    /// the column's mechanism stayed idle on is then kept for the column
+    /// it is (`links[c]`).
+    fn cell(
         &self,
         row: &Row,
-        col: &Column,
+        links: &[Option<usize>],
+        c: usize,
         seed: u64,
         planned: Option<&Planned>,
-        held: &mut Option<Interval>,
-    ) -> (Manifestation, Aux, u64) {
-        let Some(cfg) = column_config(self.world, col) else {
-            let ctx = self.trial.as_ref().expect("built for Runner::Trial");
-            let p = planned.expect("a mode with a trial column runs on the plan");
-            let (run, _) = ctx.run_planned(p, held);
-            return (run.record.outcome, Aux::default(), run.insns);
+        held: &mut Held,
+    ) -> Ran {
+        let col = &row.columns[c];
+        let keep = |held: &mut Held, acted: bool, run: &Rc<Faced>| {
+            if let Some(to) = links[c].filter(|_| self.read_off && !acted) {
+                held.idle.push((to, Rc::clone(run)));
+            }
         };
-        let (w, outcome, aux) = self.face(col, cfg, &|| self.draw(row, seed).0);
-        (outcome, aux, world_insns(&w))
+        let kept = held.idle.iter().find(|(to, _)| *to == c);
+        if let Some(run) = kept.map(|(_, run)| Rc::clone(run)) {
+            if let Some((outcome, aux, acted)) = self.judge(col, &run.world, &run.exit) {
+                keep(held, acted, &run);
+                let insns = world_insns(&run.world);
+                return Ran {
+                    outcome,
+                    aux,
+                    insns,
+                    stepped: None,
+                };
+            }
+        }
+        let Some(cfg) = column_config(self.world, col) else {
+            let (outcome, insns, stats) = self.trial_run(planned, &mut held.interval);
+            return Ran {
+                outcome,
+                aux: Aux::default(),
+                insns,
+                stepped: Some(stats),
+            };
+        };
+        let run = Rc::new(self.face(col, cfg, &|| self.draw(row, seed).0));
+        keep(held, run.acted, &run);
+        Ran {
+            outcome: run.outcome,
+            aux: run.aux,
+            insns: world_insns(&run.world),
+            stepped: Some(run.world.exec_stats()),
+        }
+    }
+
+    /// The trial context's run of `planned`, on the interval sweep
+    /// `held`: the outcome, the guest instructions retired, and the
+    /// exec-cache counters of the trial and of any sweep it made.
+    fn trial_run(
+        &self,
+        planned: Option<&Planned>,
+        held: &mut Option<Interval>,
+    ) -> (Manifestation, u64, ExecStats) {
+        let ctx = self.trial.as_ref().expect("built for Runner::Trial");
+        let p = planned.expect("a mode with a trial column runs on the plan");
+        let (run, mut stats) = ctx.run_planned(p, held);
+        stats.add(&run.world.exec_stats());
+        (run.record.outcome, run.insns, stats)
     }
 
     /// A [`Runner::Guarded`] column's run of the draw `faults` under
@@ -1146,57 +1259,73 @@ impl<'a> Env<'a> {
         }
     }
 
-    /// Face the draw `faults` with column `col`, whose worlds run under
-    /// `cfg`: start its world, arm the draw, run, classify. A drawn fault
-    /// is spent by arming it, so `faults` draws it again for every world
-    /// that faces it. Returns the world the run ended with, the outcome
-    /// and the runner's counters.
-    fn face(
+    /// Judge `col`'s run from the world `w` it ended as, with `exit`:
+    /// the outcome, the runner's counters, and whether the column's
+    /// mechanism acted — did anything set the run apart from that of the
+    /// column it is while idle? `None` for a runner whose report holds
+    /// more than its world does.
+    fn judge(
         &self,
         col: &Column,
-        cfg: WorldConfig,
-        faults: &dyn Fn() -> Vec<Fault>,
-    ) -> (MpiWorld, Manifestation, Aux) {
-        let (app, golden) = (self.app, &self.golden.output);
-        let output = |w: &MpiWorld| app.comparable_output(w);
-        let from = self.fork_point(&cfg, col.runner, &faults());
-        let world = || self.armed(cfg, from, faults());
-
-        // A mechanism that intervened and still finished clean succeeded
-        // if the output is its reference; every other run classifies as
-        // usual.
-        let judge = |w: &MpiWorld, exit: &WorldExit, intervened, reference: &Vec<u8>, success| {
-            let out = output(w);
-            match exit {
-                WorldExit::Clean if intervened && out == *reference => success,
-                WorldExit::Clean if intervened => Manifestation::Incorrect,
-                _ => classify(exit, &out, golden),
-            }
-        };
-        use Manifestation::{MaskedByChannel, MaskedByReplica, Recovered, RecoveredByApp};
-        let one = |n: u32| [n.into(), 0, 0];
-        match col.runner {
-            Runner::Trial => unreachable!("the trial path has no column configuration"),
-            Runner::World => {
-                let mut w = world();
-                let m = classify(&w.run(), &output(&w), golden);
-                (w, m, Aux::default())
-            }
+        w: &MpiWorld,
+        exit: &WorldExit,
+    ) -> Option<(Manifestation, Aux, bool)> {
+        let (out, golden) = (self.app.comparable_output(w), &self.golden.output);
+        use Manifestation::MaskedByChannel;
+        Some(match col.runner {
+            Runner::World => (classify(exit, &out, golden), Aux::default(), false),
             Runner::Channel(_) => {
-                let mut w = world();
-                let exit = w.run();
-                let m = judge(&w, &exit, w.retransmits() > 0, golden, MaskedByChannel);
-                (w, m, Aux::default())
+                // A CRC reject retransmits, or ends the run once the
+                // message's budget is spent.
+                let retransmitted = w.retransmits() > 0;
+                let m = judged(exit, &out, retransmitted, golden, golden, MaskedByChannel);
+                let acted = retransmitted || matches!(exit, WorldExit::GuardDetected { .. });
+                (m, Aux::default(), acted)
             }
             Runner::Paced {
                 degraded_permille, ..
             } => {
-                let mut w = world();
-                let exit = w.run();
                 let (rounds, clean) = (w.round(), self.ref_rounds);
                 let (m, permille) =
-                    classify_perturb(&exit, &output(&w), golden, rounds, clean, degraded_permille);
-                (w, m, [permille, 0, 0])
+                    classify_perturb(exit, &out, golden, rounds, clean, degraded_permille);
+                // A verdict ends the run; a deadlock verdict held back
+                // runs it on where a world without detection stops.
+                let acted = matches!(exit, WorldExit::RankFailed { .. }) || w.held_rounds() > 0;
+                (m, [permille, 0, 0], acted)
+            }
+            _ => return None,
+        })
+    }
+
+    /// Face the draw `faults` with column `col`, whose worlds run under
+    /// `cfg`: start its world, arm the draw, run, classify. A drawn fault
+    /// is spent by arming it, so `faults` draws it again for every world
+    /// that faces it.
+    fn face(&self, col: &Column, cfg: WorldConfig, faults: &dyn Fn() -> Vec<Fault>) -> Faced {
+        let (app, golden) = (self.app, &self.golden.output);
+        let output = |w: &MpiWorld| app.comparable_output(w);
+        let from = self.fork_point(&cfg, col.runner, &faults());
+        let world = || self.armed(cfg, from, faults());
+        let judge = |w: &MpiWorld, exit: &WorldExit, intervened, reference: &[u8], success| {
+            judged(exit, &output(w), intervened, reference, golden, success)
+        };
+        let faced = |world, exit, outcome, aux, acted| Faced {
+            world,
+            exit,
+            outcome,
+            aux,
+            acted,
+        };
+        use Manifestation::{MaskedByReplica, Recovered, RecoveredByApp};
+        let one = |n: u32| [n.into(), 0, 0];
+        match col.runner {
+            Runner::Trial => unreachable!("the trial path has no column configuration"),
+            Runner::World | Runner::Channel(_) | Runner::Paced { .. } => {
+                let mut w = world();
+                let exit = w.run();
+                let judged = self.judge(col, &w, &exit);
+                let (m, aux, acted) = judged.expect("the runner reads its world alone");
+                faced(w, exit, m, aux, acted)
             }
             Runner::Guarded(p) => {
                 let (w, rep) = self.guarded(cfg, &p, from, faults);
@@ -1205,7 +1334,8 @@ impl<'a> Env<'a> {
                     _ => Manifestation::DetectedByGuard,
                 };
                 let aux = [rep.detections, rep.restarts, rep.retransmits].map(u64::from);
-                (w, m, aux)
+                let acted = rep.intervened();
+                faced(w, rep.exit, m, aux, acted)
             }
             Runner::Replicated(p) => {
                 // The armed replica starts at a checkpoint of the clean
@@ -1215,7 +1345,11 @@ impl<'a> Env<'a> {
                 let start = &run.epochs.epochs()[from.map_or(0, |(_, i)| i)].snap;
                 let (w, rep) = run_replicated(start, run.replica(), &p, vec![faults()], output);
                 let m = judge(&w, &rep.exit, rep.votes > 0, golden, MaskedByReplica);
-                (w, m, one(rep.votes))
+                // With no vote and no split the winner is the armed
+                // replica run to its end.
+                let split = matches!(rep.exit, WorldExit::GuardDetected { .. });
+                let acted = rep.votes > 0 || split;
+                faced(w, rep.exit, m, one(rep.votes), acted)
             }
             Runner::Shrink(_) => {
                 // The survivors carry no fault and this campaign records
@@ -1228,7 +1362,8 @@ impl<'a> Env<'a> {
                 let (w, rep) = run_shrink(world(), survivors);
                 let survivors = &self.shrunken_output;
                 let m = judge(&w, &rep.exit, rep.intervened(), survivors, Recovered);
-                (w, m, Aux::default())
+                let acted = rep.intervened() || w.held_rounds() > 0;
+                faced(w, rep.exit, m, Aux::default(), acted)
             }
             Runner::Respawn(p) => {
                 let w = world();
@@ -1241,14 +1376,77 @@ impl<'a> Env<'a> {
                 };
                 let m = judge(&w, &rep.exit, rep.intervened(), golden, Recovered);
                 let (respawns, lines) = (rep.respawns.into(), rep.checkpoints.into());
-                (w, m, [respawns, lines, rep.lost_rounds])
+                let (lost, acted) = (rep.lost_rounds, rep.intervened());
+                faced(w, rep.exit, m, [respawns, lines, lost], acted)
             }
             Runner::App(_) => {
                 // Only a shrink the application itself called counts.
                 let (w, rep) = run_app(world());
                 let m = judge(&w, &rep.exit, w.app_shrinks() > 0, golden, RecoveredByApp);
-                (w, m, one(rep.shrinks))
+                // The app's own recovery is no exact idle signal: two
+                // worlds that both hang may hang in different rounds.
+                let shrinks = one(rep.shrinks);
+                faced(w, rep.exit, m, shrinks, true)
             }
+        }
+    }
+}
+
+/// A mechanism that intervened and still finished clean succeeded if
+/// the output is its reference; every other run classifies as usual.
+fn judged(
+    exit: &WorldExit,
+    out: &[u8],
+    intervened: bool,
+    reference: &[u8],
+    golden: &[u8],
+    success: Manifestation,
+) -> Manifestation {
+    match exit {
+        WorldExit::Clean if intervened && out == reference => success,
+        WorldExit::Clean if intervened => Manifestation::Incorrect,
+        _ => classify(exit, out, golden),
+    }
+}
+
+/// How one column's run of a draw ended.
+struct Faced {
+    world: MpiWorld,
+    exit: WorldExit,
+    outcome: Manifestation,
+    aux: Aux,
+    /// Did the column's mechanism act ([`Env::judge`])?
+    acted: bool,
+}
+
+/// One cell's result for a draw.
+struct Ran {
+    outcome: Manifestation,
+    aux: Aux,
+    insns: u64,
+    /// The exec-cache counters of what the cell stepped; `None` when it
+    /// was read off another column's run.
+    stepped: Option<ExecStats>,
+}
+
+/// What a worker holds from one slot to its next: the sweep of the
+/// interval its current run's trials fork in, and the runs of the draw
+/// it faces that stayed idle, each as `(column, run)` — the column whose
+/// world the run is ([`Column::idle_is`]).
+#[derive(Default)]
+struct Held {
+    interval: Option<Interval>,
+    /// The draw `(row, k)` the idle runs are of.
+    draw: Option<(usize, u32)>,
+    idle: Vec<(usize, Rc<Faced>)>,
+}
+
+impl Held {
+    /// Face draw `k` of `row`: the idle runs of any other draw go.
+    fn face(&mut self, row: usize, k: u32) {
+        if self.draw != Some((row, k)) {
+            self.draw = Some((row, k));
+            self.idle.clear();
         }
     }
 }
@@ -1268,13 +1466,18 @@ fn isolate(cfg: &mut WorldConfig, what: Isolate) {
 /// is a cell, one canonical record per slot — through `sink`, and
 /// record-level resume. A mode with a [`Runner::Trial`] column lays its
 /// slots out in the trial context's plan order, the slots of each swept
-/// interval one run, as a plain campaign does; the others in `(group, k)`
-/// order, each slot a run of one. Returns `None` when stopped before
+/// interval one run, as a plain campaign does. Any other mode lays out
+/// its slots draw by draw, a draw's slots side by side with the deepest
+/// [`Column::idle_is`] chain first, one run per draw (a row slot holds
+/// its draw alone), so one worker faces the whole draw and a column that
+/// is another's while idle reads that column's run when it stayed idle.
+/// Adopted slots are runs of one. Returns `None` when stopped before
 /// every slot completed.
 ///
 /// Everything a worker computes is a function of `(app, mode, cfg, row,
-/// k)`, and cells are assembled in slot order, so the result is
-/// bit-identical for any worker count, claim order or resume point.
+/// k)` — a cell read off is the cell run, step for step — and cells are
+/// assembled in slot order, so the result is bit-identical for any
+/// worker count, claim order or resume point.
 pub fn run_matrix(
     app: &App,
     mode: &MatrixMode,
@@ -1283,8 +1486,31 @@ pub fn run_matrix(
     control: &EngineControl,
     resume: Option<CompletedSlots>,
 ) -> Option<MatrixResult> {
-    let env = Env::build(app, mode, cfg);
+    run_on(Env::build(app, mode, cfg), mode, cfg, sink, control, resume)
+}
+
+/// What one slot produced: its trials in column order, and what running
+/// them took.
+#[derive(Default)]
+struct SlotRun {
+    trials: Vec<MatrixTrial>,
+    run: u64,
+    read_off: u64,
+    exec: ExecStats,
+}
+
+/// [`run_matrix`] on a built environment.
+fn run_on(
+    env: Env,
+    mode: &MatrixMode,
+    cfg: &CampaignConfig,
+    sink: &dyn EngineSink,
+    control: &EngineControl,
+    resume: Option<CompletedSlots>,
+) -> Option<MatrixResult> {
     let groups = mode.groups();
+    let links: Vec<Vec<Option<usize>>> = mode.rows.iter().map(Row::idle_links).collect();
+    let faces: Vec<Vec<usize>> = mode.rows.iter().map(Row::face_order).collect();
     // `Some` iff slots are cells: they stream, and may be adopted.
     let codec = match mode.slot {
         Slot::Cell {
@@ -1307,14 +1533,23 @@ pub fn run_matrix(
             plan.into_iter().flat_map(of_row).collect()
         }
         None => {
-            let all = |g| (0..cfg.injections).map(move |k| (g, k, None));
-            (0..groups.len()).flat_map(all).collect()
+            let mut order = Vec::with_capacity(groups.len() * cfg.injections as usize);
+            for (r, face) in faces.iter().enumerate() {
+                // The row's groups in the order its columns face a draw.
+                let mut row: Vec<usize> = (0..groups.len()).filter(|&g| groups[g].0 == r).collect();
+                row.sort_by_key(|&g| face.iter().position(|&c| c == groups[g].1.start));
+                for k in 0..cfg.injections {
+                    order.extend(row.iter().map(|&g| (g, k, None)));
+                }
+            }
+            order
         }
     };
 
-    // One slot: adopt it, or draw once and run the slot's columns. A
-    // record the mode cannot read back completely is not adopted.
-    let exec = |held: &mut Option<Interval>, i: u32| -> Vec<MatrixTrial> {
+    // One slot: adopt it, or draw once and face the draw with the slot's
+    // columns. A record the mode cannot read back completely is not
+    // adopted.
+    let exec = |held: &mut Held, i: u32| -> SlotRun {
         let (g, k, planned) = &order[i as usize];
         let (g, k) = (*g, *k);
         if let (Some(t), Some((_, read_aux))) = (resume.take(g, k), codec) {
@@ -1325,31 +1560,45 @@ pub fn run_matrix(
                     aux,
                     insns: t.insns,
                 };
-                return vec![trial];
+                return SlotRun {
+                    trials: vec![trial],
+                    ..SlotRun::default()
+                };
             }
         }
         let (r, columns) = &groups[g];
-        let row = &mode.rows[*r];
-        let seed = trial_seed(cfg.seed, *r, k);
+        let (r, row) = (*r, &mode.rows[*r]);
+        let seed = trial_seed(cfg.seed, r, k);
         let (_, drawn) = env.draw(row, seed);
-        let mut run = |col: &Column| {
-            let (outcome, aux, insns) = env.run(row, col, seed, planned.as_ref(), held);
+        held.face(r, k);
+        let mut slot = SlotRun::default();
+        let mut trials = vec![None; columns.len()];
+        for &c in faces[r].iter().filter(|c| columns.contains(c)) {
+            let ran = env.cell(row, &links[r], c, seed, planned.as_ref(), held);
+            match &ran.stepped {
+                Some(stats) => {
+                    slot.run += 1;
+                    slot.exec.add(stats);
+                }
+                None => slot.read_off += 1,
+            }
+            let col = &row.columns[c];
             let detail = match codec {
                 Some((write_aux, _)) => {
-                    format!("{}/{}: {drawn}{}", col.name, row.label, write_aux(&aux))
+                    format!("{}/{}: {drawn}{}", col.name, row.label, write_aux(&ran.aux))
                 }
                 None => drawn.clone(),
             };
-            MatrixTrial {
+            trials[c - columns.start] = Some(MatrixTrial {
                 detail,
-                outcome,
-                aux,
-                insns,
-            }
-        };
-        let slot: Vec<_> = row.columns[columns.clone()].iter().map(&mut run).collect();
+                outcome: ran.outcome,
+                aux: ran.aux,
+                insns: ran.insns,
+            });
+        }
+        slot.trials = trials.into_iter().map(|t| t.expect("faced")).collect();
         if codec.is_some() {
-            let t = &slot[0];
+            let t = &slot.trials[0];
             sink.trial(&TrialOutput {
                 ci: g,
                 k,
@@ -1364,10 +1613,17 @@ pub fn run_matrix(
         }
         slot
     };
-    // An adopted slot is a run of one, as in a plain campaign.
+    // An adopted slot is a run of one, as in a plain campaign. Every
+    // other slot is keyed by its draw, so a draw's cells are one run; a
+    // row slot holds its whole draw, so it is a run of one.
     let runs = plan_runs(order.iter().map(|&(g, k, p)| {
-        let swept = p.filter(|p| p.swept && !resume.holds(g, k));
-        swept.map(|p| p.epoch)
+        if resume.holds(g, k) {
+            return None;
+        }
+        match p {
+            Some(p) => p.swept.then_some(p.epoch),
+            None => Some(groups[g].0 * cfg.injections as usize + k as usize),
+        }
     }));
     let (slots, _) = run_slots(&runs, cfg.threads, control, sink, adoptable, exec);
     let mut done: Vec<_> = order.iter().map(|&(g, k, _)| (g, k)).zip(slots?).collect();
@@ -1381,27 +1637,55 @@ pub fn run_matrix(
         .map(|r| vec![Cell::default(); r.columns.len()])
         .collect();
     let mut insns_total = 0;
+    let (mut exec_stats, mut cells_run, mut cells_read_off) = (ExecStats::default(), 0, 0);
     for ((g, _), slot) in done {
         let (r, columns) = &groups[g];
-        for (c, trial) in columns.clone().zip(slot) {
+        exec_stats.add(&slot.exec);
+        cells_run += slot.run;
+        cells_read_off += slot.read_off;
+        for (c, trial) in columns.clone().zip(slot.trials) {
             insns_total += trial.insns;
             cells[*r][c].tally.record(trial.outcome);
             cells[*r][c].trials.push(trial);
         }
     }
     Some(MatrixResult {
-        app: app.kind,
+        app: env.app.kind,
         mode: mode.clone(),
         cells,
         golden: env.golden,
         ref_rounds: env.ref_rounds,
         insns_total,
+        exec_stats,
+        cells_run,
+        cells_read_off,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Env<'_> {
+        /// One column of one draw, run: the outcome, the runner's
+        /// counters and the guest instructions retired — what the forked
+        /// columns are held to.
+        fn run(
+            &self,
+            row: &Row,
+            col: &Column,
+            seed: u64,
+            planned: Option<&Planned>,
+            held: &mut Option<Interval>,
+        ) -> (Manifestation, Aux, u64) {
+            let Some(cfg) = column_config(self.world, col) else {
+                let (outcome, insns, _) = self.trial_run(planned, held);
+                return (outcome, Aux::default(), insns);
+            };
+            let f = self.face(col, cfg, &|| self.draw(row, seed).0);
+            (f.outcome, f.aux, world_insns(&f.world))
+        }
+    }
 
     #[test]
     fn transition_matrix_counts_every_pair() {
@@ -1445,8 +1729,8 @@ mod tests {
     }
 
     /// `faults` faced by `col` of `forked` and of `cold`: the same
-    /// outcome, counters and retired instructions, and the same world at
-    /// the end.
+    /// outcome, counters, exit, verdict on whether the mechanism acted
+    /// and retired instructions, and the same world at the end.
     fn same_face(
         forked: &Env,
         cold: &Env,
@@ -1455,12 +1739,12 @@ mod tests {
         what: &str,
     ) {
         let cfg = column_config(forked.world, col).expect("a column that runs worlds");
-        let (a, m, aux) = forked.face(col, cfg, &faults);
-        let (b, cold_m, cold_aux) = cold.face(col, cfg, &faults);
-        assert_eq!((m, aux), (cold_m, cold_aux), "{what}");
-        assert_eq!(world_insns(&a), world_insns(&b), "{what}");
+        let (a, b) = (forked.face(col, cfg, &faults), cold.face(col, cfg, &faults));
+        assert_eq!((a.outcome, a.aux), (b.outcome, b.aux), "{what}");
+        assert_eq!((&a.exit, a.acted), (&b.exit, b.acted), "{what}");
+        assert_eq!(world_insns(&a.world), world_insns(&b.world), "{what}");
         assert!(
-            a.snapshot() == b.snapshot(),
+            a.world.snapshot() == b.world.snapshot(),
             "{what}: the worlds ended apart"
         );
     }
@@ -1613,5 +1897,238 @@ mod tests {
         let seen = forked_columns_are_cold_columns("perturb", &[("suspect-rounds", "1")], 1);
         assert!(seen.unclean > 0, "every clean run ended clean");
         assert!(seen.forked_late > 0);
+    }
+
+    /// The matrix mode `mode` on the message and regular-register
+    /// regions of `kind`'s tiny app.
+    fn tiny_mode(kind: AppKind, mode: &str) -> (App, MatrixMode) {
+        use crate::spec::{CampaignSpec, SpecMode};
+        use fl_apps::AppParams;
+        let mut spec = CampaignSpec::new(kind);
+        spec.classes = vec![TargetClass::Message, TargetClass::RegularReg];
+        spec.mode = SpecMode::named(mode).expect("a matrix mode");
+        let matrix = spec.matrix().expect("a matrix mode");
+        (App::build(kind, AppParams::tiny(kind)), matrix)
+    }
+
+    /// Did the two worlds end alike: every rank's machine, and the round?
+    /// (Their configurations differ by the mechanism that stayed idle.)
+    fn same_end(a: &MpiWorld, b: &MpiWorld) -> bool {
+        let ranks = |w: &MpiWorld| (0..w.nranks()).map(|r| w.machine(r).snapshot()).collect();
+        let ranks: (Vec<_>, Vec<_>) = (ranks(a), ranks(b));
+        a.round() == b.round() && ranks.0 == ranks.1
+    }
+
+    /// The lattice plane "read-off cell = run cell": every draw of every
+    /// row of `mode`, faced column by column in [`Row::face_order`] as a
+    /// campaign's worker faces it, on wavetoy and jacobi3d and both exec
+    /// tiers. A cell read off the run of a column whose mechanism stayed
+    /// idle ends as its own column's run does: outcome, aux, retired
+    /// instructions, exit and final world. Returns the cells read off and
+    /// the cells that ran their own world although some column of the row
+    /// reads as them when idle — because that column acted.
+    fn read_off_columns_are_run_columns(mode: &str, n: u32) -> (u32, u32) {
+        let (mut read, mut ran_under_acting) = (0, 0);
+        for kind in [AppKind::Wavetoy, AppKind::Jacobi3d] {
+            let (app, matrix) = tiny_mode(kind, mode);
+            for fastpath in [true, false] {
+                let cfg = CampaignConfig {
+                    injections: n,
+                    seed: 0x01A7_71CE,
+                    fastpath,
+                    ..Default::default()
+                };
+                let env = Env::build(&app, &matrix, &cfg);
+                let every = Env::build(&app, &matrix, &cfg).run_every_column();
+                for (r, row) in matrix.rows.iter().enumerate() {
+                    let links = row.idle_links();
+                    for k in 0..n {
+                        let seed = trial_seed(cfg.seed, r, k);
+                        let mut held = Held::default();
+                        held.face(r, k);
+                        for c in row.face_order() {
+                            let col = &row.columns[c];
+                            let what = format!(
+                                "{kind} fastpath={fastpath} {} × {} #{k}",
+                                row.label, col.name
+                            );
+                            let kept = held.idle.iter().find(|(to, _)| *to == c);
+                            let kept = kept.map(|(_, run)| Rc::clone(run));
+                            let got = env.cell(row, &links, c, seed, None, &mut held);
+                            let cfg =
+                                column_config(every.world, col).expect("a column that runs worlds");
+                            let own = every.face(col, cfg, &|| every.draw(row, seed).0);
+                            let want = (own.outcome, own.aux, world_insns(&own.world));
+                            assert_eq!((got.outcome, got.aux, got.insns), want, "{what}");
+                            match kept {
+                                Some(run) => {
+                                    read += 1;
+                                    assert!(got.stepped.is_none(), "{what}");
+                                    assert_eq!(run.exit, own.exit, "{what}");
+                                    assert!(
+                                        same_end(&run.world, &own.world),
+                                        "{what}: the worlds ended apart"
+                                    );
+                                }
+                                None => {
+                                    assert!(got.stepped.is_some(), "{what}");
+                                    ran_under_acting += u32::from(links.contains(&Some(c)));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (read, ran_under_acting)
+    }
+
+    #[test]
+    fn read_off_chaos_columns_are_run_columns() {
+        // net-corrupt under crc: the channel retransmits, so the baseline
+        // runs its own world.
+        let (read, ran) = read_off_columns_are_run_columns("chaos", 1);
+        assert!(
+            read > 0 && ran > 0,
+            "{read} read off, {ran} ran under an acting column"
+        );
+    }
+
+    #[test]
+    fn read_off_perturb_and_ft_columns_are_run_columns() {
+        for (mode, n) in [("perturb", 1), ("ft", 3)] {
+            let (read, ran) = read_off_columns_are_run_columns(mode, n);
+            assert!(read > 0, "{mode}: nothing read off");
+            if mode == "perturb" {
+                assert!(ran > 0, "{mode}: every superset stayed idle");
+            }
+        }
+    }
+
+    /// What a whole campaign of `mode` streams and assembles.
+    fn campaign(env: Env, mode: &MatrixMode, cfg: &CampaignConfig) -> (String, MatrixResult) {
+        use crate::engine::{sort_records_jsonl, VecSink};
+        let sink = VecSink::new(env.app.kind);
+        let r = run_on(env, mode, cfg, &sink, &EngineControl::new(), None);
+        let r = r.expect("not stopped");
+        (sort_records_jsonl(&sink.into_lines().join("\n")), r)
+    }
+
+    #[test]
+    fn read_off_campaigns_equal_run_campaigns_at_any_worker_count() {
+        // Chaos and perturb stream cells; ft reads off inside a row slot.
+        for mode in ["chaos", "perturb", "ft"] {
+            let (app, matrix) = tiny_mode(AppKind::Wavetoy, mode);
+            let mut counts = Vec::new();
+            let mut reference = None;
+            for threads in [1, 4] {
+                let cfg = CampaignConfig {
+                    injections: 2,
+                    seed: 0x0DD5,
+                    threads,
+                    ..Default::default()
+                };
+                let every = Env::build(&app, &matrix, &cfg).run_every_column();
+                let (records, all) = campaign(every, &matrix, &cfg);
+                let (got, read) = campaign(Env::build(&app, &matrix, &cfg), &matrix, &cfg);
+                assert_eq!(records, got, "{mode} at {threads} workers");
+                let trials = |r: &MatrixResult| -> Vec<Vec<Vec<MatrixTrial>>> {
+                    r.cells
+                        .iter()
+                        .map(|row| row.iter().map(|c| c.trials.clone()).collect())
+                        .collect()
+                };
+                assert_eq!(trials(&all), trials(&read), "{mode} at {threads} workers");
+                assert_eq!(all.jsonl(), read.jsonl(), "{mode} at {threads} workers");
+                let cells = matrix
+                    .rows
+                    .iter()
+                    .map(|r| r.columns.len() as u64)
+                    .sum::<u64>()
+                    * 2;
+                assert_eq!((all.cells_run, all.cells_read_off), (cells, 0), "{mode}");
+                assert_eq!(read.cells_run + read.cells_read_off, cells, "{mode}");
+                counts.push((read.cells_run, read.cells_read_off));
+                let records = (records, all.jsonl());
+                assert_eq!(
+                    reference.get_or_insert_with(|| records.clone()),
+                    &records,
+                    "{mode}"
+                );
+            }
+            assert_eq!(
+                counts[0], counts[1],
+                "{mode}: cell counts at 1 and 4 workers"
+            );
+            assert!(counts[0].1 > 0, "{mode}: nothing read off");
+        }
+    }
+
+    /// Every declared [`Column::idle_is`] link on the specs of the
+    /// benchmark's `defense_matrix` workload (seed 20040611, three
+    /// passes; guard declares none): each draw faced by the column and by
+    /// the column it names, both stepped. Prints, per link, the draws the
+    /// column stayed idle on with both worlds ending alike, those it
+    /// stayed idle on with the worlds apart, and those it acted on; the
+    /// second must be 0. `cargo test --release -p fl-inject --lib
+    /// idle_links -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn idle_links_at_benchmark_shape() {
+        use crate::spec::CampaignSpec;
+        let mut table: Vec<(String, [u32; 3])> = Vec::new();
+        for pass in 0..3u64 {
+            for (a, app) in ["wavetoy", "jacobi3d"].into_iter().enumerate() {
+                for (m, (mode, n)) in [("ft", 4), ("chaos", 2), ("perturb", 4)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let seed = 20_040_611 + pass * 1000 + (a * 4 + m + 1) as u64;
+                    let json = format!(
+                        "{{\"app\":\"{app}\",\"tiny\":true,\"regions\":[\"message\",\"regular-reg\"],\"injections\":{n},\"seed\":{seed},\"threads\":1,\"epoch_rounds\":16,\"ring\":0,\"fastpath\":true,\"mode\":\"{mode}\"}}"
+                    );
+                    let spec = CampaignSpec::from_json(&json).expect("a benchmark spec");
+                    let matrix = spec.matrix().expect("a matrix mode");
+                    let (app, _) = tiny_mode(spec.app, mode);
+                    let env = Env::build(&app, &matrix, &spec.campaign).run_every_column();
+                    for (r, row) in matrix.rows.iter().enumerate() {
+                        for (c, to) in row.idle_links().into_iter().enumerate() {
+                            let Some(to) = to else { continue };
+                            let (col, under) = (&row.columns[c], &row.columns[to]);
+                            let name = format!("{mode} {} -> {}", col.name, under.name);
+                            let at = match table.iter().position(|(n, _)| *n == name) {
+                                Some(i) => i,
+                                None => {
+                                    table.push((name, [0; 3]));
+                                    table.len() - 1
+                                }
+                            };
+                            for k in 0..n {
+                                let faults = || env.draw(row, trial_seed(seed, r, k)).0;
+                                let config = |col| column_config(env.world, col).expect("a world");
+                                let over = env.face(col, config(col), &faults);
+                                let idle = env.face(under, config(under), &faults);
+                                let alike =
+                                    over.exit == idle.exit && same_end(&over.world, &idle.world);
+                                let i = match (over.acted, alike) {
+                                    (false, true) => 0,
+                                    (false, false) => 1,
+                                    (true, _) => 2,
+                                };
+                                table[at].1[i] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        println!(
+            "{:<40} {:>16} {:>20} {:>6}",
+            "link", "idle, identical", "idle but different", "acted"
+        );
+        for (name, [same, apart, acted]) in &table {
+            println!("{name:<40} {same:>16} {apart:>20} {acted:>6}");
+        }
+        assert!(table.iter().all(|(_, counts)| counts[1] == 0));
     }
 }

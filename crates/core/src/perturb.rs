@@ -139,6 +139,13 @@ impl Detection {
                 degraded_permille: policy.degraded_permille,
             },
             covers: is_verdict,
+            // A detector that stayed idle is the next more patient one:
+            // the accrual deadline never matures before the fixed one.
+            idle_is: match self {
+                Detection::Fixed => Some(Detection::Accrual.name()),
+                Detection::Accrual => Some(Detection::None.name()),
+                Detection::None => None,
+            },
         }
     }
 }

@@ -85,13 +85,16 @@ fn regs_of(insn: &Insn) -> (Vec<Gpr>, bool) {
     (gprs, fpu)
 }
 
+/// A text bank as the instruction words it holds.
+fn words(bank: &[u8]) -> Vec<u32> {
+    bank.chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
 /// Scan an image's application text.
 pub fn analyze_image(image: &ProgramImage) -> RegisterPressure {
-    let words: Vec<u32> = image
-        .text
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let words = words(&image.text);
     let mut p = RegisterPressure::default();
     let mut idx = 0;
     while idx < words.len() {
@@ -114,6 +117,24 @@ pub fn analyze_image(image: &ProgramImage) -> RegisterPressure {
         }
     }
     p
+}
+
+/// The GPRs some word of either text bank of `image` reads when decoded
+/// as an instruction ([`Insn::gpr_reads`]), as a mask of bits `1 <<
+/// Gpr::index()`. Every word is decoded, the second word of a two-word
+/// instruction included, so whatever a run of the image executes in its
+/// own text, it reads no register outside the mask.
+pub(crate) fn gprs_read(image: &ProgramImage) -> u8 {
+    let mut mask = 0;
+    for bank in [&image.text, &image.lib_text] {
+        let words = words(bank);
+        for idx in 0..words.len() {
+            if let Ok((insn, _)) = decode_at(&words, idx) {
+                mask |= insn.gpr_reads();
+            }
+        }
+    }
+    mask
 }
 
 /// Render the analysis as text.
@@ -155,6 +176,7 @@ pub fn render_register_pressure(image: &ProgramImage) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fl_apps::{App, AppKind, AppParams};
 
     #[test]
     fn scratch_registers_dominate_compiled_code() {
@@ -178,6 +200,28 @@ mod tests {
         // unused — the static shape behind differential sensitivity.
         assert!(eax > 10 * (edi + 1), "eax {eax} vs edi {edi}");
         assert!(p.fpu_insns > 0);
+    }
+
+    #[test]
+    fn an_image_that_reads_edi_keeps_it_live() {
+        use fl_isa::encode;
+        let edi = 1 << Gpr::Edi.index();
+        for kind in [AppKind::Wavetoy, AppKind::Jacobi3d] {
+            let mut img = App::build(kind, AppParams::tiny(kind)).image;
+            let read = gprs_read(&img);
+            // The compiled apps and the library never read EDI; every
+            // stack instruction reads ESP, every syscall EAX.
+            assert_eq!(read & edi, 0, "{kind}");
+            assert_ne!(read & 1 << Gpr::Esp.index(), 0, "{kind}");
+            assert_ne!(read & 1 << Gpr::Eax.index(), 0, "{kind}");
+            // One word anywhere in the library text that reads EDI.
+            let mov = Insn::Mov {
+                rd: Gpr::Eax,
+                rs: Gpr::Edi,
+            };
+            img.lib_text.extend(encode(&mov).to_bytes());
+            assert_eq!(gprs_read(&img), read | edi, "{kind}");
+        }
     }
 
     #[test]

@@ -290,6 +290,40 @@ impl Insn {
         }
     }
 
+    /// The general-purpose registers executing the instruction reads, as
+    /// a mask of bits `1 << Gpr::index()`: its source and address
+    /// operands, ESP for every instruction that pushes or pops, EBP for
+    /// `enter` and `leave`, EAX for `halt` (the exit status), and for
+    /// `sys` the registers the trap's services read ([`SYS_ARGS`]). A
+    /// register no instruction of a program reads is never read by it.
+    ///
+    /// [`SYS_ARGS`]: crate::syscall::SYS_ARGS
+    pub fn gpr_reads(&self) -> u8 {
+        use crate::syscall::SYS_ARGS;
+        use Insn::*;
+        let regs: &[Gpr] = match self {
+            Nop | MovI { .. } | J { .. } | LdG { .. } | FistpR { .. } => &[],
+            Mov { rs, .. } | JmpR { rs } | StG { rs, .. } | FildR { rs } => &[*rs],
+            Alu { ra, rb, .. } | Cmp { ra, rb } => &[*ra, *rb],
+            AddI { ra, .. } | MulI { ra, .. } | CmpI { ra, .. } => &[*ra],
+            Ld { base, .. } | LdB { base, .. } => &[*base],
+            St { rb, base, .. } | StB { rb, base, .. } => &[*rb, *base],
+            Push { rs } | CallR { rs } => &[*rs, Gpr::Esp],
+            Pop { .. } | Call { .. } | Ret => &[Gpr::Esp],
+            Enter { .. } | Leave => &[Gpr::Ebp, Gpr::Esp],
+            Sys { .. } => &SYS_ARGS,
+            Halt => &[Gpr::Eax],
+            Fld { base, .. }
+            | Fst { base, .. }
+            | Fstp { base, .. }
+            | Fild { base, .. }
+            | Fistp { base, .. } => &[*base],
+            FldG { .. } | FstpG { .. } | Fldz | Fld1 | Fbinp { .. } | Funop { .. } => &[],
+            Fxch { .. } | FldSt { .. } | Fcomip | Fpop => &[],
+        };
+        regs.iter().fold(0, |m, r| m | 1 << r.index())
+    }
+
     /// Length in 32-bit words when encoded.
     pub fn encoded_words(&self) -> usize {
         if self.opcode().has_imm_word() {
@@ -342,6 +376,20 @@ mod tests {
         .is_block_end());
         assert!(!Insn::Nop.is_block_end());
         assert!(!Insn::Fldz.is_block_end());
+    }
+
+    #[test]
+    fn reads_name_sources_and_implicit_registers_only() {
+        use crate::syscall::SYS_ARGS;
+        let mask = |regs: &[Gpr]| regs.iter().fold(0u8, |m, r| m | 1 << r.index());
+        let (eax, edi) = (Gpr::Eax, Gpr::Edi);
+        assert_eq!(Insn::Mov { rd: eax, rs: edi }.gpr_reads(), mask(&[edi]));
+        assert_eq!(Insn::MovI { rd: edi, imm: 1 }.gpr_reads(), 0);
+        assert_eq!(Insn::Push { rs: edi }.gpr_reads(), mask(&[edi, Gpr::Esp]));
+        assert_eq!(Insn::Pop { rd: edi }.gpr_reads(), mask(&[Gpr::Esp]));
+        assert_eq!(Insn::Sys { num: 0 }.gpr_reads(), mask(&SYS_ARGS));
+        assert_eq!(Insn::Halt.gpr_reads(), mask(&[eax]));
+        assert_eq!(Insn::FistpR { rd: edi }.gpr_reads(), 0);
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //! syscall (or library-text execution) is active; the malloc runtime uses
 //! that flag to tag heap chunks user vs MPI (§3.2).
 
+use crate::reg::Gpr;
+
+/// The registers a `SYS` trap passes its arguments in: the machine's
+/// own services read EAX and ECX, the MPI services EDX and EBX too. Both
+/// trap handlers read their arguments through this list, and no other
+/// general-purpose register is read across the trap, so
+/// [`Insn::gpr_reads`](crate::Insn::gpr_reads) of a `sys` is exactly it.
+pub const SYS_ARGS: [Gpr; 4] = [Gpr::Eax, Gpr::Ecx, Gpr::Edx, Gpr::Ebx];
+
 /// Syscall numbers carried in the 12-bit aux field of a `SYS` instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]

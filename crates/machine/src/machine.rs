@@ -16,6 +16,7 @@ use crate::malloc::{AllocTag, HeapAllocator, HeapError};
 use crate::mem::{Memory, MemorySnapshot, ReadStamps};
 use crate::AddressSpaceMap;
 use fl_isa::insn::{AluOp, FpuBinOp, FpuUnOp};
+use fl_isa::syscall::SYS_ARGS;
 use fl_isa::{decode_at, Cond, Gpr, Insn, RegisterName, Syscall};
 use fl_isa::{EFLAGS_CF, EFLAGS_OF, EFLAGS_SF, EFLAGS_ZF};
 use fl_obs::{EventKind, EventLog, SigKind};
@@ -2308,8 +2309,7 @@ impl Machine {
             // kernel would deliver SIGSYS; we fold it into SIGILL.
             None => return Err(SysOutcome::Signal(Signal::Ill { eip })),
         };
-        let eax = self.cpu.get(Gpr::Eax);
-        let ecx = self.cpu.get(Gpr::Ecx);
+        let [eax, ecx, ..] = SYS_ARGS.map(|r| self.cpu.get(r));
         let now = self.counters.blocks;
         let is_write = matches!(
             call,

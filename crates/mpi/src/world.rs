@@ -26,7 +26,8 @@
 
 use crate::message::{CtlOp, Header, MsgKind, WireMsg, MAX_PAYLOAD};
 use crate::profile::TrafficProfile;
-use fl_isa::{Gpr, Syscall};
+use fl_isa::syscall::SYS_ARGS;
+use fl_isa::Syscall;
 use fl_machine::{
     ExecStats, Exit, Machine, MachineConfig, MachineSnapshot, MemStall, ProgramImage, SharedCode,
     SyscallFault, SyscallFaultKind,
@@ -631,6 +632,9 @@ struct WorldState {
     /// ULFM mode: consecutive rounds with no runnable rank (bounds the
     /// replacement for the instant-deadlock verdict).
     idle_rounds: u64,
+    /// Rounds the failure detector held back a deadlock verdict: no rank
+    /// runnable, one of them dead or wedged. Always 0 with detection off.
+    held_rounds: u64,
 }
 
 /// One image loaded once, to launch many worlds from: the pristine
@@ -704,6 +708,7 @@ impl Launch {
                 known_failed: 0,
                 shrinks: 0,
                 idle_rounds: 0,
+                held_rounds: 0,
             },
             injection: None,
         }
@@ -879,6 +884,14 @@ impl MpiWorld {
     /// Scheduler rounds completed so far.
     pub fn round(&self) -> u64 {
         self.st.round
+    }
+
+    /// Rounds in which the failure detector held back the deadlock
+    /// verdict a world without detection would have reached: no rank
+    /// runnable and one of them dead or wedged, so the world waited for
+    /// suspicion to mature instead. 0 with detection off.
+    pub fn held_rounds(&self) -> u64 {
+        self.st.held_rounds
     }
 
     /// Total redelivery attempts the channel guard has charged (0 when
@@ -1396,15 +1409,8 @@ impl MpiWorld {
     /// Service the MPI syscall `rank` trapped on. Arguments are in the
     /// registers, marshalled there by the library wrappers.
     fn service(&mut self, rank: u16, call: Syscall) {
-        let (eax, ecx, edx, ebx) = {
-            let c = &self.ranks[rank as usize].machine.cpu;
-            (
-                c.get(Gpr::Eax),
-                c.get(Gpr::Ecx),
-                c.get(Gpr::Edx),
-                c.get(Gpr::Ebx),
-            )
-        };
+        let c = &self.ranks[rank as usize].machine.cpu;
+        let [eax, ecx, edx, ebx] = SYS_ARGS.map(|r| c.get(r));
         match call {
             Syscall::MpiInit => {
                 // MPICH allocates internal unexpected-message buffers at
@@ -2368,6 +2374,7 @@ impl MpiWorld {
                     .iter()
                     .any(|r| !matches!(r.st.health, Health::Alive))
             {
+                self.st.held_rounds += 1;
                 return None;
             }
             // Everyone blocked or exited, and progress() found nothing:
